@@ -27,21 +27,16 @@
 //! cycles since the generic-join operator landed); if not even a WCOJ plan
 //! meets it, the verdict stays [`Verdict::WcojNeeded`].
 //!
-//! Everything is exact rational arithmetic ([`Rat`], now living in
+//! Everything is exact rational arithmetic ([`Rat`], from
 //! [`cnb_ir::cover`] with *checked* overflow-reporting operations) solved
 //! by a tiny Bland-rule simplex — byte-identical verdicts across runs and
 //! hosts, no floats anywhere. Queries are small (≤ a dozen scans), so
 //! exactness is free.
 
+use cnb_ir::cover::{cover_lp, Rat};
 use cnb_ir::hypergraph::{prefix_hypergraph, query_hypergraph, ExecStrategy};
 use cnb_ir::prelude::{PhysicalSpec, Query, Range, Schema};
 use cnb_workloads::workload::{AgmExpectation, Workload};
-
-// The exact-rational cover machinery moved to `cnb_ir::cover` so the
-// optimizer itself can certify WCOJ gaps; re-exported here verbatim to keep
-// `cnb_analyze::agm::{Rat, cover_lp, verify_cover}` working for every
-// existing consumer (reports, negative corpus, external tooling).
-pub use cnb_ir::cover::{cover_lp, verify_cover, CoverError, CoverLp, Rat};
 
 /// Workload-level verdict over all emitted plans.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -341,17 +336,6 @@ pub fn shape_report() -> Result<Vec<ShapeAgm>, String> {
 mod tests {
     use super::*;
     use cnb_workloads::Ec5;
-
-    /// The moved cover machinery is still reachable under its old paths.
-    #[test]
-    fn reexported_cover_machinery_works() {
-        assert_eq!(Rat::new(2, 4), Rat::new(1, 2));
-        assert_eq!(Rat::new(3, 2).to_string(), "3/2");
-        assert!(matches!(
-            Rat::checked_new(1, 0),
-            Err(CoverError::ZeroDenominator)
-        ));
-    }
 
     /// EC5's triangle: every left-deep base plan exceeds `ρ* = 3/2`, the
     /// generic-join twin meets it exactly — verdict `wcoj-closed`, with a

@@ -9,8 +9,7 @@
 //! ```
 //!
 //! Exits nonzero on any finding; `scripts/check.sh` runs `all` as the
-//! `==> cnb-analyze` tier and `scripts/bench_record.sh` refuses to record
-//! numbers unless the JSON report says `"ok": true`.
+//! `==> cnb-analyze` tier.
 
 #![forbid(unsafe_code)]
 

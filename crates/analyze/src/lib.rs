@@ -49,8 +49,7 @@ pub mod validate;
 /// One-stop imports.
 pub mod prelude {
     pub use crate::agm::{
-        certify_suite, certify_workload, plan_agm, plan_agm_wcoj, shape_report, CoverError, Rat,
-        Verdict,
+        certify_suite, certify_workload, plan_agm, plan_agm_wcoj, shape_report, Verdict,
     };
     pub use crate::lint::{lint_source, lint_workspace, LintViolation, LINT_RULES};
     pub use crate::suite::validate_suite;
@@ -59,4 +58,5 @@ pub mod prelude {
         join_components, validate_constraint, validate_constraint_set, validate_plan,
         validate_query, ValidateError,
     };
+    pub use cnb_ir::cover::{CoverError, Rat};
 }

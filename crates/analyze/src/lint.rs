@@ -10,14 +10,14 @@
 //! | rule            | pattern                                | use instead                         |
 //! |-----------------|----------------------------------------|-------------------------------------|
 //! | `std-hash-map`  | `HashMap` / `HashSet`                  | `cnb_core::fxhash` maps             |
-//! | `wall-clock`    | `Instant::now` / `SystemTime::now`     | `cnb_bench` timing paths, annotated |
+//! | `wall-clock`    | `Instant::now` / `SystemTime::now`     | an annotated stats-only site        |
 //! | `thread-id`     | `thread::current`                      | nothing — logic must not know       |
 //! | `stale-allow`   | an allow annotation suppressing nothing| delete the annotation               |
 //!
 //! A line (or the standalone comment line directly above it) may carry
 //! `// cnb-lint: allow(<rule>)` to suppress a rule where the use is
-//! sanctioned — the `fxhash` definition site, deadline checks that never
-//! influence emitted plans, and the bench crate's own timing code. An
+//! sanctioned — the `fxhash` definition site, deadline checks and
+//! stats-only timings that never influence emitted plans. An
 //! annotation that suppresses nothing on its target line is itself flagged
 //! (`stale-allow`), so sanctioned-site annotations cannot rot silently.
 //!

@@ -1,11 +1,11 @@
 //! Machine-readable analysis output: every prong's findings in one JSON
 //! document with stable field order.
 //!
-//! `scripts/bench_record.sh` and the `check.sh` gate consume this instead
-//! of scraping exit text. The writer is hand-rolled (the workspace is
-//! dependency-free by policy); object keys are emitted in fixed source
-//! order and every list is sorted upstream, so two runs over the same tree
-//! produce byte-identical documents — the determinism gate diffs them.
+//! The `check.sh` gate consumes this instead of scraping exit text. The
+//! writer is hand-rolled (the workspace is dependency-free by policy);
+//! object keys are emitted in fixed source order and every list is sorted
+//! upstream, so two runs over the same tree produce byte-identical
+//! documents — the determinism gate diffs them.
 
 use std::io;
 use std::path::Path;
@@ -161,7 +161,7 @@ fn workload_json(w: &WorkloadAgm) -> String {
     )
 }
 
-fn cover_json(cover: &[(String, crate::agm::Rat)]) -> String {
+fn cover_json(cover: &[(String, cnb_ir::cover::Rat)]) -> String {
     cover
         .iter()
         .map(|(l, r)| format!("[{}, {}]", json_str(l), json_str(&r.to_string())))

@@ -1,9 +1,8 @@
 //! # cnb-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation section (§5) — the
-//! core routines live in [`figs`] so integration tests can smoke-run them —
-//! plus micro-benchmarks on the in-repo [`timing`] harness (the build
-//! environment has no registry access, so external benchmark frameworks are not available).
+//! One binary per table/figure of the paper's evaluation section (§5); the
+//! core routines live in [`figs`] so integration tests can smoke-run them.
+//! Performance is measured elsewhere: `BENCHMARK.json` + `benchmark/`.
 //!
 //! Environment knobs:
 //! * `CNB_TIMEOUT_SECS` — per-optimization wall-clock budget (default 120,
@@ -22,65 +21,10 @@
 #![allow(clippy::disallowed_methods)]
 
 pub mod figs;
-pub mod serving;
-pub mod timing;
 
 use std::time::Duration;
 
 use cnb_core::prelude::*;
-use cnb_ir::prelude::{PathExpr, Var};
-
-/// The congruence savepoint-churn workload, shared by
-/// `benches/congruence.rs` (`save_rollback_churn/*`) and the
-/// `record_backchase` binary's `micro` section so the committed
-/// `BENCH_backchase.json` measures exactly what `cargo bench --bench
-/// congruence` shows: a warm closure of `base_terms` lookup paths, cycled
-/// through save → intern two fresh composite terms → two merges (with
-/// congruence cascades) → rollback. Rollback restores the base byte-exactly,
-/// so every cycle measures identical work.
-pub struct ChurnRig {
-    cong: Congruence,
-    anchors: Vec<TermId>,
-    base_terms: u32,
-}
-
-impl ChurnRig {
-    /// Builds the warm base closure. `base_terms` must be at least 8 —
-    /// [`ChurnRig::cycle`] rotates through 8 anchors.
-    pub fn new(base_terms: u32) -> ChurnRig {
-        assert!(base_terms >= 8, "ChurnRig needs at least 8 anchor terms");
-        let mut cong = Congruence::new();
-        let anchors: Vec<TermId> = (0..base_terms)
-            .map(|i| cong.intern_path(&PathExpr::from(Var(i)).lookup_in("M").dot("A")))
-            .collect();
-        for pair in anchors.chunks(2) {
-            if let [a, b] = pair {
-                cong.merge(*a, *b);
-            }
-        }
-        ChurnRig {
-            cong,
-            anchors,
-            base_terms,
-        }
-    }
-
-    /// One save/intern/merge/rollback cycle; `k` varies the fresh variable
-    /// so consecutive cycles touch different anchors.
-    pub fn cycle(&mut self, k: u32) -> usize {
-        let k = k % 8;
-        let sp = self.cong.save();
-        let v = Var(self.base_terms + k);
-        let t1 = self.cong.intern_path(&PathExpr::from(v).dot("A"));
-        let t2 = self
-            .cong
-            .intern_path(&PathExpr::from(v).lookup_in("M").dot("B"));
-        self.cong.merge(t1, t2);
-        self.cong.merge(t1, self.anchors[k as usize]);
-        self.cong.rollback(sp);
-        self.cong.len()
-    }
-}
 
 /// The per-optimization timeout (paper: 2 minutes).
 pub fn timeout() -> Duration {

@@ -1,32 +1,51 @@
-//! End-to-end smoke of the serving path: cache semantics, executor-pool
-//! determinism, and the QPS harness itself.
+//! End-to-end smoke of the serving path: cache semantics and executor-pool
+//! determinism.
 //!
 //! The properties here are the serving-path contract:
 //! * row sets are a pure function of the request mix — the executor pool's
 //!   thread count must never change them;
 //! * a warm cache hit answers without running chase & backchase (audited
-//!   via the process-wide [`chase_and_backchase_runs`] counter);
+//!   via the process-wide [`chase_and_backchase_runs`] counter), and every
+//!   served plan — point-pinned and view-rewritten — passes
+//!   `cnb_analyze::validate::validate_plan`;
 //! * the per-family point picks *partition* the central query — pooling
 //!   the distinct rows over the whole pick domain reproduces the full
 //!   query's distinct result, so the cached template + bound parameter
-//!   really is the same query, not a lookalike;
-//! * the measurement harness (`run_suite`) itself runs green, which in a
-//!   debug build also pushes every served plan through
-//!   `cnb_analyze::validate_plan` (see `cnb_bench::serving`).
+//!   really is the same query, not a lookalike.
 
-use cnb_bench::serving::run_suite;
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
+use cnb_analyze::validate::validate_plan;
 use cnb_core::prelude::chase_and_backchase_runs;
-use cnb_engine::PlanServer;
+use cnb_engine::{PlanServer, ServedPlan};
 use cnb_workloads::{suite, DataScale, Workload};
+
+/// Serializes tests: the C&B run counter is process-wide, so the warm-hit
+/// audit must not share it with a concurrently-optimizing test (same
+/// pattern as `crates/engine/tests/pressure.rs`).
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|poison| poison.into_inner())
+}
 
 fn server_for(w: &dyn Workload) -> PlanServer {
     PlanServer::new(w.optimizer(), cnb_bench::config(w.expectations().strategy))
+}
+
+/// A served plan must pass the same semantic validation the `cnb-analyze`
+/// gate applies to backchase-emitted plans.
+fn assert_valid(w: &dyn Workload, served: &ServedPlan) {
+    validate_plan(&w.schema(), &served.plan)
+        .unwrap_or_else(|e| panic!("{}: served plan fails validate_plan: {e}", w.name()));
 }
 
 /// The executor pool is a throughput knob only: serving the same mix on
 /// 1/2/4/8 workers returns byte-identical row sets in request order.
 #[test]
 fn row_sets_are_identical_at_every_thread_count() {
+    let _guard = serial();
     let scale = DataScale::new(120, 7);
     for w in suite() {
         let db = w.generate_at(scale);
@@ -57,19 +76,23 @@ fn row_sets_are_identical_at_every_thread_count() {
 }
 
 /// A warm hit never re-plans: across a full warmed mix the process-wide
-/// chase & backchase run counter does not move, for any family.
+/// chase & backchase run counter does not move, for any family. Cold and
+/// warm, what is served validates against the family's schema.
 #[test]
 fn warm_hits_answer_without_chase_and_backchase() {
+    let _guard = serial();
     let scale = DataScale::new(120, 7);
     for w in suite() {
         let db = w.generate_at(scale);
         let mut server = server_for(w.as_ref());
         let (plan, _) = server.serve(&db, &w.serving_query(scale, 0)).unwrap();
         assert!(!plan.cache_hit, "{}: first request must miss", w.name());
+        assert_valid(w.as_ref(), &plan);
         let before = chase_and_backchase_runs();
         for pick in 1..8u64 {
             let (plan, _) = server.serve(&db, &w.serving_query(scale, pick)).unwrap();
             assert!(plan.cache_hit, "{}: warmed pick {pick} must hit", w.name());
+            assert_valid(w.as_ref(), &plan);
         }
         assert_eq!(
             chase_and_backchase_runs(),
@@ -92,6 +115,7 @@ fn warm_hits_answer_without_chase_and_backchase() {
 /// theory allows).
 #[test]
 fn point_picks_partition_the_central_query() {
+    let _guard = serial();
     let scale = DataScale::new(90, 7);
     // Each family's serving pick domain (the modulus its `serving_query`
     // applies at this scale; see the per-family impls).
@@ -139,81 +163,6 @@ fn point_picks_partition_the_central_query() {
             server.cache().misses(),
             1,
             "{}: one shape, one miss",
-            w.name()
-        );
-    }
-}
-
-/// The QPS harness runs green at smoke scale and reports sane numbers; in
-/// a debug build this also validates every served plan against
-/// `cnb_analyze::validate_plan` (the harness panics on a finding).
-#[test]
-fn harness_smoke_runs_and_validates_served_plans() {
-    let points = run_suite(DataScale::new(80, 7), 6, 2);
-    let labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
-    assert_eq!(labels, ["EC1", "EC2", "EC3", "EC4", "EC5", "mix"]);
-    for p in &points {
-        assert!(p.qps > 0.0, "{}: qps must be positive", p.label);
-        assert!(
-            p.p50_ms <= p.p95_ms && p.p95_ms <= p.p99_ms,
-            "{}: percentiles must be monotone",
-            p.label
-        );
-        assert_eq!(p.cache_misses, if p.label == "mix" { 5 } else { 1 });
-        assert!(
-            p.hit_rate > 0.8,
-            "{}: warmed mix should be hit-dominated (got {})",
-            p.label,
-            p.hit_rate
-        );
-    }
-}
-
-/// The open-loop harness reconciles: every scheduled arrival lands in
-/// exactly one outcome bucket, saturation (utilization > 1) produces
-/// pressure casualties, and light load serves nearly everything.
-#[test]
-fn open_loop_buckets_reconcile_and_pressure_shows_up() {
-    use cnb_bench::serving::{run_open_loop, OpenLoopConfig};
-    let scale = DataScale::new(80, 7);
-    let cfg = OpenLoopConfig {
-        requests: 60,
-        utilizations: vec![0.5, 3.0],
-        backlog_cap: 8,
-        ..OpenLoopConfig::default()
-    };
-    for w in suite() {
-        let points = run_open_loop(w.as_ref(), scale, 2, &cfg);
-        assert_eq!(points.len(), 2, "{}", w.name());
-        for p in &points {
-            assert_eq!(
-                p.served + p.shed + p.expired + p.faulted,
-                p.requests,
-                "{} u={}: buckets must reconcile",
-                p.label,
-                p.utilization
-            );
-            assert!(
-                p.p50_ms <= p.p95_ms && p.p95_ms <= p.p99_ms,
-                "{} u={}: sojourn percentiles must be monotone",
-                p.label,
-                p.utilization
-            );
-        }
-        let (light, heavy) = (&points[0], &points[1]);
-        assert!(
-            light.served + light.faulted == light.requests,
-            "{}: at half load nothing should be shed or expired (got {light:?})",
-            w.name()
-        );
-        assert!(
-            heavy.shed + heavy.expired > 0,
-            "{}: at 3x capacity the backlog/deadline must bite (got {heavy:?})",
-            w.name()
-        );
-        assert!(
-            heavy.served < heavy.requests,
-            "{}: overload cannot serve everyone",
             w.name()
         );
     }

@@ -47,8 +47,6 @@ pub struct OptimizerConfig {
     /// OCS only: merge this many natural strata per pipeline stage (fig. 8's
     /// granularity sweep). `None` keeps the natural strata.
     pub stratum_group_size: Option<usize>,
-    /// Sort plans "best first" (more physical structures, then fewer loops).
-    pub sort_best_first: bool,
 }
 
 impl Default for OptimizerConfig {
@@ -57,7 +55,6 @@ impl Default for OptimizerConfig {
             strategy: Strategy::Full,
             backchase: BackchaseConfig::default(),
             stratum_group_size: None,
-            sort_best_first: true,
         }
     }
 }
@@ -194,12 +191,11 @@ impl Optimizer {
         };
         self.emit_wcoj_twins(&mut result.plans);
         result.total_time = start.elapsed();
-        if cfg.sort_best_first {
-            let model = CostModel::default();
-            result
-                .plans
-                .sort_by_key(|p| model.heuristic_rank(&self.schema, &p.query));
-        }
+        // Best first: more physical structures, then fewer loops.
+        let model = CostModel::default();
+        result
+            .plans
+            .sort_by_key(|p| model.heuristic_rank(&self.schema, &p.query));
         result
     }
 

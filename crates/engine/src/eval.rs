@@ -199,7 +199,7 @@ pub fn execute(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
 
 /// The retired tuple-at-a-time nested-loop interpreter, kept as a compact
 /// differential oracle (same planning, same semantics, same row order —
-/// `tests` and `benches/execution.rs` compare it against [`execute`]).
+/// `tests` and `benchmark/` compare it against [`execute`]).
 /// It records no per-operator stats.
 pub fn execute_legacy(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
     // Stats-only timing; evaluation order is fixed by the plan.

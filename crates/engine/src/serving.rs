@@ -34,7 +34,7 @@
 //! executor thread count. Scheduling may reorder *execution*, never
 //! *results*.
 
-use cnb_ir::prelude::Query;
+use cnb_ir::prelude::{ExecStrategy, Query};
 
 use cnb_core::cost::CostModel;
 use cnb_core::prelude::{
@@ -70,9 +70,8 @@ pub struct ServeOutcome {
     pub retries: usize,
 }
 
-/// Aggregate counters over one batch's outcomes — what the load harness
-/// records and the pressure tests reconcile (`served + rejected + expired +
-/// faulted + failed == requests`).
+/// Aggregate counters over one batch's outcomes — what the pressure tests
+/// reconcile (`served + rejected + expired + faulted + failed == requests`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PressureTally {
     /// Requests that returned rows.
@@ -178,8 +177,10 @@ impl PlanServer {
     /// the template only on a miss. The returned plan has the request's
     /// constants bound back in and is ready to execute.
     ///
-    /// A miss caches *all* template plans the optimizer emitted
-    /// (best-first); serving always binds the best one. If optimization
+    /// A miss caches *all* left-deep template plans the optimizer emitted
+    /// (best-first); serving always binds the best one. Generic-join twins
+    /// are left out: a twin shares its sibling's `Query` and `serve` only
+    /// runs `execute`, so it would be a duplicate entry. If optimization
     /// produced no plan (timeout), the template itself is cached as the
     /// only plan — the request then executes as written, and so does every
     /// later request with the same shape.
@@ -195,7 +196,12 @@ impl PlanServer {
         let result = self
             .optimizer
             .optimize(&parameterized.template, &self.config);
-        let mut plans: Vec<Query> = result.plans.into_iter().map(|p| p.query).collect();
+        let mut plans: Vec<Query> = result
+            .plans
+            .into_iter()
+            .filter(|p| p.strategy == ExecStrategy::LeftDeep)
+            .map(|p| p.query)
+            .collect();
         if plans.is_empty() {
             plans.push(parameterized.template.clone());
         }
@@ -462,6 +468,27 @@ mod tests {
             vec![Value::record([(sym("D"), Value::Int(700))])]
         );
         assert_eq!((server.cache().hits(), server.cache().misses()), (1, 1));
+    }
+
+    /// EC5's triangle has a certified WCOJ gap, so the optimizer emits
+    /// generic-join twins; the cache must hold each rewriting once.
+    #[test]
+    fn generic_join_twins_are_not_cached_as_duplicate_plans() {
+        use cnb_workloads::Workload;
+        let w = cnb_workloads::Ec5::triangle();
+        let mut server = PlanServer::new(
+            w.optimizer(),
+            OptimizerConfig::with_strategy(Strategy::Full),
+        );
+        server.plan(&w.query());
+        let template = parameterize(&w.query()).template;
+        let fp = Fingerprint::new(&template, server.optimizer.constraints());
+        let entry = server.cache.lookup(&fp, &template).expect("just planted");
+        let mut keys: Vec<String> = entry.plans.iter().map(Query::canonical_key).collect();
+        let cached = keys.len();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), cached, "two cached plans share a canonical key");
     }
 
     #[test]
