@@ -55,10 +55,14 @@ impl Batch {
     /// (`sel` and `vals` must have equal length: `sel[i]` is the input row
     /// that produced output row `i`).
     pub fn gather_with(&self, sel: &[u32], slot: usize, vals: Vec<Value>) -> Batch {
-        debug_assert_eq!(sel.len(), vals.len());
-        let mut out = self.gather(sel);
-        out.cols[slot] = Some(vals);
-        out
+        self.gather(sel).with_col(slot, vals)
+    }
+
+    /// Binds `slot` to `vals`, one value per row.
+    pub(crate) fn with_col(mut self, slot: usize, vals: Vec<Value>) -> Batch {
+        debug_assert_eq!(self.len, vals.len());
+        self.cols[slot] = Some(vals);
+        self
     }
 
     /// Gathers the selected rows into a new batch.

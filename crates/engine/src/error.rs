@@ -4,8 +4,8 @@
 //!
 //! * [`ExecError`] — what can go wrong *executing one plan*: an ill-formed
 //!   query, an unbound `?k` parameter placeholder, a join order that cannot
-//!   be scheduled, or a row missing an attribute during physical
-//!   materialization.
+//!   be scheduled, a row missing an attribute during physical
+//!   materialization, or an intermediate result too large for row ids.
 //! * [`ServeError`] — what can go wrong *serving a request under pressure*:
 //!   admission control rejected it over budget, its deadline expired before
 //!   (or during) dispatch, a seeded fault was injected, its fault-retry
@@ -56,6 +56,16 @@ pub enum ExecError {
     /// same shape check, so reaching this from a planned execution is a
     /// dispatch bug.
     GenericJoinUnsupported(String),
+    /// An intermediate result or a build-side table outgrew the executor's
+    /// 32-bit row ids. The request fails as a whole; no rows are returned.
+    RowIdOverflow {
+        /// What was being numbered (`"batch"`, a build table, …).
+        what: &'static str,
+        /// How many rows it had.
+        rows: usize,
+        /// The largest count row ids can address.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -79,6 +89,9 @@ impl fmt::Display for ExecError {
             } => write!(f, "{relation} row lacks attribute {attribute}"),
             ExecError::GenericJoinUnsupported(msg) => {
                 write!(f, "generic join unsupported: {msg}")
+            }
+            ExecError::RowIdOverflow { what, rows, limit } => {
+                write!(f, "{what} of {rows} rows exceeds the row-id limit {limit}")
             }
         }
     }

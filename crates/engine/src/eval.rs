@@ -6,7 +6,10 @@
 //! build/probe hash joins; residual equalities become filters. A greedy
 //! selectivity-aware ordering ([`crate::join`]) plays the role of the host
 //! optimizer's join reordering (the paper fed its plans to DB2, which did
-//! the same).
+//! the same) — and, like DB2, knows that an index scan followed by an
+//! equality is a join: a `dom M k, M[k] t` pair with an equality on `t`
+//! into the bound prefix runs as one `dict_join` probe, not as a scan, an
+//! expansion and a filter.
 //!
 //! **Determinism.** Output row order is a pure function of
 //! `(database, plan)`: batches are walked front to back, hash-join buckets
@@ -16,7 +19,9 @@
 //! processes — produce byte-identical `ExecResult.rows`. The row order
 //! equals the old tuple-at-a-time nested-loop order (lexicographic in the
 //! chosen step order), which [`execute_legacy`] retains as a differential
-//! oracle.
+//! oracle. The oracle never fuses index pairs, so the two agree on rows,
+//! row order and join order but not on [`ExecStats::tuples_considered`]:
+//! the batched count is the smaller one wherever a pair fused.
 //!
 //! **Cardinality feedback.** Every operator records its observed input and
 //! output cardinalities in [`ExecStats::operators`]; [`feed_cost_model`]
@@ -35,21 +40,27 @@ use cnb_ir::prelude::*;
 use crate::batch::{eval_path_at, slot_map, Batch};
 use crate::database::Database;
 use crate::error::ExecError;
-use crate::join::{apply_access, apply_filters, plan, Access, JoinIndexes};
+use crate::join::{
+    apply_access, apply_dict_join, apply_filters, greedy_order, plan, Access, JoinIndexes, Op,
+};
 
 /// One operator's observed cardinalities — the raw material of the
 /// cost-model feedback loop.
 #[derive(Clone, Debug)]
 pub struct OpStats {
     /// Operator kind: `scan`, `hash_join`, `dom_scan`, `dom_probe`,
-    /// `path_set` or `filter`.
+    /// `path_set`, `dict_join` or `filter`.
     pub op: &'static str,
     /// The collection accessed (None for filters and anchorless paths).
     pub collection: Option<Symbol>,
     /// Cardinality of the accessed collection at execution time (build-side
-    /// rows for hash joins, anchor-dictionary keys for set-path expansions;
-    /// 0 for filters).
+    /// rows for hash joins, dictionary keys for set-path expansions and
+    /// `dict_join` — never its pair count; 0 for filters).
     pub collection_rows: usize,
+    /// `dict_join` only: the dictionary's `(key, element)` pairs, i.e. what
+    /// one input row would have fanned out to before the equality (0 on an
+    /// empty input, where nothing is enumerated, and for other operators).
+    pub pairs: usize,
     /// Rows in the input batch.
     pub input_rows: usize,
     /// Rows produced.
@@ -60,8 +71,10 @@ pub struct OpStats {
 #[derive(Clone, Debug, Default)]
 pub struct ExecStats {
     /// Total binding candidates produced by access operators before
-    /// filtering (a proxy for work done; identical to the tuple-at-a-time
-    /// interpreter's count).
+    /// filtering (a proxy for work done). A `dict_join` produces only the
+    /// pairs that satisfy its equality, so this is at most the
+    /// tuple-at-a-time interpreter's count, and equal to it for plans
+    /// without a fused index pair.
     pub tuples_considered: usize,
     /// Output rows.
     pub rows_out: usize,
@@ -92,33 +105,42 @@ impl ExecStats {
     }
 
     /// Measured selectivity of each equality predicate the plan evaluated:
-    /// `out / (in · build)` for probe-style joins, `out / in` for residual
-    /// filters. Operators with empty inputs observe nothing.
+    /// `out / (in · build)` for probe-style joins (`build` = a
+    /// `dict_join`'s pairs: what its equality's filter would have read),
+    /// `out / in` for residual filters. Operators with empty inputs observe
+    /// nothing.
     pub fn observed_join_selectivities(&self) -> Vec<f64> {
         let mut out = Vec::new();
         for op in &self.operators {
-            match op.op {
-                "hash_join" | "dom_probe" => {
-                    let denom = op.input_rows * op.collection_rows;
-                    if denom > 0 {
-                        out.push(op.output_rows as f64 / denom as f64);
-                    }
-                }
-                "filter" if op.input_rows > 0 => {
-                    out.push(op.output_rows as f64 / op.input_rows as f64);
-                }
-                _ => {}
+            // What one input row was compared against.
+            let build = match op.op {
+                "hash_join" | "dom_probe" => op.collection_rows,
+                "dict_join" => op.pairs,
+                "filter" => 1,
+                _ => continue,
+            };
+            let denom = op.input_rows * build;
+            if denom > 0 {
+                out.push(op.output_rows as f64 / denom as f64);
             }
         }
         out
     }
 
-    /// Measured fan-out of set-valued path expansions (`out / in`).
+    /// Measured fan-out of set-valued path expansions (`out / in`; for a
+    /// `dict_join`, pairs per key — what its `path_set` half would have
+    /// measured).
     pub fn observed_fanouts(&self) -> Vec<f64> {
         self.operators
             .iter()
-            .filter(|op| op.op == "path_set" && op.input_rows > 0)
-            .map(|op| op.output_rows as f64 / op.input_rows as f64)
+            .filter(|op| op.input_rows > 0)
+            .filter_map(|op| match op.op {
+                "path_set" => Some(op.output_rows as f64 / op.input_rows as f64),
+                "dict_join" if op.collection_rows > 0 => {
+                    Some(op.pairs as f64 / op.collection_rows as f64)
+                }
+                _ => None,
+            })
             .collect()
     }
 }
@@ -166,18 +188,27 @@ pub fn execute(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
     let start = Instant::now(); // cnb-lint: allow(wall-clock)
     q.validate().map_err(ExecError::InvalidQuery)?;
     reject_unbound_params(q)?;
-    let steps = plan(db, q)?;
-    let indexes = JoinIndexes::build(db, &steps);
+    let ops = plan(db, q)?;
+    let indexes = JoinIndexes::build(db, ops.iter().filter_map(Op::step))?;
     let slots = slot_map(q);
 
     let mut stats = ExecStats {
-        order: steps.iter().map(|s| s.binding_idx).collect(),
+        order: ops.iter().flat_map(Op::bindings).collect(),
         ..ExecStats::default()
     };
     let mut batch = Batch::unit(q.from.len());
-    for step in &steps {
-        batch = apply_access(db, q, &slots, &indexes, step, &batch, &mut stats);
-        batch = apply_filters(db, &slots, step, batch, &mut stats);
+    for op in &ops {
+        let (bound, filters) = match op {
+            Op::Bind(step) => (
+                apply_access(db, q, &slots, &indexes, step, &batch, &mut stats)?,
+                &step.filters,
+            ),
+            Op::DictJoin(dj) => (
+                apply_dict_join(db, &slots, dj, &batch, &mut stats)?,
+                &dj.filters,
+            ),
+        };
+        batch = apply_filters(db, &slots, filters, bound, &mut stats)?;
     }
 
     // Projection: rows with any undefined output path are skipped.
@@ -198,17 +229,19 @@ pub fn execute(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
 }
 
 /// The retired tuple-at-a-time nested-loop interpreter, kept as a compact
-/// differential oracle (same planning, same semantics, same row order —
-/// `tests` and `benchmark/` compare it against [`execute`]).
-/// It records no per-operator stats.
+/// differential oracle (same join order, same semantics, same row order —
+/// `tests` and `benchmark/` compare it against [`execute`]). It runs the
+/// greedy order one binding at a time — index pairs stay a scan, an
+/// expansion and a filter — so it checks the fused operator instead of
+/// sharing it, and it records no per-operator stats.
 pub fn execute_legacy(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
     // Stats-only timing; evaluation order is fixed by the plan.
     #[allow(clippy::disallowed_methods)]
     let start = Instant::now(); // cnb-lint: allow(wall-clock)
     q.validate().map_err(ExecError::InvalidQuery)?;
     reject_unbound_params(q)?;
-    let steps = plan(db, q)?;
-    let indexes = JoinIndexes::build(db, &steps);
+    let steps = greedy_order(db, q)?;
+    let indexes = JoinIndexes::build(db, &steps)?;
     let mut stats = ExecStats {
         order: steps.iter().map(|s| s.binding_idx).collect(),
         ..ExecStats::default()
@@ -542,6 +575,8 @@ mod tests {
 
     /// Random databases + every query shape: the batched engine and the
     /// tuple-at-a-time oracle agree byte-for-byte, rows and order included.
+    /// Work accounting agrees too, except where an index pair was fused:
+    /// there the batched engine never enumerates the non-matching pairs.
     #[test]
     fn batched_agrees_with_legacy_oracle() {
         let mut rng = SplitMix64::seed_from_u64(0xC0FFEE);
@@ -583,11 +618,86 @@ mod tests {
             let batched = execute(&db, &q).unwrap();
             let legacy = execute_legacy(&db, &q).unwrap();
             assert_eq!(batched.rows, legacy.rows, "case {case}: rows/order differ");
-            assert_eq!(
-                batched.stats.tuples_considered, legacy.stats.tuples_considered,
-                "case {case}: work accounting differs"
+            let fused = batched.stats.operators.iter().any(|o| o.op == "dict_join");
+            let (got, want) = (
+                batched.stats.tuples_considered,
+                legacy.stats.tuples_considered,
+            );
+            assert!(
+                if fused { got <= want } else { got == want },
+                "case {case}: work accounting differs: {got} vs legacy {want} (fused: {fused})"
             );
             assert_eq!(batched.stats.order, legacy.stats.order);
         }
+    }
+
+    /// A fused index pair feeds the cost model exactly what its `dom_scan`
+    /// / `path_set` / `filter` trio fed: the dictionary's key count (never
+    /// the pair count), pairs per key as the set fan-out, and the
+    /// equality's selectivity over input × pairs.
+    #[test]
+    fn dict_join_feeds_the_cost_model_like_the_unfused_trio() {
+        let mut db = Database::new();
+        // 3 keys, 2 + 1 + 3 = 6 pairs; two elements have K = 1.
+        for (key, ks) in [(10, vec![1, 2]), (20, vec![3]), (30, vec![1, 4, 5])] {
+            db.set_entry(
+                sym("SI"),
+                Value::Int(key),
+                Value::set(ks.iter().map(|&k| row(&[("K", k), ("V", key)]))),
+            );
+        }
+        // No more rows than `SI` has keys, so the greedy order scans R first.
+        for a in [1, 3, 7] {
+            db.insert_row(sym("R"), row(&[("A", a)]));
+        }
+        // from R r, dom SI k, SI[k] t where t.K = r.A
+        let mut q = Query::new();
+        let r = q.bind("r", Range::Name(sym("R")));
+        let k = q.bind("k", Range::Dom(sym("SI")));
+        let t = q.bind("t", Range::Expr(PathExpr::from(k).lookup_in("SI")));
+        q.equate(PathExpr::from(t).dot("K"), PathExpr::from(r).dot("A"));
+        q.output("V", PathExpr::from(t).dot("V"));
+        let fused = execute(&db, &q).unwrap().stats;
+        let ops: Vec<&str> = fused.operators.iter().map(|o| o.op).collect();
+        assert_eq!(ops, vec!["scan", "dict_join"]);
+        let (input, keys, pairs, out) = (3, 3, 6, 3);
+        assert_eq!(fused.tuples_considered, input + out);
+
+        // The same execution as the unfused pipeline reports it.
+        let op = |op, collection, collection_rows, input_rows, output_rows| OpStats {
+            op,
+            collection,
+            collection_rows,
+            pairs: 0,
+            input_rows,
+            output_rows,
+        };
+        let mut trio = fused.clone();
+        trio.operators.truncate(1);
+        trio.operators.extend([
+            op("dom_scan", Some(sym("SI")), keys, input, input * keys),
+            op(
+                "path_set",
+                Some(sym("SI")),
+                keys,
+                input * keys,
+                input * pairs,
+            ),
+            op("filter", None, 0, input * pairs, out),
+        ]);
+
+        let (mut a, mut b) = (CostModel::default(), CostModel::default());
+        for _ in 0..2 {
+            feed_cost_model(&fused, &mut a);
+            feed_cost_model(&trio, &mut b);
+        }
+        assert_eq!(
+            a.cardinalities.get(&sym("SI")),
+            Some(&3.0),
+            "keys, not pairs"
+        );
+        assert_eq!(a.fanout, 2.0);
+        assert_eq!(a.join_selectivity, 3.0 / 18.0);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }

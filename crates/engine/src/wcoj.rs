@@ -483,6 +483,7 @@ pub fn execute_wcoj(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
             op: "wcoj_index",
             collection: Some(*t),
             collection_rows: table.len(),
+            pairs: 0,
             input_rows: table.len(),
             output_rows: entries.len(),
         });
@@ -515,6 +516,7 @@ pub fn execute_wcoj(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
             op: "wcoj_intersect",
             collection: None,
             collection_rows: 0,
+            pairs: 0,
             input_rows: tried,
             output_rows: matched,
         });

@@ -1,0 +1,172 @@
+//! Differential suite for the fused index-pair operator (`dict_join`).
+//!
+//! Seeded random databases and `dom M k, M[k].f… t` queries: the batched
+//! engine — which fuses the pair with an equality into one probe — must
+//! return the rows of the tuple-at-a-time oracle, which never fuses, **in
+//! the same order**, under the same join order, considering no more tuples
+//! (and exactly as many whenever nothing fused). The generator covers the
+//! shapes where a probe and a nested loop could drift apart: elements
+//! without the compared attribute, probe keys that are undefined, entries
+//! that are not sets, duplicate elements, `M[k].N` suffix paths,
+//! whole-element equalities, two set paths over one key, and inputs on both
+//! sides of the stream/build cut-over.
+
+use cnb_engine::prng::SplitMix64;
+use cnb_engine::{execute, execute_legacy, Database};
+use cnb_ir::prelude::*;
+
+/// True one time in `n`.
+fn one_in(rng: &mut SplitMix64, n: u64) -> bool {
+    rng.gen_range(0..n) == 0
+}
+
+fn int(rng: &mut SplitMix64, below: u64) -> Value {
+    Value::Int((rng.next_u64() % below) as i64)
+}
+
+/// A set of 0–4 elements: mostly `{K, V}` records, some records without
+/// `K`, some bare integers; a third of the sets repeat their first element.
+fn arb_set(rng: &mut SplitMix64) -> Value {
+    let mut items: Vec<Value> = (0..rng.next_u64() % 5)
+        .map(|_| match rng.next_u64() % 6 {
+            0 => Value::record([(sym("V"), int(rng, 4))]),
+            1 => int(rng, 4),
+            _ => Value::record([(sym("K"), int(rng, 4)), (sym("V"), int(rng, 4))]),
+        })
+        .collect();
+    if one_in(rng, 3) {
+        if let Some(first) = items.first().cloned() {
+            items.push(first);
+        }
+    }
+    Value::set(items)
+}
+
+/// `R(A, B)` with `rows` rows; `M` with `keys` entries, each a bare set, a
+/// record of sets `{N, P}` (sometimes without `N`), or not a set at all;
+/// `X`, a partial map over `R.A`'s domain for undefined probe keys.
+fn arb_db(rng: &mut SplitMix64, rows: u64, keys: u64) -> Database {
+    let mut db = Database::new();
+    db.load_table(
+        sym("R"),
+        (0..rows)
+            .map(|_| Value::record([(sym("A"), int(rng, 4)), (sym("B"), int(rng, 4))]))
+            .collect(),
+    );
+    for k in 0..keys {
+        let entry = match rng.next_u64() % 8 {
+            0 => int(rng, 4),
+            1 => Value::record([(sym("P"), arb_set(rng))]),
+            2 | 3 => arb_set(rng),
+            _ => Value::record([(sym("N"), arb_set(rng)), (sym("P"), arb_set(rng))]),
+        };
+        db.set_entry(sym("M"), Value::Int(k as i64), entry);
+    }
+    for a in [0, 2] {
+        db.set_entry(sym("X"), Value::Int(a), Value::Int(a));
+    }
+    db
+}
+
+/// `from [R r,] dom M k, M[k](.N) t [, M[k].P u] where <equalities on t>`.
+fn arb_query(rng: &mut SplitMix64) -> Query {
+    let mut q = Query::new();
+    let r = (!one_in(rng, 5)).then(|| q.bind("r", Range::Name(sym("R"))));
+    let k = q.bind("k", Range::Dom(sym("M")));
+    let entry = PathExpr::from(k).lookup_in("M");
+    let t = q.bind(
+        "t",
+        Range::Expr(if one_in(rng, 3) {
+            entry.clone()
+        } else {
+            entry.clone().dot("N")
+        }),
+    );
+    let u = one_in(rng, 3).then(|| q.bind("u", Range::Expr(entry.dot("P"))));
+
+    // What `t` (or `t.K`) is compared with: a column of r, a lookup that is
+    // undefined for half of r.A's domain, or a constant.
+    let probe = |rng: &mut SplitMix64| match (r, rng.next_u64() % 4) {
+        (Some(r), 0) => PathExpr::from(r).dot("A").lookup_in("X"),
+        (Some(r), 1 | 2) => PathExpr::from(r).dot("A"),
+        _ => PathExpr::from((rng.next_u64() % 4) as i64),
+    };
+    let shape = rng.next_u64() % 8;
+    if shape <= 4 {
+        q.equate(PathExpr::from(t).dot("K"), probe(rng));
+    }
+    if shape >= 4 && shape != 7 {
+        // Whole-element equality, written key-side first half the time.
+        let (a, b) = (probe(rng), PathExpr::from(t));
+        if one_in(rng, 2) {
+            q.equate(a, b);
+        } else {
+            q.equate(b, a);
+        }
+    }
+    if one_in(rng, 4) {
+        // A residual filter the pair cannot be joined on.
+        q.equate(PathExpr::from(t).dot("V"), PathExpr::from(k));
+    }
+    if let Some(u) = u.filter(|_| one_in(rng, 2)) {
+        q.equate(PathExpr::from(u).dot("K"), PathExpr::from(t).dot("K"));
+    }
+    q.output("k", PathExpr::from(k));
+    q.output("t", PathExpr::from(t));
+    if let Some(r) = r {
+        q.output("B", PathExpr::from(r).dot("B"));
+    }
+    if let Some(u) = u {
+        q.output("u", PathExpr::from(u));
+    }
+    q
+}
+
+#[test]
+fn fused_pairs_agree_with_the_nested_loop_oracle() {
+    let mut rng = SplitMix64::seed_from_u64(0xD1C7_701A);
+    // (streamed, built, unfused, with rows) — the suite must not go vacuous.
+    let mut seen = [0usize; 4];
+    for case in 0..600 {
+        // R no larger than M most of the time, so the greedy order scans R
+        // first and the pair sees 0–12 input rows.
+        let keys = rng.next_u64() % 13;
+        let rows = rng.next_u64() % (keys + 3);
+        let db = arb_db(&mut rng, rows, keys);
+        let q = arb_query(&mut rng);
+
+        let batched = execute(&db, &q).unwrap();
+        let legacy = execute_legacy(&db, &q).unwrap();
+        assert_eq!(batched.rows, legacy.rows, "case {case}: rows/order\n{q}");
+        assert_eq!(batched.stats.order, legacy.stats.order, "case {case}\n{q}");
+
+        let joins: Vec<_> = batched
+            .stats
+            .operators
+            .iter()
+            .filter(|o| o.op == "dict_join")
+            .collect();
+        assert!(joins.len() <= 1, "one dom step, at most one fused pair");
+        let (got, want) = (
+            batched.stats.tuples_considered,
+            legacy.stats.tuples_considered,
+        );
+        match joins.first() {
+            Some(op) => {
+                assert!(got <= want, "case {case}: {got} > legacy {want}\n{q}");
+                assert_eq!(op.collection, Some(sym("M")));
+                assert_eq!(op.collection_rows, keys as usize, "keys, never pairs");
+                seen[usize::from(op.input_rows > 4)] += 1;
+            }
+            None => {
+                assert_eq!(got, want, "case {case}: unfused accounting\n{q}");
+                seen[2] += 1;
+            }
+        }
+        seen[3] += usize::from(!batched.rows.is_empty());
+    }
+    assert!(
+        seen.iter().all(|&n| n >= 60),
+        "coverage (streamed, built, unfused, nonempty) = {seen:?}"
+    );
+}

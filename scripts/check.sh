@@ -56,9 +56,16 @@ fi
 # cyclic-join workloads, exact row order, batched-vs-legacy oracle, thread
 # invariance) run first and explicitly in both thread tiers — they are also
 # part of the full `cargo test -q` runs below, but failing them early makes
-# a workload regression obvious before the whole tier finishes.
+# a workload regression obvious before the whole tier finishes. ec4_star
+# holds the two EC4 work guards — ec4_plans_execute_without_cross_products
+# (every plan within 4 × |F| tuples) and ec4_served_plan_probes_its_index_pair
+# (the plan PlanServer serves for the request mix within 2 × |F|, no
+# operator above |F| rows): what an index pair costs when it runs as a
+# probe and not as a cross product. The fused operator's own oracle suite
+# (dict_join vs the nested loop) rides in the same tier.
 for t in 1 4; do
   tier "CNB_THREADS=$t EC4/EC5 golden + differential suites"
+  CNB_THREADS=$t cargo test -q -p cnb-engine --test dict_join_differential
   CNB_THREADS=$t cargo test -q -p cnb-workloads --test ec4_star --test ec5_cyclic --test workload_suite
   CNB_THREADS=$t cargo test -q --test property_based -- \
     parallel_backchase_differential_ec4 parallel_backchase_differential_ec5 \

@@ -725,6 +725,7 @@ fn cache_hits_serve_byte_identical_plans() {
 #[test]
 fn fault_free_requests_are_byte_identical_at_every_thread_count() {
     use chase_too_far::engine::{FaultPlan, PlanServer, ServeConfig, ServeError, VirtualClock};
+    use chase_too_far::workloads::{DataScale, Ec4, Workload};
 
     let mut schema = Schema::new();
     schema.add_relation(
@@ -755,66 +756,91 @@ fn fault_free_requests_are_byte_identical_at_every_thread_count() {
         q.output("D", PathExpr::from(r).dot("D"));
         q
     };
-    let mk_server = || {
+    // The EC4 serving mix rides along: its served plan goes through a fused
+    // `dom SIF1 k, SIF1[k] t` index pair, whose per-request pair index is
+    // built inside each worker.
+    let ec4 = Ec4::new(3, 2, 1);
+    let star_scale = DataScale::new(300, 11);
+    let star_db = ec4.generate_at(star_scale);
+    let mk_point_server = || {
         PlanServer::new(
             Optimizer::new(schema.clone()),
             OptimizerConfig::with_strategy(OptStrategy::Full),
         )
     };
+    let mk_star_server = || {
+        PlanServer::new(
+            ec4.optimizer(),
+            OptimizerConfig::with_strategy(ec4.expectations().strategy),
+        )
+    };
+    let point_request = |rng: &mut SplitMix64| point(rng.gen_range(0i64..40));
+    let star_request = |rng: &mut SplitMix64| ec4.serving_query(star_scale, rng.next_u64());
+    type Fixture<'a> = (
+        &'a Database,
+        &'a dyn Fn() -> PlanServer,
+        &'a dyn Fn(&mut SplitMix64) -> Query,
+    );
+    let fixtures: [Fixture; 2] = [
+        (&db, &mk_point_server, &point_request),
+        (&star_db, &mk_star_server, &star_request),
+    ];
 
     cases(
         "fault_free_requests_are_byte_identical_at_every_thread_count",
         6,
         |rng| {
-            let n = rng.gen_range(5usize..30);
-            let requests: Vec<Query> = (0..n).map(|_| point(rng.gen_range(0i64..40))).collect();
-            let plan = FaultPlan::failures(rng.next_u64(), 0.35);
-            let retries = rng.gen_range(0usize..3);
-            let cfg = ServeConfig::unbounded().with_max_retries(retries);
+            for (db, mk_server, request) in fixtures {
+                let n = rng.gen_range(5usize..30);
+                let requests: Vec<Query> = (0..n).map(|_| request(rng)).collect();
+                let plan = FaultPlan::failures(rng.next_u64(), 0.35);
+                let retries = rng.gen_range(0usize..3);
+                let cfg = ServeConfig::unbounded().with_max_retries(retries);
 
-            let fault_free: Vec<Vec<Value>> = mk_server()
-                .serve_batch(&db, &requests, 1)
-                .into_iter()
-                .map(|r| r.unwrap().1.rows)
-                .collect();
-            // Which requests survive is decided by the plan alone.
-            let survives: Vec<bool> = (0..n)
-                .map(|i| plan.leading_failures(i) <= retries)
-                .collect();
-
-            let mut baseline: Option<Vec<String>> = None;
-            for threads in [1usize, 2, 4, 8] {
-                let outcomes = mk_server().serve_batch_under(
-                    &db,
-                    &requests,
-                    threads,
-                    &cfg,
-                    &VirtualClock::frozen(),
-                    Some(&plan),
-                );
-                let rendered: Vec<String> = outcomes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, o)| match &o.result {
-                        Ok((_, exec)) => {
-                            assert!(survives[i], "request {i} should have been faulted");
-                            assert_eq!(
-                                exec.rows, fault_free[i],
-                                "threads={threads} request {i}: fault-free request diverged"
-                            );
-                            format!("ok:{:?}:{}", exec.rows, o.retries)
-                        }
-                        Err(e @ ServeError::FaultInjected { .. })
-                        | Err(e @ ServeError::RetriesExhausted { .. }) => {
-                            assert!(!survives[i], "request {i} faulted unexpectedly");
-                            format!("fault:{e:?}:{}", o.retries)
-                        }
-                        Err(e) => panic!("threads={threads} request {i}: unexpected {e:?}"),
-                    })
+                let fault_free: Vec<Vec<Value>> = mk_server()
+                    .serve_batch(db, &requests, 1)
+                    .into_iter()
+                    .map(|r| r.unwrap().1.rows)
                     .collect();
-                match &baseline {
-                    None => baseline = Some(rendered),
-                    Some(b) => assert_eq!(&rendered, b, "threads={threads}: outcomes drifted"),
+                // Which requests survive is decided by the plan alone.
+                let survives: Vec<bool> = (0..n)
+                    .map(|i| plan.leading_failures(i) <= retries)
+                    .collect();
+
+                let mut baseline: Option<Vec<String>> = None;
+                for threads in [1usize, 2, 4, 8] {
+                    let outcomes = mk_server().serve_batch_under(
+                        db,
+                        &requests,
+                        threads,
+                        &cfg,
+                        &VirtualClock::frozen(),
+                        Some(&plan),
+                    );
+                    let rendered: Vec<String> = outcomes
+                        .iter()
+                        .enumerate()
+                        .map(|(i, o)| match &o.result {
+                            Ok((_, exec)) => {
+                                assert!(survives[i], "request {i} should have been faulted");
+                                assert_eq!(
+                                    exec.rows, fault_free[i],
+                                    "threads={threads} request {i}: fault-free request diverged"
+                                );
+                                format!("ok:{:?}:{}", exec.rows, o.retries)
+                            }
+                            Err(e @ ServeError::FaultInjected { .. })
+                            | Err(e @ ServeError::RetriesExhausted { .. }) => {
+                                assert!(!survives[i], "request {i} faulted unexpectedly");
+                                format!("fault:{e:?}:{}", o.retries)
+                            }
+                            Err(e) => panic!("threads={threads} request {i}: unexpected {e:?}"),
+                        })
+                        .collect();
+                    match &baseline {
+                        None => baseline = Some(rendered),
+                        Some(b) => assert_eq!(&rendered, b, "threads={threads}: outcomes drifted"),
+                    }
                 }
             }
         },
