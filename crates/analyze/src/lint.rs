@@ -272,6 +272,22 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<LintViolation>> {
     Ok(out)
 }
 
+/// Every `cnb-lint: allow(rule)` annotation in the determinism-covered
+/// crates, as `(file, 1-based line)`. The workspace test pins how many
+/// there are per crate, so sanctioning one more nondeterminism source is a
+/// reviewed change to a number, not just one more comment.
+pub fn allow_sites(root: &Path, rule: &str) -> io::Result<Vec<(String, usize)>> {
+    let mut out = Vec::new();
+    for (name, content) in workspace_files(root)? {
+        for (idx, l) in strip_source(&content).iter().enumerate() {
+            if allows_in(&l.comment).iter().any(|a| a == rule) {
+                out.push((name.clone(), idx + 1));
+            }
+        }
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,7 @@
 
 use std::path::Path;
 
-use cnb_analyze::lint::lint_workspace;
+use cnb_analyze::lint::{allow_sites, lint_workspace};
 use cnb_analyze::taint::taint_workspace;
 
 fn workspace_root() -> &'static Path {
@@ -45,6 +45,28 @@ fn determinism_taint_is_clean_on_this_workspace() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// The sanctioned wall-clock reads, counted per crate. Every one is a place
+/// where timing enters a logic crate (stats-only timers, the one backchase
+/// deadline, the serving `WallClock`); a new one must change a number here.
+/// Core's four: `Lattice::chase` and `Lattice::expired` in `backchase.rs`,
+/// `Optimizer::optimize` and `optimize_measured` in `optimizer.rs`.
+#[test]
+fn sanctioned_wall_clock_sites_are_pinned() {
+    let sites = allow_sites(workspace_root(), "wall-clock").expect("scan the workspace");
+    for (krate, pinned) in [("core", 4), ("engine", 4), ("ir", 0), ("workloads", 0)] {
+        let prefix = format!("crates/{krate}/");
+        let found: Vec<_> = sites
+            .iter()
+            .filter(|(f, _)| f.starts_with(&prefix))
+            .collect();
+        assert_eq!(
+            found.len(),
+            pinned,
+            "cnb-{krate}: sanctioned wall-clock sites changed: {found:?}"
+        );
+    }
 }
 
 #[test]

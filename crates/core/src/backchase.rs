@@ -6,19 +6,35 @@
 //! removal is *minimal* and is emitted as a plan. Visited binding subsets and
 //! equivalence verdicts are memoized so each subquery is examined once.
 //!
+//! # One lattice, three traversals
+//!
+//! Every search in this crate walks the binding-subset lattice of a chased
+//! universal plan. [`Lattice`] owns what that takes — the universal plan,
+//! the [`EquivChecker`], a recycled scratch database, the deadline — and is
+//! the only code that chases a universal plan, induces a subquery, checks
+//! an equivalence or reads the clock for a deadline; `PlanSink` is the
+//! only code that deduplicates and collects plans. The searches are orders
+//! of visiting the lattice:
+//!
+//! 1. **depth-first with a memo** (`Search::explore`) — the sequential
+//!    top-down backchase;
+//! 2. **breadth-first waves** (`Search::prefill_waves`) — the parallel
+//!    frontier, each worker on its own copy of the lattice;
+//! 3. **by size, priced** ([`crate::bottomup`]) — bottom-up growth under a
+//!    cost bound.
+//!
 //! # Parallelism & determinism
 //!
 //! The expensive part — one constraint-implication chase plus homomorphism
 //! search per candidate subset — is embarrassingly parallel across a wave of
 //! candidates, and §5 reports it dominates optimization time. With
-//! [`BackchaseConfig::threads`] ≥ 2 the search runs in two phases:
+//! [`BackchaseConfig::threads`] ≥ 2 the top-down search runs in two phases:
 //!
-//! 1. **Parallel frontier** ([`parallel_verdicts`]): a breadth-first wave
-//!    exploration over binding subsets. Each wave's unchecked
-//!    single-removal children are evaluated on the scoped pool of
-//!    [`crate::parallel`]; verdicts merge into one memo keyed by [`VarSet`]
-//!    in wave order (a deterministic merge — results come back in input
-//!    index order regardless of scheduling).
+//! 1. **Parallel frontier**: each wave's unchecked single-removal children
+//!    are evaluated on the scoped pool of [`crate::parallel`]; verdicts
+//!    merge into one memo keyed by [`VarSet`] in wave order (a deterministic
+//!    merge — results come back in input index order regardless of
+//!    scheduling).
 //! 2. **Sequential replay**: the exact depth-first search of the sequential
 //!    path runs against the pre-filled memo. Every lookup hits, so the
 //!    replay only performs the (cheap) subquery inductions and plan
@@ -32,28 +48,26 @@
 //! identical order) and an identical `explored` count at every thread
 //! count** — `tests/property_based.rs` enforces this differentially.
 //!
-//! The hot loop allocates no databases: each worker owns one copy of the
-//! universal plan (rolled back after every induction) and one scratch
-//! database the equivalence checker rebuilds in place per candidate
-//! ([`EquivChecker::equivalent_into`]); the sequential search uses the
-//! universal plan itself the same way. Per run that is zero clones
-//! sequentially and one per worker in parallel — down from one clone *per
-//! candidate* (`tests/clone_audit.rs` pins this).
+//! The hot loop allocates no databases: a lattice induces in place on its
+//! universal plan (rolled back after every candidate) and rebuilds its one
+//! scratch database per check ([`EquivChecker::equivalent_into`]). Per run
+//! that is zero clones sequentially and one per worker in parallel
+//! (`Lattice::worker`) — `tests/clone_audit.rs` pins this.
 //!
-//! The wall-clock budget is checked cooperatively: workers re-check the
-//! deadline before every candidate, and a timed-out run still replays
-//! whatever verdicts were computed, returning the plans found so far with
-//! [`BackchaseResult::timed_out`] set.
+//! The wall-clock budget is checked cooperatively: [`Lattice::verdict`]
+//! re-checks the deadline before every candidate, and a timed-out run still
+//! replays whatever verdicts were computed, returning the plans found so far
+//! with [`BackchaseResult::timed_out`] set.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use cnb_ir::prelude::{Constraint, PathExpr, Query, Symbol};
+use cnb_ir::prelude::{Constraint, Query, Var};
 
 use crate::bitset::VarSet;
 use crate::canon::CanonDb;
 use crate::chase::{chase, ChaseConfig, ChaseStats};
-use crate::equivalence::EquivChecker;
+use crate::equivalence::{same_plan, EquivChecker};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::parallel;
 use crate::subquery::{all_bindings, induce_subquery_pure};
@@ -125,6 +139,137 @@ pub struct BackchaseResult {
     pub timed_out: bool,
 }
 
+/// The binding-subset lattice of one chased universal plan: what a search
+/// needs to judge a candidate subset, owned in one place.
+///
+/// The universal plan is mutated only transiently — every induction is a
+/// savepoint/rollback pair — so between calls it always holds the exact
+/// chased state, and a verdict is a pure function of the subset.
+pub struct Lattice<'a> {
+    checker: EquivChecker<'a>,
+    udb: CanonDb,
+    /// Recycled candidate database for equivalence checks.
+    scratch: CanonDb,
+    start: Instant,
+    deadline: Option<Instant>,
+    chase_stats: ChaseStats,
+    chase_time: Duration,
+}
+
+impl<'a> Lattice<'a> {
+    /// Chases `q0` under `constraints` into its universal plan. The time
+    /// budget of `cfg` starts here; it only ever truncates a search and sets
+    /// `timed_out`, so with no timeout configured the clock is inert.
+    pub fn chase(q0: &'a Query, constraints: &'a [Constraint], cfg: &BackchaseConfig) -> Self {
+        #[allow(clippy::disallowed_methods)]
+        let start = Instant::now(); // cnb-lint: allow(wall-clock)
+        let mut udb = CanonDb::new(q0);
+        let chase_stats = chase(&mut udb, constraints, cfg.chase);
+        Lattice {
+            checker: EquivChecker::new(q0, constraints, cfg.chase),
+            udb,
+            scratch: CanonDb::empty(),
+            start,
+            deadline: cfg.timeout.map(|t| start + t),
+            chase_stats,
+            chase_time: start.elapsed(),
+        }
+    }
+
+    /// The variables of the universal plan, in from-clause order.
+    pub(crate) fn vars(&self) -> Vec<Var> {
+        self.udb.query.from.iter().map(|b| b.var).collect()
+    }
+
+    /// The subquery of the universal plan induced by `keep`, or `None` when
+    /// the original output is not recoverable from those bindings.
+    pub fn induce(&mut self, keep: &VarSet) -> Option<Query> {
+        induce_subquery_pure(&mut self.udb, keep, &self.checker.q0.select)
+    }
+
+    /// Is `cand` equivalent to the original query under the constraints?
+    pub fn equivalent(&mut self, cand: &Query) -> bool {
+        self.checker.equivalent_into(&mut self.scratch, cand).0
+    }
+
+    /// Is the subquery induced by `keep` equivalent to the original query?
+    /// `None` means the deadline expired before the verdict was computed.
+    pub fn verdict(&mut self, keep: &VarSet) -> Option<bool> {
+        if self.expired() {
+            return None;
+        }
+        Some(match self.induce(keep) {
+            None => false,
+            Some(q) => self.equivalent(&q),
+        })
+    }
+
+    /// Has the time budget run out?
+    pub fn expired(&self) -> bool {
+        #[allow(clippy::disallowed_methods)]
+        self.deadline.is_some_and(|d| Instant::now() >= d) // cnb-lint: allow(wall-clock)
+    }
+
+    /// A private copy for one parallel worker — the only clone of the
+    /// universal plan a run makes (one per worker, never per candidate).
+    fn worker(&self) -> Lattice<'a> {
+        Lattice {
+            udb: self.udb.clone(),
+            scratch: CanonDb::empty(),
+            ..*self
+        }
+    }
+
+    /// Closes a search over this lattice: `result` carries the search's
+    /// counters, `sink` its plans; the lattice adds what the chase measured.
+    pub(crate) fn finish(&self, result: BackchaseResult, sink: PlanSink) -> BackchaseResult {
+        BackchaseResult {
+            plans: sink.plans,
+            universal_arity: self.udb.query.from.len(),
+            chase_stats: self.chase_stats,
+            chase_time: self.chase_time,
+            backchase_time: self.start.elapsed() - self.chase_time,
+            ..result
+        }
+    }
+}
+
+/// Where every search puts its plans: deduplicated, in discovery order,
+/// capped at [`BackchaseConfig::max_plans`].
+pub(crate) struct PlanSink {
+    plans: Vec<Plan>,
+    /// Canonical keys of every query offered so far.
+    keys: FxHashSet<String>,
+    cap: usize,
+}
+
+impl PlanSink {
+    pub(crate) fn new(cap: usize) -> PlanSink {
+        PlanSink {
+            plans: Vec::new(),
+            keys: FxHashSet::default(),
+            cap,
+        }
+    }
+
+    /// Has the plan cap been reached? Searches stop when it has.
+    pub(crate) fn full(&self) -> bool {
+        self.plans.len() >= self.cap
+    }
+
+    /// Adds a plan unless it is already there. Fast syntactic dedup first;
+    /// semantic dedup catches plans whose from-clauses list the same
+    /// bindings in other orders.
+    pub(crate) fn emit(&mut self, bindings: VarSet, query: Query) {
+        if !self.full()
+            && self.keys.insert(query.canonical_key())
+            && !self.plans.iter().any(|p| same_plan(&p.query, &query))
+        {
+            self.plans.push(Plan { bindings, query });
+        }
+    }
+}
+
 /// Process-wide count of [`chase_and_backchase`] invocations. Test-support
 /// audit counter (same pattern as `canon::canon_db_clones`): the serving
 /// suite asserts a warm plan-cache hit executes without re-entering the
@@ -136,7 +281,7 @@ pub fn chase_and_backchase_runs() -> usize {
     RUNS.load(Ordering::Relaxed)
 }
 
-/// Runs chase + full backchase of `q0` under `constraints`.
+/// Runs chase + full (top-down) backchase of `q0` under `constraints`.
 pub fn chase_and_backchase(
     q0: &Query,
     constraints: &[Constraint],
@@ -152,212 +297,86 @@ pub fn chase_and_backchase(
         "chase_and_backchase called with an ill-formed constraint"
     );
     RUNS.fetch_add(1, Ordering::Relaxed);
-    // Timing is reported in stats only; it never influences the search.
-    #[allow(clippy::disallowed_methods)]
-    let start = Instant::now(); // cnb-lint: allow(wall-clock)
-    let mut udb = CanonDb::new(q0);
-    let chase_stats = chase(&mut udb, constraints, cfg.chase);
-    let chase_time = start.elapsed();
-    let mut result = backchase(q0, constraints, udb, cfg);
-    result.chase_stats = chase_stats;
-    result.chase_time = chase_time;
-    result
-}
-
-/// Runs the backchase from an already-chased universal plan.
-///
-/// Takes the universal plan by value: the search works on it *in place* —
-/// every candidate induction is a congruence savepoint, a restriction, and a
-/// rollback — so the sequential path performs **zero** database clones and
-/// the parallel path exactly one per worker (see `tests/clone_audit.rs`).
-pub fn backchase(
-    q0: &Query,
-    constraints: &[Constraint],
-    mut udb: CanonDb,
-    cfg: &BackchaseConfig,
-) -> BackchaseResult {
-    debug_assert!(
-        q0.validate().is_ok(),
-        "backchase called with ill-formed query: {:?}",
-        q0.validate()
-    );
-    debug_assert!(
-        constraints.iter().all(|c| c.validate().is_ok()),
-        "backchase called with an ill-formed constraint"
-    );
-    // Deadline checks only ever truncate the search and set `timed_out`;
-    // with no timeout configured (the deterministic suites) they are inert.
-    #[allow(clippy::disallowed_methods)]
-    let start = Instant::now(); // cnb-lint: allow(wall-clock)
-    let deadline = cfg.timeout.map(|t| start + t);
-    let mut result = BackchaseResult {
-        universal_arity: udb.query.from.len(),
-        ..BackchaseResult::default()
-    };
-
-    let checker = EquivChecker::new(q0, constraints, cfg.chase);
-    let all = all_bindings(&udb.query);
-
-    // Phase 1: precompute equivalence verdicts wave-parallel. Universal
-    // plans with < 3 bindings have at most 2 candidates — not worth a spawn.
-    let threads = cfg.resolved_threads();
-    let mut equiv_memo: FxHashMap<VarSet, bool> = FxHashMap::default();
-    if threads >= 2 && all.len() >= 3 {
-        let pre = parallel_verdicts(&udb, &checker, &q0.select, &all, deadline, threads);
-        equiv_memo = pre.memo;
-        result.explored = pre.explored;
-        result.timed_out = pre.timed_out;
-    }
-
-    // Phase 2: the sequential depth-first search. With a pre-filled memo it
-    // is a pure replay emitting plans in the sequential discovery order;
-    // with an empty one it is the sequential backchase itself.
-    let mut ctx = Search {
-        checker,
-        udb: &mut udb,
-        scratch: CanonDb::empty(),
-        select: q0.select.clone(),
-        equiv_memo,
+    let mut lattice = Lattice::chase(q0, constraints, cfg);
+    let all = all_bindings(&lattice.udb.query);
+    let mut search = Search {
+        lattice: &mut lattice,
+        memo: FxHashMap::default(),
         visited: FxHashSet::default(),
-        plan_keys: FxHashSet::default(),
-        result: &mut result,
-        deadline,
-        plan_cap: cfg.max_plans,
+        sink: PlanSink::new(cfg.max_plans),
+        result: BackchaseResult::default(),
     };
-    ctx.explore(&all);
-
-    result.backchase_time = start.elapsed();
-    result
+    // Universal plans with < 3 bindings have at most 2 candidates — not
+    // worth a spawn.
+    let threads = cfg.resolved_threads();
+    if threads >= 2 && all.len() >= 3 {
+        search.prefill_waves(&all, threads);
+    }
+    // With a pre-filled memo this is a pure replay emitting plans in the
+    // sequential discovery order; with an empty one it is the sequential
+    // backchase itself.
+    search.explore(&all);
+    let Search { result, sink, .. } = search;
+    lattice.finish(result, sink)
 }
 
-/// Output of the parallel verdict precomputation.
-struct Precomputed {
+/// The top-down search: one memo of verdicts, filled by either traversal.
+struct Search<'l, 'a> {
+    lattice: &'l mut Lattice<'a>,
+    /// Equivalence verdict per binding subset.
     memo: FxHashMap<VarSet, bool>,
-    explored: usize,
-    timed_out: bool,
-}
-
-/// Per-worker state of the parallel frontier, built once per backchase run
-/// and reused across all waves: a private copy of the universal plan that
-/// in-place induction saves/restricts/rolls back per candidate, plus a
-/// scratch database the equivalence checker rebuilds per candidate without
-/// reallocating. This replaces the old per-*candidate* clone of the entire
-/// universal-plan database (2,579 clones per `ec1_4_2` run) with one clone
-/// per *worker* per run.
-struct VerdictWorker {
-    udb: CanonDb,
-    scratch: CanonDb,
-}
-
-/// Breadth-first wave exploration of the binding-subset lattice, evaluating
-/// each wave's equivalence checks on the scoped thread pool.
-///
-/// Invariant: the subsets evaluated here are exactly the single-removal
-/// children of equivalent subsets reachable from `root` — the same set the
-/// sequential search checks — so `explored` matches the sequential count
-/// whenever no deadline interrupts. Determinism: savepoint rollback restores
-/// each worker's database byte-exactly after every candidate, so all workers
-/// evaluate every candidate against the same state the sequential search
-/// would — verdicts cannot depend on which worker ran what.
-fn parallel_verdicts(
-    udb: &CanonDb,
-    checker: &EquivChecker<'_>,
-    select: &[(Symbol, PathExpr)],
-    root: &VarSet,
-    deadline: Option<Instant>,
-    threads: usize,
-) -> Precomputed {
-    let mut memo: FxHashMap<VarSet, bool> = FxHashMap::default();
-    let mut explored = 0usize;
-    let mut timed_out = false;
-    let mut expanded: FxHashSet<VarSet> = FxHashSet::default();
-    expanded.insert(root.clone());
-    let mut frontier: Vec<VarSet> = vec![root.clone()];
-    let mut workers: Vec<VerdictWorker> = (0..threads)
-        .map(|_| VerdictWorker {
-            udb: udb.clone(),
-            scratch: CanonDb::empty(),
-        })
-        .collect();
-
-    while !frontier.is_empty() && !timed_out {
-        // This wave: unchecked children of the frontier, deduplicated,
-        // ordered by (frontier order, removed variable) — deterministic.
-        let mut wave: Vec<VarSet> = Vec::new();
-        let mut in_wave: FxHashSet<VarSet> = FxHashSet::default();
-        for s in &frontier {
-            for v in s.iter() {
-                let child = s.without(v);
-                if !memo.contains_key(&child) && in_wave.insert(child.clone()) {
-                    wave.push(child);
-                }
-            }
-        }
-        frontier.clear();
-        if wave.is_empty() {
-            break;
-        }
-
-        let chunk = parallel::WorkQueue::balanced_chunk(wave.len(), threads);
-        let verdicts = parallel::map_chunked_with(&mut workers, wave.len(), chunk, |w, i| {
-            #[allow(clippy::disallowed_methods)]
-            if let Some(d) = deadline {
-                // cnb-lint: allow(wall-clock)
-                if Instant::now() >= d {
-                    return None;
-                }
-            }
-            Some(match induce_subquery_pure(&mut w.udb, &wave[i], select) {
-                None => false,
-                Some(q) => checker.equivalent_into(&mut w.scratch, &q).0,
-            })
-        });
-
-        // Deterministic merge: wave order, independent of thread count.
-        for (s, v) in wave.into_iter().zip(verdicts) {
-            match v {
-                None => timed_out = true,
-                Some(verdict) => {
-                    explored += 1;
-                    if verdict && expanded.insert(s.clone()) {
-                        frontier.push(s.clone());
-                    }
-                    memo.insert(s, verdict);
-                }
-            }
-        }
-    }
-
-    Precomputed {
-        memo,
-        explored,
-        timed_out,
-    }
-}
-
-struct Search<'a, 'b> {
-    checker: EquivChecker<'a>,
-    /// The universal plan, mutated only transiently: every induction is a
-    /// savepoint/rollback pair, so between candidates it always holds the
-    /// exact chased state.
-    udb: &'b mut CanonDb,
-    /// Recycled candidate database for equivalence checks.
-    scratch: CanonDb,
-    select: Vec<(Symbol, PathExpr)>,
-    /// Equivalence verdict per binding subset (pre-filled by the parallel
-    /// frontier when enabled; grown on demand otherwise).
-    equiv_memo: FxHashMap<VarSet, bool>,
     /// Subsets whose children have been expanded.
     visited: FxHashSet<VarSet>,
-    /// Canonical keys of emitted plans (deduplication).
-    plan_keys: FxHashSet<String>,
-    result: &'a mut BackchaseResult,
-    deadline: Option<Instant>,
-    plan_cap: usize,
+    sink: PlanSink,
+    /// `explored` and `timed_out` accumulate here.
+    result: BackchaseResult,
 }
 
 impl Search<'_, '_> {
-    /// `s` is known equivalent; expand its children.
+    /// Breadth-first waves from `root`, each wave's verdicts computed on the
+    /// scoped thread pool and merged into the memo.
+    ///
+    /// Invariant: the subsets evaluated here are exactly the single-removal
+    /// children of equivalent subsets reachable from `root` — the same set
+    /// [`Search::explore`] checks — so `explored` matches the sequential
+    /// count whenever no deadline interrupts. Determinism: savepoint
+    /// rollback restores each worker's lattice byte-exactly after every
+    /// candidate, so verdicts cannot depend on which worker ran what.
+    fn prefill_waves(&mut self, root: &VarSet, threads: usize) {
+        let mut workers: Vec<Lattice<'_>> = (0..threads).map(|_| self.lattice.worker()).collect();
+        let mut frontier: Vec<VarSet> = vec![root.clone()];
+        while !frontier.is_empty() && !self.result.timed_out {
+            // This wave: unchecked children of the frontier, deduplicated,
+            // ordered by (frontier order, removed variable) — deterministic.
+            let mut wave: Vec<VarSet> = Vec::new();
+            let mut in_wave: FxHashSet<VarSet> = FxHashSet::default();
+            for s in &frontier {
+                for v in s.iter() {
+                    let child = s.without(v);
+                    if !self.memo.contains_key(&child) && in_wave.insert(child.clone()) {
+                        wave.push(child);
+                    }
+                }
+            }
+            let chunk = parallel::WorkQueue::balanced_chunk(wave.len(), threads);
+            let verdicts = parallel::map_chunked_with(&mut workers, wave.len(), chunk, |w, i| {
+                w.verdict(&wave[i])
+            });
+            // Deterministic merge: wave order, independent of thread count.
+            // A subset enters one wave at most, so the next frontier — this
+            // wave's equivalent subsets — holds no duplicates.
+            frontier.clear();
+            for (s, v) in wave.into_iter().zip(verdicts) {
+                if v == Some(true) {
+                    frontier.push(s.clone());
+                }
+                self.record(s, v);
+            }
+        }
+    }
+
+    /// Depth-first from `s`, which is known equivalent: expand its children
+    /// and emit it if none of them is equivalent.
     fn explore(&mut self, s: &VarSet) {
         if !self.visited.insert(s.clone()) {
             return;
@@ -367,11 +386,18 @@ impl Search<'_, '_> {
         // so the subset must not be emitted as a plan.
         let mut decided = true;
         for v in s.iter().collect::<Vec<_>>() {
-            if self.result.plans.len() >= self.plan_cap {
+            if self.sink.full() {
                 return;
             }
             let child = s.without(v);
-            match self.verdict(&child) {
+            let verdict = match self.memo.get(&child) {
+                Some(&v) => Some(v),
+                None => {
+                    let v = self.lattice.verdict(&child);
+                    self.record(child.clone(), v)
+                }
+            };
+            match verdict {
                 Some(true) => {
                     minimal = false;
                     self.explore(&child);
@@ -380,49 +406,24 @@ impl Search<'_, '_> {
                 None => decided = false,
             }
         }
-        if minimal && decided && self.result.plans.len() < self.plan_cap {
-            if let Some(q) = induce_subquery_pure(self.udb, s, &self.select) {
-                // Fast syntactic dedup first; semantic dedup catches plans
-                // whose from-clauses list the same bindings in other orders.
-                let new_key = self.plan_keys.insert(q.canonical_key());
-                if new_key
-                    && !self
-                        .result
-                        .plans
-                        .iter()
-                        .any(|p| crate::equivalence::same_plan(&p.query, &q))
-                {
-                    self.result.plans.push(Plan {
-                        bindings: s.clone(),
-                        query: q,
-                    });
-                }
+        if minimal && decided && !self.sink.full() {
+            if let Some(q) = self.lattice.induce(s) {
+                self.sink.emit(s.clone(), q);
             }
         }
     }
 
-    /// The equivalence verdict for subset `s`: memo hit, or — while the time
-    /// budget lasts — a fresh evaluation. `None` means the deadline expired
-    /// before the verdict could be computed.
-    fn verdict(&mut self, s: &VarSet) -> Option<bool> {
-        if let Some(&v) = self.equiv_memo.get(s) {
-            return Some(v);
-        }
-        #[allow(clippy::disallowed_methods)]
-        if let Some(d) = self.deadline {
-            // cnb-lint: allow(wall-clock)
-            if Instant::now() >= d {
-                self.result.timed_out = true;
-                return None;
+    /// Books a freshly computed verdict for `s`; `None` means the deadline
+    /// beat it.
+    fn record(&mut self, s: VarSet, verdict: Option<bool>) -> Option<bool> {
+        match verdict {
+            None => self.result.timed_out = true,
+            Some(v) => {
+                self.result.explored += 1;
+                self.memo.insert(s, v);
             }
         }
-        self.result.explored += 1;
-        let verdict = match induce_subquery_pure(self.udb, s, &self.select) {
-            None => false,
-            Some(q) => self.checker.equivalent_into(&mut self.scratch, &q).0,
-        };
-        self.equiv_memo.insert(s.clone(), verdict);
-        Some(verdict)
+        verdict
     }
 }
 

@@ -12,19 +12,18 @@
 //! The paper suggests combining both searches: run top-down to get a first
 //! plan, then bottom-up with its cost as the initial bound — which is what
 //! [`bottom_up_backchase`] does when given a `seed_bound`.
-
-use crate::fxhash::FxHashSet;
-use std::time::Instant;
+//!
+//! This is the third traversal of [`crate::backchase::Lattice`]: chasing,
+//! induction, equivalence, the deadline and plan collection are the
+//! lattice's and the sink's; what lives here is the by-size growth order
+//! and the pricer rule above.
 
 use cnb_ir::prelude::{Constraint, Query};
 
-use crate::backchase::{BackchaseConfig, BackchaseResult, Plan};
+use crate::backchase::{BackchaseConfig, BackchaseResult, Lattice, PlanSink};
 use crate::bitset::VarSet;
-use crate::canon::CanonDb;
-use crate::chase::chase;
 use crate::cost::PlanPricer;
-use crate::equivalence::EquivChecker;
-use crate::subquery::induce_subquery_pure;
+use crate::fxhash::FxHashSet;
 
 /// Runs chase + bottom-up backchase. Candidates are enumerated by size
 /// (1, 2, …); the first equivalent candidates found are the minimal plans.
@@ -40,27 +39,10 @@ pub fn bottom_up_backchase(
     pricer: &dyn PlanPricer,
     seed_bound: Option<f64>,
 ) -> BackchaseResult {
-    // Stats-only timing plus an optional deadline; neither affects plan
-    // content when no timeout is configured.
-    #[allow(clippy::disallowed_methods)]
-    let start = Instant::now(); // cnb-lint: allow(wall-clock)
-    let mut udb = CanonDb::new(q0);
-    let chase_stats = chase(&mut udb, constraints, cfg.chase);
-    let chase_time = start.elapsed();
-
-    let mut result = BackchaseResult {
-        universal_arity: udb.query.from.len(),
-        chase_stats,
-        chase_time,
-        ..BackchaseResult::default()
-    };
-    let deadline = cfg.timeout.map(|t| start + t);
-    let checker = EquivChecker::new(q0, constraints, cfg.chase);
-    // Candidate databases are recycled through this scratch; inductions run
-    // in place on `udb` under savepoints — no per-candidate clones here
-    // either (same discipline as the top-down frontier).
-    let mut scratch = CanonDb::empty();
-    let all_vars: Vec<cnb_ir::prelude::Var> = udb.query.from.iter().map(|b| b.var).collect();
+    let mut lattice = Lattice::chase(q0, constraints, cfg);
+    let mut result = BackchaseResult::default();
+    let mut sink = PlanSink::new(cfg.max_plans);
+    let all_vars = lattice.vars();
     let n = all_vars.len();
 
     // Cost pruning is active only when a bound is seeded (the paper's
@@ -73,24 +55,19 @@ pub fn bottom_up_backchase(
     let mut found_sets: Vec<VarSet> = Vec::new();
     let mut seen: FxHashSet<Vec<usize>> = FxHashSet::default();
 
-    while !frontier.is_empty() {
+    'search: while !frontier.is_empty() {
         let mut next: Vec<Vec<usize>> = Vec::new();
         for subset in frontier.drain(..) {
-            #[allow(clippy::disallowed_methods)]
-            if let Some(d) = deadline {
-                // cnb-lint: allow(wall-clock)
-                if Instant::now() >= d {
-                    result.timed_out = true;
-                    result.backchase_time = start.elapsed() - chase_time;
-                    return result;
-                }
+            if lattice.expired() {
+                result.timed_out = true;
+                break 'search;
             }
             let keep = VarSet::from_iter(subset.iter().map(|&i| all_vars[i]));
             // A superset of an already-found plan cannot be minimal.
             if found_sets.iter().any(|f| f.is_subset(&keep)) {
                 continue;
             }
-            let grow = |next: &mut Vec<Vec<usize>>, seen: &mut FxHashSet<Vec<usize>>| {
+            let mut grow = || {
                 let last = *subset.last().expect("nonempty");
                 for j in last + 1..n {
                     let mut bigger = subset.clone();
@@ -100,9 +77,9 @@ pub fn bottom_up_backchase(
                     }
                 }
             };
-            let Some(cand) = induce_subquery_pure(&mut udb, &keep, &q0.select) else {
+            let Some(cand) = lattice.induce(&keep) else {
                 // Output not recoverable yet; more bindings may fix that.
-                grow(&mut next, &mut seen);
+                grow();
                 continue;
             };
             // Cost-based pruning. Only a monotone pricer may drop the
@@ -113,40 +90,27 @@ pub fn bottom_up_backchase(
             if cost > best_cost {
                 result.pruned += 1;
                 if !pricer.monotone() {
-                    grow(&mut next, &mut seen);
+                    grow();
                 }
                 continue;
             }
             result.explored += 1;
-            let (eq, _) = checker.equivalent_into(&mut scratch, &cand);
-            if eq {
-                if pruning {
-                    best_cost = best_cost.min(cost);
-                }
-                found_sets.push(keep.clone());
-                // Deduplicate plans found through renamed binding sets.
-                if !result
-                    .plans
-                    .iter()
-                    .any(|p| crate::equivalence::same_plan(&p.query, &cand))
-                {
-                    result.plans.push(Plan {
-                        bindings: keep,
-                        query: cand,
-                    });
-                }
-                if result.plans.len() >= cfg.max_plans {
-                    result.backchase_time = start.elapsed() - chase_time;
-                    return result;
-                }
-            } else {
-                grow(&mut next, &mut seen);
+            if !lattice.equivalent(&cand) {
+                grow();
+                continue;
+            }
+            if pruning {
+                best_cost = best_cost.min(cost);
+            }
+            found_sets.push(keep.clone());
+            sink.emit(keep, cand);
+            if sink.full() {
+                break 'search;
             }
         }
         frontier = next;
     }
-    result.backchase_time = start.elapsed() - chase_time;
-    result
+    lattice.finish(result, sink)
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ use crate::fxhash::FxHashMap;
 use crate::homomorphism::{find_homs, HomConfig, HomMap};
 
 /// Checks subquery equivalence against a fixed original query.
+#[derive(Clone, Copy)]
 pub struct EquivChecker<'a> {
     /// The equivalence target (the original query of this C&B invocation).
     pub q0: &'a Query,

@@ -41,8 +41,7 @@ pub use cnb_ir::fxhash;
 /// One-stop imports.
 pub mod prelude {
     pub use crate::backchase::{
-        backchase, chase_and_backchase, chase_and_backchase_runs, BackchaseConfig, BackchaseResult,
-        Plan,
+        chase_and_backchase, chase_and_backchase_runs, BackchaseConfig, BackchaseResult, Plan,
     };
     pub use crate::bitset::VarSet;
     pub use crate::bottomup::bottom_up_backchase;

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use cnb_ir::prelude::{Constraint, ExecStrategy, Query, Schema, Symbol, WcojAnalysis};
 
-use crate::backchase::{chase_and_backchase, BackchaseConfig};
+use crate::backchase::{chase_and_backchase, BackchaseConfig, BackchaseResult};
 use crate::bottomup::bottom_up_backchase;
 use crate::chase::ChaseStats;
 use crate::cost::{wcoj_candidate, CostModel, WcojAwarePricer};
@@ -98,7 +98,9 @@ pub struct PlanInfo {
 pub struct OptimizeResult {
     /// Generated plans (deduplicated; best-first if requested).
     pub plans: Vec<PlanInfo>,
-    /// Size of the universal plan(s) — summed over fragments/stages.
+    /// Size of the universal plan(s) — summed over every search run
+    /// (fragments, stages, and both searches of
+    /// [`Optimizer::optimize_measured`]).
     pub universal_arity: usize,
     /// Subqueries explored (equivalence checks) across all invocations.
     pub explored: usize,
@@ -129,6 +131,22 @@ impl OptimizeResult {
         } else {
             self.total_time / self.plans.len() as u32
         }
+    }
+
+    /// Adds one search run's counters, times and chase statistics to this
+    /// result — everything of a [`BackchaseResult`] except its plans.
+    fn absorb(&mut self, run: &BackchaseResult) {
+        self.universal_arity += run.universal_arity;
+        self.explored += run.explored;
+        self.pruned += run.pruned;
+        self.chase_time += run.chase_time;
+        self.backchase_time += run.backchase_time;
+        self.timed_out |= run.timed_out;
+        self.chase_stats.steps_applied += run.chase_stats.steps_applied;
+        self.chase_stats.homs_found += run.chase_stats.homs_found;
+        self.chase_stats.satisfied_skips += run.chase_stats.satisfied_skips;
+        self.chase_stats.rounds += run.chase_stats.rounds;
+        self.chase_stats.truncated |= run.chase_stats.truncated;
     }
 }
 
@@ -275,11 +293,7 @@ impl Optimizer {
             &pricer,
             seed.is_finite().then_some(seed),
         );
-        result.pruned = bounded.pruned;
-        result.explored += bounded.explored;
-        result.chase_time += bounded.chase_time;
-        result.backchase_time += bounded.backchase_time;
-        result.timed_out |= bounded.timed_out;
+        result.absorb(&bounded);
         if !bounded.plans.is_empty() {
             result.plans = bounded
                 .plans
@@ -308,30 +322,24 @@ impl Optimizer {
 
     fn run_full(&self, q: &Query, cfg: &OptimizerConfig) -> OptimizeResult {
         let res = chase_and_backchase(q, &self.constraints, &cfg.backchase);
-        OptimizeResult {
-            plans: res
-                .plans
-                .into_iter()
-                .map(|p| self.plan_info(p.query))
-                .collect(),
-            universal_arity: res.universal_arity,
-            explored: res.explored,
-            chase_time: res.chase_time,
-            backchase_time: res.backchase_time,
-            timed_out: res.timed_out,
+        let mut out = OptimizeResult {
             fragments: 1,
             strata: 1,
-            chase_stats: res.chase_stats,
             ..OptimizeResult::default()
-        }
+        };
+        out.absorb(&res);
+        out.plans = res
+            .plans
+            .into_iter()
+            .map(|p| self.plan_info(p.query))
+            .collect();
+        out
     }
 
     fn run_oqf(&self, q: &Query, cfg: &OptimizerConfig) -> OptimizeResult {
         let frags = decompose(q, self.schema.skeletons());
         if frags.len() <= 1 {
-            let mut r = self.run_full(q, cfg);
-            r.fragments = 1;
-            return r;
+            return self.run_full(q, cfg);
         }
         let mut out = OptimizeResult {
             fragments: frags.len(),
@@ -341,12 +349,7 @@ impl Optimizer {
         let mut per_fragment: Vec<Vec<Query>> = Vec::with_capacity(frags.len());
         for f in &frags {
             let res = chase_and_backchase(&f.query, &self.constraints, &cfg.backchase);
-            out.universal_arity += res.universal_arity;
-            out.explored += res.explored;
-            out.chase_time += res.chase_time;
-            out.backchase_time += res.backchase_time;
-            out.timed_out |= res.timed_out;
-            merge_chase_stats(&mut out.chase_stats, &res.chase_stats);
+            out.absorb(&res);
             per_fragment.push(res.plans.into_iter().map(|p| p.query).collect());
         }
         if per_fragment.iter().any(|p| p.is_empty()) {
@@ -417,12 +420,7 @@ impl Optimizer {
             let mut next: Vec<Query> = Vec::new();
             for p in &pool {
                 let res = chase_and_backchase(p, &cs, &cfg.backchase);
-                out.universal_arity += res.universal_arity;
-                out.explored += res.explored;
-                out.chase_time += res.chase_time;
-                out.backchase_time += res.backchase_time;
-                out.timed_out |= res.timed_out;
-                merge_chase_stats(&mut out.chase_stats, &res.chase_stats);
+                out.absorb(&res);
                 for plan in res.plans {
                     if !next
                         .iter()
@@ -446,14 +444,6 @@ pub fn plan_price(model: &CostModel, plan: &PlanInfo) -> f64 {
         (ExecStrategy::Wcoj, Some(a)) => model.cost_wcoj(a),
         _ => model.cost(&plan.query),
     }
-}
-
-fn merge_chase_stats(into: &mut ChaseStats, from: &ChaseStats) {
-    into.steps_applied += from.steps_applied;
-    into.homs_found += from.homs_found;
-    into.satisfied_skips += from.satisfied_skips;
-    into.rounds += from.rounds;
-    into.truncated |= from.truncated;
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use cnb_ir::prelude::{Constraint, Query, Range, Value};
+use cnb_ir::prelude::{Constraint, Query, Value};
 
 use crate::fxhash::{FxHashMap, FxHasher};
 
@@ -46,37 +46,25 @@ pub struct ParameterizedQuery {
 
 /// Splits `q` into a template and its parameter vector.
 ///
-/// Constants are lifted in one fixed traversal order — from-clause range
-/// expressions, then where-clause equalities (lhs before rhs), then select
-/// paths — so structurally identical queries always produce the same
-/// placeholder numbering and therefore the same [`Fingerprint`]. Each
+/// Constants are lifted in [`Query::map_consts`]'s fixed traversal order —
+/// from-clause range expressions, then where-clause equalities (lhs before
+/// rhs), then select paths — so structurally identical queries always
+/// produce the same placeholder numbering and therefore the same
+/// [`Fingerprint`]. Each
 /// occurrence gets its own placeholder: collapsing repeated values would
 /// specialize the template to bindings that happen to repeat them.
 /// Placeholders already present pass through unchanged (re-parameterizing a
 /// template is the identity on it).
 pub fn parameterize(q: &Query) -> ParameterizedQuery {
     let mut params: Vec<Value> = Vec::new();
-    let mut lift = |v: &Value| -> Value {
+    let template = q.map_consts(&mut |v| {
         if let Value::Param(_) = v {
             return v.clone();
         }
         let k = params.len() as u32;
         params.push(v.clone());
         Value::Param(k)
-    };
-    let mut template = q.clone();
-    for b in &mut template.from {
-        if let Range::Expr(p) = &b.range {
-            b.range = Range::Expr(p.map_consts(&mut lift));
-        }
-    }
-    for eq in &mut template.where_ {
-        eq.lhs = eq.lhs.map_consts(&mut lift);
-        eq.rhs = eq.rhs.map_consts(&mut lift);
-    }
-    for (_, p) in &mut template.select {
-        *p = p.map_consts(&mut lift);
-    }
+    });
     ParameterizedQuery { template, params }
 }
 
@@ -85,29 +73,10 @@ pub fn parameterize(q: &Query) -> ParameterizedQuery {
 /// are left in place — execution rejects them, so a template/vector
 /// mismatch fails loudly rather than computing with a placeholder value.
 pub fn bind_params(template: &Query, params: &[Value]) -> Query {
-    let mut subst = |v: &Value| -> Value {
-        match v {
-            Value::Param(k) => match params.get(*k as usize) {
-                Some(actual) => actual.clone(),
-                None => Value::Param(*k),
-            },
-            other => other.clone(),
-        }
-    };
-    let mut bound = template.clone();
-    for b in &mut bound.from {
-        if let Range::Expr(p) = &b.range {
-            b.range = Range::Expr(p.map_consts(&mut subst));
-        }
-    }
-    for eq in &mut bound.where_ {
-        eq.lhs = eq.lhs.map_consts(&mut subst);
-        eq.rhs = eq.rhs.map_consts(&mut subst);
-    }
-    for (_, p) in &mut bound.select {
-        *p = p.map_consts(&mut subst);
-    }
-    bound
+    template.map_consts(&mut |v| match v {
+        Value::Param(k) => params.get(*k as usize).unwrap_or(v).clone(),
+        other => other.clone(),
+    })
 }
 
 /// First [`Value::Param`] placeholder left anywhere in `q`, if any. The
@@ -117,24 +86,11 @@ pub fn bind_params(template: &Query, params: &[Value]) -> Query {
 /// silently return wrong (usually empty) results.
 pub fn unbound_param(q: &Query) -> Option<u32> {
     let mut found: Option<u32> = None;
-    let mut scan = |v: &Value| -> Value {
+    q.visit_consts(&mut |v| {
         if let Value::Param(k) = v {
             found.get_or_insert(*k);
         }
-        v.clone()
-    };
-    for b in &q.from {
-        if let Range::Expr(p) = &b.range {
-            p.map_consts(&mut scan);
-        }
-    }
-    for eq in &q.where_ {
-        eq.lhs.map_consts(&mut scan);
-        eq.rhs.map_consts(&mut scan);
-    }
-    for (_, p) in &q.select {
-        p.map_consts(&mut scan);
-    }
+    });
     found
 }
 
@@ -157,14 +113,19 @@ pub struct Fingerprint {
 impl Fingerprint {
     /// Fingerprint of a template under a constraint set.
     pub fn new(template: &Query, constraints: &[Constraint]) -> Fingerprint {
+        Fingerprint::with_digest(template, constraint_digest(constraints))
+    }
+
+    /// [`Fingerprint::new`] for a constraint set already digested with
+    /// [`constraint_digest`] — rendering and hashing every constraint is
+    /// most of a fingerprint's cost, and a server's set is fixed, so it
+    /// digests once and fingerprints each request from the stored value.
+    pub fn with_digest(template: &Query, constraints: u64) -> Fingerprint {
         let mut shape = template.canonical_key();
         shape.push('|');
         let labels: Vec<String> = template.select.iter().map(|(l, _)| l.to_string()).collect();
         shape.push_str(&labels.join(","));
-        Fingerprint {
-            shape,
-            constraints: constraint_digest(constraints),
-        }
+        Fingerprint { shape, constraints }
     }
 
     /// The canonical shape rendering (diagnostics/tests).

@@ -378,10 +378,14 @@ fn probe_attr_key(
 
 /// Row ids — selection vectors, hash-join buckets, [`PairIndex`] entries —
 /// are `u32`; anything they number must stay within this.
-const ROW_ID_LIMIT: usize = u32::MAX as usize;
+pub(crate) const ROW_ID_LIMIT: usize = u32::MAX as usize;
 
 /// `Ok` if `rows` rows of `what` can be numbered with ids up to `limit`.
-fn check_row_ids(what: &'static str, rows: usize, limit: usize) -> Result<(), ExecError> {
+pub(crate) fn check_row_ids(
+    what: &'static str,
+    rows: usize,
+    limit: usize,
+) -> Result<(), ExecError> {
     if rows > limit {
         return Err(ExecError::RowIdOverflow { what, rows, limit });
     }

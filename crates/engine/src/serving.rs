@@ -38,7 +38,8 @@ use cnb_ir::prelude::{ExecStrategy, Query};
 
 use cnb_core::cost::CostModel;
 use cnb_core::prelude::{
-    bind_params, parameterize, CachedPlans, Fingerprint, Optimizer, OptimizerConfig, PlanCache,
+    bind_params, constraint_digest, parameterize, CachedPlans, Fingerprint, Optimizer,
+    OptimizerConfig, PlanCache,
 };
 use cnb_core::{parallel, serving::unbound_param};
 
@@ -120,6 +121,9 @@ pub struct PlanServer {
     config: OptimizerConfig,
     cache: PlanCache,
     cost_model: CostModel,
+    /// [`constraint_digest`] of the optimizer's constraint set, which is
+    /// fixed once the optimizer is built: digested here, not per request.
+    constraints: u64,
 }
 
 impl PlanServer {
@@ -129,6 +133,7 @@ impl PlanServer {
     /// measured model is installed).
     pub fn new(optimizer: Optimizer, config: OptimizerConfig) -> PlanServer {
         PlanServer {
+            constraints: constraint_digest(optimizer.constraints()),
             optimizer,
             config,
             cache: PlanCache::new(),
@@ -186,7 +191,7 @@ impl PlanServer {
     /// later request with the same shape.
     pub fn plan(&mut self, q: &Query) -> ServedPlan {
         let parameterized = parameterize(q);
-        let fp = Fingerprint::new(&parameterized.template, self.optimizer.constraints());
+        let fp = Fingerprint::with_digest(&parameterized.template, self.constraints);
         if let Some(entry) = self.cache.lookup(&fp, &parameterized.template) {
             return ServedPlan {
                 plan: bind_params(&entry.plans[0], &parameterized.params),
@@ -468,6 +473,30 @@ mod tests {
             vec![Value::record([(sym("D"), Value::Int(700))])]
         );
         assert_eq!((server.cache().hits(), server.cache().misses()), (1, 1));
+    }
+
+    /// The digest stored at construction keys requests exactly as
+    /// re-digesting the constraint set per request did, on every family.
+    #[test]
+    fn stored_digest_fingerprints_like_fingerprint_new() {
+        use cnb_workloads::DataScale;
+        for w in cnb_workloads::suite() {
+            let mut server = PlanServer::new(
+                w.optimizer(),
+                OptimizerConfig::with_strategy(Strategy::Full),
+            );
+            let q = w.serving_query(DataScale::smoke(), 0);
+            let template = parameterize(&q).template;
+            let expected = Fingerprint::new(&template, server.optimizer.constraints());
+            assert_eq!(
+                Fingerprint::with_digest(&template, server.constraints),
+                expected,
+                "{}",
+                w.name()
+            );
+            server.plan(&q);
+            assert!(server.cache.contains(&expected), "{}", w.name());
+        }
     }
 
     /// EC5's triangle has a certified WCOJ gap, so the optimizer emits

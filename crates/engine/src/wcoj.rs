@@ -45,6 +45,7 @@ use cnb_ir::prelude::*;
 use crate::database::Database;
 use crate::error::ExecError;
 use crate::eval::{eval_path, reject_unbound_params, ExecResult, ExecStats, OpStats};
+use crate::join::{check_row_ids, ROW_ID_LIMIT};
 
 /// A total order over [`Value`] consistent with `Value::eq`: two values
 /// compare `Equal` iff they are `==`. Variants order by a fixed rank;
@@ -180,6 +181,46 @@ struct Class {
 struct BindingIndex {
     keys: Vec<Vec<Value>>,
     rows: Vec<u32>,
+}
+
+impl BindingIndex {
+    /// Indexes `table` on `classes` — per class, the attributes it
+    /// constrains in this binding. A row lacking a class attribute (or
+    /// disagreeing between two same-class attributes) can never join: it is
+    /// dropped here, exactly where a hash-join build would skip it. `limit`
+    /// is [`ROW_ID_LIMIT`] outside tests.
+    fn build(
+        table: &[Value],
+        classes: &[(usize, Vec<Symbol>)],
+        limit: usize,
+    ) -> Result<BindingIndex, ExecError> {
+        check_row_ids("generic-join index", table.len(), limit)?;
+        let mut entries: Vec<(Vec<Value>, u32)> = Vec::with_capacity(table.len());
+        'row: for (i, row) in table.iter().enumerate() {
+            let mut key = Vec::with_capacity(classes.len());
+            for (_, attrs) in classes {
+                let Some(first) = row.field(attrs[0]) else {
+                    continue 'row;
+                };
+                for a in &attrs[1..] {
+                    if row.field(*a) != Some(first) {
+                        continue 'row;
+                    }
+                }
+                key.push(first.clone());
+            }
+            entries.push((key, i as u32));
+        }
+        entries.sort_by(|(ka, ra), (kb, rb)| {
+            ka.iter()
+                .zip(kb.iter())
+                .map(|(x, y)| cmp_value(x, y))
+                .find(|o| *o != Ordering::Equal)
+                .unwrap_or_else(|| ra.cmp(rb))
+        });
+        let (keys, rows) = entries.into_iter().unzip();
+        Ok(BindingIndex { keys, rows })
+    }
 }
 
 fn equal_range(idx: &BindingIndex, range: (usize, usize), pos: usize, v: &Value) -> (usize, usize) {
@@ -450,45 +491,19 @@ pub fn execute_wcoj(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
         classes.push(Class { participants, pin });
     }
 
-    // Build the sorted per-binding indexes. A row lacking a class attribute
-    // (or disagreeing between two same-class attributes) can never join —
-    // drop it here, exactly where a hash-join build would skip it.
     let mut indexes: Vec<BindingIndex> = Vec::with_capacity(n);
     for (b, t) in tables.iter().enumerate() {
         let table = db.table(*t);
-        let mut entries: Vec<(Vec<Value>, u32)> = Vec::with_capacity(table.len());
-        'row: for (i, row) in table.iter().enumerate() {
-            let mut key = Vec::with_capacity(binding_classes[b].len());
-            for (_, attrs) in &binding_classes[b] {
-                let Some(first) = row.field(attrs[0]) else {
-                    continue 'row;
-                };
-                for a in &attrs[1..] {
-                    if row.field(*a) != Some(first) {
-                        continue 'row;
-                    }
-                }
-                key.push(first.clone());
-            }
-            entries.push((key, u32::try_from(i).expect("table too large for row ids")));
-        }
-        entries.sort_by(|(ka, ra), (kb, rb)| {
-            ka.iter()
-                .zip(kb.iter())
-                .map(|(x, y)| cmp_value(x, y))
-                .find(|o| *o != Ordering::Equal)
-                .unwrap_or_else(|| ra.cmp(rb))
-        });
+        let index = BindingIndex::build(table, &binding_classes[b], ROW_ID_LIMIT)?;
         stats.operators.push(OpStats {
             op: "wcoj_index",
             collection: Some(*t),
             collection_rows: table.len(),
             pairs: 0,
             input_rows: table.len(),
-            output_rows: entries.len(),
+            output_rows: index.rows.len(),
         });
-        let (keys, rows) = entries.into_iter().unzip();
-        indexes.push(BindingIndex { keys, rows });
+        indexes.push(index);
     }
 
     let ranges: Vec<(usize, usize)> = indexes.iter().map(|ix| (0, ix.rows.len())).collect();
@@ -558,6 +573,25 @@ mod tests {
     fn sorted(mut rows: Vec<Value>) -> Vec<Value> {
         rows.sort_by(cmp_value);
         rows
+    }
+
+    /// ROADMAP 5b: a table too large for `u32` row ids is a typed error —
+    /// driven here through a small limit instead of 2³² rows.
+    #[test]
+    fn index_row_id_overflow_is_a_typed_error() {
+        let mut db = Database::new();
+        edges(&mut db, "E", &[(1, 2), (2, 3), (3, 1)]);
+        let classes = [(0, vec![sym("S")])];
+        let index = BindingIndex::build(db.table(sym("E")), &classes, 3).unwrap();
+        assert_eq!(index.rows, vec![0, 1, 2]);
+        assert_eq!(
+            BindingIndex::build(db.table(sym("E")), &classes, 2).err(),
+            Some(ExecError::RowIdOverflow {
+                what: "generic-join index",
+                rows: 3,
+                limit: 2,
+            })
+        );
     }
 
     #[test]

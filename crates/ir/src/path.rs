@@ -133,6 +133,18 @@ impl PathExpr {
         }
     }
 
+    /// Calls `f` on every constant, in [`PathExpr::map_consts`] order,
+    /// without rebuilding the path.
+    pub fn visit_consts(&self, f: &mut impl FnMut(&Value)) {
+        match self {
+            PathExpr::Var(_) => {}
+            PathExpr::Const(c) => f(c),
+            PathExpr::Field(base, _) => base.visit_consts(f),
+            PathExpr::Lookup(_, key) => key.visit_consts(f),
+            PathExpr::MkStruct(fields) => fields.iter().for_each(|(_, p)| p.visit_consts(f)),
+        }
+    }
+
     /// Number of AST nodes; used as a crude complexity measure.
     pub fn size(&self) -> usize {
         match self {

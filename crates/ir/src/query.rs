@@ -16,6 +16,7 @@ use std::fmt;
 
 use crate::path::{Equality, PathExpr, Var};
 use crate::symbol::Symbol;
+use crate::value::Value;
 
 /// What a from-clause binding ranges over.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -309,6 +310,55 @@ impl Query {
         }
     }
 
+    /// Every path of the query that can hold a constant, in the one order
+    /// the serving path numbers `?k` placeholders by: from-clause range
+    /// expressions, then where-clause equalities (lhs before rhs), then
+    /// select paths. [`Query::paths_mut`] is its mutable twin.
+    fn paths(&self) -> impl Iterator<Item = &PathExpr> {
+        let ranges = self.from.iter().filter_map(|b| match &b.range {
+            Range::Expr(p) => Some(p),
+            _ => None,
+        });
+        let sides = self.where_.iter().flat_map(|eq| [&eq.lhs, &eq.rhs]);
+        ranges
+            .chain(sides)
+            .chain(self.select.iter().map(|(_, p)| p))
+    }
+
+    fn paths_mut(&mut self) -> impl Iterator<Item = &mut PathExpr> {
+        let ranges = self.from.iter_mut().filter_map(|b| match &mut b.range {
+            Range::Expr(p) => Some(p),
+            _ => None,
+        });
+        let sides = self
+            .where_
+            .iter_mut()
+            .flat_map(|eq| [&mut eq.lhs, &mut eq.rhs]);
+        ranges
+            .chain(sides)
+            .chain(self.select.iter_mut().map(|(_, p)| p))
+    }
+
+    /// Rewrites every constant of the query through `f`, leaving the shape
+    /// intact. Constants are visited in a fixed order (ranges, where lhs
+    /// then rhs, select), so an `f` that numbers what it sees numbers
+    /// structurally identical queries identically.
+    pub fn map_consts(&self, f: &mut impl FnMut(&Value) -> Value) -> Query {
+        let mut out = self.clone();
+        for p in out.paths_mut() {
+            *p = p.map_consts(f);
+        }
+        out
+    }
+
+    /// Calls `f` on every constant of the query, in [`Query::map_consts`]
+    /// order, without cloning anything.
+    pub fn visit_consts(&self, f: &mut impl FnMut(&Value)) {
+        for p in self.paths() {
+            p.visit_consts(f);
+        }
+    }
+
     /// A canonical string key identifying the query up to variable renaming
     /// and where/select-clause ordering. Used to deduplicate plans produced
     /// along different rewrite orders.
@@ -454,6 +504,26 @@ mod tests {
         let q = chain2();
         assert_eq!(q.arity(), 2);
         q.validate().expect("well-formed");
+    }
+
+    /// The order placeholder numbering (and so every serving fingerprint)
+    /// rests on: range expressions, where lhs then rhs, select.
+    #[test]
+    fn consts_are_walked_ranges_then_where_then_select() {
+        let mut q = Query::new();
+        let o = q.bind("o", Range::Expr(PathExpr::from(1i64).lookup_in("M")));
+        q.equate(PathExpr::from(2i64), PathExpr::from(o).dot("A"));
+        q.equate(PathExpr::from(o).dot("B"), PathExpr::from(3i64));
+        q.output("C", PathExpr::from(4i64));
+        let mut seen = Vec::new();
+        q.visit_consts(&mut |v| seen.push(v.clone()));
+        assert_eq!(seen, [1, 2, 3, 4].map(Value::Int));
+        let mut mapped = Vec::new();
+        let same = q.map_consts(&mut |v| {
+            mapped.push(v.clone());
+            v.clone()
+        });
+        assert_eq!((same, mapped), (q, seen));
     }
 
     #[test]

@@ -62,13 +62,16 @@ fi
 # (the plan PlanServer serves for the request mix within 2 × |F|, no
 # operator above |F| rows): what an index pair costs when it runs as a
 # probe and not as a cross product. The fused operator's own oracle suite
-# (dict_join vs the nested loop) rides in the same tier.
+# (dict_join vs the nested loop) rides in the same tier, and so does
+# bottom_up_agrees_with_top_down_on_the_suite: the two backchase traversals
+# share one Lattice, so they must emit the same minimal plans on EC1-EC5.
 for t in 1 4; do
   tier "CNB_THREADS=$t EC4/EC5 golden + differential suites"
   CNB_THREADS=$t cargo test -q -p cnb-engine --test dict_join_differential
   CNB_THREADS=$t cargo test -q -p cnb-workloads --test ec4_star --test ec5_cyclic --test workload_suite
   CNB_THREADS=$t cargo test -q --test property_based -- \
     parallel_backchase_differential_ec4 parallel_backchase_differential_ec5 \
+    bottom_up_agrees_with_top_down_on_the_suite \
     cost_observation_feedback_matches_arithmetic_mean
 done
 

@@ -3,8 +3,12 @@
 //! rollback — must produce exactly the same induced query as the retired
 //! clone-per-candidate implementation (`induce_subquery_via_clone`, kept as
 //! the oracle) for **every** binding subset, and must leave the universal
-//! plan byte-identical between candidates.
+//! plan byte-identical between candidates. On the same subsets, the shared
+//! `Lattice`'s verdict (in-place induction, recycled scratch database) must
+//! equal the oracle pair's: clone-based induction, then
+//! `EquivChecker::equivalent` on a fresh database per candidate.
 
+use chase_too_far::core::backchase::Lattice;
 use chase_too_far::core::bitset::VarSet;
 use chase_too_far::core::prelude::*;
 use chase_too_far::core::subquery::induce_subquery_via_clone;
@@ -34,6 +38,12 @@ fn assert_inplace_matches_clone(tag: &str, q: &Query, constraints: &[Constraint]
         "{tag}: universal arity {n} out of the exhaustive-sweep range"
     );
     let baseline = db_fingerprint(&mut udb);
+    let cfg = BackchaseConfig {
+        timeout: None,
+        ..BackchaseConfig::default()
+    };
+    let mut lattice = Lattice::chase(q, constraints, &cfg);
+    let checker = EquivChecker::new(q, constraints, cfg.chase);
 
     for mask in 0u32..(1 << n) {
         let keep = VarSet::from_iter(
@@ -52,6 +62,12 @@ fn assert_inplace_matches_clone(tag: &str, q: &Query, constraints: &[Constraint]
             db_fingerprint(&mut udb),
             baseline,
             "{tag}: in-place induction left residue after subset {mask:#b}"
+        );
+        let oracle = cloned.is_some_and(|c| checker.equivalent(&c).0);
+        assert_eq!(
+            lattice.verdict(&keep),
+            Some(oracle),
+            "{tag}: lattice verdict diverged from the oracle on subset {mask:#b}"
         );
     }
 }

@@ -460,6 +460,55 @@ fn parallel_backchase_differential_ec5() {
     });
 }
 
+// --------------------------------------- Two traversals, one lattice --
+
+/// Bottom-up and top-down walk the same `Lattice`, so without a cost bound
+/// they must find the same minimal plans: equally many, each one
+/// `same_plan` as one of the other search's (the searches discover plans
+/// in different orders and keep the first of each renaming class, so the
+/// kept binding sets may differ where the queries do not). Covers every
+/// `suite()` member whose universal plan has at most 12 bindings, at
+/// `threads` 1 and 4 — bottom-up enumerates subsets by size and has no
+/// memo of supersets to lean on, so the cut keeps its 2ⁿ worst case out of
+/// debug-mode test time. Today it skips nobody: the five members' universal
+/// plans have 8, 8, 9, 8 and 6 bindings (EC1–EC5).
+#[test]
+fn bottom_up_agrees_with_top_down_on_the_suite() {
+    use chase_too_far::core::cost::CostModel;
+    use chase_too_far::core::prelude::bottom_up_backchase;
+    for w in chase_too_far::workloads::suite() {
+        let (q, cs) = (w.query(), w.constraints());
+        for threads in [1usize, 4] {
+            let cfg = BackchaseConfig {
+                threads,
+                ..BackchaseConfig::default()
+            };
+            let top = chase_and_backchase(&q, &cs, &cfg);
+            if top.universal_arity > 12 {
+                eprintln!("{}: {} bindings, skipped", w.name(), top.universal_arity);
+                continue;
+            }
+            let bottom = bottom_up_backchase(&q, &cs, &cfg, &CostModel::default(), None);
+            let label = format!("{} at {threads} threads", w.name());
+            assert!(!top.timed_out && !bottom.timed_out, "{label}: timed out");
+            assert_eq!(top.universal_arity, bottom.universal_arity, "{label}");
+            assert_eq!(top.plans.len(), bottom.plans.len(), "{label}: plan counts");
+            for (from, into, missing) in [
+                (&bottom, &top, "bottom-up plan missing from top-down"),
+                (&top, &bottom, "top-down plan missing from bottom-up"),
+            ] {
+                for p in &from.plans {
+                    assert!(
+                        into.plans.iter().any(|o| same_plan(&o.query, &p.query)),
+                        "{label}: {missing}:\n{}",
+                        p.query
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ------------------------------------------------ Cost model feedback --
 
 /// Observation feedback on `cnb_core::cost::CostModel`, seeded by real
