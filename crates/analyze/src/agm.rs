@@ -34,7 +34,7 @@
 //! exactness is free.
 
 use cnb_ir::cover::{cover_lp, Rat};
-use cnb_ir::hypergraph::{prefix_hypergraph, query_hypergraph, ExecStrategy};
+use cnb_ir::hypergraph::{query_hypergraph, weighted_cover, worst_prefix, CoverEdge, ExecStrategy};
 use cnb_ir::prelude::{PhysicalSpec, Query, Range, Schema};
 use cnb_workloads::workload::{AgmExpectation, Workload};
 
@@ -103,12 +103,12 @@ pub struct PlanAgm {
     /// `worst` is the *full-query* exponent (every intermediate is capped
     /// there by the operator), not a binary-prefix worst case.
     pub wcoj: bool,
-    /// Optimal cover of the worst prefix, `(scan label, weight)` per edge
-    /// in edge order — the machine-checkable half of the certificate
+    /// Optimal cover of the worst prefix, one weighted scan per edge in
+    /// edge order — the machine-checkable half of the certificate
     /// (re-verify with [`verify_cover`] against
     /// [`cnb_ir::hypergraph::prefix_hypergraph`]; for WCOJ plans the worst
     /// prefix is the whole plan, so the same call re-verifies it too).
-    pub cover: Vec<(String, Rat)>,
+    pub cover: Vec<CoverEdge>,
 }
 
 /// One workload's certification: the query bound and every plan's verdict.
@@ -119,7 +119,7 @@ pub struct WorkloadAgm {
     /// The central query's AGM exponent ρ*.
     pub bound: Rat,
     /// Optimal cover of the central query proving `bound`.
-    pub bound_cover: Vec<(String, Rat)>,
+    pub bound_cover: Vec<CoverEdge>,
     /// Per-plan results, in emission order.
     pub plans: Vec<PlanAgm>,
     /// Aggregate verdict.
@@ -131,16 +131,10 @@ pub struct WorkloadAgm {
 }
 
 /// The central query's AGM exponent and an optimal cover proving it.
-pub fn query_bound(schema: &Schema, query: &Query) -> Result<(Rat, Vec<(String, Rat)>), String> {
+pub fn query_bound(schema: &Schema, query: &Query) -> Result<(Rat, Vec<CoverEdge>), String> {
     let hg = query_hypergraph(schema, query)?;
     let lp = cover_lp(&hg).map_err(|e| e.to_string())?;
-    let cover = hg
-        .edges
-        .iter()
-        .zip(&lp.weights)
-        .map(|(e, w)| (e.label.clone(), *w))
-        .collect();
-    Ok((lp.rho, cover))
+    Ok((lp.rho, weighted_cover(&hg, &lp)))
 }
 
 /// True when the query ranges over a materialized view or ASR.
@@ -166,23 +160,7 @@ pub fn plan_agm(
     index: usize,
     bound: Rat,
 ) -> Result<PlanAgm, String> {
-    let mut worst = Rat::zero();
-    let mut worst_prefix = 0usize;
-    let mut cover = Vec::new();
-    for k in 1..=plan.from.len() {
-        let hg = prefix_hypergraph(schema, plan, k)?;
-        let lp = cover_lp(&hg).map_err(|e| e.to_string())?;
-        if lp.rho.gt(&worst) || worst_prefix == 0 {
-            worst = lp.rho;
-            worst_prefix = k;
-            cover = hg
-                .edges
-                .iter()
-                .zip(&lp.weights)
-                .map(|(e, w)| (e.label.clone(), *w))
-                .collect();
-        }
-    }
+    let (worst_prefix, worst, cover) = worst_prefix(schema, plan)?;
     Ok(PlanAgm {
         index,
         worst,
@@ -204,20 +182,12 @@ pub fn plan_agm_wcoj(
     index: usize,
     bound: Rat,
 ) -> Result<PlanAgm, String> {
-    let k = plan.from.len();
-    let hg = prefix_hypergraph(schema, plan, k)?;
-    let lp = cover_lp(&hg).map_err(|e| e.to_string())?;
-    let cover = hg
-        .edges
-        .iter()
-        .zip(&lp.weights)
-        .map(|(e, w)| (e.label.clone(), *w))
-        .collect();
+    let (worst, cover) = query_bound(schema, plan)?;
     Ok(PlanAgm {
         index,
-        worst: lp.rho,
-        worst_prefix: k,
-        within: lp.rho.le(&bound),
+        worst,
+        worst_prefix: plan.from.len(),
+        within: worst.le(&bound),
         uses_view: scans_view(schema, plan),
         wcoj: true,
         cover,

@@ -161,10 +161,16 @@ fn workload_json(w: &WorkloadAgm) -> String {
     )
 }
 
-fn cover_json(cover: &[(String, cnb_ir::cover::Rat)]) -> String {
+fn cover_json(cover: &[cnb_ir::hypergraph::CoverEdge]) -> String {
     cover
         .iter()
-        .map(|(l, r)| format!("[{}, {}]", json_str(l), json_str(&r.to_string())))
+        .map(|c| {
+            format!(
+                "[{}, {}]",
+                json_str(&c.label),
+                json_str(&c.weight.to_string())
+            )
+        })
         .collect::<Vec<_>>()
         .join(", ")
 }

@@ -42,6 +42,7 @@ use cnb_ir::prelude::{
     check_constraint, check_query, Binding, Constraint, ConstraintKind, PathExpr, Query, Range,
     Schema, Symbol, Var,
 };
+use cnb_ir::unionfind::UnionFind;
 
 /// A defect found by one of the validators. Variants are specific enough
 /// for the negative-case corpus to assert exactly which discipline broke.
@@ -217,24 +218,11 @@ pub fn join_components(q: &Query) -> usize {
     // Nodes 0..n are bindings; each distinct ground term equated to some
     // binding gets an extra node so shared constants act as join hubs.
     let mut ground_nodes: FxHashMap<String, usize> = FxHashMap::default();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
-    let union = |parent: &mut Vec<usize>, a: usize, b: usize| {
-        let (ra, rb) = (find(parent, a), find(parent, b));
-        if ra != rb {
-            parent[ra.max(rb)] = ra.min(rb);
-        }
-    };
+    let mut uf = UnionFind::new(n);
     for (i, b) in q.from.iter().enumerate() {
         for v in b.range.vars() {
             if let Some(&j) = index.get(&v) {
-                union(&mut parent, i, j);
+                uf.union(i, j);
             }
         }
     }
@@ -250,21 +238,20 @@ pub fn join_components(q: &Query) -> usize {
             continue;
         }
         for w in touched.windows(2) {
-            union(&mut parent, w[0], w[1]);
+            uf.union(w[0], w[1]);
         }
         // A side with no variables is a ground term; bindings equated to
         // equal ground terms share its node (and thus its component).
         for side in [&eq.lhs, &eq.rhs] {
             if side.vars().is_empty() {
-                let node = *ground_nodes.entry(side.to_string()).or_insert_with(|| {
-                    parent.push(parent.len());
-                    parent.len() - 1
-                });
-                union(&mut parent, touched[0], node);
+                let node = *ground_nodes
+                    .entry(side.to_string())
+                    .or_insert_with(|| uf.push());
+                uf.union(touched[0], node);
             }
         }
     }
-    let mut roots: Vec<usize> = (0..n).map(|i| find(&mut parent, i)).collect();
+    let mut roots: Vec<usize> = (0..n).map(|i| uf.find(i)).collect();
     roots.sort_unstable();
     roots.dedup();
     roots.len()

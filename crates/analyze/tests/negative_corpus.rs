@@ -347,7 +347,7 @@ fn golden_agm_verdicts_for_the_whole_suite() {
                 p.worst_prefix,
             )
             .unwrap_or_else(|e| panic!("{}: plan {}: {e}", c.name, p.index));
-            let weights: Vec<Rat> = p.cover.iter().map(|(_, r)| *r).collect();
+            let weights: Vec<Rat> = p.cover.iter().map(|c| c.weight).collect();
             let cost = verify_cover(&hg, &weights)
                 .unwrap_or_else(|e| panic!("{}: plan {}: {e}", c.name, p.index));
             assert_eq!(

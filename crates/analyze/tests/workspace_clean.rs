@@ -52,10 +52,12 @@ fn determinism_taint_is_clean_on_this_workspace() {
 /// deadline, the serving `WallClock`); a new one must change a number here.
 /// Core's four: `Lattice::chase` and `Lattice::expired` in `backchase.rs`,
 /// `Optimizer::optimize` and `optimize_measured` in `optimizer.rs`.
+/// Engine's three: the batched pipeline's `run` and the `execute_legacy`
+/// oracle in `eval.rs`, and `WallClock` in `clock.rs`.
 #[test]
 fn sanctioned_wall_clock_sites_are_pinned() {
     let sites = allow_sites(workspace_root(), "wall-clock").expect("scan the workspace");
-    for (krate, pinned) in [("core", 4), ("engine", 4), ("ir", 0), ("workloads", 0)] {
+    for (krate, pinned) in [("core", 4), ("engine", 3), ("ir", 0), ("workloads", 0)] {
         let prefix = format!("crates/{krate}/");
         let found: Vec<_> = sites
             .iter()

@@ -113,14 +113,6 @@ impl CanonDb {
         self.cong.merge(l, r);
     }
 
-    /// Merges two paths in the congruence *without* recording a where-clause
-    /// equality (used for derived equalities that are already implied).
-    pub fn merge_paths(&mut self, lhs: &PathExpr, rhs: &PathExpr) {
-        let l = self.cong.intern_path(lhs);
-        let r = self.cong.intern_path(rhs);
-        self.cong.merge(l, r);
-    }
-
     /// True if `lhs = rhs` is implied by the where-clause (plus congruence).
     /// Probe terms are interned in scratch mode so they are not offered as
     /// rewrite targets while they live.

@@ -126,11 +126,6 @@ impl CostModel {
             .unwrap_or(self.default_cardinality)
     }
 
-    /// The stored (or default) cardinality estimate for a collection.
-    pub fn estimated_cardinality(&self, name: Symbol) -> f64 {
-        self.card(name)
-    }
-
     /// Estimated cost of a left-deep evaluation in from-clause order: each
     /// binding contributes its *input* cost — the rows scanned (or, for a
     /// hash join, built) from its range — plus the intermediate result it

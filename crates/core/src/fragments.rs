@@ -10,6 +10,7 @@
 use crate::fxhash::FxHashMap;
 
 use cnb_ir::prelude::{Equality, PathExpr, Query, Skeleton, Symbol};
+use cnb_ir::unionfind::UnionFind;
 
 use crate::bitset::VarSet;
 use crate::canon::CanonDb;
@@ -39,27 +40,12 @@ pub fn decompose(q: &Query, skeletons: &[Skeleton]) -> Vec<Fragment> {
     let n = q.from.len();
     let position: FxHashMap<_, _> = q.from.iter().enumerate().map(|(i, b)| (b.var, i)).collect();
 
-    // Union-find over binding positions.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
-    let union = |parent: &mut [usize], a: usize, b: usize| {
-        let (ra, rb) = (find(parent, a), find(parent, b));
-        if ra != rb {
-            parent[ra.max(rb)] = ra.min(rb);
-        }
-    };
-
+    let mut uf = UnionFind::new(n);
     // Range dependencies keep dependent bindings together.
     for (i, b) in q.from.iter().enumerate() {
         for v in b.range.vars() {
             if let Some(&j) = position.get(&v) {
-                union(&mut parent, i, j);
+                uf.union(i, j);
             }
         }
     }
@@ -85,14 +71,14 @@ pub fn decompose(q: &Query, skeletons: &[Skeleton]) -> Vec<Fragment> {
                 covered[i] = true;
             }
             for w in image.windows(2) {
-                union(&mut parent, w[0], w[1]);
+                uf.union(w[0], w[1]);
             }
         }
     }
 
     // Step 2/3: connected components; covered components become fragments,
     // uncovered ones pool into one leftover fragment (Step 4).
-    let mut comp_of: Vec<usize> = (0..n).map(|i| find(&mut parent, i)).collect();
+    let mut comp_of: Vec<usize> = (0..n).map(|i| uf.find(i)).collect();
     let mut comp_covered: FxHashMap<usize, bool> = FxHashMap::default();
     for i in 0..n {
         *comp_covered.entry(comp_of[i]).or_default() |= covered[i];

@@ -124,15 +124,6 @@ pub struct OptimizeResult {
 }
 
 impl OptimizeResult {
-    /// Time per generated plan (the paper's normalized §5.3.2 measure).
-    pub fn time_per_plan(&self) -> Duration {
-        if self.plans.is_empty() {
-            self.total_time
-        } else {
-            self.total_time / self.plans.len() as u32
-        }
-    }
-
     /// Adds one search run's counters, times and chase statistics to this
     /// result — everything of a [`BackchaseResult`] except its plans.
     fn absorb(&mut self, run: &BackchaseResult) {

@@ -9,6 +9,7 @@
 //! paper's EC2 plan counts (3/5/8 where FB finds 4/7/13).
 
 use cnb_ir::prelude::Constraint;
+use cnb_ir::unionfind::UnionFind;
 
 use crate::canon::CanonDb;
 use crate::homomorphism::{find_homs, HomConfig, HomMap};
@@ -18,14 +19,7 @@ use crate::homomorphism::{find_homs, HomConfig, HomMap};
 /// order is deterministic.
 pub fn stratify(constraints: &[Constraint]) -> Vec<Vec<usize>> {
     let n = constraints.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
+    let mut uf = UnionFind::new(n);
 
     // Pre-compile each tableau once.
     let mut tableaux: Vec<CanonDb> = constraints
@@ -40,17 +34,14 @@ pub fn stratify(constraints: &[Constraint]) -> Vec<Vec<usize>> {
                 continue;
             }
             if interacts(&constraints[i], &mut tableaux[j]) {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    parent[ri.max(rj)] = ri.min(rj);
-                }
+                uf.union(i, j);
             }
         }
     }
 
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for i in 0..n {
-        let r = find(&mut parent, i);
+        let r = uf.find(i);
         match groups.iter_mut().find(|(rep, _)| *rep == r) {
             Some((_, g)) => g.push(i),
             None => groups.push((r, vec![i])),

@@ -36,14 +36,20 @@ impl Batch {
         }
     }
 
+    /// A batch binding every slot: `cols[i]` is slot `i`'s column, all of
+    /// equal length.
+    pub fn from_columns(cols: Vec<Vec<Value>>) -> Batch {
+        let len = cols.first().map_or(0, Vec::len);
+        debug_assert!(cols.iter().all(|c| c.len() == len));
+        Batch {
+            len,
+            cols: cols.into_iter().map(Some).collect(),
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// True if the batch has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The column for binding slot `slot`, if bound.

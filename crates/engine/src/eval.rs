@@ -1,25 +1,37 @@
-//! Batched, deterministic plan execution.
+//! Batched, deterministic plan execution: one pipeline, one oracle.
 //!
-//! Executes a path-conjunctive query (or plan) directly against a
-//! [`Database`] as a pipeline of batch-at-a-time operators: bindings become
-//! scans, dictionary-domain scans, key probes, set-path expansions or
-//! build/probe hash joins; residual equalities become filters. A greedy
-//! selectivity-aware ordering ([`crate::join`]) plays the role of the host
-//! optimizer's join reordering (the paper fed its plans to DB2, which did
-//! the same) — and, like DB2, knows that an index scan followed by an
-//! equality is a join: a `dom M k, M[k] t` pair with an equality on `t`
-//! into the bound prefix runs as one `dict_join` probe, not as a scan, an
-//! expansion and a filter.
+//! A path-conjunctive query (or plan) runs directly against a [`Database`]
+//! as a pipeline of batch-at-a-time operators. [`execute`] and
+//! [`execute_wcoj`] are two entry points over one private `run`, which
+//! holds everything around the operators exactly once — the clock read,
+//! query validation, the unbound-parameter guard, the operator loop, the
+//! select-clause projection and the stats epilogue — and differ only in how
+//! they compile the query to [`crate::join`]'s three operators:
+//!
+//! * `Bind` — one binding through a scan, a dictionary-domain scan, a key
+//!   probe, a set-path expansion or a build/probe hash join;
+//! * `DictJoin` — a `dom M k, M[k] t` pair with an equality on `t` into
+//!   the bound prefix, run as one index probe and not as a scan, an
+//!   expansion and a filter;
+//! * `GenericJoin` — every binding of a flat relational join through one
+//!   multiway intersection ([`crate::wcoj`]).
+//!
+//! Each is followed by its residual equalities as filters. [`execute`]
+//! compiles to the first two under a greedy selectivity-aware ordering
+//! ([`crate::join`]) that plays the role of the host optimizer's join
+//! reordering (the paper fed its plans to DB2, which did the same);
+//! [`execute_wcoj`] compiles to a single `GenericJoin`.
 //!
 //! **Determinism.** Output row order is a pure function of
 //! `(database, plan)`: batches are walked front to back, hash-join buckets
 //! keep build rows in table order, dictionaries iterate in first-insertion
 //! order, and every hash table is keyed by the deterministic
 //! [`cnb_core::fxhash`]. Two runs — in the same process or different
-//! processes — produce byte-identical `ExecResult.rows`. The row order
-//! equals the old tuple-at-a-time nested-loop order (lexicographic in the
-//! chosen step order), which [`execute_legacy`] retains as a differential
-//! oracle. The oracle never fuses index pairs, so the two agree on rows,
+//! processes — produce byte-identical `ExecResult.rows`. [`execute`]'s row
+//! order equals the old tuple-at-a-time nested-loop order (lexicographic in
+//! the chosen step order), which [`execute_legacy`] retains as a
+//! differential oracle — a separate interpreter that shares nothing with
+//! `run`. The oracle never fuses index pairs, so the two agree on rows,
 //! row order and join order but not on [`ExecStats::tuples_considered`]:
 //! the batched count is the smaller one wherever a pair fused.
 //!
@@ -29,7 +41,8 @@
 //! (fig. 9) can use measured selectivities instead of static guesses.
 //!
 //! Lookup semantics are *skipping*: a dictionary lookup on an absent key
-//! produces no bindings (exactly how an index nested-loop join behaves).
+//! produces no bindings (exactly how an index nested-loop join behaves),
+//! and an output row with an undefined select path is dropped.
 
 use std::time::{Duration, Instant};
 
@@ -43,13 +56,15 @@ use crate::error::ExecError;
 use crate::join::{
     apply_access, apply_dict_join, apply_filters, greedy_order, plan, Access, JoinIndexes, Op,
 };
+use crate::wcoj::{self, apply_generic_join};
 
 /// One operator's observed cardinalities — the raw material of the
 /// cost-model feedback loop.
 #[derive(Clone, Debug)]
 pub struct OpStats {
     /// Operator kind: `scan`, `hash_join`, `dom_scan`, `dom_probe`,
-    /// `path_set`, `dict_join` or `filter`.
+    /// `path_set`, `dict_join`, `filter`, or a generic join's `wcoj_index`
+    /// and `wcoj_intersect`.
     pub op: &'static str,
     /// The collection accessed (None for filters and anchorless paths).
     pub collection: Option<Symbol>,
@@ -174,21 +189,42 @@ pub struct ExecResult {
 /// template reaching the executor means the serving path's bind step was
 /// skipped (or the parameter vector was short), and treating `?k` as data
 /// would silently produce wrong — usually empty — results.
-pub(crate) fn reject_unbound_params(q: &Query) -> Result<(), ExecError> {
+fn reject_unbound_params(q: &Query) -> Result<(), ExecError> {
     match cnb_core::serving::unbound_param(q) {
         Some(k) => Err(ExecError::UnboundParam(k)),
         None => Ok(()),
     }
 }
 
-/// Executes `q` against `db` with the batched engine.
+/// Executes `q` against `db` with the batched engine's binary operators.
 pub fn execute(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
+    run(db, q, plan)
+}
+
+/// Executes `q` against `db` as one generic join ([`crate::wcoj`]).
+///
+/// Returns the same row *set* as [`execute`] — in a different but
+/// deterministic order (see the operator's module docs) — or
+/// [`ExecError::GenericJoinUnsupported`] when the query is not a flat
+/// relational join.
+pub fn execute_wcoj(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
+    run(db, q, |_, q| Ok(vec![Op::GenericJoin(wcoj::plan(q)?)]))
+}
+
+/// The one batched pipeline: checks `q`, compiles it to operators, threads
+/// a batch through them and projects the select clause. `compile` is a
+/// plain function pointer so the pipeline is one copy of machine code too.
+fn run(
+    db: &Database,
+    q: &Query,
+    compile: fn(&Database, &Query) -> Result<Vec<Op>, ExecError>,
+) -> Result<ExecResult, ExecError> {
     // Stats-only timing; evaluation order is fixed by the plan.
     #[allow(clippy::disallowed_methods)]
     let start = Instant::now(); // cnb-lint: allow(wall-clock)
     q.validate().map_err(ExecError::InvalidQuery)?;
     reject_unbound_params(q)?;
-    let ops = plan(db, q)?;
+    let ops = compile(db, q)?;
     let indexes = JoinIndexes::build(db, ops.iter().filter_map(Op::step))?;
     let slots = slot_map(q);
 
@@ -198,7 +234,7 @@ pub fn execute(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
     };
     let mut batch = Batch::unit(q.from.len());
     for op in &ops {
-        let (bound, filters) = match op {
+        let (bound, filters): (_, &[Equality]) = match op {
             Op::Bind(step) => (
                 apply_access(db, q, &slots, &indexes, step, &batch, &mut stats)?,
                 &step.filters,
@@ -207,6 +243,7 @@ pub fn execute(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
                 apply_dict_join(db, &slots, dj, &batch, &mut stats)?,
                 &dj.filters,
             ),
+            Op::GenericJoin(gj) => (apply_generic_join(db, gj, &mut stats)?, &[]),
         };
         batch = apply_filters(db, &slots, filters, bound, &mut stats)?;
     }

@@ -1,5 +1,10 @@
 //! Access-path planning and the batched join/filter operators.
 //!
+//! [`Op`] is the pipeline's operator set — `Bind`, `DictJoin` and
+//! `GenericJoin` (the last one planned and executed in [`crate::wcoj`]) —
+//! and [`crate::eval`] holds the one loop that runs them. This module
+//! plans and executes the two binary ones.
+//!
 //! Planning (shared with the legacy oracle in [`crate::eval`]) is the
 //! greedy selectivity-aware ordering the original interpreter used: probe
 //! accesses beat scans, smaller collections beat larger ones, and ties are
@@ -38,6 +43,7 @@ use crate::batch::{eval_path_at, Batch};
 use crate::database::{Database, OrderedDict};
 use crate::error::ExecError;
 use crate::eval::{ExecStats, OpStats};
+use crate::wcoj::GenericJoin;
 
 /// How a binding will be accessed, decided during planning.
 pub(crate) enum Access {
@@ -96,6 +102,8 @@ pub(crate) enum Op {
     Bind(Step),
     /// Two bindings through one index probe.
     DictJoin(DictJoin),
+    /// Every binding through one multiway intersection.
+    GenericJoin(GenericJoin),
 }
 
 impl Op {
@@ -103,17 +111,18 @@ impl Op {
     pub fn step(&self) -> Option<&Step> {
         match self {
             Op::Bind(step) => Some(step),
-            Op::DictJoin(_) => None,
+            Op::DictJoin(_) | Op::GenericJoin(_) => None,
         }
     }
 
     /// From-clause indexes this operator binds, in nested-loop order.
     pub fn bindings(&self) -> impl Iterator<Item = usize> {
-        let (first, second) = match self {
-            Op::Bind(step) => (step.binding_idx, None),
-            Op::DictJoin(dj) => (dj.key_idx, Some(dj.elem_idx)),
+        let (run, then) = match self {
+            Op::Bind(step) => (step.binding_idx..step.binding_idx + 1, None),
+            Op::DictJoin(dj) => (dj.key_idx..dj.key_idx + 1, Some(dj.elem_idx)),
+            Op::GenericJoin(gj) => (0..gj.width(), None),
         };
-        std::iter::once(first).chain(second)
+        run.chain(then)
     }
 }
 

@@ -15,7 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
+mod batch;
 pub mod clock;
 pub mod database;
 pub mod datagen;
@@ -30,7 +30,9 @@ pub mod wcoj;
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use database::{Database, OrderedDict};
 pub use error::{ExecError, ServeError};
-pub use eval::{execute, execute_legacy, feed_cost_model, ExecResult, ExecStats, OpStats};
+pub use eval::{
+    execute, execute_legacy, execute_wcoj, feed_cost_model, ExecResult, ExecStats, OpStats,
+};
 pub use pressure::{Fault, FaultPlan, ServeConfig};
 pub use serving::{PlanServer, PressureTally, ServeOutcome, ServedPlan, ServedResult};
-pub use wcoj::{cmp_value, execute_wcoj};
+pub use wcoj::cmp_value;

@@ -5,8 +5,8 @@
 //! generators need: [`SplitMix64::seed_from_u64`], [`SplitMix64::gen_range`]
 //! and [`SplitMix64::gen_bool`]. SplitMix64 (Steele, Lea, Flood 2014) passes
 //! BigCrush, has a full 2^64 period over its state, and — crucially for the
-//! BENCH_*.json trajectory — is trivially seed-stable: the same seed yields
-//! the same stream on every platform and every run.
+//! row counts and digests `benchmark/` pins — is trivially seed-stable: the
+//! same seed yields the same stream on every platform and every run.
 
 use std::ops::Range;
 

@@ -172,12 +172,6 @@ impl PlanServer {
         &self.cost_model
     }
 
-    /// Mutable access to the admission cost model (to fold measured
-    /// execution stats back in between batches).
-    pub fn cost_model_mut(&mut self) -> &mut CostModel {
-        &mut self.cost_model
-    }
-
     /// Plans one request: parameterize, fingerprint, look up — optimizing
     /// the template only on a miss. The returned plan has the request's
     /// constants bound back in and is ready to execute.

@@ -1,31 +1,38 @@
-//! Generic-join (worst-case optimal) execution.
+//! The generic-join (worst-case optimal) operator.
 //!
-//! [`execute_wcoj`] runs a flat relational join *variable-at-a-time* instead
-//! of relation-at-a-time: the query's flat equalities are grouped into join
-//! classes (equivalence classes of `binding.attr` terms, optionally pinned
-//! to a constant), every participating relation is pre-sorted on its class
-//! key tuple, and the executor intersects the per-relation sorted runs one
-//! class after another — a leapfrog-style multiway intersection. Because
-//! each class narrows *every* participant before the next class is touched,
-//! no intermediate ever exceeds the AGM bound `N^{ρ*}` of the fractional
-//! edge cover certified by [`cnb_ir::cover`]; the binary-join engine in
-//! [`crate::eval`] can be `N^2` on the same cyclic queries (two edges of a
-//! skewed triangle materialize every wedge before the third edge prunes).
+//! [`Op::GenericJoin`](crate::join::Op) runs a flat relational join
+//! *variable-at-a-time* instead of relation-at-a-time: [`plan`] groups the
+//! query's flat equalities into join classes (equivalence classes of
+//! `binding.attr` terms, optionally pinned to a constant), and
+//! [`apply_generic_join`] pre-sorts every participating relation on its
+//! class key tuple and intersects the per-relation sorted runs one class
+//! after another — a leapfrog-style multiway intersection. Because each
+//! class narrows *every* participant before the next class is touched, no
+//! intermediate ever exceeds the AGM bound `N^{ρ*}` of the fractional edge
+//! cover certified by [`cnb_ir::cover`]; binary joins can be `N^2` on the
+//! same cyclic queries (two edges of a skewed triangle materialize every
+//! wedge before the third edge prunes).
+//!
+//! It is one operator of the pipeline in [`crate::eval`], beside `Bind`
+//! and `DictJoin`: it emits a [`Batch`] with one column per binding, and
+//! everything around it — validation, the unbound-parameter guard, the
+//! select-clause projection with its skip-undefined rule, timing — is the
+//! pipeline's. [`crate::execute_wcoj`] is the entry point that compiles a
+//! query to this one operator.
 //!
 //! **Scope.** Only the shape [`cnb_ir::hypergraph::generic_join_supported`]
 //! vouches for is accepted: every binding ranges over a named relation and
 //! every equality is *flat* — `x.A = y.B` or `x.A = const`. Anything else
-//! (dictionary domains, set-path expansions, nested field paths) returns
+//! (dictionary domains, set-path expansions, nested field paths) is
 //! [`ExecError::GenericJoinUnsupported`]; the optimizer only emits WCOJ
 //! plan twins for queries that pass the same gate.
 //!
-//! **Semantics.** Exactly the binary engine's: rows missing a join
+//! **Semantics.** Exactly the binary operators': rows missing a join
 //! attribute (or disagreeing between two attributes equated within the same
 //! row) never join — here they are dropped when the per-relation index is
-//! built, which is where a hash join would silently skip them. Output rows
-//! whose select paths are undefined are skipped, as in [`crate::execute`].
-//! The *set* of output rows is identical to the binary engine's; the order
-//! is a different — but still deterministic — pure function of
+//! built, which is where a hash join would silently skip them. The *set*
+//! of emitted rows is identical to the binary pipeline's; the order is a
+//! different — but still deterministic — pure function of
 //! `(database, plan)`: bindings enumerate in from-clause order, each
 //! relation's rows in class-key order (table order for tie and key-free
 //! bindings), values compared under the total order [`cmp_value`].
@@ -33,18 +40,19 @@
 //! **Stats.** Every index build reports its relation's true cardinality
 //! (`wcoj_index` operators feed [`crate::feed_cost_model`] exactly like
 //! scans), and every class intersection reports values tried vs. values
-//! surviving (`wcoj_intersect`), so the fig. 9 feedback loop observes WCOJ
-//! runs too.
+//! surviving (`wcoj_intersect`), so the fig. 9 feedback loop observes
+//! generic-join runs too.
 
 use std::cmp::Ordering;
-use std::time::Instant;
 
 use cnb_core::fxhash::FxHashMap;
 use cnb_ir::prelude::*;
+use cnb_ir::unionfind::UnionFind;
 
+use crate::batch::Batch;
 use crate::database::Database;
 use crate::error::ExecError;
-use crate::eval::{eval_path, reject_unbound_params, ExecResult, ExecStats, OpStats};
+use crate::eval::{ExecStats, OpStats};
 use crate::join::{check_row_ids, ROW_ID_LIMIT};
 
 /// A total order over [`Value`] consistent with `Value::eq`: two values
@@ -140,32 +148,6 @@ fn flat_side(p: &PathExpr, var_to_idx: &FxHashMap<Var, usize>) -> Result<Side, E
     }
 }
 
-/// Disjoint-set forest over term ids.
-struct UnionFind(Vec<usize>);
-
-impl UnionFind {
-    fn find(&mut self, x: usize) -> usize {
-        let mut r = x;
-        while self.0[r] != r {
-            r = self.0[r];
-        }
-        let mut c = x;
-        while self.0[c] != r {
-            let next = self.0[c];
-            self.0[c] = r;
-            c = next;
-        }
-        r
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.0[rb] = ra;
-        }
-    }
-}
-
 /// One join class in global evaluation order.
 struct Class {
     /// `(binding index, key position within that binding's index)`, sorted
@@ -174,6 +156,137 @@ struct Class {
     participants: Vec<(usize, usize)>,
     /// Constant this class is pinned to, if any equality names one.
     pin: Option<Value>,
+}
+
+/// A whole flat relational join as one operator: every binding of the
+/// query, its join classes in evaluation order, and each binding's sort key.
+pub(crate) struct GenericJoin {
+    /// The relation each binding ranges over, in from-clause order.
+    tables: Vec<Symbol>,
+    classes: Vec<Class>,
+    /// Per binding: its classes (in global order) with the attributes each
+    /// class constrains in that binding — one key-tuple position per class.
+    keys: Vec<Vec<(usize, Vec<Symbol>)>>,
+    /// Conflicting pins (or unequal constant-vs-constant equalities): an
+    /// empty result, not an error, and nothing is indexed or intersected.
+    unsatisfiable: bool,
+}
+
+impl GenericJoin {
+    /// Number of from-clause bindings the operator binds (all of them).
+    pub fn width(&self) -> usize {
+        self.tables.len()
+    }
+}
+
+/// Compiles `q` to the generic-join operator, or reports why its shape is
+/// not a flat relational join.
+pub(crate) fn plan(q: &Query) -> Result<GenericJoin, ExecError> {
+    let n = q.from.len();
+    if n == 0 {
+        return Err(ExecError::GenericJoinUnsupported(
+            "query has no bindings".into(),
+        ));
+    }
+    let mut var_to_idx: FxHashMap<Var, usize> = FxHashMap::default();
+    let mut tables: Vec<Symbol> = Vec::with_capacity(n);
+    for (i, b) in q.from.iter().enumerate() {
+        match &b.range {
+            Range::Name(t) => tables.push(*t),
+            other => {
+                return Err(ExecError::GenericJoinUnsupported(format!(
+                    "binding `{} {}` does not range over a named relation",
+                    other, b.name
+                )))
+            }
+        }
+        var_to_idx.insert(b.var, i);
+    }
+
+    // Group flat equality terms into join classes via union-find; constants
+    // pin their class.
+    let mut term_ids: FxHashMap<(usize, Symbol), usize> = FxHashMap::default();
+    let mut terms: Vec<(usize, Symbol)> = Vec::new();
+    let mut uf = UnionFind::new(0);
+    let mut pin_list: Vec<(usize, Value)> = Vec::new();
+    let mut unsatisfiable = false;
+    for eq in &q.where_ {
+        let lhs = flat_side(&eq.lhs, &var_to_idx)?;
+        let rhs = flat_side(&eq.rhs, &var_to_idx)?;
+        let mut tid = |t: (usize, Symbol)| {
+            *term_ids.entry(t).or_insert_with(|| {
+                terms.push(t);
+                uf.push()
+            })
+        };
+        match (lhs, rhs) {
+            (Side::Term(b1, a1), Side::Term(b2, a2)) => {
+                let (t1, t2) = (tid((b1, a1)), tid((b2, a2)));
+                uf.union(t1, t2);
+            }
+            (Side::Term(b, a), Side::Pin(v)) | (Side::Pin(v), Side::Term(b, a)) => {
+                pin_list.push((tid((b, a)), v));
+            }
+            (Side::Pin(v1), Side::Pin(v2)) => unsatisfiable |= v1 != v2,
+        }
+    }
+    let mut pins: FxHashMap<usize, Value> = FxHashMap::default();
+    for (t, v) in pin_list {
+        let root = uf.find(t);
+        match pins.get(&root) {
+            Some(prev) if *prev != v => unsatisfiable = true,
+            _ => {
+                pins.insert(root, v);
+            }
+        }
+    }
+
+    // Assemble classes: members sorted by (binding, attr); classes ordered
+    // globally by their smallest member. Singleton unpinned classes (e.g.
+    // `x.A = x.A`) constrain nothing and are dropped.
+    let mut groups: FxHashMap<usize, Vec<(usize, Symbol)>> = FxHashMap::default();
+    for (t, term) in terms.iter().enumerate() {
+        groups.entry(uf.find(t)).or_default().push(*term);
+    }
+    type RawClass = (Vec<(usize, Symbol)>, Option<Value>);
+    let mut raw: Vec<RawClass> = Vec::new();
+    for (root, mut members) in groups {
+        let pin = pins.remove(&root);
+        if members.len() < 2 && pin.is_none() {
+            continue;
+        }
+        members.sort_by(|a, b| (a.0, a.1.as_str()).cmp(&(b.0, b.1.as_str())));
+        members.dedup();
+        raw.push((members, pin));
+    }
+    raw.sort_by(|a, b| {
+        let ka = (a.0[0].0, a.0[0].1.as_str());
+        let kb = (b.0[0].0, b.0[0].1.as_str());
+        ka.cmp(&kb)
+    });
+
+    let mut keys: Vec<Vec<(usize, Vec<Symbol>)>> = vec![Vec::new(); n];
+    let mut classes: Vec<Class> = Vec::with_capacity(raw.len());
+    for (ci, (members, pin)) in raw.into_iter().enumerate() {
+        let mut participants: Vec<(usize, usize)> = Vec::new();
+        for (b, attr) in members {
+            match keys[b].last_mut() {
+                Some((c, attrs)) if *c == ci => attrs.push(attr),
+                _ => {
+                    let pos = keys[b].len();
+                    keys[b].push((ci, vec![attr]));
+                    participants.push((b, pos));
+                }
+            }
+        }
+        classes.push(Class { participants, pin });
+    }
+    Ok(GenericJoin {
+        tables,
+        classes,
+        keys,
+        unsatisfiable,
+    })
 }
 
 /// A relation's rows sorted by their class-key tuple (then row id, which
@@ -245,44 +358,55 @@ fn equal_range(idx: &BindingIndex, range: (usize, usize), pos: usize, v: &Value)
     (bound(false), bound(true))
 }
 
-struct Exec<'a> {
-    db: &'a Database,
-    q: &'a Query,
-    classes: Vec<Class>,
-    indexes: Vec<BindingIndex>,
+/// One run of the operator: the plan and its indexes, read-only, and what
+/// the intersection accumulates.
+struct Solver<'a> {
+    classes: &'a [Class],
+    tables: &'a [&'a [Value]],
+    indexes: &'a [BindingIndex],
     /// Per class: (lead values tried, values surviving every participant).
     class_stats: Vec<(usize, usize)>,
-    stats: ExecStats,
-    rows: Vec<Value>,
-    env: FxHashMap<Var, Value>,
+    tuples_considered: usize,
+    /// The emitted batch, one column per binding.
+    cols: Vec<Vec<Value>>,
 }
 
-impl Exec<'_> {
+impl Solver<'_> {
+    /// Narrows `ranges` to the rows whose key for `class` is `v`, probing
+    /// every participant except `skip`. `None` as soon as one has no match.
+    fn narrow(
+        &mut self,
+        class: &Class,
+        mut ranges: Vec<(usize, usize)>,
+        v: &Value,
+        skip: Option<usize>,
+    ) -> Option<Vec<(usize, usize)>> {
+        for &(b, pos) in &class.participants {
+            if Some(b) == skip {
+                continue;
+            }
+            self.tuples_considered += 1;
+            let r = equal_range(&self.indexes[b], ranges[b], pos, v);
+            if r.0 == r.1 {
+                return None;
+            }
+            ranges[b] = r;
+        }
+        Some(ranges)
+    }
+
     /// Intersects class `class_i` across its participants' current sorted
     /// ranges, recursing with the narrowed ranges for each surviving value.
     fn solve(&mut self, class_i: usize, ranges: &[(usize, usize)]) {
-        if class_i == self.classes.len() {
-            let mut scratch = ranges.to_vec();
-            self.emit(&mut scratch, 0);
+        let (classes, indexes) = (self.classes, self.indexes);
+        let Some(class) = classes.get(class_i) else {
+            self.emit(ranges, &mut Vec::with_capacity(ranges.len()));
             return;
-        }
+        };
         // Pinned class: narrow every participant to the constant.
-        if let Some(pin) = self.classes[class_i].pin.clone() {
-            let parts = std::mem::take(&mut self.classes[class_i].participants);
-            let mut next = ranges.to_vec();
-            let mut ok = true;
-            for &(b, pos) in &parts {
-                self.stats.tuples_considered += 1;
-                let r = equal_range(&self.indexes[b], next[b], pos, &pin);
-                if r.0 == r.1 {
-                    ok = false;
-                    break;
-                }
-                next[b] = r;
-            }
-            self.classes[class_i].participants = parts;
+        if let Some(pin) = &class.pin {
             self.class_stats[class_i].0 += 1;
-            if ok {
+            if let Some(next) = self.narrow(class, ranges.to_vec(), pin, None) {
                 self.class_stats[class_i].1 += 1;
                 self.solve(class_i + 1, &next);
             }
@@ -290,214 +414,68 @@ impl Exec<'_> {
         }
         // Leapfrog step: iterate the smallest participant's distinct values
         // in sorted order, probing every other participant for each.
-        let parts = std::mem::take(&mut self.classes[class_i].participants);
-        let lead = parts
+        let lead = class
+            .participants
             .iter()
-            .copied()
-            .min_by_key(|&(b, _)| (ranges[b].1 - ranges[b].0, b))
-            .expect("join class has at least one participant");
-        let (lead_b, lead_pos) = lead;
+            .min_by_key(|&&(b, _)| (ranges[b].1 - ranges[b].0, b));
+        let Some(&(lead_b, lead_pos)) = lead else {
+            // No participant, nothing to intersect.
+            return self.solve(class_i + 1, ranges);
+        };
         let (mut lo, hi) = ranges[lead_b];
         while lo < hi {
-            let v = self.indexes[lead_b].keys[lo][lead_pos].clone();
-            let lead_end = equal_range(&self.indexes[lead_b], (lo, hi), lead_pos, &v).1;
-            self.stats.tuples_considered += 1;
+            let v = &indexes[lead_b].keys[lo][lead_pos];
+            let lead_end = equal_range(&indexes[lead_b], (lo, hi), lead_pos, v).1;
+            self.tuples_considered += 1;
             self.class_stats[class_i].0 += 1;
             let mut next = ranges.to_vec();
             next[lead_b] = (lo, lead_end);
-            let mut ok = true;
-            for &(b, pos) in parts.iter().filter(|&&(b, _)| b != lead_b) {
-                self.stats.tuples_considered += 1;
-                let r = equal_range(&self.indexes[b], next[b], pos, &v);
-                if r.0 == r.1 {
-                    ok = false;
-                    break;
-                }
-                next[b] = r;
-            }
-            if ok {
+            if let Some(next) = self.narrow(class, next, v, Some(lead_b)) {
                 self.class_stats[class_i].1 += 1;
                 self.solve(class_i + 1, &next);
             }
             lo = lead_end;
         }
-        self.classes[class_i].participants = parts;
     }
 
     /// Enumerates the cross product of the fully narrowed ranges in binding
-    /// order and projects the select clause (skipping rows with undefined
-    /// output paths, as the binary engine does).
-    fn emit(&mut self, ranges: &mut [(usize, usize)], b: usize) {
-        if b == self.q.from.len() {
-            self.stats.tuples_considered += 1;
-            let mut fields = Vec::with_capacity(self.q.select.len());
-            for (label, p) in &self.q.select {
-                match eval_path(self.db, &self.env, p) {
-                    Some(v) => fields.push((*label, v)),
-                    None => return, // undefined output: skip row
-                }
+    /// order, one batch row per combination. `picked` holds the row ids
+    /// chosen for the bindings before `picked.len()`.
+    fn emit(&mut self, ranges: &[(usize, usize)], picked: &mut Vec<u32>) {
+        let b = picked.len();
+        if b == ranges.len() {
+            self.tuples_considered += 1;
+            for ((col, table), &i) in self.cols.iter_mut().zip(self.tables).zip(&*picked) {
+                col.push(table[i as usize].clone());
             }
-            self.rows.push(Value::record(fields));
             return;
         }
-        let var = self.q.from[b].var;
-        let table = match &self.q.from[b].range {
-            Range::Name(t) => self.db.table(*t),
-            _ => unreachable!("shape checked before execution"),
-        };
-        let (lo, hi) = ranges[b];
-        for i in lo..hi {
-            let row = table[self.indexes[b].rows[i] as usize].clone();
-            self.env.insert(var, row);
-            self.emit(ranges, b + 1);
+        for i in ranges[b].0..ranges[b].1 {
+            picked.push(self.indexes[b].rows[i]);
+            self.emit(ranges, picked);
+            picked.pop();
         }
-        self.env.remove(&var);
     }
 }
 
-/// Executes `q` against `db` with the generic-join (WCOJ) engine.
-///
-/// Returns the same row *set* as [`crate::execute`] — in a different but
-/// deterministic order (see the module docs) — or
-/// [`ExecError::GenericJoinUnsupported`] when the query is not a flat
-/// relational join.
-pub fn execute_wcoj(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
-    // Stats-only timing; evaluation order is fixed by the class order.
-    #[allow(clippy::disallowed_methods)]
-    let start = Instant::now(); // cnb-lint: allow(wall-clock)
-    q.validate().map_err(ExecError::InvalidQuery)?;
-    reject_unbound_params(q)?;
-    let n = q.from.len();
-    if n == 0 {
-        return Err(ExecError::GenericJoinUnsupported(
-            "query has no bindings".into(),
-        ));
+/// Executes the generic join: builds every binding's sorted index, runs the
+/// class-at-a-time intersection and returns the surviving combinations as
+/// a batch. It binds every slot, so there is no input batch to extend.
+pub(crate) fn apply_generic_join(
+    db: &Database,
+    gj: &GenericJoin,
+    stats: &mut ExecStats,
+) -> Result<Batch, ExecError> {
+    if gj.unsatisfiable {
+        return Ok(Batch::from_columns(vec![Vec::new(); gj.width()]));
     }
-    let mut var_to_idx: FxHashMap<Var, usize> = FxHashMap::default();
-    let mut tables: Vec<Symbol> = Vec::with_capacity(n);
-    for (i, b) in q.from.iter().enumerate() {
-        match &b.range {
-            Range::Name(t) => tables.push(*t),
-            other => {
-                return Err(ExecError::GenericJoinUnsupported(format!(
-                    "binding `{} {}` does not range over a named relation",
-                    other, b.name
-                )))
-            }
-        }
-        var_to_idx.insert(b.var, i);
-    }
-
-    // Group flat equality terms into join classes via union-find; constants
-    // pin their class. Conflicting pins (or unequal constant-vs-constant
-    // equalities) make the query unsatisfiable — an empty result, not an
-    // error.
-    let mut term_ids: FxHashMap<(usize, Symbol), usize> = FxHashMap::default();
-    let mut terms: Vec<(usize, Symbol)> = Vec::new();
-    let mut links: Vec<(usize, usize)> = Vec::new();
-    let mut pin_list: Vec<(usize, Value)> = Vec::new();
-    let mut contradiction = false;
-    for eq in &q.where_ {
-        let lhs = flat_side(&eq.lhs, &var_to_idx)?;
-        let rhs = flat_side(&eq.rhs, &var_to_idx)?;
-        let mut tid = |t: (usize, Symbol)| {
-            *term_ids.entry(t).or_insert_with(|| {
-                terms.push(t);
-                terms.len() - 1
-            })
-        };
-        match (lhs, rhs) {
-            (Side::Term(b1, a1), Side::Term(b2, a2)) => {
-                let (t1, t2) = (tid((b1, a1)), tid((b2, a2)));
-                links.push((t1, t2));
-            }
-            (Side::Term(b, a), Side::Pin(v)) | (Side::Pin(v), Side::Term(b, a)) => {
-                let t = tid((b, a));
-                pin_list.push((t, v));
-            }
-            (Side::Pin(v1), Side::Pin(v2)) => {
-                if v1 != v2 {
-                    contradiction = true;
-                }
-            }
-        }
-    }
-    let mut uf = UnionFind((0..terms.len()).collect());
-    for (a, b) in links {
-        uf.union(a, b);
-    }
-    let mut pins: FxHashMap<usize, Value> = FxHashMap::default();
-    for (t, v) in pin_list {
-        let root = uf.find(t);
-        match pins.get(&root) {
-            Some(prev) if *prev != v => contradiction = true,
-            _ => {
-                pins.insert(root, v);
-            }
-        }
-    }
-    let mut stats = ExecStats {
-        order: (0..n).collect(),
-        ..ExecStats::default()
-    };
-    if contradiction {
-        stats.elapsed = start.elapsed();
-        return Ok(ExecResult {
-            rows: Vec::new(),
-            stats,
-        });
-    }
-
-    // Assemble classes: members sorted by (binding, attr); classes ordered
-    // globally by their smallest member. Singleton unpinned classes (e.g.
-    // `x.A = x.A`) constrain nothing and are dropped.
-    let mut groups: FxHashMap<usize, Vec<(usize, Symbol)>> = FxHashMap::default();
-    for (t, term) in terms.iter().enumerate() {
-        groups.entry(uf.find(t)).or_default().push(*term);
-    }
-    type RawClass = (Vec<(usize, Symbol)>, Option<Value>);
-    let mut raw: Vec<RawClass> = Vec::new();
-    for (root, mut members) in groups {
-        let pin = pins.remove(&root);
-        if members.len() < 2 && pin.is_none() {
-            continue; // e.g. `x.A = x.A`: constrains nothing
-        }
-        members.sort_by(|a, b| (a.0, a.1.as_str()).cmp(&(b.0, b.1.as_str())));
-        members.dedup();
-        raw.push((members, pin));
-    }
-    raw.sort_by(|a, b| {
-        let ka = (a.0[0].0, a.0[0].1.as_str());
-        let kb = (b.0[0].0, b.0[0].1.as_str());
-        ka.cmp(&kb)
-    });
-
-    // Per binding: its classes (in global order) with the attrs each class
-    // constrains in that binding — one key-tuple position per class.
-    let mut binding_classes: Vec<Vec<(usize, Vec<Symbol>)>> = vec![Vec::new(); n];
-    let mut classes: Vec<Class> = Vec::with_capacity(raw.len());
-    for (ci, (members, pin)) in raw.into_iter().enumerate() {
-        let mut participants: Vec<(usize, usize)> = Vec::new();
-        for (b, attr) in members {
-            match binding_classes[b].last_mut() {
-                Some((c, attrs)) if *c == ci => attrs.push(attr),
-                _ => {
-                    let pos = binding_classes[b].len();
-                    binding_classes[b].push((ci, vec![attr]));
-                    participants.push((b, pos));
-                }
-            }
-        }
-        classes.push(Class { participants, pin });
-    }
-
-    let mut indexes: Vec<BindingIndex> = Vec::with_capacity(n);
-    for (b, t) in tables.iter().enumerate() {
-        let table = db.table(*t);
-        let index = BindingIndex::build(table, &binding_classes[b], ROW_ID_LIMIT)?;
+    let tables: Vec<&[Value]> = gj.tables.iter().map(|t| db.table(*t)).collect();
+    let mut indexes: Vec<BindingIndex> = Vec::with_capacity(tables.len());
+    for ((name, table), keys) in gj.tables.iter().zip(&tables).zip(&gj.keys) {
+        let index = BindingIndex::build(table, keys, ROW_ID_LIMIT)?;
         stats.operators.push(OpStats {
             op: "wcoj_index",
-            collection: Some(*t),
+            collection: Some(*name),
             collection_rows: table.len(),
             pairs: 0,
             input_rows: table.len(),
@@ -507,26 +485,18 @@ pub fn execute_wcoj(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
     }
 
     let ranges: Vec<(usize, usize)> = indexes.iter().map(|ix| (0, ix.rows.len())).collect();
-    let n_classes = classes.len();
-    let mut exec = Exec {
-        db,
-        q,
-        classes,
-        indexes,
-        class_stats: vec![(0, 0); n_classes],
-        stats,
-        rows: Vec::new(),
-        env: FxHashMap::default(),
+    let mut solver = Solver {
+        classes: &gj.classes,
+        tables: &tables,
+        indexes: &indexes,
+        class_stats: vec![(0, 0); gj.classes.len()],
+        tuples_considered: 0,
+        cols: vec![Vec::new(); gj.width()],
     };
-    exec.solve(0, &ranges);
+    solver.solve(0, &ranges);
 
-    let Exec {
-        class_stats,
-        mut stats,
-        rows,
-        ..
-    } = exec;
-    for (tried, matched) in class_stats {
+    stats.tuples_considered += solver.tuples_considered;
+    for (tried, matched) in solver.class_stats {
         stats.operators.push(OpStats {
             op: "wcoj_intersect",
             collection: None,
@@ -536,15 +506,13 @@ pub fn execute_wcoj(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
             output_rows: matched,
         });
     }
-    stats.rows_out = rows.len();
-    stats.elapsed = start.elapsed();
-    Ok(ExecResult { rows, stats })
+    Ok(Batch::from_columns(solver.cols))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::execute;
+    use crate::eval::{execute, execute_wcoj};
 
     fn row(fields: &[(&str, i64)]) -> Value {
         Value::record(fields.iter().map(|(n, v)| (sym(n), Value::Int(*v))))
@@ -650,14 +618,17 @@ mod tests {
     #[test]
     fn contradictory_constants_yield_empty_result() {
         let mut db = Database::new();
-        edges(&mut db, "E", &[(1, 1)]);
-        let mut q = Query::new();
-        let e = q.bind("e", Range::Name(sym("E")));
-        q.equate(PathExpr::from(e).dot("S"), PathExpr::from(1i64));
-        q.equate(PathExpr::from(e).dot("S"), PathExpr::from(2i64));
-        q.output("A", PathExpr::from(e).dot("S"));
+        edges(&mut db, "E", &[(1, 2), (2, 3), (3, 1)]);
+        let mut q = triangle_query("E");
+        let e1 = q.from[0].var;
+        q.equate(PathExpr::from(e1).dot("S"), PathExpr::from(1i64));
+        q.equate(PathExpr::from(e1).dot("S"), PathExpr::from(2i64));
         let res = execute_wcoj(&db, &q).unwrap();
         assert!(res.rows.is_empty());
+        // Nothing is indexed or intersected, but the order is still reported.
+        assert_eq!(res.stats.order, vec![0, 1, 2]);
+        assert!(res.stats.operators.is_empty(), "{:?}", res.stats.operators);
+        assert_eq!(res.stats.tuples_considered, 0);
         // The binary engine agrees.
         assert!(execute(&db, &q).unwrap().rows.is_empty());
     }
@@ -749,6 +720,9 @@ mod tests {
         ));
     }
 
+    /// The operator's stats are pinned, not just its rows: three index
+    /// builds over the true cardinality, then one intersection per join
+    /// class with (lead values tried, values surviving).
     #[test]
     fn stats_feed_true_cardinalities_and_intersections() {
         let mut db = Database::new();
@@ -757,16 +731,28 @@ mod tests {
         let res = execute_wcoj(&db, &q).unwrap();
         let cards = res.stats.observed_cardinalities();
         assert_eq!(cards, vec![(sym("E"), 4.0)]);
-        let intersects: Vec<&OpStats> = res
+        let ops: Vec<_> = res
             .stats
             .operators
             .iter()
-            .filter(|o| o.op == "wcoj_intersect")
+            .map(|o| (o.op, o.collection_rows, o.input_rows, o.output_rows))
             .collect();
-        assert_eq!(intersects.len(), 3, "one per join class");
-        assert!(intersects.iter().all(|o| o.input_rows >= o.output_rows));
-        assert!(res.stats.tuples_considered > 0);
+        assert_eq!(
+            ops,
+            vec![
+                ("wcoj_index", 4, 4, 4),
+                ("wcoj_index", 4, 4, 4),
+                ("wcoj_index", 4, 4, 4),
+                ("wcoj_intersect", 0, 3, 3),
+                ("wcoj_intersect", 0, 4, 4),
+                ("wcoj_intersect", 0, 5, 3),
+            ]
+        );
+        assert_eq!(res.stats.tuples_considered, 27);
         assert_eq!(res.stats.order, vec![0, 1, 2]);
+        assert_eq!(res.stats.rows_out, 3);
+        let abc = |a, b, c| row(&[("A", a), ("B", b), ("C", c)]);
+        assert_eq!(res.rows, vec![abc(1, 2, 3), abc(2, 3, 1), abc(3, 1, 2)]);
     }
 
     /// The WCOJ engine never materializes a wedge: on a star graph (hub

@@ -5,7 +5,8 @@
 //! 1. **Answer equivalence** — on EC5's uniform *and* power-law datasets,
 //!    [`execute_wcoj`] computes exactly the answer set of the binary
 //!    hash-join engine ([`execute`]) and of the pre-batch differential
-//!    oracle ([`execute_legacy`]).
+//!    oracle ([`execute_legacy`]) — including which joined rows a select
+//!    path undefined on some of them drops.
 //! 2. **Determinism** — WCOJ output (rows *and* order) is a pure function
 //!    of (db, plan): re-generated datasets and repeated executions agree
 //!    byte-for-byte, and a pinned golden digest makes the comparison hold
@@ -211,4 +212,36 @@ fn every_emitted_wcoj_plan_validates_and_its_cover_reverifies() {
         twins > 0,
         "the suite must emit at least one generic-join twin"
     );
+}
+
+/// The skip-undefined rule through the generic join: a select path over an
+/// attribute only some `E` rows carry drops exactly the joined rows the
+/// binary pipeline and the oracle drop — the join itself never reads it.
+#[test]
+fn undefined_select_paths_skip_the_same_rows_in_all_three_executors() {
+    let mut db = Database::new();
+    for (s, t, w) in [
+        (1, 2, Some(10)),
+        (2, 3, None),
+        (3, 1, Some(30)),
+        (1, 3, None),
+    ] {
+        let mut fields = vec![(sym("S"), Value::Int(s)), (sym("T"), Value::Int(t))];
+        fields.extend(w.map(|w| (sym("W"), Value::Int(w))));
+        db.insert_row(sym("E"), Value::record(fields));
+    }
+    let mut q = Ec5::triangle().query();
+    q.select.clear();
+    for (label, b) in [("S", 0), ("W", 1)] {
+        let v = q.from[b].var;
+        q.output(label, PathExpr::from(v).dot(label));
+    }
+    let wcoj = execute_wcoj(&db, &q).unwrap();
+    let expect = answer_set(&execute(&db, &q).unwrap().rows);
+    // Three rotations of the one triangle join; e2 = (2, 3) has no W.
+    assert_eq!(expect.len(), 2);
+    assert_eq!(wcoj.stats.rows_out, 2);
+    assert!(wcoj.stats.tuples_considered > wcoj.stats.rows_out);
+    assert_eq!(answer_set(&wcoj.rows), expect);
+    assert_eq!(answer_set(&execute_legacy(&db, &q).unwrap().rows), expect);
 }

@@ -195,38 +195,6 @@ impl Rat {
     }
 }
 
-impl std::ops::Add for Rat {
-    type Output = Rat;
-    /// Panics on overflow — use [`Rat::checked_add`] for a typed error.
-    fn add(self, o: Rat) -> Rat {
-        self.checked_add(o).expect("Rat::add")
-    }
-}
-
-impl std::ops::Sub for Rat {
-    type Output = Rat;
-    /// Panics on overflow — use [`Rat::checked_sub`] for a typed error.
-    fn sub(self, o: Rat) -> Rat {
-        self.checked_sub(o).expect("Rat::sub")
-    }
-}
-
-impl std::ops::Mul for Rat {
-    type Output = Rat;
-    /// Panics on overflow — use [`Rat::checked_mul`] for a typed error.
-    fn mul(self, o: Rat) -> Rat {
-        self.checked_mul(o).expect("Rat::mul")
-    }
-}
-
-impl std::ops::Div for Rat {
-    type Output = Rat;
-    /// Panics if `o` is zero or on overflow — use [`Rat::checked_div`].
-    fn div(self, o: Rat) -> Rat {
-        self.checked_div(o).expect("Rat::div")
-    }
-}
-
 impl std::fmt::Display for Rat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.den == 1 {
@@ -414,7 +382,6 @@ pub fn verify_cover(hg: &QueryHypergraph, weights: &[Rat]) -> Result<Rat, CoverE
 mod tests {
     use super::*;
     use crate::hypergraph::HyperEdge;
-    use std::ops::{Add, Div, Mul, Sub};
 
     fn hg(required: usize, edges: &[&[usize]]) -> QueryHypergraph {
         QueryHypergraph {
@@ -436,7 +403,11 @@ mod tests {
     fn rational_arithmetic_normalizes() {
         assert_eq!(Rat::new(2, 4), Rat::new(1, 2));
         assert_eq!(Rat::new(1, -2), Rat::new(-1, 2));
-        assert_eq!(Rat::new(1, 2).add(Rat::new(1, 3)), Rat::new(5, 6));
+        let (half, third) = (Rat::new(1, 2), Rat::new(1, 3));
+        assert_eq!(half.checked_add(third), Ok(Rat::new(5, 6)));
+        assert_eq!(half.checked_sub(third), Ok(Rat::new(1, 6)));
+        assert_eq!(half.checked_mul(Rat::new(2, 3)), Ok(third));
+        assert_eq!(half.checked_div(Rat::new(3, 2)), Ok(third));
         assert_eq!(Rat::new(3, 2).to_string(), "3/2");
         assert_eq!(Rat::int(2).to_string(), "2");
         assert!(Rat::new(3, 2).gt(&Rat::new(4, 3)));
@@ -492,7 +463,11 @@ mod tests {
         assert_eq!(lp.rho, Rat::new(3, 2));
         assert_eq!(verify_cover(&g, &lp.weights).unwrap(), Rat::new(3, 2));
         // The packing certifies optimality: Σy = 3/2 too.
-        let total = lp.packing.iter().fold(Rat::zero(), |a, y| a.add(*y));
+        let total = lp
+            .packing
+            .iter()
+            .try_fold(Rat::zero(), |a, y| a.checked_add(*y))
+            .unwrap();
         assert_eq!(total, Rat::new(3, 2));
     }
 
@@ -562,7 +537,11 @@ mod tests {
         assert!(lp.rho.gt(&Rat::int(2)), "12 vertices over 2-ary edges");
         assert!(Rat::int(6).gt(&lp.rho) || lp.rho == Rat::int(6));
         // Weak duality re-check: packing total equals rho at the optimum.
-        let total = lp.packing.iter().fold(Rat::zero(), |a, y| a.add(*y));
+        let total = lp
+            .packing
+            .iter()
+            .try_fold(Rat::zero(), |a, y| a.checked_add(*y))
+            .unwrap();
         assert_eq!(total, lp.rho);
     }
 
@@ -597,13 +576,6 @@ mod tests {
         // Negative weight.
         let neg = vec![Rat::int(1), Rat::int(1), Rat::new(-1, 2)];
         assert!(verify_cover(&g, &neg).is_err());
-    }
-
-    #[test]
-    fn unchecked_operators_still_work_for_small_values() {
-        assert_eq!(Rat::new(1, 2).sub(Rat::new(1, 3)), Rat::new(1, 6));
-        assert_eq!(Rat::new(1, 2).mul(Rat::new(2, 3)), Rat::new(1, 3));
-        assert_eq!(Rat::new(1, 2).div(Rat::new(3, 2)), Rat::new(1, 3));
     }
 
     #[test]

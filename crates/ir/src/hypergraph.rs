@@ -36,12 +36,13 @@
 //! what the plan certifier compares against the full query's bound.
 
 use crate::constraint::PhysicalSpec;
-use crate::cover::{cover_lp, Rat};
+use crate::cover::{cover_lp, CoverLp, Rat};
 use crate::fxhash::FxHashMap;
 use crate::path::{PathExpr, Var};
 use crate::query::{Binding, Query, Range};
 use crate::schema::Schema;
 use crate::symbol::Symbol;
+use crate::unionfind::UnionFind;
 
 /// One hyperedge: a scanned collection and the vertex classes it covers.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -82,8 +83,8 @@ struct Builder<'a> {
     terms: FxHashMap<PathExpr, usize>,
     /// Variables of each registered term (sorted, deduplicated).
     term_vars: Vec<Vec<Var>>,
-    /// Union-find parent per term id.
-    parent: Vec<usize>,
+    /// Vertex classes over term ids.
+    classes: UnionFind,
     /// Term ids whose classes must be covered.
     required_terms: Vec<usize>,
     /// Per edge: (label, determines-set of variables, scanned collection).
@@ -104,30 +105,15 @@ impl Builder<'_> {
         if let Some(&id) = self.terms.get(term) {
             return Some(id);
         }
-        let id = self.parent.len();
+        let id = self.classes.push();
         self.terms.insert(term.clone(), id);
         self.term_vars.push(vars);
-        self.parent.push(id);
         Some(id)
-    }
-
-    fn find(&mut self, mut i: usize) -> usize {
-        while self.parent[i] != i {
-            self.parent[i] = self.parent[self.parent[i]];
-            i = self.parent[i];
-        }
-        i
     }
 
     fn unite(&mut self, lhs: &PathExpr, rhs: &PathExpr) {
         if let (Some(a), Some(b)) = (self.register(lhs), self.register(rhs)) {
-            let (ra, rb) = (self.find(a), self.find(b));
-            if ra != rb {
-                // Union toward the smaller root id keeps class
-                // representatives deterministic.
-                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                self.parent[hi] = lo;
-            }
+            self.classes.union(a, b);
         }
     }
 
@@ -246,7 +232,7 @@ pub fn subset_hypergraph(
         schema,
         terms: FxHashMap::default(),
         term_vars: Vec::new(),
-        parent: Vec::new(),
+        classes: UnionFind::new(0),
         required_terms: Vec::new(),
         edges: Vec::new(),
         next_var: query.var_bound(),
@@ -264,7 +250,7 @@ pub fn subset_hypergraph(
 
     // Dense class ids in root-id order (registration order is
     // deterministic, so class numbering is too).
-    let roots: Vec<usize> = (0..b.parent.len()).map(|i| b.find(i)).collect();
+    let roots: Vec<usize> = (0..b.term_vars.len()).map(|i| b.classes.find(i)).collect();
     let mut class_of_root: FxHashMap<usize, usize> = FxHashMap::default();
     let mut class_count = 0usize;
     let mut class_of_term = vec![0usize; roots.len()];
@@ -390,6 +376,39 @@ pub struct CoverEdge {
     pub weight: Rat,
 }
 
+/// Labels an LP solution's weights with the edges of the hypergraph it
+/// solved, in edge order — the certificate form of a fractional cover.
+pub fn weighted_cover(hg: &QueryHypergraph, lp: &CoverLp) -> Vec<CoverEdge> {
+    hg.edges
+        .iter()
+        .zip(&lp.weights)
+        .map(|(e, w)| CoverEdge {
+            label: e.label.clone(),
+            relation: e.relation,
+            weight: *w,
+        })
+        .collect()
+}
+
+/// The worst binding-order prefix of `query` as written — the largest
+/// intermediate a left-deep execution in that order can produce: its
+/// 1-based length (the shortest, on ties; 0 for an empty from-clause), its
+/// exponent, and the optimal cover proving it.
+pub fn worst_prefix(
+    schema: &Schema,
+    query: &Query,
+) -> Result<(usize, Rat, Vec<CoverEdge>), String> {
+    let mut worst = (0, Rat::zero(), Vec::new());
+    for k in 1..=query.from.len() {
+        let hg = prefix_hypergraph(schema, query, k)?;
+        let lp = cover_lp(&hg).map_err(|e| e.to_string())?;
+        if k == 1 || lp.rho.gt(&worst.1) {
+            worst = (k, lp.rho, weighted_cover(&hg, &lp));
+        }
+    }
+    Ok(worst)
+}
+
 /// The result of [`wcoj_gap`]: proof that *no* binary binding order of the
 /// query meets its own AGM bound, plus the optimal full-query cover a
 /// generic-join execution is certified by.
@@ -433,14 +452,7 @@ pub fn wcoj_gap(schema: &Schema, query: &Query) -> Result<Option<WcojAnalysis>, 
 
     // Cheap exit: if the as-written order already stays within the bound,
     // there is no gap (this keeps the non-cyclic workloads at O(n) LPs).
-    let mut as_written = Rat::zero();
-    for k in 1..=n {
-        let hg = prefix_hypergraph(schema, query, k)?;
-        let rho = cover_lp(&hg).map_err(|e| e.to_string())?.rho;
-        if rho.gt(&as_written) {
-            as_written = rho;
-        }
-    }
+    let (_, as_written, _) = worst_prefix(schema, query)?;
     if as_written.le(&bound) {
         return Ok(None);
     }
@@ -505,20 +517,10 @@ pub fn wcoj_gap(schema: &Schema, query: &Query) -> Result<Option<WcojAnalysis>, 
     if best_binary.le(&bound) {
         return Ok(None);
     }
-    let cover = full
-        .edges
-        .iter()
-        .zip(&lp.weights)
-        .map(|(e, w)| CoverEdge {
-            label: e.label.clone(),
-            relation: e.relation,
-            weight: *w,
-        })
-        .collect();
     Ok(Some(WcojAnalysis {
         bound,
         best_binary,
-        cover,
+        cover: weighted_cover(&full, &lp),
     }))
 }
 

@@ -48,6 +48,7 @@ pub mod schema;
 pub mod symbol;
 pub mod typecheck;
 pub mod types;
+pub mod unionfind;
 pub mod value;
 
 /// One-stop imports for downstream crates.
@@ -57,7 +58,8 @@ pub mod prelude {
     pub use crate::fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
     pub use crate::hypergraph::{
         generic_join_supported, prefix_hypergraph, query_hypergraph, subset_hypergraph, wcoj_gap,
-        CoverEdge, ExecStrategy, HyperEdge, QueryHypergraph, WcojAnalysis,
+        weighted_cover, worst_prefix, CoverEdge, ExecStrategy, HyperEdge, QueryHypergraph,
+        WcojAnalysis,
     };
     pub use crate::parser::{parse_constraint, parse_query, ParseError};
     pub use crate::path::{Equality, PathExpr, Var};

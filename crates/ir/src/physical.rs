@@ -10,7 +10,7 @@ use crate::path::PathExpr;
 use crate::query::{Query, Range};
 use crate::schema::Schema;
 use crate::symbol::Symbol;
-use crate::typecheck::{check_query, TypeEnv};
+use crate::typecheck::check_query;
 use crate::types::Type;
 
 /// A key constraint: `forall (r in rel)(r2 in rel) r.key = r2.key => r = r2`.
@@ -275,17 +275,6 @@ pub fn inverse_relationship(m1: Symbol, m2: Symbol, n: Symbol, p: Symbol) -> [Co
     inv_p.then(PathExpr::from(o2), PathExpr::from(k));
 
     [inv_n, inv_p]
-}
-
-/// Convenience: the element-type environment of a query against a schema.
-/// Re-exported for workloads that need to inspect inferred types.
-pub fn env_for<'a>(
-    schema: &'a Schema,
-    q: &Query,
-) -> Result<TypeEnv<'a>, crate::typecheck::TypeError> {
-    let mut env = TypeEnv::new(schema);
-    env.bind_all(&q.from)?;
-    Ok(env)
 }
 
 #[cfg(test)]

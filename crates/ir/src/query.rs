@@ -235,11 +235,6 @@ impl Query {
         }
     }
 
-    /// All variables bound in the from-clause, in order.
-    pub fn bound_vars(&self) -> Vec<Var> {
-        self.from.iter().map(|b| b.var).collect()
-    }
-
     /// Checks well-formedness: each range/where/select variable must be bound,
     /// range expressions may only use variables bound *earlier*, and bound
     /// variables must be distinct. Returns a description of the first problem.

@@ -61,13 +61,16 @@ fi
 # (every plan within 4 × |F| tuples) and ec4_served_plan_probes_its_index_pair
 # (the plan PlanServer serves for the request mix within 2 × |F|, no
 # operator above |F| rows): what an index pair costs when it runs as a
-# probe and not as a cross product. The fused operator's own oracle suite
-# (dict_join vs the nested loop) rides in the same tier, and so does
-# bottom_up_agrees_with_top_down_on_the_suite: the two backchase traversals
-# share one Lattice, so they must emit the same minimal plans on EC1-EC5.
+# probe and not as a cross product.
+# bottom_up_agrees_with_top_down_on_the_suite rides in the same tier: the
+# two backchase traversals share one Lattice, so they must emit the same
+# minimal plans on EC1-EC5. The fused operator's own oracle suite
+# (dict_join vs the nested loop) runs once, ahead of the sweep: it drives
+# the engine only — no optimizer, no pool — and never reads CNB_THREADS.
+tier "dict_join differential (engine only, thread-independent)"
+cargo test -q -p cnb-engine --test dict_join_differential
 for t in 1 4; do
   tier "CNB_THREADS=$t EC4/EC5 golden + differential suites"
-  CNB_THREADS=$t cargo test -q -p cnb-engine --test dict_join_differential
   CNB_THREADS=$t cargo test -q -p cnb-workloads --test ec4_star --test ec5_cyclic --test workload_suite
   CNB_THREADS=$t cargo test -q --test property_based -- \
     parallel_backchase_differential_ec4 parallel_backchase_differential_ec5 \
@@ -76,11 +79,15 @@ for t in 1 4; do
 done
 
 # WCOJ tier: the generic-join differential suite — answer-set equality
-# against both binary engines on uniform and power-law EC5 data, output
-# order a pure function of (db, plan) pinned by golden digests, and every
+# against the binary pipeline and the oracle on uniform and power-law EC5
+# data (and on a select path undefined on some joined rows), output order a
+# pure function of (db, plan) pinned by golden digests, and every
 # backchase-emitted generic-join twin re-verified against the static
-# validator and its fractional-cover certificate. The digest goldens make
-# the thread sweep meaningful: all four tiers must land on identical bytes.
+# validator and its fractional-cover certificate. The thread sweep is for
+# that last test (every_emitted_wcoj_plan_validates_and_its_cover_reverifies):
+# it alone runs the optimizer, whose backchase frontier reads CNB_THREADS, so
+# the twins and their certificates must come out the same at every tier. The
+# other four drive the engine only; their digests ride along.
 for t in 1 2 4 8; do
   tier "CNB_THREADS=$t WCOJ differential suite"
   CNB_THREADS=$t cargo test -q -p cnb-engine --test wcoj_differential
