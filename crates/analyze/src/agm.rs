@@ -33,6 +33,7 @@
 //! hosts, no floats anywhere. Queries are small (≤ a dozen scans), so
 //! exactness is free.
 
+use cnb_core::prelude::OptimizeResult;
 use cnb_ir::cover::{cover_lp, Rat};
 use cnb_ir::hypergraph::{query_hypergraph, weighted_cover, worst_prefix, CoverEdge, ExecStrategy};
 use cnb_ir::prelude::{PhysicalSpec, Query, Range, Schema};
@@ -194,13 +195,21 @@ pub fn plan_agm_wcoj(
     })
 }
 
-/// Certifies every backchase-emitted plan of one workload.
+/// Optimizes one workload and certifies every backchase-emitted plan.
 pub fn certify_workload(w: &dyn Workload) -> Result<WorkloadAgm, String> {
+    certify_plans(w, &w.optimize())
+}
+
+/// Certifies the plans of `result` — an optimization of `w`'s central
+/// query the caller already ran — against that query's AGM bound.
+pub(crate) fn certify_plans(
+    w: &dyn Workload,
+    result: &OptimizeResult,
+) -> Result<WorkloadAgm, String> {
     let schema = w.schema();
     let query = w.query();
     let (bound, bound_cover) =
         query_bound(&schema, &query).map_err(|e| format!("{}: query bound: {e}", w.name()))?;
-    let result = w.optimize();
     if result.plans.is_empty() {
         return Err(format!("{}: optimizer emitted no plans", w.name()));
     }

@@ -6,13 +6,13 @@
 //! (differential suites, a two-process stdout diff in `scripts/check.sh`).
 //! This crate proves what can be proven statically, in two prongs:
 //!
-//! - [`validate`]: a semantic validator over the IR. Queries (every
-//!   head/SELECT variable bound, range well-formedness), constraints (TGD
-//!   frontier discipline, EGD bound terms, arity/schema agreement via the
-//!   typechecker), constraint *sets* (a position-level weak-acyclicity
-//!   firing-graph check that certifies chase termination), and physical
-//!   plans (binding-order soundness plus join-connectivity analysis that
-//!   rejects cross-product shapes statically).
+//! - [`validate`]: a semantic validator over the IR. Queries and
+//!   constraints (the scoping rule, which lives in [`cnb_ir::scope`], plus
+//!   arity/schema agreement via the typechecker), constraint *sets* (a
+//!   position-level weak-acyclicity firing-graph check that certifies
+//!   chase termination), and physical plans (binding-order soundness plus
+//!   join-connectivity analysis that rejects cross-product shapes
+//!   statically).
 //! - [`lint`]: an offline, dependency-free source scanner that denies the
 //!   nondeterminism hazards — `std::collections::{HashMap,HashSet}` (use
 //!   `cnb_core::fxhash` instead), wall-clock reads outside sanctioned

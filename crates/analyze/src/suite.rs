@@ -15,7 +15,7 @@
 
 use cnb_workloads::suite;
 
-use crate::agm::certify_workload;
+use crate::agm::certify_plans;
 use crate::validate::{validate_plan, validate_query, validate_schema, ValidateError};
 
 /// Validates every suite workload and every plan its optimization emits,
@@ -39,7 +39,7 @@ pub fn validate_suite() -> Result<Vec<String>, String> {
                 format!("{name}: plan {i} invalid: {e}\n{}", p.query)
             })?;
         }
-        let cert = certify_workload(w.as_ref())?;
+        let cert = certify_plans(w.as_ref(), &result)?;
         if !cert.verdict.matches(cert.expected) {
             return Err(format!(
                 "{name}: AGM verdict {} contradicts the declared expectation {:?}",

@@ -3,13 +3,11 @@
 //! Everything here is a *static* check: no data is touched. The checks are
 //! layered —
 //!
-//! 1. [`validate_query`]: structural well-formedness (every range/where/
-//!    select variable bound, range expressions only over earlier bindings,
-//!    no duplicate bindings) plus schema agreement via the typechecker.
-//! 2. [`validate_constraint`]: the same discipline for embedded
-//!    dependencies — premises over universal variables only, conclusions
-//!    over bound variables only — plus typechecking of both implication
-//!    sides.
+//! 1. [`validate_query`]: the scoping rule ([`cnb_ir::scope`], through
+//!    `Query::validate`) plus schema agreement via the typechecker.
+//! 2. [`validate_constraint`]: the same two for embedded dependencies —
+//!    `cnb_ir::scope` through `Constraint::validate`, then typechecking of
+//!    both implication sides.
 //! 3. [`validate_constraint_set`]: a weak-acyclicity-style firing-graph
 //!    check certifying that chasing with the set terminates (see below).
 //! 4. [`validate_plan`]: [`validate_query`] plus join-connectivity — a
@@ -39,8 +37,8 @@ use std::fmt;
 
 use cnb_core::prelude::{CanonDb, FxHashMap, FxHashSet};
 use cnb_ir::prelude::{
-    check_constraint, check_query, Binding, Constraint, ConstraintKind, PathExpr, Query, Range,
-    Schema, Symbol, Var,
+    check_constraint, check_query, Constraint, ConstraintKind, PathExpr, Query, Range, Schema,
+    ScopeError, Symbol, Var,
 };
 use cnb_ir::unionfind::UnionFind;
 
@@ -48,44 +46,15 @@ use cnb_ir::unionfind::UnionFind;
 /// for the negative-case corpus to assert exactly which discipline broke.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValidateError {
-    /// A where/select clause or a range mentions a variable no binding
-    /// introduces.
-    UnboundVariable {
-        /// Which clause of which object ("query select-clause", ...).
+    /// The scoping rule is broken: an unbound variable, a range that looks
+    /// ahead, a variable bound twice — in a query's from/where/select
+    /// clause or a constraint's universal/premise/existential/conclusion
+    /// part, as the wrapped [`ScopeError`] says.
+    Scope {
+        /// The object it occurs in (`"query"`, `"constraint <name>"`).
         context: String,
-        /// Human-readable description naming the variable.
-        detail: String,
-    },
-    /// The same variable is bound by two from-clause entries.
-    DuplicateBinding {
-        /// Which object the duplicate occurs in.
-        context: String,
-        /// Display name of the twice-bound variable.
-        name: String,
-    },
-    /// A range expression references a variable bound *later* — unsound as
-    /// a binding order.
-    ForwardRangeReference {
-        /// Which object the forward reference occurs in.
-        context: String,
-        /// Display name of the offending binding.
-        binding: String,
-    },
-    /// A constraint premise references a non-universal variable (the
-    /// premise must be a condition over the universal part only).
-    PremiseNotUniversal {
-        /// Constraint name.
-        constraint: String,
-        /// Human-readable description naming the variable.
-        detail: String,
-    },
-    /// A conclusion equality references a variable that is neither
-    /// universally nor existentially bound.
-    UnboundConclusionTerm {
-        /// Constraint name.
-        constraint: String,
-        /// Human-readable description naming the variable.
-        detail: String,
+        /// Which discipline broke, where.
+        error: ScopeError,
     },
     /// Schema/arity disagreement caught by the typechecker (unknown
     /// collection, missing field, equality between different types, ...).
@@ -110,24 +79,7 @@ pub enum ValidateError {
 impl fmt::Display for ValidateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ValidateError::UnboundVariable { context, detail } => {
-                write!(f, "{context}: {detail}")
-            }
-            ValidateError::DuplicateBinding { context, name } => {
-                write!(f, "{context}: variable {name} bound twice")
-            }
-            ValidateError::ForwardRangeReference { context, binding } => {
-                write!(
-                    f,
-                    "{context}: range of {binding} references a variable bound later"
-                )
-            }
-            ValidateError::PremiseNotUniversal { constraint, detail } => {
-                write!(f, "constraint {constraint}: {detail}")
-            }
-            ValidateError::UnboundConclusionTerm { constraint, detail } => {
-                write!(f, "constraint {constraint}: {detail}")
-            }
+            ValidateError::Scope { context, error } => write!(f, "{context}: {error}"),
             ValidateError::Type { detail } => write!(f, "{detail}"),
             ValidateError::DisconnectedPlan { components } => {
                 write!(
@@ -148,53 +100,13 @@ impl std::error::Error for ValidateError {}
 // Queries and plans
 // ---------------------------------------------------------------------------
 
-/// Validates a query: structural well-formedness (bound variables, range
-/// ordering, no duplicate bindings) and schema agreement via the
+/// Validates a query: the scoping rule, then schema agreement via the
 /// typechecker.
 pub fn validate_query(schema: &Schema, q: &Query) -> Result<(), ValidateError> {
-    let context = "query";
-    let all: FxHashSet<Var> = q.from.iter().map(|b| b.var).collect();
-    let mut bound: FxHashSet<Var> = FxHashSet::default();
-    for b in &q.from {
-        for v in b.range.vars() {
-            if !bound.contains(&v) {
-                if all.contains(&v) {
-                    return Err(ValidateError::ForwardRangeReference {
-                        context: context.into(),
-                        binding: b.name.to_string(),
-                    });
-                }
-                return Err(ValidateError::UnboundVariable {
-                    context: format!("{context} from-clause"),
-                    detail: format!("range of {} mentions unbound variable ${}", b.name, v.0),
-                });
-            }
-        }
-        if !bound.insert(b.var) {
-            return Err(ValidateError::DuplicateBinding {
-                context: context.into(),
-                name: b.name.to_string(),
-            });
-        }
-    }
-    let check = |p: &PathExpr, what: &str| -> Result<(), ValidateError> {
-        for v in p.vars() {
-            if !bound.contains(&v) {
-                return Err(ValidateError::UnboundVariable {
-                    context: format!("{context} {what}"),
-                    detail: format!("mentions unbound variable ${}", v.0),
-                });
-            }
-        }
-        Ok(())
-    };
-    for eq in &q.where_ {
-        check(&eq.lhs, "where-clause")?;
-        check(&eq.rhs, "where-clause")?;
-    }
-    for (label, p) in &q.select {
-        check(p, &format!("select-clause (output {label})"))?;
-    }
+    q.validate().map_err(|error| ValidateError::Scope {
+        context: "query".into(),
+        error,
+    })?;
     check_query(schema, q)
         .map(|_| ())
         .map_err(|e| ValidateError::Type {
@@ -274,74 +186,16 @@ pub fn validate_plan(schema: &Schema, plan: &Query) -> Result<(), ValidateError>
 // Constraints
 // ---------------------------------------------------------------------------
 
-/// Validates one embedded dependency: quantifier discipline (universal
-/// ranges over earlier universals; existential ranges over universals and
-/// earlier existentials; premise over universals only; conclusion over
-/// bound variables only — for EGDs this is exactly "equated terms are
-/// bound") plus typechecking of both sides.
+/// Validates one embedded dependency: the scoping rule (universal ranges
+/// over earlier universals; premise over universals only; existential
+/// ranges over universals and earlier existentials; conclusion over bound
+/// variables only — for EGDs this is exactly "equated terms are bound"),
+/// then typechecking of both sides.
 pub fn validate_constraint(schema: &Schema, c: &Constraint) -> Result<(), ValidateError> {
-    let context = format!("constraint {}", c.name);
-    let mut universal: FxHashSet<Var> = FxHashSet::default();
-    let all_universal: FxHashSet<Var> = c.universal.iter().map(|b| b.var).collect();
-    for b in &c.universal {
-        for v in b.range.vars() {
-            if !universal.contains(&v) {
-                if all_universal.contains(&v) {
-                    return Err(ValidateError::ForwardRangeReference {
-                        context: context.clone(),
-                        binding: b.name.to_string(),
-                    });
-                }
-                return Err(ValidateError::UnboundVariable {
-                    context: format!("{context} universal part"),
-                    detail: format!("range of {} mentions unbound variable ${}", b.name, v.0),
-                });
-            }
-        }
-        if !universal.insert(b.var) {
-            return Err(ValidateError::DuplicateBinding {
-                context: context.clone(),
-                name: b.name.to_string(),
-            });
-        }
-    }
-    for eq in &c.premise {
-        for v in eq.vars() {
-            if !universal.contains(&v) {
-                return Err(ValidateError::PremiseNotUniversal {
-                    constraint: c.name.clone(),
-                    detail: format!("premise references non-universal variable ${}", v.0),
-                });
-            }
-        }
-    }
-    let mut bound = universal.clone();
-    for b in &c.existential {
-        for v in b.range.vars() {
-            if !bound.contains(&v) {
-                return Err(ValidateError::UnboundVariable {
-                    context: format!("{context} existential part"),
-                    detail: format!("range of {} mentions unbound variable ${}", b.name, v.0),
-                });
-            }
-        }
-        if !bound.insert(b.var) {
-            return Err(ValidateError::DuplicateBinding {
-                context: context.clone(),
-                name: b.name.to_string(),
-            });
-        }
-    }
-    for eq in &c.conclusion {
-        for v in eq.vars() {
-            if !bound.contains(&v) {
-                return Err(ValidateError::UnboundConclusionTerm {
-                    constraint: c.name.clone(),
-                    detail: format!("conclusion references unbound variable ${}", v.0),
-                });
-            }
-        }
-    }
+    c.validate().map_err(|error| ValidateError::Scope {
+        context: format!("constraint {}", c.name),
+        error,
+    })?;
     check_constraint(schema, c).map_err(|e| ValidateError::Type {
         detail: e.to_string(),
     })
@@ -689,22 +543,6 @@ pub fn validate_schema(schema: &Schema) -> Result<(), ValidateError> {
     validate_constraint_set(schema, &schema.all_constraints())
 }
 
-/// Convenience used by debug assertions: validity of a batch of bindings
-/// as a range-ordered prefix (re-exported so callers need not build a
-/// query).
-pub fn bindings_well_ordered(bindings: &[Binding]) -> bool {
-    let mut bound: FxHashSet<Var> = FxHashSet::default();
-    for b in bindings {
-        if b.range.vars().iter().any(|v| !bound.contains(v)) {
-            return false;
-        }
-        if !bound.insert(b.var) {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,15 +682,5 @@ mod tests {
         s.add_constraint(a);
         s.add_constraint(b);
         validate_schema(&s).unwrap();
-    }
-
-    #[test]
-    fn bindings_well_ordered_helper() {
-        let mut q = Query::new();
-        let k = q.bind("k", Range::Dom(sym("M")));
-        q.bind("o", Range::Expr(PathExpr::from(k).lookup_in("M").dot("N")));
-        assert!(bindings_well_ordered(&q.from));
-        q.from.swap(0, 1);
-        assert!(!bindings_well_ordered(&q.from));
     }
 }

@@ -26,14 +26,19 @@ fn unbound_head_variable_is_rejected() {
     // A head term over a variable no from-clause entry introduces.
     q.output("X", PathExpr::from(Var(99)).dot("N"));
     let err = validate_query(&s, &q).unwrap_err();
-    match &err {
-        ValidateError::UnboundVariable { context, detail } => {
-            assert!(context.contains("select-clause"), "{err}");
-            assert!(detail.contains("$99"), "{err}");
+    assert_eq!(
+        err,
+        ValidateError::Scope {
+            context: "query".into(),
+            error: ScopeError::Unbound {
+                clause: Clause::Select(sym("X")),
+                var: Var(99),
+            },
         }
-        other => panic!("expected UnboundVariable, got {other:?}"),
-    }
-    assert!(err.to_string().contains("unbound variable"), "{err}");
+    );
+    let shown = err.to_string();
+    assert!(shown.contains("select-clause"), "{shown}");
+    assert!(shown.contains("unbound variable $99"), "{shown}");
 }
 
 #[test]
@@ -54,12 +59,16 @@ fn forward_range_reference_is_rejected() {
     });
     q.output("K", PathExpr::from(k).dot("K"));
     let err = validate_query(&s, &q).unwrap_err();
-    match &err {
-        ValidateError::ForwardRangeReference { binding, .. } => {
-            assert_eq!(binding, "r", "{err}");
+    assert_eq!(
+        err,
+        ValidateError::Scope {
+            context: "query".into(),
+            error: ScopeError::ForwardReference {
+                binding: sym("r"),
+                var: k,
+            },
         }
-        other => panic!("expected ForwardRangeReference, got {other:?}"),
-    }
+    );
     assert!(err.to_string().contains("bound later"), "{err}");
 }
 
@@ -74,13 +83,17 @@ fn premise_referencing_existential_variable_is_rejected() {
     c.given(PathExpr::from(r).dot("K"), PathExpr::from(x).dot("K"));
     c.then(PathExpr::from(r).dot("N"), PathExpr::from(x).dot("B"));
     let err = validate_constraint(&s, &c).unwrap_err();
-    match &err {
-        ValidateError::PremiseNotUniversal { constraint, detail } => {
-            assert_eq!(constraint, "bad_premise", "{err}");
-            assert!(detail.contains("non-universal variable"), "{err}");
+    assert_eq!(
+        err,
+        ValidateError::Scope {
+            context: "constraint bad_premise".into(),
+            error: ScopeError::Unbound {
+                clause: Clause::Premise,
+                var: x,
+            },
         }
-        other => panic!("expected PremiseNotUniversal, got {other:?}"),
-    }
+    );
+    assert!(err.to_string().contains("non-universal variable"), "{err}");
 }
 
 #[test]
@@ -92,13 +105,17 @@ fn conclusion_referencing_unbound_variable_is_rejected() {
     // quantifier introduces.
     c.then(PathExpr::from(r).dot("K"), PathExpr::from(Var(7)).dot("K"));
     let err = validate_constraint(&s, &c).unwrap_err();
-    match &err {
-        ValidateError::UnboundConclusionTerm { constraint, detail } => {
-            assert_eq!(constraint, "bad_conclusion", "{err}");
-            assert!(detail.contains("$7"), "{err}");
+    assert_eq!(
+        err,
+        ValidateError::Scope {
+            context: "constraint bad_conclusion".into(),
+            error: ScopeError::Unbound {
+                clause: Clause::Conclusion,
+                var: Var(7),
+            },
         }
-        other => panic!("expected UnboundConclusionTerm, got {other:?}"),
-    }
+    );
+    assert!(err.to_string().contains("$7"), "{err}");
 }
 
 #[test]

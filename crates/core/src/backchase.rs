@@ -287,10 +287,10 @@ pub fn chase_and_backchase(
     constraints: &[Constraint],
     cfg: &BackchaseConfig,
 ) -> BackchaseResult {
-    debug_assert!(
-        q0.validate().is_ok(),
-        "chase_and_backchase called with ill-formed query: {:?}",
-        q0.validate()
+    debug_assert_eq!(
+        q0.validate(),
+        Ok(()),
+        "chase_and_backchase called with ill-formed query"
     );
     debug_assert!(
         constraints.iter().all(|c| c.validate().is_ok()),

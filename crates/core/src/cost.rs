@@ -186,11 +186,7 @@ impl CostModel {
     /// structures first, then fewer bindings, then lower estimated cost.
     /// Lower scores are better.
     pub fn heuristic_rank(&self, schema: &Schema, q: &Query) -> (i64, i64) {
-        let physical = q
-            .from
-            .iter()
-            .filter(|b| matches!(b.range.anchor(), Some(a) if schema.is_physical(a)))
-            .count() as i64;
+        let physical = schema.physical_anchors(q).count() as i64;
         (-(physical), q.from.len() as i64)
     }
 }
@@ -203,14 +199,7 @@ impl CostModel {
 /// failures (e.g. malformed subqueries mid-search) simply mean "not a
 /// candidate".
 pub fn wcoj_candidate(schema: &Schema, q: &Query) -> Option<WcojAnalysis> {
-    if !generic_join_supported(schema, q) {
-        return None;
-    }
-    let physical = q
-        .from
-        .iter()
-        .any(|b| matches!(b.range.anchor(), Some(a) if schema.is_physical(a)));
-    if physical {
+    if !generic_join_supported(schema, q) || schema.physical_anchors(q).next().is_some() {
         return None;
     }
     wcoj_gap(schema, q).ok().flatten()

@@ -180,11 +180,13 @@ impl Optimizer {
     pub fn optimize(&self, q: &Query, cfg: &OptimizerConfig) -> OptimizeResult {
         // Entry contract: the input query and every registered constraint
         // must be well-formed. `cnb-analyze validate-suite` checks the
-        // deeper semantic properties offline; this guards ad-hoc callers.
-        debug_assert!(
-            q.validate().is_ok(),
-            "Optimizer::optimize called with ill-formed query: {:?}",
-            q.validate()
+        // deeper semantic properties offline; this guards ad-hoc callers in
+        // debug builds only — untrusted requests go through
+        // `cnb_engine::PlanServer`, which runs the same check in every build.
+        debug_assert_eq!(
+            q.validate(),
+            Ok(()),
+            "Optimizer::optimize called with ill-formed query"
         );
         debug_assert!(
             self.constraints.iter().all(|c| c.validate().is_ok()),
@@ -231,15 +233,9 @@ impl Optimizer {
     }
 
     fn plan_info(&self, query: Query) -> PlanInfo {
-        let physical_used: Vec<Symbol> = query
-            .from
-            .iter()
-            .filter_map(|b| b.range.anchor())
-            .filter(|a| self.schema.is_physical(*a))
-            .collect();
         PlanInfo {
             arity: query.from.len(),
-            physical_used,
+            physical_used: self.schema.physical_anchors(&query).collect(),
             strategy: ExecStrategy::LeftDeep,
             wcoj: None,
             query,

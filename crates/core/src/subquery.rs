@@ -149,13 +149,13 @@ fn lookups_guarded(
 /// The backchase — sequential and parallel alike — uses this wrapper so the
 /// result is a function of `(db, keep, select)` only, which is the property
 /// the thread-count-independence guarantee rests on. Earlier revisions got
-/// purity by cloning the whole database per candidate (see
-/// [`induce_subquery_via_clone`]); the rollback is O(delta) instead of O(db)
-/// and produces identical output, because the savepoint restore is
-/// byte-exact: every candidate starts from the same term arena, so the
-/// term-id tie-breaks — and with them the emitted query text — cannot drift.
-/// Induction never touches `db.query`, so the congruence savepoint covers
-/// the entire delta.
+/// purity by cloning the whole database per candidate (the oracle
+/// `tests/induction_differential.rs` still compares against); the rollback
+/// is O(delta) instead of O(db) and produces identical output, because the
+/// savepoint restore is byte-exact: every candidate starts from the same
+/// term arena, so the term-id tie-breaks — and with them the emitted query
+/// text — cannot drift. Induction never touches `db.query`, so the
+/// congruence savepoint covers the entire delta.
 pub fn induce_subquery_pure(
     db: &mut CanonDb,
     keep: &VarSet,
@@ -176,20 +176,6 @@ pub fn induce_subquery_pure(
         debug_assert_eq!(db.cong.len(), len_before, "induction left terms behind");
     }
     out
-}
-
-/// The clone-per-candidate implementation `induce_subquery_pure` replaced,
-/// kept only as the oracle for the savepoint path's differential suite
-/// (`tests/induction_differential.rs`). The optimizer must never call this:
-/// the backchase frontier performs zero per-candidate database clones
-/// (enforced by `tests/clone_audit.rs`).
-#[doc(hidden)]
-pub fn induce_subquery_via_clone(
-    db: &CanonDb,
-    keep: &VarSet,
-    select: &[(Symbol, PathExpr)],
-) -> Option<Query> {
-    induce_subquery(&mut db.clone(), keep, select)
 }
 
 /// The set of all bound variables of a query.

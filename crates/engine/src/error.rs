@@ -11,22 +11,24 @@
 //!   (or during) dispatch, a seeded fault was injected, its fault-retry
 //!   budget ran out, or execution itself failed ([`ServeError::Exec`]).
 //!
-//! Every variant carries structured fields, so callers match on the enum
-//! instead of substring-matching a rendered message — a shed request is
+//! Variants carry structured fields, so callers match on the enum instead
+//! of substring-matching a rendered message — a shed request is
 //! `ServeError::Rejected { .. }`, not a string that happens to contain
-//! "budget". Both types render human-readable messages through `Display`
-//! for logs and panics.
+//! "budget", and an ill-formed one is
+//! `ExecError::InvalidQuery(ScopeError::Unbound { clause, var })`, the
+//! [`cnb_ir::scope`] violation itself. Both types render human-readable
+//! messages through `Display` for logs and panics.
 
 use std::fmt;
 
-use cnb_ir::prelude::Symbol;
+use cnb_ir::prelude::{ScopeError, Symbol};
 
 /// An execution-engine failure for one (database, plan) pair.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecError {
-    /// The query failed [`cnb_ir::prelude::Query::validate`] (unbound head
-    /// or where-clause variables, forward range references, duplicates).
-    InvalidQuery(String),
+    /// The query failed [`cnb_ir::prelude::Query::validate`]: the scoping
+    /// violation, by clause and variable or binding.
+    InvalidQuery(ScopeError),
     /// The query still contains the `?k` parameter placeholder: the serving
     /// path's bind step was skipped or the parameter vector was too short.
     UnboundParam(u32),
@@ -71,7 +73,7 @@ pub enum ExecError {
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
+            ExecError::InvalidQuery(e) => write!(f, "invalid query: {e}"),
             ExecError::UnboundParam(k) => write!(
                 f,
                 "query contains unbound parameter ?{k}; bind parameters before executing"
@@ -194,6 +196,10 @@ mod tests {
         assert_eq!(
             ExecError::NoEvaluableBinding.to_string(),
             "no evaluable binding (cyclic range dependencies?)"
+        );
+        assert_eq!(
+            ExecError::InvalidQuery(ScopeError::Duplicate { binding: sym("x") }).to_string(),
+            "invalid query: variable x bound twice"
         );
     }
 

@@ -217,10 +217,10 @@ pub(crate) fn greedy_order(db: &Database, q: &Query) -> Result<Vec<Step>, ExecEr
     // Binding-order soundness only: disconnected (cross-product) queries
     // are legal here — the engine evaluates them — and are rejected
     // earlier, by `cnb-analyze` over optimizer-emitted plans.
-    debug_assert!(
-        q.validate().is_ok(),
-        "join::greedy_order called with ill-formed query: {:?}",
-        q.validate()
+    debug_assert_eq!(
+        q.validate(),
+        Ok(()),
+        "join::greedy_order called with ill-formed query"
     );
     let n = q.from.len();
     let mut placed: Vec<bool> = vec![false; n];

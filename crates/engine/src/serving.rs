@@ -183,7 +183,18 @@ impl PlanServer {
     /// produced no plan (timeout), the template itself is cached as the
     /// only plan — the request then executes as written, and so does every
     /// later request with the same shape.
+    ///
+    /// This is the checked door for untrusted requests: one that breaks the
+    /// scoping rule ([`Query::validate`]) is handed back as written —
+    /// nothing parameterized, optimized or cached, no counter moved — and
+    /// [`execute`]'s prologue reports it as [`crate::error::ExecError::InvalidQuery`].
     pub fn plan(&mut self, q: &Query) -> ServedPlan {
+        if q.validate().is_err() {
+            return ServedPlan {
+                plan: q.clone(),
+                cache_hit: false,
+            };
+        }
         let parameterized = parameterize(q);
         let fp = Fingerprint::with_digest(&parameterized.template, self.constraints);
         if let Some(entry) = self.cache.lookup(&fp, &parameterized.template) {
@@ -395,7 +406,7 @@ impl PlanServer {
 mod tests {
     use super::*;
     use crate::error::ExecError;
-    use cnb_core::prelude::{chase_and_backchase_runs, Strategy};
+    use cnb_core::prelude::Strategy;
     use cnb_ir::prelude::*;
 
     /// EC1-style single relation with a primary index, point lookups.
@@ -453,20 +464,18 @@ mod tests {
             vec![Value::record([(sym("D"), Value::Int(300))])]
         );
 
-        // Different constant, same shape: a hit, and no C&B run.
-        let runs_before = chase_and_backchase_runs();
+        // Different constant, same shape: a hit. The optimizer only runs
+        // after a counted miss, so one miss in two lookups means one
+        // optimization (sibling tests move the process-wide C&B counter
+        // concurrently; `tests/pressure.rs` audits it under `serial()`).
         let (warm, rows) = server.serve(&db, &point(7)).unwrap();
         assert!(warm.cache_hit);
-        assert_eq!(
-            chase_and_backchase_runs(),
-            runs_before,
-            "a warm cache hit must not invoke chase_and_backchase"
-        );
         assert_eq!(
             rows.rows,
             vec![Value::record([(sym("D"), Value::Int(700))])]
         );
-        assert_eq!((server.cache().hits(), server.cache().misses()), (1, 1));
+        let cache = server.cache();
+        assert_eq!((cache.lookups(), cache.hits(), cache.misses()), (2, 1, 1));
     }
 
     /// The digest stored at construction keys requests exactly as

@@ -1,0 +1,194 @@
+//! The serving door: a request that breaks the scoping rule
+//! (`cnb_ir::scope`) is refused with a typed error before anything is
+//! parameterized, optimized or cached — by `PlanServer::serve`, by
+//! `serve_batch_under` at any thread count, and by the executors called
+//! directly.
+//!
+//! `scripts/check.sh` also runs this file under `--release`: that is the
+//! profile where the optimizer's `debug_assert!` entry checks vanish, and
+//! where — before `PlanServer::plan` ran the check — an unbound select
+//! variable panicked inside the OQF fragment combiner and an unbound where
+//! variable or a duplicated binding was optimized, cached and answered as
+//! if the broken clause were not there.
+//!
+//! Every assertion is on the server under test (its results and its own
+//! cache counters); nothing here reads a process-wide counter or takes a
+//! lock, so the tests run in parallel with each other and with anything.
+
+use cnb_core::prelude::OptimizerConfig;
+use cnb_engine::{
+    execute, execute_legacy, execute_wcoj, ExecError, PlanServer, ServeError, ServedResult,
+};
+use cnb_ir::prelude::*;
+use cnb_workloads::{DataScale, Ec1, Ec4, Workload};
+
+/// Four ways to break `good`, each with the violation it must be refused
+/// for: an unbound select variable, an unbound where variable, a duplicate
+/// binding, and a range over a variable bound later.
+fn ill_formed(good: &Query) -> Vec<(Query, ScopeError)> {
+    let first = good.from[0].clone();
+
+    let mut select = good.clone();
+    select.output("X", PathExpr::from(Var(99)).dot("K"));
+
+    let mut where_ = good.clone();
+    where_.equate(PathExpr::from(Var(99)).dot("K"), PathExpr::from(1i64));
+
+    let mut duplicate = good.clone();
+    duplicate.from.push(Binding {
+        name: sym("again"),
+        ..first.clone()
+    });
+
+    let mut forward = good.clone();
+    let early = forward.fresh_var();
+    forward.from.insert(
+        0,
+        Binding {
+            var: early,
+            name: sym("early"),
+            range: Range::Expr(PathExpr::from(first.var).dot("K")),
+        },
+    );
+
+    vec![
+        (
+            select,
+            ScopeError::Unbound {
+                clause: Clause::Select(sym("X")),
+                var: Var(99),
+            },
+        ),
+        (
+            where_,
+            ScopeError::Unbound {
+                clause: Clause::Where,
+                var: Var(99),
+            },
+        ),
+        (
+            duplicate,
+            ScopeError::Duplicate {
+                binding: sym("again"),
+            },
+        ),
+        (
+            forward,
+            ScopeError::ForwardReference {
+                binding: sym("early"),
+                var: first.var,
+            },
+        ),
+    ]
+}
+
+fn refused(expected: &ScopeError) -> ServeError {
+    ServeError::Exec(ExecError::InvalidQuery(expected.clone()))
+}
+
+fn rows(result: &ServedResult, tag: &str) -> Vec<Value> {
+    match result {
+        Ok((_, exec)) => exec.rows.clone(),
+        Err(e) => panic!("{tag}: well-formed request failed: {e}"),
+    }
+}
+
+fn error(result: ServedResult, tag: &str) -> ServeError {
+    match result {
+        Err(e) => e,
+        Ok((_, exec)) => panic!(
+            "{tag}: ill-formed request was answered with {} rows",
+            exec.rows.len()
+        ),
+    }
+}
+
+fn server(w: &dyn Workload) -> PlanServer {
+    PlanServer::new(
+        w.optimizer(),
+        OptimizerConfig::with_strategy(w.expectations().strategy),
+    )
+}
+
+/// (resident shapes, lookups, misses) of the server's plan cache.
+fn cache_state(s: &PlanServer) -> (usize, usize, usize) {
+    (s.cache().len(), s.cache().lookups(), s.cache().misses())
+}
+
+/// `picks` are the family's well-formed requests; the first is the control
+/// the ill-formed ones are derived from and must return rows at smoke scale.
+fn door_refuses_ill_formed_requests(w: &dyn Workload, picks: [u64; 4]) {
+    let name = w.name();
+    let scale = DataScale::smoke();
+    let db = w.generate_at(scale);
+    let good = picks.map(|pick| w.serving_query(scale, pick));
+    let bad = ill_formed(&good[0]);
+
+    // One request at a time, against a warm server.
+    let mut s = server(w);
+    let control = rows(&s.serve(&db, &good[0]), name);
+    assert!(!control.is_empty(), "{name}: control request returns rows");
+    let before = cache_state(&s);
+    for (q, expected) in &bad {
+        let tag = format!("{name} serve [{expected}]");
+        assert_eq!(error(s.serve(&db, q), &tag), refused(expected), "{tag}");
+        assert_eq!(cache_state(&s), before, "{tag}: the cache saw the request");
+    }
+    assert_eq!(rows(&s.serve(&db, &good[0]), name), control);
+
+    // Mixed into a batch (`serve_batch` is `serve_batch_under` with no
+    // budget, deadline or faults): an ill-formed request after every
+    // well-formed one.
+    let mixed: Vec<Query> = good
+        .iter()
+        .zip(&bad)
+        .flat_map(|(g, (b, _))| [g.clone(), b.clone()])
+        .collect();
+    for threads in [1, 4] {
+        let mut clean = server(w);
+        let expected_rows: Vec<Vec<Value>> = clean
+            .serve_batch(&db, &good, threads)
+            .iter()
+            .map(|r| rows(r, name))
+            .collect();
+
+        let mut s = server(w);
+        let results = s.serve_batch(&db, &mixed, threads);
+        assert_eq!(results.len(), mixed.len());
+        for (i, pair) in results.chunks(2).enumerate() {
+            let tag = format!("{name} batch threads={threads} pair {i}");
+            assert_eq!(rows(&pair[0], &tag), expected_rows[i], "{tag}");
+            assert_eq!(error(pair[1].clone(), &tag), refused(&bad[i].1), "{tag}");
+        }
+        assert_eq!(
+            cache_state(&s),
+            cache_state(&clean),
+            "{name} threads={threads}: ill-formed requests moved the cache"
+        );
+    }
+}
+
+#[test]
+fn door_refuses_ill_formed_requests_on_ec4() {
+    door_refuses_ill_formed_requests(&Ec4::new(3, 2, 1), [1, 0, 2, 3]);
+}
+
+#[test]
+fn door_refuses_ill_formed_requests_on_ec1() {
+    door_refuses_ill_formed_requests(&Ec1::new(3, 1), [13, 18, 38, 1]);
+}
+
+/// Called directly, all three executors refuse the same four requests with
+/// the same typed violation — matched by variant, not by message.
+#[test]
+fn executors_report_the_scope_violation_by_variant() {
+    let w = Ec1::new(3, 1);
+    let scale = DataScale::smoke();
+    let db = w.generate_at(scale);
+    for (q, expected) in ill_formed(&w.serving_query(scale, 1)) {
+        let want = Err(ExecError::InvalidQuery(expected));
+        assert_eq!(execute(&db, &q).map(|r| r.rows), want);
+        assert_eq!(execute_wcoj(&db, &q).map(|r| r.rows), want);
+        assert_eq!(execute_legacy(&db, &q).map(|r| r.rows), want);
+    }
+}

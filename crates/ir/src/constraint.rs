@@ -17,6 +17,7 @@ use std::fmt;
 
 use crate::path::{Equality, PathExpr, Var};
 use crate::query::{render_path, Binding, Query, Range};
+use crate::scope::{Clause, Scope, ScopeError};
 use crate::symbol::Symbol;
 
 /// Rough classification of a constraint.
@@ -152,61 +153,17 @@ impl Constraint {
             .collect()
     }
 
-    /// Well-formedness: universal ranges may reference earlier universal
-    /// variables; existential ranges may reference universal and earlier
-    /// existential variables; premise uses universal variables only;
-    /// conclusion may use all variables.
-    pub fn validate(&self) -> Result<(), String> {
-        let mut bound: Vec<Var> = Vec::new();
-        for b in &self.universal {
-            for v in b.range.vars() {
-                if !bound.contains(&v) {
-                    return Err(format!(
-                        "constraint {}: universal range of {} references unbound ${}",
-                        self.name, b.name, v.0
-                    ));
-                }
-            }
-            if bound.contains(&b.var) {
-                return Err(format!("constraint {}: {} bound twice", self.name, b.name));
-            }
-            bound.push(b.var);
-        }
-        for eq in &self.premise {
-            for v in eq.vars() {
-                if !bound.contains(&v) {
-                    return Err(format!(
-                        "constraint {}: premise references non-universal ${}",
-                        self.name, v.0
-                    ));
-                }
-            }
-        }
-        for b in &self.existential {
-            for v in b.range.vars() {
-                if !bound.contains(&v) {
-                    return Err(format!(
-                        "constraint {}: existential range of {} references unbound ${}",
-                        self.name, b.name, v.0
-                    ));
-                }
-            }
-            if bound.contains(&b.var) {
-                return Err(format!("constraint {}: {} bound twice", self.name, b.name));
-            }
-            bound.push(b.var);
-        }
-        for eq in &self.conclusion {
-            for v in eq.vars() {
-                if !bound.contains(&v) {
-                    return Err(format!(
-                        "constraint {}: conclusion references unbound ${}",
-                        self.name, v.0
-                    ));
-                }
-            }
-        }
-        Ok(())
+    /// Well-formedness under the scoping rule ([`crate::scope`]): universal
+    /// ranges may reference earlier universal variables; the premise uses
+    /// universal variables only; existential ranges may reference universal
+    /// and earlier existential variables; the conclusion may use all of
+    /// them. Returns the first violation in that order.
+    pub fn validate(&self) -> Result<(), ScopeError> {
+        let mut scope = Scope::default();
+        scope.bind(Clause::Universal, &self.universal)?;
+        scope.check_all(Clause::Premise, &self.premise)?;
+        scope.bind(Clause::Existential, &self.existential)?;
+        scope.check_all(Clause::Conclusion, &self.conclusion)
     }
 
     /// Renames every variable by adding `offset`, so the constraint's
@@ -370,8 +327,10 @@ impl Skeleton {
     /// the forward constraint must mention the physical name only
     /// existentially, the backward constraint only universally.
     pub fn validate(&self) -> Result<(), String> {
-        self.forward.validate()?;
-        self.backward.validate()?;
+        for c in self.constraints() {
+            c.validate()
+                .map_err(|e| format!("skeleton {}: {}: {e}", self.physical_name, c.name))?;
+        }
         if !self
             .forward
             .existential_anchors()
@@ -439,7 +398,13 @@ mod tests {
         let s = c.exists("s", Range::Name(sym("S")));
         c.premise
             .push(Equality::new(PathExpr::from(s), PathExpr::from(0i64)));
-        assert!(c.validate().is_err());
+        assert_eq!(
+            c.validate(),
+            Err(ScopeError::Unbound {
+                clause: Clause::Premise,
+                var: s
+            })
+        );
     }
 
     #[test]

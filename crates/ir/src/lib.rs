@@ -45,6 +45,7 @@ pub mod path;
 pub mod physical;
 pub mod query;
 pub mod schema;
+pub mod scope;
 pub mod symbol;
 pub mod typecheck;
 pub mod types;
@@ -69,6 +70,7 @@ pub mod prelude {
     };
     pub use crate::query::{Binding, Query, Range, RangeShape};
     pub use crate::schema::{CollType, Decl, Layer, Schema};
+    pub use crate::scope::{Clause, ScopeError};
     pub use crate::symbol::{sym, Symbol};
     pub use crate::typecheck::{check_constraint, check_query, TypeEnv};
     pub use crate::types::Type;

@@ -406,8 +406,8 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
         }
     }
 
-    q.validate().map_err(|m| ParseError {
-        message: m,
+    q.validate().map_err(|e| ParseError {
+        message: e.to_string(),
         offset: 0,
     })?;
     Ok(q)
@@ -456,8 +456,8 @@ pub fn parse_constraint(name: &str, input: &str) -> Result<Constraint, ParseErro
         Tok::Eof => {}
         other => return lx.err(format!("trailing input: {other:?}")),
     }
-    c.validate().map_err(|m| ParseError {
-        message: m,
+    c.validate().map_err(|e| ParseError {
+        message: e.to_string(),
         offset: 0,
     })?;
     Ok(c)

@@ -15,6 +15,7 @@ use crate::fxhash::FxHashMap;
 use std::fmt;
 
 use crate::path::{Equality, PathExpr, Var};
+use crate::scope::{Clause, Scope, ScopeError};
 use crate::symbol::Symbol;
 use crate::value::Value;
 
@@ -235,50 +236,17 @@ impl Query {
         }
     }
 
-    /// Checks well-formedness: each range/where/select variable must be bound,
-    /// range expressions may only use variables bound *earlier*, and bound
-    /// variables must be distinct. Returns a description of the first problem.
-    pub fn validate(&self) -> Result<(), String> {
-        let mut seen: FxHashMap<Var, usize> = FxHashMap::default();
-        for (i, b) in self.from.iter().enumerate() {
-            for v in b.range.vars() {
-                match seen.get(&v) {
-                    Some(&j) if j < i => {}
-                    Some(_) => unreachable!("indices are insertion-ordered"),
-                    None => {
-                        return Err(format!(
-                            "binding {} ranges over unbound or later variable ${}",
-                            b.name, v.0
-                        ));
-                    }
-                }
-            }
-            if seen.insert(b.var, i).is_some() {
-                return Err(format!("variable {} bound twice", b.name));
-            }
-        }
-        let check = |p: &PathExpr, what: &str| -> Result<(), String> {
-            let mut missing = None;
-            p.vars_all(&mut |v| {
-                let ok = seen.contains_key(&v);
-                if !ok && missing.is_none() {
-                    missing = Some(v);
-                }
-                ok
-            });
-            match missing {
-                Some(v) => Err(format!("{what} mentions unbound variable ${}", v.0)),
-                None => Ok(()),
-            }
-        };
-        for eq in &self.where_ {
-            check(&eq.lhs, "where-clause")?;
-            check(&eq.rhs, "where-clause")?;
-        }
-        for (_, p) in &self.select {
-            check(p, "select-clause")?;
-        }
-        Ok(())
+    /// Checks well-formedness under the scoping rule ([`crate::scope`]):
+    /// ranges mention only *earlier* bindings, no variable is bound twice,
+    /// and where/select paths mention only bound variables. Returns the
+    /// first violation in from / where / select order.
+    pub fn validate(&self) -> Result<(), ScopeError> {
+        let mut scope = Scope::default();
+        scope.bind(Clause::From, &self.from)?;
+        scope.check_all(Clause::Where, &self.where_)?;
+        self.select
+            .iter()
+            .try_for_each(|(label, p)| scope.check(Clause::Select(*label), p))
     }
 
     /// Renames every variable by adding `offset`; used when grafting plans
@@ -534,7 +502,13 @@ mod tests {
     fn validate_catches_unbound_where() {
         let mut q = chain2();
         q.equate(PathExpr::Var(Var(99)), PathExpr::from(0i64));
-        assert!(q.validate().is_err());
+        assert_eq!(
+            q.validate(),
+            Err(ScopeError::Unbound {
+                clause: Clause::Where,
+                var: Var(99)
+            })
+        );
     }
 
     #[test]
@@ -554,7 +528,13 @@ mod tests {
             range: Range::Name(sym("R")),
         });
         q.reserve_vars(o.0 + 1);
-        assert!(q.validate().is_err());
+        assert_eq!(
+            q.validate(),
+            Err(ScopeError::ForwardReference {
+                binding: sym("k"),
+                var: o
+            })
+        );
     }
 
     #[test]
@@ -566,7 +546,10 @@ mod tests {
             name: sym("x2"),
             range: Range::Name(sym("S")),
         });
-        assert!(q.validate().is_err());
+        assert_eq!(
+            q.validate(),
+            Err(ScopeError::Duplicate { binding: sym("x2") })
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::fxhash::FxHashMap;
 use std::fmt;
 
 use crate::constraint::{Constraint, Skeleton};
+use crate::query::Query;
 use crate::symbol::Symbol;
 use crate::types::Type;
 
@@ -161,6 +162,16 @@ impl Schema {
     /// True if `name` is declared in the physical layer.
     pub fn is_physical(&self, name: Symbol) -> bool {
         matches!(self.decl(name), Some(d) if d.layer == Layer::Physical)
+    }
+
+    /// The physical structures (indexes, views, ASRs) `q` ranges over: the
+    /// anchor of every binding anchored in the physical layer, one entry
+    /// per binding, in from-clause order.
+    pub fn physical_anchors<'a>(&'a self, q: &'a Query) -> impl Iterator<Item = Symbol> + 'a {
+        q.from
+            .iter()
+            .filter_map(|b| b.range.anchor())
+            .filter(|a| self.is_physical(*a))
     }
 
     /// True if `name` is declared in the logical layer.

@@ -150,7 +150,7 @@ pub fn value_type(v: &Value) -> Result<Type, TypeError> {
 
 /// Type-checks a query; returns the output struct type.
 pub fn check_query(schema: &Schema, q: &Query) -> Result<Type, TypeError> {
-    q.validate().map_err(TypeError)?;
+    q.validate().map_err(|e| TypeError(e.to_string()))?;
     let mut env = TypeEnv::new(schema);
     env.bind_all(&q.from)?;
     for eq in &q.where_ {
@@ -169,7 +169,8 @@ pub fn check_query(schema: &Schema, q: &Query) -> Result<Type, TypeError> {
 
 /// Type-checks a constraint (both parts share one environment).
 pub fn check_constraint(schema: &Schema, c: &Constraint) -> Result<(), TypeError> {
-    c.validate().map_err(TypeError)?;
+    c.validate()
+        .map_err(|e| TypeError(format!("constraint {}: {e}", c.name)))?;
     let mut env = TypeEnv::new(schema);
     env.bind_all(&c.universal)?;
     for eq in &c.premise {

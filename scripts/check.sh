@@ -126,6 +126,16 @@ for t in 1 4; do
     admission_decisions_are_a_pure_function_of_inputs
 done
 
+# Door tier: the four ill-formed requests (unbound select variable, unbound
+# where variable, duplicate binding, forward range reference) through
+# PlanServer::serve and serve_batch_under on EC4 and EC1, in the release
+# profile — where the optimizer's debug_assert! entry guards are compiled
+# out, so the check PlanServer::plan runs is the only thing between such a
+# request and a panic or a silently wrong cached answer. The debug profile
+# runs the same file as part of `cargo test -q` below.
+tier "serving door, release profile (ill-formed requests are refused typed)"
+cargo test --release -q -p cnb-engine --test door
+
 tier "CNB_THREADS=1 cargo test -q   (sequential backchase)"
 CNB_THREADS=1 cargo test -q
 

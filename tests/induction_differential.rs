@@ -1,9 +1,10 @@
 //! Differential suite for in-place (savepoint) subquery induction: on the
 //! EC1–EC3 universal plans, `induce_subquery_pure` — savepoint, restrict,
 //! rollback — must produce exactly the same induced query as the retired
-//! clone-per-candidate implementation (`induce_subquery_via_clone`, kept as
-//! the oracle) for **every** binding subset, and must leave the universal
-//! plan byte-identical between candidates. On the same subsets, the shared
+//! clone-per-candidate implementation (`induce_subquery` on a fresh clone of
+//! the database — the oracle, written out here) for **every** binding
+//! subset, and must leave the universal plan byte-identical between
+//! candidates. On the same subsets, the shared
 //! `Lattice`'s verdict (in-place induction, recycled scratch database) must
 //! equal the oracle pair's: clone-based induction, then
 //! `EquivChecker::equivalent` on a fresh database per candidate.
@@ -11,7 +12,7 @@
 use chase_too_far::core::backchase::Lattice;
 use chase_too_far::core::bitset::VarSet;
 use chase_too_far::core::prelude::*;
-use chase_too_far::core::subquery::induce_subquery_via_clone;
+use chase_too_far::core::subquery::induce_subquery;
 use chase_too_far::ir::prelude::*;
 use chase_too_far::workloads::{Ec1, Ec2, Ec3};
 
@@ -53,7 +54,7 @@ fn assert_inplace_matches_clone(tag: &str, q: &Query, constraints: &[Constraint]
                 .map(|(_, v)| *v),
         );
         let inplace = induce_subquery_pure(&mut udb, &keep, &q.select);
-        let cloned = induce_subquery_via_clone(&udb, &keep, &q.select);
+        let cloned = induce_subquery(&mut udb.clone(), &keep, &q.select);
         assert_eq!(
             inplace, cloned,
             "{tag}: induction diverged on subset {mask:#b}"
