@@ -57,6 +57,15 @@ impl OrderedDict {
         self.index.get(key).map(|&slot| &self.entries[slot].1)
     }
 
+    /// The stored key equal to `key` and its entry, if present — for callers
+    /// that keep the key and would otherwise have to own a copy.
+    pub fn get_key_value(&self, key: &Value) -> Option<(&Value, &Value)> {
+        self.index.get(key).map(|&slot| {
+            let (k, v) = &self.entries[slot];
+            (k, v)
+        })
+    }
+
     /// True if `key` has an entry.
     pub fn contains_key(&self, key: &Value) -> bool {
         self.index.contains_key(key)
@@ -274,6 +283,23 @@ mod tests {
         assert_eq!(keys2[2], &Value::Int(9));
         assert_eq!(d[&Value::Int(9)], Value::Int(0));
         assert_eq!(d.len(), 5);
+    }
+
+    #[test]
+    fn get_key_value_returns_the_stored_key() {
+        let mut d = OrderedDict::new();
+        let key = |a| Value::record([(sym("A"), Value::Int(a))]);
+        d.insert(key(1), Value::Int(10));
+        d.insert(key(2), Value::Int(20));
+        // Probed with an equal key built elsewhere; answered with the
+        // dictionary's own.
+        let probe = key(2);
+        let (k, v) = d.get_key_value(&probe).unwrap();
+        assert_eq!((k, v), (&probe, &Value::Int(20)));
+        assert!(!std::ptr::eq(k, &probe));
+        assert!(std::ptr::eq(k, d.keys().nth(1).unwrap()));
+        assert!(std::ptr::eq(v, d.get(&probe).unwrap()));
+        assert_eq!(d.get_key_value(&key(3)), None);
     }
 
     #[test]

@@ -16,11 +16,19 @@
 //! * `GenericJoin` — every binding of a flat relational join through one
 //!   multiway intersection ([`crate::wcoj`]).
 //!
-//! Each is followed by its residual equalities as filters. [`execute`]
-//! compiles to the first two under a greedy selectivity-aware ordering
-//! ([`crate::join`]) that plays the role of the host optimizer's join
-//! reordering (the paper fed its plans to DB2, which did the same);
-//! [`execute_wcoj`] compiles to a single `GenericJoin`.
+//! The first two check their residual equalities on each candidate before
+//! it joins the batch, and report them as the `filter` operators they stand
+//! for. [`execute`] compiles to the first two under a greedy
+//! selectivity-aware ordering ([`crate::join`]) that plays the role of the
+//! host optimizer's join reordering (the paper fed its plans to DB2, which
+//! did the same); [`execute_wcoj`] compiles to a single `GenericJoin`.
+//!
+//! **Ownership.** The pipeline owns no values until it projects. Batches
+//! hold `&Value`s into the [`Database`] and the plan ([`crate::batch`]
+//! states the rule); `run` declares the operators, their indexes and one
+//! `Home` per operator *before* the batch, so everything a column can point
+//! at outlives it; and the projection's `into_owned()` — once per output
+//! field — is the only place a run clones a value it did not build.
 //!
 //! **Determinism.** Output row order is a pure function of
 //! `(database, plan)`: batches are walked front to back, hash-join buckets
@@ -50,12 +58,10 @@ use cnb_core::cost::CostModel;
 use cnb_core::fxhash::FxHashMap;
 use cnb_ir::prelude::*;
 
-use crate::batch::{eval_path_at, slot_map, Batch};
+use crate::batch::{eval_path_at, Batch, Home, Path};
 use crate::database::Database;
 use crate::error::ExecError;
-use crate::join::{
-    apply_access, apply_dict_join, apply_filters, greedy_order, plan, Access, JoinIndexes, Op,
-};
+use crate::join::{apply_access, apply_dict_join, greedy_order, plan, Access, JoinIndexes, Op};
 use crate::wcoj::{self, apply_generic_join};
 
 /// One operator's observed cardinalities — the raw material of the
@@ -226,39 +232,42 @@ fn run(
     reject_unbound_params(q)?;
     let ops = compile(db, q)?;
     let indexes = JoinIndexes::build(db, ops.iter().filter_map(Op::step))?;
-    let slots = slot_map(q);
 
     let mut stats = ExecStats {
         order: ops.iter().flat_map(Op::bindings).collect(),
         ..ExecStats::default()
     };
+    // Declared before the batch: what an operator's evaluation owns and its
+    // output borrows lives here (see `crate::batch`).
+    let homes: Vec<Home> = ops.iter().map(|_| Home::new()).collect();
     let mut batch = Batch::unit(q.from.len());
-    for op in &ops {
-        let (bound, filters): (_, &[Equality]) = match op {
-            Op::Bind(step) => (
-                apply_access(db, q, &slots, &indexes, step, &batch, &mut stats)?,
-                &step.filters,
-            ),
-            Op::DictJoin(dj) => (
-                apply_dict_join(db, &slots, dj, &batch, &mut stats)?,
-                &dj.filters,
-            ),
-            Op::GenericJoin(gj) => (apply_generic_join(db, gj, &mut stats)?, &[]),
+    for (op, home) in ops.iter().zip(&homes) {
+        batch = match op {
+            Op::Bind(step) => apply_access(db, q, &indexes, step, home, &batch, &mut stats)?,
+            Op::DictJoin(dj) => apply_dict_join(db, q, dj, &batch, &mut stats)?,
+            Op::GenericJoin(gj) => apply_generic_join(db, gj, &mut stats)?,
         };
-        batch = apply_filters(db, &slots, filters, bound, &mut stats)?;
     }
 
-    // Projection: rows with any undefined output path are skipped.
+    // Projection — the one place a run takes ownership of values. Rows with
+    // any undefined output path are skipped. `fields` is reused: draining
+    // it (an exact-size source) allocates each row's record once.
+    let select: Vec<(Symbol, Path)> = q
+        .select
+        .iter()
+        .map(|(label, p)| (*label, Path::resolve(db, q, &[], p)))
+        .collect();
     let mut rows = Vec::with_capacity(batch.len());
+    let mut fields: Vec<(Symbol, Value)> = Vec::with_capacity(select.len());
     'row: for r in 0..batch.len() {
-        let mut fields = Vec::with_capacity(q.select.len());
-        for (label, p) in &q.select {
-            match eval_path_at(db, &batch, &slots, r, p) {
-                Some(v) => fields.push((*label, v)),
+        fields.clear();
+        for (label, p) in &select {
+            match eval_path_at(&batch, r, &[], p) {
+                Some(v) => fields.push((*label, v.into_owned())),
                 None => continue 'row,
             }
         }
-        rows.push(Value::record(fields));
+        rows.push(Value::record(fields.drain(..)));
     }
     stats.rows_out = rows.len();
     stats.elapsed = start.elapsed();

@@ -29,7 +29,13 @@
 //!
 //! Execution is batch-at-a-time: each operator takes the current
 //! [`Batch`], walks it front to back, and emits a selection vector plus the
-//! new binding's column(s). Hash-join build tables and the per-request
+//! new binding's column(s) — pointers to the rows, keys and set elements
+//! the database stores, never copies. A candidate is checked against the
+//! operator's residual equalities while it is still `(input row, candidate
+//! value)`, so only survivors are gathered, once; the stats keep one
+//! `filter` entry per equality with the counts a cascade of separate filter
+//! operators would report. Key, probe and filter paths are resolved once
+//! per operator ([`Path`]). Hash-join build tables and the per-request
 //! [`PairIndex`] of a `dict_join` are keyed by [`cnb_core::fxhash`] and
 //! their buckets keep build-side rows in first-insertion (table, or
 //! dictionary-then-set) order, so probe output order is a pure function of
@@ -39,7 +45,7 @@
 use cnb_core::fxhash::FxHashMap;
 use cnb_ir::prelude::*;
 
-use crate::batch::{eval_path_at, Batch};
+use crate::batch::{eval_path_at, homed, Batch, Home, Path};
 use crate::database::{Database, OrderedDict};
 use crate::error::ExecError;
 use crate::eval::{ExecStats, OpStats};
@@ -559,38 +565,107 @@ impl DictJoin {
 /// vs 73 µs. Both sides scale with the pair count, so the cut does not.
 const DICT_JOIN_STREAM_ROWS: usize = 4;
 
+/// What an access operator emits into. Each candidate — an input row plus
+/// one value per slot being bound — is checked against the operator's
+/// residual equalities *before* it enters the selection vector, so the
+/// operator gathers once however many filters follow it. The per-filter
+/// counts are the cascade's: filter `i` reads what filters `..i` passed.
+struct Sink<'a> {
+    filters: Vec<(Path<'a>, Path<'a>)>,
+    /// Per filter: candidates that reached it, candidates that passed it.
+    counts: Vec<(usize, usize)>,
+    /// Candidates offered, i.e. the access path's output before filtering.
+    considered: usize,
+    sel: Vec<u32>,
+    /// The slots being bound, each with its column.
+    cols: Vec<(usize, Vec<&'a Value>)>,
+}
+
+impl<'a> Sink<'a> {
+    fn new(db: &'a Database, q: &Query, binding: &[usize], filters: &'a [Equality]) -> Sink<'a> {
+        let resolve = |p| Path::resolve(db, q, binding, p);
+        Sink {
+            filters: filters
+                .iter()
+                .map(|eq| (resolve(&eq.lhs), resolve(&eq.rhs)))
+                .collect(),
+            counts: vec![(0, 0); filters.len()],
+            considered: 0,
+            sel: Vec::new(),
+            cols: binding.iter().map(|&slot| (slot, Vec::new())).collect(),
+        }
+    }
+
+    /// Offers the candidate `cand` (one value per slot being bound) for
+    /// input row `r`; it is kept if every filter holds on it.
+    fn offer(&mut self, batch: &Batch<'a>, r: usize, cand: &[&'a Value]) {
+        self.considered += 1;
+        for ((lhs, rhs), (reached, passed)) in self.filters.iter().zip(&mut self.counts) {
+            *reached += 1;
+            // Both sides defined and equal, or the candidate is dropped.
+            match (
+                eval_path_at(batch, r, cand, lhs),
+                eval_path_at(batch, r, cand, rhs),
+            ) {
+                (Some(a), Some(b)) if a == b => *passed += 1,
+                _ => return,
+            }
+        }
+        self.sel.push(r as u32);
+        for ((_, col), v) in self.cols.iter_mut().zip(cand) {
+            col.push(v);
+        }
+    }
+
+    /// Records the access operator and one `filter` per equality, then
+    /// gathers the kept rows once.
+    fn finish(self, batch: &Batch<'a>, access: OpStats, stats: &mut ExecStats) -> Batch<'a> {
+        stats.tuples_considered += self.considered;
+        stats.operators.push(access);
+        for (input_rows, output_rows) in self.counts {
+            stats.operators.push(OpStats {
+                op: "filter",
+                collection: None,
+                collection_rows: 0,
+                pairs: 0,
+                input_rows,
+                output_rows,
+            });
+        }
+        let kept = batch.gather(&self.sel);
+        self.cols
+            .into_iter()
+            .fold(kept, |b, (slot, col)| b.with_col(slot, col))
+    }
+}
+
 /// Executes a fused index pair: per input row, the `(key, element)` pairs
 /// whose element satisfies the equality, in dictionary-then-set order —
 /// the rows and the order `dom_scan`, `path_set` and the equality's
-/// `filter` produce, without materialising input × pairs in between.
-pub(crate) fn apply_dict_join(
-    db: &Database,
-    slots: &FxHashMap<Var, usize>,
-    dj: &DictJoin,
-    batch: &Batch,
+/// `filter` produce, without materialising input × pairs in between. Keys
+/// and elements are bound where the dictionary stores them.
+pub(crate) fn apply_dict_join<'a>(
+    db: &'a Database,
+    q: &Query,
+    dj: &'a DictJoin,
+    batch: &Batch<'a>,
     stats: &mut ExecStats,
-) -> Result<Batch, ExecError> {
+) -> Result<Batch<'a>, ExecError> {
     check_row_ids("batch", batch.len(), ROW_ID_LIMIT)?;
-    let mut sel: Vec<u32> = Vec::new();
-    let mut keys: Vec<Value> = Vec::new();
-    let mut elems: Vec<Value> = Vec::new();
-    let mut emit = |r: usize, (k, t): (&Value, &Value)| {
-        sel.push(r as u32);
-        keys.push(k.clone());
-        elems.push(t.clone());
-    };
+    let mut sink = Sink::new(db, q, &[dj.key_idx, dj.elem_idx], &dj.filters);
     let dict = db.dict(dj.dict);
     let mut pairs = 0usize;
     if let Some(d) = dict {
-        let probe = |r| eval_path_at(db, batch, slots, r, &dj.probe);
+        let probe = Path::resolve(db, q, &[], &dj.probe);
+        let probe = |r| eval_path_at(batch, r, &[], &probe);
         if batch.len() <= DICT_JOIN_STREAM_ROWS {
             for r in 0..batch.len() {
                 let want = probe(r);
                 pairs = 0;
-                for pair in set_pairs(d, &dj.fields) {
+                for (k, t) in set_pairs(d, &dj.fields) {
                     pairs += 1;
-                    if want.is_some() && dj.compared(pair.1) == want.as_ref() {
-                        emit(r, pair);
+                    if want.is_some() && dj.compared(t) == want.as_deref() {
+                        sink.offer(batch, r, &[k, t]);
                     }
                 }
             }
@@ -599,59 +674,59 @@ pub(crate) fn apply_dict_join(
             pairs = index.total;
             for r in 0..batch.len() {
                 if let Some(want) = probe(r) {
-                    index.matches(&want).for_each(|pair| emit(r, pair));
+                    for (k, t) in index.matches(&want) {
+                        sink.offer(batch, r, &[k, t]);
+                    }
                 }
             }
         }
     }
-    stats.tuples_considered += sel.len();
-    stats.operators.push(OpStats {
+    let access = OpStats {
         op: "dict_join",
         collection: Some(dj.dict),
         collection_rows: dict.map_or(0, |d| d.len()),
         pairs,
         input_rows: batch.len(),
-        output_rows: sel.len(),
-    });
-    Ok(batch
-        .gather_with(&sel, dj.key_idx, keys)
-        .with_col(dj.elem_idx, elems))
+        output_rows: sink.considered,
+    };
+    Ok(sink.finish(batch, access, stats))
 }
 
-/// Applies one access operator to `batch`, producing the next batch and
-/// recording the operator's observed cardinalities.
-pub(crate) fn apply_access(
-    db: &Database,
+/// Applies one access operator and its residual filters to `batch`,
+/// producing the next batch and recording the observed cardinalities. The
+/// new column points at the rows, keys and set elements the database holds;
+/// `home` takes the sets a `MkStruct`-headed range builds.
+pub(crate) fn apply_access<'a>(
+    db: &'a Database,
     q: &Query,
-    slots: &FxHashMap<Var, usize>,
     indexes: &JoinIndexes,
-    step: &Step,
-    batch: &Batch,
+    step: &'a Step,
+    home: &'a Home,
+    batch: &Batch<'a>,
     stats: &mut ExecStats,
-) -> Result<Batch, ExecError> {
+) -> Result<Batch<'a>, ExecError> {
     let slot = step.binding_idx;
     let mut collection = q.from[slot].range.anchor();
     check_row_ids("batch", batch.len(), ROW_ID_LIMIT)?;
-    let mut sel: Vec<u32> = Vec::new();
-    let mut vals: Vec<Value> = Vec::new();
+    let mut sink = Sink::new(db, q, &[slot], &step.filters);
+    let key_path = |key| Path::resolve(db, q, &[], key);
     let (op, collection_rows) = match &step.access {
         Access::Scan(t) => {
             let rows = db.table(*t);
             for r in 0..batch.len() {
                 for row in rows {
-                    sel.push(r as u32);
-                    vals.push(row.clone());
+                    sink.offer(batch, r, &[row]);
                 }
             }
             ("scan", rows.len())
         }
         Access::HashJoin { table, attr, key } => {
             let rows = db.table(*table);
+            let key = key_path(key);
             for r in 0..batch.len() {
-                if let Some(k) = eval_path_at(db, batch, slots, r, key) {
+                if let Some(k) = eval_path_at(batch, r, &[], &key) {
                     for &i in indexes.bucket(*table, *attr, &k) {
-                        sel.push(r as u32);
-                        vals.push(rows[i as usize].clone());
+                        sink.offer(batch, r, &[&rows[i as usize]]);
                     }
                 }
             }
@@ -662,8 +737,7 @@ pub(crate) fn apply_access(
             if let Some(d) = db.dict(*m) {
                 for r in 0..batch.len() {
                     for k in d.keys() {
-                        sel.push(r as u32);
-                        vals.push(k.clone());
+                        sink.offer(batch, r, &[k]);
                     }
                 }
             }
@@ -672,23 +746,25 @@ pub(crate) fn apply_access(
         Access::DomProbe(m, key) => {
             let card = db.dict(*m).map_or(0, |d| d.len());
             if let Some(d) = db.dict(*m) {
+                let key = key_path(key);
                 for r in 0..batch.len() {
-                    if let Some(k) = eval_path_at(db, batch, slots, r, key) {
-                        if d.contains_key(&k) {
-                            sel.push(r as u32);
-                            vals.push(k);
-                        }
+                    // The binding is the key the dictionary stores — equal
+                    // to the computed one, and already owned.
+                    let stored =
+                        eval_path_at(batch, r, &[], &key).and_then(|k| d.get_key_value(&k));
+                    if let Some((k, _)) = stored {
+                        sink.offer(batch, r, &[k]);
                     }
                 }
             }
             ("dom_probe", card)
         }
         Access::PathSet(p) => {
-            for r in 0..batch.len() {
-                if let Some(Value::Set(items)) = eval_path_at(db, batch, slots, r, p) {
+            let sets = homed(batch, &key_path(p), home);
+            for (r, set) in sets.into_iter().enumerate() {
+                if let Some(Value::Set(items)) = set {
                     for v in items.iter() {
-                        sel.push(r as u32);
-                        vals.push(v.clone());
+                        sink.offer(batch, r, &[v]);
                     }
                 }
             }
@@ -705,53 +781,15 @@ pub(crate) fn apply_access(
             }
         }
     };
-    stats.tuples_considered += sel.len();
-    stats.operators.push(OpStats {
+    let access = OpStats {
         op,
         collection,
         collection_rows,
         pairs: 0,
         input_rows: batch.len(),
-        output_rows: sel.len(),
-    });
-    Ok(batch.gather_with(&sel, slot, vals))
-}
-
-/// Applies an operator's residual filters, one `filter` per equality,
-/// keeping rows where both sides are defined and equal.
-pub(crate) fn apply_filters(
-    db: &Database,
-    slots: &FxHashMap<Var, usize>,
-    filters: &[Equality],
-    mut batch: Batch,
-    stats: &mut ExecStats,
-) -> Result<Batch, ExecError> {
-    for eq in filters {
-        check_row_ids("batch", batch.len(), ROW_ID_LIMIT)?;
-        let mut keep: Vec<u32> = Vec::new();
-        for r in 0..batch.len() {
-            let pass = match (
-                eval_path_at(db, &batch, slots, r, &eq.lhs),
-                eval_path_at(db, &batch, slots, r, &eq.rhs),
-            ) {
-                (Some(a), Some(b)) => a == b,
-                _ => false,
-            };
-            if pass {
-                keep.push(r as u32);
-            }
-        }
-        stats.operators.push(OpStats {
-            op: "filter",
-            collection: None,
-            collection_rows: 0,
-            pairs: 0,
-            input_rows: batch.len(),
-            output_rows: keep.len(),
-        });
-        batch = batch.gather(&keep);
-    }
-    Ok(batch)
+        output_rows: sink.considered,
+    };
+    Ok(sink.finish(batch, access, stats))
 }
 
 #[cfg(test)]
@@ -847,6 +885,147 @@ mod tests {
         other.equate(PathExpr::from(t).dot("K"), PathExpr::from(1i64));
         other.output("t", PathExpr::from(t));
         assert!(fused(&db, &other).is_none());
+    }
+
+    /// Threads the unit batch through `q`'s operators, as `eval::run` does,
+    /// and hands the final batch to `check`. `ran` names what must have run.
+    fn with_final_batch(db: &Database, q: &Query, ran: &[&str], check: impl FnOnce(&Batch)) {
+        let ops = plan(db, q).unwrap();
+        let indexes = JoinIndexes::build(db, ops.iter().filter_map(Op::step)).unwrap();
+        let homes: Vec<Home> = ops.iter().map(|_| Home::new()).collect();
+        let mut stats = ExecStats::default();
+        let mut batch = Batch::unit(q.from.len());
+        for (op, home) in ops.iter().zip(&homes) {
+            batch = match op {
+                Op::Bind(step) => apply_access(db, q, &indexes, step, home, &batch, &mut stats),
+                Op::DictJoin(dj) => apply_dict_join(db, q, dj, &batch, &mut stats),
+                Op::GenericJoin(_) => unreachable!("`plan` emits binary operators"),
+            }
+            .unwrap();
+        }
+        let names: Vec<&str> = stats.operators.iter().map(|o| o.op).collect();
+        assert_eq!(names, ran);
+        check(&batch)
+    }
+
+    /// True if column `slot` holds exactly these values — the same
+    /// allocations, not equal copies.
+    fn points_at<'v>(
+        batch: &Batch,
+        slot: usize,
+        want: impl IntoIterator<Item = &'v Value>,
+    ) -> bool {
+        let want: Vec<*const Value> = want.into_iter().map(std::ptr::from_ref).collect();
+        let got: Vec<*const Value> = batch.col(slot).unwrap().iter().map(|v| *v as _).collect();
+        got == want
+    }
+
+    // What borrowing is for, one test per access path: the column an
+    // operator binds points into the database.
+
+    #[test]
+    fn scan_binds_the_table_rows() {
+        let db = pair_db();
+        let mut q = Query::new();
+        let r = q.bind("r", Range::Name(sym("R")));
+        q.output("A", PathExpr::from(r).dot("A"));
+        with_final_batch(&db, &q, &["scan"], |b| {
+            assert!(points_at(b, 0, db.table(sym("R"))))
+        });
+    }
+
+    #[test]
+    fn hash_join_binds_the_build_rows() {
+        let db = pair_db();
+        let mut q = Query::new();
+        let r = q.bind("r", Range::Name(sym("R")));
+        let s = q.bind("s", Range::Name(sym("R")));
+        q.equate(PathExpr::from(r).dot("A"), PathExpr::from(s).dot("A"));
+        q.equate(PathExpr::from(s), PathExpr::Const(int_row(&[("A", 2)])));
+        q.output("A", PathExpr::from(s).dot("A"));
+        // The constant filters the joined rows before they are gathered;
+        // both columns still point at the one surviving table row.
+        let row = &db.table(sym("R"))[1];
+        with_final_batch(&db, &q, &["scan", "hash_join", "filter"], |b| {
+            assert!(points_at(b, 0, [row]) && points_at(b, 1, [row]));
+        });
+    }
+
+    #[test]
+    fn dom_scan_binds_the_stored_keys() {
+        let db = pair_db();
+        let mut q = Query::new();
+        let k = q.bind("k", Range::Dom(sym("SI")));
+        q.output("k", PathExpr::from(k));
+        let dict = db.dict(sym("SI")).unwrap();
+        with_final_batch(&db, &q, &["dom_scan"], |b| {
+            assert!(points_at(b, 0, dict.keys()))
+        });
+    }
+
+    #[test]
+    fn dom_probe_binds_the_stored_key_not_the_computed_one() {
+        let mut db = pair_db();
+        // As many keys as R has rows, so the greedy order scans R first.
+        for a in [2, 1, 7] {
+            db.set_entry(sym("I"), int_row(&[("A", a)]), Value::Int(a));
+        }
+        // from R r, dom I k where k = struct(A = r.A): R.A = 3 has no key.
+        let mut q = Query::new();
+        let r = q.bind("r", Range::Name(sym("R")));
+        let k = q.bind("k", Range::Dom(sym("I")));
+        let built = PathExpr::MkStruct(vec![(sym("A"), PathExpr::from(r).dot("A"))]);
+        q.equate(PathExpr::from(k), built);
+        q.output("k", PathExpr::from(k));
+        let keys: Vec<&Value> = db.dict(sym("I")).unwrap().keys().collect();
+        with_final_batch(&db, &q, &["scan", "dom_probe"], |b| {
+            assert!(points_at(b, 1, [keys[1], keys[0]]))
+        });
+    }
+
+    #[test]
+    fn set_path_binds_the_set_elements() {
+        let db = pair_db();
+        let q = pair_query(|_, _| vec![]);
+        let dict = db.dict(sym("SI")).unwrap();
+        let elems = dict.iter().flat_map(|(_, set)| set.elements().unwrap());
+        with_final_batch(&db, &q, &["dom_scan", "path_set"], |b| {
+            assert!(points_at(b, 1, elems))
+        });
+    }
+
+    #[test]
+    fn dict_join_binds_the_stored_keys_and_elements() {
+        // Two input rows stream the pairs; six build the index. `SI` gets
+        // six keys so that the greedy order scans R first either way.
+        for copies in [1, 3] {
+            let mut db = Database::new();
+            for a in [1, 2].repeat(copies) {
+                db.insert_row(sym("R"), int_row(&[("A", a)]));
+            }
+            for (key, ks) in [(10, vec![1, 2]), (20, vec![1])] {
+                let elems = ks.iter().map(|&k| int_row(&[("K", k), ("V", key)]));
+                db.set_entry(sym("SI"), Value::Int(key), Value::set(elems));
+            }
+            for key in [30, 40, 50, 60] {
+                db.set_entry(sym("SI"), Value::Int(key), Value::set([]));
+            }
+            let mut q = Query::new();
+            let r = q.bind("r", Range::Name(sym("R")));
+            let k = q.bind("k", Range::Dom(sym("SI")));
+            let t = q.bind("t", Range::Expr(PathExpr::from(k).lookup_in("SI")));
+            q.equate(PathExpr::from(t).dot("K"), PathExpr::from(r).dot("A"));
+            q.output("V", PathExpr::from(t).dot("V"));
+            let pairs: Vec<(&Value, &Value)> =
+                set_pairs(db.dict(sym("SI")).unwrap(), &[]).collect();
+            // A = 1 matches (10, K1) and (20, K1), A = 2 matches (10, K2).
+            let once = [pairs[0], pairs[2], pairs[1]];
+            let want = || std::iter::repeat_n(once, copies).flatten();
+            with_final_batch(&db, &q, &["scan", "dict_join"], |b| {
+                assert!(points_at(b, 1, want().map(|(k, _)| k)));
+                assert!(points_at(b, 2, want().map(|(_, t)| t)));
+            });
+        }
     }
 
     /// ROADMAP 5b: the row-id conversions are typed errors, and `serve`

@@ -360,18 +360,18 @@ fn equal_range(idx: &BindingIndex, range: (usize, usize), pos: usize, v: &Value)
 
 /// One run of the operator: the plan and its indexes, read-only, and what
 /// the intersection accumulates.
-struct Solver<'a> {
-    classes: &'a [Class],
-    tables: &'a [&'a [Value]],
-    indexes: &'a [BindingIndex],
+struct Solver<'s, 'a> {
+    classes: &'s [Class],
+    tables: &'s [&'a [Value]],
+    indexes: &'s [BindingIndex],
     /// Per class: (lead values tried, values surviving every participant).
     class_stats: Vec<(usize, usize)>,
     tuples_considered: usize,
-    /// The emitted batch, one column per binding.
-    cols: Vec<Vec<Value>>,
+    /// The emitted batch, one column per binding, pointing at table rows.
+    cols: Vec<Vec<&'a Value>>,
 }
 
-impl Solver<'_> {
+impl Solver<'_, '_> {
     /// Narrows `ranges` to the rows whose key for `class` is `v`, probing
     /// every participant except `skip`. `None` as soon as one has no match.
     fn narrow(
@@ -446,7 +446,7 @@ impl Solver<'_> {
         if b == ranges.len() {
             self.tuples_considered += 1;
             for ((col, table), &i) in self.cols.iter_mut().zip(self.tables).zip(&*picked) {
-                col.push(table[i as usize].clone());
+                col.push(&table[i as usize]);
             }
             return;
         }
@@ -461,11 +461,11 @@ impl Solver<'_> {
 /// Executes the generic join: builds every binding's sorted index, runs the
 /// class-at-a-time intersection and returns the surviving combinations as
 /// a batch. It binds every slot, so there is no input batch to extend.
-pub(crate) fn apply_generic_join(
-    db: &Database,
+pub(crate) fn apply_generic_join<'a>(
+    db: &'a Database,
     gj: &GenericJoin,
     stats: &mut ExecStats,
-) -> Result<Batch, ExecError> {
+) -> Result<Batch<'a>, ExecError> {
     if gj.unsatisfiable {
         return Ok(Batch::from_columns(vec![Vec::new(); gj.width()]));
     }
@@ -586,6 +586,25 @@ mod tests {
         // Each triangle appears 3 times (once per rotation).
         assert_eq!(wcoj.rows.len(), 6);
         assert_eq!(sorted(wcoj.rows), sorted(binary.rows));
+    }
+
+    /// The operator's columns point at the table rows: nothing is cloned on
+    /// the way into the batch.
+    #[test]
+    fn generic_join_binds_the_table_rows() {
+        let mut db = Database::new();
+        edges(&mut db, "E", &[(1, 2), (2, 3), (3, 1), (1, 9)]);
+        let gj = plan(&triangle_query("E")).unwrap();
+        let batch = apply_generic_join(&db, &gj, &mut ExecStats::default()).unwrap();
+        let e = db.table(sym("E"));
+        // Three rotations of the one triangle, e1.S ascending.
+        for (slot, rows) in [[0, 1, 2], [1, 2, 0], [2, 0, 1]].iter().enumerate() {
+            let col = batch.col(slot).unwrap();
+            assert_eq!(col.len(), 3);
+            for (got, &i) in col.iter().zip(rows) {
+                assert!(std::ptr::eq(*got, &e[i]), "slot {slot}");
+            }
+        }
     }
 
     #[test]

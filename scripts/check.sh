@@ -65,10 +65,12 @@ fi
 # bottom_up_agrees_with_top_down_on_the_suite rides in the same tier: the
 # two backchase traversals share one Lattice, so they must emit the same
 # minimal plans on EC1-EC5. The fused operator's own oracle suite
-# (dict_join vs the nested loop) runs once, ahead of the sweep: it drives
-# the engine only — no optimizer, no pool — and never reads CNB_THREADS.
-tier "dict_join differential (engine only, thread-independent)"
-cargo test -q -p cnb-engine --test dict_join_differential
+# (dict_join vs the nested loop) runs once, ahead of the sweep, and with it
+# the suite for the values the borrowing engine has to own (sets, probe
+# keys and filter sides built by a struct(…) path): both drive the engine
+# only — no optimizer, no pool — and never read CNB_THREADS.
+tier "dict_join + owned-paths differentials (engine only, thread-independent)"
+cargo test -q -p cnb-engine --test dict_join_differential --test owned_paths_differential
 for t in 1 4; do
   tier "CNB_THREADS=$t EC4/EC5 golden + differential suites"
   CNB_THREADS=$t cargo test -q -p cnb-workloads --test ec4_star --test ec5_cyclic --test workload_suite
