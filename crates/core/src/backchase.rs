@@ -50,9 +50,13 @@
 //!
 //! The hot loop allocates no databases: a lattice induces in place on its
 //! universal plan (rolled back after every candidate) and rebuilds its one
-//! scratch database per check ([`EquivChecker::equivalent_into`]). Per run
+//! scratch database per check (`CompiledChecker::equivalent_into`). Per run
 //! that is zero clones sequentially and one per worker in parallel
-//! (`Lattice::worker`) — `tests/clone_audit.rs` pins this.
+//! (`Lattice::worker`) — `tests/clone_audit.rs` pins this. Nor does it
+//! rebuild what is the same for every candidate: the constraints and the
+//! original query are compiled for homomorphism search once per lattice, and
+//! the search, chase and closure buffers are recycled from candidate to
+//! candidate — `tests/alloc_audit.rs` pins the allocations that are left.
 //!
 //! The wall-clock budget is checked cooperatively: [`Lattice::verdict`]
 //! re-checks the deadline before every candidate, and a timed-out run still
@@ -66,8 +70,8 @@ use cnb_ir::prelude::{Constraint, Query, Var};
 
 use crate::bitset::VarSet;
 use crate::canon::CanonDb;
-use crate::chase::{chase, ChaseConfig, ChaseStats};
-use crate::equivalence::{same_plan, EquivChecker};
+use crate::chase::{ChaseConfig, ChaseStats};
+use crate::equivalence::{contain_each_other, same_arity, CompiledChecker, EquivChecker};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::parallel;
 use crate::subquery::{all_bindings, induce_subquery_pure};
@@ -137,6 +141,12 @@ pub struct BackchaseResult {
     pub backchase_time: Duration,
     /// True if the time budget expired before the search finished.
     pub timed_out: bool,
+    /// Equivalence checks whose implication chase hit
+    /// [`ChaseConfig::max_steps`] or [`ChaseConfig::max_rounds`]: their
+    /// verdict was taken from an unfinished chase, so a `false` among them
+    /// may be a plan that went missing. 0 on every run that chased to a
+    /// fixpoint.
+    pub truncated_checks: usize,
 }
 
 /// The binding-subset lattice of one chased universal plan: what a search
@@ -146,7 +156,9 @@ pub struct BackchaseResult {
 /// savepoint/rollback pair — so between calls it always holds the exact
 /// chased state, and a verdict is a pure function of the subset.
 pub struct Lattice<'a> {
-    checker: EquivChecker<'a>,
+    /// The equivalence check, compiled once: every candidate is chased with
+    /// the same constraint bodies and searched with the same `q0` body.
+    checker: CompiledChecker<'a>,
     udb: CanonDb,
     /// Recycled candidate database for equivalence checks.
     scratch: CanonDb,
@@ -154,6 +166,8 @@ pub struct Lattice<'a> {
     deadline: Option<Instant>,
     chase_stats: ChaseStats,
     chase_time: Duration,
+    /// Checks so far whose implication chase was cut short.
+    truncated_checks: usize,
 }
 
 impl<'a> Lattice<'a> {
@@ -163,16 +177,18 @@ impl<'a> Lattice<'a> {
     pub fn chase(q0: &'a Query, constraints: &'a [Constraint], cfg: &BackchaseConfig) -> Self {
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now(); // cnb-lint: allow(wall-clock)
+        let mut checker = EquivChecker::new(q0, constraints, cfg.chase).compile();
         let mut udb = CanonDb::new(q0);
-        let chase_stats = chase(&mut udb, constraints, cfg.chase);
+        let chase_stats = checker.chaser.chase(&mut udb);
         Lattice {
-            checker: EquivChecker::new(q0, constraints, cfg.chase),
+            checker,
             udb,
             scratch: CanonDb::empty(),
             start,
             deadline: cfg.timeout.map(|t| start + t),
             chase_stats,
             chase_time: start.elapsed(),
+            truncated_checks: 0,
         }
     }
 
@@ -184,12 +200,14 @@ impl<'a> Lattice<'a> {
     /// The subquery of the universal plan induced by `keep`, or `None` when
     /// the original output is not recoverable from those bindings.
     pub fn induce(&mut self, keep: &VarSet) -> Option<Query> {
-        induce_subquery_pure(&mut self.udb, keep, &self.checker.q0.select)
+        induce_subquery_pure(&mut self.udb, keep, &self.checker.spec.q0.select)
     }
 
     /// Is `cand` equivalent to the original query under the constraints?
     pub fn equivalent(&mut self, cand: &Query) -> bool {
-        self.checker.equivalent_into(&mut self.scratch, cand).0
+        let (verdict, stats) = self.checker.equivalent_into(&mut self.scratch, cand);
+        self.truncated_checks += usize::from(stats.chase.truncated);
+        verdict
     }
 
     /// Is the subquery induced by `keep` equivalent to the original query?
@@ -214,8 +232,10 @@ impl<'a> Lattice<'a> {
     /// universal plan a run makes (one per worker, never per candidate).
     fn worker(&self) -> Lattice<'a> {
         Lattice {
+            checker: self.checker.spec.compile(),
             udb: self.udb.clone(),
             scratch: CanonDb::empty(),
+            truncated_checks: 0,
             ..*self
         }
     }
@@ -229,6 +249,7 @@ impl<'a> Lattice<'a> {
             chase_stats: self.chase_stats,
             chase_time: self.chase_time,
             backchase_time: self.start.elapsed() - self.chase_time,
+            truncated_checks: self.truncated_checks,
             ..result
         }
     }
@@ -258,13 +279,16 @@ impl PlanSink {
     }
 
     /// Adds a plan unless it is already there. Fast syntactic dedup first;
-    /// semantic dedup catches plans whose from-clauses list the same
-    /// bindings in other orders.
-    pub(crate) fn emit(&mut self, bindings: VarSet, query: Query) {
-        if !self.full()
-            && self.keys.insert(query.canonical_key())
-            && !self.plans.iter().any(|p| same_plan(&p.query, &query))
-        {
+    /// semantic dedup ([`crate::equivalence::same_plan`]) catches plans whose
+    /// from-clauses list the same bindings in other orders. A plan that got
+    /// past the key set has a key no stored plan has, so what is left of the
+    /// semantic check is the containments — run on `lattice`'s scratch.
+    pub(crate) fn emit(&mut self, lattice: &mut Lattice<'_>, bindings: VarSet, query: Query) {
+        let same = |p: &Plan| {
+            same_arity(&p.query, &query)
+                && contain_each_other(&mut lattice.scratch, &p.query, &query)
+        };
+        if !self.full() && self.keys.insert(query.canonical_key()) && !self.plans.iter().any(same) {
             self.plans.push(Plan { bindings, query });
         }
     }
@@ -373,6 +397,7 @@ impl Search<'_, '_> {
                 self.record(s, v);
             }
         }
+        self.lattice.truncated_checks += workers.iter().map(|w| w.truncated_checks).sum::<usize>();
     }
 
     /// Depth-first from `s`, which is known equivalent: expand its children
@@ -408,7 +433,7 @@ impl Search<'_, '_> {
         }
         if minimal && decided && !self.sink.full() {
             if let Some(q) = self.lattice.induce(s) {
-                self.sink.emit(s.clone(), q);
+                self.sink.emit(self.lattice, s.clone(), q);
             }
         }
     }
@@ -692,6 +717,35 @@ mod tests {
                 );
                 assert!(!par.timed_out);
             }
+        }
+    }
+
+    /// An implication chase that hits its step cap yields a verdict from an
+    /// unfinished chase; the run says how many there were. Counting them
+    /// changes nothing else: `explored` and the plans are what the capped
+    /// search found before the counter existed, at any thread count.
+    #[test]
+    fn truncated_checks_are_counted() {
+        let (schema, q) = indexed_chain(3);
+        let cs = schema.all_constraints();
+        let full = chase_and_backchase(&q, &cs, &cfg_with_threads(1));
+        assert_eq!((full.truncated_checks, full.explored), (0, 53));
+        for threads in [1, 4] {
+            let capped = BackchaseConfig {
+                chase: ChaseConfig {
+                    max_steps: 1,
+                    ..ChaseConfig::default()
+                },
+                ..cfg_with_threads(threads)
+            };
+            let res = chase_and_backchase(&q, &cs, &capped);
+            assert!(res.chase_stats.truncated, "threads={threads}");
+            assert_eq!(
+                (res.explored, res.plans.len(), res.universal_arity),
+                (9, 2, 4),
+                "threads={threads}"
+            );
+            assert_eq!(res.truncated_checks, 8, "threads={threads}");
         }
     }
 

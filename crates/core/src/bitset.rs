@@ -7,10 +7,19 @@
 use cnb_ir::prelude::Var;
 use std::fmt;
 
-/// A growable bitset over [`Var`] ids.
+/// A growable bitset over [`Var`] ids. Ids below 64 live inline; larger ones
+/// in a spill vector that stays empty (and unallocated) for every query this
+/// workspace optimizes — each term's support and every lattice and memo key is
+/// one of these, so the common case must not touch the heap.
+///
+/// `spill` never ends in a zero word, so the derived `Eq`/`Hash` are
+/// content-based: one set, one memo key.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct VarSet {
-    words: Vec<u64>,
+    /// Bits of ids 0..64.
+    low: u64,
+    /// Words of ids 64.., word `i` holding ids `64 * (i + 1)..`.
+    spill: Vec<u64>,
 }
 
 impl VarSet {
@@ -31,69 +40,81 @@ impl VarSet {
 
     /// Inserts `v`; returns true if it was new.
     pub fn insert(&mut self, v: Var) -> bool {
-        let (w, b) = (v.index() / 64, v.index() % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] |= 1 << b;
+        let bit = 1 << (v.index() % 64);
+        let word = match v.index() / 64 {
+            0 => &mut self.low,
+            w => {
+                if w > self.spill.len() {
+                    self.spill.resize(w, 0);
+                }
+                &mut self.spill[w - 1]
+            }
+        };
+        let had = *word & bit != 0;
+        *word |= bit;
         !had
     }
 
     /// Removes `v`; returns true if it was present.
     pub fn remove(&mut self, v: Var) -> bool {
-        let (w, b) = (v.index() / 64, v.index() % 64);
-        if w >= self.words.len() {
-            return false;
-        }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
-        if had {
-            self.normalize();
+        let bit = 1 << (v.index() % 64);
+        let word = match v.index() / 64 {
+            0 => &mut self.low,
+            w => match self.spill.get_mut(w - 1) {
+                Some(word) => word,
+                None => return false,
+            },
+        };
+        let had = *word & bit != 0;
+        *word &= !bit;
+        while matches!(self.spill.last(), Some(0)) {
+            self.spill.pop();
         }
         had
     }
 
     /// Membership test.
     pub fn contains(&self, v: Var) -> bool {
-        let (w, b) = (v.index() / 64, v.index() % 64);
-        w < self.words.len() && self.words[w] & (1 << b) != 0
+        let word = match v.index() / 64 {
+            0 => self.low,
+            w => self.spill.get(w - 1).copied().unwrap_or(0),
+        };
+        word & (1 << (v.index() % 64)) != 0
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.low == 0 && self.spill.is_empty()
     }
 
     /// True if `self ⊆ other`.
     pub fn is_subset(&self, other: &VarSet) -> bool {
-        self.words.iter().enumerate().all(|(i, &w)| {
-            let o = other.words.get(i).copied().unwrap_or(0);
-            w & !o == 0
-        })
+        self.low & !other.low == 0
+            && self.spill.iter().enumerate().all(|(i, &w)| {
+                let o = other.spill.get(i).copied().unwrap_or(0);
+                w & !o == 0
+            })
     }
 
     /// In-place union.
     pub fn union_with(&mut self, other: &VarSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
+        self.low |= other.low;
+        if other.spill.len() > self.spill.len() {
+            self.spill.resize(other.spill.len(), 0);
         }
-        for (i, &w) in other.words.iter().enumerate() {
-            self.words[i] |= w;
+        for (mine, &theirs) in self.spill.iter_mut().zip(&other.spill) {
+            *mine |= theirs;
         }
     }
 
     /// True if the sets share an element.
     pub fn intersects(&self, other: &VarSet) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .any(|(&a, &b)| a & b != 0)
+        self.words().zip(other.words()).any(|(a, b)| a & b != 0)
     }
 
     /// `self` without `v`, as a new set.
@@ -105,7 +126,7 @@ impl VarSet {
 
     /// Iterates elements in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = Var> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+        self.words().enumerate().flat_map(|(wi, w)| {
             let mut bits = w;
             std::iter::from_fn(move || {
                 if bits == 0 {
@@ -118,10 +139,9 @@ impl VarSet {
         })
     }
 
-    fn normalize(&mut self) {
-        while matches!(self.words.last(), Some(0)) {
-            self.words.pop();
-        }
+    /// The words of the set, lowest ids first.
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.low).chain(self.spill.iter().copied())
     }
 }
 

@@ -103,7 +103,7 @@ pub fn bottom_up_backchase(
                 best_cost = best_cost.min(cost);
             }
             found_sets.push(keep.clone());
-            sink.emit(keep, cand);
+            sink.emit(&mut lattice, keep, cand);
             if sink.full() {
                 break 'search;
             }

@@ -6,6 +6,17 @@
 //! constraint over a small database become the same operation, and equality
 //! implication checks ("does P₁ = P₂ follow from the where clause?") are
 //! union-find lookups.
+//!
+//! The check comes in two forms. [`CanonDb::implied`] takes the two paths as
+//! written. [`CanonDb::implied_mapped`] takes each path with a variable
+//! assignment and asks about the images — what a homomorphism search needs,
+//! whose paths belong to a constraint (or to the original query) and never
+//! change, while the assignment changes with every target it tries. Both
+//! intern the same probe terms in the same order: the mapped form renames
+//! variables as it interns ([`Congruence::intern_path_mapped`]) and never
+//! builds the substituted path. [`substitute`] does build it, for the one
+//! caller that keeps the result — a chase step adding its conclusion to the
+//! query.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -31,6 +42,10 @@ pub struct CanonDb {
     pub query: Query,
     /// The congruence closure over the query's terms.
     pub cong: Congruence,
+    /// Recycled scratch closure of [`crate::subquery::restricted_where`]:
+    /// every restriction of this database reduces its equalities in here,
+    /// so the buffers live as long as the database does.
+    pub(crate) redux: Congruence,
 }
 
 impl Clone for CanonDb {
@@ -43,6 +58,7 @@ impl Clone for CanonDb {
         CanonDb {
             query: self.query.clone(),
             cong: self.cong.clone(),
+            redux: Congruence::new(),
         }
     }
 }
@@ -54,6 +70,7 @@ impl CanonDb {
         CanonDb {
             query: Query::new(),
             cong: Congruence::new(),
+            redux: Congruence::new(),
         }
     }
 
@@ -91,7 +108,7 @@ impl CanonDb {
     }
 
     fn register_binding_terms(&mut self, idx: usize) {
-        let b = self.query.from[idx].clone();
+        let b = &self.query.from[idx];
         self.cong.intern_path(&PathExpr::Var(b.var));
         if let Range::Expr(p) = &b.range {
             self.cong.intern_path(p);
@@ -107,10 +124,16 @@ impl CanonDb {
 
     /// Adds `eq` to the where-clause and the congruence.
     pub fn assert_equality(&mut self, eq: &Equality) {
-        self.query.where_.push(eq.clone());
+        self.assert_owned(eq.clone());
+    }
+
+    /// [`CanonDb::assert_equality`] of an equality built for the purpose (a
+    /// chase step's substituted conclusion): moved in, not cloned.
+    pub(crate) fn assert_owned(&mut self, eq: Equality) {
         let l = self.cong.intern_path(&eq.lhs);
         let r = self.cong.intern_path(&eq.rhs);
         self.cong.merge(l, r);
+        self.query.where_.push(eq);
     }
 
     /// True if `lhs = rhs` is implied by the where-clause (plus congruence).
@@ -128,11 +151,20 @@ impl CanonDb {
     /// whose class holds a struct member derives a real equality), and
     /// later answers within the same delta legitimately depend on them.
     pub fn implied(&mut self, lhs: &PathExpr, rhs: &PathExpr) -> bool {
-        self.cong.set_scratch_mode(true);
-        let l = self.cong.intern_path(lhs);
-        let r = self.cong.intern_path(rhs);
-        self.cong.set_scratch_mode(false);
-        self.cong.equal(l, r)
+        self.implied_mapped((lhs, &[]), (rhs, &[]))
+    }
+
+    /// [`CanonDb::implied`] for the images of the two paths under variable
+    /// assignments (indexed by variable id, as
+    /// [`Congruence::intern_path_mapped`] reads them): what a homomorphism
+    /// search asks for every condition, range and output path it maps —
+    /// same probe terms, same order, no substituted path built.
+    pub fn implied_mapped(
+        &mut self,
+        lhs: (&PathExpr, &[Option<Var>]),
+        rhs: (&PathExpr, &[Option<Var>]),
+    ) -> bool {
+        self.cong.probe_equal(lhs, rhs)
     }
 
     /// Interns a path in scratch mode and returns its term.
@@ -154,15 +186,13 @@ impl CanonDb {
     }
 }
 
-/// Substitutes constraint variables through a mapping, leaving unmapped
-/// variables untouched (they must not occur for the result to be meaningful).
-/// Takes the deterministic [`crate::fxhash`] map every caller already builds
-/// (e.g. [`crate::homomorphism::HomMap`]).
-pub fn substitute(p: &PathExpr, map: &crate::fxhash::FxHashMap<Var, Var>) -> PathExpr {
-    p.map_vars(&mut |v| match map.get(&v) {
-        Some(&w) => PathExpr::Var(w),
-        None => PathExpr::Var(v),
-    })
+/// Substitutes constraint variables through an assignment (indexed by
+/// variable id), leaving unassigned variables untouched (they must not occur
+/// for the result to be meaningful). Only a chase step needs this — it adds
+/// the substituted equalities to the query; a probe maps its path while
+/// interning it ([`CanonDb::implied_mapped`]).
+pub fn substitute(p: &PathExpr, map: &[Option<Var>]) -> PathExpr {
+    p.map_vars(&mut |v| PathExpr::Var(map.get(v.index()).copied().flatten().unwrap_or(v)))
 }
 
 #[cfg(test)]
@@ -231,8 +261,7 @@ mod tests {
 
     #[test]
     fn substitute_maps_vars() {
-        let mut map = crate::fxhash::FxHashMap::default();
-        map.insert(Var(0), Var(5));
+        let map = [Some(Var(5))];
         let p = PathExpr::from(Var(0)).dot("A");
         assert_eq!(substitute(&p, &map), PathExpr::from(Var(5)).dot("A"));
         let q = PathExpr::from(Var(1)).dot("B");

@@ -12,11 +12,13 @@
 //! with a universal plan polynomial in the query and constraint sizes; the
 //! step/round caps below are a defensive guard, not an expected exit.
 
-use cnb_ir::prelude::{Constraint, PathExpr, Var};
+use std::hash::{Hash, Hasher};
+
+use cnb_ir::prelude::{Constraint, Equality, PathExpr, Var};
 
 use crate::canon::{substitute, CanonDb};
-use crate::fxhash::FxHashSet;
-use crate::homomorphism::{find_homs, hom_exists, HomConfig, HomMap};
+use crate::fxhash::{FxHashMap, FxHasher};
+use crate::homomorphism::{Body, HomConfig, Homs};
 
 /// Chase limits.
 #[derive(Clone, Copy, Debug)]
@@ -53,66 +55,151 @@ pub struct ChaseStats {
 
 /// Chases `db` with `constraints` to a fixpoint (or a cap). Returns stats.
 pub fn chase(db: &mut CanonDb, constraints: &[Constraint], cfg: ChaseConfig) -> ChaseStats {
-    let mut stats = ChaseStats::default();
-    // (constraint index, ordered image of universal vars) pairs already
-    // processed — the paper's "ruling out homomorphisms previously used".
-    let mut applied: FxHashSet<(usize, Vec<Var>)> = FxHashSet::default();
-
-    for _round in 0..cfg.max_rounds {
-        stats.rounds += 1;
-        let mut progress = false;
-        for (ci, c) in constraints.iter().enumerate() {
-            let (homs, _) = find_homs(
-                db,
-                &c.universal,
-                &c.premise,
-                &HomMap::default(),
-                HomConfig::default(),
-            );
-            stats.homs_found += homs.len();
-            for h in homs {
-                let key: (usize, Vec<Var>) = (ci, c.universal.iter().map(|b| h[&b.var]).collect());
-                if applied.contains(&key) {
-                    continue;
-                }
-                if hom_exists(db, &c.existential, &c.conclusion, &h) {
-                    stats.satisfied_skips += 1;
-                    applied.insert(key);
-                    continue;
-                }
-                apply_step(db, c, &h);
-                applied.insert(key);
-                stats.steps_applied += 1;
-                progress = true;
-                if stats.steps_applied >= cfg.max_steps {
-                    stats.truncated = true;
-                    return stats;
-                }
-            }
-        }
-        if !progress {
-            return stats;
-        }
-    }
-    stats.truncated = true;
-    stats
+    Chaser::new(constraints, cfg).chase(db)
 }
 
-/// Applies one chase step for homomorphism `h` of constraint `c`.
-fn apply_step(db: &mut CanonDb, c: &Constraint, h: &HomMap) {
-    let mut full = h.clone();
+/// A constraint set ready to chase any number of databases: each
+/// constraint's universal and existential parts compiled once
+/// ([`Body::compile`]), the search buffers and the applied-step set kept
+/// from one chase to the next. The backchase runs one implication chase per
+/// candidate; after the first few they allocate only what a step adds to
+/// the database.
+pub(crate) struct Chaser<'a> {
+    constraints: &'a [Constraint],
+    /// Per constraint: `(universal, premise)` and `(existential, conclusion)`.
+    bodies: Vec<(Body<'a>, Body<'a>)>,
+    cfg: ChaseConfig,
+    universal: Homs,
+    existential: Homs,
+    applied: Applied,
+}
+
+impl<'a> Chaser<'a> {
+    pub(crate) fn new(constraints: &'a [Constraint], cfg: ChaseConfig) -> Chaser<'a> {
+        Chaser {
+            constraints,
+            bodies: constraints
+                .iter()
+                .map(|c| {
+                    (
+                        Body::compile(&c.universal, &c.premise),
+                        Body::compile(&c.existential, &c.conclusion),
+                    )
+                })
+                .collect(),
+            cfg,
+            universal: Homs::default(),
+            existential: Homs::default(),
+            applied: Applied::default(),
+        }
+    }
+
+    /// Chases `db` to a fixpoint (or a cap). Returns stats.
+    pub(crate) fn chase(&mut self, db: &mut CanonDb) -> ChaseStats {
+        let mut stats = ChaseStats::default();
+        self.applied.clear();
+        let exists = HomConfig {
+            max_homs: 1,
+            injective: false,
+        };
+
+        for _round in 0..self.cfg.max_rounds {
+            stats.rounds += 1;
+            let mut progress = false;
+            for (ci, (c, (universal, existential))) in
+                self.constraints.iter().zip(&self.bodies).enumerate()
+            {
+                universal.search(db, &[], HomConfig::default(), &mut self.universal);
+                stats.homs_found += self.universal.count;
+                for k in 0..self.universal.count {
+                    if !self.applied.insert(ci, self.universal.image(universal, k)) {
+                        continue;
+                    }
+                    // Trivial where the existential part maps too.
+                    self.universal.assign(universal, k);
+                    existential.search(
+                        db,
+                        &self.universal.assignment,
+                        exists,
+                        &mut self.existential,
+                    );
+                    if self.existential.count > 0 {
+                        stats.satisfied_skips += 1;
+                        continue;
+                    }
+                    apply_step(db, c, &mut self.existential.assignment);
+                    stats.steps_applied += 1;
+                    progress = true;
+                    if stats.steps_applied >= self.cfg.max_steps {
+                        stats.truncated = true;
+                        return stats;
+                    }
+                }
+            }
+            if !progress {
+                return stats;
+            }
+        }
+        stats.truncated = true;
+        stats
+    }
+}
+
+/// The `(constraint, ordered image of its universal variables)` pairs a
+/// chase has processed — the paper's "ruling out homomorphisms previously
+/// used" — in one flat buffer, so that a key costs no allocation of its own.
+#[derive(Default)]
+struct Applied {
+    /// Hash of a key → one past the start of the newest entry with it.
+    newest: FxHashMap<u64, usize>,
+    /// Entries `[one past the start of the next older entry with the same
+    /// hash (0: none), constraint, image…]`.
+    entries: Vec<usize>,
+}
+
+impl Applied {
+    fn clear(&mut self) {
+        self.newest.clear();
+        self.entries.clear();
+    }
+
+    /// Adds a key; false if it was there already.
+    fn insert(&mut self, constraint: usize, image: &[Var]) -> bool {
+        let mut hasher = FxHasher::default();
+        (constraint, image).hash(&mut hasher);
+        let newest = self.newest.entry(hasher.finish()).or_insert(0);
+        let mut at = *newest;
+        while at != 0 {
+            // Images of one constraint are all of one length.
+            let entry = &self.entries[at - 1..];
+            if entry[1] == constraint && entry[2..].iter().zip(image).all(|(a, b)| *a == b.index())
+            {
+                return false;
+            }
+            at = entry[0];
+        }
+        let older = std::mem::replace(newest, self.entries.len() + 1);
+        self.entries.extend([older, constraint]);
+        self.entries.extend(image.iter().map(|v| v.index()));
+        true
+    }
+}
+
+/// Applies one chase step of constraint `c`: `assignment` arrives holding
+/// the homomorphism of the universal part and leaves holding the fresh
+/// existential variables too.
+fn apply_step(db: &mut CanonDb, c: &Constraint, assignment: &mut [Option<Var>]) {
     for b in &c.existential {
         let range = b.range.map_vars(&mut |v| {
-            PathExpr::Var(*full.get(&v).expect("existential range var must be mapped"))
+            PathExpr::Var(assignment[v.index()].expect("existential range var must be mapped"))
         });
         let fresh_name = format!("{}_{}", b.name, db.query.var_bound());
-        let fresh = db.add_binding(&fresh_name, range);
-        full.insert(b.var, fresh);
+        assignment[b.var.index()] = Some(db.add_binding(&fresh_name, range));
     }
     for eq in &c.conclusion {
-        let l = substitute(&eq.lhs, &full);
-        let r = substitute(&eq.rhs, &full);
-        db.assert_equality(&cnb_ir::prelude::Equality::new(l, r));
+        let l = substitute(&eq.lhs, assignment);
+        let r = substitute(&eq.rhs, assignment);
+        db.assert_owned(Equality::new(l, r));
     }
 }
 

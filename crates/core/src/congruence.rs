@@ -31,6 +31,30 @@
 //! Savepoints nest; rolling back an outer savepoint discards inner ones.
 //! With no savepoint active the trail is off and mutations cost nothing
 //! extra.
+//!
+//! # List ownership
+//!
+//! A class's member and use lists are `Vec`s the closure owns, one pair per
+//! arena slot, and they outlive the terms that fill them. [`Congruence::clear`]
+//! and a rollback past a term's creation empty the slot's lists and keep
+//! their buffers: the two list columns are at least as long as the arena,
+//! the lists past it are empty spares, and the next term interned into a
+//! slot pushes itself onto the list that is already there. A union appends
+//! the absorbed representative's lists to the absorbing one's *by copy*, and
+//! its undo copies the tails back; neither moves a `Vec`. Element order is
+//! exactly what `extend` and `split_off` would give, and has to be:
+//! [`Congruence::class_paths_over`] reads a member list in order, and the
+//! order in which an absorbed class's parents are re-signatured decides which
+//! unions the worklist performs first — and with them every later term id.
+//!
+//! So a closure that is recycled — the equivalence checker's scratch database
+//! is cleared and reloaded once per backchase candidate, the universal plan is
+//! rolled back once per candidate — allocates for its lists only until they
+//! have grown to the largest class they ever held, and nothing but capacity
+//! crosses a `clear()` (`tests/property_based.rs`,
+//! `cleared_congruence_replays_like_a_fresh_one`). The same goes for the two
+//! stacks the class rewrites walk (`snapshots`, `rewriting`): pushed and
+//! popped, never allocated per call.
 
 use cnb_ir::prelude::{PathExpr, Symbol, Value, Var};
 
@@ -123,7 +147,9 @@ pub struct Congruence {
     intern: FxHashMap<TermNode, TermId>,
     /// Union-find parent pointers.
     parent: Vec<TermId>,
-    /// Class member lists (only reps have non-empty lists).
+    /// Class member lists (only reps have non-empty lists). Like `uses`, at
+    /// least as long as the arena: the lists past it are empty spares (see
+    /// "List ownership" in the module docs).
     members: Vec<Vec<TermId>>,
     /// Parent terms that have a child in this class (only reps maintained).
     uses: Vec<Vec<TermId>>,
@@ -148,6 +174,14 @@ pub struct Congruence {
     save_depth: usize,
     /// Tokens of the live savepoints, innermost last (len == `save_depth`).
     live_saves: Vec<u64>,
+    /// Member-list snapshots of the class rewrites in flight, innermost
+    /// last: a rewrite interns terms while it walks a class, so it walks a
+    /// copy — pushed here and popped when it is done, not allocated.
+    /// Empty between calls.
+    snapshots: Vec<TermId>,
+    /// The classes a [`Congruence::rewrite_over`] is inside of, recycled
+    /// from one rewrite to the next. Empty between calls.
+    rewriting: Vec<TermId>,
 }
 
 /// Savepoint tokens come from one process-global counter (never 0), so a
@@ -262,8 +296,8 @@ impl Congruence {
                     self.var_terms.remove(&v);
                 }
                 self.parent.pop();
-                self.members.pop();
-                self.uses.pop();
+                self.members[self.nodes.len()].clear();
+                self.uses[self.nodes.len()].clear();
                 self.support.pop();
                 self.scratch.pop();
             }
@@ -280,10 +314,8 @@ impl Congruence {
                 members_kept,
                 uses_kept,
             } => {
-                let tail = self.members[big.idx()].split_off(members_kept);
-                self.members[small.idx()] = tail;
-                let tail = self.uses[big.idx()].split_off(uses_kept);
-                self.uses[small.idx()] = tail;
+                move_tail(&mut self.members, big, members_kept, small);
+                move_tail(&mut self.uses, big, uses_kept, small);
             }
             TrailOp::ScratchClear { t } => self.scratch[t.idx()] = true,
         }
@@ -302,11 +334,13 @@ impl Congruence {
         // the recycled closure.
         self.save_depth = 0;
         self.live_saves.clear();
+        let n = self.nodes.len();
+        for list in self.members[..n].iter_mut().chain(&mut self.uses[..n]) {
+            list.clear();
+        }
         self.nodes.clear();
         self.intern.clear();
         self.parent.clear();
-        self.members.clear();
-        self.uses.clear();
         self.sigs.clear();
         self.support.clear();
         self.scratch.clear();
@@ -315,6 +349,8 @@ impl Congruence {
         self.worklist.clear();
         self.var_terms.clear();
         self.trail.clear();
+        self.snapshots.clear();
+        self.rewriting.clear();
     }
 
     /// Full structural audit used by the `CNB_TRAIL_CHECK` tier: hash-consing
@@ -324,11 +360,18 @@ impl Congruence {
         let n = self.nodes.len();
         assert!(
             self.parent.len() == n
-                && self.members.len() == n
-                && self.uses.len() == n
+                && self.members.len() >= n
+                && self.uses.len() == self.members.len()
                 && self.support.len() == n
                 && self.scratch.len() == n,
             "{when}: per-term columns out of step with the arena"
+        );
+        assert!(
+            self.members[n..]
+                .iter()
+                .chain(&self.uses[n..])
+                .all(Vec::is_empty),
+            "{when}: a spare list past the arena is not empty"
         );
         assert_eq!(self.intern.len(), n, "{when}: intern table not bijective");
         let mut seen = 0usize;
@@ -401,36 +444,28 @@ impl Congruence {
                 }
             }
         }
-        self.nodes.push(node.clone());
-        self.intern.insert(node.clone(), id);
-        self.parent.push(id);
-        self.members.push(vec![id]);
-        self.uses.push(Vec::new());
-        self.support.push(support);
-        self.scratch.push(self.scratch_mode);
         if let TermNode::Var(v) = node {
             self.var_terms.insert(v, id);
         }
+        self.nodes.push(node.clone());
+        self.intern.insert(node, id);
+        self.parent.push(id);
+        if self.members.len() == id.idx() {
+            self.members.push(Vec::new());
+            self.uses.push(Vec::new());
+        }
+        self.members[id.idx()].push(id);
+        self.support.push(support);
+        self.scratch.push(self.scratch_mode);
         if self.trailing() {
             self.trail.push(TrailOp::NewTerm);
         }
         // Register in children's use lists and check congruence.
-        match &node {
-            TermNode::Field(base, _) => {
-                let r = self.find(*base);
-                self.use_push(r, id);
-            }
-            TermNode::Lookup(_, key) => {
-                let r = self.find(*key);
-                self.use_push(r, id);
-            }
-            TermNode::Struct(fields) => {
-                for (_, t) in fields.clone() {
-                    let r = self.find(t);
-                    self.use_push(r, id);
-                }
-            }
-            _ => {}
+        let mut k = 0;
+        while let Some(child) = self.child(id, k) {
+            let r = self.find(child);
+            self.use_push(r, id);
+            k += 1;
         }
         if let Some(sig) = self.signature(id) {
             if let Some(&other) = self.sigs.get(&sig) {
@@ -441,14 +476,11 @@ impl Congruence {
         }
         // Projection over constructor: a fresh `base.f` term where `base`'s
         // class contains `struct(..., f = c, ...)` is equal to `c`.
-        if let TermNode::Field(base, f) = &self.nodes[id.idx()] {
-            let (base, f) = (*base, *f);
+        if let TermNode::Field(base, f) = self.nodes[id.idx()] {
             let rep = self.find(base);
-            for m in self.members[rep.idx()].clone() {
-                if let TermNode::Struct(fields) = &self.nodes[m.idx()] {
-                    if let Some((_, child)) = fields.iter().find(|(n, _)| *n == f) {
-                        self.worklist.push((id, *child));
-                    }
+            for &m in &self.members[rep.idx()] {
+                if let Some(child) = field_of_struct(&self.nodes[m.idx()], f) {
+                    self.worklist.push((id, child));
                 }
             }
         }
@@ -456,27 +488,63 @@ impl Congruence {
         id
     }
 
+    /// The `k`-th child of a composite term, in registration order.
+    fn child(&self, t: TermId, k: usize) -> Option<TermId> {
+        match &self.nodes[t.idx()] {
+            TermNode::Var(_) | TermNode::Const(_) => None,
+            TermNode::Field(child, _) | TermNode::Lookup(_, child) => (k == 0).then_some(*child),
+            TermNode::Struct(fields) => fields.get(k).map(|(_, c)| *c),
+        }
+    }
+
     /// Interns a path expression.
     pub fn intern_path(&mut self, p: &PathExpr) -> TermId {
+        self.intern_path_mapped(p, &[])
+    }
+
+    /// Interns the image of `p` under the variable assignment `map` (indexed
+    /// by variable id; a variable with no entry, or a `None` one, stays as it
+    /// is): exactly the terms, in exactly the order, that interning the
+    /// substituted path would create — without building that path. Every
+    /// homomorphism probe comes through here.
+    pub fn intern_path_mapped(&mut self, p: &PathExpr, map: &[Option<Var>]) -> TermId {
         match p {
-            PathExpr::Var(v) => self.term(TermNode::Var(*v)),
+            PathExpr::Var(v) => {
+                let image = map.get(v.index()).copied().flatten().unwrap_or(*v);
+                self.term(TermNode::Var(image))
+            }
             PathExpr::Const(c) => self.term(TermNode::Const(c.clone())),
             PathExpr::Field(base, f) => {
-                let b = self.intern_path(base);
+                let b = self.intern_path_mapped(base, map);
                 self.term(TermNode::Field(b, *f))
             }
             PathExpr::Lookup(dict, key) => {
-                let k = self.intern_path(key);
+                let k = self.intern_path_mapped(key, map);
                 self.term(TermNode::Lookup(*dict, k))
             }
             PathExpr::MkStruct(fields) => {
                 let ts: Vec<(Symbol, TermId)> = fields
                     .iter()
-                    .map(|(name, p)| (*name, self.intern_path(p)))
+                    .map(|(name, p)| (*name, self.intern_path_mapped(p, map)))
                     .collect();
                 self.term(TermNode::Struct(ts))
             }
         }
+    }
+
+    /// True if `lmap(lhs) = rmap(rhs)` follows from the closure. The probe
+    /// terms are interned in scratch mode (see [`crate::canon::CanonDb::implied`]
+    /// for why they are flagged and not rolled back one by one).
+    pub(crate) fn probe_equal(
+        &mut self,
+        (lhs, lmap): (&PathExpr, &[Option<Var>]),
+        (rhs, rmap): (&PathExpr, &[Option<Var>]),
+    ) -> bool {
+        self.set_scratch_mode(true);
+        let l = self.intern_path_mapped(lhs, lmap);
+        let r = self.intern_path_mapped(rhs, rmap);
+        self.set_scratch_mode(false);
+        self.equal(l, r)
     }
 
     /// Promotes a scratch term to real, trailing the flip.
@@ -573,39 +641,28 @@ impl Congruence {
         self.set_parent(small, big);
 
         // Constant-conflict detection.
-        let const_of = |this: &Congruence, rep: TermId| -> Option<Value> {
-            this.members[rep.idx()].iter().find_map(|&m| {
-                if let TermNode::Const(c) = &this.nodes[m.idx()] {
-                    Some(c.clone())
-                } else {
-                    None
-                }
-            })
+        let const_of = |rep: TermId| {
+            self.members[rep.idx()]
+                .iter()
+                .find_map(|&m| match &self.nodes[m.idx()] {
+                    TermNode::Const(c) => Some(c),
+                    _ => None,
+                })
         };
-        if let (Some(ca), Some(cb)) = (const_of(self, big), const_of(self, small)) {
-            if ca != cb {
-                self.inconsistent = true;
-            }
+        if matches!((const_of(big), const_of(small)), (Some(ca), Some(cb)) if ca != cb) {
+            self.inconsistent = true;
         }
 
         // Downward struct injectivity: pair struct members across the two
         // classes with identical field-name lists.
-        let structs_of = |this: &Congruence, rep: TermId| -> Vec<Vec<(Symbol, TermId)>> {
-            this.members[rep.idx()]
-                .iter()
-                .filter_map(|&m| {
-                    if let TermNode::Struct(fs) = &this.nodes[m.idx()] {
-                        Some(fs.clone())
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        };
-        let sa = structs_of(self, big);
-        let sb = structs_of(self, small);
-        for fa in &sa {
-            for fb in &sb {
+        for &ma in &self.members[big.idx()] {
+            let TermNode::Struct(fa) = &self.nodes[ma.idx()] else {
+                continue;
+            };
+            for &mb in &self.members[small.idx()] {
+                let TermNode::Struct(fb) = &self.nodes[mb.idx()] else {
+                    continue;
+                };
                 if fa.len() == fb.len() && fa.iter().zip(fb).all(|((n1, _), (n2, _))| n1 == n2) {
                     for ((_, t1), (_, t2)) in fa.iter().zip(fb) {
                         self.worklist.push((*t1, *t2));
@@ -624,43 +681,34 @@ impl Congruence {
                 uses_kept: self.uses[big.idx()].len(),
             });
         }
-        let small_members = std::mem::take(&mut self.members[small.idx()]);
-        self.members[big.idx()].extend(small_members);
-        let small_uses = std::mem::take(&mut self.uses[small.idx()]);
+        move_tail(&mut self.members, small, 0, big);
 
         // Re-signature the parents of the absorbed class.
-        for p in &small_uses {
-            if let Some(sig) = self.signature(*p) {
+        for k in 0..self.uses[small.idx()].len() {
+            let p = self.uses[small.idx()][k];
+            if let Some(sig) = self.signature(p) {
                 if let Some(&other) = self.sigs.get(&sig) {
-                    if self.find_ref(other) != self.find_ref(*p) {
-                        self.worklist.push((*p, other));
+                    if self.find_ref(other) != self.find_ref(p) {
+                        self.worklist.push((p, other));
                     }
                 } else {
-                    self.sig_insert(sig, *p);
+                    self.sig_insert(sig, p);
                 }
             }
         }
-        self.uses[big.idx()].extend(small_uses);
+        move_tail(&mut self.uses, small, 0, big);
 
         // Projection over constructor across the merged class: every
         // `x.f` parent whose base is in this class equals the `f`-child of
         // every struct member of the class.
-        let structs: Vec<Vec<(Symbol, TermId)>> = self.members[big.idx()]
-            .iter()
-            .filter_map(|&m| match &self.nodes[m.idx()] {
-                TermNode::Struct(fs) => Some(fs.clone()),
-                _ => None,
-            })
-            .collect();
-        if !structs.is_empty() {
-            let parents = self.uses[big.idx()].clone();
-            for p in parents {
-                if let TermNode::Field(base, f) = &self.nodes[p.idx()] {
-                    let (base, f) = (*base, *f);
+        let is_struct = |m: &TermId| matches!(self.nodes[m.idx()], TermNode::Struct(_));
+        if self.members[big.idx()].iter().any(is_struct) {
+            for &p in &self.uses[big.idx()] {
+                if let TermNode::Field(base, f) = self.nodes[p.idx()] {
                     if self.find_ref(base) == big {
-                        for fs in &structs {
-                            if let Some((_, child)) = fs.iter().find(|(n, _)| *n == f) {
-                                self.worklist.push((p, *child));
+                        for &m in &self.members[big.idx()] {
+                            if let Some(child) = field_of_struct(&self.nodes[m.idx()], f) {
+                                self.worklist.push((p, child));
                             }
                         }
                     }
@@ -671,14 +719,17 @@ impl Congruence {
 
     /// Canonical signature of a composite term (None for vars/consts).
     fn signature(&mut self, t: TermId) -> Option<Sig> {
-        let node = self.nodes[t.idx()].clone();
-        match node {
+        match self.nodes[t.idx()] {
             TermNode::Var(_) | TermNode::Const(_) => None,
             TermNode::Field(base, f) => Some(Sig::Field(self.find(base), f)),
             TermNode::Lookup(dict, key) => Some(Sig::Lookup(dict, self.find(key))),
-            TermNode::Struct(fields) => Some(Sig::Struct(
-                fields.into_iter().map(|(n, c)| (n, self.find(c))).collect(),
-            )),
+            TermNode::Struct(ref fields) => {
+                let mut canonical = fields.clone();
+                for (_, c) in &mut canonical {
+                    *c = self.find(*c);
+                }
+                Some(Sig::Struct(canonical))
+            }
         }
     }
 
@@ -727,10 +778,13 @@ impl Congruence {
 
     /// All current class representatives.
     pub fn class_reps(&mut self) -> Vec<TermId> {
-        (0..self.nodes.len() as u32)
-            .map(TermId)
-            .filter(|t| self.find_ref(*t) == *t)
-            .collect()
+        let mut reps = Vec::with_capacity(self.nodes.len());
+        reps.extend(
+            (0..self.nodes.len() as u32)
+                .map(TermId)
+                .filter(|t| self.find_ref(*t) == *t),
+        );
+        reps
     }
 
     /// Members of the class of `t`.
@@ -744,13 +798,30 @@ impl Congruence {
     /// subquery induction: "find an equal path using only kept variables".
     pub fn class_paths_over(&mut self, t: TermId, allowed: &VarSet) -> Vec<TermId> {
         let r = self.find(t);
-        let mut out: Vec<TermId> = self.members[r.idx()]
-            .iter()
-            .copied()
-            .filter(|m| !self.scratch[m.idx()] && self.support[m.idx()].is_subset(allowed))
-            .collect();
+        let mut out: Vec<TermId> = self.paths_over(r, allowed).collect();
         out.sort_by_key(|&m| (self.term_size(m), m));
         out
+    }
+
+    /// The non-scratch members of `rep`'s list over `allowed`, in list order.
+    fn paths_over<'s>(
+        &'s self,
+        rep: TermId,
+        allowed: &'s VarSet,
+    ) -> impl Iterator<Item = TermId> + 's {
+        self.members[rep.idx()]
+            .iter()
+            .copied()
+            .filter(move |m| !self.scratch[m.idx()] && self.support[m.idx()].is_subset(allowed))
+    }
+
+    /// Copies `rep`'s member list onto the snapshot stack and returns where
+    /// it lies there. The caller truncates the stack back to the range's
+    /// start when it is done with the copy.
+    fn snapshot_members(&mut self, rep: TermId) -> std::ops::Range<usize> {
+        let start = self.snapshots.len();
+        self.snapshots.extend_from_slice(&self.members[rep.idx()]);
+        start..self.snapshots.len()
     }
 
     /// An equal non-scratch term over `allowed`, if one exists or can be
@@ -759,8 +830,10 @@ impl Congruence {
     /// `k' ≡ k`), interning the constructed term — which is sound because
     /// congruence immediately merges it back into the class.
     pub fn rewrite_over(&mut self, t: TermId, allowed: &VarSet) -> Option<TermId> {
-        let mut seen = Vec::new();
-        self.rewrite_rec(t, allowed, &mut seen)
+        let mut seen = std::mem::take(&mut self.rewriting);
+        let rewritten = self.rewrite_rec(t, allowed, &mut seen);
+        self.rewriting = seen;
+        rewritten
     }
 
     fn rewrite_rec(
@@ -769,19 +842,24 @@ impl Congruence {
         allowed: &VarSet,
         seen: &mut Vec<TermId>,
     ) -> Option<TermId> {
-        // Fast path: an existing member already qualifies.
-        if let Some(m) = self.class_paths_over(t, allowed).into_iter().next() {
-            return Some(m);
-        }
+        // Fast path: an existing member already qualifies — the one
+        // `class_paths_over` lists first.
         let rep = self.find(t);
+        let best = self
+            .paths_over(rep, allowed)
+            .min_by_key(|&m| (self.term_size(m), m));
+        if best.is_some() {
+            return best;
+        }
         if seen.contains(&rep) {
             return None;
         }
         seen.push(rep);
         // Try to rebuild a composite member from rewritten children.
-        let members = self.class_members(rep);
+        let members = self.snapshot_members(rep);
         let mut result = None;
-        for m in members {
+        for k in members.clone() {
+            let m = self.snapshots[k];
             if self.scratch[m.idx()] {
                 continue;
             }
@@ -790,6 +868,7 @@ impl Congruence {
                 break;
             }
         }
+        self.snapshots.truncate(members.start);
         seen.pop();
         result
     }
@@ -850,15 +929,37 @@ impl Congruence {
     /// conditions like `I[k].B = r2.A` alive when `r1` is removed.
     pub fn saturate_class_over(&mut self, t: TermId, allowed: &VarSet) {
         let rep = self.find(t);
-        let members = self.class_members(rep);
-        for m in members {
+        let members = self.snapshot_members(rep);
+        let mut seen = std::mem::take(&mut self.rewriting);
+        for k in members.clone() {
+            let m = self.snapshots[k];
             if self.scratch[m.idx()] || self.support[m.idx()].is_subset(allowed) {
                 continue;
             }
-            let mut seen = vec![];
             let _ = self.rebuild_member(m, allowed, &mut seen);
         }
+        self.rewriting = seen;
+        self.snapshots.truncate(members.start);
     }
+}
+
+/// The `f`-child of a struct node; `None` for any other node or field.
+fn field_of_struct(node: &TermNode, f: Symbol) -> Option<TermId> {
+    match node {
+        TermNode::Struct(fields) => fields.iter().find(|(n, _)| *n == f).map(|(_, c)| *c),
+        _ => None,
+    }
+}
+
+/// Moves `lists[from][keep..]` onto the end of `lists[to]`, by copy: both
+/// lists keep their buffers and the elements their order (see "List
+/// ownership" in the module docs).
+fn move_tail(lists: &mut [Vec<TermId>], from: TermId, keep: usize, to: TermId) {
+    let [source, target] = lists
+        .get_disjoint_mut([from.idx(), to.idx()])
+        .expect("two distinct class representatives");
+    target.extend_from_slice(&source[keep..]);
+    source.truncate(keep);
 }
 
 #[cfg(test)]

@@ -10,12 +10,11 @@
 //! Appendix A) is implied by `D` — "using the chase … when constraints are
 //! viewed as boolean-valued queries".
 
-use cnb_ir::prelude::{Constraint, PathExpr, Query, Symbol};
+use cnb_ir::prelude::{Constraint, Query};
 
-use crate::canon::{substitute, CanonDb};
-use crate::chase::{chase, ChaseConfig, ChaseStats};
-use crate::fxhash::FxHashMap;
-use crate::homomorphism::{find_homs, HomConfig, HomMap};
+use crate::canon::CanonDb;
+use crate::chase::{ChaseConfig, ChaseStats, Chaser};
+use crate::homomorphism::{Body, HomConfig, Homs};
 
 /// Checks subquery equivalence against a fixed original query.
 #[derive(Clone, Copy)]
@@ -50,13 +49,36 @@ impl<'a> EquivChecker<'a> {
     /// Is `candidate` (a subquery of the universal plan of `q0`, sharing its
     /// variable space) equivalent to `q0` under the constraints?
     ///
-    /// Convenience wrapper over [`EquivChecker::equivalent_into`] paying for
-    /// a fresh scratch database; the backchase hot loop passes a recycled
-    /// per-worker scratch instead.
+    /// Convenience wrapper over `CompiledChecker::equivalent_into` paying
+    /// for a compilation and a fresh scratch database; the backchase hot
+    /// loop compiles once per lattice and recycles one scratch.
     pub fn equivalent(&self, candidate: &Query) -> (bool, EquivStats) {
-        self.equivalent_into(&mut CanonDb::empty(), candidate)
+        self.compile()
+            .equivalent_into(&mut CanonDb::empty(), candidate)
     }
 
+    /// Compiles the constraints and `q0`'s body for repeated checks.
+    pub(crate) fn compile(self) -> CompiledChecker<'a> {
+        CompiledChecker {
+            chaser: Chaser::new(self.constraints, self.chase_cfg),
+            body: Body::compile(&self.q0.from, &self.q0.where_),
+            homs: Homs::default(),
+            spec: self,
+        }
+    }
+}
+
+/// An [`EquivChecker`] with everything that is a property of `q0` and the
+/// constraints — and not of the candidate — worked out once: the compiled
+/// constraint set, `q0`'s compiled body, the search buffers.
+pub(crate) struct CompiledChecker<'a> {
+    pub(crate) spec: EquivChecker<'a>,
+    pub(crate) chaser: Chaser<'a>,
+    body: Body<'a>,
+    homs: Homs,
+}
+
+impl CompiledChecker<'_> {
     /// [`EquivChecker::equivalent`] into a caller-provided scratch database.
     ///
     /// `scratch` is rebuilt from `candidate` in place ([`CanonDb::reset_to`])
@@ -68,30 +90,27 @@ impl<'a> EquivChecker<'a> {
     /// under binding removal — facts derived from a removed binding are not
     /// facts of the subquery, and reusing them would flip verdicts. What CAN
     /// be reused, and is, is the warm allocation footprint.
-    pub fn equivalent_into(&self, scratch: &mut CanonDb, candidate: &Query) -> (bool, EquivStats) {
+    pub(crate) fn equivalent_into(
+        &mut self,
+        scratch: &mut CanonDb,
+        candidate: &Query,
+    ) -> (bool, EquivStats) {
         let mut stats = EquivStats::default();
         scratch.reset_to(candidate);
-        stats.chase = chase(scratch, self.constraints, self.chase_cfg);
+        stats.chase = self.chaser.chase(scratch);
 
-        // Select paths of the candidate, by label, for output preservation.
-        let outputs: FxHashMap<Symbol, &PathExpr> =
-            candidate.select.iter().map(|(l, p)| (*l, p)).collect();
-
-        let (homs, _) = find_homs(
-            scratch,
-            &self.q0.from,
-            &self.q0.where_,
-            &HomMap::default(),
-            HomConfig::default(),
-        );
-        for h in homs {
+        self.body
+            .search(scratch, &[], HomConfig::default(), &mut self.homs);
+        for k in 0..self.homs.count {
             stats.homs_inspected += 1;
-            let ok = self.q0.select.iter().all(|(label, p)| {
-                let Some(target) = outputs.get(label) else {
-                    return false;
-                };
-                let hp = substitute(p, &h);
-                scratch.implied(&hp, target)
+            self.homs.assign(&self.body, k);
+            // Output preservation: each select path of `q0`, mapped, must
+            // equal the candidate's path of the same label.
+            let ok = self.spec.q0.select.iter().all(|(label, p)| {
+                let target = candidate.select.iter().rev().find(|(l, _)| l == label);
+                target.is_some_and(|(_, t)| {
+                    scratch.implied_mapped((p, &self.homs.assignment), (t, &[]))
+                })
             });
             if ok {
                 return (true, stats);
@@ -107,22 +126,31 @@ impl<'a> EquivChecker<'a> {
 /// case). Used to deduplicate plans discovered along different rewrite
 /// routes, whose from-clauses may list the same bindings in different orders.
 pub fn same_plan(a: &Query, b: &Query) -> bool {
-    if a.from.len() != b.from.len() || a.select.len() != b.select.len() {
-        return false;
-    }
-    if a.canonical_key() == b.canonical_key() {
-        return true;
-    }
+    same_arity(a, b)
+        && (a.canonical_key() == b.canonical_key()
+            || contain_each_other(&mut CanonDb::empty(), a, b))
+}
+
+/// The cheap necessary condition of [`same_plan`].
+pub(crate) fn same_arity(a: &Query, b: &Query) -> bool {
+    a.from.len() == b.from.len() && a.select.len() == b.select.len()
+}
+
+/// Mutual constraint-free containment of two plans of the same arity,
+/// checked on a caller-provided scratch database: all of [`same_plan`] for a
+/// caller that knows the canonical keys differ.
+pub(crate) fn contain_each_other(scratch: &mut CanonDb, a: &Query, b: &Query) -> bool {
     let cfg = ChaseConfig {
         max_steps: 0,
         max_rounds: 1,
     };
-    let (ab, _) = EquivChecker::new(a, &[], cfg).equivalent(b);
-    if !ab {
-        return false;
-    }
-    let (ba, _) = EquivChecker::new(b, &[], cfg).equivalent(a);
-    ba
+    let mut contains = |q0, candidate| {
+        let (verdict, _) = EquivChecker::new(q0, &[], cfg)
+            .compile()
+            .equivalent_into(scratch, candidate);
+        verdict
+    };
+    contains(a, b) && contains(b, a)
 }
 
 #[cfg(test)]

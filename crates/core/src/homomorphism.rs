@@ -14,17 +14,38 @@
 //! congruence-closure implication checks and *incremental* pruning — a
 //! partial assignment is abandoned as soon as any condition among its
 //! already-assigned variables fails.
+//!
+//! # Compiled bodies
+//!
+//! A backchase searches for homomorphisms of the *same* few bodies — each
+//! constraint's universal and existential parts, the original query — into
+//! thousands of candidate databases. What a search needs to know about a
+//! body does not depend on the target: which binding a variable belongs to,
+//! and hence the depth at which each condition has all its variables
+//! assigned and can be checked; which condition variables have to arrive
+//! pre-assigned. `Body::compile` works that out once (per
+//! [`crate::chase`] call, per [`crate::backchase::Lattice`]); `Body::search`
+//! is the one search, and every caller's — [`find_homs`] compiles and
+//! searches for a caller that has one target.
+//!
+//! A search keeps its partial assignment in a slot array indexed by source
+//! variable id (`Homs::assignment`) — the form
+//! [`CanonDb::implied_mapped`] maps probe paths through, so no condition,
+//! range or output path is ever substituted into a new path — and writes each
+//! homomorphism it finds as the images of the body's bindings, in binding
+//! order, onto one flat buffer. Both are recycled from search to search:
+//! once the buffers have grown, a search allocates nothing. Enumeration
+//! order (targets in from-clause order, depth-first) is part of the
+//! contract: it is the order in which a chase applies its steps.
 
 use cnb_ir::prelude::{Binding, Equality, Range, Var};
 
-use crate::canon::{substitute, CanonDb};
+use crate::canon::CanonDb;
 use crate::fxhash::FxHashMap;
 
-/// A variable mapping from a source body into a target query. Keyed with the
-/// deterministic [`crate::fxhash`] hasher: these maps are built and probed on
-/// every chase step and equivalence check, and are never iterated (only
-/// `get`/`insert`), so hash order cannot leak into results. Construct empty
-/// maps with `HomMap::default()`.
+/// A variable mapping from a source body into a target query, as
+/// [`find_homs`] takes and returns it. Keyed with the deterministic
+/// [`crate::fxhash`] hasher. Construct empty maps with `HomMap::default()`.
 pub type HomMap = FxHashMap<Var, Var>;
 
 /// Search configuration.
@@ -55,11 +76,217 @@ pub struct HomStats {
     pub pruned: usize,
 }
 
+/// A source body `(bindings, conds)` compiled for searching: everything the
+/// search needs to know about the body that does not depend on the target.
+pub(crate) struct Body<'a> {
+    bindings: &'a [Binding],
+    /// The conditions, ordered by when they become checkable (and, among
+    /// those of one moment, as the body lists them).
+    conds: Vec<&'a Equality>,
+    /// `conds[ready[d]..ready[d + 1]]` are the conditions whose last-bound
+    /// variable is `bindings[d - 1]`'s — checkable, and checked, the moment
+    /// it is assigned. `d = 0`: over pre-assigned variables only, checked
+    /// before the search binds anything.
+    ready: Vec<usize>,
+    /// Condition variables no binding binds; a search with one of them
+    /// unassigned has a free variable and finds nothing.
+    outer: Vec<Var>,
+    /// One past the largest variable id the body mentions: the length of an
+    /// assignment that can hold any of its searches.
+    slots: usize,
+}
+
+impl<'a> Body<'a> {
+    pub(crate) fn compile(bindings: &'a [Binding], conds: &'a [Equality]) -> Body<'a> {
+        let mut outer = Vec::new();
+        let mut slots = 0;
+        let mut mention = |v: Var| slots = slots.max(v.index() + 1);
+        for b in bindings {
+            mention(b.var);
+            if let Range::Expr(p) = &b.range {
+                p.vars_all(&mut |v| {
+                    mention(v);
+                    true
+                });
+            }
+        }
+        // Each condition with one past the last binding position among its
+        // variables; 0 means it only involves pre-assigned ones.
+        let mut keyed: Vec<(usize, &Equality)> = Vec::with_capacity(conds.len());
+        for eq in conds {
+            let mut moment = 0;
+            for side in [&eq.lhs, &eq.rhs] {
+                side.vars_all(&mut |v| {
+                    mention(v);
+                    match bindings.iter().rposition(|b| b.var == v) {
+                        Some(p) => moment = moment.max(p + 1),
+                        None => outer.push(v),
+                    }
+                    true
+                });
+            }
+            keyed.push((moment, eq));
+        }
+        keyed.sort_by_key(|&(moment, _)| moment);
+        let ready = (0..bindings.len() + 2)
+            .map(|d| keyed.partition_point(|&(moment, _)| moment < d))
+            .collect();
+        Body {
+            bindings,
+            conds: keyed.into_iter().map(|(_, eq)| eq).collect(),
+            ready,
+            outer,
+            slots,
+        }
+    }
+
+    /// The conditions that become checkable at `moment` (see `ready`).
+    fn ready_at(&self, moment: usize) -> &[&'a Equality] {
+        &self.conds[self.ready[moment]..self.ready[moment + 1]]
+    }
+
+    /// Finds the homomorphisms of this body into `db.query` that extend
+    /// `fixed` (an assignment indexed by source variable id: chase-step
+    /// extension checks arrive with the universal variables mapped), leaving
+    /// them in `homs`. Targets are tried in from-clause order, depth-first.
+    pub(crate) fn search(
+        &self,
+        db: &mut CanonDb,
+        fixed: &[Option<Var>],
+        cfg: HomConfig,
+        homs: &mut Homs,
+    ) {
+        homs.images.clear();
+        homs.count = 0;
+        homs.stats = HomStats::default();
+        homs.used.clear();
+        homs.assignment.clear();
+        homs.assignment.extend_from_slice(fixed);
+        if homs.assignment.len() < self.slots {
+            homs.assignment.resize(self.slots, None);
+        }
+        if self
+            .outer
+            .iter()
+            .any(|v| homs.assignment[v.index()].is_none())
+        {
+            // Unmappable condition (free variable) — no homomorphism exists.
+            return;
+        }
+        if conds_hold(db, self.ready_at(0), homs) {
+            self.dfs(db, 0, cfg, homs);
+        }
+    }
+
+    fn dfs(&self, db: &mut CanonDb, depth: usize, cfg: HomConfig, homs: &mut Homs) {
+        if homs.count >= cfg.max_homs {
+            return;
+        }
+        if depth == self.bindings.len() {
+            let image = |b: &Binding| homs.assignment[b.var.index()].expect("assigned above");
+            homs.images.extend(self.bindings.iter().map(image));
+            homs.count += 1;
+            return;
+        }
+        let b = &self.bindings[depth];
+        let slot = b.var.index();
+
+        // If pre-fixed, verify range compatibility and conditions, then recurse.
+        if let Some(target) = homs.assignment[slot] {
+            let at = db.query.from.iter().position(|tb| tb.var == target);
+            if at.is_some_and(|i| range_compatible(db, &b.range, &homs.assignment, i))
+                && conds_hold(db, self.ready_at(depth + 1), homs)
+            {
+                self.dfs(db, depth + 1, cfg, homs);
+            }
+            return;
+        }
+
+        // Enumerate candidate target bindings. Snapshot count: chase may grow the
+        // from-list, but within one search the query is stable.
+        let n = db.query.from.len();
+        for i in 0..n {
+            let tb = &db.query.from[i];
+            let tv = tb.var;
+            if !quick_filter(&b.range, &tb.range) {
+                continue;
+            }
+            if cfg.injective && homs.used.contains(&tv) {
+                continue;
+            }
+            homs.stats.candidates_tried += 1;
+            if !range_compatible(db, &b.range, &homs.assignment, i) {
+                homs.stats.pruned += 1;
+                continue;
+            }
+            homs.assignment[slot] = Some(tv);
+            homs.used.push(tv);
+            if conds_hold(db, self.ready_at(depth + 1), homs) {
+                self.dfs(db, depth + 1, cfg, homs);
+            }
+            homs.used.pop();
+            homs.assignment[slot] = None;
+            if homs.count >= cfg.max_homs {
+                return;
+            }
+        }
+    }
+}
+
+/// Do `conds`, mapped through the current assignment, all follow from the
+/// target's where-clause? Counts the first one that does not as a pruning.
+fn conds_hold(db: &mut CanonDb, conds: &[&Equality], homs: &mut Homs) -> bool {
+    for eq in conds {
+        if !db.implied_mapped((&eq.lhs, &homs.assignment), (&eq.rhs, &homs.assignment)) {
+            homs.stats.pruned += 1;
+            return false;
+        }
+    }
+    true
+}
+
+/// The state and the results of a search, recycled from one
+/// [`Body::search`] to the next: a chase runs thousands and allocates for
+/// none of them once these buffers have grown.
+#[derive(Default)]
+pub(crate) struct Homs {
+    /// The partial assignment, indexed by source variable id. Between
+    /// searches it holds what the last one was given as `fixed`.
+    pub(crate) assignment: Vec<Option<Var>>,
+    /// Targets taken so far, for injective searches.
+    used: Vec<Var>,
+    /// The images of the body's bindings, in binding order, one
+    /// homomorphism after another.
+    images: Vec<Var>,
+    /// Homomorphisms found (a body without bindings has images of length 0).
+    pub(crate) count: usize,
+    pub(crate) stats: HomStats,
+}
+
+impl Homs {
+    /// The `k`-th homomorphism found for `body`: the images of its bindings.
+    pub(crate) fn image(&self, body: &Body<'_>, k: usize) -> &[Var] {
+        let n = body.bindings.len();
+        &self.images[k * n..(k + 1) * n]
+    }
+
+    /// Makes the `k`-th homomorphism found for `body` the assignment, so it
+    /// can map paths or be the `fixed` part of another search.
+    pub(crate) fn assign(&mut self, body: &Body<'_>, k: usize) {
+        for (i, b) in body.bindings.iter().enumerate() {
+            self.assignment[b.var.index()] = Some(self.image(body, k)[i]);
+        }
+    }
+}
+
 /// Finds homomorphisms from `(bindings, conds)` into `db.query`.
 ///
 /// `fixed` pre-assigns variables (used for chase-step extension checks where
 /// the universal variables are already mapped, and for seeded containment
 /// checks). Conditions mentioning only fixed variables are verified up front.
+///
+/// Compiles the body for this one call; the chase and the equivalence check
+/// compile theirs once (`Body::compile`) and run the same search.
 pub fn find_homs(
     db: &mut CanonDb,
     bindings: &[Binding],
@@ -67,148 +294,26 @@ pub fn find_homs(
     fixed: &HomMap,
     cfg: HomConfig,
 ) -> (Vec<HomMap>, HomStats) {
-    let mut stats = HomStats::default();
-    let mut results = Vec::new();
-
-    // Position of each source variable in the binding order.
-    let mut pos: FxHashMap<Var, usize> = FxHashMap::default();
-    for (i, b) in bindings.iter().enumerate() {
-        pos.insert(b.var, i);
+    let body = Body::compile(bindings, conds);
+    let mut assignment = vec![None; fixed.keys().map(|v| v.index() + 1).max().unwrap_or(0)];
+    for (v, &target) in fixed {
+        assignment[v.index()] = Some(target);
     }
-
-    // For each condition, the last binding position among its variables
-    // (variables not in `bindings` must be in `fixed`). `None` means the
-    // condition only involves fixed variables: check immediately.
-    let mut ready_at: Vec<Vec<&Equality>> = vec![Vec::new(); bindings.len()];
-    let mut ready_now: Vec<&Equality> = Vec::new();
-    for eq in conds {
-        let mut last: Option<usize> = None;
-        let mut ok = true;
-        for v in eq.vars() {
-            match pos.get(&v) {
-                Some(&p) => last = Some(last.map_or(p, |l| l.max(p))),
-                None => {
-                    if !fixed.contains_key(&v) {
-                        ok = false;
-                    }
-                }
-            }
-        }
-        if !ok {
-            // Unmappable condition (free variable) — no homomorphism exists.
-            return (results, stats);
-        }
-        match last {
-            Some(p) => ready_at[p].push(eq),
-            None => ready_now.push(eq),
-        }
-    }
-    for eq in ready_now {
-        let l = substitute(&eq.lhs, fixed);
-        let r = substitute(&eq.rhs, fixed);
-        if !db.implied(&l, &r) {
-            stats.pruned += 1;
-            return (results, stats);
-        }
-    }
-
-    let mut map: HomMap = fixed.clone();
-    let mut used: Vec<Var> = Vec::new();
-    dfs(
-        db,
-        bindings,
-        &ready_at,
-        0,
-        &mut map,
-        &mut used,
-        &mut results,
-        &mut stats,
-        cfg,
-    );
-    (results, stats)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    db: &mut CanonDb,
-    bindings: &[Binding],
-    ready_at: &[Vec<&Equality>],
-    depth: usize,
-    map: &mut HomMap,
-    used: &mut Vec<Var>,
-    results: &mut Vec<HomMap>,
-    stats: &mut HomStats,
-    cfg: HomConfig,
-) {
-    if results.len() >= cfg.max_homs {
-        return;
-    }
-    if depth == bindings.len() {
-        results.push(map.clone());
-        return;
-    }
-    let b = &bindings[depth];
-
-    // If pre-fixed, verify range compatibility and conditions, then recurse.
-    if let Some(&target) = map.get(&b.var) {
-        if range_compatible(db, &b.range, map, target)
-            && conds_hold(db, ready_at, depth, map, stats)
-        {
-            dfs(
-                db,
-                bindings,
-                ready_at,
-                depth + 1,
-                map,
-                used,
-                results,
-                stats,
-                cfg,
+    let mut homs = Homs::default();
+    body.search(db, &assignment, cfg, &mut homs);
+    let results = (0..homs.count)
+        .map(|k| {
+            let mut h = fixed.clone();
+            h.extend(
+                bindings
+                    .iter()
+                    .map(|b| b.var)
+                    .zip(homs.image(&body, k).iter().copied()),
             );
-        }
-        return;
-    }
-
-    // Enumerate candidate target bindings. Snapshot count: chase may grow the
-    // from-list, but within one search the query is stable.
-    let n = db.query.from.len();
-    for i in 0..n {
-        let (tv, is_candidate) = {
-            let tb = &db.query.from[i];
-            (tb.var, quick_filter(&b.range, &tb.range))
-        };
-        if !is_candidate {
-            continue;
-        }
-        if cfg.injective && used.contains(&tv) {
-            continue;
-        }
-        stats.candidates_tried += 1;
-        if !range_compatible(db, &b.range, map, tv) {
-            stats.pruned += 1;
-            continue;
-        }
-        map.insert(b.var, tv);
-        used.push(tv);
-        if conds_hold(db, ready_at, depth, map, stats) {
-            dfs(
-                db,
-                bindings,
-                ready_at,
-                depth + 1,
-                map,
-                used,
-                results,
-                stats,
-                cfg,
-            );
-        }
-        used.pop();
-        map.remove(&b.var);
-        if results.len() >= cfg.max_homs {
-            return;
-        }
-    }
+            h
+        })
+        .collect();
+    (results, homs.stats)
 }
 
 /// Cheap structural pre-filter: a source range can only match target ranges
@@ -224,51 +329,23 @@ fn quick_filter(src: &Range, tgt: &Range) -> bool {
     }
 }
 
-/// Full range-compatibility check: the substituted source range must equal
-/// the target binding's range under the query's congruence.
-fn range_compatible(db: &mut CanonDb, src: &Range, map: &HomMap, target: Var) -> bool {
-    let tgt_range = match db.query.binding(target) {
-        Some(b) => b.range.clone(),
-        None => return false,
-    };
-    match (src, &tgt_range) {
+/// Full range-compatibility check: the source range mapped through
+/// `assignment` must equal the range of the target's `at`-th binding under
+/// the query's congruence.
+fn range_compatible(db: &mut CanonDb, src: &Range, assignment: &[Option<Var>], at: usize) -> bool {
+    // The target range stays where it is: the probe needs the closure only.
+    let CanonDb { query, cong, .. } = db;
+    match (src, &query.from[at].range) {
         (Range::Name(a), Range::Name(b)) => a == b,
         (Range::Dom(a), Range::Dom(b)) => a == b,
         (Range::Expr(p), Range::Expr(q)) => {
             // All of p's variables must already be assigned (constraint
             // well-formedness orders range variables first).
-            let mut all_assigned = true;
-            p.vars_all(&mut |v| {
-                let ok = map.contains_key(&v);
-                all_assigned &= ok;
-                ok
-            });
-            if !all_assigned {
-                return false;
-            }
-            let sp = substitute(p, map);
-            db.implied(&sp, q)
+            p.vars_all(&mut |v| assignment.get(v.index()).is_some_and(Option::is_some))
+                && cong.probe_equal((p, assignment), (q, &[]))
         }
         _ => false,
     }
-}
-
-fn conds_hold(
-    db: &mut CanonDb,
-    ready_at: &[Vec<&Equality>],
-    depth: usize,
-    map: &HomMap,
-    stats: &mut HomStats,
-) -> bool {
-    for eq in &ready_at[depth] {
-        let l = substitute(&eq.lhs, map);
-        let r = substitute(&eq.rhs, map);
-        if !db.implied(&l, &r) {
-            stats.pruned += 1;
-            return false;
-        }
-    }
-    true
 }
 
 /// Convenience: does at least one homomorphism exist?

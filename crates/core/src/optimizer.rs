@@ -121,6 +121,10 @@ pub struct OptimizeResult {
     pub pruned: usize,
     /// Chase statistics (summed).
     pub chase_stats: ChaseStats,
+    /// Equivalence checks decided on a chase that hit its step or round cap
+    /// ([`BackchaseResult::truncated_checks`], summed): above 0, a plan may
+    /// be missing.
+    pub truncated_checks: usize,
 }
 
 impl OptimizeResult {
@@ -133,6 +137,7 @@ impl OptimizeResult {
         self.chase_time += run.chase_time;
         self.backchase_time += run.backchase_time;
         self.timed_out |= run.timed_out;
+        self.truncated_checks += run.truncated_checks;
         self.chase_stats.steps_applied += run.chase_stats.steps_applied;
         self.chase_stats.homs_found += run.chase_stats.homs_found;
         self.chase_stats.satisfied_skips += run.chase_stats.satisfied_skips;

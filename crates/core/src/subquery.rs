@@ -6,10 +6,11 @@
 //! (through the congruence) onto `S`-variables. Removal candidates whose
 //! output or range paths cannot be recovered over `S` are invalid.
 
-use cnb_ir::prelude::{Equality, PathExpr, Query, Range, Symbol};
+use cnb_ir::prelude::{Binding, Equality, PathExpr, Query, Range, Symbol, Var};
 
 use crate::bitset::VarSet;
 use crate::canon::CanonDb;
+use crate::congruence::{Congruence, TermId};
 
 /// Induces the subquery of `db.query` on the binding subset `keep`, using
 /// `select` as the output to recover (usually the original query's select).
@@ -32,23 +33,20 @@ pub fn induce_subquery(
     // dictionary semantics; this is why Example 3.3's original query keeps
     // its `dom M2` binding rather than being "minimized" away.)
     let mut earlier = VarSet::new();
-    let mut dom_guards: Vec<(cnb_ir::prelude::Symbol, cnb_ir::prelude::Var)> = Vec::new();
-    let bindings = db.query.from.clone();
-    for b in &bindings {
-        if !keep.contains(b.var) {
-            continue;
-        }
+    let mut dom_guards: Vec<(Symbol, Var)> = Vec::new();
+    let CanonDb { query, cong, .. } = &mut *db;
+    for b in query.from.iter().filter(|b| keep.contains(b.var)) {
         let range = match &b.range {
             Range::Name(s) => Range::Name(*s),
             Range::Dom(s) => Range::Dom(*s),
             Range::Expr(p) => {
-                let t = db.cong.intern_path(p);
-                db.cong.saturate_class_over(t, &earlier);
-                let candidates = db.cong.class_paths_over(t, &earlier);
+                let t = cong.intern_path(p);
+                cong.saturate_class_over(t, &earlier);
+                let candidates = cong.class_paths_over(t, &earlier);
                 let mut chosen = None;
                 for cand in candidates {
-                    let path = db.cong.path_of(cand);
-                    if lookups_guarded(db, &path, &dom_guards) {
+                    let path = cong.path_of(cand);
+                    if lookups_guarded(cong, &path, &dom_guards) {
                         chosen = Some(path);
                         break;
                     }
@@ -59,7 +57,7 @@ pub fn induce_subquery(
         if let Range::Dom(s) = &range {
             dom_guards.push((*s, b.var));
         }
-        out.from.push(cnb_ir::prelude::Binding {
+        out.from.push(Binding {
             var: b.var,
             name: b.name,
             range,
@@ -91,21 +89,22 @@ pub fn restricted_where(db: &mut CanonDb, keep: &VarSet) -> Vec<Equality> {
     let mut out = Vec::new();
     // Collect per-class member lists first; process classes whose smallest
     // member is smallest first, so root equalities suppress derived ones.
-    let mut classes: Vec<Vec<crate::congruence::TermId>> = Vec::new();
-    for rep in db.cong.class_reps() {
-        db.cong.saturate_class_over(rep, keep);
-        let members = db.cong.class_paths_over(rep, keep);
+    let CanonDb { cong, redux, .. } = db;
+    let mut classes: Vec<Vec<TermId>> = Vec::new();
+    for rep in cong.class_reps() {
+        cong.saturate_class_over(rep, keep);
+        let members = cong.class_paths_over(rep, keep);
         if members.len() >= 2 {
             classes.push(members);
         }
     }
-    classes.sort_by_key(|ms| db.cong.term_size(ms[0]));
-    let mut redux = crate::congruence::Congruence::new();
+    classes.sort_by_key(|ms| cong.term_size(ms[0]));
+    redux.clear();
     for members in classes {
-        let first = db.cong.path_of(members[0]);
+        let first = cong.path_of(members[0]);
         let ft = redux.intern_path(&first);
         for &m in &members[1..] {
-            let mp = db.cong.path_of(m);
+            let mp = cong.path_of(m);
             let mt = redux.intern_path(&mp);
             if redux.equal(ft, mt) {
                 continue;
@@ -119,23 +118,19 @@ pub fn restricted_where(db: &mut CanonDb, keep: &VarSet) -> Vec<Equality> {
 
 /// True if every dictionary lookup in `p` has a key provably equal to a
 /// `dom`-bound guard variable of the same dictionary.
-fn lookups_guarded(
-    db: &mut CanonDb,
-    p: &PathExpr,
-    guards: &[(cnb_ir::prelude::Symbol, cnb_ir::prelude::Var)],
-) -> bool {
+fn lookups_guarded(cong: &mut Congruence, p: &PathExpr, guards: &[(Symbol, Var)]) -> bool {
     match p {
         PathExpr::Var(_) | PathExpr::Const(_) => true,
-        PathExpr::Field(base, _) => lookups_guarded(db, base, guards),
+        PathExpr::Field(base, _) => lookups_guarded(cong, base, guards),
         PathExpr::Lookup(dict, key) => {
-            if !lookups_guarded(db, key, guards) {
+            if !lookups_guarded(cong, key, guards) {
                 return false;
             }
             guards
                 .iter()
-                .any(|(d, v)| d == dict && db.implied(key, &PathExpr::Var(*v)))
+                .any(|(d, v)| d == dict && cong.probe_equal((key, &[]), (&PathExpr::Var(*v), &[])))
         }
-        PathExpr::MkStruct(fields) => fields.iter().all(|(_, q)| lookups_guarded(db, q, guards)),
+        PathExpr::MkStruct(fields) => fields.iter().all(|(_, q)| lookups_guarded(cong, q, guards)),
     }
 }
 

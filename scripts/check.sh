@@ -138,6 +138,18 @@ done
 tier "serving door, release profile (ill-formed requests are refused typed)"
 cargo test --release -q -p cnb-engine --test door
 
+# Backchase kernel tier, release profile: the two files that hold a change
+# to the congruence closure, the homomorphism search or subquery induction
+# to "same search, no garbage". alloc_audit counts heap allocations per
+# explored candidate on the four full-backchase benchmark points (its
+# ceilings are asserted in release only — a debug build validates every
+# induced query); plan_text_golden pins every plan's text, order,
+# `explored` / `pruned` / `universal_arity` for the nine optimize_cold
+# configurations, both backchase traversals and a capped run, at 1/2/4/8
+# threads. The debug profile runs both as part of `cargo test -q` below.
+tier "allocation audit + plan-text golden, release profile"
+cargo test --release -q --test alloc_audit --test plan_text_golden
+
 tier "CNB_THREADS=1 cargo test -q   (sequential backchase)"
 CNB_THREADS=1 cargo test -q
 

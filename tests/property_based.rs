@@ -14,13 +14,15 @@
 #![allow(clippy::disallowed_types)]
 
 use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use chase_too_far::core::bitset::VarSet;
-use chase_too_far::core::congruence::{Congruence, TermNode};
+use chase_too_far::core::canon::substitute;
+use chase_too_far::core::congruence::{Congruence, Savepoint, TermId, TermNode};
 use chase_too_far::core::prelude::{
     chase, chase_and_backchase, chase_query, same_plan, BackchaseConfig, BackchaseResult,
-    ChaseConfig, Optimizer, OptimizerConfig, Strategy as OptStrategy,
+    ChaseConfig, FxHasher, Optimizer, OptimizerConfig, Strategy as OptStrategy,
 };
 use chase_too_far::engine::prng::SplitMix64;
 use chase_too_far::engine::{execute, Database};
@@ -66,6 +68,18 @@ fn varset_matches_model() {
             assert_eq!(vs.len(), model.len());
             assert_eq!(vs.contains(Var(v)), model.contains(&v));
         }
+        // One set, one representation: however the trace got here, the set
+        // equals — and hashes like — the one built from its elements. (A
+        // trailing zero word left behind by a `remove` would split one
+        // lattice or memo key into two.)
+        let rebuilt = VarSet::from_iter(model.iter().map(|&v| Var(v)));
+        assert_eq!(vs, rebuilt);
+        let fx = |s: &VarSet| {
+            let mut h = FxHasher::default();
+            s.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(fx(&vs), fx(&rebuilt));
         let mut elems: Vec<u32> = model.into_iter().collect();
         elems.sort_unstable();
         let got: Vec<u32> = vs.iter().map(|v| v.0).collect();
@@ -210,11 +224,7 @@ fn arb_cong_path(rng: &mut SplitMix64, depth: usize) -> PathExpr {
     }
 }
 
-fn apply_cong_op(
-    c: &mut Congruence,
-    terms: &mut Vec<chase_too_far::core::congruence::TermId>,
-    op: &CongOp,
-) {
+fn apply_cong_op(c: &mut Congruence, terms: &mut Vec<TermId>, op: &CongOp) {
     match op {
         CongOp::Intern(p, scratch) => {
             c.set_scratch_mode(*scratch);
@@ -234,41 +244,12 @@ fn apply_cong_op(
 fn congruence_savepoints_match_rebuild() {
     cases("congruence_savepoints_match_rebuild", 48, |rng| {
         let mut live = Congruence::new();
-        let mut live_terms = Vec::new();
-        // Surviving trace + the savepoint stack with the trace/term lengths
-        // at each save (rolling back to stack[k] discards deeper entries,
-        // exercising the outer-rollback-consumes-inner rule).
-        let mut ops: Vec<CongOp> = Vec::new();
-        let mut stack: Vec<(chase_too_far::core::congruence::Savepoint, usize, usize)> = Vec::new();
-        for _ in 0..rng.gen_range(10usize..60) {
-            match rng.gen_range(0u32..10) {
-                0..=4 => {
-                    let op = CongOp::Intern(arb_cong_path(rng, 3), rng.gen_bool(0.25));
-                    apply_cong_op(&mut live, &mut live_terms, &op);
-                    ops.push(op);
-                }
-                5 | 6 => {
-                    if live_terms.len() >= 2 {
-                        let i = rng.gen_range(0usize..live_terms.len());
-                        let j = rng.gen_range(0usize..live_terms.len());
-                        let op = CongOp::Merge(i, j);
-                        apply_cong_op(&mut live, &mut live_terms, &op);
-                        ops.push(op);
-                    }
-                }
-                7 | 8 => stack.push((live.save(), ops.len(), live_terms.len())),
-                _ => {
-                    if !stack.is_empty() {
-                        let k = rng.gen_range(0usize..stack.len());
-                        stack.truncate(k + 1);
-                        let (sp, ops_len, terms_len) = stack.pop().expect("nonempty");
-                        live.rollback(sp);
-                        ops.truncate(ops_len);
-                        live_terms.truncate(terms_len);
-                    }
-                }
-            }
-        }
+        // Savepoints still open stay open: the comparison runs under them.
+        let CongTrace {
+            terms: live_terms,
+            ops,
+            open: _open,
+        } = run_cong_trace(rng, &mut live, true);
         // Reference: replay the surviving trace on a fresh closure.
         let mut fresh = Congruence::new();
         let mut fresh_terms = Vec::new();
@@ -297,6 +278,146 @@ fn congruence_savepoints_match_rebuild() {
                 );
             }
         }
+    });
+}
+
+/// What [`run_cong_trace`] left behind.
+struct CongTrace {
+    /// Handles of the surviving interns.
+    terms: Vec<TermId>,
+    /// The surviving (never rolled back) operations: replayed on a fresh
+    /// closure they rebuild the reference.
+    ops: Vec<CongOp>,
+    /// The savepoints still open, outermost first, each with the `ops` and
+    /// `terms` lengths at its save.
+    open: Vec<(Savepoint, usize, usize)>,
+}
+
+/// Applies a random trace of interns and merges to `c` — and, when
+/// `savepoints` is set, of savepoints and rollbacks too (rolling back to
+/// `open[k]` discards deeper entries, exercising the
+/// outer-rollback-consumes-inner rule).
+fn run_cong_trace(rng: &mut SplitMix64, c: &mut Congruence, savepoints: bool) -> CongTrace {
+    let (mut terms, mut ops, mut open) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..rng.gen_range(10usize..60) {
+        let op = match rng.gen_range(0u32..10) {
+            0..=4 => CongOp::Intern(arb_cong_path(rng, 3), rng.gen_bool(0.25)),
+            5 | 6 if terms.len() >= 2 => CongOp::Merge(
+                rng.gen_range(0usize..terms.len()),
+                rng.gen_range(0usize..terms.len()),
+            ),
+            7 | 8 if savepoints => {
+                open.push((c.save(), ops.len(), terms.len()));
+                continue;
+            }
+            9 if savepoints && !open.is_empty() => {
+                open.truncate(rng.gen_range(0usize..open.len()) + 1);
+                let (sp, ops_len, terms_len) = open.pop().expect("nonempty");
+                c.rollback(sp);
+                ops.truncate(ops_len);
+                terms.truncate(terms_len);
+                continue;
+            }
+            _ => continue,
+        };
+        apply_cong_op(c, &mut terms, &op);
+        ops.push(op);
+    }
+    CongTrace { terms, ops, open }
+}
+
+/// Everything a closure shows of itself, term by term: the node, the scratch
+/// flag, the class members **in list order** and the members over two
+/// variable sets, as `class_paths_over`'s `(size, id)` tie-break lists them —
+/// what induced query text is made of.
+fn cong_observation(c: &mut Congruence) -> Vec<String> {
+    let allowed = [
+        VarSet::from_iter((0..6).map(Var)),
+        VarSet::from_iter([Var(0), Var(2), Var(4)]),
+    ];
+    let reps = c.class_reps();
+    let mut out = vec![format!(
+        "len={} inconsistent={} reps={reps:?}",
+        c.len(),
+        c.is_inconsistent()
+    )];
+    for rep in reps {
+        for t in c.class_members(rep) {
+            let node = format!("{:?}", c.node(t));
+            out.push(format!(
+                "{t:?} {node} scratch={} members={:?} over={:?}/{:?}",
+                c.is_scratch(t),
+                c.class_members(t),
+                c.class_paths_over(t, &allowed[0]),
+                c.class_paths_over(t, &allowed[1]),
+            ));
+        }
+    }
+    out
+}
+
+/// Probes intern through the map: `intern_path_mapped(p, m)` is
+/// `intern_path(&substitute(p, m))` — same term, same arena, same scratch
+/// flags, same classes — on random closures, random paths (structs included)
+/// and random partial assignments, in scratch mode and out of it.
+#[test]
+fn intern_path_mapped_matches_substitute_then_intern() {
+    cases(
+        "intern_path_mapped_matches_substitute_then_intern",
+        64,
+        |rng| {
+            let mut mapped = Congruence::new();
+            run_cong_trace(rng, &mut mapped, false);
+            let mut twin = mapped.clone();
+            for _ in 0..rng.gen_range(1usize..12) {
+                let p = arb_cong_path(rng, 3);
+                // Partial, and sometimes shorter than the variable range.
+                let map: Vec<Option<Var>> = (0..rng.gen_range(0usize..8))
+                    .map(|_| rng.gen_bool(0.6).then(|| Var(rng.gen_range(0u32..9))))
+                    .collect();
+                let scratch = rng.gen_bool(0.5);
+                mapped.set_scratch_mode(scratch);
+                twin.set_scratch_mode(scratch);
+                let a = mapped.intern_path_mapped(&p, &map);
+                let b = twin.intern_path(&substitute(&p, &map));
+                mapped.set_scratch_mode(false);
+                twin.set_scratch_mode(false);
+                assert_eq!(a, b, "term ids diverged on {p} under {map:?}");
+                assert_eq!(mapped.len(), twin.len(), "arena sizes diverged");
+            }
+            assert_eq!(cong_observation(&mut mapped), cong_observation(&mut twin));
+        },
+    );
+}
+
+/// A recycled closure is a fresh one: after an arbitrary trace (savepoints
+/// and rollbacks included) and a `clear()`, replaying a second trace gives
+/// the term ids, scratch flags, class-member **order** and `class_paths_over`
+/// listings of a new closure replaying it — the lists that survive `clear()`
+/// and rollback as buffers carry nothing over but their capacity.
+#[test]
+fn cleared_congruence_replays_like_a_fresh_one() {
+    cases("cleared_congruence_replays_like_a_fresh_one", 64, |rng| {
+        let mut recycled = Congruence::new();
+        let first = run_cong_trace(rng, &mut recycled, true);
+        // `clear` wants no savepoint open; unwinding to the outermost leaves
+        // lists that are empty again but have been long.
+        if let Some((outermost, ..)) = first.open.into_iter().next() {
+            recycled.rollback(outermost);
+        }
+        recycled.clear();
+        assert!(recycled.is_empty());
+        // The same second trace on both, savepoints left open at its end.
+        let seed = rng.next_u64();
+        let mut fresh = Congruence::new();
+        let [on_recycled, on_fresh] = [&mut recycled, &mut fresh]
+            .map(|c| run_cong_trace(&mut SplitMix64::seed_from_u64(seed), c, true));
+        let (recycled_terms, fresh_terms) = (on_recycled.terms, on_fresh.terms);
+        assert_eq!(recycled_terms, fresh_terms, "term ids diverged");
+        assert_eq!(
+            cong_observation(&mut recycled),
+            cong_observation(&mut fresh)
+        );
     });
 }
 
@@ -362,6 +483,7 @@ fn backchase_fingerprint(res: &BackchaseResult) -> Vec<String> {
     res.plans
         .iter()
         .map(|p| format!("{:?} :: {}", p.bindings, p.query))
+        .chain([format!("truncated_checks = {}", res.truncated_checks)])
         .collect()
 }
 
