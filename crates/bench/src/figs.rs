@@ -5,12 +5,11 @@
 //! with tiny parameters — the binaries themselves just print the returned
 //! markdown.
 //!
-//! The optimization figures (6/7/8 and the plan-count table) honour the
-//! `CNB_THREADS` knob through [`crate::config`]: the backchase shards its
-//! frontier across that many workers. Plan counts and plan order are
-//! thread-count-invariant by construction (see `cnb_core::backchase`), so
-//! rendered tables differ across thread counts only in the timing columns —
-//! `crates/bench/tests/thread_invariance.rs` checks exactly that.
+//! The optimization figures (6/7/8 and the plan-count table) do not depend on
+//! the `CNB_THREADS` knob: both backchase searches are sequential (see
+//! `cnb_core::backchase`), so rendered tables differ from run to run only in
+//! the timing columns — `crates/bench/tests/thread_invariance.rs` checks
+//! exactly that.
 
 use crate::{cell, config, render_table, run, secs, tpp};
 use cnb_core::prelude::*;
@@ -29,13 +28,6 @@ pub enum Scale {
     Paper,
     /// A seconds-scale subset proving the routine end to end.
     Smoke,
-}
-
-/// The worker count the backchase will actually use under the current
-/// `CNB_THREADS` setting — stamped into figure titles so recorded outputs
-/// are self-describing.
-fn effective_threads() -> usize {
-    cnb_core::parallel::resolve_threads(0)
 }
 
 fn chase_time(q: &cnb_ir::prelude::Query, cs: &[cnb_ir::prelude::Constraint]) -> (f64, usize) {
@@ -189,10 +181,7 @@ pub fn fig6_tpp_ec1_ec3(scale: Scale) -> String {
         ]);
     }
     out.push_str(&render_table(
-        &format!(
-            "Fig 6 (right): time per plan [EC1] — seconds (plan count), {} backchase thread(s)",
-            effective_threads()
-        ),
+        "Fig 6 (right): time per plan [EC1] — seconds (plan count)",
         &["[#relations,#secondary]", "FB", "OQF", "OCS"],
         &t1,
     ));
@@ -275,10 +264,7 @@ pub fn fig7_tpp_ec2(scale: Scale) -> String {
         ]);
     }
     render_table(
-        &format!(
-            "Fig 7: time per plan [EC2] — seconds (plan count); — = timeout; {} backchase thread(s)",
-            effective_threads()
-        ),
+        "Fig 7: time per plan [EC2] — seconds (plan count); — = timeout",
         &["[v,s,c]", "query size", "#constraints", "FB", "OQF", "OCS"],
         &table,
     )
@@ -562,10 +548,7 @@ pub fn fig11_ec4_star(scale: Scale, rows: usize) -> String {
         ]);
     }
     out.push_str(&render_table(
-        &format!(
-            "Fig 11 (top): time per plan [EC4 star schema] — seconds (plan count); {} backchase thread(s)",
-            effective_threads()
-        ),
+        "Fig 11 (top): time per plan [EC4 star schema] — seconds (plan count)",
         &["[d,v,j]", "#constraints", "FB", "OQF", "OCS"],
         &table,
     ));
@@ -661,10 +644,7 @@ pub fn fig12_ec5_cyclic(scale: Scale, edges: usize) -> String {
         ]);
     }
     out.push_str(&render_table(
-        &format!(
-            "Fig 12 (top): time per plan [EC5 cyclic joins] — seconds (plan count); {} backchase thread(s)",
-            effective_threads()
-        ),
+        "Fig 12 (top): time per plan [EC5 cyclic joins] — seconds (plan count)",
         &["shape", "#constraints", "FB", "OCS"],
         &table,
     ));

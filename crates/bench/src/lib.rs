@@ -10,9 +10,9 @@
 //!   paper's "missing bars".
 //! * `CNB_ROWS` — dataset size for execution experiments (default 5000, the
 //!   paper's value).
-//! * `CNB_THREADS` — backchase worker threads (default: the machine's
-//!   available parallelism). Plans, plan order, and `explored` counts are
-//!   identical at every thread count; only wall-clock changes.
+//! * `CNB_THREADS` — not read by any figure: the optimizer's searches are
+//!   sequential, and plans, plan order, and `explored` counts are identical
+//!   at every value.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,10 +44,7 @@ pub fn rows() -> usize {
 }
 
 /// An optimizer config with the harness timeout applied (figs. 6/7/8 and
-/// the plan-count table all route through here). The backchase thread count
-/// stays `0` = auto: `cnb_core::parallel::resolve_threads` is the single
-/// parser of the `CNB_THREADS` knob (explicit > env > available
-/// parallelism).
+/// the plan-count table all route through here).
 pub fn config(strategy: Strategy) -> OptimizerConfig {
     OptimizerConfig::with_strategy(strategy).timeout(timeout())
 }

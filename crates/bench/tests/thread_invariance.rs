@@ -1,6 +1,6 @@
 //! Figs. 6 and 7 yield identical plan counts (and identical timeout/missing
-//! cells) under 1 and 4 backchase threads — the determinism guarantee,
-//! observed end to end through the figure pipeline and the `CNB_THREADS`
+//! cells) under `CNB_THREADS` 1 and 4 — the determinism guarantee, observed
+//! end to end through the figure pipeline: the optimizer does not read the
 //! knob. Timing columns are the only thing allowed to differ.
 //!
 //! This test lives in its own integration-test binary (= its own process)
@@ -28,8 +28,7 @@ fn plan_count_tokens(rendered: &str) -> Vec<String> {
 
 #[test]
 fn fig6_fig7_thread_count_invariant() {
-    // Restore any externally pinned value afterwards (scripts/check.sh runs
-    // the whole suite under CNB_THREADS=1 and then 4).
+    // Restore any externally pinned value afterwards.
     let pinned = std::env::var("CNB_THREADS").ok();
     let render = |threads: &str| {
         std::env::set_var("CNB_THREADS", threads);

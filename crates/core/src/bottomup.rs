@@ -13,17 +13,18 @@
 //! plan, then bottom-up with its cost as the initial bound — which is what
 //! [`bottom_up_backchase`] does when given a `seed_bound`.
 //!
-//! This is the third traversal of [`crate::backchase::Lattice`]: chasing,
+//! This is the second traversal of [`crate::backchase::Lattice`]: chasing,
 //! induction, equivalence, the deadline and plan collection are the
 //! lattice's and the sink's; what lives here is the by-size growth order
-//! and the pricer rule above.
+//! and the pricer rule above. Most small subsets are not subqueries at all —
+//! a range or the output is out of reach — and [`Lattice::induce`] answers
+//! those from the lattice's range and select borders.
 
 use cnb_ir::prelude::{Constraint, Query};
 
 use crate::backchase::{BackchaseConfig, BackchaseResult, Lattice, PlanSink};
 use crate::bitset::VarSet;
 use crate::cost::PlanPricer;
-use crate::fxhash::FxHashSet;
 
 /// Runs chase + bottom-up backchase. Candidates are enumerated by size
 /// (1, 2, …); the first equivalent candidates found are the minimal plans.
@@ -50,10 +51,11 @@ pub fn bottom_up_backchase(
     // without a seed, enumerate the complete minimal-plan set.
     let pruning = seed_bound.is_some();
     let mut best_cost = seed_bound.unwrap_or(f64::INFINITY);
-    // Frontier of current-size candidate subsets (as sorted index vectors).
+    // Frontier of current-size candidate subsets, as sorted index vectors:
+    // growing one by the indices past its last generates every larger
+    // subset exactly once, from the one parent that is its prefix.
     let mut frontier: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
     let mut found_sets: Vec<VarSet> = Vec::new();
-    let mut seen: FxHashSet<Vec<usize>> = FxHashSet::default();
 
     'search: while !frontier.is_empty() {
         let mut next: Vec<Vec<usize>> = Vec::new();
@@ -72,9 +74,7 @@ pub fn bottom_up_backchase(
                 for j in last + 1..n {
                     let mut bigger = subset.clone();
                     bigger.push(j);
-                    if seen.insert(bigger.clone()) {
-                        next.push(bigger);
-                    }
+                    next.push(bigger);
                 }
             };
             let Some(cand) = lattice.induce(&keep) else {

@@ -11,9 +11,9 @@
 //! plus the two stratification strategies that make the backchase practical:
 //! [`fragments`] (on-line query fragmentation, OQF, §3.2.1) and [`strata`]
 //! (off-line constraint stratification, OCS, §3.2.2), tied together by the
-//! [`optimizer`] facade. The backchase frontier can run on the hand-rolled
-//! scoped thread pool of [`parallel`] (`CNB_THREADS`), producing plans
-//! byte-identical to the sequential search at any thread count.
+//! [`optimizer`] facade. Both searches are sequential and remember what they
+//! prove (the borders of [`backchase`]); the scoped thread pool of
+//! [`parallel`] (`CNB_THREADS`) serves batches of requests in `cnb-engine`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +43,7 @@ pub mod prelude {
     pub use crate::backchase::{
         chase_and_backchase, chase_and_backchase_runs, BackchaseConfig, BackchaseResult, Plan,
     };
-    pub use crate::bitset::VarSet;
+    pub use crate::bitset::{Border, VarSet};
     pub use crate::bottomup::bottom_up_backchase;
     pub use crate::canon::CanonDb;
     pub use crate::chase::{chase, chase_query, ChaseConfig, ChaseStats};

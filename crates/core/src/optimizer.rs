@@ -102,8 +102,11 @@ pub struct OptimizeResult {
     /// (fragments, stages, and both searches of
     /// [`Optimizer::optimize_measured`]).
     pub universal_arity: usize,
-    /// Subqueries explored (equivalence checks) across all invocations.
+    /// Subqueries explored (subsets judged) across all invocations.
     pub explored: usize,
+    /// Of those, the verdicts the searches' borders gave without a chase
+    /// ([`BackchaseResult::inferred`], summed).
+    pub inferred: usize,
     /// Time spent chasing.
     pub chase_time: Duration,
     /// Time spent in backchase search.
@@ -133,6 +136,7 @@ impl OptimizeResult {
     fn absorb(&mut self, run: &BackchaseResult) {
         self.universal_arity += run.universal_arity;
         self.explored += run.explored;
+        self.inferred += run.inferred;
         self.pruned += run.pruned;
         self.chase_time += run.chase_time;
         self.backchase_time += run.backchase_time;

@@ -1,9 +1,11 @@
 //! A hand-rolled scoped thread pool with a chunked work queue.
 //!
-//! The backchase frontier is "embarrassingly parallel": every wave of
-//! single-binding-removal candidates can be equivalence-checked
-//! independently. The workspace has no registry dependencies (no rayon), so
-//! this module provides the minimal machinery on `std::thread` alone:
+//! A batch of requests is "embarrassingly parallel": `cnb_engine`'s
+//! `PlanServer::serve_batch` executes them independently. (The backchase's
+//! breadth-first frontier was this module's first user; it is gone — see
+//! "Borders" in [`crate::backchase`].) The workspace has no registry
+//! dependencies (no rayon), so this module provides the minimal machinery on
+//! `std::thread` alone:
 //!
 //! * [`resolve_threads`] — the `CNB_THREADS` knob (explicit config beats the
 //!   environment beats `available_parallelism`);
@@ -20,12 +22,12 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Hard cap on worker threads; beyond this the scoped-spawn overhead
-/// outweighs any backchase wave we generate.
+/// outweighs any batch we serve.
 pub const MAX_THREADS: usize = 64;
 
 /// Resolves the effective worker count.
 ///
-/// `explicit` (usually `BackchaseConfig::threads`) wins when non-zero;
+/// `explicit` (a caller's thread-count argument) wins when non-zero;
 /// otherwise the `CNB_THREADS` environment variable; otherwise the machine's
 /// [`std::thread::available_parallelism`]. The result is clamped to
 /// `1..=`[`MAX_THREADS`].
@@ -97,8 +99,8 @@ impl WorkQueue {
 /// Maps `eval` over `0..len` on up to `threads` scoped worker threads,
 /// returning the results **in index order**.
 ///
-/// Each worker builds one private `state` via `init` (e.g. a clone of the
-/// universal plan's canonical database) and reuses it across its items.
+/// Each worker builds one private `state` via `init` (e.g. a scratch
+/// buffer) and reuses it across its items.
 /// `eval` returning `None` requests a cooperative stop (deadline expired):
 /// the flag is broadcast and workers finish without claiming further items.
 /// Unevaluated slots come back as `None`; evaluated ones as `Some(T)` —
@@ -106,8 +108,7 @@ impl WorkQueue {
 ///
 /// With `threads <= 1` (or a single item) everything runs inline on the
 /// caller's thread — no spawn, same results, same order. When the same
-/// states should survive *across* calls (the backchase reuses per-worker
-/// databases through many waves), build them once and use
+/// states should survive *across* calls, build them once and use
 /// [`map_chunked_with`] directly.
 pub fn map_chunked<S: Send, T: Send>(
     threads: usize,
@@ -123,9 +124,8 @@ pub fn map_chunked<S: Send, T: Send>(
 
 /// [`map_chunked`] over caller-owned worker states: `states.len()` is the
 /// worker count and slot `k` is lent to worker `k` for the duration of the
-/// call. Lets expensive per-worker state (a cloned canonical database, a
-/// scratch arena) be built once and reused across many calls, instead of
-/// rebuilt per call.
+/// call. Lets expensive per-worker state (a scratch arena) be built once and
+/// reused across many calls, instead of rebuilt per call.
 ///
 /// Same contract as [`map_chunked`] otherwise: results in index order,
 /// `None` slots for items never evaluated after a cooperative stop, inline

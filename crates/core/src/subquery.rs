@@ -6,7 +6,7 @@
 //! (through the congruence) onto `S`-variables. Removal candidates whose
 //! output or range paths cannot be recovered over `S` are invalid.
 
-use cnb_ir::prelude::{Binding, Equality, PathExpr, Query, Range, Symbol, Var};
+use cnb_ir::prelude::{Binding, Equality, PathExpr, Query, Range, Symbol};
 
 use crate::bitset::VarSet;
 use crate::canon::CanonDb;
@@ -16,7 +16,11 @@ use crate::congruence::{Congruence, TermId};
 /// `select` as the output to recover (usually the original query's select).
 ///
 /// Returns `None` when the subset is not a valid subquery: an output path or
-/// a kept binding's range cannot be expressed over the kept variables.
+/// a kept binding's range cannot be expressed over the kept variables. Three
+/// steps in this order — [`induce_range`] per kept binding,
+/// [`restricted_where`], [`induce_select`] — of which only the first and the
+/// last can fail; the backchase asks those two alone when all it needs is
+/// whether the subset is a subquery.
 pub fn induce_subquery(
     db: &mut CanonDb,
     keep: &VarSet,
@@ -25,58 +29,70 @@ pub fn induce_subquery(
     let mut out = Query::new();
     out.reserve_vars(db.query.var_bound());
 
-    // From-clause: kept bindings in original order; range paths must be
-    // expressible over *earlier* kept variables, and every dictionary lookup
-    // inside a range must stay *guarded* — its key congruent to an earlier
-    // kept `dom` binding of the same dictionary. (Ranging over `M[o].N` with
-    // `o` not known to be in `dom M` is not well-defined in the paper's
-    // dictionary semantics; this is why Example 3.3's original query keeps
-    // its `dom M2` binding rather than being "minimized" away.)
+    // From-clause: kept bindings in original order.
     let mut earlier = VarSet::new();
-    let mut dom_guards: Vec<(Symbol, Var)> = Vec::new();
     let CanonDb { query, cong, .. } = &mut *db;
     for b in query.from.iter().filter(|b| keep.contains(b.var)) {
-        let range = match &b.range {
-            Range::Name(s) => Range::Name(*s),
-            Range::Dom(s) => Range::Dom(*s),
-            Range::Expr(p) => {
-                let t = cong.intern_path(p);
-                cong.saturate_class_over(t, &earlier);
-                let candidates = cong.class_paths_over(t, &earlier);
-                let mut chosen = None;
-                for cand in candidates {
-                    let path = cong.path_of(cand);
-                    if lookups_guarded(cong, &path, &dom_guards) {
-                        chosen = Some(path);
-                        break;
-                    }
-                }
-                Range::Expr(chosen?)
-            }
-        };
-        if let Range::Dom(s) = &range {
-            dom_guards.push((*s, b.var));
-        }
         out.from.push(Binding {
             var: b.var,
             name: b.name,
-            range,
+            range: induce_range(cong, &query.from, &b.range, &earlier)?,
         });
         earlier.insert(b.var);
     }
 
     // Where-clause: the restriction of the congruence to kept variables.
     out.where_ = restricted_where(db, keep);
-
-    // Select-clause: rewrite each output path over the kept variables.
-    for (label, p) in select {
-        let t = db.cong.intern_path(p);
-        let rw = db.cong.rewrite_over(t, keep)?;
-        out.select.push((*label, db.cong.path_of(rw)));
-    }
-
+    out.select = induce_select(&mut db.cong, select, keep)?;
     debug_assert!(out.validate().is_ok(), "induced subquery ill-formed");
     Some(out)
+}
+
+/// The from-clause step of induction for one kept binding of `from`: its
+/// range over `earlier`, the kept variables bound before it. A range path
+/// must be expressible over those, and every dictionary lookup inside it must
+/// stay *guarded* — its key congruent to an earlier kept `dom` binding of the
+/// same dictionary. (Ranging over `M[o].N` with `o` not known to be in
+/// `dom M` is not well-defined in the paper's dictionary semantics; this is
+/// why Example 3.3's original query keeps its `dom M2` binding rather than
+/// being "minimized" away.) Whether a range survives depends on `earlier`
+/// alone and is monotone in it: a larger set offers more paths and guards.
+pub(crate) fn induce_range(
+    cong: &mut Congruence,
+    from: &[Binding],
+    range: &Range,
+    earlier: &VarSet,
+) -> Option<Range> {
+    Some(match range {
+        Range::Name(s) => Range::Name(*s),
+        Range::Dom(s) => Range::Dom(*s),
+        Range::Expr(p) => {
+            let t = cong.intern_path(p);
+            cong.saturate_class_over(t, earlier);
+            let candidates = cong.class_paths_over(t, earlier);
+            Range::Expr(candidates.into_iter().find_map(|cand| {
+                let path = cong.path_of(cand);
+                lookups_guarded(cong, &path, from, earlier).then_some(path)
+            })?)
+        }
+    })
+}
+
+/// The select-clause step of induction: each output path rewritten over the
+/// kept variables, or `None` when one cannot be. Monotone in `keep`.
+pub(crate) fn induce_select(
+    cong: &mut Congruence,
+    select: &[(Symbol, PathExpr)],
+    keep: &VarSet,
+) -> Option<Vec<(Symbol, PathExpr)>> {
+    select
+        .iter()
+        .map(|(label, p)| {
+            let t = cong.intern_path(p);
+            let rw = cong.rewrite_over(t, keep)?;
+            Some((*label, cong.path_of(rw)))
+        })
+        .collect()
 }
 
 /// The restriction of `db`'s congruence to the variables in `keep`, as a
@@ -117,20 +133,27 @@ pub fn restricted_where(db: &mut CanonDb, keep: &VarSet) -> Vec<Equality> {
 }
 
 /// True if every dictionary lookup in `p` has a key provably equal to a
-/// `dom`-bound guard variable of the same dictionary.
-fn lookups_guarded(cong: &mut Congruence, p: &PathExpr, guards: &[(Symbol, Var)]) -> bool {
+/// guard: a `dom` binding of the same dictionary among `from`'s `earlier`.
+fn lookups_guarded(
+    cong: &mut Congruence,
+    p: &PathExpr,
+    from: &[Binding],
+    earlier: &VarSet,
+) -> bool {
     match p {
         PathExpr::Var(_) | PathExpr::Const(_) => true,
-        PathExpr::Field(base, _) => lookups_guarded(cong, base, guards),
+        PathExpr::Field(base, _) => lookups_guarded(cong, base, from, earlier),
         PathExpr::Lookup(dict, key) => {
-            if !lookups_guarded(cong, key, guards) {
-                return false;
-            }
-            guards
-                .iter()
-                .any(|(d, v)| d == dict && cong.probe_equal((key, &[]), (&PathExpr::Var(*v), &[])))
+            lookups_guarded(cong, key, from, earlier)
+                && from.iter().any(|g| {
+                    earlier.contains(g.var)
+                        && matches!(&g.range, Range::Dom(d) if d == dict)
+                        && cong.probe_equal((key, &[]), (&PathExpr::Var(g.var), &[]))
+                })
         }
-        PathExpr::MkStruct(fields) => fields.iter().all(|(_, q)| lookups_guarded(cong, q, guards)),
+        PathExpr::MkStruct(fields) => fields
+            .iter()
+            .all(|(_, q)| lookups_guarded(cong, q, from, earlier)),
     }
 }
 
@@ -141,9 +164,9 @@ fn lookups_guarded(cong: &mut Congruence, p: &PathExpr, guards: &[(Symbol, Var)]
 /// Induction saturates congruence classes and interns rebuilt terms, so a
 /// shared mutable `CanonDb` would make each induced subquery depend on every
 /// *previous* induction (term ids feed the `class_paths_over` tie-break).
-/// The backchase — sequential and parallel alike — uses this wrapper so the
-/// result is a function of `(db, keep, select)` only, which is the property
-/// the thread-count-independence guarantee rests on. Earlier revisions got
+/// The backchase uses this wrapper so the result is a function of
+/// `(db, keep, select)` only, which is the property its determinism — and
+/// the soundness of the borders it keeps — rests on. Earlier revisions got
 /// purity by cloning the whole database per candidate (the oracle
 /// `tests/induction_differential.rs` still compares against); the rollback
 /// is O(delta) instead of O(db) and produces identical output, because the

@@ -10,9 +10,9 @@
 //! 2. **Determinism** — WCOJ output (rows *and* order) is a pure function
 //!    of (db, plan): re-generated datasets and repeated executions agree
 //!    byte-for-byte, and a pinned golden digest makes the comparison hold
-//!    *across processes and thread tiers* — `scripts/check.sh` runs this
-//!    suite at `CNB_THREADS=1/2/4/8`, so a thread-count leak anywhere in
-//!    the operator flips the digest.
+//!    *across processes* — every run of `scripts/check.sh` and of the
+//!    tier-1 suite must land on the same constants, so a leak of anything
+//!    process-specific into the operator flips the digest.
 //! 3. **Certification** — every generic-join twin the backchase emits
 //!    passes the static plan validator, and its attached fractional cover
 //!    certificate re-verifies against the full-query hypergraph at exactly
@@ -127,9 +127,9 @@ fn wcoj_output_order_is_a_pure_function_of_db_and_plan() {
 }
 
 /// Golden order digests. These pin the *byte-level* output order across
-/// processes: `scripts/check.sh` runs this test under `CNB_THREADS` 1, 2,
-/// 4 and 8, and each run must land on the same constants. A legitimate
-/// datagen or operator change may move them — update consciously.
+/// processes: each run must land on the same constants (the operator is
+/// single-threaded and reads no environment). A legitimate datagen or
+/// operator change may move them — update consciously.
 #[test]
 fn wcoj_output_digest_is_identical_at_every_thread_count() {
     let golden: [(&str, &str, u64); 4] = [

@@ -2,9 +2,10 @@
 # Full local gate: formatting, lints, and the tier-1 verify command.
 # Everything runs offline — the workspace has no registry dependencies.
 #
-# The tier-1 tests run twice: once with the backchase pinned sequential
-# (CNB_THREADS=1) and once with a 4-worker parallel frontier — the results
-# must be identical by construction, so both runs must be green.
+# No tier sets CNB_THREADS: neither backchase search reads it any more
+# (one depth-first search at every thread count), and every suite that
+# drives the serving pool passes its thread counts explicitly (1/2/4/8), so
+# a second run of a suite under another value would be the same run.
 #
 # Each `==> tier` header is followed (when the next tier starts) by the
 # wall-clock seconds the tier took, so a slow regression shows up in the
@@ -54,9 +55,9 @@ fi
 
 # Fast-fail gate: the EC4/EC5 golden + differential suites (star-schema and
 # cyclic-join workloads, exact row order, batched-vs-legacy oracle, thread
-# invariance) run first and explicitly in both thread tiers — they are also
-# part of the full `cargo test -q` runs below, but failing them early makes
-# a workload regression obvious before the whole tier finishes. ec4_star
+# invariance) run first and explicitly — they are also part of the full
+# `cargo test -q` run below, but failing them early makes a workload
+# regression obvious before the whole tier finishes. ec4_star
 # holds the two EC4 work guards — ec4_plans_execute_without_cross_products
 # (every plan within 4 × |F| tuples) and ec4_served_plan_probes_its_index_pair
 # (the plan PlanServer serves for the request mix within 2 × |F|, no
@@ -71,42 +72,31 @@ fi
 # only — no optimizer, no pool — and never read CNB_THREADS.
 tier "dict_join + owned-paths differentials (engine only, thread-independent)"
 cargo test -q -p cnb-engine --test dict_join_differential --test owned_paths_differential
-for t in 1 4; do
-  tier "CNB_THREADS=$t EC4/EC5 golden + differential suites"
-  CNB_THREADS=$t cargo test -q -p cnb-workloads --test ec4_star --test ec5_cyclic --test workload_suite
-  CNB_THREADS=$t cargo test -q --test property_based -- \
-    parallel_backchase_differential_ec4 parallel_backchase_differential_ec5 \
-    bottom_up_agrees_with_top_down_on_the_suite \
-    cost_observation_feedback_matches_arithmetic_mean
-done
+tier "EC4/EC5 golden + differential suites"
+cargo test -q -p cnb-workloads --test ec4_star --test ec5_cyclic --test workload_suite
+cargo test -q --test property_based -- \
+  parallel_backchase_differential_ec4 parallel_backchase_differential_ec5 \
+  bottom_up_agrees_with_top_down_on_the_suite \
+  cost_observation_feedback_matches_arithmetic_mean
 
 # WCOJ tier: the generic-join differential suite — answer-set equality
 # against the binary pipeline and the oracle on uniform and power-law EC5
 # data (and on a select path undefined on some joined rows), output order a
 # pure function of (db, plan) pinned by golden digests, and every
 # backchase-emitted generic-join twin re-verified against the static
-# validator and its fractional-cover certificate. The thread sweep is for
-# that last test (every_emitted_wcoj_plan_validates_and_its_cover_reverifies):
-# it alone runs the optimizer, whose backchase frontier reads CNB_THREADS, so
-# the twins and their certificates must come out the same at every tier. The
-# other four drive the engine only; their digests ride along.
-for t in 1 2 4 8; do
-  tier "CNB_THREADS=$t WCOJ differential suite"
-  CNB_THREADS=$t cargo test -q -p cnb-engine --test wcoj_differential
-done
+# validator and its fractional-cover certificate.
+tier "WCOJ differential suite"
+cargo test -q -p cnb-engine --test wcoj_differential
 
 # Serving tier: the canonical-fingerprint plan cache and the executor
 # worker pool. The smoke suite pins the serving contract — row sets
 # identical at 1/2/4/8 executor threads, warm hits answering without chase
 # & backchase (audited by counter), point picks partitioning the central
 # query, every served plan passing validate_plan — and the byte-identity
-# property checks warm-cache plans against cold-path plans. Both run in the
-# sequential and parallel backchase tiers.
-for t in 1 4; do
-  tier "CNB_THREADS=$t serving smoke (plan cache + executor pool)"
-  CNB_THREADS=$t cargo test -q -p cnb-bench --test serving_smoke
-  CNB_THREADS=$t cargo test -q --test property_based -- cache_hits_serve_byte_identical_plans
-done
+# property checks warm-cache plans against cold-path plans.
+tier "serving smoke (plan cache + executor pool)"
+cargo test -q -p cnb-bench --test serving_smoke
+cargo test -q --test property_based -- cache_hits_serve_byte_identical_plans
 
 # Benchmark tier: benchmark/ is its own workspace, so nothing above compiles
 # it — an API rename in cnb_engine/cnb_core would pass every other tier and
@@ -119,14 +109,12 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # on the injectable clock (frozen = byte-identical at every thread count,
 # ticking = deterministic expiry + panic-free mid-batch cooperative stops),
 # seeded fault injection with bounded retry, and the bounded plan cache's
-# eviction/re-optimization audits — at both backchase thread tiers.
-for t in 1 4; do
-  tier "CNB_THREADS=$t pressure suite (admission/deadlines/faults/eviction)"
-  CNB_THREADS=$t cargo test -q -p cnb-engine --test pressure
-  CNB_THREADS=$t cargo test -q --test property_based -- \
-    fault_free_requests_are_byte_identical_at_every_thread_count \
-    admission_decisions_are_a_pure_function_of_inputs
-done
+# eviction/re-optimization audits.
+tier "pressure suite (admission/deadlines/faults/eviction)"
+cargo test -q -p cnb-engine --test pressure
+cargo test -q --test property_based -- \
+  fault_free_requests_are_byte_identical_at_every_thread_count \
+  admission_decisions_are_a_pure_function_of_inputs
 
 # Door tier: the four ill-formed requests (unbound select variable, unbound
 # where variable, duplicate binding, forward range reference) through
@@ -138,30 +126,30 @@ done
 tier "serving door, release profile (ill-formed requests are refused typed)"
 cargo test --release -q -p cnb-engine --test door
 
-# Backchase kernel tier, release profile: the two files that hold a change
-# to the congruence closure, the homomorphism search or subquery induction
-# to "same search, no garbage". alloc_audit counts heap allocations per
-# explored candidate on the four full-backchase benchmark points (its
-# ceilings are asserted in release only — a debug build validates every
-# induced query); plan_text_golden pins every plan's text, order,
-# `explored` / `pruned` / `universal_arity` for the nine optimize_cold
-# configurations, both backchase traversals and a capped run, at 1/2/4/8
-# threads. The debug profile runs both as part of `cargo test -q` below.
-tier "allocation audit + plan-text golden, release profile"
-cargo test --release -q --test alloc_audit --test plan_text_golden
+# Backchase kernel tier, release profile: the three files that hold a change
+# to the congruence closure, the homomorphism search, subquery induction or
+# the lattice's borders to "same search, no garbage". alloc_audit counts heap
+# allocations per explored candidate on the four full-backchase benchmark
+# points (its ceilings are asserted in release only — a debug build validates
+# every induced query and re-proves every inferred verdict); plan_text_golden
+# pins every plan's text, order, `explored` / `pruned` / `universal_arity` /
+# `inferred` for the nine optimize_cold configurations, both backchase
+# traversals and a capped run; induction_differential holds every verdict on
+# every subset of five universal plans, in three orders, to a fresh-clone
+# oracle — in release, where no debug re-proof stands behind the borders.
+# The debug profile runs all three as part of `cargo test -q` below.
+tier "allocation audit + plan-text golden + induction differential, release profile"
+cargo test --release -q --test alloc_audit --test plan_text_golden --test induction_differential
 
-tier "CNB_THREADS=1 cargo test -q   (sequential backchase)"
-CNB_THREADS=1 cargo test -q
-
-tier "CNB_THREADS=4 cargo test -q   (parallel backchase frontier)"
-CNB_THREADS=4 cargo test -q
+tier "cargo test -q"
+cargo test -q
 
 # Debug-assert tier: the congruence undo trail re-audits its full invariants
 # (hash-consing bijective, member lists a partition, union-find agreement)
 # after every rollback when CNB_TRAIL_CHECK is set. Expensive, so it is its
 # own pass rather than the default.
-tier "CNB_TRAIL_CHECK=1 CNB_THREADS=2 cargo test -q   (trail-consistency audit)"
-CNB_TRAIL_CHECK=1 CNB_THREADS=2 cargo test -q
+tier "CNB_TRAIL_CHECK=1 cargo test -q   (trail-consistency audit)"
+CNB_TRAIL_CHECK=1 cargo test -q
 
 # Determinism gate: execution row order must be a pure function of
 # (db, plan). Two *separate processes* run the quickstart example (which

@@ -4,10 +4,14 @@
 //!
 //! Before the inner loop stopped allocating (probes interned through the
 //! homomorphism's assignment, bodies compiled once, closure lists recycled)
-//! these read 450 / 464 / 513 / 574, and 49 / 62 / 51 / 42 after; the
-//! ceiling below is what that change claimed beforehand. What is left is
-//! mostly the candidate itself: the induced query, the bindings and
-//! equalities its chase steps add, its copy in the scratch database.
+//! these read 450 / 464 / 513 / 574, and 49 / 62 / 51 / 42 after. What was
+//! left was mostly the candidate itself: the induced query, the bindings and
+//! equalities its chase steps add, its copy in the scratch database — and
+//! since the lattice answers most verdicts from its borders, most candidates
+//! are never built: 19 / 21 / 8 / 4. A verdict the borders answer allocates
+//! nothing (the memo key aside), so each ceiling below is that reading plus
+//! half: one induction per inferred verdict costs some twenty allocations
+//! and a database clone hundreds, and either goes through every one of them.
 //!
 //! This file must stay a single-test binary: the counter is the process's
 //! allocator, and a sibling test running on another thread would be counted
@@ -59,9 +63,6 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per explored candidate a full backchase may make.
-const CEILING: u64 = 150;
-
 #[test]
 fn backchase_allocations_per_explored_candidate() {
     let (ec1, ec2, ec4, ec5) = (
@@ -70,30 +71,36 @@ fn backchase_allocations_per_explored_candidate() {
         Ec4::new(4, 3, 2),
         Ec5::new(3, true, true),
     );
-    let points: [(&str, Query, Vec<Constraint>, usize); 4] = [
+    // (point, query, constraints, `explored`, ceiling: allocations per
+    // explored candidate the full backchase may make).
+    let points: [(&str, Query, Vec<Constraint>, usize, u64); 4] = [
         (
             "ec1_4_2.fb",
             ec1.query(),
             ec1.schema().all_constraints(),
             2579,
+            28,
         ),
         (
             "ec2_1_4_2.fb",
             ec2.query(),
             ec2.schema().all_constraints(),
             63,
+            32,
         ),
         (
             "ec4_4_3_2.fb",
             ec4.query(),
             ec4.schema().all_constraints(),
             1565,
+            12,
         ),
         (
             "ec5_tri_wedge_idx.fb",
             ec5.cycle_query(),
             ec5.schema().all_constraints(),
             3183,
+            6,
         ),
     ];
     let cfg = BackchaseConfig {
@@ -101,7 +108,7 @@ fn backchase_allocations_per_explored_candidate() {
         ..BackchaseConfig::default()
     };
     let mut over = Vec::new();
-    for (name, q, cs, explored) in &points {
+    for (name, q, cs, explored, ceiling) in &points {
         // Warm: symbol interning and other first-call costs land here.
         let warm = chase_and_backchase(q, cs, &cfg);
         assert_eq!(warm.explored, *explored, "{name}: explored moved");
@@ -111,15 +118,15 @@ fn backchase_allocations_per_explored_candidate() {
         assert_eq!(run.explored, *explored, "{name}: explored moved");
         let per_candidate = allocations / run.explored as u64;
         println!("{name}: {allocations} allocations / {explored} explored = {per_candidate}");
-        if per_candidate > CEILING {
-            over.push(format!("{name}: {per_candidate}"));
+        if per_candidate > *ceiling {
+            over.push(format!("{name}: {per_candidate} > {ceiling}"));
         }
     }
     // Debug builds run `validate()` (and its allocations) per induction.
     if cfg!(not(debug_assertions)) {
         assert!(
             over.is_empty(),
-            "allocations per explored candidate above the ceiling of {CEILING}: {over:?}"
+            "allocations per explored candidate above the ceiling: {over:?}"
         );
     }
 }

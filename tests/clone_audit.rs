@@ -1,7 +1,8 @@
-//! Enforces the zero-per-candidate-clone contract of the backchase frontier:
-//! the sequential search clones no `CanonDb` at all, and the parallel
-//! frontier clones exactly one universal plan per worker per run —
-//! regardless of how many candidates (2,579 on `ec1_4_2`) it explores.
+//! Enforces the zero-clone contract of the backchase: the search induces in
+//! place on the one universal plan and recycles one scratch database, so it
+//! clones no `CanonDb` at all — regardless of how many candidates (2,579 on
+//! `ec1_4_2`) it explores, and whatever `BackchaseConfig::threads` says
+//! (there is no frontier left to give each worker a copy).
 //!
 //! This file must stay a single-test binary: the clone counter is
 //! process-global, and unrelated tests running in the same process would
@@ -16,31 +17,22 @@ fn backchase_frontier_never_clones_per_candidate() {
     let ec1 = Ec1::new(4, 2);
     let q = ec1.query();
     let cs = ec1.schema().all_constraints();
-    let cfg = |threads: usize| BackchaseConfig {
-        threads,
-        ..BackchaseConfig::default()
-    };
-
-    let before = canon_db_clones();
-    let seq = chase_and_backchase(&q, &cs, &cfg(1));
-    let seq_clones = canon_db_clones() - before;
-    assert!(
-        seq.explored > 1_000,
-        "workload too small to prove anything: explored {}",
-        seq.explored
-    );
-    assert_eq!(
-        seq_clones, 0,
-        "sequential backchase must perform zero CanonDb clones"
-    );
-
-    let before = canon_db_clones();
-    let par = chase_and_backchase(&q, &cs, &cfg(4));
-    let par_clones = canon_db_clones() - before;
-    assert_eq!(
-        par_clones, 4,
-        "parallel backchase must clone exactly once per worker"
-    );
-    assert_eq!(seq.explored, par.explored);
-    assert_eq!(seq.plans.len(), par.plans.len());
+    for threads in [1, 4] {
+        let cfg = BackchaseConfig {
+            threads,
+            ..BackchaseConfig::default()
+        };
+        let before = canon_db_clones();
+        let run = chase_and_backchase(&q, &cs, &cfg);
+        let clones = canon_db_clones() - before;
+        assert!(
+            run.explored > 1_000,
+            "workload too small to prove anything: explored {}",
+            run.explored
+        );
+        assert_eq!(
+            clones, 0,
+            "threads={threads}: the backchase must perform zero CanonDb clones"
+        );
+    }
 }

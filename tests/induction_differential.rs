@@ -1,20 +1,28 @@
 //! Differential suite for in-place (savepoint) subquery induction: on the
-//! EC1–EC3 universal plans, `induce_subquery_pure` — savepoint, restrict,
+//! EC1–EC5 universal plans, `induce_subquery_pure` — savepoint, restrict,
 //! rollback — must produce exactly the same induced query as the retired
 //! clone-per-candidate implementation (`induce_subquery` on a fresh clone of
 //! the database — the oracle, written out here) for **every** binding
 //! subset, and must leave the universal plan byte-identical between
 //! candidates. On the same subsets, the shared
-//! `Lattice`'s verdict (in-place induction, recycled scratch database) must
-//! equal the oracle pair's: clone-based induction, then
-//! `EquivChecker::equivalent` on a fresh database per candidate.
+//! `Lattice`'s verdict (borders first, then in-place induction and a recycled
+//! scratch database) must equal the oracle pair's: clone-based induction,
+//! then `EquivChecker::equivalent` on a fresh database per candidate.
+//!
+//! What a lattice has learnt decides which of its verdicts are inferred, so
+//! the verdicts are swept in three orders, a fresh lattice each: ascending
+//! masks (subsets before their supersets — the refuted, malformed and
+//! output-lost sides of the borders fire), descending (supersets first — the
+//! proved side), and a seeded shuffle. EC4 and EC5 are the families whose
+//! universal plans hold `Range::Expr` bindings under `dom` guards.
 
 use chase_too_far::core::backchase::Lattice;
 use chase_too_far::core::bitset::VarSet;
 use chase_too_far::core::prelude::*;
 use chase_too_far::core::subquery::induce_subquery;
+use chase_too_far::engine::prng::SplitMix64;
 use chase_too_far::ir::prelude::*;
-use chase_too_far::workloads::{Ec1, Ec2, Ec3};
+use chase_too_far::workloads::{Ec1, Ec2, Ec3, Ec4, Ec5};
 
 /// Renders enough database state to detect any residue an induction might
 /// leave behind (arena size, query text, class structure).
@@ -43,33 +51,54 @@ fn assert_inplace_matches_clone(tag: &str, q: &Query, constraints: &[Constraint]
         timeout: None,
         ..BackchaseConfig::default()
     };
-    let mut lattice = Lattice::chase(q, constraints, &cfg);
     let checker = EquivChecker::new(q, constraints, cfg.chase);
-
-    for mask in 0u32..(1 << n) {
-        let keep = VarSet::from_iter(
+    let subset = |mask: u32| {
+        VarSet::from_iter(
             vars.iter()
                 .enumerate()
                 .filter(|(i, _)| mask & (1 << i) != 0)
                 .map(|(_, v)| *v),
-        );
-        let inplace = induce_subquery_pure(&mut udb, &keep, &q.select);
-        let cloned = induce_subquery(&mut udb.clone(), &keep, &q.select);
-        assert_eq!(
-            inplace, cloned,
-            "{tag}: induction diverged on subset {mask:#b}"
-        );
-        assert_eq!(
-            db_fingerprint(&mut udb),
-            baseline,
-            "{tag}: in-place induction left residue after subset {mask:#b}"
-        );
-        let oracle = cloned.is_some_and(|c| checker.equivalent(&c).0);
-        assert_eq!(
-            lattice.verdict(&keep),
-            Some(oracle),
-            "{tag}: lattice verdict diverged from the oracle on subset {mask:#b}"
-        );
+        )
+    };
+
+    let oracle: Vec<bool> = (0u32..1 << n)
+        .map(|mask| {
+            let keep = subset(mask);
+            let inplace = induce_subquery_pure(&mut udb, &keep, &q.select);
+            let cloned = induce_subquery(&mut udb.clone(), &keep, &q.select);
+            assert_eq!(
+                inplace, cloned,
+                "{tag}: induction diverged on subset {mask:#b}"
+            );
+            assert_eq!(
+                db_fingerprint(&mut udb),
+                baseline,
+                "{tag}: in-place induction left residue after subset {mask:#b}"
+            );
+            cloned.is_some_and(|c| checker.equivalent(&c).0)
+        })
+        .collect();
+
+    let ascending: Vec<u32> = (0..1 << n).collect();
+    let descending: Vec<u32> = ascending.iter().rev().copied().collect();
+    let mut shuffled = ascending.clone();
+    let mut rng = SplitMix64::seed_from_u64(0xB0_4DE4);
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, rng.gen_range(0..i + 1));
+    }
+    for (order, masks) in [
+        ("ascending", ascending),
+        ("descending", descending),
+        ("shuffled", shuffled),
+    ] {
+        let mut lattice = Lattice::chase(q, constraints, &cfg);
+        for mask in masks {
+            assert_eq!(
+                lattice.verdict(&subset(mask)),
+                Some(oracle[mask as usize]),
+                "{tag}, {order}: lattice verdict diverged from the oracle on subset {mask:#b}"
+            );
+        }
     }
 }
 
@@ -89,4 +118,43 @@ fn ec2_induction_differential() {
 fn ec3_induction_differential() {
     let ec3 = Ec3::new(2, 0);
     assert_inplace_matches_clone("ec3_2", &ec3.query(), &ec3.schema().all_constraints());
+}
+
+#[test]
+fn ec4_induction_differential() {
+    let ec4 = Ec4::new(3, 2, 2);
+    assert_inplace_matches_clone("ec4_3_2_2", &ec4.query(), &ec4.schema().all_constraints());
+}
+
+#[test]
+fn ec5_induction_differential() {
+    let ec5 = Ec5::new(3, true, true);
+    assert_inplace_matches_clone(
+        "ec5_tri_wedge_idx",
+        &ec5.cycle_query(),
+        &ec5.schema().all_constraints(),
+    );
+}
+
+/// Rule (i) of the borders: a `false` says nothing about its subsets when it
+/// is the `false` of a malformed subset. On `ec1_4_2`, `t_9` ranges over
+/// `SI2[k_8]`; keeping it without `k_8` is not a query, and dropping it too
+/// leaves a plan. A lattice that has seen the malformed superset must still
+/// find the plan under it.
+#[test]
+fn a_malformed_superset_refutes_nothing_below_it() {
+    let ec1 = Ec1::new(4, 2);
+    let (q, constraints) = (ec1.query(), ec1.schema().all_constraints());
+    let mut lattice = Lattice::chase(&q, &constraints, &BackchaseConfig::default());
+    let plan = VarSet::from_iter([5, 6, 7, 10, 11].map(Var));
+    let mut malformed = plan.clone();
+    malformed.insert(Var(9));
+    assert_eq!(lattice.induce(&malformed), None);
+    assert_eq!(lattice.verdict(&malformed), Some(false));
+    assert_eq!(lattice.verdict(&plan), Some(true));
+    // And what the plan proves reaches its well-formed supersets only.
+    assert_eq!(lattice.verdict(&malformed), Some(false));
+    let mut guarded = malformed.clone();
+    guarded.insert(Var(8));
+    assert_eq!(lattice.verdict(&guarded), Some(true));
 }

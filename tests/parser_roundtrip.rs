@@ -134,8 +134,8 @@ fn parsed_triangle_drives_chase_and_backchase() {
 
 /// End to end: a query written in the surface syntax, optimized under
 /// constraints that themselves went through the parser, yields exactly the
-/// plans of the programmatically built equivalent — chase, backchase,
-/// parallel frontier and all.
+/// plans of the programmatically built equivalent — chase, backchase and
+/// all.
 #[test]
 fn parsed_query_drives_chase_and_backchase() {
     // The EC1 [2, 0] chain query, as a user would type it.

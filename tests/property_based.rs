@@ -17,7 +17,7 @@ use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use chase_too_far::core::bitset::VarSet;
+use chase_too_far::core::bitset::{Border, VarSet};
 use chase_too_far::core::canon::substitute;
 use chase_too_far::core::congruence::{Congruence, Savepoint, TermId, TermNode};
 use chase_too_far::core::prelude::{
@@ -107,6 +107,52 @@ fn varset_union_subset() {
         assert!(vb.is_subset(&vu));
         assert_eq!(va.is_subset(&vb), a.is_subset(&b));
         assert_eq!(va.intersects(&vb), !a.is_disjoint(&b));
+    });
+}
+
+/// A [`Border`] against a brute-force model. The predicate is a random
+/// monotone one over subsets of eight variables (true of the supersets of a
+/// few random generators); the model keeps every `(set, answer)` it was
+/// taught. After any trace of `learn`s the border covers exactly the sets the
+/// model's list implies — a superset of a taught yes, a subset of a taught
+/// no — never contradicts the predicate, and holds no two comparable sets on
+/// either side.
+#[test]
+fn border_matches_brute_force_model() {
+    let arb_set = |rng: &mut SplitMix64| -> VarSet {
+        let bits = rng.gen_range(0u32..256);
+        VarSet::from_iter((0..8).filter(|i| bits & (1 << i) != 0).map(Var))
+    };
+    cases("border_matches_brute_force_model", 64, |rng| {
+        let generators: Vec<VarSet> = (0..rng.gen_range(0usize..4))
+            .map(|_| arb_set(rng))
+            .collect();
+        let holds = |s: &VarSet| generators.iter().any(|g| g.is_subset(s));
+        let mut border = Border::default();
+        let mut taught: Vec<(VarSet, bool)> = Vec::new();
+        for _ in 0..rng.gen_range(0usize..60) {
+            let s = arb_set(rng);
+            if rng.gen_bool(0.6) {
+                border.learn(&s, holds(&s));
+                taught.push((s.clone(), holds(&s)));
+            }
+            let yes = taught.iter().any(|(t, h)| *h && t.is_subset(&s));
+            let no = taught.iter().any(|(t, h)| !*h && s.is_subset(t));
+            assert_eq!(border.covers_yes(&s), yes, "covers_yes({s:?})");
+            assert_eq!(border.covers_no(&s), no, "covers_no({s:?})");
+            assert!(!yes || holds(&s), "a yes the predicate refutes");
+            assert!(!no || !holds(&s), "a no the predicate refutes");
+            for side in border.antichains() {
+                for (i, a) in side.iter().enumerate() {
+                    for b in &side[i + 1..] {
+                        assert!(
+                            !a.is_subset(b) && !b.is_subset(a),
+                            "{a:?} and {b:?} are comparable"
+                        );
+                    }
+                }
+            }
+        }
     });
 }
 
@@ -483,13 +529,17 @@ fn backchase_fingerprint(res: &BackchaseResult) -> Vec<String> {
     res.plans
         .iter()
         .map(|p| format!("{:?} :: {}", p.bindings, p.query))
-        .chain([format!("truncated_checks = {}", res.truncated_checks)])
+        .chain([
+            format!("truncated_checks = {}", res.truncated_checks),
+            format!("inferred = {}", res.inferred),
+        ])
         .collect()
 }
 
-/// Runs the backchase sequentially and at 2/4/8 worker threads, asserting
-/// byte-identical plans (order included) and identical `explored` counts —
-/// the determinism contract of `cnb_core::backchase`.
+/// Runs the backchase with `threads` set to 1 and to 2/4/8, asserting
+/// byte-identical plans (order included) and identical `explored` and
+/// `inferred` counts — the determinism contract of `cnb_core::backchase`.
+/// The search no longer reads the field; this is what holds it to that.
 fn assert_thread_invariant(q: &Query, cs: &[Constraint], label: &str) {
     let cfg = |threads: usize| BackchaseConfig {
         threads,
