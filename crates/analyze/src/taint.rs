@@ -16,11 +16,10 @@
 //!   (the lint already audits these sites, and stale ones are flagged).
 //! - **Sink functions** ([`sanctioned_sink`]): `WallClock::start` (the one
 //!   sanctioned wall-clock origin behind the injectable `Clock`), every
-//!   function in `engine/src/prng.rs` (the seeded in-repo PRNG),
-//!   `resolve_threads` (reads `CNB_THREADS` once, determinism-neutral by
-//!   the thread-count invariance suite) and `trail_check_enabled` (debug
-//!   trail toggle). Needles inside a sink never source, and taint never
-//!   propagates *into* a sink — the boundary absorbs.
+//!   function in `engine/src/prng.rs` (the seeded in-repo PRNG) and
+//!   `trail_check_enabled` (debug trail toggle — the one environment read
+//!   of the product crates). Needles inside a sink never source, and taint
+//!   never propagates *into* a sink — the boundary absorbs.
 //!
 //! The strict `serving-clock` tier is a reachability rule here (it was a
 //! filename-suffix match in the per-line lint): wall-clock needles in
@@ -68,7 +67,6 @@ fn sanctioned_sink(g: &CallGraph, idx: usize) -> bool {
     let file = f.file.replace('\\', "/");
     (f.name == "start" && f.owner.as_deref() == Some("WallClock"))
         || file.ends_with("engine/src/prng.rs")
-        || (f.name == "resolve_threads" && f.owner.is_none() && file.ends_with("parallel.rs"))
         || (f.name == "trail_check_enabled" && f.owner.is_none() && file.ends_with("congruence.rs"))
 }
 
@@ -365,11 +363,9 @@ mod tests {
         let found = run(&[("a.rs", bad)]);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, "std-env");
-        // …while the declared sink in parallel.rs stays sanctioned.
-        let ok = format!(
-            "pub fn resolve_threads(n: usize) -> usize {{\n    let e = {env};\n    n\n}}\n"
-        );
-        assert!(run(&[("crates/core/src/parallel.rs", ok)]).is_empty());
+        // …while the one declared sink stays sanctioned.
+        let ok = format!("fn trail_check_enabled() -> bool {{\n    {env}.is_ok()\n}}\n");
+        assert!(run(&[("crates/core/src/congruence.rs", ok)]).is_empty());
     }
 
     #[test]

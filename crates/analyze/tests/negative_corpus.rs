@@ -294,10 +294,11 @@ fn seeded_env_read_is_flagged_outside_declared_sinks() {
     let found = taint_of(&[("seed.rs", src)]);
     assert_eq!(found.len(), 1, "{found:?}");
     assert_eq!(found[0].rule, "std-env");
-    // The same read inside the declared sink stays sanctioned.
-    let sink =
-        format!("pub fn resolve_threads(n: usize) -> usize {{\n    let e = {env};\n    n\n}}\n");
-    assert!(taint_of(&[("crates/core/src/parallel.rs", sink)]).is_empty());
+    // The same read inside the one declared sink stays sanctioned — and
+    // only there: the sink is a (file, function) pair, not a name.
+    let sink = format!("fn trail_check_enabled() -> bool {{\n    {env}.is_ok()\n}}\n");
+    assert!(taint_of(&[("crates/core/src/congruence.rs", sink.clone())]).is_empty());
+    assert_eq!(taint_of(&[("crates/core/src/knobs.rs", sink)]).len(), 1);
 }
 
 #[test]

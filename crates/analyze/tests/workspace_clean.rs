@@ -5,9 +5,11 @@
 //! nondeterminism into the serving layer ever lands in
 //! `crates/{core,engine,ir,workloads}`, this test is the tier that says so.
 
+use std::fs;
 use std::path::Path;
 
 use cnb_analyze::lint::{allow_sites, lint_workspace};
+use cnb_analyze::strip::strip_source;
 use cnb_analyze::taint::taint_workspace;
 
 fn workspace_root() -> &'static Path {
@@ -67,6 +69,51 @@ fn sanctioned_wall_clock_sites_are_pinned() {
             found.len(),
             pinned,
             "cnb-{krate}: sanctioned wall-clock sites changed: {found:?}"
+        );
+    }
+}
+
+/// Lines of code (comments and string contents stripped) under `dir`, tests
+/// included, that contain one of `needles`.
+fn code_sites(dir: &Path, needles: &[&str]) -> usize {
+    let mut sites = 0;
+    for entry in fs::read_dir(dir).expect("read a crate directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            sites += code_sites(&path, needles);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            let source = fs::read_to_string(&path).expect("read a source file");
+            sites += strip_source(&source)
+                .iter()
+                .filter(|l| needles.iter().any(|n| l.code.contains(n)))
+                .count();
+        }
+    }
+    sites
+}
+
+/// Where a thread can start and where the environment can be read, counted
+/// per crate. A thread count is an argument: the engine's one fork/join site
+/// is `pool::map_in_order`, fed by `serve_batch_under`'s `threads`, and
+/// `cnb_core` cannot spawn a thread whatever a config field says. The one
+/// environment read is `trail_check_enabled` (`CNB_TRAIL_CHECK`, a debug
+/// audit toggle). This is what stands where the suites that re-ran a
+/// thread-blind search at 1/2/4/8 threads stood.
+#[test]
+fn thread_spawn_and_environment_read_sites_are_pinned() {
+    let spawn = ["thread::scope", "thread::spawn", "thread::Builder"];
+    let env_read = ["env::var"]; // `var`, `var_os`, `vars`, `vars_os`
+    for (krate, spawns, env_reads) in [
+        ("core", 0, 1),
+        ("engine", 1, 0),
+        ("ir", 0, 0),
+        ("workloads", 0, 0),
+    ] {
+        let dir = workspace_root().join("crates").join(krate);
+        assert_eq!(
+            (code_sites(&dir, &spawn), code_sites(&dir, &env_read)),
+            (spawns, env_reads),
+            "cnb-{krate}: (thread-spawn, environment-read) sites changed"
         );
     }
 }

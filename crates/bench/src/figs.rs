@@ -5,11 +5,9 @@
 //! with tiny parameters — the binaries themselves just print the returned
 //! markdown.
 //!
-//! The optimization figures (6/7/8 and the plan-count table) do not depend on
-//! the `CNB_THREADS` knob: both backchase searches are sequential (see
-//! `cnb_core::backchase`), so rendered tables differ from run to run only in
-//! the timing columns — `crates/bench/tests/thread_invariance.rs` checks
-//! exactly that.
+//! The optimization figures (6/7/8 and the plan-count table) have no thread
+//! knob: both backchase searches are sequential (see `cnb_core::backchase`),
+//! so rendered tables differ from run to run only in the timing columns.
 
 use crate::{cell, config, render_table, run, secs, tpp};
 use cnb_core::prelude::*;

@@ -10,9 +10,6 @@
 //!   paper's "missing bars".
 //! * `CNB_ROWS` — dataset size for execution experiments (default 5000, the
 //!   paper's value).
-//! * `CNB_THREADS` — not read by any figure: the optimizer's searches are
-//!   sequential, and plans, plan order, and `explored` counts are identical
-//!   at every value.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

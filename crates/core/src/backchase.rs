@@ -58,18 +58,17 @@
 //! re-prove by a chase every verdict that did not come from one, so each
 //! test suite audits every inference it makes; release trusts the borders.
 //!
-//! The proved border is why the top-down search is depth-first at every
-//! thread count: a plan is found *below* everything a breadth-first frontier
+//! The proved border is why the top-down search is depth-first and
+//! sequential: a plan is found *below* everything a breadth-first frontier
 //! has already judged, so waves can never use it. Of the 1 439 chases a
 //! frontier must still run on `ec5_tri_wedge_idx`, 1 309 are ones only that
 //! border removes (depth-first runs 130), and the two-thread frontier
-//! measured 0.23× the depth-first search. [`BackchaseConfig::threads`] is
-//! read by neither search.
+//! measured 0.23× the depth-first search. This crate spawns no thread.
 //!
 //! The hot loop allocates no databases — the lattice induces in place on its
 //! universal plan (rolled back after every candidate) and rebuilds its one
-//! scratch database per check (`tests/clone_audit.rs`: zero clones) — and
-//! recycles every search, chase and closure buffer (`tests/alloc_audit.rs`).
+//! scratch database per check ([`CanonDb`] is not `Clone`) — and recycles
+//! every search, chase and closure buffer (`tests/alloc_audit.rs`).
 //! The deadline is checked before every candidate; a timed-out run returns
 //! the plans found so far with [`BackchaseResult::timed_out`] set.
 
@@ -84,7 +83,6 @@ use crate::chase::{ChaseConfig, ChaseStats};
 use crate::congruence::Congruence;
 use crate::equivalence::{contain_each_other, same_arity, CompiledChecker, EquivChecker};
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::parallel;
 use crate::subquery::{all_bindings, induce_range, induce_select, induce_subquery_pure};
 
 /// Backchase limits.
@@ -96,9 +94,9 @@ pub struct BackchaseConfig {
     pub chase: ChaseConfig,
     /// Stop after this many plans (safety valve; paper never needed one).
     pub max_plans: usize,
-    /// Worker threads (`0` = auto). Read by neither search — both are
-    /// sequential, see "Borders" in the module docs; kept for the
-    /// per-fragment pool that is its next user.
+    /// Inert: read by nothing in this crate — both searches are sequential,
+    /// see "Borders" in the module docs — and written only by `benchmark/`,
+    /// which is why the field is still here (ROADMAP item 1f).
     pub threads: usize,
 }
 
@@ -110,14 +108,6 @@ impl Default for BackchaseConfig {
             max_plans: 100_000,
             threads: 0,
         }
-    }
-}
-
-impl BackchaseConfig {
-    /// The effective worker count (resolving `0` through `CNB_THREADS` and
-    /// the machine's parallelism). Not read by either search.
-    pub fn resolved_threads(&self) -> usize {
-        parallel::resolve_threads(self.threads)
     }
 }
 
@@ -401,9 +391,8 @@ impl PlanSink {
 }
 
 /// Process-wide count of [`chase_and_backchase`] invocations. Test-support
-/// audit counter (same pattern as `canon::canon_db_clones`): the serving
-/// suite asserts a warm plan-cache hit executes without re-entering the
-/// optimizer by snapshotting this before and after.
+/// audit counter: the serving suite asserts a warm plan-cache hit executes
+/// without re-entering the optimizer by snapshotting this before and after.
 static RUNS: AtomicUsize = AtomicUsize::new(0);
 
 /// Process-wide total of [`chase_and_backchase`] calls so far.
@@ -522,13 +511,6 @@ mod tests {
                 rs.join(",")
             })
             .collect()
-    }
-
-    fn cfg_with_threads(threads: usize) -> BackchaseConfig {
-        BackchaseConfig {
-            threads,
-            ..BackchaseConfig::default()
-        }
     }
 
     /// Example 3.1 with n = 1: one relation, one primary index → 2 plans.
@@ -742,90 +724,50 @@ mod tests {
         assert!(res.timed_out || res.plans.len() == 64);
     }
 
-    /// The search is the same search whatever `threads` says — plans (order
-    /// included), bindings, and explored counts — since it no longer reads
-    /// the field.
-    #[test]
-    fn parallel_matches_sequential() {
-        for n in 2..=4usize {
-            let (schema, q) = indexed_chain(n);
-            let cs = schema.all_constraints();
-            let seq = chase_and_backchase(&q, &cs, &cfg_with_threads(1));
-            assert_eq!(seq.plans.len(), 1 << n);
-            let fingerprint = |r: &BackchaseResult| -> Vec<String> {
-                r.plans
-                    .iter()
-                    .map(|p| format!("{:?} :: {}", p.bindings, p.query))
-                    .collect()
-            };
-            for threads in [2, 4, 8] {
-                let par = chase_and_backchase(&q, &cs, &cfg_with_threads(threads));
-                assert_eq!(
-                    fingerprint(&seq),
-                    fingerprint(&par),
-                    "n={n} threads={threads}: plan sets or order diverged"
-                );
-                assert_eq!(
-                    (seq.explored, seq.inferred),
-                    (par.explored, par.inferred),
-                    "n={n} threads={threads}: explored counts diverged"
-                );
-                assert!(!par.timed_out);
-            }
-        }
-    }
-
     /// An implication chase that hits its step cap yields a verdict from an
     /// unfinished chase; the run says how many there were. Counting them
     /// changes nothing else: `explored` and the plans are what the capped
-    /// search found before the counter existed, at any thread count. Nor do
-    /// the borders change them — rule (ii): a universal plan that was itself
-    /// cut short infers nothing, so all eight checks are still made.
+    /// search found before the counter existed. Nor do the borders change
+    /// them — rule (ii): a universal plan that was itself cut short infers
+    /// nothing, so all eight checks are still made.
     #[test]
     fn truncated_checks_are_counted() {
         let (schema, q) = indexed_chain(3);
         let cs = schema.all_constraints();
-        let full = chase_and_backchase(&q, &cs, &cfg_with_threads(1));
+        let full = chase_and_backchase(&q, &cs, &BackchaseConfig::default());
         assert_eq!((full.truncated_checks, full.explored), (0, 53));
         assert!(full.inferred > 0, "an untruncated lattice infers");
-        for threads in [1, 4] {
-            let capped = BackchaseConfig {
-                chase: ChaseConfig {
-                    max_steps: 1,
-                    ..ChaseConfig::default()
-                },
-                ..cfg_with_threads(threads)
-            };
-            let res = chase_and_backchase(&q, &cs, &capped);
-            assert!(res.chase_stats.truncated, "threads={threads}");
-            assert_eq!(
-                (res.explored, res.plans.len(), res.universal_arity),
-                (9, 2, 4),
-                "threads={threads}"
-            );
-            assert_eq!(res.truncated_checks, 8, "threads={threads}");
-            assert_eq!(res.inferred, 0, "threads={threads}");
-        }
+        let capped = BackchaseConfig {
+            chase: ChaseConfig {
+                max_steps: 1,
+                ..ChaseConfig::default()
+            },
+            ..BackchaseConfig::default()
+        };
+        let res = chase_and_backchase(&q, &cs, &capped);
+        assert!(res.chase_stats.truncated);
+        assert_eq!(
+            (res.explored, res.plans.len(), res.universal_arity),
+            (9, 2, 4)
+        );
+        assert_eq!(res.truncated_checks, 8);
+        assert_eq!(res.inferred, 0);
     }
 
-    /// An already-expired deadline reports a timeout (and no spurious plans)
-    /// whatever `threads` says.
+    /// An already-expired deadline reports a timeout (and no spurious plans).
     #[test]
     fn expired_deadline_is_cooperative() {
         let (schema, q) = indexed_chain(4);
-        for threads in [1, 4] {
-            let cfg = BackchaseConfig {
-                timeout: Some(Duration::ZERO),
-                threads,
-                ..BackchaseConfig::default()
-            };
-            let res = chase_and_backchase(&q, &schema.all_constraints(), &cfg);
-            assert!(res.timed_out, "threads={threads}");
-            assert!(
-                res.plans.is_empty(),
-                "threads={threads}: minimality of {} plans was never proven",
-                res.plans.len()
-            );
-        }
+        let cfg = BackchaseConfig {
+            timeout: Some(Duration::ZERO),
+            ..BackchaseConfig::default()
+        };
+        let res = chase_and_backchase(&q, &schema.all_constraints(), &cfg);
+        assert!(res.timed_out);
+        assert!(
+            res.plans.is_empty(),
+            "minimality of {} plans was never proven",
+            res.plans.len()
+        );
     }
 }

@@ -18,22 +18,9 @@
 //! caller that keeps the result — a chase step adding its conclusion to the
 //! query.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use cnb_ir::prelude::{Equality, PathExpr, Query, Range, Var};
 
 use crate::congruence::{Congruence, TermId};
-
-/// Process-wide count of [`CanonDb`] clones. The backchase hot loop must not
-/// clone per candidate — only once per worker per run — and
-/// `tests/clone_audit.rs` enforces that by watching this counter.
-static CLONES: AtomicUsize = AtomicUsize::new(0);
-
-/// The number of [`CanonDb`] clones performed since process start.
-#[doc(hidden)]
-pub fn canon_db_clones() -> usize {
-    CLONES.load(Ordering::Relaxed)
-}
 
 /// A query together with its congruence closure.
 pub struct CanonDb {
@@ -46,21 +33,6 @@ pub struct CanonDb {
     /// every restriction of this database reduces its equalities in here,
     /// so the buffers live as long as the database does.
     pub(crate) redux: Congruence,
-}
-
-impl Clone for CanonDb {
-    fn clone(&self) -> CanonDb {
-        debug_assert!(
-            !self.cong.in_savepoint(),
-            "cloning a CanonDb mid-savepoint shares the live savepoint stack"
-        );
-        CLONES.fetch_add(1, Ordering::Relaxed);
-        CanonDb {
-            query: self.query.clone(),
-            cong: self.cong.clone(),
-            redux: Congruence::new(),
-        }
-    }
 }
 
 impl CanonDb {

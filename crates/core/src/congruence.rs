@@ -233,13 +233,6 @@ impl Congruence {
         self.save_depth != 0
     }
 
-    /// True while a savepoint is active. Cloning a closure mid-savepoint is
-    /// a caller bug — the clone would share live tokens with the original,
-    /// letting one instance's savepoint roll back the other.
-    pub fn in_savepoint(&self) -> bool {
-        self.save_depth != 0
-    }
-
     /// Opens a savepoint: every subsequent mutation is recorded on the undo
     /// trail until [`Congruence::rollback`] restores this point. Savepoints
     /// nest. Must not be called with congruence propagation in flight.

@@ -12,8 +12,8 @@
 //! [`fragments`] (on-line query fragmentation, OQF, §3.2.1) and [`strata`]
 //! (off-line constraint stratification, OCS, §3.2.2), tied together by the
 //! [`optimizer`] facade. Both searches are sequential and remember what they
-//! prove (the borders of [`backchase`]); the scoped thread pool of
-//! [`parallel`] (`CNB_THREADS`) serves batches of requests in `cnb-engine`.
+//! prove (the borders of [`backchase`]); nothing in this crate spawns a
+//! thread — the one pool serves batches of requests in `cnb-engine`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +29,6 @@ pub mod equivalence;
 pub mod fragments;
 pub mod homomorphism;
 pub mod optimizer;
-pub mod parallel;
 pub mod serving;
 pub mod strata;
 pub mod subquery;
@@ -56,7 +55,6 @@ pub mod prelude {
     pub use crate::optimizer::{
         plan_price, OptimizeResult, Optimizer, OptimizerConfig, PlanInfo, Strategy,
     };
-    pub use crate::parallel::{map_chunked, map_chunked_with, resolve_threads, WorkQueue};
     pub use crate::serving::{
         bind_params, constraint_digest, parameterize, unbound_param, CachedPlans, Fingerprint,
         ParameterizedQuery, PlanCache,

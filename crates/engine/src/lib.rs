@@ -22,6 +22,7 @@ pub mod datagen;
 pub mod error;
 pub mod eval;
 mod join;
+mod pool;
 pub mod pressure;
 pub mod prng;
 pub mod serving;

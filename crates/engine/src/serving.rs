@@ -28,11 +28,11 @@
 //!
 //! Planning and all gate decisions run on the caller's thread in request
 //! order (they mutate the cache and must be reproducible); execution fans
-//! out morsel-style over [`cnb_core::parallel`]'s atomic work queue and
-//! results come back **in request order** — so with a deterministic clock
-//! the entire outcome vector, rows included, is byte-identical at any
+//! out over the crate's scoped worker pool (an atomic cursor over the batch)
+//! and results come back **in request order** — so with a deterministic
+//! clock the entire outcome vector, rows included, is byte-identical at any
 //! executor thread count. Scheduling may reorder *execution*, never
-//! *results*.
+//! *results*. The `threads` argument is the only source of a thread count.
 
 use cnb_ir::prelude::{ExecStrategy, Query};
 
@@ -41,12 +41,13 @@ use cnb_core::prelude::{
     bind_params, constraint_digest, parameterize, CachedPlans, Fingerprint, Optimizer,
     OptimizerConfig, PlanCache,
 };
-use cnb_core::{parallel, serving::unbound_param};
+use cnb_core::serving::unbound_param;
 
 use crate::clock::{Clock, VirtualClock};
 use crate::database::Database;
-use crate::error::ServeError;
+use crate::error::{ExecError, ServeError};
 use crate::eval::{execute, ExecResult};
+use crate::pool;
 use crate::pressure::{Fault, FaultPlan, ServeConfig};
 
 /// A plan produced by the serving frontend.
@@ -268,17 +269,20 @@ impl PlanServer {
     /// deadlines on `clock`, and seeded fault injection with bounded retry.
     ///
     /// Phase 1 runs on the caller's thread in request order (planning
-    /// mutates the cache): plan each request, price it against
-    /// `config.cost_budget`, and check `config.deadline` against `clock` —
-    /// producing a typed verdict per request. Phase 2 executes the admitted
-    /// plans on up to `threads` scoped workers sharing `db` read-only;
-    /// each worker re-checks the deadline before evaluating an item and
-    /// requests a cooperative pool stop when it has passed, so unevaluated
-    /// slots come back as [`ServeError::DeadlineExpired`] instead of
-    /// panicking (and a started request always returns *all* its rows or
-    /// none). Fault verdicts come from `faults` as a pure function of
-    /// (request index, attempt); a `Fail` consumes a retry, a `Delay`
-    /// stalls the attempt without changing its rows.
+    /// mutates the cache): a request that breaks the scoping rule is settled
+    /// as [`ExecError::InvalidQuery`] before any gate looks at it; every
+    /// other one is planned, priced against `config.cost_budget`, and
+    /// checked for `config.deadline` against `clock` — producing a typed
+    /// verdict per request. Phase 2 maps the pool over the batch on up to
+    /// `threads` scoped workers (clamped to `1..=64`; `0` means 1) sharing
+    /// `db` read-only, skipping the slots phase 1 settled; each worker
+    /// re-checks the deadline before evaluating an item and requests a
+    /// cooperative pool stop when it has passed, so unevaluated slots come
+    /// back as [`ServeError::DeadlineExpired`] instead of panicking (and a
+    /// started request always returns *all* its rows or none). Fault
+    /// verdicts come from `faults` as a pure function of (request index,
+    /// attempt); a `Fail` consumes a retry, a `Delay` stalls the attempt
+    /// without changing its rows.
     ///
     /// Outcomes come back in request order. With a deterministic clock the
     /// whole outcome vector — admission decisions, fault casualties, and
@@ -294,12 +298,15 @@ impl PlanServer {
     ) -> Vec<ServeOutcome> {
         let started = clock.now();
         let deadline = config.deadline.map(|d| started + d);
+        let expired = || deadline.is_some_and(|dl| clock.now() > dl);
 
-        // Phase 1 — caller thread, request order: plan, admit, check the
-        // deadline. Every gate produces a typed verdict, never a panic.
+        // Phase 1 — caller thread, request order: the door, plan, admit, check
+        // the deadline. Every gate yields a typed verdict, never a panic.
         let verdicts: Vec<Result<ServedPlan, ServeError>> = requests
             .iter()
             .map(|q| {
+                q.validate()
+                    .map_err(|e| ServeError::Exec(ExecError::InvalidQuery(e)))?;
                 let served = self.plan(q);
                 if let Some(budget) = config.cost_budget {
                     let cost = self.cost_model.cost(&served.plan);
@@ -307,96 +314,65 @@ impl PlanServer {
                         return Err(ServeError::Rejected { cost, budget });
                     }
                 }
-                if deadline.is_some_and(|dl| clock.now() > dl) {
+                if expired() {
                     return Err(ServeError::DeadlineExpired);
                 }
                 Ok(served)
             })
             .collect();
 
-        // Phase 2 — the pool, over admitted requests only.
-        let runnable: Vec<(usize, &Query)> = verdicts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.as_ref().ok().map(|p| (i, &p.plan)))
-            .collect();
-        let threads = parallel::resolve_threads(threads);
-        let chunk = parallel::WorkQueue::balanced_chunk(runnable.len(), threads);
-        let executed = parallel::map_chunked(
-            threads,
-            runnable.len(),
-            chunk,
-            || (),
-            |_, j| {
-                let (request, plan) = runnable[j];
-                if deadline.is_some_and(|dl| clock.now() > dl) {
-                    // Past deadline: stop the pool cooperatively. Every
-                    // unevaluated slot becomes a typed expiry below.
-                    return None;
-                }
-                let mut attempt = 0usize;
-                loop {
-                    match faults.and_then(|f| f.fault_for(request, attempt)) {
-                        Some(Fault::Fail) => {
-                            if attempt >= config.max_retries {
-                                let err = if config.max_retries == 0 {
-                                    ServeError::FaultInjected { request, attempt }
-                                } else {
-                                    ServeError::RetriesExhausted {
-                                        request,
-                                        attempts: attempt + 1,
-                                    }
-                                };
-                                return Some((attempt, Err(err)));
-                            }
-                            attempt += 1;
-                        }
-                        Some(Fault::Delay(d)) => {
-                            // An injected stall: latency changes, rows don't.
-                            std::thread::sleep(d);
-                            break;
-                        }
-                        None => break,
-                    }
-                }
-                Some((attempt, execute(db, plan).map_err(ServeError::Exec)))
-            },
-        );
-
-        // Merge back to request order. `None` slots were never evaluated
-        // (cooperative deadline stop): typed expiry, not a panic — this is
-        // the real handling the old `.expect("no deadline: ...")` lacked.
-        let mut by_request: Vec<Option<(usize, Result<ExecResult, ServeError>)>> =
-            Vec::with_capacity(requests.len());
-        by_request.resize_with(requests.len(), || None);
-        for (j, slot) in executed.into_iter().enumerate() {
-            if let Some(payload) = slot {
-                by_request[runnable[j].0] = Some(payload);
+        // Phase 2 — the pool, over the whole batch; `Some(None)` is a slot
+        // phase 1 already settled.
+        let executed = pool::map_in_order(threads, requests.len(), |request| {
+            let Ok(served) = &verdicts[request] else {
+                return Some(None);
+            };
+            if expired() {
+                // Past deadline: stop the pool cooperatively. Every
+                // unevaluated slot becomes a typed expiry below.
+                return None;
             }
-        }
-        drop(runnable);
+            let mut attempt = 0usize;
+            loop {
+                match faults.and_then(|f| f.fault_for(request, attempt)) {
+                    Some(Fault::Fail) => {
+                        if attempt >= config.max_retries {
+                            let err = if config.max_retries == 0 {
+                                ServeError::FaultInjected { request, attempt }
+                            } else {
+                                ServeError::RetriesExhausted {
+                                    request,
+                                    attempts: attempt + 1,
+                                }
+                            };
+                            return Some(Some((attempt, Err(err))));
+                        }
+                        attempt += 1;
+                    }
+                    Some(Fault::Delay(d)) => {
+                        // An injected stall: latency changes, rows don't.
+                        std::thread::sleep(d);
+                        break;
+                    }
+                    None => break,
+                }
+            }
+            let exec = execute(db, &served.plan).map_err(ServeError::Exec);
+            Some(Some((attempt, exec)))
+        });
+
+        // An admitted request whose slot was never evaluated (cooperative
+        // deadline stop) is a typed expiry, not a panic.
         verdicts
             .into_iter()
-            .enumerate()
-            .map(|(i, verdict)| match verdict {
-                Err(e) => ServeOutcome {
-                    result: Err(e),
-                    retries: 0,
-                },
-                Ok(plan) => match by_request[i].take() {
-                    None => ServeOutcome {
-                        result: Err(ServeError::DeadlineExpired),
-                        retries: 0,
-                    },
-                    Some((retries, Ok(exec))) => ServeOutcome {
-                        result: Ok((plan, exec)),
-                        retries,
-                    },
-                    Some((retries, Err(e))) => ServeOutcome {
-                        result: Err(e),
-                        retries,
-                    },
-                },
+            .zip(executed)
+            .map(|(verdict, slot)| {
+                let (result, retries) = match (verdict, slot.flatten()) {
+                    (Err(e), _) => (Err(e), 0),
+                    (Ok(_), None) => (Err(ServeError::DeadlineExpired), 0),
+                    (Ok(plan), Some((retries, exec))) => (exec.map(|x| (plan, x)), retries),
+                };
+                ServeOutcome { result, retries }
             })
             .collect()
     }
@@ -405,7 +381,6 @@ impl PlanServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ExecError;
     use cnb_core::prelude::Strategy;
     use cnb_ir::prelude::*;
 

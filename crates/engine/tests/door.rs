@@ -1,8 +1,9 @@
 //! The serving door: a request that breaks the scoping rule
 //! (`cnb_ir::scope`) is refused with a typed error before anything is
 //! parameterized, optimized or cached — by `PlanServer::serve`, by
-//! `serve_batch_under` at any thread count, and by the executors called
-//! directly.
+//! `serve_batch_under` at any thread count (before admission and the
+//! deadline look at it: a request that is not a query has no price and no
+//! turn to miss), and by the executors called directly.
 //!
 //! `scripts/check.sh` also runs this file under `--release`: that is the
 //! profile where the optimizer's `debug_assert!` entry checks vanish, and
@@ -15,9 +16,12 @@
 //! cache counters); nothing here reads a process-wide counter or takes a
 //! lock, so the tests run in parallel with each other and with anything.
 
+use std::time::Duration;
+
 use cnb_core::prelude::OptimizerConfig;
 use cnb_engine::{
-    execute, execute_legacy, execute_wcoj, ExecError, PlanServer, ServeError, ServedResult,
+    execute, execute_legacy, execute_wcoj, ExecError, PlanServer, ServeConfig, ServeError,
+    ServedResult, VirtualClock,
 };
 use cnb_ir::prelude::*;
 use cnb_workloads::{DataScale, Ec1, Ec4, Workload};
@@ -165,6 +169,44 @@ fn door_refuses_ill_formed_requests(w: &dyn Workload, picks: [u64; 4]) {
             cache_state(&clean),
             "{name} threads={threads}: ill-formed requests moved the cache"
         );
+    }
+
+    // Under pressure the door still comes first. With a budget nothing
+    // clears (frozen clock), or a deadline that has passed by the first
+    // request (a clock ticking 1 ms per read), a well-formed request is shed
+    // exactly as in a batch of its own at one thread — and an ill-formed one
+    // is neither priced nor timed: `InvalidQuery`, at every thread count.
+    for (gate, config, step) in [
+        (
+            "budget 1.0",
+            ServeConfig::unbounded().with_cost_budget(1.0),
+            0,
+        ),
+        (
+            "deadline passed",
+            ServeConfig::unbounded().with_deadline(Duration::ZERO),
+            1,
+        ),
+    ] {
+        let clock = || VirtualClock::ticking(Duration::from_millis(step));
+        let mut clean = server(w);
+        let alone = clean.serve_batch_under(&db, &good, 1, &config, &clock(), None);
+        for threads in [1, 2, 4, 8] {
+            let tag = format!("{name} {gate} threads={threads}");
+            let mut s = server(w);
+            let outcomes = s.serve_batch_under(&db, &mixed, threads, &config, &clock(), None);
+            for (i, pair) in outcomes.chunks(2).enumerate() {
+                let shed = error(pair[0].result.clone(), &tag);
+                assert_eq!(shed, error(alone[i].result.clone(), &tag), "{tag} pair {i}");
+                let refusal = error(pair[1].result.clone(), &tag);
+                assert_eq!(refusal, refused(&bad[i].1), "{tag} pair {i}");
+            }
+            assert_eq!(
+                cache_state(&s),
+                cache_state(&clean),
+                "{tag}: the cache moved"
+            );
+        }
     }
 }
 

@@ -2,10 +2,10 @@
 # Full local gate: formatting, lints, and the tier-1 verify command.
 # Everything runs offline — the workspace has no registry dependencies.
 #
-# No tier sets CNB_THREADS: neither backchase search reads it any more
-# (one depth-first search at every thread count), and every suite that
-# drives the serving pool passes its thread counts explicitly (1/2/4/8), so
-# a second run of a suite under another value would be the same run.
+# No tier sets a thread count: there is no such knob. Both backchase
+# searches are sequential, and every suite that drives the serving pool
+# passes `threads` to serve_batch{,_under} explicitly (1/2/4/8) — the one
+# place a thread count comes from.
 #
 # Each `==> tier` header is followed (when the next tier starts) by the
 # wall-clock seconds the tier took, so a slow regression shows up in the
@@ -54,10 +54,11 @@ if ! cargo run --release -q -p cnb-analyze -- all . --json "$analysis_json"; the
 fi
 
 # Fast-fail gate: the EC4/EC5 golden + differential suites (star-schema and
-# cyclic-join workloads, exact row order, batched-vs-legacy oracle, thread
-# invariance) run first and explicitly — they are also part of the full
+# cyclic-join workloads, exact row order, batched-vs-legacy oracle) run
+# first and explicitly — they are also part of the full
 # `cargo test -q` run below, but failing them early makes a workload
-# regression obvious before the whole tier finishes. ec4_star
+# regression obvious before the whole tier finishes (the EC4/EC5 halves of
+# the backchase's run-twice determinism suite ride along). ec4_star
 # holds the two EC4 work guards — ec4_plans_execute_without_cross_products
 # (every plan within 4 × |F| tuples) and ec4_served_plan_probes_its_index_pair
 # (the plan PlanServer serves for the request mix within 2 × |F|, no
@@ -69,13 +70,13 @@ fi
 # (dict_join vs the nested loop) runs once, ahead of the sweep, and with it
 # the suite for the values the borrowing engine has to own (sets, probe
 # keys and filter sides built by a struct(…) path): both drive the engine
-# only — no optimizer, no pool — and never read CNB_THREADS.
+# only — no optimizer, no pool.
 tier "dict_join + owned-paths differentials (engine only, thread-independent)"
 cargo test -q -p cnb-engine --test dict_join_differential --test owned_paths_differential
 tier "EC4/EC5 golden + differential suites"
 cargo test -q -p cnb-workloads --test ec4_star --test ec5_cyclic --test workload_suite
 cargo test -q --test property_based -- \
-  parallel_backchase_differential_ec4 parallel_backchase_differential_ec5 \
+  backchase_is_deterministic_ec4 backchase_is_deterministic_ec5 \
   bottom_up_agrees_with_top_down_on_the_suite \
   cost_observation_feedback_matches_arithmetic_mean
 
@@ -135,7 +136,7 @@ cargo test --release -q -p cnb-engine --test door
 # pins every plan's text, order, `explored` / `pruned` / `universal_arity` /
 # `inferred` for the nine optimize_cold configurations, both backchase
 # traversals and a capped run; induction_differential holds every verdict on
-# every subset of five universal plans, in three orders, to a fresh-clone
+# every subset of five universal plans, in three orders, to a fresh-database
 # oracle — in release, where no debug re-proof stands behind the borders.
 # The debug profile runs all three as part of `cargo test -q` below.
 tier "allocation audit + plan-text golden + induction differential, release profile"

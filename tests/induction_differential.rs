@@ -1,13 +1,14 @@
 //! Differential suite for in-place (savepoint) subquery induction: on the
 //! EC1–EC5 universal plans, `induce_subquery_pure` — savepoint, restrict,
 //! rollback — must produce exactly the same induced query as the retired
-//! clone-per-candidate implementation (`induce_subquery` on a fresh clone of
-//! the database — the oracle, written out here) for **every** binding
-//! subset, and must leave the universal plan byte-identical between
-//! candidates. On the same subsets, the shared
-//! `Lattice`'s verdict (borders first, then in-place induction and a recycled
-//! scratch database) must equal the oracle pair's: clone-based induction,
-//! then `EquivChecker::equivalent` on a fresh database per candidate.
+//! database-per-candidate implementation (`induce_subquery` on a universal
+//! plan chased afresh per candidate — the oracle, written out here; the chase
+//! is deterministic, so term ids and induced text match) for **every**
+//! binding subset, and must leave the universal plan byte-identical between
+//! candidates. On the same subsets, the shared `Lattice`'s verdict (borders
+//! first, then in-place induction and a recycled scratch database) must equal
+//! the oracle pair's: induction on the fresh database, then
+//! `EquivChecker::equivalent` on a fresh database per candidate.
 //!
 //! What a lattice has learnt decides which of its verdicts are inferred, so
 //! the verdicts are swept in three orders, a fresh lattice each: ascending
@@ -37,7 +38,7 @@ fn db_fingerprint(db: &mut CanonDb) -> String {
     )
 }
 
-fn assert_inplace_matches_clone(tag: &str, q: &Query, constraints: &[Constraint]) {
+fn assert_inplace_matches_fresh(tag: &str, q: &Query, constraints: &[Constraint]) {
     let (mut udb, stats) = chase_query(q, constraints, ChaseConfig::default());
     assert!(!stats.truncated, "{tag}: chase truncated");
     let vars: Vec<Var> = udb.query.from.iter().map(|b| b.var).collect();
@@ -65,9 +66,10 @@ fn assert_inplace_matches_clone(tag: &str, q: &Query, constraints: &[Constraint]
         .map(|mask| {
             let keep = subset(mask);
             let inplace = induce_subquery_pure(&mut udb, &keep, &q.select);
-            let cloned = induce_subquery(&mut udb.clone(), &keep, &q.select);
+            let mut fresh = chase_query(q, constraints, ChaseConfig::default()).0;
+            let induced = induce_subquery(&mut fresh, &keep, &q.select);
             assert_eq!(
-                inplace, cloned,
+                inplace, induced,
                 "{tag}: induction diverged on subset {mask:#b}"
             );
             assert_eq!(
@@ -75,7 +77,7 @@ fn assert_inplace_matches_clone(tag: &str, q: &Query, constraints: &[Constraint]
                 baseline,
                 "{tag}: in-place induction left residue after subset {mask:#b}"
             );
-            cloned.is_some_and(|c| checker.equivalent(&c).0)
+            induced.is_some_and(|c| checker.equivalent(&c).0)
         })
         .collect();
 
@@ -105,31 +107,31 @@ fn assert_inplace_matches_clone(tag: &str, q: &Query, constraints: &[Constraint]
 #[test]
 fn ec1_induction_differential() {
     let ec1 = Ec1::new(3, 1);
-    assert_inplace_matches_clone("ec1_3_1", &ec1.query(), &ec1.schema().all_constraints());
+    assert_inplace_matches_fresh("ec1_3_1", &ec1.query(), &ec1.schema().all_constraints());
 }
 
 #[test]
 fn ec2_induction_differential() {
     let ec2 = Ec2::new(1, 3, 2);
-    assert_inplace_matches_clone("ec2_1_3_2", &ec2.query(), &ec2.schema().all_constraints());
+    assert_inplace_matches_fresh("ec2_1_3_2", &ec2.query(), &ec2.schema().all_constraints());
 }
 
 #[test]
 fn ec3_induction_differential() {
     let ec3 = Ec3::new(2, 0);
-    assert_inplace_matches_clone("ec3_2", &ec3.query(), &ec3.schema().all_constraints());
+    assert_inplace_matches_fresh("ec3_2", &ec3.query(), &ec3.schema().all_constraints());
 }
 
 #[test]
 fn ec4_induction_differential() {
     let ec4 = Ec4::new(3, 2, 2);
-    assert_inplace_matches_clone("ec4_3_2_2", &ec4.query(), &ec4.schema().all_constraints());
+    assert_inplace_matches_fresh("ec4_3_2_2", &ec4.query(), &ec4.schema().all_constraints());
 }
 
 #[test]
 fn ec5_induction_differential() {
     let ec5 = Ec5::new(3, true, true);
-    assert_inplace_matches_clone(
+    assert_inplace_matches_fresh(
         "ec5_tri_wedge_idx",
         &ec5.cycle_query(),
         &ec5.schema().all_constraints(),

@@ -3,8 +3,7 @@
 //! [`Optimizer`], and top-down, bottom-up (unbounded and seeded with the
 //! top-down plans' cheapest price) and plan-capped backchases called
 //! directly — must emit the same plans, in the same order, with the same
-//! text and the same `explored` / `pruned` / `universal_arity`, whatever
-//! `BackchaseConfig::threads` says (1, 2, 4 and 8 are tried), as at the
+//! text and the same `explored` / `pruned` / `universal_arity` as at the
 //! commit that recorded [`GOLDEN`].
 //!
 //! Plan text is downstream of everything the house contract protects: term
@@ -112,9 +111,8 @@ fn optimizer_row(name: String, r: &OptimizeResult) -> (String, String, usize) {
     )
 }
 
-/// Every configuration's `(name, row, inferred)` at `threads`, in [`GOLDEN`]
-/// order.
-fn observe(threads: usize) -> Vec<(String, String, usize)> {
+/// Every configuration's `(name, row, inferred)`, in [`GOLDEN`] order.
+fn observe() -> Vec<(String, String, usize)> {
     let mut out = Vec::new();
     let ec1 = Ec1::new(4, 2);
     let ec2_views = Ec2::new(1, 4, 2);
@@ -124,14 +122,9 @@ fn observe(threads: usize) -> Vec<(String, String, usize)> {
     let ec5 = Ec5::new(3, true, true);
 
     // The nine `optimize_cold` points, as `benchmark/src/optimize.rs` runs them.
-    let config = |strategy| {
-        let mut cfg = OptimizerConfig::with_strategy(strategy);
-        cfg.backchase.threads = threads;
-        cfg
-    };
     let (fb, oqf, ocs) = (Strategy::Full, Strategy::Oqf, Strategy::Ocs);
     let mut point = |name: &str, optimizer: Optimizer, q: Query, strategy, measured: bool| {
-        let cfg = config(strategy);
+        let cfg = OptimizerConfig::with_strategy(strategy);
         let r = if measured {
             optimizer.optimize_measured(&q, &cfg, &CostModel::default())
         } else {
@@ -203,10 +196,7 @@ fn observe(threads: usize) -> Vec<(String, String, usize)> {
     ];
     let model = CostModel::default();
     for (name, q, cs) in &direct {
-        let cfg = BackchaseConfig {
-            threads,
-            ..BackchaseConfig::default()
-        };
+        let cfg = BackchaseConfig::default();
         let top = chase_and_backchase(q, cs, &cfg);
         out.push(backchase_row(format!("{name}.top_down"), &top));
         let free = bottom_up_backchase(q, cs, &cfg, &model, None);
@@ -236,23 +226,18 @@ fn observe(threads: usize) -> Vec<(String, String, usize)> {
 
 #[test]
 fn plan_text_is_what_it_was() {
-    for threads in [1, 2, 4, 8] {
-        let observed = observe(threads);
-        let table = observed
+    let observed = observe();
+    let table = observed
+        .iter()
+        .map(|(n, row, inferred)| format!("    ({n:?}, {row:?}, {inferred}),"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let matches = observed.len() == GOLDEN.len()
+        && observed
             .iter()
-            .map(|(n, row, inferred)| format!("    ({n:?}, {row:?}, {inferred}),"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let matches = observed.len() == GOLDEN.len()
-            && observed
-                .iter()
-                .zip(GOLDEN)
-                .all(|((n, row, inferred), (gn, grow, ginferred))| {
-                    n == gn && row == grow && inferred == ginferred
-                });
-        assert!(
-            matches,
-            "plan text moved at {threads} threads; observed:\n{table}"
-        );
-    }
+            .zip(GOLDEN)
+            .all(|((n, row, inferred), (gn, grow, ginferred))| {
+                n == gn && row == grow && inferred == ginferred
+            });
+    assert!(matches, "plan text moved; observed:\n{table}");
 }

@@ -521,66 +521,54 @@ fn chase_idempotent() {
     });
 }
 
-// ------------------------------------------- Parallel backchase (diff) --
+// ------------------------------------------- Backchase determinism (diff) --
 
-/// One plan's identity: kept binding set plus the full query text. Vec
-/// equality therefore checks the plan *set, order included*, byte for byte.
+/// A run's identity: per plan the kept binding set plus the full query text,
+/// then the run's counts. Vec equality therefore checks the plan *set, order
+/// included*, byte for byte.
 fn backchase_fingerprint(res: &BackchaseResult) -> Vec<String> {
     res.plans
         .iter()
         .map(|p| format!("{:?} :: {}", p.bindings, p.query))
-        .chain([
-            format!("truncated_checks = {}", res.truncated_checks),
-            format!("inferred = {}", res.inferred),
-        ])
+        .chain([format!(
+            "explored = {}, inferred = {}, truncated_checks = {}, universal_arity = {}",
+            res.explored, res.inferred, res.truncated_checks, res.universal_arity
+        )])
         .collect()
 }
 
-/// Runs the backchase with `threads` set to 1 and to 2/4/8, asserting
+/// Runs the backchase twice under the default config, asserting
 /// byte-identical plans (order included) and identical `explored` and
-/// `inferred` counts — the determinism contract of `cnb_core::backchase`.
-/// The search no longer reads the field; this is what holds it to that.
-fn assert_thread_invariant(q: &Query, cs: &[Constraint], label: &str) {
-    let cfg = |threads: usize| BackchaseConfig {
-        threads,
-        ..BackchaseConfig::default()
-    };
-    let seq = chase_and_backchase(q, cs, &cfg(1));
-    assert!(!seq.timed_out, "{label}: sequential run timed out");
-    let seq_fp = backchase_fingerprint(&seq);
-    for threads in [2usize, 4, 8] {
-        let par = chase_and_backchase(q, cs, &cfg(threads));
-        assert!(!par.timed_out, "{label}: {threads}-thread run timed out");
-        assert_eq!(
-            seq_fp,
-            backchase_fingerprint(&par),
-            "{label}: plans or their order diverged at {threads} threads"
-        );
-        assert_eq!(
-            seq.explored, par.explored,
-            "{label}: explored counts diverged at {threads} threads"
-        );
-        assert_eq!(seq.universal_arity, par.universal_arity);
-    }
+/// `inferred` counts — the determinism contract of `cnb_core::backchase`:
+/// a run's answer is a function of the query and the constraints alone.
+fn assert_deterministic(q: &Query, cs: &[Constraint], label: &str) {
+    let cfg = BackchaseConfig::default();
+    let first = chase_and_backchase(q, cs, &cfg);
+    let second = chase_and_backchase(q, cs, &cfg);
+    assert!(!first.timed_out && !second.timed_out, "{label}: timed out");
+    assert_eq!(
+        backchase_fingerprint(&first),
+        backchase_fingerprint(&second),
+        "{label}: plans, their order or the counts diverged between two runs"
+    );
 }
 
-/// Differential suite, workload half: random EC1 chain scenarios (relations,
-/// primary/secondary indexes) behave identically at 1/2/4/8 threads.
+/// Determinism suite, workload half: random EC1 chain scenarios (relations,
+/// primary/secondary indexes) give the same answer twice.
 #[test]
-fn parallel_backchase_differential_ec1() {
-    cases("parallel_backchase_differential_ec1", 8, |rng| {
+fn backchase_is_deterministic_ec1() {
+    cases("backchase_is_deterministic_ec1", 8, |rng| {
         let (n, j, _seed) = chain_scenario(rng);
         let ec1 = chase_too_far::workloads::Ec1::new(n, j);
-        assert_thread_invariant(&ec1.query(), &ec1.schema().all_constraints(), "ec1");
+        assert_deterministic(&ec1.query(), &ec1.schema().all_constraints(), "ec1");
     });
 }
 
-/// Differential suite, random half: arbitrary chain queries under randomly
-/// drawn key and referential constraints behave identically at 1/2/4/8
-/// threads.
+/// Determinism suite, random half: arbitrary chain queries under randomly
+/// drawn key and referential constraints give the same answer twice.
 #[test]
-fn parallel_backchase_differential_random() {
-    cases("parallel_backchase_differential_random", 12, |rng| {
+fn backchase_is_deterministic_random() {
+    cases("backchase_is_deterministic_random", 12, |rng| {
         let q = arb_query(rng);
         let mut cs: Vec<Constraint> = Vec::new();
         for i in 0..3u32 {
@@ -598,37 +586,37 @@ fn parallel_backchase_differential_random() {
                 cs.push(ric);
             }
         }
-        assert_thread_invariant(&q, &cs, "random");
+        assert_deterministic(&q, &cs, "random");
     });
 }
 
-/// Differential suite, star-schema half: random EC4 configurations
-/// (dimensions, materialized fact–dim views, FK indexes) behave identically
-/// at 1/2/4/8 threads.
+/// Determinism suite, star-schema half: random EC4 configurations
+/// (dimensions, materialized fact–dim views, FK indexes) give the same
+/// answer twice.
 #[test]
-fn parallel_backchase_differential_ec4() {
-    cases("parallel_backchase_differential_ec4", 6, |rng| {
+fn backchase_is_deterministic_ec4() {
+    cases("backchase_is_deterministic_ec4", 6, |rng| {
         let dims = rng.gen_range(2usize..4);
         let views = rng.gen_range(0usize..dims.min(2) + 1);
         let indexed = rng.gen_range(0usize..2);
         let ec4 = chase_too_far::workloads::Ec4::new(dims, views, indexed);
-        assert_thread_invariant(&ec4.query(), &ec4.schema().all_constraints(), "ec4");
+        assert_deterministic(&ec4.query(), &ec4.schema().all_constraints(), "ec4");
     });
 }
 
-/// Differential suite, cyclic half: random EC5 configurations (triangle or
-/// 4-cycle, wedge view on/off, source index on triangles) behave
-/// identically at 1/2/4/8 threads.
+/// Determinism suite, cyclic half: random EC5 configurations (triangle or
+/// 4-cycle, wedge view on/off, source index on triangles) give the same
+/// answer twice.
 #[test]
-fn parallel_backchase_differential_ec5() {
-    cases("parallel_backchase_differential_ec5", 6, |rng| {
+fn backchase_is_deterministic_ec5() {
+    cases("backchase_is_deterministic_ec5", 6, |rng| {
         let cycle = rng.gen_range(3usize..5);
         let wedge = rng.gen_bool(0.7);
         // The source index doubles the universal plan's per-edge bindings;
         // keep it to triangles so debug-mode cases stay fast.
         let index = cycle == 3 && rng.gen_bool(0.5);
         let ec5 = chase_too_far::workloads::Ec5::new(cycle, wedge, index);
-        assert_thread_invariant(&ec5.cycle_query(), &ec5.schema().all_constraints(), "ec5");
+        assert_deterministic(&ec5.cycle_query(), &ec5.schema().all_constraints(), "ec5");
     });
 }
 
@@ -639,43 +627,38 @@ fn parallel_backchase_differential_ec5() {
 /// `same_plan` as one of the other search's (the searches discover plans
 /// in different orders and keep the first of each renaming class, so the
 /// kept binding sets may differ where the queries do not). Covers every
-/// `suite()` member whose universal plan has at most 12 bindings, at
-/// `threads` 1 and 4 — bottom-up enumerates subsets by size and has no
-/// memo of supersets to lean on, so the cut keeps its 2ⁿ worst case out of
-/// debug-mode test time. Today it skips nobody: the five members' universal
-/// plans have 8, 8, 9, 8 and 6 bindings (EC1–EC5).
+/// `suite()` member whose universal plan has at most 12 bindings —
+/// bottom-up enumerates subsets by size and has no memo of supersets to
+/// lean on, so the cut keeps its 2ⁿ worst case out of debug-mode test time.
+/// Today it skips nobody: the five members' universal plans have 8, 8, 9, 8
+/// and 6 bindings (EC1–EC5).
 #[test]
 fn bottom_up_agrees_with_top_down_on_the_suite() {
     use chase_too_far::core::cost::CostModel;
     use chase_too_far::core::prelude::bottom_up_backchase;
+    let cfg = BackchaseConfig::default();
     for w in chase_too_far::workloads::suite() {
         let (q, cs) = (w.query(), w.constraints());
-        for threads in [1usize, 4] {
-            let cfg = BackchaseConfig {
-                threads,
-                ..BackchaseConfig::default()
-            };
-            let top = chase_and_backchase(&q, &cs, &cfg);
-            if top.universal_arity > 12 {
-                eprintln!("{}: {} bindings, skipped", w.name(), top.universal_arity);
-                continue;
-            }
-            let bottom = bottom_up_backchase(&q, &cs, &cfg, &CostModel::default(), None);
-            let label = format!("{} at {threads} threads", w.name());
-            assert!(!top.timed_out && !bottom.timed_out, "{label}: timed out");
-            assert_eq!(top.universal_arity, bottom.universal_arity, "{label}");
-            assert_eq!(top.plans.len(), bottom.plans.len(), "{label}: plan counts");
-            for (from, into, missing) in [
-                (&bottom, &top, "bottom-up plan missing from top-down"),
-                (&top, &bottom, "top-down plan missing from bottom-up"),
-            ] {
-                for p in &from.plans {
-                    assert!(
-                        into.plans.iter().any(|o| same_plan(&o.query, &p.query)),
-                        "{label}: {missing}:\n{}",
-                        p.query
-                    );
-                }
+        let top = chase_and_backchase(&q, &cs, &cfg);
+        if top.universal_arity > 12 {
+            eprintln!("{}: {} bindings, skipped", w.name(), top.universal_arity);
+            continue;
+        }
+        let bottom = bottom_up_backchase(&q, &cs, &cfg, &CostModel::default(), None);
+        let label = w.name();
+        assert!(!top.timed_out && !bottom.timed_out, "{label}: timed out");
+        assert_eq!(top.universal_arity, bottom.universal_arity, "{label}");
+        assert_eq!(top.plans.len(), bottom.plans.len(), "{label}: plan counts");
+        for (from, into, missing) in [
+            (&bottom, &top, "bottom-up plan missing from top-down"),
+            (&top, &bottom, "top-down plan missing from bottom-up"),
+        ] {
+            for p in &from.plans {
+                assert!(
+                    into.plans.iter().any(|o| same_plan(&o.query, &p.query)),
+                    "{label}: {missing}:\n{}",
+                    p.query
+                );
             }
         }
     }
