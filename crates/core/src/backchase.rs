@@ -16,7 +16,9 @@
 //! `PlanSink` is the only code that deduplicates and collects plans. The
 //! searches are orders of visiting the lattice: **depth-first with a memo**
 //! (`Search::explore`, the top-down backchase) and **by size, priced**
-//! ([`crate::bottomup`], bottom-up growth under a cost bound).
+//! ([`crate::bottomup`], bottom-up growth under a cost bound — which asks
+//! `Lattice::well_formed` whether a subset is a subquery and prices its
+//! ranges before it has the lattice induce it).
 //!
 //! # Borders
 //!
@@ -75,7 +77,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use cnb_ir::prelude::{Constraint, Query, Range, Var};
+use cnb_ir::prelude::{Binding, Constraint, Query, Range};
 
 use crate::bitset::{Border, VarSet};
 use crate::canon::CanonDb;
@@ -135,6 +137,10 @@ pub struct BackchaseResult {
     pub inferred: usize,
     /// Candidates pruned by a cost bound (bottom-up strategy only).
     pub pruned: usize,
+    /// Of the pruned, those whose [`crate::cost::PlanPricer::floor`] was
+    /// already above the bound, dropped before induction: `pruned - floored`
+    /// is the subqueries the bound still had built and priced to drop them.
+    pub floored: usize,
     /// Universal-plan size (number of bindings).
     pub universal_arity: usize,
     /// Chase stats for building the universal plan.
@@ -229,18 +235,23 @@ impl<'a> Lattice<'a> {
         }
     }
 
-    /// The variables of the universal plan, in from-clause order.
-    pub(crate) fn vars(&self) -> Vec<Var> {
-        self.udb.query.from.iter().map(|b| b.var).collect()
+    /// The universal plan's from-clause. Induction keeps a kept binding's
+    /// variable and its range's kind and collection; only the path of a
+    /// `Range::Expr` is rewritten.
+    pub(crate) fn bindings(&self) -> &[Binding] {
+        &self.udb.query.from
     }
 
     /// The subquery of the universal plan induced by `keep`; `None` when a kept
     /// range or the original output is not recoverable from those bindings.
     pub fn induce(&mut self, keep: &VarSet) -> Option<Query> {
-        if !self.well_formed(keep) {
-            return None;
-        }
+        self.well_formed(keep).then(|| self.induced(keep))
+    }
+
+    /// The subquery on a subset that [`Lattice::well_formed`] has accepted.
+    pub(crate) fn induced(&mut self, keep: &VarSet) -> Query {
         induce_subquery_pure(&mut self.udb, keep, &self.checker.spec.q0.select)
+            .expect("a well-formed subset induces a subquery")
     }
 
     /// Is `cand` equivalent to the original query under the constraints?
@@ -282,7 +293,7 @@ impl<'a> Lattice<'a> {
 
     /// Is `keep` a subquery? `induce_subquery`'s from- and select-clause
     /// steps, in its order, each answered by its border where that knows.
-    fn well_formed(&mut self, keep: &VarSet) -> bool {
+    pub(crate) fn well_formed(&mut self, keep: &VarSet) -> bool {
         let Lattice {
             udb: CanonDb { query, cong, .. },
             checker,

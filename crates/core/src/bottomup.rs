@@ -17,10 +17,31 @@
 //! induction, equivalence, the deadline and plan collection are the
 //! lattice's and the sink's; what lives here is the by-size growth order
 //! and the pricer rule above. Most small subsets are not subqueries at all —
-//! a range or the output is out of reach — and [`Lattice::induce`] answers
-//! those from the lattice's range and select borders.
+//! a range or the output is out of reach — and `Lattice::well_formed`
+//! answers those from the lattice's range and select borders.
+//!
+//! # Price before you build
+//!
+//! Under a bound, most of the subsets that *are* subqueries are there to be
+//! dropped: on `ec1_4_2` the measured pass counts 1 717 pruned candidates
+//! for 60 it keeps. A price needs the candidate — induced from the universal
+//! plan, where-clause and all, some 4 µs of it in `restricted_where` — so the
+//! search first asks the pricer for [`PlanPricer::floor`], a lower bound on
+//! the price of anything with the candidate's from-clause ranges, which
+//! induction keeps from the universal plan. A candidate whose floor already
+//! exceeds the bound is counted in `pruned` (and in
+//! [`BackchaseResult::floored`]) and grown or dropped exactly as if it had
+//! been induced, priced and found too dear; since `floor <= price` holds as
+//! an `f64` comparison, that is what would have happened, and plans,
+//! `explored`, `pruned` and the bound are the ones a floorless search
+//! computes (`tests/floor_differential.rs`; the inequality itself,
+//! `tests/floor_soundness.rs` and a `debug_assert!` on every candidate that
+//! is priced). A non-monotone pricer may use its floor too: the floor is a
+//! sum over the ranges, monotone in the binding set even when the price is
+//! not, and such a pricer drops only the one candidate either way — never
+//! an up-set, on a price or on a floor.
 
-use cnb_ir::prelude::{Constraint, Query};
+use cnb_ir::prelude::{Constraint, Query, Range};
 
 use crate::backchase::{BackchaseConfig, BackchaseResult, Lattice, PlanSink};
 use crate::bitset::VarSet;
@@ -40,11 +61,20 @@ pub fn bottom_up_backchase(
     pricer: &dyn PlanPricer,
     seed_bound: Option<f64>,
 ) -> BackchaseResult {
+    debug_assert_eq!(
+        q0.validate(),
+        Ok(()),
+        "bottom_up_backchase called with ill-formed query"
+    );
+    debug_assert!(
+        constraints.iter().all(|c| c.validate().is_ok()),
+        "bottom_up_backchase called with an ill-formed constraint"
+    );
     let mut lattice = Lattice::chase(q0, constraints, cfg);
     let mut result = BackchaseResult::default();
     let mut sink = PlanSink::new(cfg.max_plans);
-    let all_vars = lattice.vars();
-    let n = all_vars.len();
+    let bindings = lattice.bindings().to_vec();
+    let n = bindings.len();
 
     // Cost pruning is active only when a bound is seeded (the paper's
     // combined mode: top-down finds a first plan, bottom-up uses its cost);
@@ -56,6 +86,8 @@ pub fn bottom_up_backchase(
     // subset exactly once, from the one parent that is its prefix.
     let mut frontier: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
     let mut found_sets: Vec<VarSet> = Vec::new();
+    // The candidate's ranges, for its floor.
+    let mut ranges: Vec<&Range> = Vec::new();
 
     'search: while !frontier.is_empty() {
         let mut next: Vec<Vec<usize>> = Vec::new();
@@ -64,7 +96,7 @@ pub fn bottom_up_backchase(
                 result.timed_out = true;
                 break 'search;
             }
-            let keep = VarSet::from_iter(subset.iter().map(|&i| all_vars[i]));
+            let keep = VarSet::from_iter(subset.iter().map(|&i| bindings[i].var));
             // A superset of an already-found plan cannot be minimal.
             if found_sets.iter().any(|f| f.is_subset(&keep)) {
                 continue;
@@ -77,23 +109,41 @@ pub fn bottom_up_backchase(
                     next.push(bigger);
                 }
             };
-            let Some(cand) = lattice.induce(&keep) else {
+            if !lattice.well_formed(&keep) {
                 // Output not recoverable yet; more bindings may fix that.
                 grow();
                 continue;
+            }
+            // Cost-based pruning, on the floor where that already decides
+            // and on the price of the induced candidate where it does not.
+            // Only a monotone pricer may drop the up-set with the
+            // candidate: under a WCOJ-aware price, a superset can price
+            // below its parts (two triangle edges cost N², the full
+            // triangle N^{3/2}), so its children must grow.
+            ranges.clear();
+            ranges.extend(subset.iter().map(|&i| &bindings[i].range));
+            let floor = pricer.floor(&ranges);
+            let floored = floor > best_cost;
+            let within_bound = if floored {
+                None
+            } else {
+                let cand = lattice.induced(&keep);
+                let cost = pricer.price(&cand);
+                debug_assert!(floor <= cost, "floor {floor} above price {cost} of {cand}");
+                if cost > best_cost {
+                    None
+                } else {
+                    Some((cand, cost))
+                }
             };
-            // Cost-based pruning. Only a monotone pricer may drop the
-            // up-set with the candidate: under a WCOJ-aware price, a
-            // superset can price below its parts (two triangle edges cost
-            // N², the full triangle N^{3/2}), so its children must grow.
-            let cost = pricer.price(&cand);
-            if cost > best_cost {
+            let Some((cand, cost)) = within_bound else {
                 result.pruned += 1;
+                result.floored += usize::from(floored);
                 if !pricer.monotone() {
                     grow();
                 }
                 continue;
-            }
+            };
             result.explored += 1;
             if !lattice.equivalent(&cand) {
                 grow();

@@ -6,7 +6,16 @@
 //! executing all of them or with the "prefer plans that use more views or
 //! indexes" heuristic. This module provides both: a heuristic score and a
 //! textbook left-deep cost estimate for choosing a plan to execute.
+//!
+//! The estimate is written once (`CostModel::left_deep`) and read two ways:
+//! [`CostModel::cost`] supplies each binding's connecting-equality count from
+//! the where clause; the model's [`PlanPricer::floor`] says it does not know
+//! them and gets the least the estimate can come to for a from-clause —
+//! which lets the bottom-up search drop a candidate without building it. The
+//! floor contract, and why it must hold in `f64` and not only in the reals,
+//! is on [`PlanPricer`].
 
+use crate::bitset::VarSet;
 use crate::fxhash::FxHashMap;
 use cnb_ir::prelude::{
     generic_join_supported, wcoj_gap, Query, Range, Schema, Symbol, WcojAnalysis,
@@ -126,6 +135,43 @@ impl CostModel {
             .unwrap_or(self.default_cardinality)
     }
 
+    /// What one more loop over `range` reads: the collection's cardinality,
+    /// or one set-valued lookup per outer row.
+    fn base(&self, range: &Range) -> f64 {
+        match range {
+            Range::Name(s) | Range::Dom(s) => self.card(*s),
+            Range::Expr(_) => self.fanout,
+        }
+    }
+
+    /// The left-deep estimate over `ranges` in from-clause order — the one
+    /// place it is written. `connecting(i)` is the number of where-clause
+    /// equalities that join range `i` to earlier ones, or `None` when that is
+    /// not known: the intermediate result is then taken at the least it can
+    /// be, which is its clamp (for the first range, with nothing before it to
+    /// be selective against, `max(base, 1)` — what a known count of 0 gives).
+    fn left_deep<'r>(
+        &self,
+        ranges: impl IntoIterator<Item = &'r Range>,
+        mut connecting: impl FnMut(usize) -> Option<usize>,
+    ) -> f64 {
+        let mut running = 1.0f64;
+        let mut total = 0.0f64;
+        for (i, range) in ranges.into_iter().enumerate() {
+            let base = self.base(range);
+            running = match connecting(i) {
+                Some(n) => {
+                    let sel = self.join_selectivity.powi(n as i32);
+                    (running * base * sel).max(1.0)
+                }
+                None if i == 0 => base.max(1.0),
+                None => 1.0,
+            };
+            total += base + running;
+        }
+        total
+    }
+
     /// Estimated cost of a left-deep evaluation in from-clause order: each
     /// binding contributes its *input* cost — the rows scanned (or, for a
     /// hash join, built) from its range — plus the intermediate result it
@@ -134,32 +180,32 @@ impl CostModel {
     /// term, probing a huge pre-materialized collection would be priced as
     /// free whenever the probe output is small.
     pub fn cost(&self, q: &Query) -> f64 {
-        let mut bound: Vec<cnb_ir::prelude::Var> = Vec::new();
-        let mut running = 1.0f64;
-        let mut total = 0.0f64;
-        for b in &q.from {
-            let base = match &b.range {
-                Range::Name(s) => self.card(*s),
-                Range::Dom(s) => self.card(*s),
-                // Set-valued path: one lookup per outer row.
-                Range::Expr(_) => self.fanout,
-            };
-            // Count join predicates connecting this binding to earlier ones.
-            let mut connecting = 0usize;
-            for eq in &q.where_ {
-                let vars = eq.vars();
-                let mentions_new = vars.contains(&b.var);
-                let mentions_old = vars.iter().any(|v| bound.contains(v));
-                if mentions_new && mentions_old {
-                    connecting += 1;
-                }
-            }
-            let sel = self.join_selectivity.powi(connecting as i32);
-            running = (running * base * sel).max(1.0);
-            total += base + running;
-            bound.push(b.var);
-        }
-        total
+        // Each equality's variables, collected once: "mentions the new
+        // binding and an earlier one" is then two bit tests per equality.
+        let mentioned: Vec<VarSet> = q
+            .where_
+            .iter()
+            .map(|eq| {
+                let mut vars = VarSet::new();
+                let mut add = |v| {
+                    vars.insert(v);
+                    true
+                };
+                eq.lhs.vars_all(&mut add);
+                eq.rhs.vars_all(&mut add);
+                vars
+            })
+            .collect();
+        let mut bound = VarSet::new();
+        self.left_deep(q.from.iter().map(|b| &b.range), |i| {
+            let var = q.from[i].var;
+            let connecting = mentioned
+                .iter()
+                .filter(|vars| vars.contains(var) && vars.intersects(&bound))
+                .count();
+            bound.insert(var);
+            Some(connecting)
+        })
     }
 
     /// Estimated cost of a generic-join (worst-case optimal) execution
@@ -183,8 +229,7 @@ impl CostModel {
     }
 
     /// The paper's "best plan first" heuristic score: more physical
-    /// structures first, then fewer bindings, then lower estimated cost.
-    /// Lower scores are better.
+    /// structures first, then fewer bindings. Lower scores are better.
     pub fn heuristic_rank(&self, schema: &Schema, q: &Query) -> (i64, i64) {
         let physical = schema.physical_anchors(q).count() as i64;
         (-(physical), q.from.len() as i64)
@@ -213,6 +258,20 @@ pub fn wcoj_candidate(schema: &Schema, q: &Query) -> Option<WcojAnalysis> {
 /// can be dropped. A WCOJ-aware price is **not** monotone (two triangle
 /// edges price `N²`, all three price `N^{3/2}`), so pricers declare their
 /// monotonicity and the search only up-set-prunes under a monotone pricer.
+///
+/// # The floor
+///
+/// Most candidates a bounded search prices are priced to be dropped, and a
+/// price needs the candidate built: induced from the universal plan, where
+/// clause and all. [`PlanPricer::floor`] is what can be said from the
+/// from-clause alone. The contract: `floor(ranges) <= price(q)`, **as an
+/// `f64` comparison**, for every query `q` whose from-clause has these ranges
+/// in this order — induction rewrites the path of a `Range::Expr`, so one
+/// stands for any path range. A search may then treat `floor(ranges) > bound`
+/// exactly as it treats `price(q) > bound`, without `q`; `0.0`, the default,
+/// claims nothing and changes nothing. A floor is a sum over the ranges, so
+/// it only grows with the binding set whether or not `price` does: a
+/// non-monotone pricer may use one, it just may not drop the up-set on it.
 pub trait PlanPricer {
     /// Estimated execution cost of the candidate (lower is better).
     fn price(&self, q: &Query) -> f64;
@@ -220,11 +279,25 @@ pub trait PlanPricer {
     fn monotone(&self) -> bool {
         true
     }
+    /// A lower bound on `price` over every query with these from-clause
+    /// ranges, in this order (see "The floor" above). `0.0`: none known.
+    fn floor(&self, _ranges: &[&Range]) -> f64 {
+        0.0
+    }
 }
 
 impl PlanPricer for CostModel {
     fn price(&self, q: &Query) -> f64 {
         self.cost(q)
+    }
+
+    /// [`CostModel::cost`] with every connecting count unknown. It is a
+    /// floor as an `f64` comparison, not only in the reals: both sums add
+    /// `base + running` per range in the same order, each `running` here is
+    /// at most the one there, and IEEE addition is monotone in either
+    /// argument.
+    fn floor(&self, ranges: &[&Range]) -> f64 {
+        self.left_deep(ranges.iter().copied(), |_| None)
     }
 }
 
@@ -250,6 +323,22 @@ impl PlanPricer for WcojAwarePricer<'_> {
 
     fn monotone(&self) -> bool {
         false
+    }
+
+    /// The left-deep floor, lowered to `Σ card + 1` over a from-clause of
+    /// named collections — the only shape [`wcoj_candidate`] accepts, whose
+    /// [`CostModel::cost_wcoj`] adds each `max(card, 1)` in the same order
+    /// and then an AGM product of factors that are at least 1.
+    fn floor(&self, ranges: &[&Range]) -> f64 {
+        let left_deep = self.model.floor(ranges);
+        let mut input = 0.0f64;
+        for range in ranges {
+            let Range::Name(s) = range else {
+                return left_deep;
+            };
+            input += self.model.card(*s);
+        }
+        left_deep.min(input + 1.0)
     }
 }
 

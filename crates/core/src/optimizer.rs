@@ -122,6 +122,9 @@ pub struct OptimizeResult {
     /// Candidates dropped by cost-bound pruning
     /// ([`Optimizer::optimize_measured`] only; 0 otherwise).
     pub pruned: usize,
+    /// Of `pruned`, the candidates dropped before induction
+    /// ([`BackchaseResult::floored`], summed).
+    pub floored: usize,
     /// Chase statistics (summed).
     pub chase_stats: ChaseStats,
     /// Equivalence checks decided on a chase that hit its step or round cap
@@ -138,6 +141,7 @@ impl OptimizeResult {
         self.explored += run.explored;
         self.inferred += run.inferred;
         self.pruned += run.pruned;
+        self.floored += run.floored;
         self.chase_time += run.chase_time;
         self.backchase_time += run.backchase_time;
         self.timed_out |= run.timed_out;

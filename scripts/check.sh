@@ -127,20 +127,28 @@ cargo test -q --test property_based -- \
 tier "serving door, release profile (ill-formed requests are refused typed)"
 cargo test --release -q -p cnb-engine --test door
 
-# Backchase kernel tier, release profile: the three files that hold a change
-# to the congruence closure, the homomorphism search, subquery induction or
-# the lattice's borders to "same search, no garbage". alloc_audit counts heap
-# allocations per explored candidate on the four full-backchase benchmark
-# points (its ceilings are asserted in release only — a debug build validates
-# every induced query and re-proves every inferred verdict); plan_text_golden
-# pins every plan's text, order, `explored` / `pruned` / `universal_arity` /
-# `inferred` for the nine optimize_cold configurations, both backchase
-# traversals and a capped run; induction_differential holds every verdict on
-# every subset of five universal plans, in three orders, to a fresh-database
-# oracle — in release, where no debug re-proof stands behind the borders.
-# The debug profile runs all three as part of `cargo test -q` below.
-tier "allocation audit + plan-text golden + induction differential, release profile"
-cargo test --release -q --test alloc_audit --test plan_text_golden --test induction_differential
+# Backchase kernel tier, release profile: the five files that hold a change
+# to the congruence closure, the homomorphism search, subquery induction, the
+# lattice's borders or the bottom-up search's pricing to "same search, no
+# garbage". alloc_audit counts heap allocations per explored candidate on the
+# four full-backchase benchmark points and per explored-or-pruned candidate
+# on the bottom-up pass of the two measured ones (its ceilings are asserted
+# in release only — a debug build validates every induced query and re-proves
+# every inferred verdict); plan_text_golden pins every plan's text, order,
+# `explored` / `pruned` / `universal_arity` / `inferred` for the nine
+# optimize_cold configurations, both backchase traversals and a capped run;
+# induction_differential holds every verdict on every subset of five
+# universal plans, in three orders, to a fresh-database oracle — in release,
+# where no debug re-proof stands behind the borders. floor_soundness holds
+# `PlanPricer::floor <= price` on every well-formed subset of seven universal
+# plans under both pricers and six models, and floor_differential holds the
+# search with the floor to the search without it (and the cost kernel to the
+# loop it replaced, bit for bit) — in release, where the `debug_assert!` on
+# every priced candidate is compiled out. The debug profile runs all five as
+# part of `cargo test -q` below.
+tier "alloc audit + plan-text golden + induction differential + floor soundness/differential, release profile"
+cargo test --release -q --test alloc_audit --test plan_text_golden --test induction_differential \
+  --test floor_soundness --test floor_differential
 
 tier "cargo test -q"
 cargo test -q

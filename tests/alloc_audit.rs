@@ -1,6 +1,8 @@
 //! Pins the backchase's memory traffic: heap allocations per explored
 //! candidate over one warm sequential `chase_and_backchase`, on the four
-//! full-backchase points of the `optimize_cold` benchmark workload.
+//! full-backchase points of the `optimize_cold` benchmark workload, and per
+//! explored or pruned candidate over the bottom-up pass of its two
+//! `optimize_measured` points.
 //!
 //! Before the inner loop stopped allocating (probes interned through the
 //! homomorphism's assignment, bodies compiled once, closure lists recycled)
@@ -13,6 +15,14 @@
 //! half: one induction per inferred verdict costs some twenty allocations
 //! and a database clone hundreds, and either goes through every one of them.
 //!
+//! The bottom-up pass built every candidate it counted — induced it, priced
+//! it, and dropped three in four on the price: 103 / 71 per candidate. Since
+//! the pricer's floor decides most of those from the from-clause alone, they
+//! are never induced: 16 / 9, what is left being the candidates the bound
+//! still has built and the frontier's index vectors. Same ceiling rule; an
+//! induction or a price that starts allocating more, or a floor that stops
+//! deciding, goes through it.
+//!
 //! This file must stay a single-test binary: the counter is the process's
 //! allocator, and a sibling test running on another thread would be counted
 //! in. It holds the repository's one `unsafe impl` — a `GlobalAlloc` that
@@ -22,8 +32,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use chase_too_far::core::cost::{CostModel, WcojAwarePricer};
 use chase_too_far::core::prelude::*;
-use chase_too_far::ir::prelude::{Constraint, Query};
 use chase_too_far::workloads::{Ec1, Ec2, Ec4, Ec5};
 
 /// Calls to `alloc` / `alloc_zeroed` / `realloc` since process start.
@@ -63,6 +73,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations per candidate over one warm call of `run`, which returns how
+/// many candidates it judged — `candidates`, or the search has moved.
+fn per_candidate(name: &str, candidates: usize, run: impl Fn() -> usize) -> u64 {
+    // Warm: symbol interning and other first-call costs land here.
+    assert_eq!(run(), candidates, "{name}: candidates moved");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let judged = run();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(judged, candidates, "{name}: candidates moved");
+    let per_candidate = allocations / candidates as u64;
+    println!("{name}: {allocations} allocations / {candidates} candidates = {per_candidate}");
+    per_candidate
+}
+
 #[test]
 fn backchase_allocations_per_explored_candidate() {
     let (ec1, ec2, ec4, ec5) = (
@@ -71,62 +95,84 @@ fn backchase_allocations_per_explored_candidate() {
         Ec4::new(4, 3, 2),
         Ec5::new(3, true, true),
     );
-    // (point, query, constraints, `explored`, ceiling: allocations per
-    // explored candidate the full backchase may make).
-    let points: [(&str, Query, Vec<Constraint>, usize, u64); 4] = [
-        (
-            "ec1_4_2.fb",
-            ec1.query(),
-            ec1.schema().all_constraints(),
-            2579,
-            28,
-        ),
-        (
-            "ec2_1_4_2.fb",
-            ec2.query(),
-            ec2.schema().all_constraints(),
-            63,
-            32,
-        ),
-        (
-            "ec4_4_3_2.fb",
-            ec4.query(),
-            ec4.schema().all_constraints(),
-            1565,
-            12,
-        ),
-        (
-            "ec5_tri_wedge_idx.fb",
-            ec5.cycle_query(),
-            ec5.schema().all_constraints(),
-            3183,
-            6,
-        ),
-    ];
     let cfg = BackchaseConfig {
         threads: 1,
         ..BackchaseConfig::default()
     };
+    let model = CostModel::default();
+    let (fb, oqf) = (Strategy::Full, Strategy::Oqf);
+    // (point, schema, query, `explored` of the full backchase, ceiling:
+    // allocations per explored candidate it may make).
+    let full = [
+        ("ec1_4_2.fb", ec1.schema(), ec1.query(), 2579, 28),
+        ("ec2_1_4_2.fb", ec2.schema(), ec2.query(), 63, 32),
+        ("ec4_4_3_2.fb", ec4.schema(), ec4.query(), 1565, 12),
+        (
+            "ec5_tri_wedge_idx.fb",
+            ec5.schema(),
+            ec5.cycle_query(),
+            3183,
+            6,
+        ),
+    ];
+    // (point, schema, query, strategy of the first pass, `explored + pruned`
+    // of the bottom-up pass, ceiling: allocations per such candidate).
+    let measured = [
+        (
+            "ec1_4_2.oqf.measured",
+            ec1.schema(),
+            ec1.query(),
+            oqf,
+            60 + 1717,
+            24,
+        ),
+        (
+            "ec5_tri_wedge_idx.fb.measured",
+            ec5.schema(),
+            ec5.cycle_query(),
+            fb,
+            6 + 830,
+            13,
+        ),
+    ];
     let mut over = Vec::new();
-    for (name, q, cs, explored, ceiling) in &points {
-        // Warm: symbol interning and other first-call costs land here.
-        let warm = chase_and_backchase(q, cs, &cfg);
-        assert_eq!(warm.explored, *explored, "{name}: explored moved");
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let run = chase_and_backchase(q, cs, &cfg);
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(run.explored, *explored, "{name}: explored moved");
-        let per_candidate = allocations / run.explored as u64;
-        println!("{name}: {allocations} allocations / {explored} explored = {per_candidate}");
-        if per_candidate > *ceiling {
-            over.push(format!("{name}: {per_candidate} > {ceiling}"));
+    let mut hold = |name: &str, reading: u64, ceiling: u64| {
+        if reading > ceiling {
+            over.push(format!("{name}: {reading} > {ceiling}"));
         }
+    };
+    for (name, schema, q, explored, ceiling) in full {
+        let cs = schema.all_constraints();
+        let reading = per_candidate(name, explored, || {
+            chase_and_backchase(&q, &cs, &cfg).explored
+        });
+        hold(name, reading, ceiling);
+    }
+    for (name, schema, q, strategy, candidates, ceiling) in measured {
+        // As `Optimizer::optimize_measured` runs its second pass: the
+        // WCOJ-aware pricer, bounded by the first pass's cheapest price.
+        let optimizer = Optimizer::new(schema.clone());
+        let seed = optimizer
+            .optimize(&q, &OptimizerConfig::with_strategy(strategy))
+            .plans
+            .iter()
+            .map(|p| plan_price(&model, p))
+            .fold(f64::INFINITY, f64::min);
+        let pricer = WcojAwarePricer {
+            schema: &schema,
+            model: &model,
+        };
+        let reading = per_candidate(name, candidates, || {
+            let pass = bottom_up_backchase(&q, optimizer.constraints(), &cfg, &pricer, Some(seed));
+            pass.explored + pass.pruned
+        });
+        hold(name, reading, ceiling);
     }
     // Debug builds run `validate()` (and its allocations) per induction.
     if cfg!(not(debug_assertions)) {
         assert!(
             over.is_empty(),
-            "allocations per explored candidate above the ceiling: {over:?}"
+            "allocations per candidate above the ceiling: {over:?}"
         );
     }
 }
