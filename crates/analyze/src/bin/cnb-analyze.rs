@@ -1,8 +1,7 @@
 //! `cnb-analyze` — the workspace's static-analysis gate.
 //!
 //! ```text
-//! cnb-analyze lint [root]              # textual determinism lint
-//! cnb-analyze taint [root]             # interprocedural determinism taint
+//! cnb-analyze taint [root]             # determinism scan (clippy.toml ban list)
 //! cnb-analyze certify                  # AGM-bound plan certification
 //! cnb-analyze validate-suite           # semantic validation + certification
 //! cnb-analyze all [root] [--json FILE] # every prong; optional JSON report
@@ -17,39 +16,20 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use cnb_analyze::agm::{certify_suite, shape_report};
-use cnb_analyze::lint::lint_workspace;
 use cnb_analyze::report::run_all;
 use cnb_analyze::suite::validate_suite;
 use cnb_analyze::taint::taint_workspace;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cnb-analyze <lint [root] | taint [root] | certify | validate-suite | all [root] [--json FILE]>");
+    eprintln!(
+        "usage: cnb-analyze <taint [root] | certify | validate-suite | all [root] [--json FILE]>"
+    );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => {
-            let root = args.get(1).map(String::as_str).unwrap_or(".");
-            match lint_workspace(Path::new(root)) {
-                Ok(violations) if violations.is_empty() => {
-                    println!("cnb-analyze lint: clean");
-                    ExitCode::SUCCESS
-                }
-                Ok(violations) => {
-                    for v in &violations {
-                        eprintln!("{v}");
-                    }
-                    eprintln!("cnb-analyze lint: {} violation(s)", violations.len());
-                    ExitCode::FAILURE
-                }
-                Err(e) => {
-                    eprintln!("cnb-analyze lint: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
         Some("taint") => {
             let root = args.get(1).map(String::as_str).unwrap_or(".");
             match taint_workspace(Path::new(root)) {
@@ -145,9 +125,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            for v in &report.lint {
-                eprintln!("{v}");
-            }
             for f in &report.taint {
                 eprintln!("{f}");
             }
@@ -159,8 +136,7 @@ fn main() -> ExitCode {
             }
             let status = if report.ok() { "clean" } else { "FINDINGS" };
             println!(
-                "cnb-analyze all: {status} (lint {}, taint {}, validate {}, agm {}){}",
-                report.lint.len(),
+                "cnb-analyze all: {status} (taint {}, validate {}, agm {}){}",
                 report.taint.len(),
                 if report.validate.is_ok() {
                     "ok"

@@ -4,7 +4,7 @@
 //! paper's path-conjunctive constraint class and byte-identical determinism
 //! at every thread count — were historically enforced only *dynamically*
 //! (differential suites, a two-process stdout diff in `scripts/check.sh`).
-//! This crate proves what can be proven statically, in two prongs:
+//! This crate proves what can be proven statically, in three prongs:
 //!
 //! - [`validate`]: a semantic validator over the IR. Queries and
 //!   constraints (the scoping rule, which lives in [`cnb_ir::scope`], plus
@@ -13,15 +13,12 @@
 //!   chase termination), and physical plans (binding-order soundness plus
 //!   join-connectivity analysis that rejects cross-product shapes
 //!   statically).
-//! - [`lint`]: an offline, dependency-free source scanner that denies the
-//!   nondeterminism hazards — `std::collections::{HashMap,HashSet}` (use
-//!   `cnb_core::fxhash` instead), wall-clock reads outside sanctioned
-//!   timing code, and thread-identity leaks — with a
-//!   `// cnb-lint: allow(<rule>)` escape hatch. [`strip`] is its lexical
-//!   front end (comment/string stripping that survives block comments and
-//!   raw strings); [`callgraph`] scrapes a workspace call graph from the
-//!   stripped source, and [`taint`] propagates nondeterminism sources over
-//!   it interprocedurally, stopping at declared sanctioned sinks.
+//! - [`taint`]: the determinism scan. The ban list is `clippy.toml`, written
+//!   once and embedded; the scan matches its entries in the logic crates'
+//!   lexed source ([`strip`] removes comments and literal contents), takes
+//!   `#[expect(clippy::disallowed_*)]` on the line above as the only
+//!   sanction, reports stale ones, and propagates every unsanctioned needle
+//!   to its callers over a scraped call graph ([`callgraph`]).
 //! - [`agm`]: the AGM-bound plan certifier — exact rational fractional
 //!   edge covers (the checked-arithmetic solver lives in
 //!   [`cnb_ir::cover`]) over [`cnb_ir::hypergraph`] exports, certifying
@@ -31,7 +28,7 @@
 //!   shapes no emitted plan can meet report `wcoj-needed`.
 //!
 //! All prongs run as the `==> cnb-analyze` tier of `scripts/check.sh` via
-//! the `cnb-analyze` binary (`all . --json <path>` mode; `lint`, `taint`,
+//! the `cnb-analyze` binary (`all . --json <path>` mode; `taint`,
 //! `certify` and `validate-suite` run individually).
 
 #![forbid(unsafe_code)]
@@ -39,7 +36,6 @@
 
 pub mod agm;
 pub mod callgraph;
-pub mod lint;
 pub mod report;
 pub mod strip;
 pub mod suite;
@@ -51,7 +47,6 @@ pub mod prelude {
     pub use crate::agm::{
         certify_suite, certify_workload, plan_agm, plan_agm_wcoj, shape_report, Verdict,
     };
-    pub use crate::lint::{lint_source, lint_workspace, LintViolation, LINT_RULES};
     pub use crate::suite::validate_suite;
     pub use crate::taint::{taint_files, taint_workspace, TaintFinding};
     pub use crate::validate::{

@@ -11,15 +11,12 @@ use std::io;
 use std::path::Path;
 
 use crate::agm::{certify_suite, shape_report, ShapeAgm, WorkloadAgm};
-use crate::lint::{lint_workspace, LintViolation};
 use crate::suite::validate_suite;
 use crate::taint::{taint_workspace, TaintFinding};
 
 /// Everything one `cnb-analyze all` run produced.
 pub struct AnalysisReport {
-    /// Textual lint violations (empty when clean).
-    pub lint: Vec<LintViolation>,
-    /// Interprocedural taint findings (empty when clean).
+    /// Determinism findings (empty when clean).
     pub taint: Vec<TaintFinding>,
     /// Per-workload validation report lines, or the first failure.
     pub validate: Result<Vec<String>, String>,
@@ -31,30 +28,13 @@ pub struct AnalysisReport {
 impl AnalysisReport {
     /// True when every prong is clean.
     pub fn ok(&self) -> bool {
-        self.lint.is_empty() && self.taint.is_empty() && self.validate.is_ok() && self.agm.is_ok()
+        self.taint.is_empty() && self.validate.is_ok() && self.agm.is_ok()
     }
 
     /// The full report as one stable-field-order JSON document.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
-        s.push_str("{\n  \"version\": 1,\n");
-        // lint
-        s.push_str("  \"lint\": {\"count\": ");
-        s.push_str(&self.lint.len().to_string());
-        s.push_str(", \"violations\": [");
-        for (i, v) in self.lint.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"snippet\": {}}}",
-                json_str(&v.file),
-                v.line,
-                json_str(v.rule),
-                json_str(&v.snippet)
-            ));
-        }
-        s.push_str("]},\n");
+        s.push_str("{\n  \"version\": 2,\n");
         // taint
         s.push_str("  \"taint\": {\"count\": ");
         s.push_str(&self.taint.len().to_string());
@@ -199,7 +179,6 @@ fn json_str(s: &str) -> String {
 /// *findings* do not — they land in the report with `ok() == false`.
 pub fn run_all(root: &Path) -> io::Result<AnalysisReport> {
     Ok(AnalysisReport {
-        lint: lint_workspace(root)?,
         taint: taint_workspace(root)?,
         validate: validate_suite(),
         agm: certify_suite().and_then(|w| shape_report().map(|s| (w, s))),
@@ -219,14 +198,13 @@ mod tests {
     #[test]
     fn empty_report_is_ok_and_parses_shapewise() {
         let r = AnalysisReport {
-            lint: vec![],
             taint: vec![],
             validate: Ok(vec!["EC1: valid".to_string()]),
             agm: Ok((vec![], vec![])),
         };
         assert!(r.ok());
         let j = r.to_json();
-        assert!(j.contains("\"version\": 1"), "{j}");
+        assert!(j.contains("\"version\": 2"), "{j}");
         assert!(j.contains("\"ok\": true"), "{j}");
         assert!(j.ends_with("}\n"), "{j}");
     }
@@ -234,13 +212,14 @@ mod tests {
     #[test]
     fn findings_flip_ok_to_false() {
         let r = AnalysisReport {
-            lint: vec![crate::lint::LintViolation {
+            taint: vec![TaintFinding {
                 file: "x.rs".into(),
                 line: 1,
-                rule: "wall-clock",
+                rule: "std::time::Instant::now",
+                function: "f".into(),
+                path: vec!["f".into()],
                 snippet: "bad".into(),
             }],
-            taint: vec![],
             validate: Ok(vec![]),
             agm: Ok((vec![], vec![])),
         };

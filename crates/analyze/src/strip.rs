@@ -8,9 +8,9 @@
 //! the source once with a small state machine — nested `/* */`, line
 //! comments, plain/byte/raw strings with arbitrary `#` counts, char
 //! literals vs. lifetimes — and produces a per-line split of *code text*
-//! (string/char contents blanked, comments removed) and *comment text*
-//! (where `cnb-lint: allow(...)` annotations live). Both sides preserve
-//! line numbers exactly, so findings point at real source lines.
+//! (string/char contents blanked, comments removed) and *comment text*.
+//! Both sides preserve line numbers exactly, so findings point at real
+//! source lines.
 
 /// One physical source line after lexical classification.
 #[derive(Clone, Debug, PartialEq, Eq)]

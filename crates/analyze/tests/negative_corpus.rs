@@ -205,8 +205,9 @@ fn terminating_variants_of_the_corpus_pass() {
 }
 
 // ---------------------------------------------------------------------------
-// Interprocedural taint: one seeded violation per rule, with the needles
-// assembled by concatenation so this corpus never trips the lint itself.
+// The determinism scan: seeded violations of `clippy.toml`'s entries, the
+// sanction that is gone and the one that is left, with the needles
+// assembled by concatenation so this corpus never spells one out.
 // ---------------------------------------------------------------------------
 
 fn taint_of(files: &[(&str, String)]) -> Vec<TaintFinding> {
@@ -229,12 +230,12 @@ fn seeded_wall_clock_through_one_helper_is_flagged_at_the_call_site() {
     assert_eq!(found.len(), 2, "{found:?}");
     assert!(found
         .iter()
-        .any(|f| f.rule == "wall-clock" && f.function == "stamp" && f.line == 2));
+        .any(|f| f.rule == "std::time::Instant::now" && f.function == "stamp" && f.line == 2));
     let caller = found
         .iter()
         .find(|f| f.function == "decide_plan")
         .expect("caller flagged");
-    assert_eq!(caller.rule, "wall-clock");
+    assert_eq!(caller.rule, "std::time::Instant::now");
     assert_eq!(caller.path, vec!["decide_plan", "stamp"]);
 }
 
@@ -253,14 +254,14 @@ fn seeded_wall_clock_laundered_through_a_turbofish_call_is_flagged() {
     assert!(
         found
             .iter()
-            .any(|f| f.rule == "wall-clock" && f.function == "Clock::stamp"),
+            .any(|f| f.rule == "std::time::Instant::now" && f.function == "Clock::stamp"),
         "{found:?}"
     );
     let caller = found
         .iter()
         .find(|f| f.function == "decide_order")
         .expect("turbofish caller flagged");
-    assert_eq!(caller.rule, "wall-clock");
+    assert_eq!(caller.rule, "std::time::Instant::now");
     assert_eq!(caller.path, vec!["decide_order", "Clock::stamp"]);
 }
 
@@ -273,10 +274,10 @@ fn seeded_thread_id_is_flagged_interprocedurally() {
     let found = taint_of(&[("seed.rs", src)]);
     assert!(found
         .iter()
-        .any(|f| f.rule == "thread-id" && f.function == "who"));
+        .any(|f| f.rule == "std::thread::current" && f.function == "who"));
     assert!(found
         .iter()
-        .any(|f| f.rule == "thread-id" && f.function == "tag"));
+        .any(|f| f.rule == "std::thread::current" && f.function == "tag"));
 }
 
 #[test]
@@ -284,7 +285,7 @@ fn seeded_random_state_is_flagged() {
     let src = format!("fn fresh() {{\n    let h = Random{}::new();\n}}\n", "State");
     let found = taint_of(&[("seed.rs", src)]);
     assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].rule, "random-state");
+    assert_eq!(found[0].rule, "std::collections::hash_map::RandomState");
 }
 
 #[test]
@@ -293,12 +294,92 @@ fn seeded_env_read_is_flagged_outside_declared_sinks() {
     let src = format!("fn knob() -> bool {{\n    {env}.is_ok()\n}}\n");
     let found = taint_of(&[("seed.rs", src)]);
     assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].rule, "std-env");
-    // The same read inside the one declared sink stays sanctioned — and
-    // only there: the sink is a (file, function) pair, not a name.
-    let sink = format!("fn trail_check_enabled() -> bool {{\n    {env}.is_ok()\n}}\n");
-    assert!(taint_of(&[("crates/core/src/congruence.rs", sink.clone())]).is_empty());
-    assert_eq!(taint_of(&[("crates/core/src/knobs.rs", sink)]).len(), 1);
+    assert_eq!(found[0].rule, "std::env::var");
+    // There are no declared sinks left: the read is sanctioned under its
+    // `#[expect]` in any file, and flagged without it in any file.
+    let sanctioned = format!(
+        "fn knob() -> bool {{\n    #[expect(clippy::disallowed_methods)]\n    {env}.is_ok()\n}}\n"
+    );
+    let bare = format!("fn trail_check_enabled() -> bool {{\n    {env}.is_ok()\n}}\n");
+    for file in ["crates/core/src/congruence.rs", "crates/core/src/knobs.rs"] {
+        assert!(taint_of(&[(file, sanctioned.clone())]).is_empty(), "{file}");
+        assert_eq!(taint_of(&[(file, bare.clone())]).len(), 1, "{file}");
+    }
+}
+
+#[test]
+fn seeded_env_var_os_toggle_is_flagged_at_every_caller() {
+    // The shape of the debug toggle the product crates used to carry: a
+    // cached environment read behind a helper, consulted on a hot path.
+    let src = format!(
+        "fn audit_enabled() -> bool {{\n    std{s}env{s}var_os(\"AUDIT\").is_some()\n}}\nimpl Trail {{\n    fn rollback(&mut self) {{\n        if audit_enabled() {{}}\n    }}\n}}\n",
+        s = "::"
+    );
+    let found: Vec<(&str, String)> = taint_of(&[("crates/core/src/trail.rs", src)])
+        .iter()
+        .map(|f| (f.rule, f.path.join(" -> ")))
+        .collect();
+    assert_eq!(
+        found,
+        vec![
+            ("std::env::var_os", "audit_enabled".to_string()),
+            (
+                "std::env::var_os",
+                "Trail::rollback -> audit_enabled".to_string()
+            ),
+        ]
+    );
+}
+
+#[test]
+fn seeded_cnb_lint_comment_sanctions_nothing() {
+    // The old comment escape, on the needle's line and on the line above:
+    // both reads are flagged, and the caller with them.
+    let src = format!(
+        "fn stamp() -> u64 {{\n    let t = Instant{n}now(); // cnb-lint: allow(wall-clock)\n    // cnb-lint: allow(wall-clock)\n    let u = Instant{n}now();\n    0\n}}\nfn decide() -> u64 {{\n    stamp()\n}}\n",
+        n = "::"
+    );
+    let found: Vec<(usize, String)> = taint_of(&[("seed.rs", src)])
+        .into_iter()
+        .map(|f| (f.line, f.function))
+        .collect();
+    assert_eq!(
+        found,
+        vec![
+            (2, "stamp".to_string()),
+            (4, "stamp".to_string()),
+            (7, "decide".to_string())
+        ]
+    );
+}
+
+#[test]
+fn seeded_expect_of_the_wrong_list_is_stale_and_sanctions_nothing() {
+    let src = format!(
+        "fn stamp() -> u64 {{\n    #[expect(clippy::disallowed_types)]\n    let t = Instant{}now();\n    0\n}}\n",
+        "::"
+    );
+    let found: Vec<(usize, &str)> = taint_of(&[("seed.rs", src)])
+        .iter()
+        .map(|f| (f.line, f.rule))
+        .collect();
+    assert_eq!(
+        found,
+        vec![(2, "stale-expect"), (3, "std::time::Instant::now")]
+    );
+}
+
+#[test]
+fn seeded_wall_clock_in_the_serving_layer_is_flagged_under_expect() {
+    let src = format!(
+        "fn admit() -> bool {{\n    #[expect(clippy::disallowed_methods)]\n    let t = Instant{}now();\n    true\n}}\n",
+        "::"
+    );
+    let found = taint_of(&[("crates/engine/src/serving.rs", src.clone())]);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!((found[0].rule, found[0].line), ("serving-clock", 3));
+    // The same lines anywhere else are a sanctioned site.
+    assert!(taint_of(&[("crates/engine/src/eval.rs", src)]).is_empty());
 }
 
 #[test]

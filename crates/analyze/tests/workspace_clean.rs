@@ -1,16 +1,14 @@
-//! Pins the repo's own cleanliness: the determinism lint and the
-//! interprocedural taint analysis, run over this workspace's real sources,
-//! find nothing. If a `std::collections` HashMap, an unannotated
-//! wall-clock read, a stale allow-annotation, or a helper that launders
-//! nondeterminism into the serving layer ever lands in
+//! Pins the repo's own cleanliness: the determinism scan, run over this
+//! workspace's real sources, finds nothing. If a `std::collections` HashMap,
+//! an unannotated wall-clock read, a stale `#[expect]`, or a helper that
+//! launders nondeterminism into the serving layer ever lands in
 //! `crates/{core,engine,ir,workloads}`, this test is the tier that says so.
 
 use std::fs;
 use std::path::Path;
 
-use cnb_analyze::lint::{allow_sites, lint_workspace};
 use cnb_analyze::strip::strip_source;
-use cnb_analyze::taint::taint_workspace;
+use cnb_analyze::taint::{taint_files, taint_workspace};
 
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -20,23 +18,9 @@ fn workspace_root() -> &'static Path {
 }
 
 #[test]
-fn determinism_lint_is_clean_on_this_workspace() {
-    let violations = lint_workspace(workspace_root()).expect("scan the workspace");
-    assert!(
-        violations.is_empty(),
-        "determinism lint found violations:\n{}",
-        violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
-
-#[test]
 fn determinism_taint_is_clean_on_this_workspace() {
-    // Zero findings with zero allow-annotations beyond the declared
-    // sanctioned sinks — the acceptance bar for the taint tier.
+    // Zero findings: every needle sits under its `#[expect]` and no
+    // `#[expect]` is stale.
     let findings = taint_workspace(workspace_root()).expect("scan the workspace");
     assert!(
         findings.is_empty(),
@@ -49,28 +33,64 @@ fn determinism_taint_is_clean_on_this_workspace() {
     );
 }
 
-/// The sanctioned wall-clock reads, counted per crate. Every one is a place
-/// where timing enters a logic crate (stats-only timers, the one backchase
-/// deadline, the serving `WallClock`); a new one must change a number here.
-/// Core's four: `Lattice::chase` and `Lattice::expired` in `backchase.rs`,
-/// `Optimizer::optimize` and `optimize_measured` in `optimizer.rs`.
-/// Engine's three: the batched pipeline's `run` and the `execute_legacy`
-/// oracle in `eval.rs`, and `WallClock` in `clock.rs`.
-#[test]
-fn sanctioned_wall_clock_sites_are_pinned() {
-    let sites = allow_sites(workspace_root(), "wall-clock").expect("scan the workspace");
-    for (krate, pinned) in [("core", 4), ("engine", 3), ("ir", 0), ("workloads", 0)] {
-        let prefix = format!("crates/{krate}/");
-        let found: Vec<_> = sites
-            .iter()
-            .filter(|(f, _)| f.starts_with(&prefix))
-            .collect();
-        assert_eq!(
-            found.len(),
-            pinned,
-            "cnb-{krate}: sanctioned wall-clock sites changed: {found:?}"
-        );
+/// The `.rs` files under `dir`, named relative to the workspace root.
+fn sources(dir: &Path, out: &mut Vec<(String, String)>) {
+    for entry in fs::read_dir(dir).expect("read a crate directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            sources(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            let name = path
+                .strip_prefix(workspace_root())
+                .expect("under the workspace")
+                .to_string_lossy()
+                .replace('\\', "/");
+            out.push((name, fs::read_to_string(&path).expect("read a source file")));
+        }
     }
+}
+
+#[test]
+fn every_sanctioned_site_fires_without_its_expect() {
+    // Blank every sanction in place: the scan must then flag exactly the
+    // lines those attributes stood over, so the clean pass above is not a
+    // scan that sees nothing.
+    let attrs = [
+        "#[expect(clippy::disallowed_methods)]",
+        "#[expect(clippy::disallowed_types)]",
+    ];
+    let mut files = Vec::new();
+    for krate in ["core", "engine", "ir", "workloads"] {
+        sources(&workspace_root().join("crates").join(krate), &mut files);
+    }
+    let mut guarded = Vec::new();
+    for (name, text) in &mut files {
+        let mut bare = String::new();
+        for (idx, line) in text.lines().enumerate() {
+            if attrs.contains(&line.trim()) {
+                guarded.push((name.clone(), idx + 2));
+            } else {
+                bare.push_str(line);
+            }
+            bare.push('\n');
+        }
+        *text = bare;
+    }
+    guarded.sort();
+    assert_eq!(
+        guarded.len(),
+        10,
+        "seven wall-clock reads, three fxhash lines"
+    );
+
+    let mut flagged: Vec<(String, usize)> = taint_files(&files)
+        .into_iter()
+        .filter(|f| f.path.len() <= 1)
+        .map(|f| (f.file, f.line))
+        .collect();
+    flagged.sort();
+    flagged.dedup();
+    assert_eq!(flagged, guarded);
 }
 
 /// Lines of code (comments and string contents stripped) under `dir`, tests
@@ -92,19 +112,59 @@ fn code_sites(dir: &Path, needles: &[&str]) -> usize {
     sites
 }
 
+/// Sanctioned sites per crate: `#[expect(clippy::<lint>)]` lines, the one
+/// form a sanction takes.
+fn assert_sanctions(lint: &str, pinned: [(&str, usize); 4]) {
+    let attr = format!("#[expect(clippy::{lint})]");
+    for (krate, sites) in pinned {
+        let dir = workspace_root().join("crates").join(krate);
+        assert_eq!(
+            code_sites(&dir, &[attr.as_str()]),
+            sites,
+            "cnb-{krate}: sanctioned {lint} sites changed"
+        );
+    }
+}
+
+/// The sanctioned wall-clock reads, counted per crate. Every one is a place
+/// where timing enters a logic crate (stats-only timers, the one backchase
+/// deadline, the serving `WallClock`); a new one must change a number here.
+/// Core's four: `Lattice::chase` and `Lattice::expired` in `backchase.rs`,
+/// `Optimizer::optimize` and `optimize_measured` in `optimizer.rs`.
+/// Engine's three: the batched pipeline's `run` and the `execute_legacy`
+/// oracle in `eval.rs`, and `WallClock` in `clock.rs`.
+#[test]
+fn sanctioned_wall_clock_sites_are_pinned() {
+    assert_sanctions(
+        "disallowed_methods",
+        [("core", 4), ("engine", 3), ("ir", 0), ("workloads", 0)],
+    );
+}
+
+/// The sanctioned std hash containers: the three lines of `cnb_ir::fxhash`
+/// that wrap them with a deterministic hasher (the `use` and the two
+/// aliases), and nothing else.
+#[test]
+fn sanctioned_std_hash_map_sites_are_pinned() {
+    assert_sanctions(
+        "disallowed_types",
+        [("core", 0), ("engine", 0), ("ir", 3), ("workloads", 0)],
+    );
+}
+
 /// Where a thread can start and where the environment can be read, counted
 /// per crate. A thread count is an argument: the engine's one fork/join site
 /// is `pool::map_in_order`, fed by `serve_batch_under`'s `threads`, and
-/// `cnb_core` cannot spawn a thread whatever a config field says. The one
-/// environment read is `trail_check_enabled` (`CNB_TRAIL_CHECK`, a debug
-/// audit toggle). This is what stands where the suites that re-ran a
-/// thread-blind search at 1/2/4/8 threads stood.
+/// `cnb_core` cannot spawn a thread whatever a config field says. No logic
+/// crate reads the environment: a debug build audits the congruence trail
+/// on every rollback without being asked. This is what stands where the
+/// suites that re-ran a thread-blind search at 1/2/4/8 threads stood.
 #[test]
 fn thread_spawn_and_environment_read_sites_are_pinned() {
     let spawn = ["thread::scope", "thread::spawn", "thread::Builder"];
     let env_read = ["env::var"]; // `var`, `var_os`, `vars`, `vars_os`
     for (krate, spawns, env_reads) in [
-        ("core", 0, 1),
+        ("core", 0, 0),
         ("engine", 1, 0),
         ("ir", 0, 0),
         ("workloads", 0, 0),
@@ -120,6 +180,6 @@ fn thread_spawn_and_environment_read_sites_are_pinned() {
 
 #[test]
 fn missing_crate_directory_is_an_error_not_a_clean_pass() {
-    let err = lint_workspace(Path::new("/nonexistent-cnb-root")).unwrap_err();
+    let err = taint_workspace(Path::new("/nonexistent-cnb-root")).unwrap_err();
     assert!(err.to_string().contains("not found"), "{err}");
 }

@@ -214,8 +214,8 @@ impl<'a> Lattice<'a> {
     /// budget of `cfg` starts here; it only ever truncates a search and sets
     /// `timed_out`, so with no timeout configured the clock is inert.
     pub fn chase(q0: &'a Query, constraints: &'a [Constraint], cfg: &BackchaseConfig) -> Self {
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now(); // cnb-lint: allow(wall-clock)
+        #[expect(clippy::disallowed_methods)]
+        let start = Instant::now();
         let mut checker = EquivChecker::new(q0, constraints, cfg.chase).compile();
         let mut udb = CanonDb::new(q0);
         let chase_stats = checker.chaser.chase(&mut udb);
@@ -342,8 +342,8 @@ impl<'a> Lattice<'a> {
 
     /// Has the time budget run out?
     pub fn expired(&self) -> bool {
-        #[allow(clippy::disallowed_methods)]
-        self.deadline.is_some_and(|d| Instant::now() >= d) // cnb-lint: allow(wall-clock)
+        #[expect(clippy::disallowed_methods)]
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Closes a search over this lattice: `result` carries the search's

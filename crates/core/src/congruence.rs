@@ -193,13 +193,6 @@ fn fresh_save_token() -> u64 {
     NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
-/// True when `CNB_TRAIL_CHECK` requests the (expensive) full consistency
-/// audit after every rollback — the debug-assert tier of `scripts/check.sh`.
-fn trail_check_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("CNB_TRAIL_CHECK").is_some_and(|v| v != "0"))
-}
-
 impl Congruence {
     /// An empty congruence.
     pub fn new() -> Congruence {
@@ -275,7 +268,7 @@ impl Congruence {
             sp.len,
             "rollback did not restore the arena"
         );
-        if trail_check_enabled() {
+        if cfg!(debug_assertions) {
             self.assert_consistent("rollback");
         }
     }
@@ -346,7 +339,7 @@ impl Congruence {
         self.rewriting.clear();
     }
 
-    /// Full structural audit used by the `CNB_TRAIL_CHECK` tier: hash-consing
+    /// Full structural audit every rollback runs in debug builds: hash-consing
     /// bijective, per-term columns aligned, member lists a partition of the
     /// arena agreeing with the union-find.
     fn assert_consistent(&self, when: &str) {

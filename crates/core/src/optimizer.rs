@@ -206,8 +206,8 @@ impl Optimizer {
             "Optimizer::optimize configured with an ill-formed constraint"
         );
         // Stats-only timing; the strategies never read the clock themselves.
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now(); // cnb-lint: allow(wall-clock)
+        #[expect(clippy::disallowed_methods)]
+        let start = Instant::now();
         let mut result = match cfg.strategy {
             Strategy::Full => self.run_full(q, cfg),
             Strategy::Oqf => self.run_oqf(q, cfg),
@@ -274,8 +274,8 @@ impl Optimizer {
         cfg: &OptimizerConfig,
         model: &CostModel,
     ) -> OptimizeResult {
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now(); // cnb-lint: allow(wall-clock)
+        #[expect(clippy::disallowed_methods)]
+        let start = Instant::now();
         let mut result = self.optimize(q, cfg);
         let seed = result
             .plans

@@ -42,8 +42,8 @@ impl WallClock {
     /// This is the serving path's one sanctioned wall-clock read: every
     /// deadline the serving path checks derives from this origin.
     pub fn start() -> WallClock {
-        #[allow(clippy::disallowed_methods)]
-        let origin = Instant::now(); // cnb-lint: allow(wall-clock)
+        #[expect(clippy::disallowed_methods)]
+        let origin = Instant::now();
         WallClock { origin }
     }
 }

@@ -226,8 +226,8 @@ fn run(
     compile: fn(&Database, &Query) -> Result<Vec<Op>, ExecError>,
 ) -> Result<ExecResult, ExecError> {
     // Stats-only timing; evaluation order is fixed by the plan.
-    #[allow(clippy::disallowed_methods)]
-    let start = Instant::now(); // cnb-lint: allow(wall-clock)
+    #[expect(clippy::disallowed_methods)]
+    let start = Instant::now();
     q.validate().map_err(ExecError::InvalidQuery)?;
     reject_unbound_params(q)?;
     let ops = compile(db, q)?;
@@ -282,8 +282,8 @@ fn run(
 /// sharing it, and it records no per-operator stats.
 pub fn execute_legacy(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
     // Stats-only timing; evaluation order is fixed by the plan.
-    #[allow(clippy::disallowed_methods)]
-    let start = Instant::now(); // cnb-lint: allow(wall-clock)
+    #[expect(clippy::disallowed_methods)]
+    let start = Instant::now();
     q.validate().map_err(ExecError::InvalidQuery)?;
     reject_unbound_params(q)?;
     let steps = greedy_order(db, q)?;

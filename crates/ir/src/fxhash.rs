@@ -29,17 +29,17 @@
 
 // The std containers are named here on purpose: this is the definition site
 // wrapping them with a deterministic hasher.
-#[allow(clippy::disallowed_types)]
-use std::collections::{HashMap, HashSet}; // cnb-lint: allow(std-hash-map)
+#[expect(clippy::disallowed_types)]
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed with [`FxHasher`].
-#[allow(clippy::disallowed_types)]
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>; // cnb-lint: allow(std-hash-map)
+#[expect(clippy::disallowed_types)]
+pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// `HashSet` keyed with [`FxHasher`].
-#[allow(clippy::disallowed_types)]
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>; // cnb-lint: allow(std-hash-map)
+#[expect(clippy::disallowed_types)]
+pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 /// Zero-sized, deterministic builder for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
