@@ -1,43 +1,77 @@
-//! Core routines of the nine experiment binaries (fig. 5 – fig. 10 and the
+//! The routines of the [`crate::FIGURES`] registry: fig. 5 – fig. 10 and the
 //! §5.3.1 plan-count table from the paper, plus the post-paper figs. 11/12
-//! for the EC4 star-schema and EC5 cyclic-join workloads), extracted from
-//! the `src/bin/` drivers so integration tests can smoke-run every figure
-//! with tiny parameters — the binaries themselves just print the returned
-//! markdown.
+//! for the EC4 star-schema and EC5 cyclic-join workloads. Each takes one
+//! [`FigureArgs`] and returns markdown; `figures` prints it, and
+//! `tests/smoke.rs` runs each at [`Scale::Smoke`].
 //!
 //! The optimization figures (6/7/8 and the plan-count table) have no thread
 //! knob: both backchase searches are sequential (see `cnb_core::backchase`),
 //! so rendered tables differ from run to run only in the timing columns.
 
-use crate::{cell, config, render_table, run, secs, tpp};
+use crate::{cell, render_table, secs, FigureArgs, Scale};
 use cnb_core::prelude::*;
 use cnb_engine::datagen::EdgeDist;
-use cnb_engine::execute;
+use cnb_engine::{execute, Database};
+use cnb_ir::prelude::{Query, Range};
 use cnb_workloads::{
     ec2::Ec2DataSpec, ec4::Ec4DataSpec, ec5::Ec5DataSpec, Ec1, Ec2, Ec3, Ec4, Ec5, Workload,
 };
 use std::time::Instant;
 
-/// Grid size for a figure routine: the paper's full parameter grid, or a
-/// tiny grid for smoke tests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scale {
-    /// The grids of §5 (what the binaries run).
-    Paper,
-    /// A seconds-scale subset proving the routine end to end.
-    Smoke,
+/// `row`, then fig. 5's measurements of `w`'s query chased under all its
+/// constraints: the constraint count, the chase time, the universal plan's
+/// size.
+fn chase_row(w: &dyn Workload, mut row: Vec<String>) -> Vec<String> {
+    let (q, cs) = (w.query(), w.schema().all_constraints());
+    #[expect(clippy::disallowed_methods)]
+    let start = Instant::now();
+    let (db, stats) = chase_query(&q, &cs, ChaseConfig::default());
+    let time = secs(start.elapsed());
+    assert!(!stats.truncated, "chase must reach a fixpoint");
+    row.extend([cs.len().to_string(), time, db.query.from.len().to_string()]);
+    row
 }
 
-fn chase_time(q: &cnb_ir::prelude::Query, cs: &[cnb_ir::prelude::Constraint]) -> (f64, usize) {
-    let start = Instant::now();
-    let (db, stats) = chase_query(q, cs, ChaseConfig::default());
-    assert!(!stats.truncated, "chase must reach a fixpoint");
-    (start.elapsed().as_secs_f64(), db.query.from.len())
+/// One time-per-plan cell — the paper's normalized §5.3.2 measure, seconds
+/// per generated plan, then the plan count — or `—` on timeout.
+fn tpp_cell(args: &FigureArgs, opt: &Optimizer, q: &Query, strategy: Strategy) -> String {
+    cell(args.run(opt, q, strategy).map(|r| {
+        let per_plan = if r.plans.is_empty() {
+            f64::NAN
+        } else {
+            r.total_time.as_secs_f64() / r.plans.len() as f64
+        };
+        format!("{per_plan:.4} ({})", r.plans.len())
+    }))
+}
+
+/// Executes every plan on `db`, folding each one's observed cardinalities
+/// into one cost model over `db`'s cardinalities, then re-costs every plan
+/// under it — the ranking an optimizer with execution feedback would use.
+/// Per plan, a row: its number, execution time, row count and that cost.
+fn execute_with_feedback(db: &Database, plans: &[PlanInfo]) -> (CostModel, Vec<Vec<String>>) {
+    let mut model = CostModel::default().with_cardinalities(db.cardinalities());
+    let mut rows: Vec<Vec<String>> = plans
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let exec = execute(db, &p.query).expect("plan executes");
+            cnb_engine::feed_cost_model(&exec.stats, &mut model);
+            let count = exec.rows.len().to_string();
+            vec![(i + 1).to_string(), secs(exec.stats.elapsed), count]
+        })
+        .collect();
+    for (row, p) in rows.iter_mut().zip(plans) {
+        row.push(format!("{:.0}", model.cost(&p.query)));
+    }
+    (model, rows)
 }
 
 /// Figure 5 — time to chase as schema/query parameters grow, for all three
-/// experimental configurations.
-pub fn fig5_chase_time(scale: Scale) -> String {
+/// experimental configurations. The paper's claim: the (efficiently
+/// implemented) chase is cheap even with 15+ joins and 15+ constraints.
+pub fn fig5_chase_time(args: &FigureArgs) -> String {
+    let scale = args.scale;
     let mut out = String::new();
 
     // EC1 (fig. 5 left): an n-relation chain; vary the number of indexes
@@ -49,14 +83,7 @@ pub fn fig5_chase_time(scale: Scale) -> String {
     let mut t1 = Vec::new();
     for &j in ec1_js {
         let ec1 = Ec1::new(ec1_n, j);
-        let cs = ec1.schema().all_constraints();
-        let (t, arity) = chase_time(&ec1.query(), &cs);
-        t1.push(vec![
-            format!("{}", ec1.index_count()),
-            format!("{}", cs.len()),
-            secs(std::time::Duration::from_secs_f64(t)),
-            format!("{arity}"),
-        ]);
+        t1.push(chase_row(&ec1, vec![ec1.index_count().to_string()]));
     }
     out.push_str(&render_table(
         &format!("Fig 5 (left): time to chase [EC1], {ec1_n}-relation chain query"),
@@ -77,26 +104,14 @@ pub fn fig5_chase_time(scale: Scale) -> String {
     };
     let mut t2 = Vec::new();
     for &v in ec2_vs {
-        let label = format!(
-            "{} views+{} keys = {}",
-            ec2_s * v,
-            ec2_s,
-            2 * ec2_s * v + ec2_s
-        );
+        let label = format!("{} views+{ec2_s} keys = {}", ec2_s * v, (2 * v + 1) * ec2_s);
         for &c in ec2_cs {
             if v + 1 > c {
                 continue;
             }
             let ec2 = Ec2::new(ec2_s, c, v);
-            let cs = ec2.schema().all_constraints();
-            let (t, arity) = chase_time(&ec2.query(), &cs);
-            t2.push(vec![
-                label.clone(),
-                format!("{}", ec2.query_size()),
-                format!("{}", cs.len()),
-                secs(std::time::Duration::from_secs_f64(t)),
-                format!("{arity}"),
-            ]);
+            let size = ec2.query_size().to_string();
+            t2.push(chase_row(&ec2, vec![label.clone(), size]));
         }
     }
     out.push_str(&render_table(
@@ -119,15 +134,7 @@ pub fn fig5_chase_time(scale: Scale) -> String {
     };
     let mut t3 = Vec::new();
     for &n in ec3_ns {
-        let ec3 = Ec3::new(n, (n - 1) / 2);
-        let cs = ec3.schema().all_constraints();
-        let (t, arity) = chase_time(&ec3.query(), &cs);
-        t3.push(vec![
-            format!("{n}"),
-            format!("{}", cs.len()),
-            secs(std::time::Duration::from_secs_f64(t)),
-            format!("{arity}"),
-        ]);
+        t3.push(chase_row(&Ec3::new(n, (n - 1) / 2), vec![n.to_string()]));
     }
     out.push_str(&render_table(
         "Fig 5 (right): time to chase [EC3], full navigation query",
@@ -142,9 +149,12 @@ pub fn fig5_chase_time(scale: Scale) -> String {
     out
 }
 
-/// Figure 6 — time per generated plan, FB vs OQF vs OCS, on EC1 (right
-/// panel) and EC3 (left panel, where OQF degenerates into FB).
-pub fn fig6_tpp_ec1_ec3(scale: Scale) -> String {
+/// Figure 6 — time per generated plan, FB vs OQF vs OCS. Right panel: EC1
+/// over [#relations, #secondary indexes]; left panel: EC3 over the number of
+/// traversed classes, where OQF degenerates into FB because
+/// inverse-constraint images overlap.
+pub fn fig6_tpp_ec1_ec3(args: &FigureArgs) -> String {
+    let scale = args.scale;
     let mut out = String::new();
     // EC1 grid: the paper's x-axis [3,0] [3,1] ... [5,2].
     let ec1_points: &[(usize, usize)] = match scale {
@@ -168,14 +178,12 @@ pub fn fig6_tpp_ec1_ec3(scale: Scale) -> String {
         let ec1 = Ec1::new(n, j);
         let opt = Optimizer::new(ec1.schema());
         let q = ec1.query();
-        let fmt = |strategy| {
-            run(&opt, &q, strategy).map(|r| format!("{:.4} ({} plans)", tpp(&r), r.plans.len()))
-        };
+        let tpp = |strategy| tpp_cell(args, &opt, &q, strategy);
         t1.push(vec![
             format!("[{n},{j}]"),
-            cell(fmt(Strategy::Full)),
-            cell(fmt(Strategy::Oqf)),
-            cell(fmt(Strategy::Ocs)),
+            tpp(Strategy::Full),
+            tpp(Strategy::Oqf),
+            tpp(Strategy::Ocs),
         ]);
     }
     out.push_str(&render_table(
@@ -195,13 +203,10 @@ pub fn fig6_tpp_ec1_ec3(scale: Scale) -> String {
         let ec3 = Ec3::new(n, 0);
         let opt = Optimizer::new(ec3.schema());
         let q = ec3.query();
-        let fmt = |strategy| {
-            run(&opt, &q, strategy).map(|r| format!("{:.4} ({} plans)", tpp(&r), r.plans.len()))
-        };
         t3.push(vec![
             format!("{n}"),
-            cell(fmt(Strategy::Full)),
-            cell(fmt(Strategy::Ocs)),
+            tpp_cell(args, &opt, &q, Strategy::Full),
+            tpp_cell(args, &opt, &q, Strategy::Ocs),
         ]);
     }
     out.push_str(&render_table(
@@ -212,9 +217,11 @@ pub fn fig6_tpp_ec1_ec3(scale: Scale) -> String {
     out
 }
 
-/// Figure 7 — time per generated plan on EC2 over the paper's
-/// [#views per star, #stars, star size] grid.
-pub fn fig7_tpp_ec2(scale: Scale) -> String {
+/// Figure 7 — time per generated plan on EC2, FB vs OQF vs OCS, over the
+/// paper's [#views per star, #stars, star size] grid. FB cells hit the
+/// timeout first; OCS is fastest (at the price of completeness — see the
+/// §5.3.1 plan-count table).
+pub fn fig7_tpp_ec2(args: &FigureArgs) -> String {
     // The paper's 22 x-axis points, as [v, s, c].
     let paper_points: &[(usize, usize, usize)] = &[
         (1, 1, 5),
@@ -240,7 +247,7 @@ pub fn fig7_tpp_ec2(scale: Scale) -> String {
         (4, 1, 5),
         (4, 2, 5),
     ];
-    let points = match scale {
+    let points = match args.scale {
         Scale::Paper => paper_points,
         Scale::Smoke => &paper_points[..2],
     };
@@ -249,16 +256,14 @@ pub fn fig7_tpp_ec2(scale: Scale) -> String {
         let ec2 = Ec2::new(s, c, v);
         let opt = Optimizer::new(ec2.schema());
         let q = ec2.query();
-        let fmt = |strategy| {
-            run(&opt, &q, strategy).map(|r| format!("{:.4} ({})", tpp(&r), r.plans.len()))
-        };
+        let tpp = |strategy| tpp_cell(args, &opt, &q, strategy);
         table.push(vec![
             format!("[{v},{s},{c}]"),
             format!("{}", ec2.query_size()),
             format!("{}", ec2.constraint_count()),
-            cell(fmt(Strategy::Full)),
-            cell(fmt(Strategy::Oqf)),
-            cell(fmt(Strategy::Ocs)),
+            tpp(Strategy::Full),
+            tpp(Strategy::Oqf),
+            tpp(Strategy::Ocs),
         ]);
     }
     render_table(
@@ -268,33 +273,37 @@ pub fn fig7_tpp_ec2(scale: Scale) -> String {
     )
 }
 
-fn normalized_times(
-    opt: &Optimizer,
-    q: &cnb_ir::prelude::Query,
+/// `label`, then fig. 8's OCS optimization time of `w`'s query at each
+/// stratum group size, normalized by the size-1 time (the paper's y-axis).
+fn stratification_row(
+    args: &FigureArgs,
+    label: String,
+    w: &dyn Workload,
     group_sizes: &[usize],
-) -> Vec<Option<f64>> {
-    let mut times = Vec::new();
-    for &g in group_sizes {
-        let mut cfg = config(Strategy::Ocs);
-        cfg.stratum_group_size = Some(g);
-        let res = opt.optimize(q, &cfg);
-        times.push(if res.timed_out {
-            None
-        } else {
-            Some(res.total_time.as_secs_f64())
-        });
-    }
-    // Normalize by the stratum-size-1 time (the paper's y-axis).
-    let base = times[0].unwrap_or(1.0);
-    times
-        .into_iter()
-        .map(|t| t.map(|t| t / base.max(1e-9)))
-        .collect()
+) -> Vec<String> {
+    let (opt, q) = (Optimizer::new(w.schema()), w.query());
+    let times: Vec<Option<f64>> = group_sizes
+        .iter()
+        .map(|&g| {
+            let mut cfg = args.config(Strategy::Ocs);
+            cfg.stratum_group_size = Some(g);
+            let res = opt.optimize(&q, &cfg);
+            (!res.timed_out).then_some(res.total_time.as_secs_f64())
+        })
+        .collect();
+    let base = times[0].unwrap_or(1.0).max(1e-9);
+    let normalized = times
+        .iter()
+        .map(|t| cell(t.map(|t| format!("{:.2}", t / base))));
+    std::iter::once(label).chain(normalized).collect()
 }
 
 /// Figure 8 — effect of stratification granularity on optimization time:
-/// stratum size 1 = OCS; merging everything approaches FB.
-pub fn fig8_stratification(scale: Scale) -> String {
+/// fixed queries, varying how many natural strata are merged per pipeline
+/// stage. Stratum size 1 = OCS; merging everything approaches FB. The paper
+/// observes an exponential reduction as strata shrink.
+pub fn fig8_stratification(args: &FigureArgs) -> String {
+    let scale = args.scale;
     let group_sizes: &[usize] = match scale {
         Scale::Paper => &[1, 2, 3, 4],
         Scale::Smoke => &[1, 2],
@@ -310,22 +319,12 @@ pub fn fig8_stratification(scale: Scale) -> String {
     let mut table = Vec::new();
 
     for &n in ec3_ns {
-        let ec3 = Ec3::new(n, 0);
-        let opt = Optimizer::new(ec3.schema());
-        let q = ec3.query();
-        let norm = normalized_times(&opt, &q, group_sizes);
-        let mut row = vec![format!("EC3 with {n} classes")];
-        row.extend(norm.into_iter().map(|t| cell(t.map(|t| format!("{t:.2}")))));
-        table.push(row);
+        let (label, ec3) = (format!("EC3 with {n} classes"), Ec3::new(n, 0));
+        table.push(stratification_row(args, label, &ec3, group_sizes));
     }
     if let Some((s, c, v)) = ec2_point {
-        let ec2 = Ec2::new(s, c, v);
-        let opt = Optimizer::new(ec2.schema());
-        let q = ec2.query();
-        let norm = normalized_times(&opt, &q, group_sizes);
-        let mut row = vec![format!("EC2 [{s},{c},{v}]")];
-        row.extend(norm.into_iter().map(|t| cell(t.map(|t| format!("{t:.2}")))));
-        table.push(row);
+        let (label, ec2) = (format!("EC2 [{s},{c},{v}]"), Ec2::new(s, c, v));
+        table.push(stratification_row(args, label, &ec2, group_sizes));
     }
 
     let mut header: Vec<String> = vec!["configuration".into()];
@@ -338,54 +337,42 @@ pub fn fig8_stratification(scale: Scale) -> String {
 }
 
 /// Figure 9 — detail of the plans generated for one EC2 instance (3 stars,
-/// 2 corners per star, 1 view per star → 8 plans) with per-plan execution
-/// times on a dataset of `rows` tuples per relation.
+/// 2 corner relations per star, 1 view per star → 8 plans), with the
+/// execution time of each plan on the generated dataset, the views used and
+/// the corner relations used — the paper's fig. 9 table. The dataset has
+/// `args.rows` tuples per relation at 4 % corner / 2 % chain selectivity;
+/// the grid scale does not apply.
 ///
 /// Exercises the cardinality-feedback loop end to end: every plan's
 /// per-operator observed cardinalities are folded into one cost model
-/// (`cnb_engine::feed_cost_model`), and the table's last column re-costs
+/// (`cnb_engine::feed_cost_model`), and the `est. cost` column re-costs
 /// each plan with the *measured* selectivities — the ordering an optimizer
 /// with execution feedback would use.
-pub fn fig9_plan_detail(rows: usize) -> String {
+pub fn fig9_plan_detail(args: &FigureArgs) -> String {
     let ec2 = Ec2::new(3, 2, 1);
     let spec = Ec2DataSpec {
-        rows,
+        rows: args.rows,
         ..Ec2DataSpec::default()
     };
     let db = ec2.generate(spec);
     let q = ec2.query();
     let opt = Optimizer::new(ec2.schema());
-    let res = opt.optimize(&q, &config(Strategy::Oqf));
+    let res = opt.optimize(&q, &args.config(Strategy::Oqf));
     let mut out = format!(
         "# Stars: 3, # Corners per star: 2, # Views per star: 1. {} plans generated. Time to generate all plans: {}s\n",
         res.plans.len(),
         secs(res.total_time)
     );
 
-    // Pass 1: execute every plan, feeding observed stats into one model.
-    let mut model = CostModel::default().with_cardinalities(db.cardinalities());
-    let execs: Vec<cnb_engine::ExecResult> = res
-        .plans
-        .iter()
-        .map(|p| {
-            let exec = execute(&db, &p.query).expect("plan executes");
-            cnb_engine::feed_cost_model(&exec.stats, &mut model);
-            exec
-        })
-        .collect();
-
-    // Pass 2: render, re-costing each plan under the measured model.
-    let mut table = Vec::new();
-    for (i, (p, exec)) in res.plans.iter().zip(&execs).enumerate() {
+    let (model, mut table) = execute_with_feedback(&db, &res.plans);
+    for (row, p) in table.iter_mut().zip(&res.plans) {
         let views: Vec<String> = p.physical_used.iter().map(|s| s.to_string()).collect();
         let corners: Vec<String> = p
             .query
             .from
             .iter()
             .filter_map(|b| match &b.range {
-                cnb_ir::prelude::Range::Name(s) if s.as_str().starts_with('S') => {
-                    Some(s.to_string())
-                }
+                Range::Name(s) if s.as_str().starts_with('S') => Some(s.to_string()),
                 _ => None,
             })
             .collect();
@@ -394,11 +381,7 @@ pub fn fig9_plan_detail(rows: usize) -> String {
         } else {
             ""
         };
-        table.push(vec![
-            format!("{}", i + 1),
-            secs(exec.stats.elapsed),
-            format!("{}", exec.rows.len()),
-            format!("{:.0}", model.cost(&p.query)),
+        row.extend([
             views.join(", "),
             format!("{}{}", corners.join(", "), original),
         ]);
@@ -426,16 +409,24 @@ pub fn fig9_plan_detail(rows: usize) -> String {
 }
 
 /// Figure 10 — the benefit of optimization: Redux and ReduxFirst time
-/// reductions for growing EC2 instances on datasets of `rows` tuples per
-/// relation.
+/// reductions for growing EC2 instances on datasets of `args.rows` tuples
+/// per relation.
 ///
 /// ```text
 /// Redux      = (ExT − (ExTBest + OptT))          / ExT
 /// ReduxFirst = (ExT − (ExTBest + OptT/#plans))   / ExT
 /// ```
-pub fn fig10_redux(scale: Scale, rows: usize) -> String {
+///
+/// where `OptT` is C&B (OQF) optimization time, `ExT` the execution time of
+/// the original query and `ExTBest` the execution time of the best generated
+/// plan. Negative values mean optimization did not pay off at this dataset
+/// scale (the paper does not display them); our in-memory engine executes
+/// the 5 000-tuple dataset orders of magnitude faster than 1999 DB2, so the
+/// paper's shape appears at larger `--rows`.
+pub fn fig10_redux(args: &FigureArgs) -> String {
+    let rows = args.rows;
     // The paper's x-axis: [#stars, #corners per star, #views per star].
-    let points: &[(usize, usize, usize)] = match scale {
+    let points: &[(usize, usize, usize)] = match args.scale {
         Scale::Paper => &[
             (2, 2, 1),
             (2, 3, 1),
@@ -460,44 +451,31 @@ pub fn fig10_redux(scale: Scale, rows: usize) -> String {
         });
         let q = ec2.query();
         let opt = Optimizer::new(ec2.schema());
-        let res = opt.optimize(&q, &config(Strategy::Oqf));
+        let res = opt.optimize(&q, &args.config(Strategy::Oqf));
         if res.timed_out || res.plans.is_empty() {
-            table.push(vec![
-                format!("[{s},{c},{v}]"),
-                "—".into(),
-                "—".into(),
-                "—".into(),
-                "—".into(),
-                "—".into(),
-            ]);
+            let mut row = vec![format!("[{s},{c},{v}]")];
+            row.resize(6, cell(None));
+            table.push(row);
             continue;
         }
-        let opt_t = res.total_time.as_secs_f64();
-        let ex_t = execute(&db, &q)
-            .expect("original executes")
-            .stats
-            .elapsed
-            .as_secs_f64();
+        let elapsed = |q| execute(&db, q).expect("plan executes").stats.elapsed;
+        let (opt_t, ex_t) = (res.total_time, elapsed(&q));
         // Execute every plan; ExTBest is the fastest (the original query is
         // always among the plans, so ExTBest <= ExT up to noise).
         let ex_best = res
             .plans
             .iter()
-            .map(|p| {
-                execute(&db, &p.query)
-                    .expect("plan executes")
-                    .stats
-                    .elapsed
-                    .as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min);
-        let redux = (ex_t - (ex_best + opt_t)) / ex_t;
-        let redux_first = (ex_t - (ex_best + opt_t / res.plans.len() as f64)) / ex_t;
+            .map(|p| elapsed(&p.query))
+            .min()
+            .expect("a plan");
+        let [opt_s, ex_s, best_s] = [opt_t, ex_t, ex_best].map(|d| d.as_secs_f64());
+        let redux = (ex_s - (best_s + opt_s)) / ex_s;
+        let redux_first = (ex_s - (best_s + opt_s / res.plans.len() as f64)) / ex_s;
         table.push(vec![
             format!("[{s},{c},{v}]"),
-            secs(std::time::Duration::from_secs_f64(opt_t)),
-            secs(std::time::Duration::from_secs_f64(ex_t)),
-            secs(std::time::Duration::from_secs_f64(ex_best)),
+            secs(opt_t),
+            secs(ex_t),
+            secs(ex_best),
             format!("{:.0}%", redux * 100.0),
             format!("{:.0}%", redux_first * 100.0),
         ]);
@@ -520,10 +498,12 @@ pub fn fig10_redux(scale: Scale, rows: usize) -> String {
 /// vs OCS time-per-plan over a `[#dims, #views, #indexed-FKs]` grid, then
 /// per-plan execution detail with cost-model feedback on one instance —
 /// every plan's observed cardinalities fold into a single [`CostModel`] and
-/// the last column re-costs the plan under the *measured* statistics, the
-/// ranking an optimizer with execution feedback would use (fig. 9's loop on
-/// the new workload).
-pub fn fig11_ec4_star(scale: Scale, rows: usize) -> String {
+/// the `est. cost` column re-costs the plan under the *measured* statistics,
+/// the ranking an optimizer with execution feedback would use (fig. 9's loop
+/// on the star workload). `args.rows` is the fact-table size; every dimension
+/// joins at 60 % selectivity.
+pub fn fig11_ec4_star(args: &FigureArgs) -> String {
+    let (scale, rows) = (args.scale, args.rows);
     let mut out = String::new();
     let points: &[(usize, usize, usize)] = match scale {
         Scale::Paper => &[(3, 1, 0), (3, 2, 1), (4, 2, 1), (4, 3, 2), (4, 4, 2)],
@@ -534,15 +514,13 @@ pub fn fig11_ec4_star(scale: Scale, rows: usize) -> String {
         let ec4 = Ec4::new(d, v, j);
         let opt = ec4.optimizer();
         let q = ec4.query();
-        let fmt = |strategy| {
-            run(&opt, &q, strategy).map(|r| format!("{:.4} ({})", tpp(&r), r.plans.len()))
-        };
+        let tpp = |strategy| tpp_cell(args, &opt, &q, strategy);
         table.push(vec![
             format!("[{d},{v},{j}]"),
             format!("{}", ec4.constraint_count()),
-            cell(fmt(Strategy::Full)),
-            cell(fmt(Strategy::Oqf)),
-            cell(fmt(Strategy::Ocs)),
+            tpp(Strategy::Full),
+            tpp(Strategy::Oqf),
+            tpp(Strategy::Ocs),
         ]);
     }
     out.push_str(&render_table(
@@ -563,31 +541,15 @@ pub fn fig11_ec4_star(scale: Scale, rows: usize) -> String {
         ..Ec4DataSpec::default()
     });
     let q = ec4.query();
-    let res = ec4.optimizer().optimize(&q, &config(Strategy::Oqf));
-    let mut model = CostModel::default().with_cardinalities(db.cardinalities());
-    let execs: Vec<cnb_engine::ExecResult> = res
-        .plans
-        .iter()
-        .map(|p| {
-            let exec = execute(&db, &p.query).expect("plan executes");
-            cnb_engine::feed_cost_model(&exec.stats, &mut model);
-            exec
-        })
-        .collect();
-    let mut table = Vec::new();
-    for (i, (p, exec)) in res.plans.iter().zip(&execs).enumerate() {
+    let res = ec4.optimizer().optimize(&q, &args.config(Strategy::Oqf));
+    let (model, mut table) = execute_with_feedback(&db, &res.plans);
+    for (row, p) in table.iter_mut().zip(&res.plans) {
         let physical: Vec<String> = p.physical_used.iter().map(|s| s.to_string()).collect();
-        table.push(vec![
-            format!("{}", i + 1),
-            secs(exec.stats.elapsed),
-            format!("{}", exec.rows.len()),
-            format!("{:.0}", model.cost(&p.query)),
-            if physical.is_empty() {
-                "(*) original query".into()
-            } else {
-                physical.join(", ")
-            },
-        ]);
+        row.push(if physical.is_empty() {
+            "(*) original query".into()
+        } else {
+            physical.join(", ")
+        });
     }
     out.push_str(&render_table(
         &format!(
@@ -610,15 +572,17 @@ pub fn fig11_ec4_star(scale: Scale, rows: usize) -> String {
     out
 }
 
-/// Figure 12 (beyond the paper) — EC5 cyclic joins: FB vs OCS time-per-plan
-/// over the cycle shapes (the wedge view doubles as the worst-case-optimal
-/// building block), then the triangle executed on uniform vs skewed graphs
-/// with cost-model feedback — the measured join selectivities differ by
-/// distribution, which is exactly the signal the observed-cardinality loop
-/// exists to capture.
-pub fn fig12_ec5_cyclic(scale: Scale, edges: usize) -> String {
+/// Figure 12 (beyond the paper) — EC5 cyclic joins over an edge relation:
+/// FB vs OCS time-per-plan over the cycle shapes (the wedge view is the
+/// rewrite target and doubles as the worst-case-optimal building block),
+/// then the triangle executed on uniform vs skewed graphs of `args.rows`
+/// edges with cost-model feedback — the measured join selectivities differ
+/// by distribution, which is exactly the signal the observed-cardinality
+/// loop exists to capture.
+pub fn fig12_ec5_cyclic(args: &FigureArgs) -> String {
+    let edges = args.rows;
     let mut out = String::new();
-    let shapes: &[(&str, Ec5)] = match scale {
+    let shapes: &[(&str, Ec5)] = match args.scale {
         Scale::Paper => &[
             ("triangle", Ec5::new(3, true, false)),
             ("triangle+index", Ec5::new(3, true, true)),
@@ -631,14 +595,11 @@ pub fn fig12_ec5_cyclic(scale: Scale, edges: usize) -> String {
     for (label, ec5) in shapes {
         let opt = ec5.optimizer();
         let q = ec5.cycle_query();
-        let fmt = |strategy| {
-            run(&opt, &q, strategy).map(|r| format!("{:.4} ({})", tpp(&r), r.plans.len()))
-        };
         table.push(vec![
             (*label).to_string(),
             format!("{}", ec5.schema().all_constraints().len()),
-            cell(fmt(Strategy::Full)),
-            cell(fmt(Strategy::Ocs)),
+            tpp_cell(args, &opt, &q, Strategy::Full),
+            tpp_cell(args, &opt, &q, Strategy::Ocs),
         ]);
     }
     out.push_str(&render_table(
@@ -650,7 +611,7 @@ pub fn fig12_ec5_cyclic(scale: Scale, edges: usize) -> String {
     // Uniform vs skewed execution with feedback, on the triangle.
     let ec5 = Ec5::triangle();
     let q = ec5.cycle_query();
-    let res = ec5.optimizer().optimize(&q, &config(Strategy::Full));
+    let res = ec5.optimizer().optimize(&q, &args.config(Strategy::Full));
     let mut table = Vec::new();
     for (label, dist) in [
         ("uniform", EdgeDist::Uniform),
@@ -715,7 +676,7 @@ pub fn fig12_ec5_cyclic(scale: Scale, edges: usize) -> String {
 /// §5.3.1 — "Number of plans in EC2": FB vs OQF vs OCS plan counts for the
 /// paper's nine (s, c, v) parameter rows, side by side with the paper's
 /// values.
-pub fn table_plan_counts(scale: Scale) -> String {
+pub fn table_plan_counts(args: &FigureArgs) -> String {
     let rows_spec: &[(usize, usize, usize)] = &[
         (1, 3, 1),
         (1, 3, 2),
@@ -739,7 +700,7 @@ pub fn table_plan_counts(scale: Scale) -> String {
         (4, 4, 4),
         (8, 8, 8),
     ];
-    let limit = match scale {
+    let limit = match args.scale {
         Scale::Paper => rows_spec.len(),
         Scale::Smoke => 2,
     };
@@ -749,7 +710,10 @@ pub fn table_plan_counts(scale: Scale) -> String {
         let ec2 = Ec2::new(s, c, v);
         let opt = Optimizer::new(ec2.schema());
         let q = ec2.query();
-        let count = |strategy| run(&opt, &q, strategy).map(|r| r.plans.len().to_string());
+        let count = |strategy| {
+            args.run(&opt, &q, strategy)
+                .map(|r| r.plans.len().to_string())
+        };
         table.push(vec![
             format!("{s}"),
             format!("{c}"),

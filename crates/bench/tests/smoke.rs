@@ -1,8 +1,21 @@
-//! Smoke tests for the nine experiment drivers: run each figure's core
-//! routine with tiny parameters and assert it yields a non-empty markdown
-//! table, so the binaries cannot silently rot.
+//! Smoke tests for the `figures` registry: every entry of
+//! `cnb_bench::FIGURES` is rendered at smoke scale and must yield a
+//! non-empty markdown table, so no figure can silently rot.
 
-use cnb_bench::figs::{self, Scale};
+use cnb_bench::{FigureArgs, Scale, FIGURES};
+
+/// The registry names, in registry order, that have a test below.
+const SMOKE_TESTED: [&str; 9] = [
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "plan-counts",
+    "fig11",
+    "fig12",
+];
 
 /// A rendered figure must contain at least one markdown table with a header,
 /// a separator, and one data row.
@@ -21,30 +34,76 @@ fn assert_markdown_table(name: &str, rendered: &str) {
     );
 }
 
+/// Renders the registry entry `name` at smoke scale (`rows` is read by
+/// figs. 9–12 only) and checks that it is a markdown table.
+fn smoke(name: &str, rows: usize) -> String {
+    let (_, _, render) = FIGURES
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .unwrap_or_else(|| panic!("{name} is not in the registry"));
+    let args = FigureArgs {
+        scale: Scale::Smoke,
+        rows,
+        ..FigureArgs::default()
+    };
+    let rendered = render(&args);
+    assert_markdown_table(name, &rendered);
+    rendered
+}
+
+/// A figure added to the registry fails here until it has a smoke test.
+#[test]
+fn every_registered_figure_is_smoke_tested() {
+    let registered: Vec<&str> = FIGURES.iter().map(|(name, ..)| *name).collect();
+    assert_eq!(registered, SMOKE_TESTED);
+}
+
+/// The command line refuses what it cannot run: status 2 and the usage,
+/// which names every figure, on stderr.
+#[test]
+fn figures_refuses_a_bad_command_line_with_the_usage() {
+    for args in [
+        &[][..],
+        &["fig4"],
+        &["fig9", "--rows", "0"],
+        &["fig9", "--timeout"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args)
+            .output()
+            .expect("run figures");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let usage = String::from_utf8_lossy(&out.stderr);
+        for (name, ..) in &FIGURES {
+            assert!(usage.contains(name), "{args:?}: {usage}");
+        }
+    }
+}
+
 #[test]
 fn fig5_chase_time_smoke() {
-    assert_markdown_table("fig5", &figs::fig5_chase_time(Scale::Smoke));
+    smoke("fig5", 60);
 }
 
 #[test]
 fn fig6_tpp_ec1_ec3_smoke() {
-    assert_markdown_table("fig6", &figs::fig6_tpp_ec1_ec3(Scale::Smoke));
+    smoke("fig6", 60);
 }
 
 #[test]
 fn fig7_tpp_ec2_smoke() {
-    assert_markdown_table("fig7", &figs::fig7_tpp_ec2(Scale::Smoke));
+    smoke("fig7", 60);
 }
 
 #[test]
 fn fig8_stratification_smoke() {
-    assert_markdown_table("fig8", &figs::fig8_stratification(Scale::Smoke));
+    smoke("fig8", 60);
 }
 
 #[test]
 fn fig9_plan_detail_smoke() {
-    let rendered = figs::fig9_plan_detail(60);
-    assert_markdown_table("fig9", &rendered);
+    let rendered = smoke("fig9", 60);
     // The OQF strategy finds the paper's 8 plans for [3,2,1], and exactly
     // one of them is the original (view-free) query.
     assert_eq!(rendered.matches("(*) original query").count(), 1);
@@ -52,13 +111,12 @@ fn fig9_plan_detail_smoke() {
 
 #[test]
 fn fig10_redux_smoke() {
-    assert_markdown_table("fig10", &figs::fig10_redux(Scale::Smoke, 60));
+    smoke("fig10", 60);
 }
 
 #[test]
 fn fig11_ec4_star_smoke() {
-    let rendered = figs::fig11_ec4_star(Scale::Smoke, 120);
-    assert_markdown_table("fig11", &rendered);
+    let rendered = smoke("fig11", 120);
     // The execution detail must include the view-free original plan and at
     // least one view-based rewrite.
     assert_eq!(rendered.matches("(*) original query").count(), 1);
@@ -74,8 +132,7 @@ fn fig11_ec4_star_smoke() {
 
 #[test]
 fn fig12_ec5_cyclic_smoke() {
-    let rendered = figs::fig12_ec5_cyclic(Scale::Smoke, 250);
-    assert_markdown_table("fig12", &rendered);
+    let rendered = smoke("fig12", 250);
     // Both distributions must execute and report measured feedback.
     assert!(rendered.contains("uniform"), "{rendered}");
     assert!(rendered.contains("skewed"), "{rendered}");
@@ -87,8 +144,7 @@ fn fig12_ec5_cyclic_smoke() {
 
 #[test]
 fn table_plan_counts_smoke() {
-    let rendered = figs::table_plan_counts(Scale::Smoke);
-    assert_markdown_table("table_plan_counts", &rendered);
+    let rendered = smoke("plan-counts", 60);
     // Smoke scale covers the first two paper rows.
     assert!(
         rendered.contains("2/2/2"),

@@ -113,21 +113,14 @@ impl Default for BackchaseConfig {
     }
 }
 
-/// A minimal plan found by the backchase.
-#[derive(Clone, Debug)]
-pub struct Plan {
-    /// The binding subset of the universal plan this plan keeps.
-    pub bindings: VarSet,
-    /// The induced (minimal, equivalent) query.
-    pub query: Query,
-}
-
 /// Result of one backchase run.
 #[derive(Clone, Debug, Default)]
 pub struct BackchaseResult {
-    /// Minimal plans, in discovery order (depth-first: plans using many
-    /// physical structures surface early).
-    pub plans: Vec<Plan>,
+    /// Minimal plans — the induced (minimal, equivalent) subqueries — in
+    /// discovery order (depth-first: plans using many physical structures
+    /// surface early). A plan keeps exactly the universal-plan bindings its
+    /// from-clause lists: induction keeps each kept binding's variable.
+    pub plans: Vec<Query>,
     /// Subqueries explored (subsets judged) — the paper's search-space size
     /// measure.
     pub explored: usize,
@@ -365,7 +358,7 @@ impl<'a> Lattice<'a> {
 /// Where every search puts its plans: deduplicated, in discovery order,
 /// capped at [`BackchaseConfig::max_plans`].
 pub(crate) struct PlanSink {
-    plans: Vec<Plan>,
+    plans: Vec<Query>,
     /// Canonical keys of every query offered so far.
     keys: FxHashSet<String>,
     cap: usize,
@@ -390,13 +383,12 @@ impl PlanSink {
     /// from-clauses list the same bindings in other orders. A plan that got
     /// past the key set has a key no stored plan has, so what is left of the
     /// semantic check is the containments — run on `lattice`'s scratch.
-    pub(crate) fn emit(&mut self, lattice: &mut Lattice<'_>, bindings: VarSet, query: Query) {
-        let same = |p: &Plan| {
-            same_arity(&p.query, &query)
-                && contain_each_other(&mut lattice.scratch, &p.query, &query)
+    pub(crate) fn emit(&mut self, lattice: &mut Lattice<'_>, query: Query) {
+        let same = |p: &Query| {
+            same_arity(p, &query) && contain_each_other(&mut lattice.scratch, p, &query)
         };
         if !self.full() && self.keys.insert(query.canonical_key()) && !self.plans.iter().any(same) {
-            self.plans.push(Plan { bindings, query });
+            self.plans.push(query);
         }
     }
 }
@@ -487,7 +479,7 @@ impl Search<'_, '_> {
         }
         if minimal && decided && !self.sink.full() {
             if let Some(q) = self.lattice.induce(s) {
-                self.sink.emit(self.lattice, s.clone(), q);
+                self.sink.emit(self.lattice, q);
             }
         }
     }
@@ -516,8 +508,7 @@ mod tests {
             .plans
             .iter()
             .map(|p| {
-                let mut rs: Vec<String> =
-                    p.query.from.iter().map(|b| b.range.to_string()).collect();
+                let mut rs: Vec<String> = p.from.iter().map(|b| b.range.to_string()).collect();
                 rs.sort();
                 rs.join(",")
             })
@@ -593,7 +584,7 @@ mod tests {
 
         let res = chase_and_backchase(&q, &[], &BackchaseConfig::default());
         assert_eq!(res.plans.len(), 1);
-        assert_eq!(res.plans[0].query.from.len(), 1);
+        assert_eq!(res.plans[0].from.len(), 1);
     }
 
     /// Example 2.2 core claim: with the key constraint, the two-view plan
@@ -694,7 +685,7 @@ mod tests {
         assert_eq!(res.plans.len(), 2);
         // Depth-first from the universal plan removes the *first* binding (r)
         // first, so the index plan is discovered before the scan plan.
-        assert_eq!(res.plans[0].query.from[0].range, Range::Dom(sym("I1")));
+        assert_eq!(res.plans[0].from[0].range, Range::Dom(sym("I1")));
     }
 
     /// An EC1-style chain with indexes: chain of n relations.

@@ -152,8 +152,8 @@ pub fn bottom_up_backchase(
             if pruning {
                 best_cost = best_cost.min(cost);
             }
-            found_sets.push(keep.clone());
-            sink.emit(&mut lattice, keep, cand);
+            found_sets.push(keep);
+            sink.emit(&mut lattice, cand);
             if sink.full() {
                 break 'search;
             }
@@ -214,9 +214,9 @@ mod tests {
                 assert!(
                     top.plans
                         .iter()
-                        .any(|tp| crate::equivalence::same_plan(&tp.query, &bp.query)),
+                        .any(|tp| crate::equivalence::same_plan(tp, bp)),
                     "bottom-up plan missing from top-down:\n{}",
-                    bp.query
+                    bp
                 );
             }
         }
@@ -246,7 +246,7 @@ mod tests {
         let cheapest = free
             .plans
             .iter()
-            .map(|p| model.cost(&p.query))
+            .map(|p| model.cost(p))
             .fold(f64::INFINITY, f64::min);
         let bounded = bottom_up_backchase(&q, &cs, &cfg, &model, Some(cheapest));
         assert!(bounded.pruned > 0, "the bound must prune candidates");
@@ -254,7 +254,7 @@ mod tests {
         assert!(bounded
             .plans
             .iter()
-            .all(|p| model.cost(&p.query) <= cheapest + 1e-9));
+            .all(|p| model.cost(p) <= cheapest + 1e-9));
     }
 
     /// A non-monotone (WCOJ-aware) pricer keeps growing pruned candidates:
@@ -313,6 +313,6 @@ mod tests {
             None,
         );
         assert_eq!(res.plans.len(), 1);
-        assert_eq!(res.plans[0].query.from.len(), 1);
+        assert_eq!(res.plans[0].from.len(), 1);
     }
 }

@@ -40,7 +40,7 @@ pub use cnb_ir::fxhash;
 /// One-stop imports.
 pub mod prelude {
     pub use crate::backchase::{
-        chase_and_backchase, chase_and_backchase_runs, BackchaseConfig, BackchaseResult, Plan,
+        chase_and_backchase, chase_and_backchase_runs, BackchaseConfig, BackchaseResult,
     };
     pub use crate::bitset::{Border, VarSet};
     pub use crate::bottomup::bottom_up_backchase;

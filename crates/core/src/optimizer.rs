@@ -82,8 +82,6 @@ pub struct PlanInfo {
     pub query: Query,
     /// Physical structures (indexes, views, ASRs) the plan ranges over.
     pub physical_used: Vec<Symbol>,
-    /// Number of from-clause bindings.
-    pub arity: usize,
     /// How the engine should execute this plan. A `Wcoj` entry is a *twin*
     /// of a left-deep plan over the same query: same rows, but evaluated
     /// variable-at-a-time with intermediates certified by `wcoj`'s cover.
@@ -236,7 +234,6 @@ impl Optimizer {
                 wcoj_candidate(&self.schema, &p.query).map(|a| PlanInfo {
                     query: p.query.clone(),
                     physical_used: p.physical_used.clone(),
-                    arity: p.arity,
                     strategy: ExecStrategy::Wcoj,
                     wcoj: Some(a),
                 })
@@ -247,7 +244,6 @@ impl Optimizer {
 
     fn plan_info(&self, query: Query) -> PlanInfo {
         PlanInfo {
-            arity: query.from.len(),
             physical_used: self.schema.physical_anchors(&query).collect(),
             strategy: ExecStrategy::LeftDeep,
             wcoj: None,
@@ -298,7 +294,7 @@ impl Optimizer {
             result.plans = bounded
                 .plans
                 .into_iter()
-                .map(|p| self.plan_info(p.query))
+                .map(|p| self.plan_info(p))
                 .collect();
             self.emit_wcoj_twins(&mut result.plans);
         }
@@ -328,11 +324,7 @@ impl Optimizer {
             ..OptimizeResult::default()
         };
         out.absorb(&res);
-        out.plans = res
-            .plans
-            .into_iter()
-            .map(|p| self.plan_info(p.query))
-            .collect();
+        out.plans = res.plans.into_iter().map(|p| self.plan_info(p)).collect();
         out
     }
 
@@ -350,7 +342,7 @@ impl Optimizer {
         for f in &frags {
             let res = chase_and_backchase(&f.query, &self.constraints, &cfg.backchase);
             out.absorb(&res);
-            per_fragment.push(res.plans.into_iter().map(|p| p.query).collect());
+            per_fragment.push(res.plans);
         }
         if per_fragment.iter().any(|p| p.is_empty()) {
             // A fragment produced nothing (timeout) — no combined plans.
@@ -422,11 +414,8 @@ impl Optimizer {
                 let res = chase_and_backchase(p, &cs, &cfg.backchase);
                 out.absorb(&res);
                 for plan in res.plans {
-                    if !next
-                        .iter()
-                        .any(|q| crate::equivalence::same_plan(q, &plan.query))
-                    {
-                        next.push(plan.query);
+                    if !next.iter().any(|q| crate::equivalence::same_plan(q, &plan)) {
+                        next.push(plan);
                     }
                 }
             }

@@ -16,13 +16,13 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use cnb_analyze::validate::validate_plan;
-use cnb_core::prelude::chase_and_backchase_runs;
+use cnb_core::prelude::{chase_and_backchase_runs, OptimizerConfig};
 use cnb_engine::{PlanServer, ServedPlan};
 use cnb_workloads::{suite, DataScale, Workload};
 
 /// Serializes tests: the C&B run counter is process-wide, so the warm-hit
 /// audit must not share it with a concurrently-optimizing test (same
-/// pattern as `crates/engine/tests/pressure.rs`).
+/// pattern as `tests/pressure.rs`).
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -31,7 +31,10 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 fn server_for(w: &dyn Workload) -> PlanServer {
-    PlanServer::new(w.optimizer(), cnb_bench::config(w.expectations().strategy))
+    PlanServer::new(
+        w.optimizer(),
+        OptimizerConfig::with_strategy(w.expectations().strategy),
+    )
 }
 
 /// A served plan must pass the same semantic validation the `cnb-analyze`

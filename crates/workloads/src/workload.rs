@@ -12,8 +12,9 @@
 //! generic code paths.
 //!
 //! Adding a new family is three steps: implement the trait, register the
-//! canonical instance in [`suite`], and add a figure routine in
-//! `cnb_bench::figs` — the generic suites pick the rest up automatically.
+//! canonical instance in [`suite`], and add its figure as one entry of
+//! `cnb_bench::FIGURES` (a routine in `cnb_bench::figs`) — the generic
+//! suites pick the rest up automatically.
 
 use cnb_core::prelude::{OptimizeResult, Optimizer, OptimizerConfig, Strategy};
 use cnb_engine::Database;

@@ -64,7 +64,7 @@ fn triangle_backchase_finds_plan_greedy_join_planner_cannot() {
         .find(|p| p.physical_used.contains(&ec5.wedge()))
         .expect("backchase must find a plan ranging over the wedge view W");
     assert!(
-        wedge_plan.arity < q.from.len(),
+        wedge_plan.query.arity() < q.arity(),
         "the wedge plan replaces two edge joins with one view scan"
     );
 

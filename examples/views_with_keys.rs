@@ -35,7 +35,7 @@ fn main() {
         );
         for p in &result.plans {
             let used: Vec<&str> = p.physical_used.iter().map(|s| s.as_str()).collect();
-            println!("  plan with views {used:?} ({} bindings)", p.arity);
+            println!("  plan with views {used:?} ({} bindings)", p.query.arity());
         }
         let both = plans_using(&result, true, true);
         let only_v2 = plans_using(&result, false, true);

@@ -43,7 +43,7 @@ cargo build --release
 
 # Static-analysis tier: every prong of cnb-analyze in one pass — one
 # determinism scan (clippy.toml's entries matched line by line in the four
-# logic crates, unsanctioned needles and stale #[expect]s reported, each
+# logic crates and the experiment harness, unsanctioned needles and stale #[expect]s reported, each
 # unsanctioned needle propagated to its callers over the scraped call
 # graph, wall-clock reads in the serving layer denied outright), the
 # semantic validator (every
@@ -102,8 +102,20 @@ cargo test -q -p cnb-engine --test wcoj_differential
 # query, every served plan passing validate_plan — and the byte-identity
 # property checks warm-cache plans against cold-path plans.
 tier "serving smoke (plan cache + executor pool)"
-cargo test -q -p cnb-bench --test serving_smoke
+cargo test -q -p cnb-engine --test serving_smoke
 cargo test -q --test property_based -- cache_hits_serve_byte_identical_plans
+
+# Figures tier: the README's quick sanity run, so it cannot rot. One figure
+# end to end through the `figures` command line (argument parsing, dataset
+# generation, optimization, execution of every plan); it must exit 0 and
+# print a markdown table. tests/smoke.rs renders all nine at smoke scale.
+tier "figures fig9 --rows 200 --timeout 20 (README sanity run)"
+fig9=$(cargo run --release -q -p cnb-bench --bin figures -- fig9 --rows 200 --timeout 20)
+if ! grep -q '^|---' <<<"$fig9"; then
+  echo "error: figures fig9 printed no markdown table:" >&2
+  printf '%s\n' "$fig9" >&2
+  exit 1
+fi
 
 # Benchmark tier: benchmark/ is its own workspace, so nothing above compiles
 # it — an API rename in cnb_engine/cnb_core would pass every other tier and

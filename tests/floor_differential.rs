@@ -86,7 +86,12 @@ fn observed(r: &BackchaseResult) -> (Vec<String>, [usize; 3], bool) {
     let plans = r
         .plans
         .iter()
-        .map(|p| format!("{:?} :: {}", p.bindings, p.query))
+        .map(|p| {
+            format!(
+                "{:?} :: {p}",
+                VarSet::from_iter(p.from.iter().map(|b| b.var))
+            )
+        })
         .collect();
     (plans, [r.explored, r.pruned, r.inferred], r.timed_out)
 }
@@ -147,7 +152,7 @@ impl Case {
             "{}: no bound, no pruning",
             self.tag
         );
-        let prices: Vec<f64> = free.plans.iter().map(|p| pricer.price(&p.query)).collect();
+        let prices: Vec<f64> = free.plans.iter().map(|p| pricer.price(p)).collect();
         let cheapest = prices.iter().copied().fold(f64::INFINITY, f64::min);
         let dearest = prices.iter().copied().fold(cheapest, f64::max);
         self.search(label, pricer, Some(dearest));

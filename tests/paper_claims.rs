@@ -193,7 +193,11 @@ fn ec3_asr_single_scan_plan() {
             .iter()
             .find(|p| p.physical_used.iter().any(|s| s.as_str() == "ASR1"))
             .unwrap_or_else(|| panic!("{strategy}: ASR plan missing"));
-        assert_eq!(asr.arity, 1, "{strategy}: the ASR plan is a single scan");
+        assert_eq!(
+            asr.query.arity(),
+            1,
+            "{strategy}: the ASR plan is a single scan"
+        );
     }
 }
 

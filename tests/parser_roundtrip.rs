@@ -119,7 +119,7 @@ fn parsed_triangle_drives_chase_and_backchase() {
     assert_eq!(from_parsed.plans.len(), from_built.plans.len());
     assert_eq!(from_parsed.explored, from_built.explored);
     let texts = |r: &chase_too_far::core::prelude::BackchaseResult| -> Vec<String> {
-        r.plans.iter().map(|p| p.query.to_string()).collect()
+        r.plans.iter().map(|p| p.to_string()).collect()
     };
     assert_eq!(texts(&from_parsed), texts(&from_built));
     // The wedge rewrite survives the parser route too.
@@ -127,7 +127,7 @@ fn parsed_triangle_drives_chase_and_backchase() {
         from_parsed
             .plans
             .iter()
-            .any(|p| p.query.to_string().contains("W ")),
+            .any(|p| p.to_string().contains("W ")),
         "no wedge plan from the parsed query"
     );
 }
@@ -167,7 +167,7 @@ fn parsed_query_drives_chase_and_backchase() {
     assert_eq!(from_parsed.plans.len(), from_built.plans.len());
     assert_eq!(from_parsed.explored, from_built.explored);
     let texts = |r: &chase_too_far::core::prelude::BackchaseResult| -> Vec<String> {
-        r.plans.iter().map(|p| p.query.to_string()).collect()
+        r.plans.iter().map(|p| p.to_string()).collect()
     };
     assert_eq!(texts(&from_parsed), texts(&from_built));
     assert!(!from_parsed.timed_out);

@@ -88,7 +88,12 @@ fn backchase_row(name: String, r: &BackchaseResult) -> (String, String, usize) {
     let lines: Vec<String> = r
         .plans
         .iter()
-        .map(|p| format!("{:?} :: {}", p.bindings, p.query))
+        .map(|p| {
+            format!(
+                "{:?} :: {p}",
+                VarSet::from_iter(p.from.iter().map(|b| b.var))
+            )
+        })
         .collect();
     (
         name,
@@ -204,7 +209,7 @@ fn observe() -> Vec<(String, String, usize)> {
         let seed = top
             .plans
             .iter()
-            .map(|p| model.cost(&p.query))
+            .map(|p| model.cost(p))
             .fold(f64::INFINITY, f64::min);
         let seeded = bottom_up_backchase(q, cs, &cfg, &model, Some(seed));
         out.push(backchase_row(format!("{name}.bottom_up.seeded"), &seeded));
