@@ -60,6 +60,23 @@
 //! re-prove by a chase every verdict that did not come from one, so each
 //! test suite audits every inference it makes; release trusts the borders.
 //!
+//! **(iii) Across select lists, the order is a product.** "The subquery on
+//! `X` is equivalent under output set `L`" (`L` the select list's
+//! `(label, path)` pairs, order ignored) is monotone in both arguments:
+//! upward in `X`, as above, and downward in `L` — a mapping that preserves
+//! every output of `L₁` preserves every output of a part of it, and a subset
+//! that cannot give `L₂` cannot give more. So a proved yes `(L₁, X₁)`
+//! answers every `(L, X)` with `L ⊆ L₁` and `X₁ ⊆ X`; a refuted no
+//! `(L₂, X₂)` answers every `(L, X)` with `L₂ ⊆ L` and `X ⊆ X₂`, the
+//! "outputs not recoverable" no's included. The select border transfers by
+//! the same rule, and the range borders do not read the select list at all.
+//! This is what [`crate::memo::SkeletonMemo`] carries from one search to the
+//! next over the same `from` / `where`. An output set is recorded as the
+//! outputs it *has*, never as complement bits for the ones it dropped: the
+//! output universe grows as new select lists arrive, and "everything but
+//! `C`" written before output `D` existed would, read afterwards, claim
+//! verdicts about `D` that nobody proved.
+//!
 //! The proved border is why the top-down search is depth-first and
 //! sequential: a plan is found *below* everything a breadth-first frontier
 //! has already judged, so waves can never use it. Of the 1 439 chases a
@@ -85,6 +102,7 @@ use crate::chase::{ChaseConfig, ChaseStats};
 use crate::congruence::Congruence;
 use crate::equivalence::{contain_each_other, same_arity, CompiledChecker, EquivChecker};
 use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::memo::SkeletonMemo;
 use crate::subquery::{all_bindings, induce_range, induce_select, induce_subquery_pure};
 
 /// Backchase limits.
@@ -173,12 +191,12 @@ pub struct Lattice<'a> {
     truncated_checks: usize,
     /// Is the subquery on a subset equivalent to the original query? Asked
     /// of well-formed subsets only (rule (i)).
-    equivalence: Border,
+    pub(crate) equivalence: Border,
     /// Per universal-plan binding: is its range expressible and guarded over
     /// a set of earlier kept variables? Empty unless it is a `Range::Expr`.
-    ranges: Vec<Border>,
+    pub(crate) ranges: Vec<Border>,
     /// Is every output path recoverable from a subset?
-    select: Border,
+    pub(crate) select: Border,
     /// Verdicts given without a chase.
     inferred: usize,
 }
@@ -262,7 +280,7 @@ impl<'a> Lattice<'a> {
             return None;
         }
         // Rule (ii): a chase cut short, this one or the candidate's, proves nothing.
-        let sound = !self.chase_stats.truncated;
+        let sound = self.sound();
         let inferred = if !sound {
             None
         } else if self.equivalence.covers_no(keep) || !self.well_formed(keep) {
@@ -331,6 +349,12 @@ impl<'a> Lattice<'a> {
                 (verdict, stats.chase.truncated)
             }
         }
+    }
+
+    /// Did the universal chase reach its fixpoint? A lattice whose chase was
+    /// cut short infers nothing from its borders (rule (ii)).
+    pub(crate) fn sound(&self) -> bool {
+        !self.chase_stats.truncated
     }
 
     /// Has the time budget run out?
@@ -409,6 +433,18 @@ pub fn chase_and_backchase(
     constraints: &[Constraint],
     cfg: &BackchaseConfig,
 ) -> BackchaseResult {
+    chase_and_backchase_in(q0, constraints, cfg, &mut SkeletonMemo::bounded(0))
+}
+
+/// [`chase_and_backchase`] starting from what `memo` holds for `q0`'s
+/// skeleton and leaving there what it proves: the same plans, in the same
+/// order, with the same `explored`; only `inferred` can rise.
+pub(crate) fn chase_and_backchase_in(
+    q0: &Query,
+    constraints: &[Constraint],
+    cfg: &BackchaseConfig,
+    memo: &mut SkeletonMemo,
+) -> BackchaseResult {
     debug_assert_eq!(
         q0.validate(),
         Ok(()),
@@ -420,6 +456,7 @@ pub fn chase_and_backchase(
     );
     RUNS.fetch_add(1, Ordering::Relaxed);
     let mut lattice = Lattice::chase(q0, constraints, cfg);
+    let ticket = memo.seed(&mut lattice, q0, constraints);
     let all = all_bindings(&lattice.udb.query);
     let mut search = Search {
         lattice: &mut lattice,
@@ -430,6 +467,9 @@ pub fn chase_and_backchase(
     };
     search.explore(&all);
     let Search { result, sink, .. } = search;
+    if let Some(ticket) = ticket {
+        memo.keep(ticket, &lattice);
+    }
     lattice.finish(result, sink)
 }
 

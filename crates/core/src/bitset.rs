@@ -158,41 +158,64 @@ impl fmt::Debug for VarSet {
     }
 }
 
-/// What has been learnt about a *monotone* predicate over [`VarSet`]s — one
-/// that holds of every superset of a set it holds of. Two antichains carry
-/// it all: the minimal sets it is known to hold of, the maximal sets it is
-/// known to fail on (see "Borders" in [`crate::backchase`]).
-#[derive(Clone, Debug, Default)]
-pub struct Border {
-    minimal_yes: Vec<VarSet>,
-    maximal_no: Vec<VarSet>,
+/// A partial order a [`Border`] keeps its antichains in.
+pub trait Poset: Clone {
+    /// `self ≤ other`: a predicate monotone in this order that holds of
+    /// `self` holds of `other`, and one that fails on `other` fails on `self`.
+    fn leq(&self, other: &Self) -> bool;
 }
 
-impl Border {
-    /// Is the predicate known to hold of `set` — a superset of a learnt yes?
-    pub fn covers_yes(&self, set: &VarSet) -> bool {
-        self.minimal_yes.iter().any(|y| y.is_subset(set))
+impl Poset for VarSet {
+    fn leq(&self, other: &VarSet) -> bool {
+        self.is_subset(other)
+    }
+}
+
+/// What has been learnt about a *monotone* predicate — over [`VarSet`]s, one
+/// that holds of every superset of a set it holds of. Two antichains carry
+/// it all: the minimal sets it is known to hold of, the maximal sets it is
+/// known to fail on (see "Borders" in [`crate::backchase`]). Any other
+/// [`Poset`] works the same way ([`crate::memo`] keeps borders over pairs).
+#[derive(Clone, Debug)]
+pub struct Border<T = VarSet> {
+    minimal_yes: Vec<T>,
+    maximal_no: Vec<T>,
+}
+
+impl<T> Default for Border<T> {
+    fn default() -> Border<T> {
+        Border {
+            minimal_yes: Vec::new(),
+            maximal_no: Vec::new(),
+        }
+    }
+}
+
+impl<T: Poset> Border<T> {
+    /// Is the predicate known to hold of `set` — above a learnt yes?
+    pub fn covers_yes(&self, set: &T) -> bool {
+        self.minimal_yes.iter().any(|y| y.leq(set))
     }
 
-    /// Is the predicate known to fail on `set` — a subset of a learnt no?
-    pub fn covers_no(&self, set: &VarSet) -> bool {
-        self.maximal_no.iter().any(|n| set.is_subset(n))
+    /// Is the predicate known to fail on `set` — below a learnt no?
+    pub fn covers_no(&self, set: &T) -> bool {
+        self.maximal_no.iter().any(|n| set.leq(n))
     }
 
     /// Records that the predicate holds of `set`, or fails on it. A set
     /// already covered adds nothing; a new one evicts what it covers.
-    pub fn learn(&mut self, set: &VarSet, holds: bool) {
+    pub fn learn(&mut self, set: &T, holds: bool) {
         if holds && !self.covers_yes(set) {
-            self.minimal_yes.retain(|y| !set.is_subset(y));
+            self.minimal_yes.retain(|y| !set.leq(y));
             self.minimal_yes.push(set.clone());
         } else if !holds && !self.covers_no(set) {
-            self.maximal_no.retain(|n| !n.is_subset(set));
+            self.maximal_no.retain(|n| !n.leq(set));
             self.maximal_no.push(set.clone());
         }
     }
 
     /// The two antichains: the minimal yes-sets, then the maximal no-sets.
-    pub fn antichains(&self) -> [&[VarSet]; 2] {
+    pub fn antichains(&self) -> [&[T]; 2] {
         [&self.minimal_yes, &self.maximal_no]
     }
 }

@@ -12,8 +12,10 @@
 //! [`fragments`] (on-line query fragmentation, OQF, §3.2.1) and [`strata`]
 //! (off-line constraint stratification, OCS, §3.2.2), tied together by the
 //! [`optimizer`] facade. Both searches are sequential and remember what they
-//! prove (the borders of [`backchase`]); nothing in this crate spawns a
-//! thread — the one pool serves batches of requests in `cnb-engine`.
+//! prove (the borders of [`backchase`]); a [`memo::SkeletonMemo`] keeps those
+//! borders from one top-down search to the next over the same query
+//! skeleton. Nothing in this crate spawns a thread — the one pool serves
+//! batches of requests in `cnb-engine`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +30,7 @@ pub mod cost;
 pub mod equivalence;
 pub mod fragments;
 pub mod homomorphism;
+pub mod memo;
 pub mod optimizer;
 pub mod serving;
 pub mod strata;
@@ -52,6 +55,7 @@ pub mod prelude {
     pub use crate::fragments::{decompose, Fragment};
     pub use crate::fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
     pub use crate::homomorphism::{find_homs, hom_exists, HomConfig, HomMap};
+    pub use crate::memo::SkeletonMemo;
     pub use crate::optimizer::{
         plan_price, OptimizeResult, Optimizer, OptimizerConfig, PlanInfo, Strategy,
     };

@@ -9,11 +9,12 @@ use std::time::{Duration, Instant};
 
 use cnb_ir::prelude::{Constraint, ExecStrategy, Query, Schema, Symbol, WcojAnalysis};
 
-use crate::backchase::{chase_and_backchase, BackchaseConfig, BackchaseResult};
+use crate::backchase::{chase_and_backchase_in, BackchaseConfig, BackchaseResult};
 use crate::bottomup::bottom_up_backchase;
 use crate::chase::ChaseStats;
 use crate::cost::{wcoj_candidate, CostModel, WcojAwarePricer};
 use crate::fragments::{combine_plans, decompose};
+use crate::memo::SkeletonMemo;
 use crate::strata::{regroup, stratify};
 
 /// Which backchase strategy to run.
@@ -187,8 +188,23 @@ impl Optimizer {
         &self.constraints
     }
 
-    /// Optimizes `q` under the configured strategy.
+    /// Optimizes `q` under the configured strategy: [`Optimizer::optimize_in`]
+    /// with a memo that keeps nothing, so every call starts cold.
     pub fn optimize(&self, q: &Query, cfg: &OptimizerConfig) -> OptimizeResult {
+        self.optimize_in(q, cfg, &mut SkeletonMemo::bounded(0))
+    }
+
+    /// Optimizes `q` under the configured strategy, every top-down search
+    /// (the whole query, each OQF fragment, each OCS stage) starting from
+    /// what `memo` holds for its skeleton and leaving there what it proves
+    /// ([`crate::memo`]). Plans, their order and `explored` are those of
+    /// [`Optimizer::optimize`]; only `inferred` can rise.
+    pub fn optimize_in(
+        &self,
+        q: &Query,
+        cfg: &OptimizerConfig,
+        memo: &mut SkeletonMemo,
+    ) -> OptimizeResult {
         // Entry contract: the input query and every registered constraint
         // must be well-formed. `cnb-analyze validate-suite` checks the
         // deeper semantic properties offline; this guards ad-hoc callers in
@@ -207,9 +223,9 @@ impl Optimizer {
         #[expect(clippy::disallowed_methods)]
         let start = Instant::now();
         let mut result = match cfg.strategy {
-            Strategy::Full => self.run_full(q, cfg),
-            Strategy::Oqf => self.run_oqf(q, cfg),
-            Strategy::Ocs => self.run_ocs(q, cfg),
+            Strategy::Full => self.run_full(q, cfg, memo),
+            Strategy::Oqf => self.run_oqf(q, cfg, memo),
+            Strategy::Ocs => self.run_ocs(q, cfg, memo),
         };
         self.emit_wcoj_twins(&mut result.plans);
         result.total_time = start.elapsed();
@@ -316,8 +332,13 @@ impl Optimizer {
         result
     }
 
-    fn run_full(&self, q: &Query, cfg: &OptimizerConfig) -> OptimizeResult {
-        let res = chase_and_backchase(q, &self.constraints, &cfg.backchase);
+    fn run_full(
+        &self,
+        q: &Query,
+        cfg: &OptimizerConfig,
+        memo: &mut SkeletonMemo,
+    ) -> OptimizeResult {
+        let res = chase_and_backchase_in(q, &self.constraints, &cfg.backchase, memo);
         let mut out = OptimizeResult {
             fragments: 1,
             strata: 1,
@@ -328,10 +349,10 @@ impl Optimizer {
         out
     }
 
-    fn run_oqf(&self, q: &Query, cfg: &OptimizerConfig) -> OptimizeResult {
+    fn run_oqf(&self, q: &Query, cfg: &OptimizerConfig, memo: &mut SkeletonMemo) -> OptimizeResult {
         let frags = decompose(q, self.schema.skeletons());
         if frags.len() <= 1 {
-            return self.run_full(q, cfg);
+            return self.run_full(q, cfg, memo);
         }
         let mut out = OptimizeResult {
             fragments: frags.len(),
@@ -340,7 +361,7 @@ impl Optimizer {
         };
         let mut per_fragment: Vec<Vec<Query>> = Vec::with_capacity(frags.len());
         for f in &frags {
-            let res = chase_and_backchase(&f.query, &self.constraints, &cfg.backchase);
+            let res = chase_and_backchase_in(&f.query, &self.constraints, &cfg.backchase, memo);
             out.absorb(&res);
             per_fragment.push(res.plans);
         }
@@ -378,7 +399,7 @@ impl Optimizer {
         out
     }
 
-    fn run_ocs(&self, q: &Query, cfg: &OptimizerConfig) -> OptimizeResult {
+    fn run_ocs(&self, q: &Query, cfg: &OptimizerConfig, memo: &mut SkeletonMemo) -> OptimizeResult {
         let mut strata = stratify(&self.constraints);
         if let Some(g) = cfg.stratum_group_size {
             strata = regroup(&strata, g);
@@ -411,7 +432,7 @@ impl Optimizer {
             }
             let mut next: Vec<Query> = Vec::new();
             for p in &pool {
-                let res = chase_and_backchase(p, &cs, &cfg.backchase);
+                let res = chase_and_backchase_in(p, &cs, &cfg.backchase, memo);
                 out.absorb(&res);
                 for plan in res.plans {
                     if !next.iter().any(|q| crate::equivalence::same_plan(q, &plan)) {

@@ -2,12 +2,17 @@
 //! with a robustness layer between them.
 //!
 //! [`PlanServer`] is the "answer many" half of the serving discipline: it
-//! owns a C&B [`Optimizer`] and a [`PlanCache`], and turns an incoming
-//! query into an executable plan by template lookup — paying the full
-//! chase & backchase only on the first sighting of a (shape, constraint
-//! set) fingerprint. Cache hits substitute the request's constants into
-//! the cached template plan ([`bind_params`]) and go straight to
-//! execution.
+//! owns a C&B [`Optimizer`] and two cache levels, and turns an incoming
+//! query into an executable plan by template lookup. The first level, a
+//! [`PlanCache`], is keyed by the (shape, constraint set) fingerprint: a hit
+//! substitutes the request's constants into the cached template plan
+//! ([`bind_params`]) and goes straight to execution. A miss runs chase &
+//! backchase on the template — but not from nothing: the second level, a
+//! [`SkeletonMemo`] keyed by the template's `from` / `where` skeleton, hands
+//! the search every verdict an earlier shape with that skeleton proved that
+//! holds for this one's select list, and keeps what the search proves. The search still chases its own universal plan
+//! and induces its own plans, so what a miss caches is what a cold
+//! optimization would.
 //!
 //! [`PlanServer::serve_batch_under`] is the pressure-aware batch path.
 //! Between "a batch of requests" and the worker pool sit three typed,
@@ -39,7 +44,7 @@ use cnb_ir::prelude::{ExecStrategy, Query};
 use cnb_core::cost::CostModel;
 use cnb_core::prelude::{
     bind_params, constraint_digest, parameterize, CachedPlans, Fingerprint, Optimizer,
-    OptimizerConfig, PlanCache,
+    OptimizerConfig, PlanCache, SkeletonMemo,
 };
 use cnb_core::serving::unbound_param;
 
@@ -121,6 +126,9 @@ pub struct PlanServer {
     optimizer: Optimizer,
     config: OptimizerConfig,
     cache: PlanCache,
+    /// The second level: verdict borders per query skeleton, as many
+    /// skeletons as the cache holds shapes.
+    skeletons: SkeletonMemo,
     cost_model: CostModel,
     /// [`constraint_digest`] of the optimizer's constraint set, which is
     /// fixed once the optimizer is built: digested here, not per request.
@@ -138,15 +146,18 @@ impl PlanServer {
             optimizer,
             config,
             cache: PlanCache::new(),
+            skeletons: SkeletonMemo::new(),
             cost_model: CostModel::default(),
         }
     }
 
     /// Bounds the plan cache at `capacity` shapes with the segmented
-    /// observed-frequency eviction policy (builder style; replaces the
-    /// cache, so call at construction time).
+    /// observed-frequency eviction policy, and the skeleton memo at as many
+    /// skeletons, least recently used out (builder style; replaces both, so
+    /// call at construction time).
     pub fn with_cache_capacity(mut self, capacity: usize) -> PlanServer {
         self.cache = PlanCache::bounded(capacity);
+        self.skeletons = SkeletonMemo::bounded(capacity);
         self
     }
 
@@ -168,13 +179,20 @@ impl PlanServer {
         &self.cache
     }
 
+    /// The skeleton memo a cache miss optimizes with (its lookup, hit and
+    /// import counters live here).
+    pub fn skeletons(&self) -> &SkeletonMemo {
+        &self.skeletons
+    }
+
     /// The admission cost model.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
     }
 
     /// Plans one request: parameterize, fingerprint, look up — optimizing
-    /// the template only on a miss. The returned plan has the request's
+    /// the template only on a miss, with the skeleton memo's verdicts
+    /// ([`PlanServer::skeletons`]). The returned plan has the request's
     /// constants bound back in and is ready to execute.
     ///
     /// A miss caches *all* left-deep template plans the optimizer emitted
@@ -204,9 +222,9 @@ impl PlanServer {
                 cache_hit: true,
             };
         }
-        let result = self
-            .optimizer
-            .optimize(&parameterized.template, &self.config);
+        let result =
+            self.optimizer
+                .optimize_in(&parameterized.template, &self.config, &mut self.skeletons);
         let mut plans: Vec<Query> = result
             .plans
             .into_iter()

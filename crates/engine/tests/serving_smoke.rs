@@ -8,6 +8,8 @@
 //!   via the process-wide [`chase_and_backchase_runs`] counter), and every
 //!   served plan — point-pinned and view-rewritten — passes
 //!   `cnb_analyze::validate::validate_plan`;
+//! * the skeleton memo behind a miss is a second cache level with its own
+//!   books: it is hit under churn and moves none of the plan cache's;
 //! * the per-family point picks *partition* the central query — pooling
 //!   the distinct rows over the whole pick domain reproduces the full
 //!   query's distinct result, so the cached template + bound parameter
@@ -16,7 +18,9 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use cnb_analyze::validate::validate_plan;
-use cnb_core::prelude::{chase_and_backchase_runs, OptimizerConfig};
+use cnb_core::prelude::{
+    chase_and_backchase_runs, parameterize, CachedPlans, Fingerprint, OptimizerConfig, PlanCache,
+};
 use cnb_engine::{PlanServer, ServedPlan};
 use cnb_workloads::{suite, DataScale, Workload};
 
@@ -106,6 +110,58 @@ fn warm_hits_answer_without_chase_and_backchase() {
         assert_eq!(server.cache().misses(), 1, "{}", w.name());
         assert_eq!(server.cache().hits(), 7, "{}", w.name());
     }
+}
+
+/// The two cache levels keep separate books. A capacity-8 churn over EC2
+/// select shapes (one skeleton) reaches skeleton hits, while the plan
+/// cache's hits, misses and evictions are exactly those of a bare
+/// `PlanCache::bounded(8)` replaying the same fingerprints: the skeleton
+/// memo moves none of them.
+#[test]
+fn skeleton_hits_leave_the_plan_cache_books_alone() {
+    let _guard = serial();
+    let scale = DataScale::new(120, 7);
+    let w = cnb_workloads::Ec2::new(2, 2, 1);
+    let mut server = server_for(&w).with_cache_capacity(8);
+    let mut bare = PlanCache::bounded(8);
+    let base = w.serving_query(scale, 0);
+    // Three hot shapes, every other request; between them a tail walking the
+    // twelve ordered pairs of outputs.
+    let hot = [vec![0, 1, 2, 3], vec![3, 2], vec![1]];
+    let tail: Vec<Vec<usize>> = (0..4)
+        .flat_map(|a| (0..4).filter(move |&b| b != a).map(move |b| vec![a, b]))
+        .collect();
+    let shapes = (0..96).map(|i| match i % 2 {
+        0 => &hot[(i / 2) % hot.len()],
+        _ => &tail[(i / 2) % tail.len()],
+    });
+    for (i, shape) in shapes.enumerate() {
+        let mut q = w.serving_query(scale, i as u64);
+        q.select = shape.iter().map(|&j| base.select[j].clone()).collect();
+        server.plan(&q);
+        let template = parameterize(&q).template;
+        let fp = Fingerprint::new(&template, server.optimizer().constraints());
+        if bare.lookup(&fp, &template).is_none() {
+            let plans = vec![template.clone()];
+            bare.insert(
+                fp,
+                CachedPlans {
+                    template,
+                    plans,
+                    explored: 0,
+                },
+            );
+        }
+    }
+    let (cache, memo) = (server.cache(), server.skeletons());
+    assert!(bare.evictions() > 0, "the shapes must churn the cache");
+    assert_eq!(
+        (cache.hits(), cache.misses(), cache.evictions()),
+        (bare.hits(), bare.misses(), bare.evictions())
+    );
+    assert_eq!(memo.lookups(), cache.misses());
+    assert_eq!(memo.hits(), memo.lookups() - 1, "one skeleton");
+    assert!(memo.imported() > 0);
 }
 
 /// Sweeping the whole pick domain partitions the central query: the pooled

@@ -31,7 +31,7 @@ pub enum ConstraintKind {
 }
 
 /// An embedded path-conjunctive dependency.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Constraint {
     /// Diagnostic name, e.g. `"IDX_f(I)"` or `"KEY(R1.K)"`.
     pub name: String,

@@ -145,10 +145,10 @@ cargo test -q --test property_based -- \
 tier "serving door, release profile (ill-formed requests are refused typed)"
 cargo test --release -q -p cnb-engine --test door
 
-# Backchase kernel tier, release profile: the five files that hold a change
+# Backchase kernel tier, release profile: the six files that hold a change
 # to the congruence closure, the homomorphism search, subquery induction, the
-# lattice's borders or the bottom-up search's pricing to "same search, no
-# garbage". alloc_audit counts heap allocations per explored candidate on the
+# lattice's borders (and the memo that keeps them across searches) or the
+# bottom-up search's pricing to "same search, no garbage". alloc_audit counts heap allocations per explored candidate on the
 # four full-backchase benchmark points and per explored-or-pruned candidate
 # on the bottom-up pass of the two measured ones (its ceilings are asserted
 # in release only — a debug build validates every induced query and re-proves
@@ -162,11 +162,17 @@ cargo test --release -q -p cnb-engine --test door
 # plans under both pricers and six models, and floor_differential holds the
 # search with the floor to the search without it (and the cost kernel to the
 # loop it replaced, bit for bit) — in release, where the `debug_assert!` on
-# every priced candidate is compiled out. The debug profile runs all five as
-# part of `cargo test -q` below.
-tier "alloc audit + plan-text golden + induction differential + floor soundness/differential, release profile"
+# every priced candidate is compiled out. skeleton_memo holds the plan
+# server's second cache level (verdict borders kept per query skeleton) to
+# cold optimization on all 64 EC2 select arrangements and the other four
+# families, audits that a select set already proved runs no chase, and
+# checks that nothing crosses to another skeleton — in release, where
+# imported verdicts are trusted, not re-proved. The debug profile runs all
+# six as part of `cargo test -q` below.
+tier "alloc audit + plan-text golden + induction differential + floor soundness/differential + skeleton memo, release profile"
 cargo test --release -q --test alloc_audit --test plan_text_golden --test induction_differential \
   --test floor_soundness --test floor_differential
+cargo test --release -q -p cnb-engine --test skeleton_memo
 
 # The full debug suite, run once. Debug builds audit the congruence undo
 # trail's full invariants (hash-consing bijective, member lists a partition,
