@@ -188,22 +188,40 @@ impl Optimizer {
         &self.constraints
     }
 
-    /// Optimizes `q` under the configured strategy: [`Optimizer::optimize_in`]
-    /// with a memo that keeps nothing, so every call starts cold.
+    /// Optimizes `q` under the configured strategy, every call cold: the
+    /// left-deep plans of [`Optimizer::optimize_in`] under a memo that keeps
+    /// nothing, with their generic-join twins ranked in beside them.
     pub fn optimize(&self, q: &Query, cfg: &OptimizerConfig) -> OptimizeResult {
-        self.optimize_in(q, cfg, &mut SkeletonMemo::bounded(0))
+        self.run(q, cfg, &mut SkeletonMemo::bounded(0), true)
     }
 
-    /// Optimizes `q` under the configured strategy, every top-down search
-    /// (the whole query, each OQF fragment, each OCS stage) starting from
-    /// what `memo` holds for its skeleton and leaving there what it proves
-    /// ([`crate::memo`]). Plans, their order and `explored` are those of
-    /// [`Optimizer::optimize`]; only `inferred` can rise.
+    /// Optimizes `q` under the configured strategy for a left-deep
+    /// executor, every top-down search (the whole query, each OQF fragment,
+    /// each OCS stage) starting from what `memo` holds for its skeleton and
+    /// leaving there what it proves ([`crate::memo`]). The plans are
+    /// [`Optimizer::optimize`]'s left-deep ones in its order, and `explored`
+    /// is its count; only `inferred` can rise. No generic-join twin is
+    /// computed: a twin shares its sibling's query, and certifying its gap
+    /// is work a left-deep executor never reads.
     pub fn optimize_in(
         &self,
         q: &Query,
         cfg: &OptimizerConfig,
         memo: &mut SkeletonMemo,
+    ) -> OptimizeResult {
+        self.run(q, cfg, memo, false)
+    }
+
+    /// The search behind [`Optimizer::optimize`] and
+    /// [`Optimizer::optimize_in`]; `twins` asks for the generic-join twins.
+    /// Ranking is a stable sort and a twin ranks as its sibling, so leaving
+    /// the twins out leaves the left-deep plans in the same order.
+    fn run(
+        &self,
+        q: &Query,
+        cfg: &OptimizerConfig,
+        memo: &mut SkeletonMemo,
+        twins: bool,
     ) -> OptimizeResult {
         // Entry contract: the input query and every registered constraint
         // must be well-formed. `cnb-analyze validate-suite` checks the
@@ -227,7 +245,9 @@ impl Optimizer {
             Strategy::Oqf => self.run_oqf(q, cfg, memo),
             Strategy::Ocs => self.run_ocs(q, cfg, memo),
         };
-        self.emit_wcoj_twins(&mut result.plans);
+        if twins {
+            self.emit_wcoj_twins(&mut result.plans);
+        }
         result.total_time = start.elapsed();
         // Best first: more physical structures, then fewer loops.
         let model = CostModel::default();

@@ -120,19 +120,10 @@ pub enum ServeError {
     /// deadline expired while it was still queued on the executor pool (its
     /// slot was never evaluated — no partial rows exist).
     DeadlineExpired,
-    /// A seeded fault hit this request and no retry budget was configured.
+    /// A seeded fault failed this request before it executed.
     FaultInjected {
         /// Request index within the batch.
         request: usize,
-        /// The faulted attempt (0 = first try).
-        attempt: usize,
-    },
-    /// Seeded faults hit every allowed attempt; the retry budget is spent.
-    RetriesExhausted {
-        /// Request index within the batch.
-        request: usize,
-        /// Total attempts made (`max_retries + 1`).
-        attempts: usize,
     },
     /// Execution of the (admitted, in-deadline, non-faulted) plan failed.
     Exec(ExecError),
@@ -152,14 +143,9 @@ impl fmt::Display for ServeError {
                 "admission rejected: plan cost {cost:.1} exceeds budget {budget:.1}"
             ),
             ServeError::DeadlineExpired => write!(f, "deadline expired before evaluation"),
-            ServeError::FaultInjected { request, attempt } => write!(
-                f,
-                "injected fault on request {request} (attempt {attempt}, no retries configured)"
-            ),
-            ServeError::RetriesExhausted { request, attempts } => write!(
-                f,
-                "request {request} exhausted its retry budget after {attempts} faulted attempts"
-            ),
+            ServeError::FaultInjected { request } => {
+                write!(f, "injected fault on request {request}")
+            }
             ServeError::Exec(e) => write!(f, "execution failed: {e}"),
         }
     }
@@ -226,14 +212,7 @@ mod tests {
                 budget: 1.0,
             },
             ServeError::DeadlineExpired,
-            ServeError::FaultInjected {
-                request: 4,
-                attempt: 0,
-            },
-            ServeError::RetriesExhausted {
-                request: 4,
-                attempts: 3,
-            },
+            ServeError::FaultInjected { request: 4 },
             ServeError::Exec(ExecError::NoEvaluableBinding),
         ];
         let classes: Vec<&str> = outcomes
@@ -242,13 +221,9 @@ mod tests {
                 ServeError::Rejected { .. } => "rejected",
                 ServeError::DeadlineExpired => "expired",
                 ServeError::FaultInjected { .. } => "faulted",
-                ServeError::RetriesExhausted { .. } => "exhausted",
                 ServeError::Exec(_) => "exec",
             })
             .collect();
-        assert_eq!(
-            classes,
-            vec!["rejected", "expired", "faulted", "exhausted", "exec"]
-        );
+        assert_eq!(classes, vec!["rejected", "expired", "faulted", "exec"]);
     }
 }

@@ -34,6 +34,6 @@ pub use error::{ExecError, ServeError};
 pub use eval::{
     execute, execute_legacy, execute_wcoj, feed_cost_model, ExecResult, ExecStats, OpStats,
 };
-pub use pressure::{Fault, FaultPlan, ServeConfig};
+pub use pressure::{FaultPlan, ServeConfig};
 pub use serving::{PlanServer, PressureTally, ServeOutcome, ServedPlan, ServedResult};
 pub use wcoj::cmp_value;

@@ -10,9 +10,11 @@
 //! backchase on the template — but not from nothing: the second level, a
 //! [`SkeletonMemo`] keyed by the template's `from` / `where` skeleton, hands
 //! the search every verdict an earlier shape with that skeleton proved that
-//! holds for this one's select list, and keeps what the search proves. The search still chases its own universal plan
-//! and induces its own plans, so what a miss caches is what a cold
-//! optimization would.
+//! holds for this one's select list, and keeps what the search proves. The
+//! search still chases its own universal plan and induces its own plans, so
+//! what a miss caches is what a cold optimization would — its left-deep
+//! plans, the only ones [`execute`] runs: a miss certifies no generic-join
+//! twin.
 //!
 //! [`PlanServer::serve_batch_under`] is the pressure-aware batch path.
 //! Between "a batch of requests" and the worker pool sit three typed,
@@ -26,10 +28,8 @@
 //!    A request whose deadline passes before dispatch, or whose executor
 //!    slot is never evaluated after a cooperative pool stop, comes back as
 //!    [`ServeError::DeadlineExpired`] — never partial rows, never a panic.
-//! 3. **Faults + retry** — a seeded [`FaultPlan`] injects failures and
-//!    delays per (request index, attempt); transient faults are retried up
-//!    to [`ServeConfig::max_retries`], exhaustion surfaces as
-//!    [`ServeError::RetriesExhausted`].
+//! 3. **Faults** — a seeded [`FaultPlan`] fails requests by index before
+//!    they execute; each one surfaces as [`ServeError::FaultInjected`].
 //!
 //! Planning and all gate decisions run on the caller's thread in request
 //! order (they mutate the cache and must be reproducible); execution fans
@@ -39,7 +39,7 @@
 //! executor thread count. Scheduling may reorder *execution*, never
 //! *results*. The `threads` argument is the only source of a thread count.
 
-use cnb_ir::prelude::{ExecStrategy, Query};
+use cnb_ir::prelude::Query;
 
 use cnb_core::cost::CostModel;
 use cnb_core::prelude::{
@@ -53,7 +53,7 @@ use crate::database::Database;
 use crate::error::{ExecError, ServeError};
 use crate::eval::{execute, ExecResult};
 use crate::pool;
-use crate::pressure::{Fault, FaultPlan, ServeConfig};
+use crate::pressure::{FaultPlan, ServeConfig};
 
 /// A plan produced by the serving frontend.
 #[derive(Clone, Debug)]
@@ -67,14 +67,11 @@ pub struct ServedPlan {
 /// One request's outcome in a [`PlanServer::serve_batch`] run.
 pub type ServedResult = Result<(ServedPlan, ExecResult), ServeError>;
 
-/// One request's outcome under pressure: the typed result plus how many
-/// fault retries it absorbed on the way (0 when the first attempt ran).
+/// One request's outcome under pressure.
 #[derive(Clone, Debug)]
 pub struct ServeOutcome {
     /// Rows + plan on success; the typed shed/expiry/fault verdict otherwise.
     pub result: ServedResult,
-    /// Fault retries consumed before the final attempt.
-    pub retries: usize,
 }
 
 /// Aggregate counters over one batch's outcomes — what the pressure tests
@@ -87,14 +84,10 @@ pub struct PressureTally {
     pub rejected: usize,
     /// Deadline expiries ([`ServeError::DeadlineExpired`]).
     pub expired: usize,
-    /// Fault casualties ([`ServeError::FaultInjected`] +
-    /// [`ServeError::RetriesExhausted`]).
+    /// Fault casualties ([`ServeError::FaultInjected`]).
     pub faulted: usize,
     /// Execution errors ([`ServeError::Exec`]).
     pub failed: usize,
-    /// Total fault retries absorbed across the batch (successful requests
-    /// included).
-    pub retries: usize,
 }
 
 impl PressureTally {
@@ -102,13 +95,11 @@ impl PressureTally {
     pub fn of(outcomes: &[ServeOutcome]) -> PressureTally {
         let mut t = PressureTally::default();
         for o in outcomes {
-            t.retries += o.retries;
             match &o.result {
                 Ok(_) => t.served += 1,
                 Err(ServeError::Rejected { .. }) => t.rejected += 1,
                 Err(ServeError::DeadlineExpired) => t.expired += 1,
-                Err(ServeError::FaultInjected { .. })
-                | Err(ServeError::RetriesExhausted { .. }) => t.faulted += 1,
+                Err(ServeError::FaultInjected { .. }) => t.faulted += 1,
                 Err(ServeError::Exec(_)) => t.failed += 1,
             }
         }
@@ -195,13 +186,13 @@ impl PlanServer {
     /// ([`PlanServer::skeletons`]). The returned plan has the request's
     /// constants bound back in and is ready to execute.
     ///
-    /// A miss caches *all* left-deep template plans the optimizer emitted
-    /// (best-first); serving always binds the best one. Generic-join twins
-    /// are left out: a twin shares its sibling's `Query` and `serve` only
-    /// runs `execute`, so it would be a duplicate entry. If optimization
-    /// produced no plan (timeout), the template itself is cached as the
-    /// only plan — the request then executes as written, and so does every
-    /// later request with the same shape.
+    /// A miss caches *all* template plans the optimizer emitted
+    /// (best-first); serving always binds the best one. They are left-deep
+    /// plans only ([`Optimizer::optimize_in`]): `serve` only runs
+    /// [`execute`], so a miss never computes a generic-join twin. If
+    /// optimization produced no plan (timeout), the template itself is
+    /// cached as the only plan — the request then executes as written, and
+    /// so does every later request with the same shape.
     ///
     /// This is the checked door for untrusted requests: one that breaks the
     /// scoping rule ([`Query::validate`]) is handed back as written —
@@ -214,6 +205,11 @@ impl PlanServer {
                 cache_hit: false,
             };
         }
+        self.plan_valid(q)
+    }
+
+    /// [`PlanServer::plan`] behind the door: `q` passed [`Query::validate`].
+    fn plan_valid(&mut self, q: &Query) -> ServedPlan {
         let parameterized = parameterize(q);
         let fp = Fingerprint::with_digest(&parameterized.template, self.constraints);
         if let Some(entry) = self.cache.lookup(&fp, &parameterized.template) {
@@ -225,12 +221,7 @@ impl PlanServer {
         let result =
             self.optimizer
                 .optimize_in(&parameterized.template, &self.config, &mut self.skeletons);
-        let mut plans: Vec<Query> = result
-            .plans
-            .into_iter()
-            .filter(|p| p.strategy == ExecStrategy::LeftDeep)
-            .map(|p| p.query)
-            .collect();
+        let mut plans: Vec<Query> = result.plans.into_iter().map(|p| p.query).collect();
         if plans.is_empty() {
             plans.push(parameterized.template.clone());
         }
@@ -284,7 +275,7 @@ impl PlanServer {
     }
 
     /// Serves a batch under pressure: admission control, per-request
-    /// deadlines on `clock`, and seeded fault injection with bounded retry.
+    /// deadlines on `clock`, and seeded fault injection.
     ///
     /// Phase 1 runs on the caller's thread in request order (planning
     /// mutates the cache): a request that breaks the scoping rule is settled
@@ -297,10 +288,8 @@ impl PlanServer {
     /// re-checks the deadline before evaluating an item and requests a
     /// cooperative pool stop when it has passed, so unevaluated slots come
     /// back as [`ServeError::DeadlineExpired`] instead of panicking (and a
-    /// started request always returns *all* its rows or none). Fault
-    /// verdicts come from `faults` as a pure function of (request index,
-    /// attempt); a `Fail` consumes a retry, a `Delay` stalls the attempt
-    /// without changing its rows.
+    /// started request always returns *all* its rows or none). A request
+    /// `faults` fails, a pure function of its index, is not executed.
     ///
     /// Outcomes come back in request order. With a deterministic clock the
     /// whole outcome vector — admission decisions, fault casualties, and
@@ -325,7 +314,7 @@ impl PlanServer {
             .map(|q| {
                 q.validate()
                     .map_err(|e| ServeError::Exec(ExecError::InvalidQuery(e)))?;
-                let served = self.plan(q);
+                let served = self.plan_valid(q);
                 if let Some(budget) = config.cost_budget {
                     let cost = self.cost_model.cost(&served.plan);
                     if cost > budget {
@@ -350,33 +339,10 @@ impl PlanServer {
                 // unevaluated slot becomes a typed expiry below.
                 return None;
             }
-            let mut attempt = 0usize;
-            loop {
-                match faults.and_then(|f| f.fault_for(request, attempt)) {
-                    Some(Fault::Fail) => {
-                        if attempt >= config.max_retries {
-                            let err = if config.max_retries == 0 {
-                                ServeError::FaultInjected { request, attempt }
-                            } else {
-                                ServeError::RetriesExhausted {
-                                    request,
-                                    attempts: attempt + 1,
-                                }
-                            };
-                            return Some(Some((attempt, Err(err))));
-                        }
-                        attempt += 1;
-                    }
-                    Some(Fault::Delay(d)) => {
-                        // An injected stall: latency changes, rows don't.
-                        std::thread::sleep(d);
-                        break;
-                    }
-                    None => break,
-                }
+            if faults.is_some_and(|f| f.fails(request)) {
+                return Some(Some(Err(ServeError::FaultInjected { request })));
             }
-            let exec = execute(db, &served.plan).map_err(ServeError::Exec);
-            Some(Some((attempt, exec)))
+            Some(Some(execute(db, &served.plan).map_err(ServeError::Exec)))
         });
 
         // An admitted request whose slot was never evaluated (cooperative
@@ -385,12 +351,12 @@ impl PlanServer {
             .into_iter()
             .zip(executed)
             .map(|(verdict, slot)| {
-                let (result, retries) = match (verdict, slot.flatten()) {
-                    (Err(e), _) => (Err(e), 0),
-                    (Ok(_), None) => (Err(ServeError::DeadlineExpired), 0),
-                    (Ok(plan), Some((retries, exec))) => (exec.map(|x| (plan, x)), retries),
+                let result = match (verdict, slot.flatten()) {
+                    (Err(e), _) => Err(e),
+                    (Ok(_), None) => Err(ServeError::DeadlineExpired),
+                    (Ok(plan), Some(exec)) => exec.map(|x| (plan, x)),
                 };
-                ServeOutcome { result, retries }
+                ServeOutcome { result }
             })
             .collect()
     }
@@ -560,32 +526,23 @@ mod tests {
 
     #[test]
     fn tally_reconciles_every_outcome_class() {
-        let outcomes = vec![
-            ServeOutcome {
-                result: Err(ServeError::Rejected {
-                    cost: 9.0,
-                    budget: 1.0,
-                }),
-                retries: 0,
-            },
-            ServeOutcome {
-                result: Err(ServeError::DeadlineExpired),
-                retries: 0,
-            },
-            ServeOutcome {
-                result: Err(ServeError::RetriesExhausted {
-                    request: 2,
-                    attempts: 3,
-                }),
-                retries: 2,
-            },
-        ];
+        let outcomes: Vec<ServeOutcome> = [
+            Err(ServeError::Rejected {
+                cost: 9.0,
+                budget: 1.0,
+            }),
+            Err(ServeError::DeadlineExpired),
+            Err(ServeError::FaultInjected { request: 2 }),
+            Err(ServeError::Exec(ExecError::NoEvaluableBinding)),
+        ]
+        .into_iter()
+        .map(|result| ServeOutcome { result })
+        .collect();
         let t = PressureTally::of(&outcomes);
         assert_eq!(
             (t.served, t.rejected, t.expired, t.faulted, t.failed),
-            (0, 1, 1, 1, 0)
+            (0, 1, 1, 1, 1)
         );
-        assert_eq!(t.retries, 2);
         assert_eq!(t.total(), outcomes.len());
     }
 }

@@ -1,9 +1,9 @@
 //! Integration tests for the serving robustness layer: admission control,
-//! deadlines on the injectable clock, seeded fault injection with bounded
-//! retry, and the bounded plan cache's eviction/re-optimization behavior.
+//! deadlines on the injectable clock, seeded fault injection, and the
+//! bounded plan cache's eviction/re-optimization behavior.
 //!
 //! Tests here share one process, and several audit the process-wide
-//! `chase_and_backchase_runs` counter or assert exact retry/latency
+//! `chase_and_backchase_runs` counter or assert exact fault/expiry
 //! schedules — so every test serializes on [`serial`]. Determinism claims
 //! are always checked the hard way: run twice, compare everything.
 
@@ -105,17 +105,14 @@ fn server(schema: &Schema) -> PlanServer {
     )
 }
 
-/// Outcome classes + retries, for whole-batch determinism comparisons
-/// (rows are compared separately where relevant).
-fn classes(outcomes: &[ServeOutcome]) -> Vec<(String, usize)> {
+/// Outcome classes, for whole-batch determinism comparisons (rows are
+/// compared separately where relevant).
+fn classes(outcomes: &[ServeOutcome]) -> Vec<String> {
     outcomes
         .iter()
-        .map(|o| {
-            let c = match &o.result {
-                Ok((_, exec)) => format!("ok:{}", exec.rows.len()),
-                Err(e) => format!("err:{e:?}"),
-            };
-            (c, o.retries)
+        .map(|o| match &o.result {
+            Ok((_, exec)) => format!("ok:{}", exec.rows.len()),
+            Err(e) => format!("err:{e:?}"),
         })
         .collect()
 }
@@ -393,7 +390,7 @@ fn expired_before_dispatch_is_caught_in_phase_one() {
 // ---------------------------------------------------------------- faults --
 
 #[test]
-fn transient_faults_are_retried_to_byte_identical_success() {
+fn unfaulted_requests_are_byte_identical_to_a_fault_free_run() {
     let _guard = serial();
     let schema = schema(1);
     let db = db(&schema, 1);
@@ -406,41 +403,41 @@ fn transient_faults_are_retried_to_byte_identical_success() {
             .collect()
     };
     let plan = FaultPlan::failures(0xBEEF, 0.3);
-    let budget = 12usize; // far beyond any 30%-streak in 30 requests
-    assert!(
-        (0..requests.len()).all(|i| plan.leading_failures(i) <= budget),
-        "pick a seed whose streaks fit the retry budget"
-    );
     for threads in [1, 4] {
         let mut s = server(&schema);
         let outcomes = s.serve_batch_under(
             &db,
             &requests,
             threads,
-            &ServeConfig::unbounded().with_max_retries(budget),
+            &ServeConfig::unbounded(),
             &VirtualClock::frozen(),
             Some(&plan),
         );
-        let mut total_retries = 0usize;
         for (i, o) in outcomes.iter().enumerate() {
-            let (_, exec) = o
-                .result
-                .as_ref()
-                .unwrap_or_else(|e| panic!("threads={threads} request {i}: {e}"));
-            assert_eq!(exec.rows, fault_free[i], "rows diverged after retries");
-            assert_eq!(
-                o.retries,
-                plan.leading_failures(i),
-                "request {i}: retries must equal the injected failure streak"
-            );
-            total_retries += o.retries;
+            if plan.fails(i) {
+                assert_eq!(
+                    o.result.as_ref().err(),
+                    Some(&ServeError::FaultInjected { request: i }),
+                    "threads={threads} request {i}"
+                );
+            } else {
+                let (_, exec) = o
+                    .result
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("threads={threads} request {i}: {e}"));
+                assert_eq!(exec.rows, fault_free[i], "rows diverged beside a fault");
+            }
         }
-        assert!(total_retries > 0, "seed must actually inject something");
+        let tally = PressureTally::of(&outcomes);
+        assert!(
+            tally.faulted > 0 && tally.served > 0,
+            "the seed must fail some requests and spare others: {tally:?}"
+        );
     }
 }
 
 #[test]
-fn exhausted_retries_and_zero_budget_faults_are_typed() {
+fn injected_faults_are_typed() {
     let _guard = serial();
     let schema = schema(1);
     let db = db(&schema, 1);
@@ -452,72 +449,20 @@ fn exhausted_retries_and_zero_budget_faults_are_typed() {
         &db,
         &requests,
         1,
-        &ServeConfig::unbounded().with_max_retries(2),
+        &ServeConfig::unbounded(),
         &VirtualClock::frozen(),
         Some(&always),
     );
     for (i, o) in outcomes.iter().enumerate() {
         assert_eq!(
             o.result.as_ref().err(),
-            Some(&ServeError::RetriesExhausted {
-                request: i,
-                attempts: 3
-            })
+            Some(&ServeError::FaultInjected { request: i })
         );
-        assert_eq!(o.retries, 2);
     }
     let tally = PressureTally::of(&outcomes);
-    assert_eq!((tally.faulted, tally.retries), (2, 4));
-
-    // With no retry budget the first fault surfaces as FaultInjected.
-    let outcomes = s.serve_batch_under(
-        &db,
-        &requests,
-        1,
-        &ServeConfig::unbounded(),
-        &VirtualClock::frozen(),
-        Some(&always),
-    );
-    for (i, o) in outcomes.iter().enumerate() {
-        assert_eq!(
-            o.result.as_ref().err(),
-            Some(&ServeError::FaultInjected {
-                request: i,
-                attempt: 0
-            })
-        );
-        assert_eq!(o.retries, 0);
-    }
-}
-
-#[test]
-fn injected_delays_change_latency_not_rows() {
-    let _guard = serial();
-    let schema = schema(1);
-    let db = db(&schema, 1);
-    let requests: Vec<Query> = (0..6).map(|i| point(0, i as i64)).collect();
-    let fault_free: Vec<Vec<Value>> = {
-        let mut s = server(&schema);
-        s.serve_batch(&db, &requests, 1)
-            .into_iter()
-            .map(|r| r.unwrap().1.rows)
-            .collect()
-    };
-    let delays = FaultPlan::failures(11, 0.0).with_delays(1.0, Duration::from_micros(200));
-    let mut s = server(&schema);
-    let outcomes = s.serve_batch_under(
-        &db,
-        &requests,
-        2,
-        &ServeConfig::unbounded(),
-        &VirtualClock::frozen(),
-        Some(&delays),
-    );
-    for (i, o) in outcomes.iter().enumerate() {
-        let (_, exec) = o.result.as_ref().expect("delays must not fail requests");
-        assert_eq!(exec.rows, fault_free[i]);
-        assert_eq!(o.retries, 0, "a delay is not a retry");
-    }
+    assert_eq!((tally.faulted, tally.total()), (2, 2));
+    // A fault strikes at execution: both requests were planned first.
+    assert_eq!((s.cache().misses(), s.cache().hits()), (1, 1));
 }
 
 // ------------------------------------------- bounded cache, end to end --
@@ -621,8 +566,7 @@ fn every_pressure_combination_reconciles_and_reproduces() {
     };
     let cfg = ServeConfig::unbounded()
         .with_cost_budget(budget)
-        .with_deadline(Duration::from_millis(40))
-        .with_max_retries(3);
+        .with_deadline(Duration::from_millis(40));
     let plan = FaultPlan::failures(0x50DA, 0.4);
     let run = |threads: usize| {
         let mut s = server(&schema)

@@ -127,8 +127,8 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # Pressure tier: the serving robustness layer. Admission control, deadlines
 # on the injectable clock (frozen = byte-identical at every thread count,
 # ticking = deterministic expiry + panic-free mid-batch cooperative stops),
-# seeded fault injection with bounded retry, and the bounded plan cache's
-# eviction/re-optimization audits.
+# seeded fault injection (a failed request is typed, its neighbours' rows
+# untouched), and the bounded plan cache's eviction/re-optimization audits.
 tier "pressure suite (admission/deadlines/faults/eviction)"
 cargo test -q -p cnb-engine --test pressure
 cargo test -q --test property_based -- \
@@ -148,8 +148,8 @@ cargo test --release -q -p cnb-engine --test door
 # Backchase kernel tier, release profile: the six files that hold a change
 # to the congruence closure, the homomorphism search, subquery induction, the
 # lattice's borders (and the memo that keeps them across searches) or the
-# bottom-up search's pricing to "same search, no garbage". alloc_audit counts heap allocations per explored candidate on the
-# four full-backchase benchmark points and per explored-or-pruned candidate
+# bottom-up search's pricing to "same search, no garbage". alloc_audit
+# counts heap allocations per explored candidate on the four full-backchase benchmark points and per explored-or-pruned candidate
 # on the bottom-up pass of the two measured ones (its ceilings are asserted
 # in release only — a debug build validates every induced query and re-proves
 # every inferred verdict); plan_text_golden pins every plan's text, order,
@@ -166,8 +166,9 @@ cargo test --release -q -p cnb-engine --test door
 # server's second cache level (verdict borders kept per query skeleton) to
 # cold optimization on all 64 EC2 select arrangements and the other four
 # families, audits that a select set already proved runs no chase, and
-# checks that nothing crosses to another skeleton — in release, where
-# imported verdicts are trusted, not re-proved. The debug profile runs all
+# checks that nothing crosses to another skeleton and that a miss computes
+# no generic-join twin — in release, where imported verdicts are trusted,
+# not re-proved. The debug profile runs all
 # six as part of `cargo test -q` below.
 tier "alloc audit + plan-text golden + induction differential + floor soundness/differential + skeleton memo, release profile"
 cargo test --release -q --test alloc_audit --test plan_text_golden --test induction_differential \

@@ -1003,8 +1003,7 @@ fn fault_free_requests_are_byte_identical_at_every_thread_count() {
                 let n = rng.gen_range(5usize..30);
                 let requests: Vec<Query> = (0..n).map(|_| request(rng)).collect();
                 let plan = FaultPlan::failures(rng.next_u64(), 0.35);
-                let retries = rng.gen_range(0usize..3);
-                let cfg = ServeConfig::unbounded().with_max_retries(retries);
+                let cfg = ServeConfig::unbounded();
 
                 let fault_free: Vec<Vec<Value>> = mk_server()
                     .serve_batch(db, &requests, 1)
@@ -1012,9 +1011,7 @@ fn fault_free_requests_are_byte_identical_at_every_thread_count() {
                     .map(|r| r.unwrap().1.rows)
                     .collect();
                 // Which requests survive is decided by the plan alone.
-                let survives: Vec<bool> = (0..n)
-                    .map(|i| plan.leading_failures(i) <= retries)
-                    .collect();
+                let survives: Vec<bool> = (0..n).map(|i| !plan.fails(i)).collect();
 
                 let mut baseline: Option<Vec<String>> = None;
                 for threads in [1usize, 2, 4, 8] {
@@ -1036,12 +1033,11 @@ fn fault_free_requests_are_byte_identical_at_every_thread_count() {
                                     exec.rows, fault_free[i],
                                     "threads={threads} request {i}: fault-free request diverged"
                                 );
-                                format!("ok:{:?}:{}", exec.rows, o.retries)
+                                format!("ok:{:?}", exec.rows)
                             }
-                            Err(e @ ServeError::FaultInjected { .. })
-                            | Err(e @ ServeError::RetriesExhausted { .. }) => {
+                            Err(e @ ServeError::FaultInjected { .. }) => {
                                 assert!(!survives[i], "request {i} faulted unexpectedly");
-                                format!("fault:{e:?}:{}", o.retries)
+                                format!("fault:{e:?}")
                             }
                             Err(e) => panic!("threads={threads} request {i}: unexpected {e:?}"),
                         })
