@@ -17,8 +17,9 @@
 //!   once and embedded; the scan matches its entries in the logic crates'
 //!   lexed source ([`strip`] removes comments and literal contents), takes
 //!   `#[expect(clippy::disallowed_*)]` on the line above as the only
-//!   sanction, reports stale ones, and propagates every unsanctioned needle
-//!   to its callers over a scraped call graph ([`callgraph`]).
+//!   sanction, and reports every unsanctioned needle and every stale
+//!   attribute at its own line, plus any wall-clock read in the serving
+//!   layer.
 //! - [`agm`]: the AGM-bound plan certifier — exact rational fractional
 //!   edge covers (the checked-arithmetic solver lives in
 //!   [`cnb_ir::cover`]) over [`cnb_ir::hypergraph`] exports, certifying
@@ -35,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod agm;
-pub mod callgraph;
 pub mod report;
 pub mod strip;
 pub mod suite;

@@ -34,7 +34,7 @@ impl AnalysisReport {
     /// The full report as one stable-field-order JSON document.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
-        s.push_str("{\n  \"version\": 2,\n");
+        s.push_str("{\n  \"version\": 3,\n");
         // taint
         s.push_str("  \"taint\": {\"count\": ");
         s.push_str(&self.taint.len().to_string());
@@ -44,16 +44,10 @@ impl AnalysisReport {
                 s.push_str(", ");
             }
             s.push_str(&format!(
-                "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"function\": {}, \"path\": [{}], \"snippet\": {}}}",
+                "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"snippet\": {}}}",
                 json_str(&f.file),
                 f.line,
                 json_str(f.rule),
-                json_str(&f.function),
-                f.path
-                    .iter()
-                    .map(|p| json_str(p))
-                    .collect::<Vec<_>>()
-                    .join(", "),
                 json_str(&f.snippet)
             ));
         }
@@ -204,7 +198,7 @@ mod tests {
         };
         assert!(r.ok());
         let j = r.to_json();
-        assert!(j.contains("\"version\": 2"), "{j}");
+        assert!(j.contains("\"version\": 3"), "{j}");
         assert!(j.contains("\"ok\": true"), "{j}");
         assert!(j.ends_with("}\n"), "{j}");
     }
@@ -216,8 +210,6 @@ mod tests {
                 file: "x.rs".into(),
                 line: 1,
                 rule: "std::time::Instant::now",
-                function: "f".into(),
-                path: vec!["f".into()],
                 snippet: "bad".into(),
             }],
             validate: Ok(vec![]),

@@ -7,10 +7,9 @@
 //! string literals (`r#"…"#`) false-positived as code. This module walks
 //! the source once with a small state machine — nested `/* */`, line
 //! comments, plain/byte/raw strings with arbitrary `#` counts, char
-//! literals vs. lifetimes — and produces a per-line split of *code text*
-//! (string/char contents blanked, comments removed) and *comment text*.
-//! Both sides preserve line numbers exactly, so findings point at real
-//! source lines.
+//! literals vs. lifetimes — and produces each line's *code text* (string
+//! and char contents blanked, comments removed). Line numbers are kept
+//! exactly, so findings point at real source lines.
 
 /// One physical source line after lexical classification.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -18,8 +17,6 @@ pub struct StrippedLine {
     /// The line's code with comments removed and literal contents blanked
     /// (quotes kept, so `"…"` stays a token boundary).
     pub code: String,
-    /// The line's comment text (contents of `//` and `/* */` segments).
-    pub comment: String,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -40,11 +37,11 @@ fn ident_like(c: Option<char>) -> bool {
     matches!(c, Some(ch) if ch.is_alphanumeric() || ch == '_')
 }
 
-/// Splits source text into per-line code and comment channels.
+/// Splits source text into lines of code, comments and literal contents
+/// stripped.
 pub fn strip_source(src: &str) -> Vec<StrippedLine> {
     let mut out: Vec<StrippedLine> = Vec::new();
     let mut code = String::new();
-    let mut comment = String::new();
     let mut mode = Mode::Code;
     let mut prev: Option<char> = None;
     let chars: Vec<char> = src.chars().collect();
@@ -58,7 +55,6 @@ pub fn strip_source(src: &str) -> Vec<StrippedLine> {
             }
             out.push(StrippedLine {
                 code: std::mem::take(&mut code),
-                comment: std::mem::take(&mut comment),
             });
             prev = None;
             i += 1;
@@ -128,10 +124,7 @@ pub fn strip_source(src: &str) -> Vec<StrippedLine> {
                     i += 1;
                 }
             }
-            Mode::LineComment => {
-                comment.push(c);
-                i += 1;
-            }
+            Mode::LineComment => i += 1,
             Mode::BlockComment(depth) => {
                 let next = chars.get(i + 1).copied();
                 if c == '*' && next == Some('/') {
@@ -145,7 +138,6 @@ pub fn strip_source(src: &str) -> Vec<StrippedLine> {
                     mode = Mode::BlockComment(depth + 1);
                     i += 2;
                 } else {
-                    comment.push(c);
                     i += 1;
                 }
             }
@@ -190,8 +182,8 @@ pub fn strip_source(src: &str) -> Vec<StrippedLine> {
             }
         }
     }
-    if !code.is_empty() || !comment.is_empty() || mode != Mode::Code {
-        out.push(StrippedLine { code, comment });
+    if !code.is_empty() || mode != Mode::Code {
+        out.push(StrippedLine { code });
     }
     out
 }
@@ -205,10 +197,8 @@ mod tests {
     }
 
     #[test]
-    fn line_comments_split_into_the_comment_channel() {
-        let lines = strip_source("let x = 1; // trailing note\n");
-        assert_eq!(lines[0].code, "let x = 1; ");
-        assert_eq!(lines[0].comment, " trailing note");
+    fn line_comments_are_dropped() {
+        assert_eq!(codes("let x = 1; // trailing note\n")[0], "let x = 1; ");
     }
 
     #[test]
@@ -217,7 +207,6 @@ mod tests {
         let lines = strip_source(src);
         assert_eq!(lines[0].code, "a();");
         assert_eq!(lines[1].code, " ", "comment-open leaves a space token");
-        assert_eq!(lines[1].comment, " one");
         assert_eq!(lines[2].code, " b();", "code after */ must be kept");
     }
 
@@ -230,9 +219,7 @@ mod tests {
     #[test]
     fn string_contents_are_blanked_but_quotes_remain() {
         let src = "let s = \"Instant::now() // not code\"; y();\n";
-        let lines = strip_source(src);
-        assert_eq!(lines[0].code, "let s = \"\"; y();");
-        assert_eq!(lines[0].comment, "");
+        assert_eq!(codes(src)[0], "let s = \"\"; y();");
     }
 
     #[test]

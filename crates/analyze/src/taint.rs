@@ -1,6 +1,5 @@
 //! The determinism scan: `clippy.toml`'s ban list, matched line by line in
-//! the four logic crates and the experiment harness, and propagated over the
-//! scraped call graph.
+//! the four logic crates and the experiment harness.
 //!
 //! Byte-identical output at every thread count is a repo-level invariant,
 //! and the cheapest way to lose it is an innocent-looking
@@ -8,8 +7,9 @@
 //! changes per process), a wall-clock read feeding a decision, or an
 //! environment read. `clippy.toml` lists these once. Clippy enforces the
 //! list by type under `-D warnings`; this scan enforces the same entries
-//! (the file is embedded with `include_str!`) where clippy cannot look:
-//! through the helpers that wrap them.
+//! (the file is embedded with `include_str!`) over the source text, and
+//! adds the one rule clippy cannot state: no wall-clock read in the
+//! serving layer, sanctioned or not.
 //!
 //! - **Needles.** A `disallowed-types` entry matches by its last path
 //!   segment (`HashMap`), a `disallowed-methods` entry by its last two
@@ -22,22 +22,19 @@
 //!   attribute clippy checks, so a stale one fails the clippy tier ("this
 //!   lint expectation is unfulfilled"); it is reported here too, as
 //!   `stale-expect`, when the next line holds no needle of its list.
-//! - **Propagation.** An unsanctioned needle is flagged at its line, and its
-//!   enclosing function becomes a *source*: findings flow callee→caller over
-//!   the [`crate::callgraph`] edges, so nondeterminism reached through a
-//!   helper is flagged at every caller, with the call chain. A sanctioned
-//!   needle sources nothing — the annotated site is the boundary.
+//! - **Every finding is at its line.** An unsanctioned needle is flagged
+//!   where it is written. A helper that wraps one is flagged inside the
+//!   helper, so the scan already fails; its callers need no report of
+//!   their own.
 //! - **`serving-clock`.** Deadline decisions in the serving layer must flow
 //!   through the injectable `cnb_engine::clock::Clock`: a `std::time::`
-//!   needle in [`SERVING_CLOCK_FILES`] is flagged **annotated or not**, and
-//!   unsanctioned wall-clock taint that reaches a function defined there —
-//!   through any helper chain, in any file — is flagged at that function.
+//!   needle in [`SERVING_CLOCK_FILES`] is flagged **annotated or not**.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::callgraph::{build_graph, CallGraph};
+use crate::strip::strip_source;
 
 /// The ban list clippy reads, embedded so that the two cannot disagree.
 const CLIPPY_TOML: &str = include_str!("../../../clippy.toml");
@@ -55,8 +52,8 @@ const SCANNED_CRATES: [&str; 5] = [
     "crates/workloads",
 ];
 
-/// Files whose functions form the serving layer. Matched by suffix so both
-/// workspace-relative names and bare paths qualify.
+/// The serving layer's files. Matched by suffix so both workspace-relative
+/// names and bare paths qualify.
 pub const SERVING_CLOCK_FILES: [&str; 2] = [
     "crates/engine/src/serving.rs",
     "crates/engine/src/pressure.rs",
@@ -157,24 +154,17 @@ fn serving_scope(file: &str) -> bool {
         .any(|f| norm == *f || norm.ends_with(&format!("/{f}")))
 }
 
-/// One finding: a needle (or stale attribute) at its line, or a function
-/// that transitively calls into an unsanctioned needle.
+/// One finding: a needle, or a stale attribute, at its line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaintFinding {
     /// File of the flagged line.
     pub file: String,
-    /// 1-based line: the needle (or attribute) line for direct findings, the
-    /// function header for propagated ones.
+    /// 1-based line of the needle (or attribute).
     pub line: usize,
     /// The `clippy.toml` path of the entry that fired, or `serving-clock`,
     /// or `stale-expect`.
     pub rule: &'static str,
-    /// Qualified name of the flagged function (`<file scope>` outside any
-    /// function).
-    pub function: String,
-    /// Call path from the flagged function down to the source function.
-    pub path: Vec<String>,
-    /// The flagged source line, or the relaying call (propagated).
+    /// The flagged source line, trimmed.
     pub snippet: String,
 }
 
@@ -182,58 +172,9 @@ impl std::fmt::Display for TaintFinding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}:{}: tainted [{}] {}: {}",
-            self.file,
-            self.line,
-            self.rule,
-            self.path.join(" -> "),
-            self.snippet
+            "{}:{}: [{}] {}",
+            self.file, self.line, self.rule, self.snippet
         )
-    }
-}
-
-/// A needle occurrence.
-struct Source<'f> {
-    rule: &'static str,
-    file: &'f str,
-    line: usize,
-    fn_idx: Option<usize>,
-    snippet: String,
-    /// Under the `#[expect]` of its list.
-    sanctioned: bool,
-}
-
-/// A finding at one source line, attributed to its enclosing function.
-fn at_line(
-    g: &CallGraph,
-    file: &str,
-    line: usize,
-    rule: &'static str,
-    snippet: String,
-) -> TaintFinding {
-    let fn_idx = g.enclosing(file, line);
-    TaintFinding {
-        file: file.to_string(),
-        line,
-        rule,
-        function: fn_idx.map_or_else(|| "<file scope>".to_string(), |i| g.fns[i].qualified()),
-        path: fn_idx
-            .map(|i| vec![g.fns[i].qualified()])
-            .unwrap_or_default(),
-        snippet,
-    }
-}
-
-/// A finding at a function that reaches a source through `chain`.
-fn relayed(g: &CallGraph, chain: &[usize], rule: &'static str) -> TaintFinding {
-    let f = &g.fns[chain[0]];
-    TaintFinding {
-        file: f.file.clone(),
-        line: f.line,
-        rule,
-        function: f.qualified(),
-        path: chain.iter().map(|&i| g.fns[i].qualified()).collect(),
-        snippet: format!("calls {}", g.fns[chain[1]].qualified()),
     }
 }
 
@@ -241,17 +182,21 @@ fn relayed(g: &CallGraph, chain: &[usize], rule: &'static str) -> TaintFinding {
 /// production, seeded corpora in tests.
 pub fn taint_files(files: &[(String, String)]) -> Vec<TaintFinding> {
     let rules = rules();
-    let g = build_graph(files);
     let mut out: Vec<TaintFinding> = Vec::new();
-
-    let mut sources: Vec<Source> = Vec::new();
     for (path, text) in files {
-        let lines = &g.lines[path];
+        let lines = strip_source(text);
         let raws: Vec<&str> = text.lines().collect();
-        let snippet = |idx: usize| {
-            raws.get(idx)
-                .map(|s| s.trim().to_string())
-                .unwrap_or_default()
+        let serving = serving_scope(path);
+        let mut flag = |idx: usize, rule: &'static str| {
+            out.push(TaintFinding {
+                file: path.clone(),
+                line: idx + 1,
+                rule,
+                snippet: raws
+                    .get(idx)
+                    .map(|s| s.trim().to_string())
+                    .unwrap_or_default(),
+            });
         };
         let has_needle = |idx: usize, lint: Lint| {
             lines.get(idx).is_some_and(|l| {
@@ -263,62 +208,18 @@ pub fn taint_files(files: &[(String, String)]) -> Vec<TaintFinding> {
         for (idx, l) in lines.iter().enumerate() {
             let above = idx.checked_sub(1).map(|i| lines[i].code.trim());
             for r in rules.iter().filter(|r| contains_token(&l.code, r.needle)) {
-                sources.push(Source {
-                    rule: r.path,
-                    file: path,
-                    line: idx + 1,
-                    fn_idx: g.enclosing(path, idx + 1),
-                    snippet: snippet(idx),
-                    sanctioned: above == Some(r.lint.expect_attr()),
-                });
+                if above != Some(r.lint.expect_attr()) {
+                    flag(idx, r.path);
+                }
+                if serving && r.path.starts_with(WALL_CLOCK) {
+                    flag(idx, SERVING_CLOCK);
+                }
             }
             for lint in [Lint::Types, Lint::Methods] {
                 if l.code.trim() == lint.expect_attr() && !has_needle(idx + 1, lint) {
-                    out.push(at_line(&g, path, idx + 1, STALE_EXPECT, snippet(idx)));
+                    flag(idx, STALE_EXPECT);
                 }
             }
-        }
-    }
-
-    // Unsanctioned needles flag their line and propagate to every
-    // transitive caller, one entry at a time.
-    let callers = g.callers();
-    for r in &rules {
-        let roots: Vec<&Source> = sources
-            .iter()
-            .filter(|s| s.rule == r.path && !s.sanctioned)
-            .collect();
-        for s in &roots {
-            out.push(at_line(&g, s.file, s.line, r.path, s.snippet.clone()));
-        }
-        for chain in propagate(&g, &callers, roots.iter().filter_map(|s| s.fn_idx)) {
-            out.push(relayed(&g, &chain, r.path));
-        }
-    }
-
-    // serving-clock: every wall-clock needle in a serving file, sanctioned
-    // or not, and every serving-layer function that unsanctioned wall-clock
-    // taint reaches.
-    let clock: Vec<&Source> = sources
-        .iter()
-        .filter(|s| s.rule.starts_with(WALL_CLOCK))
-        .collect();
-    for s in clock.iter().filter(|s| serving_scope(s.file)) {
-        out.push(at_line(
-            &g,
-            s.file,
-            s.line,
-            SERVING_CLOCK,
-            s.snippet.clone(),
-        ));
-    }
-    let clock_roots = clock
-        .iter()
-        .filter(|s| !s.sanctioned)
-        .filter_map(|s| s.fn_idx);
-    for chain in propagate(&g, &callers, clock_roots) {
-        if serving_scope(&g.fns[chain[0]].file) {
-            out.push(relayed(&g, &chain, SERVING_CLOCK));
         }
     }
 
@@ -333,40 +234,6 @@ pub fn taint_files(files: &[(String, String)]) -> Vec<TaintFinding> {
         (a.file.as_str(), a.line, rank(a.rule)).cmp(&(b.file.as_str(), b.line, rank(b.rule)))
     });
     out.dedup();
-    out
-}
-
-/// BFS callee→caller from `roots`; returns, for each newly tainted function,
-/// its (shortest, first-found) chain down to a root, the function first.
-fn propagate(
-    g: &CallGraph,
-    callers: &[Vec<usize>],
-    roots: impl Iterator<Item = usize>,
-) -> Vec<Vec<usize>> {
-    let mut chain: Vec<Option<Vec<usize>>> = vec![None; g.fns.len()];
-    let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    for r in roots {
-        if chain[r].is_none() {
-            chain[r] = Some(vec![r]);
-            queue.push_back(r);
-        }
-    }
-    let mut out = Vec::new();
-    while let Some(cur) = queue.pop_front() {
-        let mut cs = callers[cur].clone();
-        cs.sort_unstable();
-        for caller in cs {
-            if chain[caller].is_some() {
-                continue;
-            }
-            let mut c = vec![caller];
-            c.extend(chain[cur].as_ref().expect("visited").iter().copied());
-            chain[caller] = Some(c.clone());
-            out.push(c);
-            queue.push_back(caller);
-        }
-    }
-    out.sort_by_key(|c| (g.fns[c[0]].file.clone(), g.fns[c[0]].line));
     out
 }
 
@@ -457,6 +324,11 @@ mod tests {
         run(&[("a.rs", src)])
     }
 
+    /// `(line, rule)` of every finding, in report order.
+    fn lines_and_rules(found: &[TaintFinding]) -> Vec<(usize, &'static str)> {
+        found.iter().map(|f| (f.line, f.rule)).collect()
+    }
+
     #[test]
     fn rule_table_is_clippy_toml_entry_by_entry() {
         let table: Vec<(&str, &str, Lint)> =
@@ -490,9 +362,7 @@ mod tests {
     fn every_rule_fires_on_a_seeded_violation() {
         for r in rules() {
             let found = one(format!("fn f() {{\n    let x = {}();\n}}\n", r.needle));
-            assert_eq!(found.len(), 1, "{}: {found:?}", r.path);
-            assert_eq!((found[0].rule, found[0].line), (r.path, 2));
-            assert_eq!(found[0].function, "f");
+            assert_eq!(lines_and_rules(&found), vec![(2, r.path)], "{}", r.path);
             // …and the `#[expect]` of its own list sanctions it.
             let sanctioned = format!(
                 "fn f() {{\n    {}\n    let x = {}();\n}}\n",
@@ -510,8 +380,10 @@ mod tests {
             needle("std::collections::HashSet")
         );
         let found = one(src);
-        let rules: Vec<(&str, usize)> = found.iter().map(|f| (f.rule, f.line)).collect();
-        assert_eq!(rules, vec![("std::collections::HashSet", 1)]);
+        assert_eq!(
+            lines_and_rules(&found),
+            vec![(1, "std::collections::HashSet")]
+        );
     }
 
     #[test]
@@ -561,11 +433,9 @@ mod tests {
             Lint::Types.expect_attr(),
             clock_needle()
         );
-        let found = one(src);
-        let rules: Vec<(&str, usize)> = found.iter().map(|f| (f.rule, f.line)).collect();
         assert_eq!(
-            rules,
-            vec![("stale-expect", 1), ("std::time::Instant::now", 2)]
+            lines_and_rules(&one(src)),
+            vec![(1, "stale-expect"), (2, "std::time::Instant::now")]
         );
     }
 
@@ -573,10 +443,9 @@ mod tests {
     fn expect_over_a_clean_line_is_stale() {
         for attr in [expect_methods(), Lint::Types.expect_attr()] {
             let found = one(format!("{attr}\nlet a = 1;\n"));
-            let rules: Vec<(&str, usize)> = found.iter().map(|f| (f.rule, f.line)).collect();
             assert_eq!(
-                rules,
-                vec![("stale-expect", 1)],
+                lines_and_rules(&found),
+                vec![(1, "stale-expect")],
                 "reported at the attribute"
             );
         }
@@ -607,9 +476,10 @@ mod tests {
         let attr = format!("fn f() {{\n    {}\n{n}\n}}\n", expect_methods());
         assert!(one(attr).is_empty());
         let comment = format!("fn f() {{\n    // cnb-lint: allow(wall-clock)\n{n}\n}}\n");
-        let found = one(comment);
-        let rules: Vec<(&str, usize)> = found.iter().map(|f| (f.rule, f.line)).collect();
-        assert_eq!(rules, vec![("std::time::Instant::now", 3)]);
+        assert_eq!(
+            lines_and_rules(&one(comment)),
+            vec![(3, "std::time::Instant::now")]
+        );
     }
 
     #[test]
@@ -638,9 +508,7 @@ mod tests {
             "fn knob() -> bool {{\n    {}\n    true\n}}\n",
             expect_methods()
         );
-        let found = one(stale);
-        let rules: Vec<(&str, usize)> = found.iter().map(|f| (f.rule, f.line)).collect();
-        assert_eq!(rules, vec![("stale-expect", 2)]);
+        assert_eq!(lines_and_rules(&one(stale)), vec![(2, "stale-expect")]);
     }
 
     #[test]
@@ -679,38 +547,35 @@ mod tests {
 
     #[test]
     fn violation_display_is_greppable() {
-        let src = format!("fn f() {{ {}().id() }}\n", needle("std::thread::current"));
-        let shown = one(src)[0].to_string();
-        assert!(shown.contains("a.rs:1"), "{shown}");
-        assert!(shown.contains("[std::thread::current] f"), "{shown}");
+        let n = needle("std::thread::current");
+        let shown = one(format!("fn f() {{ {n}().id() }}\n"))[0].to_string();
+        assert_eq!(
+            shown,
+            format!("a.rs:1: [std::thread::current] fn f() {{ {n}().id() }}")
+        );
     }
 
     #[test]
     fn direct_source_flags_needle_and_function() {
         let src = format!("fn hot() {{\n    let t = {};\n}}\n", clock_needle());
         let found = one(src);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].rule, "std::time::Instant::now");
-        assert_eq!(found[0].line, 2);
-        assert_eq!(found[0].function, "hot");
+        assert_eq!(
+            lines_and_rules(&found),
+            vec![(2, "std::time::Instant::now")]
+        );
+        assert_eq!(found[0].snippet, format!("let t = {};", clock_needle()));
     }
 
     #[test]
-    fn taint_propagates_through_one_helper() {
+    fn a_helper_is_flagged_at_its_needle_not_at_its_callers() {
         let src = format!(
             "fn helper() -> u64 {{\n    let t = {};\n    0\n}}\nfn caller() {{\n    let x = helper();\n}}\n",
             clock_needle()
         );
-        let found = one(src);
-        // Needle finding at line 2 + propagated finding at `caller`.
-        assert_eq!(found.len(), 2, "{found:?}");
-        let prop = found
-            .iter()
-            .find(|f| f.function == "caller")
-            .expect("caller flagged");
-        assert_eq!(prop.rule, "std::time::Instant::now");
-        assert_eq!(prop.path, vec!["caller", "helper"]);
-        assert_eq!(prop.snippet, "calls helper");
+        assert_eq!(
+            lines_and_rules(&one(src)),
+            vec![(2, "std::time::Instant::now")]
+        );
     }
 
     #[test]
@@ -725,8 +590,9 @@ mod tests {
 
     #[test]
     fn sinks_absorb_instead_of_relaying() {
-        // The annotated read in `WallClock::start` is the boundary: its
-        // caller stays clean. Without the annotation both are flagged.
+        // The annotated read in `WallClock::start` is the whole site: with
+        // the attribute nothing fires, without it the read alone does —
+        // never its caller.
         let src = |attr: &str| {
             format!(
                 "impl WallClock {{\n    fn start() -> Self {{\n        {attr}\n        let t = {};\n        WallClock\n    }}\n}}\nfn boot() {{\n    let c = WallClock::start();\n}}\n",
@@ -735,8 +601,10 @@ mod tests {
         };
         assert!(run(&[("clock.rs", src(expect_methods()))]).is_empty());
         let found = run(&[("clock.rs", src(""))]);
-        let flagged: Vec<&str> = found.iter().map(|f| f.function.as_str()).collect();
-        assert_eq!(flagged, vec!["WallClock::start", "boot"], "{found:?}");
+        assert_eq!(
+            lines_and_rules(&found),
+            vec![(4, "std::time::Instant::now")]
+        );
     }
 
     #[test]
@@ -763,30 +631,33 @@ mod tests {
             clock_needle()
         );
         let found = run(&[("crates/engine/src/serving.rs", src)]);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].rule, "serving-clock");
-        assert_eq!(found[0].line, 3);
+        assert_eq!(lines_and_rules(&found), vec![(3, "serving-clock")]);
     }
 
     #[test]
-    fn serving_clock_reaches_through_helpers_in_other_files() {
+    fn serving_clock_is_the_serving_files_own_reads() {
+        // A read in another file is that file's finding; the serving
+        // function calling it adds none.
         let helper = format!(
             "pub fn sneak() -> u64 {{\n    let t = {};\n    1\n}}\n",
             clock_needle()
         );
         let serving = "fn admit() {\n    let d = sneak();\n}\n".to_string();
-        let found = run(&[
+        let found: Vec<(String, usize, &str)> = run(&[
             ("crates/core/src/util.rs", helper),
             ("crates/engine/src/serving.rs", serving),
-        ]);
-        let sc: Vec<_> = found.iter().filter(|f| f.rule == "serving-clock").collect();
-        assert_eq!(sc.len(), 1, "{found:?}");
-        assert_eq!(sc[0].function, "admit");
-        assert_eq!(sc[0].path, vec!["admit", "sneak"]);
-        // The helper itself is also a plain wall-clock finding.
-        assert!(found
-            .iter()
-            .any(|f| f.rule == "std::time::Instant::now" && f.function == "sneak"));
+        ])
+        .into_iter()
+        .map(|f| (f.file, f.line, f.rule))
+        .collect();
+        assert_eq!(
+            found,
+            vec![(
+                "crates/core/src/util.rs".to_string(),
+                2,
+                "std::time::Instant::now"
+            )]
+        );
     }
 
     #[test]
@@ -795,24 +666,39 @@ mod tests {
             "fn build() {{\n    let s = {}::new();\n}}\n",
             needle("std::collections::hash_map::RandomState")
         );
-        let found = one(src);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, "std::collections::hash_map::RandomState");
+        assert_eq!(
+            lines_and_rules(&one(src)),
+            vec![(2, "std::collections::hash_map::RandomState")]
+        );
     }
 
     #[test]
     fn findings_are_deterministically_ordered() {
-        let src = format!(
-            "fn helper() {{\n    let t = {};\n}}\nfn a() {{\n    helper();\n}}\nfn b() {{\n    helper();\n}}\n",
+        // By file, then line, then `clippy.toml` order, whatever order the
+        // files come in.
+        let a = format!(
+            "fn helper() {{\n    let t = {};\n}}\nfn a() {{\n    helper();\n}}\n",
             clock_needle()
         );
-        let f1 = one(src.clone());
-        let f2 = one(src);
-        assert_eq!(f1, f2);
-        assert_eq!(f1.len(), 3, "{f1:?}");
-        let lines: Vec<usize> = f1.iter().map(|f| f.line).collect();
-        let mut sorted = lines.clone();
-        sorted.sort_unstable();
-        assert_eq!(lines, sorted);
+        let b = format!(
+            "let m: {}<u8, u8> = f({});\n",
+            needle("std::collections::HashMap"),
+            clock_needle()
+        );
+        let files = [("b.rs", b), ("a.rs", a)];
+        let f1 = run(&files);
+        assert_eq!(f1, run(&files));
+        let order: Vec<(&str, usize, &str)> = f1
+            .iter()
+            .map(|f| (f.file.as_str(), f.line, f.rule))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                ("a.rs", 2, "std::time::Instant::now"),
+                ("b.rs", 1, "std::collections::HashMap"),
+                ("b.rs", 1, "std::time::Instant::now"),
+            ]
+        );
     }
 }

@@ -207,7 +207,8 @@ fn terminating_variants_of_the_corpus_pass() {
 // ---------------------------------------------------------------------------
 // The determinism scan: seeded violations of `clippy.toml`'s entries, the
 // sanction that is gone and the one that is left, with the needles
-// assembled by concatenation so this corpus never spells one out.
+// assembled by concatenation so this corpus never spells one out. Every
+// finding is at the needle's (or the stale attribute's) own line.
 // ---------------------------------------------------------------------------
 
 fn taint_of(files: &[(&str, String)]) -> Vec<TaintFinding> {
@@ -218,66 +219,49 @@ fn taint_of(files: &[(&str, String)]) -> Vec<TaintFinding> {
     taint_files(&owned)
 }
 
+/// `(line, rule)` of every finding, in report order.
+fn lines_and_rules(found: &[TaintFinding]) -> Vec<(usize, &'static str)> {
+    found.iter().map(|f| (f.line, f.rule)).collect()
+}
+
 #[test]
-fn seeded_wall_clock_through_one_helper_is_flagged_at_the_call_site() {
-    // The acceptance case: the needle sits in a helper; both the helper
-    // and its caller must be flagged, the caller with the call path.
+fn seeded_wall_clock_in_a_helper_is_flagged_at_the_needle() {
+    // The needle sits in a helper: it is flagged there, and the scan fails
+    // on it; the caller is not a second finding.
     let src = format!(
         "fn stamp() -> u64 {{\n    let t = Instant{}now();\n    0\n}}\n\nfn decide_plan() -> u64 {{\n    stamp() % 2\n}}\n",
         "::"
     );
     let found = taint_of(&[("seed.rs", src)]);
-    assert_eq!(found.len(), 2, "{found:?}");
-    assert!(found
-        .iter()
-        .any(|f| f.rule == "std::time::Instant::now" && f.function == "stamp" && f.line == 2));
-    let caller = found
-        .iter()
-        .find(|f| f.function == "decide_plan")
-        .expect("caller flagged");
-    assert_eq!(caller.rule, "std::time::Instant::now");
-    assert_eq!(caller.path, vec!["decide_plan", "stamp"]);
+    assert_eq!(
+        lines_and_rules(&found),
+        vec![(2, "std::time::Instant::now")]
+    );
 }
 
 #[test]
 fn seeded_wall_clock_laundered_through_a_turbofish_call_is_flagged() {
-    // Regression: `Clock::<u64>::stamp()` used to produce no call edge
-    // (the `>` before `::` defeated prefix detection and the site fell
-    // back to free-fn resolution), so a wall-clock read laundered through
-    // a generic type's method never reached its caller. Both ends must be
-    // flagged now, the caller with the full path.
+    // A wall-clock read inside a generic type's method, reached as
+    // `Clock::<u64>::stamp()`: the read is flagged where it is written.
     let src = format!(
         "struct Clock;\nimpl Clock {{\n    fn stamp() -> u64 {{\n        let t = Instant{}now();\n        0\n    }}\n}}\n\nfn decide_order() -> u64 {{\n    Clock::<u64>::stamp() % 2\n}}\n",
         "::"
     );
     let found = taint_of(&[("seed.rs", src)]);
-    assert!(
-        found
-            .iter()
-            .any(|f| f.rule == "std::time::Instant::now" && f.function == "Clock::stamp"),
-        "{found:?}"
+    assert_eq!(
+        lines_and_rules(&found),
+        vec![(4, "std::time::Instant::now")]
     );
-    let caller = found
-        .iter()
-        .find(|f| f.function == "decide_order")
-        .expect("turbofish caller flagged");
-    assert_eq!(caller.rule, "std::time::Instant::now");
-    assert_eq!(caller.path, vec!["decide_order", "Clock::stamp"]);
 }
 
 #[test]
-fn seeded_thread_id_is_flagged_interprocedurally() {
+fn seeded_thread_id_is_flagged_at_the_read() {
     let src = format!(
         "fn who() -> String {{\n    format!(\"{{:?}}\", thread{}current().id())\n}}\nfn tag() -> String {{\n    who()\n}}\n",
         "::"
     );
     let found = taint_of(&[("seed.rs", src)]);
-    assert!(found
-        .iter()
-        .any(|f| f.rule == "std::thread::current" && f.function == "who"));
-    assert!(found
-        .iter()
-        .any(|f| f.rule == "std::thread::current" && f.function == "tag"));
+    assert_eq!(lines_and_rules(&found), vec![(2, "std::thread::current")]);
 }
 
 #[test]
@@ -308,47 +292,31 @@ fn seeded_env_read_is_flagged_outside_declared_sinks() {
 }
 
 #[test]
-fn seeded_env_var_os_toggle_is_flagged_at_every_caller() {
+fn seeded_env_var_os_toggle_is_flagged_at_the_read() {
     // The shape of the debug toggle the product crates used to carry: a
     // cached environment read behind a helper, consulted on a hot path.
     let src = format!(
         "fn audit_enabled() -> bool {{\n    std{s}env{s}var_os(\"AUDIT\").is_some()\n}}\nimpl Trail {{\n    fn rollback(&mut self) {{\n        if audit_enabled() {{}}\n    }}\n}}\n",
         s = "::"
     );
-    let found: Vec<(&str, String)> = taint_of(&[("crates/core/src/trail.rs", src)])
-        .iter()
-        .map(|f| (f.rule, f.path.join(" -> ")))
-        .collect();
-    assert_eq!(
-        found,
-        vec![
-            ("std::env::var_os", "audit_enabled".to_string()),
-            (
-                "std::env::var_os",
-                "Trail::rollback -> audit_enabled".to_string()
-            ),
-        ]
-    );
+    let found = taint_of(&[("crates/core/src/trail.rs", src)]);
+    assert_eq!(lines_and_rules(&found), vec![(2, "std::env::var_os")]);
 }
 
 #[test]
 fn seeded_cnb_lint_comment_sanctions_nothing() {
     // The old comment escape, on the needle's line and on the line above:
-    // both reads are flagged, and the caller with them.
+    // both reads are flagged.
     let src = format!(
         "fn stamp() -> u64 {{\n    let t = Instant{n}now(); // cnb-lint: allow(wall-clock)\n    // cnb-lint: allow(wall-clock)\n    let u = Instant{n}now();\n    0\n}}\nfn decide() -> u64 {{\n    stamp()\n}}\n",
         n = "::"
     );
-    let found: Vec<(usize, String)> = taint_of(&[("seed.rs", src)])
-        .into_iter()
-        .map(|f| (f.line, f.function))
-        .collect();
+    let found = taint_of(&[("seed.rs", src)]);
     assert_eq!(
-        found,
+        lines_and_rules(&found),
         vec![
-            (2, "stamp".to_string()),
-            (4, "stamp".to_string()),
-            (7, "decide".to_string())
+            (2, "std::time::Instant::now"),
+            (4, "std::time::Instant::now")
         ]
     );
 }
@@ -383,22 +351,29 @@ fn seeded_wall_clock_in_the_serving_layer_is_flagged_under_expect() {
 }
 
 #[test]
-fn seeded_serving_clock_fires_by_reachability_not_filename() {
-    // The needle lives in a *non-serving* file; the serving-layer fn that
-    // reaches it through a helper chain is still flagged.
+fn seeded_serving_clock_is_a_property_of_the_serving_files() {
+    // The needle lives in a non-serving file: it is that file's finding,
+    // and the serving-layer fn calling it adds no `serving-clock` one.
     let helper = format!(
         "pub fn elapsed_hint() -> u64 {{\n    let t = Instant{}now();\n    1\n}}\n",
         "::"
     );
     let serving = "fn admit_request() -> bool {\n    elapsed_hint() < 10\n}\n".to_string();
-    let found = taint_of(&[
+    let found: Vec<(String, usize, &str)> = taint_of(&[
         ("crates/core/src/hints.rs", helper),
         ("crates/engine/src/serving.rs", serving),
-    ]);
-    let sc: Vec<_> = found.iter().filter(|f| f.rule == "serving-clock").collect();
-    assert_eq!(sc.len(), 1, "{found:?}");
-    assert_eq!(sc[0].function, "admit_request");
-    assert_eq!(sc[0].path, vec!["admit_request", "elapsed_hint"]);
+    ])
+    .into_iter()
+    .map(|f| (f.file, f.line, f.rule))
+    .collect();
+    assert_eq!(
+        found,
+        vec![(
+            "crates/core/src/hints.rs".to_string(),
+            2,
+            "std::time::Instant::now"
+        )]
+    );
 }
 
 // ---------------------------------------------------------------------------

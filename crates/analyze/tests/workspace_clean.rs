@@ -1,7 +1,7 @@
 //! Pins the repo's own cleanliness: the determinism scan, run over this
 //! workspace's real sources, finds nothing. If a `std::collections` HashMap,
-//! an unannotated wall-clock read, a stale `#[expect]`, or a helper that
-//! launders nondeterminism into the serving layer ever lands in
+//! an unannotated wall-clock read, a stale `#[expect]`, or any wall-clock
+//! read in the serving layer ever lands in
 //! `crates/{bench,core,engine,ir,workloads}`, this test is the tier that says
 //! so.
 
@@ -86,7 +86,6 @@ fn every_sanctioned_site_fires_without_its_expect() {
 
     let mut flagged: Vec<(String, usize)> = taint_files(&files)
         .into_iter()
-        .filter(|f| f.path.len() <= 1)
         .map(|f| (f.file, f.line))
         .collect();
     flagged.sort();

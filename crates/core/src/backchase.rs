@@ -417,9 +417,10 @@ impl PlanSink {
     }
 }
 
-/// Process-wide count of [`chase_and_backchase`] invocations. Test-support
-/// audit counter: the serving suite asserts a warm plan-cache hit executes
-/// without re-entering the optimizer by snapshotting this before and after.
+/// Process-wide count of [`chase_and_backchase`] invocations. Its one
+/// reader is `benchmark/`, which counts a workload's C&B runs with it; the
+/// tests audit a server's own counters instead. It goes once the benchmark
+/// counts from the server under test (ROADMAP 1g, 7a).
 static RUNS: AtomicUsize = AtomicUsize::new(0);
 
 /// Process-wide total of [`chase_and_backchase`] calls so far.

@@ -8,8 +8,8 @@
 //!   materialization, or an intermediate result too large for row ids.
 //! * [`ServeError`] — what can go wrong *serving a request under pressure*:
 //!   admission control rejected it over budget, its deadline expired before
-//!   (or during) dispatch, a seeded fault was injected, its fault-retry
-//!   budget ran out, or execution itself failed ([`ServeError::Exec`]).
+//!   (or during) dispatch, a seeded fault failed it, or execution itself
+//!   failed ([`ServeError::Exec`]).
 //!
 //! Variants carry structured fields, so callers match on the enum instead
 //! of substring-matching a rendered message — a shed request is

@@ -425,8 +425,8 @@ mod tests {
 
         // Different constant, same shape: a hit. The optimizer only runs
         // after a counted miss, so one miss in two lookups means one
-        // optimization (sibling tests move the process-wide C&B counter
-        // concurrently; `tests/pressure.rs` audits it under `serial()`).
+        // optimization (`tests/pressure.rs` audits the searches behind it
+        // with the server's own skeleton lookups).
         let (warm, rows) = server.serve(&db, &point(7)).unwrap();
         assert!(warm.cache_hit);
         assert_eq!(

@@ -2,30 +2,20 @@
 //! deadlines on the injectable clock, seeded fault injection, and the
 //! bounded plan cache's eviction/re-optimization behavior.
 //!
-//! Tests here share one process, and several audit the process-wide
-//! `chase_and_backchase_runs` counter or assert exact fault/expiry
-//! schedules — so every test serializes on [`serial`]. Determinism claims
-//! are always checked the hard way: run twice, compare everything.
+//! Whether the optimizer ran is read off the server under test: its plan
+//! cache's misses and its skeleton memo's lookups (one per top-down
+//! search). Determinism claims are always checked the hard way: run twice,
+//! compare everything.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use cnb_core::cost::CostModel;
-use cnb_core::prelude::{chase_and_backchase_runs, Optimizer, OptimizerConfig, Strategy};
+use cnb_core::prelude::{Optimizer, OptimizerConfig, Strategy};
 use cnb_engine::{
     Database, FaultPlan, PlanServer, PressureTally, ServeConfig, ServeError, ServeOutcome,
     VirtualClock,
 };
 use cnb_ir::prelude::*;
-
-/// Serializes tests: the C&B run counter is process-wide, and exact-schedule
-/// assertions must not share it with a concurrently-optimizing test.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner())
-}
 
 /// `tables` point-lookup relations T0..Tn, each keyed on K with a primary
 /// index, plus a fact table F(A, B) for building a deliberately expensive
@@ -121,7 +111,6 @@ fn classes(outcomes: &[ServeOutcome]) -> Vec<String> {
 
 #[test]
 fn admission_sheds_expensive_shapes_and_is_deterministic() {
-    let _guard = serial();
     let schema = schema(2);
     let db = db(&schema, 2);
     let model = CostModel::default().with_cardinalities(db.cardinalities());
@@ -194,7 +183,6 @@ fn admission_sheds_expensive_shapes_and_is_deterministic() {
 
 #[test]
 fn admission_prices_cache_hits_too() {
-    let _guard = serial();
     let schema = schema(1);
     let db = db(&schema, 1);
     let model = CostModel::default().with_cardinalities(db.cardinalities());
@@ -231,7 +219,6 @@ fn admission_prices_cache_hits_too() {
 
 #[test]
 fn frozen_clock_deadline_never_expires_anyone() {
-    let _guard = serial();
     let schema = schema(1);
     let db = db(&schema, 1);
     let requests: Vec<Query> = (0..16).map(|i| point(0, i as i64 % 9)).collect();
@@ -256,7 +243,6 @@ fn frozen_clock_deadline_never_expires_anyone() {
 
 #[test]
 fn ticking_clock_expires_a_deterministic_suffix_sequentially() {
-    let _guard = serial();
     let schema = schema(1);
     let db = db(&schema, 1);
     let n = 10usize;
@@ -306,7 +292,6 @@ fn ticking_clock_expires_a_deterministic_suffix_sequentially() {
 /// every outcome is Ok-with-the-right-rows or a typed expiry.
 #[test]
 fn midbatch_stop_under_parallel_workers_is_typed_and_ordered() {
-    let _guard = serial();
     let schema = schema(1);
     let db = db(&schema, 1);
     let requests: Vec<Query> = (0..24).map(|i| point(0, i as i64 % 11)).collect();
@@ -343,7 +328,6 @@ fn midbatch_stop_under_parallel_workers_is_typed_and_ordered() {
 
 #[test]
 fn expired_before_dispatch_is_caught_in_phase_one() {
-    let _guard = serial();
     let schema = schema(1);
     let db = db(&schema, 1);
     let clock = VirtualClock::frozen();
@@ -391,7 +375,6 @@ fn expired_before_dispatch_is_caught_in_phase_one() {
 
 #[test]
 fn unfaulted_requests_are_byte_identical_to_a_fault_free_run() {
-    let _guard = serial();
     let schema = schema(1);
     let db = db(&schema, 1);
     let requests: Vec<Query> = (0..30).map(|i| point(0, i as i64 % 13)).collect();
@@ -438,7 +421,6 @@ fn unfaulted_requests_are_byte_identical_to_a_fault_free_run() {
 
 #[test]
 fn injected_faults_are_typed() {
-    let _guard = serial();
     let schema = schema(1);
     let db = db(&schema, 1);
     let requests = vec![point(0, 1), point(0, 2)];
@@ -469,17 +451,17 @@ fn injected_faults_are_typed() {
 
 #[test]
 fn evicted_shape_reoptimizes_exactly_once_on_return() {
-    let _guard = serial();
     let tables = 3;
     let schema = schema(tables);
     let db = db(&schema, tables);
     let mut s = server(&schema).with_cache_capacity(2);
 
-    // Cold-plant shape 0 and measure its optimization cost in C&B runs.
-    let before = chase_and_backchase_runs();
+    // Cold-plant shape 0 and measure its optimization cost in top-down
+    // searches (skeleton lookups).
     s.serve(&db, &point(0, 1)).unwrap();
-    let cold_runs = chase_and_backchase_runs() - before;
+    let cold_runs = s.skeletons().lookups();
     assert!(cold_runs > 0, "a cold miss must invoke the optimizer");
+    assert_eq!(s.cache().misses(), 1);
 
     // Fill: shape 1 joins, shape 2 evicts shape 0 (the coldest probation
     // entry — shape 0's single lookup was its cold miss, not a hit).
@@ -490,22 +472,25 @@ fn evicted_shape_reoptimizes_exactly_once_on_return() {
 
     // Shape 0 returns: exactly one re-optimization (same C&B work as the
     // cold plant), then it's resident and hits again without any.
-    let before = chase_and_backchase_runs();
+    let (lookups, misses) = (s.skeletons().lookups(), s.cache().misses());
     let (plan, rows) = s.serve(&db, &point(0, 5)).unwrap();
     assert!(!plan.cache_hit, "evicted shape must re-miss");
     assert_eq!(
-        chase_and_backchase_runs() - before,
-        cold_runs,
+        (
+            s.skeletons().lookups() - lookups,
+            s.cache().misses() - misses
+        ),
+        (cold_runs, 1),
         "re-optimizing an evicted shape must cost exactly one optimization"
     );
     assert_eq!(rows.rows, vec![Value::record([(sym("D"), Value::Int(50))])]);
 
-    let before = chase_and_backchase_runs();
+    let (lookups, misses) = (s.skeletons().lookups(), s.cache().misses());
     let (plan, _) = s.serve(&db, &point(0, 6)).unwrap();
     assert!(plan.cache_hit);
     assert_eq!(
-        chase_and_backchase_runs(),
-        before,
+        (s.skeletons().lookups(), s.cache().misses()),
+        (lookups, misses),
         "the re-planted shape must hit for free"
     );
     assert_eq!(s.cache().hits(), 1);
@@ -514,7 +499,6 @@ fn evicted_shape_reoptimizes_exactly_once_on_return() {
 
 #[test]
 fn hot_families_survive_one_off_churn_through_a_bounded_server() {
-    let _guard = serial();
     let tables = 8;
     let schema = schema(tables);
     let db = db(&schema, tables);
@@ -522,7 +506,12 @@ fn hot_families_survive_one_off_churn_through_a_bounded_server() {
 
     // Two hot shapes, planted and then hit (graduating to protected).
     for t in [0usize, 1] {
+        let lookups = s.skeletons().lookups();
         s.serve(&db, &point(t, 1)).unwrap();
+        assert!(
+            s.skeletons().lookups() > lookups,
+            "a cold miss must invoke the optimizer"
+        );
         let (p, _) = s.serve(&db, &point(t, 2)).unwrap();
         assert!(p.cache_hit);
     }
@@ -533,10 +522,13 @@ fn hot_families_survive_one_off_churn_through_a_bounded_server() {
     }
     // The hot shapes never left: immediate hits, no optimizer.
     for t in [0usize, 1] {
-        let before = chase_and_backchase_runs();
+        let (lookups, misses) = (s.skeletons().lookups(), s.cache().misses());
         let (p, _) = s.serve(&db, &point(t, 3)).unwrap();
         assert!(p.cache_hit, "hot shape T{t} was evicted by churn");
-        assert_eq!(chase_and_backchase_runs(), before);
+        assert_eq!(
+            (s.skeletons().lookups(), s.cache().misses()),
+            (lookups, misses)
+        );
     }
     assert_eq!(s.cache().evictions(), 4);
 }
@@ -545,7 +537,6 @@ fn hot_families_survive_one_off_churn_through_a_bounded_server() {
 
 #[test]
 fn every_pressure_combination_reconciles_and_reproduces() {
-    let _guard = serial();
     let schema = schema(2);
     let db = db(&schema, 2);
     let model = CostModel::default().with_cardinalities(db.cardinalities());

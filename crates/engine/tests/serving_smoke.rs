@@ -5,7 +5,7 @@
 //! * row sets are a pure function of the request mix — the executor pool's
 //!   thread count must never change them;
 //! * a warm cache hit answers without running chase & backchase (audited
-//!   via the process-wide [`chase_and_backchase_runs`] counter), and every
+//!   by the server's own skeleton lookups and cache misses), and every
 //!   served plan — point-pinned and view-rewritten — passes
 //!   `cnb_analyze::validate::validate_plan`;
 //! * the skeleton memo behind a miss is a second cache level with its own
@@ -15,24 +15,10 @@
 //!   query's distinct result, so the cached template + bound parameter
 //!   really is the same query, not a lookalike.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
 use cnb_analyze::validate::validate_plan;
-use cnb_core::prelude::{
-    chase_and_backchase_runs, parameterize, CachedPlans, Fingerprint, OptimizerConfig, PlanCache,
-};
+use cnb_core::prelude::{parameterize, CachedPlans, Fingerprint, OptimizerConfig, PlanCache};
 use cnb_engine::{PlanServer, ServedPlan};
 use cnb_workloads::{suite, DataScale, Workload};
-
-/// Serializes tests: the C&B run counter is process-wide, so the warm-hit
-/// audit must not share it with a concurrently-optimizing test (same
-/// pattern as `tests/pressure.rs`).
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner())
-}
 
 fn server_for(w: &dyn Workload) -> PlanServer {
     PlanServer::new(
@@ -52,7 +38,6 @@ fn assert_valid(w: &dyn Workload, served: &ServedPlan) {
 /// 1/2/4/8 workers returns byte-identical row sets in request order.
 #[test]
 fn row_sets_are_identical_at_every_thread_count() {
-    let _guard = serial();
     let scale = DataScale::new(120, 7);
     for w in suite() {
         let db = w.generate_at(scale);
@@ -82,12 +67,12 @@ fn row_sets_are_identical_at_every_thread_count() {
     }
 }
 
-/// A warm hit never re-plans: across a full warmed mix the process-wide
-/// chase & backchase run counter does not move, for any family. Cold and
-/// warm, what is served validates against the family's schema.
+/// A warm hit never re-plans: across a full warmed mix the server's skeleton
+/// lookups (one per top-down search) and cache misses do not move, for any
+/// family. Cold and warm, what is served validates against the family's
+/// schema.
 #[test]
 fn warm_hits_answer_without_chase_and_backchase() {
-    let _guard = serial();
     let scale = DataScale::new(120, 7);
     for w in suite() {
         let db = w.generate_at(scale);
@@ -95,15 +80,16 @@ fn warm_hits_answer_without_chase_and_backchase() {
         let (plan, _) = server.serve(&db, &w.serving_query(scale, 0)).unwrap();
         assert!(!plan.cache_hit, "{}: first request must miss", w.name());
         assert_valid(w.as_ref(), &plan);
-        let before = chase_and_backchase_runs();
+        let lookups = server.skeletons().lookups();
+        assert!(lookups > 0, "{}: a cold miss must search", w.name());
         for pick in 1..8u64 {
             let (plan, _) = server.serve(&db, &w.serving_query(scale, pick)).unwrap();
             assert!(plan.cache_hit, "{}: warmed pick {pick} must hit", w.name());
             assert_valid(w.as_ref(), &plan);
         }
         assert_eq!(
-            chase_and_backchase_runs(),
-            before,
+            server.skeletons().lookups(),
+            lookups,
             "{}: a warm hit invoked the optimizer",
             w.name()
         );
@@ -119,7 +105,6 @@ fn warm_hits_answer_without_chase_and_backchase() {
 /// memo moves none of them.
 #[test]
 fn skeleton_hits_leave_the_plan_cache_books_alone() {
-    let _guard = serial();
     let scale = DataScale::new(120, 7);
     let w = cnb_workloads::Ec2::new(2, 2, 1);
     let mut server = server_for(&w).with_cache_capacity(8);
@@ -174,7 +159,6 @@ fn skeleton_hits_leave_the_plan_cache_books_alone() {
 /// theory allows).
 #[test]
 fn point_picks_partition_the_central_query() {
-    let _guard = serial();
     let scale = DataScale::new(90, 7);
     // Each family's serving pick domain (the modulus its `serving_query`
     // applies at this scale; see the per-family impls).

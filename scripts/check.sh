@@ -43,67 +43,20 @@ cargo build --release
 
 # Static-analysis tier: every prong of cnb-analyze in one pass — one
 # determinism scan (clippy.toml's entries matched line by line in the four
-# logic crates and the experiment harness, unsanctioned needles and stale #[expect]s reported, each
-# unsanctioned needle propagated to its callers over the scraped call
-# graph, wall-clock reads in the serving layer denied outright), the
-# semantic validator (every
-# suite workload's schema, constraints — including the weak-acyclicity
-# chase termination check — query, and every backchase-emitted plan), and
-# the AGM-bound plan certifier. Offline and fast, so it runs ahead of every
-# test tier: a finding here makes the test failures downstream redundant.
-# The machine-readable report lands in target/cnb-analyze.json either way.
+# logic crates and the experiment harness: unsanctioned needles and stale
+# #[expect]s reported at their own lines, wall-clock reads in the serving
+# layer denied outright), the semantic validator (every suite workload's
+# schema, constraints — including the weak-acyclicity chase termination
+# check — query, and every backchase-emitted plan), and the AGM-bound plan
+# certifier. Offline and fast, so it runs ahead of every test tier: a
+# finding here makes the test failures downstream redundant. The
+# machine-readable report lands in target/cnb-analyze.json either way.
 tier "cnb-analyze all (taint + validate-suite + AGM certify)"
 analysis_json=target/cnb-analyze.json
 if ! cargo run --release -q -p cnb-analyze -- all . --json "$analysis_json"; then
   echo "error: cnb-analyze found problems — JSON findings at $analysis_json" >&2
   exit 1
 fi
-
-# Fast-fail gate: the EC4/EC5 golden + differential suites (star-schema and
-# cyclic-join workloads, exact row order, batched-vs-legacy oracle) run
-# first and explicitly — they are also part of the full
-# `cargo test -q` run below, but failing them early makes a workload
-# regression obvious before the whole tier finishes (the EC4/EC5 halves of
-# the backchase's run-twice determinism suite ride along). ec4_star
-# holds the two EC4 work guards — ec4_plans_execute_without_cross_products
-# (every plan within 4 × |F| tuples) and ec4_served_plan_probes_its_index_pair
-# (the plan PlanServer serves for the request mix within 2 × |F|, no
-# operator above |F| rows): what an index pair costs when it runs as a
-# probe and not as a cross product.
-# bottom_up_agrees_with_top_down_on_the_suite rides in the same tier: the
-# two backchase traversals share one Lattice, so they must emit the same
-# minimal plans on EC1-EC5. The fused operator's own oracle suite
-# (dict_join vs the nested loop) runs once, ahead of the sweep, and with it
-# the suite for the values the borrowing engine has to own (sets, probe
-# keys and filter sides built by a struct(…) path): both drive the engine
-# only — no optimizer, no pool.
-tier "dict_join + owned-paths differentials (engine only, thread-independent)"
-cargo test -q -p cnb-engine --test dict_join_differential --test owned_paths_differential
-tier "EC4/EC5 golden + differential suites"
-cargo test -q -p cnb-workloads --test ec4_star --test ec5_cyclic --test workload_suite
-cargo test -q --test property_based -- \
-  backchase_is_deterministic_ec4 backchase_is_deterministic_ec5 \
-  bottom_up_agrees_with_top_down_on_the_suite \
-  cost_observation_feedback_matches_arithmetic_mean
-
-# WCOJ tier: the generic-join differential suite — answer-set equality
-# against the binary pipeline and the oracle on uniform and power-law EC5
-# data (and on a select path undefined on some joined rows), output order a
-# pure function of (db, plan) pinned by golden digests, and every
-# backchase-emitted generic-join twin re-verified against the static
-# validator and its fractional-cover certificate.
-tier "WCOJ differential suite"
-cargo test -q -p cnb-engine --test wcoj_differential
-
-# Serving tier: the canonical-fingerprint plan cache and the executor
-# worker pool. The smoke suite pins the serving contract — row sets
-# identical at 1/2/4/8 executor threads, warm hits answering without chase
-# & backchase (audited by counter), point picks partitioning the central
-# query, every served plan passing validate_plan — and the byte-identity
-# property checks warm-cache plans against cold-path plans.
-tier "serving smoke (plan cache + executor pool)"
-cargo test -q -p cnb-engine --test serving_smoke
-cargo test -q --test property_based -- cache_hits_serve_byte_identical_plans
 
 # Figures tier: the README's quick sanity run, so it cannot rot. One figure
 # end to end through the `figures` command line (argument parsing, dataset
@@ -123,17 +76,6 @@ fi
 # it and drive all five workloads at smoke sizes.
 tier "benchmark/ smoke (cargo test --manifest-path benchmark/Cargo.toml)"
 cargo test -q --manifest-path benchmark/Cargo.toml
-
-# Pressure tier: the serving robustness layer. Admission control, deadlines
-# on the injectable clock (frozen = byte-identical at every thread count,
-# ticking = deterministic expiry + panic-free mid-batch cooperative stops),
-# seeded fault injection (a failed request is typed, its neighbours' rows
-# untouched), and the bounded plan cache's eviction/re-optimization audits.
-tier "pressure suite (admission/deadlines/faults/eviction)"
-cargo test -q -p cnb-engine --test pressure
-cargo test -q --test property_based -- \
-  fault_free_requests_are_byte_identical_at_every_thread_count \
-  admission_decisions_are_a_pure_function_of_inputs
 
 # Door tier: the four ill-formed requests (unbound select variable, unbound
 # where variable, duplicate binding, forward range reference) through
@@ -175,10 +117,13 @@ cargo test --release -q --test alloc_audit --test plan_text_golden --test induct
   --test floor_soundness --test floor_differential
 cargo test --release -q -p cnb-engine --test skeleton_memo
 
-# The full debug suite, run once. Debug builds audit the congruence undo
-# trail's full invariants (hash-consing bijective, member lists a partition,
-# union-find agreement) after every rollback, so there is no second pass
-# with an audit switch.
+# The full debug suite, run once: every debug-profile test runs here and
+# nowhere else in this script — the engine-only differentials (dict_join,
+# owned paths, WCOJ), the EC4/EC5 goldens, serving smoke, the pressure suite
+# and tests/property_based.rs among them. Debug builds audit the congruence
+# undo trail's full invariants (hash-consing bijective, member lists a
+# partition, union-find agreement) after every rollback, so there is no
+# second pass with an audit switch.
 tier "cargo test -q"
 cargo test -q
 
