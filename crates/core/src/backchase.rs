@@ -85,9 +85,13 @@
 //! measured 0.23× the depth-first search. This crate spawns no thread.
 //!
 //! The hot loop allocates no databases — the lattice induces in place on its
-//! universal plan (rolled back after every candidate) and rebuilds its one
-//! scratch database per check ([`CanonDb`] is not `Clone`) — and recycles
-//! every search, chase and closure buffer (`tests/alloc_audit.rs`).
+//! universal plan (rolled back after every candidate) and loads each chased
+//! candidate from there into its one scratch database
+//! ([`crate::subquery::load_subquery`]: no query text, no reduced
+//! where-clause; [`CanonDb`] is not `Clone`) — and recycles every search,
+//! chase and closure buffer (`tests/alloc_audit.rs`). Only a plan that is
+//! emitted is induced as a query. Plan dedup asks `same_arity`'s range
+//! prefilter before it chases a pair.
 //! The deadline is checked before every candidate; a timed-out run returns
 //! the plans found so far with [`BackchaseResult::timed_out`] set.
 
@@ -103,7 +107,9 @@ use crate::congruence::Congruence;
 use crate::equivalence::{contain_each_other, same_arity, CompiledChecker, EquivChecker};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::memo::SkeletonMemo;
-use crate::subquery::{all_bindings, induce_range, induce_select, induce_subquery_pure};
+use crate::subquery::{
+    all_bindings, induce_range, induce_select, induce_subquery_pure, load_subquery,
+};
 
 /// Backchase limits.
 #[derive(Clone, Debug)]
@@ -265,10 +271,11 @@ impl<'a> Lattice<'a> {
             .expect("a well-formed subset induces a subquery")
     }
 
-    /// Is `cand` equivalent to the original query under the constraints?
-    pub fn equivalent(&mut self, cand: &Query) -> bool {
-        let (verdict, stats) = self.checker.equivalent_into(&mut self.scratch, cand);
-        self.truncated_checks += usize::from(stats.chase.truncated);
+    /// Is the subquery on `keep` equivalent to the original query under the
+    /// constraints? Always a chase: the borders are neither asked nor taught.
+    pub fn equivalent(&mut self, keep: &VarSet) -> bool {
+        let (verdict, truncated) = self.chased(keep);
+        self.truncated_checks += usize::from(truncated);
         verdict
     }
 
@@ -342,13 +349,12 @@ impl<'a> Lattice<'a> {
     /// The verdict on `keep` by induction and chase, as before there were
     /// borders, and whether the chase was cut short. Touches no border.
     fn chased(&mut self, keep: &VarSet) -> (bool, bool) {
-        match induce_subquery_pure(&mut self.udb, keep, &self.checker.spec.q0.select) {
-            None => (false, false),
-            Some(cand) => {
-                let (verdict, stats) = self.checker.equivalent_into(&mut self.scratch, &cand);
-                (verdict, stats.chase.truncated)
-            }
+        let select = &self.checker.spec.q0.select;
+        if !load_subquery(&mut self.udb, keep, select, &mut self.scratch) {
+            return (false, false);
         }
+        let (verdict, stats) = self.checker.check(&mut self.scratch);
+        (verdict, stats.chase.truncated)
     }
 
     /// Did the universal chase reach its fixpoint? A lattice whose chase was

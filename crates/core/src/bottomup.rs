@@ -145,7 +145,7 @@ pub fn bottom_up_backchase(
                 continue;
             };
             result.explored += 1;
-            if !lattice.equivalent(&cand) {
+            if !lattice.equivalent(&keep) {
                 grow();
                 continue;
             }

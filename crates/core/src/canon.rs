@@ -18,7 +18,7 @@
 //! caller that keeps the result — a chase step adding its conclusion to the
 //! query.
 
-use cnb_ir::prelude::{Equality, PathExpr, Query, Range, Var};
+use cnb_ir::prelude::{Binding, Equality, PathExpr, Query, Range, Var};
 
 use crate::congruence::{Congruence, TermId};
 
@@ -33,6 +33,12 @@ pub struct CanonDb {
     /// every restriction of this database reduces its equalities in here,
     /// so the buffers live as long as the database does.
     pub(crate) redux: Congruence,
+    /// Recycled by [`crate::subquery::load_subquery`] loading a subquery
+    /// into this database: the universal plan's class representatives.
+    pub(crate) reps: Vec<TermId>,
+    /// Recycled likewise: each universal-plan term's copy in here, once it
+    /// has one ([`Congruence::copy_term`]).
+    pub(crate) copies: Vec<Option<TermId>>,
 }
 
 impl CanonDb {
@@ -43,6 +49,8 @@ impl CanonDb {
             query: Query::new(),
             cong: Congruence::new(),
             redux: Congruence::new(),
+            reps: Vec::new(),
+            copies: Vec::new(),
         }
     }
 
@@ -59,17 +67,21 @@ impl CanonDb {
     /// the per-candidate allocation churn; the equivalence checker recycles
     /// one scratch database through thousands of candidates this way.
     pub fn reset_to(&mut self, query: &Query) {
+        self.clear();
+        self.load(query);
+    }
+
+    /// Empties the query and the closure, keeping their allocations.
+    pub(crate) fn clear(&mut self) {
         self.query.clear();
         self.cong.clear();
-        self.load(query);
     }
 
     fn load(&mut self, query: &Query) {
         self.query.reserve_vars(query.var_bound());
         self.query.select.clone_from(&query.select);
         for b in &query.from {
-            self.query.from.push(b.clone());
-            self.register_binding_terms(self.query.from.len() - 1);
+            self.push_binding(b.clone());
         }
         for eq in &query.where_ {
             self.assert_equality(eq);
@@ -77,6 +89,12 @@ impl CanonDb {
         for (_, p) in &query.select {
             self.cong.intern_path(p);
         }
+    }
+
+    /// Appends `b`, variable and all, to the from-clause and interns its terms.
+    pub(crate) fn push_binding(&mut self, b: Binding) {
+        self.query.from.push(b);
+        self.register_binding_terms(self.query.from.len() - 1);
     }
 
     fn register_binding_terms(&mut self, idx: usize) {

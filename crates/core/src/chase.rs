@@ -11,6 +11,24 @@
 //! For the paper's class of path-conjunctive constraints the chase terminates
 //! with a universal plan polynomial in the query and constraint sizes; the
 //! step/round caps below are a defensive guard, not an expected exit.
+//!
+//! # A constraint with nothing new to match is not searched
+//!
+//! Only a step changes what a search can match — a probe adds terms of its
+//! own, never an equality between terms that were there — so a constraint
+//! searched when the chase had applied as many steps as it has now would
+//! find exactly the homomorphisms it found then, every one of them already
+//! in the applied set, stepped or found trivial. The round loop records
+//! `steps_applied` as it searches each constraint and skips the search
+//! while that count stands still; the last round of every chase, which used
+//! to re-search every constraint only to find nothing new, searches just
+//! the constraints searched before the last step. Skipping creates no term:
+//! a search interns its probe terms, but the repeated search would have
+//! interned the very terms the first one did, all still in the arena. So
+//! the steps, their order, `rounds`, `satisfied_skips` and the term arena
+//! are what searching every constraint every round gives
+//! (`tests/chase_differential.rs`); only [`ChaseStats::homs_found`] counts
+//! fewer.
 
 use std::hash::{Hash, Hasher};
 
@@ -43,7 +61,9 @@ impl Default for ChaseConfig {
 pub struct ChaseStats {
     /// TGD/EGD steps actually applied.
     pub steps_applied: usize,
-    /// Homomorphisms found for universal parts.
+    /// Homomorphisms found for universal parts, by the searches run (a
+    /// constraint with nothing new to match is not searched; see
+    /// [`chase`]).
     pub homs_found: usize,
     /// Steps skipped because the constraint was already satisfied there.
     pub satisfied_skips: usize,
@@ -72,6 +92,9 @@ pub(crate) struct Chaser<'a> {
     universal: Homs,
     existential: Homs,
     applied: Applied,
+    /// Per constraint: `steps_applied` when its universal part was last
+    /// searched in this chase, `usize::MAX` before that.
+    searched_at: Vec<usize>,
 }
 
 impl<'a> Chaser<'a> {
@@ -91,6 +114,7 @@ impl<'a> Chaser<'a> {
             universal: Homs::default(),
             existential: Homs::default(),
             applied: Applied::default(),
+            searched_at: Vec::new(),
         }
     }
 
@@ -98,6 +122,8 @@ impl<'a> Chaser<'a> {
     pub(crate) fn chase(&mut self, db: &mut CanonDb) -> ChaseStats {
         let mut stats = ChaseStats::default();
         self.applied.clear();
+        self.searched_at.clear();
+        self.searched_at.resize(self.constraints.len(), usize::MAX);
         let exists = HomConfig {
             max_homs: 1,
             injective: false,
@@ -109,6 +135,12 @@ impl<'a> Chaser<'a> {
             for (ci, (c, (universal, existential))) in
                 self.constraints.iter().zip(&self.bodies).enumerate()
             {
+                // No step since this constraint's last search: it has
+                // nothing new to match.
+                if self.searched_at[ci] == stats.steps_applied {
+                    continue;
+                }
+                self.searched_at[ci] = stats.steps_applied;
                 universal.search(db, &[], HomConfig::default(), &mut self.universal);
                 stats.homs_found += self.universal.count;
                 for k in 0..self.universal.count {

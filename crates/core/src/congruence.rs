@@ -765,12 +765,18 @@ impl Congruence {
     /// All current class representatives.
     pub fn class_reps(&mut self) -> Vec<TermId> {
         let mut reps = Vec::with_capacity(self.nodes.len());
+        self.class_reps_into(&mut reps);
+        reps
+    }
+
+    /// [`Congruence::class_reps`] into a recycled buffer.
+    pub(crate) fn class_reps_into(&self, reps: &mut Vec<TermId>) {
+        reps.clear();
         reps.extend(
             (0..self.nodes.len() as u32)
                 .map(TermId)
                 .filter(|t| self.find_ref(*t) == *t),
         );
-        reps
     }
 
     /// Members of the class of `t`.
@@ -790,7 +796,7 @@ impl Congruence {
     }
 
     /// The non-scratch members of `rep`'s list over `allowed`, in list order.
-    fn paths_over<'s>(
+    pub(crate) fn paths_over<'s>(
         &'s self,
         rep: TermId,
         allowed: &'s VarSet,
@@ -799,6 +805,41 @@ impl Congruence {
             .iter()
             .copied()
             .filter(move |m| !self.scratch[m.idx()] && self.support[m.idx()].is_subset(allowed))
+    }
+
+    /// Interns here the term `t` of `from`, children first, through
+    /// `copies` — indexed by `from`'s term ids, `None` for a term not copied
+    /// yet — and returns its id here. A term is copied once however many
+    /// terms share it; `copies` grows to cover `t` as needed.
+    pub(crate) fn copy_term(
+        &mut self,
+        from: &Congruence,
+        t: TermId,
+        copies: &mut Vec<Option<TermId>>,
+    ) -> TermId {
+        if copies.len() <= t.idx() {
+            copies.resize(from.nodes.len(), None);
+        }
+        if let Some(copy) = copies[t.idx()] {
+            return copy;
+        }
+        let node = match &from.nodes[t.idx()] {
+            TermNode::Var(v) => TermNode::Var(*v),
+            TermNode::Const(c) => TermNode::Const(c.clone()),
+            TermNode::Field(base, f) => TermNode::Field(self.copy_term(from, *base, copies), *f),
+            TermNode::Lookup(dict, key) => {
+                TermNode::Lookup(*dict, self.copy_term(from, *key, copies))
+            }
+            TermNode::Struct(fields) => TermNode::Struct(
+                fields
+                    .iter()
+                    .map(|(name, c)| (*name, self.copy_term(from, *c, copies)))
+                    .collect(),
+            ),
+        };
+        let copy = self.term(node);
+        copies[t.idx()] = Some(copy);
+        copy
     }
 
     /// Copies `rep`'s member list onto the snapshot stack and returns where

@@ -9,12 +9,21 @@
 //! exactly checking that the dependency δ of the backchase step (paper,
 //! Appendix A) is implied by `D` — "using the chase … when constraints are
 //! viewed as boolean-valued queries".
+//!
+//! The check runs on a scratch database that holds the candidate, and there
+//! are two ways to fill it. The backchase loads a candidate straight from
+//! the universal plan ([`crate::subquery::load_subquery`]): its bindings,
+//! its restricted closure and its outputs, never written out as a query.
+//! [`EquivChecker::equivalent`] — and plan dedup, whose plans already are
+//! queries — parse a [`Query`] into the scratch database instead
+//! (`CompiledChecker::equivalent_into`, [`CanonDb::reset_to`]). What runs
+//! on the filled database is one body, `CompiledChecker::check`.
 
 use cnb_ir::prelude::{Constraint, Query};
 
 use crate::canon::CanonDb;
 use crate::chase::{ChaseConfig, ChaseStats, Chaser};
-use crate::homomorphism::{Body, HomConfig, Homs};
+use crate::homomorphism::{quick_filter, Body, HomConfig, Homs};
 
 /// Checks subquery equivalence against a fixed original query.
 #[derive(Clone, Copy)]
@@ -49,9 +58,12 @@ impl<'a> EquivChecker<'a> {
     /// Is `candidate` (a subquery of the universal plan of `q0`, sharing its
     /// variable space) equivalent to `q0` under the constraints?
     ///
-    /// Convenience wrapper over `CompiledChecker::equivalent_into` paying
-    /// for a compilation and a fresh scratch database; the backchase hot
-    /// loop compiles once per lattice and recycles one scratch.
+    /// Convenience wrapper paying for a compilation and a fresh scratch
+    /// database, and for loading `candidate` into it from its text. The
+    /// backchase compiles once per lattice, recycles one scratch database
+    /// and loads each candidate straight from the universal plan
+    /// ([`crate::subquery::load_subquery`]); what runs on the loaded
+    /// database is the same check.
     pub fn equivalent(&self, candidate: &Query) -> (bool, EquivStats) {
         self.compile()
             .equivalent_into(&mut CanonDb::empty(), candidate)
@@ -79,38 +91,48 @@ pub(crate) struct CompiledChecker<'a> {
 }
 
 impl CompiledChecker<'_> {
-    /// [`EquivChecker::equivalent`] into a caller-provided scratch database.
-    ///
+    /// [`EquivChecker::equivalent`] into a caller-provided scratch database:
     /// `scratch` is rebuilt from `candidate` in place ([`CanonDb::reset_to`])
-    /// and then chased — so across thousands of candidates one worker reuses
-    /// a single arena and set of hash tables instead of allocating and
-    /// dropping a database per check. The chased structure is a *template*
-    /// keyed by nothing: a candidate's chase must start from its own closure,
-    /// not a parent candidate's fixpoint, because the chase is not monotone
-    /// under binding removal — facts derived from a removed binding are not
-    /// facts of the subquery, and reusing them would flip verdicts. What CAN
-    /// be reused, and is, is the warm allocation footprint.
+    /// and checked.
     pub(crate) fn equivalent_into(
         &mut self,
         scratch: &mut CanonDb,
         candidate: &Query,
     ) -> (bool, EquivStats) {
-        let mut stats = EquivStats::default();
         scratch.reset_to(candidate);
-        stats.chase = self.chaser.chase(scratch);
+        self.check(scratch)
+    }
 
+    /// The check proper, on a scratch database that holds the candidate —
+    /// its closure, its from-clause and its outputs in `query.select`: chase
+    /// it, search it for homomorphisms of `q0`'s body, and accept the first
+    /// that maps every output of `q0` onto the candidate's output of the
+    /// same label.
+    ///
+    /// Across thousands of candidates one lattice reuses a single scratch
+    /// arena and set of hash tables instead of allocating and dropping a
+    /// database per check. The chased structure is a *template* keyed by
+    /// nothing: a candidate's chase must start from its own closure, not a
+    /// parent candidate's fixpoint, because the chase is not monotone under
+    /// binding removal — facts derived from a removed binding are not facts
+    /// of the subquery, and reusing them would flip verdicts. What CAN be
+    /// reused, and is, is the warm allocation footprint.
+    pub(crate) fn check(&mut self, scratch: &mut CanonDb) -> (bool, EquivStats) {
+        let mut stats = EquivStats {
+            chase: self.chaser.chase(scratch),
+            ..EquivStats::default()
+        };
         self.body
             .search(scratch, &[], HomConfig::default(), &mut self.homs);
+        let CanonDb { query, cong, .. } = scratch;
         for k in 0..self.homs.count {
             stats.homs_inspected += 1;
             self.homs.assign(&self.body, k);
             // Output preservation: each select path of `q0`, mapped, must
             // equal the candidate's path of the same label.
             let ok = self.spec.q0.select.iter().all(|(label, p)| {
-                let target = candidate.select.iter().rev().find(|(l, _)| l == label);
-                target.is_some_and(|(_, t)| {
-                    scratch.implied_mapped((p, &self.homs.assignment), (t, &[]))
-                })
+                let target = query.select.iter().rev().find(|(l, _)| l == label);
+                target.is_some_and(|(_, t)| cong.probe_equal((p, &self.homs.assignment), (t, &[])))
             });
             if ok {
                 return (true, stats);
@@ -131,9 +153,23 @@ pub fn same_plan(a: &Query, b: &Query) -> bool {
             || contain_each_other(&mut CanonDb::empty(), a, b))
 }
 
-/// The cheap necessary condition of [`same_plan`].
-pub(crate) fn same_arity(a: &Query, b: &Query) -> bool {
-    a.from.len() == b.from.len() && a.select.len() == b.select.len()
+/// The cheap necessary condition of [`same_plan`]: equal arity, and range
+/// sets that let a homomorphism map each plan into the other. A
+/// homomorphism maps a `Name` / `Dom` binding only onto a binding of the
+/// same collection and an `Expr` binding only onto an `Expr` one (the
+/// search's quick filter), so each plan's collections — and an `Expr`
+/// range, if it has one — must be among the other's before a containment
+/// is worth a chase.
+pub fn same_arity(a: &Query, b: &Query) -> bool {
+    let covered = |a: &Query, b: &Query| {
+        a.from
+            .iter()
+            .all(|x| b.from.iter().any(|y| quick_filter(&x.range, &y.range)))
+    };
+    a.from.len() == b.from.len()
+        && a.select.len() == b.select.len()
+        && covered(a, b)
+        && covered(b, a)
 }
 
 /// Mutual constraint-free containment of two plans of the same arity,

@@ -320,7 +320,7 @@ pub fn find_homs(
 /// of the same kind (and, for names/domains, the same schema name). `Expr`
 /// ranges are all admitted here and checked properly in
 /// [`range_compatible`].
-fn quick_filter(src: &Range, tgt: &Range) -> bool {
+pub(crate) fn quick_filter(src: &Range, tgt: &Range) -> bool {
     match (src, tgt) {
         (Range::Name(a), Range::Name(b)) => a == b,
         (Range::Dom(a), Range::Dom(b)) => a == b,

@@ -64,5 +64,5 @@ pub mod prelude {
         ParameterizedQuery, PlanCache,
     };
     pub use crate::strata::{regroup, stratify};
-    pub use crate::subquery::{all_bindings, induce_subquery, induce_subquery_pure};
+    pub use crate::subquery::{all_bindings, induce_subquery, induce_subquery_pure, load_subquery};
 }

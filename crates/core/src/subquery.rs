@@ -5,6 +5,10 @@
 //! mentioning only `S`-variables, and the original output paths rewritten
 //! (through the congruence) onto `S`-variables. Removal candidates whose
 //! output or range paths cannot be recovered over `S` are invalid.
+//!
+//! An emitted plan is induced as a [`Query`] ([`induce_subquery_pure`]); a
+//! candidate that is only to be checked is loaded straight into the checking
+//! database ([`load_subquery`]), the same steps with no query text between.
 
 use cnb_ir::prelude::{Binding, Equality, PathExpr, Query, Range, Symbol};
 
@@ -194,6 +198,95 @@ pub fn induce_subquery_pure(
         debug_assert_eq!(db.cong.len(), len_before, "induction left terms behind");
     }
     out
+}
+
+/// The check-side twin of [`induce_subquery`]: loads the subquery of `udb`
+/// on `keep` straight into `scratch`, as the closure an equivalence check
+/// chases, without writing it out as a [`Query`] and parsing it back
+/// ([`CanonDb::reset_to`]). Returns `false` exactly when `induce_subquery`
+/// returns `None`, and leaves `scratch` in an unspecified state then.
+///
+/// It runs `induce_subquery`'s steps on `udb`, in its order, under a
+/// savepoint that is rolled back — so `udb` is left byte-identical — and
+/// writes their results into `scratch`:
+///
+/// * the kept bindings, with [`induce_range`]'s ranges;
+/// * every class of `udb` restricted to `keep`, saturated as
+///   [`restricted_where`] saturates it, copied term by term into `scratch`
+///   ([`Congruence::copy_term`]) and merged there. No class is reduced to
+///   fewer equalities and no path is rebuilt: the closure is what counts,
+///   and it is the closure the where-clause of the induced query generates;
+/// * [`induce_select`]'s outputs, as `scratch.query.select`.
+///
+/// `scratch.query` holds the bindings and the outputs, no where-clause:
+/// a chase and a homomorphism search read the from-clause and the closure.
+/// Emitted plans are induced as before ([`induce_subquery_pure`]), so plan
+/// text does not depend on this.
+pub fn load_subquery(
+    udb: &mut CanonDb,
+    keep: &VarSet,
+    select: &[(Symbol, PathExpr)],
+    scratch: &mut CanonDb,
+) -> bool {
+    let sp = udb.cong.save();
+    let loaded = load_in_place(udb, keep, select, scratch);
+    udb.cong.rollback(sp);
+    loaded
+}
+
+fn load_in_place(
+    udb: &mut CanonDb,
+    keep: &VarSet,
+    select: &[(Symbol, PathExpr)],
+    scratch: &mut CanonDb,
+) -> bool {
+    scratch.clear();
+    let CanonDb { query, cong, .. } = udb;
+    scratch.query.reserve_vars(query.var_bound());
+
+    let mut earlier = VarSet::new();
+    for b in query.from.iter().filter(|b| keep.contains(b.var)) {
+        let Some(range) = induce_range(cong, &query.from, &b.range, &earlier) else {
+            return false;
+        };
+        scratch.push_binding(Binding {
+            var: b.var,
+            name: b.name,
+            range,
+        });
+        earlier.insert(b.var);
+    }
+
+    let CanonDb {
+        cong: to,
+        reps,
+        copies,
+        ..
+    } = scratch;
+    cong.class_reps_into(reps);
+    copies.clear();
+    for &rep in reps.iter() {
+        cong.saturate_class_over(rep, keep);
+        let rep = cong.find(rep);
+        let mut members = cong.paths_over(rep, keep);
+        let (Some(first), Some(second)) = (members.next(), members.next()) else {
+            continue;
+        };
+        let first = to.copy_term(cong, first, copies);
+        for m in std::iter::once(second).chain(members) {
+            let m = to.copy_term(cong, m, copies);
+            to.merge(first, m);
+        }
+    }
+
+    let Some(outputs) = induce_select(cong, select, keep) else {
+        return false;
+    };
+    for (_, p) in &outputs {
+        scratch.cong.intern_path(p);
+    }
+    scratch.query.select = outputs;
+    true
 }
 
 /// The set of all bound variables of a query.

@@ -87,10 +87,11 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 tier "serving door, release profile (ill-formed requests are refused typed)"
 cargo test --release -q -p cnb-engine --test door
 
-# Backchase kernel tier, release profile: the six files that hold a change
-# to the congruence closure, the homomorphism search, subquery induction, the
-# lattice's borders (and the memo that keeps them across searches) or the
-# bottom-up search's pricing to "same search, no garbage". alloc_audit
+# Backchase kernel tier, release profile: the seven files that hold a change
+# to the congruence closure, the homomorphism search, the chase, subquery
+# induction, the lattice's borders (and the memo that keeps them across
+# searches) or the bottom-up search's pricing to "same search, no garbage".
+# alloc_audit
 # counts heap allocations per explored candidate on the four full-backchase benchmark points and per explored-or-pruned candidate
 # on the bottom-up pass of the two measured ones (its ceilings are asserted
 # in release only — a debug build validates every induced query and re-proves
@@ -98,8 +99,14 @@ cargo test --release -q -p cnb-engine --test door
 # `explored` / `pruned` / `universal_arity` / `inferred` for the nine
 # optimize_cold configurations, both backchase traversals and a capped run;
 # induction_differential holds every verdict on every subset of five
-# universal plans, in three orders, to a fresh-database oracle — in release,
-# where no debug re-proof stands behind the borders. floor_soundness holds
+# universal plans, in three orders, to a fresh-database oracle, and every
+# candidate loaded straight from the universal plan to the closure of its
+# induced query — in release, where no debug re-proof stands behind the
+# borders. chase_differential holds the chase, which skips a constraint
+# with nothing new to match, to the round loop that searches every
+# constraint every round: same steps, same terms, same rounds, on the
+# optimize_cold universal plans, every EC2/EC3 candidate and a capped
+# runaway chase. floor_soundness holds
 # `PlanPricer::floor <= price` on every well-formed subset of seven universal
 # plans under both pricers and six models, and floor_differential holds the
 # search with the floor to the search without it (and the cost kernel to the
@@ -111,10 +118,10 @@ cargo test --release -q -p cnb-engine --test door
 # checks that nothing crosses to another skeleton and that a miss computes
 # no generic-join twin — in release, where imported verdicts are trusted,
 # not re-proved. The debug profile runs all
-# six as part of `cargo test -q` below.
-tier "alloc audit + plan-text golden + induction differential + floor soundness/differential + skeleton memo, release profile"
+# seven as part of `cargo test -q` below.
+tier "alloc audit + plan-text golden + induction/chase differentials + floor soundness/differential + skeleton memo, release profile"
 cargo test --release -q --test alloc_audit --test plan_text_golden --test induction_differential \
-  --test floor_soundness --test floor_differential
+  --test chase_differential --test floor_soundness --test floor_differential
 cargo test --release -q -p cnb-engine --test skeleton_memo
 
 # The full debug suite, run once: every debug-profile test runs here and

@@ -10,16 +10,23 @@
 //! left was mostly the candidate itself: the induced query, the bindings and
 //! equalities its chase steps add, its copy in the scratch database — and
 //! since the lattice answers most verdicts from its borders, most candidates
-//! are never built: 19 / 21 / 8 / 4. A verdict the borders answer allocates
-//! nothing (the memo key aside), so each ceiling below is that reading plus
-//! half: one induction per inferred verdict costs some twenty allocations
-//! and a database clone hundreds, and either goes through every one of them.
+//! are never built: 19 / 21 / 8 / 4. A candidate that is chased is no longer
+//! written out as a query either: it is loaded from the universal plan
+//! straight into the scratch database, no equality or path built on the way
+//! (`subquery::load_subquery`), and plan dedup chases no pair of plans whose
+//! ranges already differ: 6 / 15 / 5 / 3, what is left being mostly the
+//! emitted plans, the steps a chase adds and the memo keys. A verdict the borders
+//! answer allocates nothing (the memo key aside), so each ceiling below is
+//! that reading plus half, rounded up: one induction per inferred verdict
+//! costs some twenty allocations and a database clone hundreds, and either
+//! goes through every one of them.
 //!
 //! The bottom-up pass built every candidate it counted — induced it, priced
 //! it, and dropped three in four on the price: 103 / 71 per candidate. Since
 //! the pricer's floor decides most of those from the from-clause alone, they
-//! are never induced: 16 / 9, what is left being the candidates the bound
-//! still has built and the frontier's index vectors. Same ceiling rule; an
+//! are never induced: 15 / 9 (16 / 9 before checks loaded their candidates),
+//! what is left being the candidates the bound still has built and the
+//! frontier's index vectors. Same ceiling rule, taken at 16 / 9; an
 //! induction or a price that starts allocating more, or a floor that stops
 //! deciding, goes through it.
 //!
@@ -104,15 +111,15 @@ fn backchase_allocations_per_explored_candidate() {
     // (point, schema, query, `explored` of the full backchase, ceiling:
     // allocations per explored candidate it may make).
     let full = [
-        ("ec1_4_2.fb", ec1.schema(), ec1.query(), 2579, 28),
-        ("ec2_1_4_2.fb", ec2.schema(), ec2.query(), 63, 32),
-        ("ec4_4_3_2.fb", ec4.schema(), ec4.query(), 1565, 12),
+        ("ec1_4_2.fb", ec1.schema(), ec1.query(), 2579, 9),
+        ("ec2_1_4_2.fb", ec2.schema(), ec2.query(), 63, 23),
+        ("ec4_4_3_2.fb", ec4.schema(), ec4.query(), 1565, 8),
         (
             "ec5_tri_wedge_idx.fb",
             ec5.schema(),
             ec5.cycle_query(),
             3183,
-            6,
+            5,
         ),
     ];
     // (point, schema, query, strategy of the first pass, `explored + pruned`

@@ -10,6 +10,17 @@
 //! the oracle pair's: induction on the fresh database, then
 //! `EquivChecker::equivalent` on a fresh database per candidate.
 //!
+//! The check loads a chased candidate straight from the universal plan
+//! (`load_subquery`), never as the induced query's text; the closure
+//! differential holds that load to the induced query on the same subsets.
+//! It must succeed exactly when induction does and leave the universal plan
+//! byte-identical. Where it succeeds, the loaded database and the induced
+//! query's (`CanonDb::reset_to`) must imply each other: every where and
+//! select equality of the induced query holds in the loaded database, and
+//! every two non-probe terms of one loaded class are equal in the induced
+//! query's. A lattice's unbordered check (`Lattice::equivalent`, a load and
+//! a chase) must give the oracle's verdict.
+//!
 //! What a lattice has learnt decides which of its verdicts are inferred, so
 //! the verdicts are swept in three orders, a fresh lattice each: ascending
 //! masks (subsets before their supersets — the refuted, malformed and
@@ -20,7 +31,7 @@
 use chase_too_far::core::backchase::Lattice;
 use chase_too_far::core::bitset::VarSet;
 use chase_too_far::core::prelude::*;
-use chase_too_far::core::subquery::induce_subquery;
+use chase_too_far::core::subquery::{induce_subquery, load_subquery};
 use chase_too_far::engine::prng::SplitMix64;
 use chase_too_far::ir::prelude::*;
 use chase_too_far::workloads::{Ec1, Ec2, Ec3, Ec4, Ec5};
@@ -36,6 +47,47 @@ fn db_fingerprint(db: &mut CanonDb) -> String {
         db.arity(),
         db.query
     )
+}
+
+/// `loaded` (a `load_subquery` of the subset) and `reloaded` (`cand`, the
+/// subset's induced query, loaded from its text) imply each other.
+fn assert_closures_agree(tag: &str, loaded: &mut CanonDb, reloaded: &mut CanonDb, cand: &Query) {
+    // Classes first: the probes below add (scratch) terms to `loaded`.
+    for rep in loaded.cong.class_reps() {
+        let mut members = loaded
+            .cong
+            .class_members(rep)
+            .into_iter()
+            .filter(|&m| !loaded.cong.is_scratch(m))
+            .map(|m| loaded.cong.path_of(m));
+        let Some(first) = members.next() else {
+            continue;
+        };
+        for m in members {
+            assert!(
+                reloaded.implied(&first, &m),
+                "{tag}: loaded {first} = {m}, not implied by the induced query"
+            );
+        }
+    }
+    for eq in &cand.where_ {
+        assert!(
+            loaded.implied(&eq.lhs, &eq.rhs),
+            "{tag}: induced {eq} does not hold in the loaded database"
+        );
+    }
+    assert_eq!(
+        loaded.query.select.len(),
+        cand.select.len(),
+        "{tag}: outputs"
+    );
+    for ((label, want), (got_label, got)) in cand.select.iter().zip(loaded.query.select.clone()) {
+        assert_eq!(*label, got_label, "{tag}: output labels");
+        assert!(
+            loaded.implied(want, &got),
+            "{tag}: induced output {label} = {want} is {got} in the loaded database"
+        );
+    }
 }
 
 fn assert_inplace_matches_fresh(tag: &str, q: &Query, constraints: &[Constraint]) {
@@ -62,6 +114,8 @@ fn assert_inplace_matches_fresh(tag: &str, q: &Query, constraints: &[Constraint]
         )
     };
 
+    let mut direct = Lattice::chase(q, constraints, &cfg);
+    let (mut loaded, mut reloaded) = (CanonDb::empty(), CanonDb::empty());
     let oracle: Vec<bool> = (0u32..1 << n)
         .map(|mask| {
             let keep = subset(mask);
@@ -77,7 +131,33 @@ fn assert_inplace_matches_fresh(tag: &str, q: &Query, constraints: &[Constraint]
                 baseline,
                 "{tag}: in-place induction left residue after subset {mask:#b}"
             );
-            induced.is_some_and(|c| checker.equivalent(&c).0)
+            let load = load_subquery(&mut udb, &keep, &q.select, &mut loaded);
+            assert_eq!(
+                db_fingerprint(&mut udb),
+                baseline,
+                "{tag}: loading left residue after subset {mask:#b}"
+            );
+            assert_eq!(
+                load,
+                induced.is_some(),
+                "{tag}: load and induction disagree on subset {mask:#b}"
+            );
+            if let Some(cand) = &induced {
+                reloaded.reset_to(cand);
+                assert_closures_agree(
+                    &format!("{tag}, subset {mask:#b}"),
+                    &mut loaded,
+                    &mut reloaded,
+                    cand,
+                );
+            }
+            let verdict = induced.is_some_and(|c| checker.equivalent(&c).0);
+            assert_eq!(
+                direct.equivalent(&keep),
+                verdict,
+                "{tag}: the loaded check diverged from the oracle on subset {mask:#b}"
+            );
+            verdict
         })
         .collect();
 
