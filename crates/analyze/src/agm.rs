@@ -195,11 +195,6 @@ pub fn plan_agm_wcoj(
     })
 }
 
-/// Optimizes one workload and certifies every backchase-emitted plan.
-pub fn certify_workload(w: &dyn Workload) -> Result<WorkloadAgm, String> {
-    certify_plans(w, &w.optimize())
-}
-
 /// Certifies the plans of `result` — an optimization of `w`'s central
 /// query the caller already ran — against that query's AGM bound.
 pub(crate) fn certify_plans(
@@ -247,25 +242,6 @@ pub(crate) fn certify_plans(
         verdict,
         expected: w.expectations().agm,
     })
-}
-
-/// Certifies the whole [`cnb_workloads::suite`], failing on any workload
-/// whose verdict contradicts its declared expectation.
-pub fn certify_suite() -> Result<Vec<WorkloadAgm>, String> {
-    let mut out = Vec::new();
-    for w in cnb_workloads::suite() {
-        let cert = certify_workload(w.as_ref())?;
-        if !cert.verdict.matches(cert.expected) {
-            return Err(format!(
-                "{}: AGM verdict {} contradicts the declared expectation {:?}",
-                cert.name,
-                cert.verdict.name(),
-                cert.expected
-            ));
-        }
-        out.push(cert);
-    }
-    Ok(out)
 }
 
 /// A query *shape* judged on its declared binding order (no optimizer):
@@ -321,7 +297,8 @@ mod tests {
     /// re-verifiable full-query cover on the twin.
     #[test]
     fn ec5_triangle_certifies_wcoj_closed() {
-        let cert = certify_workload(&Ec5::triangle()).unwrap();
+        let w = Ec5::triangle();
+        let cert = certify_plans(&w, &w.optimize()).unwrap();
         assert_eq!(cert.bound, Rat::new(3, 2));
         assert_eq!(cert.verdict, Verdict::WcojClosed);
         assert!(cert.verdict.matches(cert.expected));
@@ -345,7 +322,8 @@ mod tests {
     /// emitted and the verdict stays `certified`.
     #[test]
     fn ec5_four_cycle_stays_certified() {
-        let cert = certify_workload(&Ec5::four_cycle()).unwrap();
+        let w = Ec5::four_cycle();
+        let cert = certify_plans(&w, &w.optimize()).unwrap();
         assert_eq!(cert.verdict, Verdict::Certified);
         assert!(cert.plans.iter().all(|p| !p.wcoj), "no gap, no twin");
     }

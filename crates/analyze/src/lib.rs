@@ -28,9 +28,10 @@
 //!   cyclic shapes the WCOJ operator now covers report `wcoj-closed`,
 //!   shapes no emitted plan can meet report `wcoj-needed`.
 //!
-//! All prongs run as the `==> cnb-analyze` tier of `scripts/check.sh` via
-//! the `cnb-analyze` binary (`all . --json <path>` mode; `taint`,
-//! `certify` and `validate-suite` run individually).
+//! The `cnb-analyze [ROOT] [--json FILE]` binary runs every prong in one
+//! pass — the scan, then [`suite::validate_suite`], which optimizes each
+//! suite workload once and validates and certifies its plans — as the
+//! `==> cnb-analyze` tier of `scripts/check.sh`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,9 +45,7 @@ pub mod validate;
 
 /// One-stop imports.
 pub mod prelude {
-    pub use crate::agm::{
-        certify_suite, certify_workload, plan_agm, plan_agm_wcoj, shape_report, Verdict,
-    };
+    pub use crate::agm::{plan_agm, plan_agm_wcoj, shape_report, Verdict};
     pub use crate::suite::validate_suite;
     pub use crate::taint::{taint_files, taint_workspace, TaintFinding};
     pub use crate::validate::{

@@ -5,30 +5,30 @@
 //! writer is hand-rolled (the workspace is dependency-free by policy);
 //! object keys are emitted in fixed source order and every list is sorted
 //! upstream, so two runs over the same tree produce byte-identical
-//! documents — the determinism gate diffs them.
+//! documents — `tests/cli.rs` runs the binary twice and compares them.
 
 use std::io;
 use std::path::Path;
 
-use crate::agm::{certify_suite, shape_report, ShapeAgm, WorkloadAgm};
-use crate::suite::validate_suite;
+use crate::agm::{shape_report, ShapeAgm, WorkloadAgm};
+use crate::suite::{validate_suite, workload_line};
 use crate::taint::{taint_workspace, TaintFinding};
 
-/// Everything one `cnb-analyze all` run produced.
+/// Everything one `cnb-analyze` run produced.
 pub struct AnalysisReport {
     /// Determinism findings (empty when clean).
     pub taint: Vec<TaintFinding>,
-    /// Per-workload validation report lines, or the first failure.
-    pub validate: Result<Vec<String>, String>,
-    /// AGM certification per workload plus the shape report, or the first
-    /// failure (including an expectation-contradicting verdict).
-    pub agm: Result<(Vec<WorkloadAgm>, Vec<ShapeAgm>), String>,
+    /// Every suite workload's certificate from the one validation pass, or
+    /// its first failure (including an expectation-contradicting verdict).
+    pub suite: Result<Vec<WorkloadAgm>, String>,
+    /// The EC5 cyclic shapes judged on their declared binding order.
+    pub shapes: Result<Vec<ShapeAgm>, String>,
 }
 
 impl AnalysisReport {
     /// True when every prong is clean.
     pub fn ok(&self) -> bool {
-        self.taint.is_empty() && self.validate.is_ok() && self.agm.is_ok()
+        self.taint.is_empty() && self.suite.is_ok() && self.shapes.is_ok()
     }
 
     /// The full report as one stable-field-order JSON document.
@@ -53,14 +53,14 @@ impl AnalysisReport {
         }
         s.push_str("]},\n");
         // validate
-        match &self.validate {
-            Ok(lines) => {
+        match &self.suite {
+            Ok(workloads) => {
                 s.push_str("  \"validate\": {\"ok\": true, \"workloads\": [");
-                for (i, l) in lines.iter().enumerate() {
+                for (i, w) in workloads.iter().enumerate() {
                     if i > 0 {
                         s.push_str(", ");
                     }
-                    s.push_str(&json_str(l));
+                    s.push_str(&json_str(&workload_line(w)));
                 }
                 s.push_str("]},\n");
             }
@@ -70,9 +70,9 @@ impl AnalysisReport {
                 s.push_str("},\n");
             }
         }
-        // agm
-        match &self.agm {
-            Ok((workloads, shapes)) => {
+        // agm: the same certificates plus the shape report
+        match (&self.suite, &self.shapes) {
+            (Ok(workloads), Ok(shapes)) => {
                 s.push_str("  \"agm\": {\"ok\": true, \"workloads\": [\n");
                 for (i, w) in workloads.iter().enumerate() {
                     if i > 0 {
@@ -96,7 +96,7 @@ impl AnalysisReport {
                 }
                 s.push_str("]},\n");
             }
-            Err(e) => {
+            (Err(e), _) | (_, Err(e)) => {
                 s.push_str("  \"agm\": {\"ok\": false, \"error\": ");
                 s.push_str(&json_str(e));
                 s.push_str("},\n");
@@ -174,8 +174,8 @@ fn json_str(s: &str) -> String {
 pub fn run_all(root: &Path) -> io::Result<AnalysisReport> {
     Ok(AnalysisReport {
         taint: taint_workspace(root)?,
-        validate: validate_suite(),
-        agm: certify_suite().and_then(|w| shape_report().map(|s| (w, s))),
+        suite: validate_suite(),
+        shapes: shape_report(),
     })
 }
 
@@ -193,8 +193,8 @@ mod tests {
     fn empty_report_is_ok_and_parses_shapewise() {
         let r = AnalysisReport {
             taint: vec![],
-            validate: Ok(vec!["EC1: valid".to_string()]),
-            agm: Ok((vec![], vec![])),
+            suite: Ok(vec![]),
+            shapes: Ok(vec![]),
         };
         assert!(r.ok());
         let j = r.to_json();
@@ -212,8 +212,8 @@ mod tests {
                 rule: "std::time::Instant::now",
                 snippet: "bad".into(),
             }],
-            validate: Ok(vec![]),
-            agm: Ok((vec![], vec![])),
+            suite: Ok(vec![]),
+            shapes: Ok(vec![]),
         };
         assert!(!r.ok());
         assert!(r.to_json().contains("\"ok\": false"));

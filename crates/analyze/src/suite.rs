@@ -1,29 +1,31 @@
-//! Suite-wide validation: every registered workload, end to end.
+//! Suite-wide validation: every registered workload, end to end — the
+//! analyzer's one pass over `cnb_workloads::suite()`.
 //!
 //! For each `Workload` in `cnb_workloads::suite()` this validates the
 //! schema (every semantic constraint and skeleton direction, plus the
 //! weak-acyclicity termination check over the full constraint set), the
-//! central query, and then *runs the optimizer* and validates every
+//! central query, and then *runs the optimizer* once and validates every
 //! backchase-emitted plan — binding order and join connectivity included.
 //! This is the static half of the plan/execution agreement suites: a plan
 //! that validates here may still be wrong, but a plan that fails here
-//! would have been wrong at runtime. Each workload's plans are also run
-//! through the AGM certifier ([`crate::agm`]) and the computed verdict
-//! checked against the family's declared [`AgmExpectation`].
+//! would have been wrong at runtime. The same plans are then certified
+//! against the query's AGM bound ([`crate::agm`]) and the computed verdict
+//! checked against the family's declared [`AgmExpectation`]. A new
+//! per-workload check joins this loop.
 //!
 //! [`AgmExpectation`]: cnb_workloads::workload::AgmExpectation
 
 use cnb_workloads::suite;
 
-use crate::agm::certify_plans;
+use crate::agm::{certify_plans, WorkloadAgm};
 use crate::validate::{validate_plan, validate_query, validate_schema, ValidateError};
 
 /// Validates every suite workload and every plan its optimization emits,
-/// then certifies the plans against the workload's AGM bound. Returns one
-/// human-readable report line per workload, or the first failure (wrapped
-/// with the workload and plan it came from).
-pub fn validate_suite() -> Result<Vec<String>, String> {
-    let mut report = Vec::new();
+/// then certifies the plans against the workload's AGM bound. Returns each
+/// workload's certificate, or the first failure (wrapped with the workload
+/// and plan it came from).
+pub fn validate_suite() -> Result<Vec<WorkloadAgm>, String> {
+    let mut certs = Vec::new();
     for w in suite() {
         let name = w.name();
         let schema = w.schema();
@@ -31,14 +33,12 @@ pub fn validate_suite() -> Result<Vec<String>, String> {
         let q = w.query();
         validate_query(&schema, &q).map_err(|e| format!("{name}: query: {e}"))?;
         let result = w.optimize();
-        if result.plans.is_empty() {
-            return Err(format!("{name}: optimizer emitted no plans"));
-        }
         for (i, p) in result.plans.iter().enumerate() {
             validate_plan(&schema, &p.query).map_err(|e: ValidateError| {
                 format!("{name}: plan {i} invalid: {e}\n{}", p.query)
             })?;
         }
+        // Also the check that the optimizer emitted a plan at all.
         let cert = certify_plans(w.as_ref(), &result)?;
         if !cert.verdict.matches(cert.expected) {
             return Err(format!(
@@ -47,14 +47,21 @@ pub fn validate_suite() -> Result<Vec<String>, String> {
                 cert.expected
             ));
         }
-        report.push(format!(
-            "{name}: schema + query + {} plans valid; agm {} (bound {})",
-            result.plans.len(),
-            cert.verdict.name(),
-            cert.bound
-        ));
+        certs.push(cert);
     }
-    Ok(report)
+    Ok(certs)
+}
+
+/// One workload's human-readable report line: its certificate covers one
+/// plan per emitted plan, so the count is the number validated.
+pub fn workload_line(cert: &WorkloadAgm) -> String {
+    format!(
+        "{}: schema + query + {} plans valid; agm {} (bound {})",
+        cert.name,
+        cert.plans.len(),
+        cert.verdict.name(),
+        cert.bound
+    )
 }
 
 #[cfg(test)]
@@ -65,9 +72,10 @@ mod tests {
     /// and every backchase-emitted plan validates.
     #[test]
     fn every_suite_workload_and_plan_validates() {
-        let report = validate_suite().unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(report.len(), 5, "{report:?}");
-        for line in &report {
+        let certs = validate_suite().unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(certs.len(), 5);
+        for c in &certs {
+            let line = workload_line(c);
             assert!(line.contains("valid"), "{line}");
         }
     }

@@ -384,7 +384,7 @@ fn seeded_serving_clock_is_a_property_of_the_serving_files() {
 
 #[test]
 fn golden_agm_verdicts_for_the_whole_suite() {
-    let certs = certify_suite().unwrap_or_else(|e| panic!("{e}"));
+    let certs = validate_suite().unwrap_or_else(|e| panic!("{e}"));
     let golden: Vec<(String, String, &str)> = certs
         .iter()
         .map(|c| (c.name.clone(), c.bound.to_string(), c.verdict.name()))

@@ -3,8 +3,8 @@
 //! Starting from the universal plan, the backchase walks top-down "removing
 //! one binding at a time and minimizing recursively the subqueries obtained
 //! if they are equivalent" (§4). A subquery with no equivalent single-binding
-//! removal is *minimal* and is emitted as a plan. Visited binding subsets and
-//! equivalence verdicts are memoized so each subquery is examined once.
+//! removal is *minimal* and is emitted as a plan. Equivalence verdicts are
+//! memoized per binding subset, so each subquery is judged and expanded once.
 //!
 //! # One lattice, two traversals
 //!
@@ -187,8 +187,9 @@ pub struct Lattice<'a> {
     /// the same constraint bodies and searched with the same `q0` body.
     checker: CompiledChecker<'a>,
     udb: CanonDb,
-    /// Recycled candidate database for equivalence checks.
-    scratch: CanonDb,
+    /// Recycled candidate database for equivalence checks, and for the
+    /// containments behind [`PlanSink::emit`].
+    pub(crate) scratch: CanonDb,
     start: Instant,
     deadline: Option<Instant>,
     chase_stats: ChaseStats,
@@ -385,10 +386,11 @@ impl<'a> Lattice<'a> {
     }
 }
 
-/// Where every search puts its plans: deduplicated, in discovery order,
-/// capped at [`BackchaseConfig::max_plans`].
+/// Where every search, and each OCS stage, puts its plans: deduplicated, in
+/// discovery order, capped at [`BackchaseConfig::max_plans`].
 pub(crate) struct PlanSink {
-    plans: Vec<Query>,
+    /// The plans kept, in the order they were offered.
+    pub(crate) plans: Vec<Query>,
     /// Canonical keys of every query offered so far.
     keys: FxHashSet<String>,
     cap: usize,
@@ -412,11 +414,9 @@ impl PlanSink {
     /// semantic dedup ([`crate::equivalence::same_plan`]) catches plans whose
     /// from-clauses list the same bindings in other orders. A plan that got
     /// past the key set has a key no stored plan has, so what is left of the
-    /// semantic check is the containments — run on `lattice`'s scratch.
-    pub(crate) fn emit(&mut self, lattice: &mut Lattice<'_>, query: Query) {
-        let same = |p: &Query| {
-            same_arity(p, &query) && contain_each_other(&mut lattice.scratch, p, &query)
-        };
+    /// semantic check is the containments — run on `scratch`.
+    pub(crate) fn emit(&mut self, scratch: &mut CanonDb, query: Query) {
+        let same = |p: &Query| same_arity(p, &query) && contain_each_other(scratch, p, &query);
         if !self.full() && self.keys.insert(query.canonical_key()) && !self.plans.iter().any(same) {
             self.plans.push(query);
         }
@@ -468,7 +468,6 @@ pub(crate) fn chase_and_backchase_in(
     let mut search = Search {
         lattice: &mut lattice,
         memo: FxHashMap::default(),
-        visited: FxHashSet::default(),
         sink: PlanSink::new(cfg.max_plans),
         result: BackchaseResult::default(),
     };
@@ -483,10 +482,10 @@ pub(crate) fn chase_and_backchase_in(
 /// The top-down search: a memo of the verdicts it has asked for.
 struct Search<'l, 'a> {
     lattice: &'l mut Lattice<'a>,
-    /// Equivalence verdict per binding subset.
+    /// Equivalence verdict per binding subset. A subset is expanded when
+    /// its verdict is first recorded `true` (the root directly), so a
+    /// remembered verdict never expands anything again.
     memo: FxHashMap<VarSet, bool>,
-    /// Subsets whose children have been expanded.
-    visited: FxHashSet<VarSet>,
     sink: PlanSink,
     /// `explored` and `timed_out` accumulate here.
     result: BackchaseResult,
@@ -496,9 +495,6 @@ impl Search<'_, '_> {
     /// Depth-first from `s`, which is known equivalent: expand its children
     /// and emit it if none of them is equivalent.
     fn explore(&mut self, s: &VarSet) {
-        if !self.visited.insert(s.clone()) {
-            return;
-        }
         let mut minimal = true;
         // All children decided? A deadline miss leaves minimality unproven,
         // so the subset must not be emitted as a plan.
@@ -508,17 +504,19 @@ impl Search<'_, '_> {
                 return;
             }
             let child = s.without(v);
-            let verdict = match self.memo.get(&child) {
-                Some(&v) => Some(v),
+            let (verdict, fresh) = match self.memo.get(&child) {
+                Some(&v) => (Some(v), false),
                 None => {
                     let v = self.lattice.verdict(&child);
-                    self.record(child.clone(), v)
+                    (self.record(child.clone(), v), true)
                 }
             };
             match verdict {
                 Some(true) => {
                     minimal = false;
-                    self.explore(&child);
+                    if fresh {
+                        self.explore(&child);
+                    }
                 }
                 Some(false) => {}
                 None => decided = false,
@@ -526,7 +524,7 @@ impl Search<'_, '_> {
         }
         if minimal && decided && !self.sink.full() {
             if let Some(q) = self.lattice.induce(s) {
-                self.sink.emit(self.lattice, q);
+                self.sink.emit(&mut self.lattice.scratch, q);
             }
         }
     }

@@ -153,7 +153,7 @@ pub fn bottom_up_backchase(
                 best_cost = best_cost.min(cost);
             }
             found_sets.push(keep);
-            sink.emit(&mut lattice, cand);
+            sink.emit(&mut lattice.scratch, cand);
             if sink.full() {
                 break 'search;
             }

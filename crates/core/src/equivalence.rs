@@ -145,8 +145,10 @@ impl CompiledChecker<'_> {
 /// Are two plans the *same query* up to variable renaming and condition
 /// reordering? Checked semantically: equal arity plus mutual constraint-free
 /// containment (a cheap canonical-key comparison short-circuits the common
-/// case). Used to deduplicate plans discovered along different rewrite
-/// routes, whose from-clauses may list the same bindings in different orders.
+/// case). Plans discovered along different rewrite routes may list the same
+/// bindings in different orders; every plan list (each search's, each OCS
+/// stage's) is deduplicated by this rule, applied incrementally on a
+/// recycled scratch database, and the tests hold it to this function.
 pub fn same_plan(a: &Query, b: &Query) -> bool {
     same_arity(a, b)
         && (a.canonical_key() == b.canonical_key()

@@ -9,8 +9,9 @@ use std::time::{Duration, Instant};
 
 use cnb_ir::prelude::{Constraint, ExecStrategy, Query, Schema, Symbol, WcojAnalysis};
 
-use crate::backchase::{chase_and_backchase_in, BackchaseConfig, BackchaseResult};
+use crate::backchase::{chase_and_backchase_in, BackchaseConfig, BackchaseResult, PlanSink};
 use crate::bottomup::bottom_up_backchase;
+use crate::canon::CanonDb;
 use crate::chase::ChaseStats;
 use crate::cost::{wcoj_candidate, CostModel, WcojAwarePricer};
 use crate::fragments::{combine_plans, decompose};
@@ -224,7 +225,7 @@ impl Optimizer {
         twins: bool,
     ) -> OptimizeResult {
         // Entry contract: the input query and every registered constraint
-        // must be well-formed. `cnb-analyze validate-suite` checks the
+        // must be well-formed. `cnb-analyze`'s suite pass checks the
         // deeper semantic properties offline; this guards ad-hoc callers in
         // debug builds only — untrusted requests go through
         // `cnb_engine::PlanServer`, which runs the same check in every build.
@@ -371,7 +372,10 @@ impl Optimizer {
 
     fn run_oqf(&self, q: &Query, cfg: &OptimizerConfig, memo: &mut SkeletonMemo) -> OptimizeResult {
         let frags = decompose(q, self.schema.skeletons());
-        if frags.len() <= 1 {
+        // An output over bindings of two fragments (a struct of both) has
+        // no provider to project it from: plan the query whole.
+        let provided = |label| frags.iter().any(|f| f.provides.contains(label));
+        if frags.len() <= 1 || !q.select.iter().all(|(label, _)| provided(label)) {
             return self.run_full(q, cfg, memo);
         }
         let mut out = OptimizeResult {
@@ -440,6 +444,7 @@ impl Optimizer {
             .cloned()
             .collect();
         let mut pool: Vec<Query> = vec![q.clone()];
+        let mut scratch = CanonDb::empty();
         for stratum in &strata {
             let mut cs: Vec<Constraint> = stratum
                 .iter()
@@ -450,17 +455,15 @@ impl Optimizer {
                     cs.push(e.clone());
                 }
             }
-            let mut next: Vec<Query> = Vec::new();
+            let mut next = PlanSink::new(cfg.backchase.max_plans);
             for p in &pool {
                 let res = chase_and_backchase_in(p, &cs, &cfg.backchase, memo);
                 out.absorb(&res);
                 for plan in res.plans {
-                    if !next.iter().any(|q| crate::equivalence::same_plan(q, &plan)) {
-                        next.push(plan);
-                    }
+                    next.emit(&mut scratch, plan);
                 }
             }
-            pool = next;
+            pool = next.plans;
         }
         out.plans = pool.into_iter().map(|p| self.plan_info(p)).collect();
         out

@@ -10,7 +10,9 @@
 //! where — before `PlanServer::plan` ran the check — an unbound select
 //! variable panicked inside the OQF fragment combiner and an unbound where
 //! variable or a duplicated binding was optimized, cached and answered as
-//! if the broken clause were not there.
+//! if the broken clause were not there. The same profile holds one
+//! well-formed request that once panicked there too: an output spanning
+//! two OQF fragments.
 //!
 //! Every assertion is on the server under test (its results and its own
 //! cache counters); nothing here reads a process-wide counter or takes a
@@ -18,7 +20,7 @@
 
 use std::time::Duration;
 
-use cnb_core::prelude::OptimizerConfig;
+use cnb_core::prelude::{OptimizerConfig, Strategy};
 use cnb_engine::{
     execute, execute_legacy, execute_wcoj, ExecError, PlanServer, ServeConfig, ServeError,
     ServedResult, VirtualClock,
@@ -218,6 +220,43 @@ fn door_refuses_ill_formed_requests_on_ec4() {
 #[test]
 fn door_refuses_ill_formed_requests_on_ec1() {
     door_refuses_ill_formed_requests(&Ec1::new(3, 1), [13, 18, 38, 1]);
+}
+
+/// A well-formed request whose one output is a struct over two bindings
+/// that OQF splits into two fragments: no fragment provides the output
+/// alone, so the OQF server must plan it whole — same rows as FB, through
+/// `serve` and through a batch at one and four threads.
+#[test]
+fn an_output_spanning_two_fragments_is_served_under_oqf() {
+    let w = Ec1::new(2, 1);
+    assert_eq!(w.expectations().strategy, Strategy::Oqf);
+    let db = w.generate_at(DataScale::smoke());
+    // select struct(A = r1.K, B = r2.D) as X from R1 r1, R2 r2 where r1.N = r2.K
+    let mut q = Query::new();
+    let r1 = q.bind("r1", Range::Name(sym("R1")));
+    let r2 = q.bind("r2", Range::Name(sym("R2")));
+    q.equate(PathExpr::from(r1).dot("N"), PathExpr::from(r2).dot("K"));
+    let x = vec![
+        (sym("A"), PathExpr::from(r1).dot("K")),
+        (sym("B"), PathExpr::from(r2).dot("D")),
+    ];
+    q.output("X", PathExpr::MkStruct(x));
+    assert_eq!(q.validate(), Ok(()));
+    let mut fb = PlanServer::new(
+        w.optimizer(),
+        OptimizerConfig::with_strategy(Strategy::Full),
+    );
+    let want = rows(&fb.serve(&db, &q), "FB");
+    assert!(!want.is_empty(), "the request returns rows at smoke scale");
+    assert_eq!(rows(&server(&w).serve(&db, &q), "OQF serve"), want);
+    let batch = [q.clone(), q];
+    for threads in [1, 4] {
+        let (config, clock) = (ServeConfig::unbounded(), VirtualClock::frozen());
+        let outcomes = server(&w).serve_batch_under(&db, &batch, threads, &config, &clock, None);
+        for o in &outcomes {
+            assert_eq!(rows(&o.result, "OQF batch"), want, "threads={threads}");
+        }
+    }
 }
 
 /// Called directly, all three executors refuse the same four requests with

@@ -41,19 +41,20 @@ cargo clippy --all-targets -- -D warnings
 tier "cargo build --release"
 cargo build --release
 
-# Static-analysis tier: every prong of cnb-analyze in one pass — one
-# determinism scan (clippy.toml's entries matched line by line in the four
-# logic crates and the experiment harness: unsanctioned needles and stale
-# #[expect]s reported at their own lines, wall-clock reads in the serving
-# layer denied outright), the semantic validator (every suite workload's
-# schema, constraints — including the weak-acyclicity chase termination
-# check — query, and every backchase-emitted plan), and the AGM-bound plan
-# certifier. Offline and fast, so it runs ahead of every test tier: a
-# finding here makes the test failures downstream redundant. The
+# Static-analysis tier: cnb-analyze, one command, every prong in one pass —
+# the determinism scan (clippy.toml's entries matched line by line in the
+# four logic crates and the experiment harness: unsanctioned needles and
+# stale #[expect]s reported at their own lines, wall-clock reads in the
+# serving layer denied outright), then one pass over the suite that
+# optimizes each workload once and runs the semantic validator (schema,
+# constraints — including the weak-acyclicity chase termination check —
+# query, and every backchase-emitted plan) and the AGM-bound plan certifier
+# over the same plans. Offline and fast, so it runs ahead of every test
+# tier: a finding here makes the test failures downstream redundant. The
 # machine-readable report lands in target/cnb-analyze.json either way.
-tier "cnb-analyze all (taint + validate-suite + AGM certify)"
+tier "cnb-analyze (determinism scan + suite validation + AGM certification)"
 analysis_json=target/cnb-analyze.json
-if ! cargo run --release -q -p cnb-analyze -- all . --json "$analysis_json"; then
+if ! cargo run --release -q -p cnb-analyze -- . --json "$analysis_json"; then
   echo "error: cnb-analyze found problems — JSON findings at $analysis_json" >&2
   exit 1
 fi
@@ -82,8 +83,10 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # PlanServer::serve and serve_batch_under on EC4 and EC1, in the release
 # profile — where the optimizer's debug_assert! entry guards are compiled
 # out, so the check PlanServer::plan runs is the only thing between such a
-# request and a panic or a silently wrong cached answer. The debug profile
-# runs the same file as part of `cargo test -q` below.
+# request and a panic or a silently wrong cached answer. Beside them, one
+# well-formed EC1 request under OQF whose output spans two fragments must
+# get FB's rows. The debug profile runs the same file as part of
+# `cargo test -q` below.
 tier "serving door, release profile (ill-formed requests are refused typed)"
 cargo test --release -q -p cnb-engine --test door
 
