@@ -355,7 +355,7 @@ impl<'a> Lattice<'a> {
             return (false, false);
         }
         let (verdict, stats) = self.checker.check(&mut self.scratch);
-        (verdict, stats.chase.truncated)
+        (verdict, stats.truncated)
     }
 
     /// Did the universal chase reach its fixpoint? A lattice whose chase was

@@ -16,6 +16,11 @@
 //!   lets a composite-index key `k = struct(A=r.A, B=b, C=c)` propagate
 //!   equalities onto its components.
 //!
+//! Two distinct constants in one class are merged like any other terms and
+//! flagged nowhere: the serving path's placeholders `?0` and `?1` are
+//! distinct constants here, and `?0 = ?1` holds under every binding that
+//! gives them one value.
+//!
 //! # Savepoints
 //!
 //! The backchase probes thousands of restrictions of one closure; rebuilding
@@ -100,8 +105,8 @@ enum Sig {
 /// its mutation given that every later mutation has already been undone.
 #[derive(Clone, Debug)]
 enum TrailOp {
-    /// A term was appended to the arena (and to `intern`, `var_terms`, and
-    /// every per-term column). Undo pops all of them.
+    /// A term was appended to the arena (and to `intern` and every per-term
+    /// column). Undo pops all of them.
     NewTerm,
     /// A union-find parent pointer was overwritten (union or compression).
     Parent { t: TermId, old: TermId },
@@ -136,7 +141,6 @@ pub struct Savepoint {
     /// instead of unwinding to a meaningless trail offset.
     token: u64,
     scratch_mode: bool,
-    inconsistent: bool,
 }
 
 /// Union-find with congruence over the term arena.
@@ -162,12 +166,8 @@ pub struct Congruence {
     scratch: Vec<bool>,
     /// Scratch mode flag for new terms.
     scratch_mode: bool,
-    /// Set when two distinct constants are merged.
-    inconsistent: bool,
     /// Pending congruence merges.
     worklist: Vec<(TermId, TermId)>,
-    /// Term lookup for variables (vars are the most common roots).
-    var_terms: FxHashMap<Var, TermId>,
     /// Undo trail, recorded only while a savepoint is active.
     trail: Vec<TrailOp>,
     /// Number of active savepoints (0 = trail off).
@@ -205,11 +205,6 @@ impl Congruence {
         self.scratch_mode = on;
     }
 
-    /// True if an equality between distinct constants was derived.
-    pub fn is_inconsistent(&self) -> bool {
-        self.inconsistent
-    }
-
     /// Number of terms in the arena.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -240,7 +235,6 @@ impl Congruence {
             len: self.nodes.len(),
             token,
             scratch_mode: self.scratch_mode,
-            inconsistent: self.inconsistent,
         }
     }
 
@@ -262,7 +256,6 @@ impl Congruence {
         }
         self.save_depth = sp.depth - 1;
         self.scratch_mode = sp.scratch_mode;
-        self.inconsistent = sp.inconsistent;
         debug_assert_eq!(
             self.nodes.len(),
             sp.len,
@@ -278,9 +271,6 @@ impl Congruence {
             TrailOp::NewTerm => {
                 let node = self.nodes.pop().expect("trail out of sync with arena");
                 self.intern.remove(&node);
-                if let TermNode::Var(v) = node {
-                    self.var_terms.remove(&v);
-                }
                 self.parent.pop();
                 self.members[self.nodes.len()].clear();
                 self.uses[self.nodes.len()].clear();
@@ -331,9 +321,7 @@ impl Congruence {
         self.support.clear();
         self.scratch.clear();
         self.scratch_mode = false;
-        self.inconsistent = false;
         self.worklist.clear();
-        self.var_terms.clear();
         self.trail.clear();
         self.snapshots.clear();
         self.rewriting.clear();
@@ -368,13 +356,6 @@ impl Congruence {
                 Some(&t),
                 "{when}: node {i} not interned at its own id"
             );
-            if let TermNode::Var(v) = &self.nodes[i] {
-                assert_eq!(
-                    self.var_terms.get(v),
-                    Some(&t),
-                    "{when}: var_terms out of sync at {i}"
-                );
-            }
             let rep = self.find_ref(t);
             if rep == t {
                 for &m in &self.members[i] {
@@ -398,17 +379,9 @@ impl Congruence {
     /// Interns a node, returning its term id (allocating if new and merging
     /// with any congruent existing term).
     pub fn term(&mut self, node: TermNode) -> TermId {
-        if let TermNode::Var(v) = node {
-            if let Some(&t) = self.var_terms.get(&v) {
-                // Promote: a term re-interned outside scratch mode is real,
-                // even if a scratch probe created it first.
-                if !self.scratch_mode {
-                    self.promote(t);
-                }
-                return t;
-            }
-        }
         if let Some(&t) = self.intern.get(&node) {
+            // Promote: a term re-interned outside scratch mode is real, even
+            // if a scratch probe created it first.
             if !self.scratch_mode {
                 self.promote(t);
             }
@@ -429,9 +402,6 @@ impl Congruence {
                     support.union_with(&self.support[t.idx()]);
                 }
             }
-        }
-        if let TermNode::Var(v) = node {
-            self.var_terms.insert(v, id);
         }
         self.nodes.push(node.clone());
         self.intern.insert(node, id);
@@ -625,19 +595,6 @@ impl Congruence {
             (rb, ra)
         };
         self.set_parent(small, big);
-
-        // Constant-conflict detection.
-        let const_of = |rep: TermId| {
-            self.members[rep.idx()]
-                .iter()
-                .find_map(|&m| match &self.nodes[m.idx()] {
-                    TermNode::Const(c) => Some(c),
-                    _ => None,
-                })
-        };
-        if matches!((const_of(big), const_of(small)), (Some(ca), Some(cb)) if ca != cb) {
-            self.inconsistent = true;
-        }
 
         // Downward struct injectivity: pair struct members across the two
         // classes with identical field-name lists.
@@ -1132,25 +1089,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_conflict_detected() {
-        let mut c = Congruence::new();
-        let a = c.term(TermNode::Const(Value::Int(1)));
-        let b = c.term(TermNode::Const(Value::Int(2)));
-        assert!(!c.is_inconsistent());
-        c.merge(a, b);
-        assert!(c.is_inconsistent());
-    }
-
-    #[test]
-    fn same_constants_no_conflict() {
-        let mut c = Congruence::new();
-        let a = c.term(TermNode::Const(Value::Int(1)));
-        let x = var(&mut c, 0);
-        c.merge(a, x);
-        assert!(!c.is_inconsistent());
-    }
-
-    #[test]
     fn intern_path_round_trip() {
         let mut c = Congruence::new();
         let p = PathExpr::from(Var(0)).lookup_in("I").dot("E");
@@ -1360,18 +1298,6 @@ mod tests {
         assert!(!c.equal(x, z));
         c.rollback(sp1);
         assert!(!c.equal(x, y));
-    }
-
-    #[test]
-    fn rollback_restores_inconsistency_flag() {
-        let mut c = Congruence::new();
-        let a = c.term(TermNode::Const(Value::Int(1)));
-        let b = c.term(TermNode::Const(Value::Int(2)));
-        let sp = c.save();
-        c.merge(a, b);
-        assert!(c.is_inconsistent());
-        c.rollback(sp);
-        assert!(!c.is_inconsistent());
     }
 
     #[test]

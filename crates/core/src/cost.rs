@@ -227,13 +227,13 @@ impl CostModel {
         }
         input + bound
     }
+}
 
-    /// The paper's "best plan first" heuristic score: more physical
-    /// structures first, then fewer bindings. Lower scores are better.
-    pub fn heuristic_rank(&self, schema: &Schema, q: &Query) -> (i64, i64) {
-        let physical = schema.physical_anchors(q).count() as i64;
-        (-(physical), q.from.len() as i64)
-    }
+/// The paper's "best plan first" heuristic score: more physical structures
+/// first, then fewer bindings. Lower scores are better.
+pub fn heuristic_rank(schema: &Schema, q: &Query) -> (i64, i64) {
+    let physical = schema.physical_anchors(q).count() as i64;
+    (-(physical), q.from.len() as i64)
 }
 
 /// A generic-join candidacy check shared by pricing and plan emission:
@@ -465,7 +465,6 @@ mod tests {
         let mut schema = Schema::new();
         schema.add_relation("R", [(sym("K"), Type::Int)]);
         add_primary_index(&mut schema, sym("R"), sym("K"), "PI");
-        let model = CostModel::default();
 
         let mut scan = Query::new();
         let r = scan.bind("r", Range::Name(sym("R")));
@@ -475,7 +474,7 @@ mod tests {
         let k = idx.bind("k", Range::Dom(sym("PI")));
         idx.output("K", PathExpr::from(k));
 
-        assert!(model.heuristic_rank(&schema, &idx) < model.heuristic_rank(&schema, &scan));
+        assert!(heuristic_rank(&schema, &idx) < heuristic_rank(&schema, &scan));
     }
 
     #[test]

@@ -36,15 +36,6 @@ pub struct EquivChecker<'a> {
     pub chase_cfg: ChaseConfig,
 }
 
-/// Counters from one equivalence check.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EquivStats {
-    /// Stats of the implication chase.
-    pub chase: ChaseStats,
-    /// Homomorphisms of `q0` into the chased candidate that were inspected.
-    pub homs_inspected: usize,
-}
-
 impl<'a> EquivChecker<'a> {
     /// Creates a checker for target `q0` under `constraints`.
     pub fn new(q0: &'a Query, constraints: &'a [Constraint], chase_cfg: ChaseConfig) -> Self {
@@ -56,7 +47,8 @@ impl<'a> EquivChecker<'a> {
     }
 
     /// Is `candidate` (a subquery of the universal plan of `q0`, sharing its
-    /// variable space) equivalent to `q0` under the constraints?
+    /// variable space) equivalent to `q0` under the constraints? Also
+    /// returns the stats of the implication chase.
     ///
     /// Convenience wrapper paying for a compilation and a fresh scratch
     /// database, and for loading `candidate` into it from its text. The
@@ -64,7 +56,7 @@ impl<'a> EquivChecker<'a> {
     /// and loads each candidate straight from the universal plan
     /// ([`crate::subquery::load_subquery`]); what runs on the loaded
     /// database is the same check.
-    pub fn equivalent(&self, candidate: &Query) -> (bool, EquivStats) {
+    pub fn equivalent(&self, candidate: &Query) -> (bool, ChaseStats) {
         self.compile()
             .equivalent_into(&mut CanonDb::empty(), candidate)
     }
@@ -98,7 +90,7 @@ impl CompiledChecker<'_> {
         &mut self,
         scratch: &mut CanonDb,
         candidate: &Query,
-    ) -> (bool, EquivStats) {
+    ) -> (bool, ChaseStats) {
         scratch.reset_to(candidate);
         self.check(scratch)
     }
@@ -117,16 +109,12 @@ impl CompiledChecker<'_> {
     /// binding removal — facts derived from a removed binding are not facts
     /// of the subquery, and reusing them would flip verdicts. What CAN be
     /// reused, and is, is the warm allocation footprint.
-    pub(crate) fn check(&mut self, scratch: &mut CanonDb) -> (bool, EquivStats) {
-        let mut stats = EquivStats {
-            chase: self.chaser.chase(scratch),
-            ..EquivStats::default()
-        };
+    pub(crate) fn check(&mut self, scratch: &mut CanonDb) -> (bool, ChaseStats) {
+        let stats = self.chaser.chase(scratch);
         self.body
             .search(scratch, &[], HomConfig::default(), &mut self.homs);
         let CanonDb { query, cong, .. } = scratch;
         for k in 0..self.homs.count {
-            stats.homs_inspected += 1;
             self.homs.assign(&self.body, k);
             // Output preservation: each select path of `q0`, mapped, must
             // equal the candidate's path of the same label.

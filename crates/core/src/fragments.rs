@@ -53,7 +53,7 @@ pub fn decompose(q: &Query, skeletons: &[Skeleton]) -> Vec<Fragment> {
     // Step 1: skeleton homomorphism images.
     let mut covered = vec![false; n];
     for sk in skeletons {
-        let (homs, _) = find_homs(
+        let homs = find_homs(
             &mut db,
             &sk.forward.universal,
             &sk.forward.premise,

@@ -67,15 +67,6 @@ impl Default for HomConfig {
     }
 }
 
-/// Statistics of one search, for the experiment harness.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HomStats {
-    /// Partial assignments attempted.
-    pub candidates_tried: usize,
-    /// Partial assignments pruned by an early condition failure.
-    pub pruned: usize,
-}
-
 /// A source body `(bindings, conds)` compiled for searching: everything the
 /// search needs to know about the body that does not depend on the target.
 pub(crate) struct Body<'a> {
@@ -158,7 +149,6 @@ impl<'a> Body<'a> {
     ) {
         homs.images.clear();
         homs.count = 0;
-        homs.stats = HomStats::default();
         homs.used.clear();
         homs.assignment.clear();
         homs.assignment.extend_from_slice(fixed);
@@ -173,7 +163,7 @@ impl<'a> Body<'a> {
             // Unmappable condition (free variable) — no homomorphism exists.
             return;
         }
-        if conds_hold(db, self.ready_at(0), homs) {
+        if conds_hold(db, self.ready_at(0), &homs.assignment) {
             self.dfs(db, 0, cfg, homs);
         }
     }
@@ -195,7 +185,7 @@ impl<'a> Body<'a> {
         if let Some(target) = homs.assignment[slot] {
             let at = db.query.from.iter().position(|tb| tb.var == target);
             if at.is_some_and(|i| range_compatible(db, &b.range, &homs.assignment, i))
-                && conds_hold(db, self.ready_at(depth + 1), homs)
+                && conds_hold(db, self.ready_at(depth + 1), &homs.assignment)
             {
                 self.dfs(db, depth + 1, cfg, homs);
             }
@@ -214,14 +204,12 @@ impl<'a> Body<'a> {
             if cfg.injective && homs.used.contains(&tv) {
                 continue;
             }
-            homs.stats.candidates_tried += 1;
             if !range_compatible(db, &b.range, &homs.assignment, i) {
-                homs.stats.pruned += 1;
                 continue;
             }
             homs.assignment[slot] = Some(tv);
             homs.used.push(tv);
-            if conds_hold(db, self.ready_at(depth + 1), homs) {
+            if conds_hold(db, self.ready_at(depth + 1), &homs.assignment) {
                 self.dfs(db, depth + 1, cfg, homs);
             }
             homs.used.pop();
@@ -233,16 +221,12 @@ impl<'a> Body<'a> {
     }
 }
 
-/// Do `conds`, mapped through the current assignment, all follow from the
-/// target's where-clause? Counts the first one that does not as a pruning.
-fn conds_hold(db: &mut CanonDb, conds: &[&Equality], homs: &mut Homs) -> bool {
-    for eq in conds {
-        if !db.implied_mapped((&eq.lhs, &homs.assignment), (&eq.rhs, &homs.assignment)) {
-            homs.stats.pruned += 1;
-            return false;
-        }
-    }
-    true
+/// Do `conds`, mapped through `assignment`, all follow from the target's
+/// where-clause?
+fn conds_hold(db: &mut CanonDb, conds: &[&Equality], assignment: &[Option<Var>]) -> bool {
+    conds
+        .iter()
+        .all(|eq| db.implied_mapped((&eq.lhs, assignment), (&eq.rhs, assignment)))
 }
 
 /// The state and the results of a search, recycled from one
@@ -260,7 +244,6 @@ pub(crate) struct Homs {
     images: Vec<Var>,
     /// Homomorphisms found (a body without bindings has images of length 0).
     pub(crate) count: usize,
-    pub(crate) stats: HomStats,
 }
 
 impl Homs {
@@ -293,7 +276,7 @@ pub fn find_homs(
     conds: &[Equality],
     fixed: &HomMap,
     cfg: HomConfig,
-) -> (Vec<HomMap>, HomStats) {
+) -> Vec<HomMap> {
     let body = Body::compile(bindings, conds);
     let mut assignment = vec![None; fixed.keys().map(|v| v.index() + 1).max().unwrap_or(0)];
     for (v, &target) in fixed {
@@ -301,7 +284,7 @@ pub fn find_homs(
     }
     let mut homs = Homs::default();
     body.search(db, &assignment, cfg, &mut homs);
-    let results = (0..homs.count)
+    (0..homs.count)
         .map(|k| {
             let mut h = fixed.clone();
             h.extend(
@@ -312,8 +295,7 @@ pub fn find_homs(
             );
             h
         })
-        .collect();
-    (results, homs.stats)
+        .collect()
 }
 
 /// Cheap structural pre-filter: a source range can only match target ranges
@@ -348,26 +330,6 @@ fn range_compatible(db: &mut CanonDb, src: &Range, assignment: &[Option<Var>], a
     }
 }
 
-/// Convenience: does at least one homomorphism exist?
-pub fn hom_exists(
-    db: &mut CanonDb,
-    bindings: &[Binding],
-    conds: &[Equality],
-    fixed: &HomMap,
-) -> bool {
-    let (homs, _) = find_homs(
-        db,
-        bindings,
-        conds,
-        fixed,
-        HomConfig {
-            max_homs: 1,
-            injective: false,
-        },
-    );
-    !homs.is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,7 +350,7 @@ mod tests {
         let mut db = target();
         let mut src = Query::new();
         let x = src.bind("x", Range::Name(sym("R")));
-        let (homs, _) = find_homs(
+        let homs = find_homs(
             &mut db,
             &src.from,
             &[],
@@ -404,7 +366,7 @@ mod tests {
         let mut db = target();
         let mut src = Query::new();
         src.bind("x", Range::Name(sym("T")));
-        let (homs, _) = find_homs(
+        let homs = find_homs(
             &mut db,
             &src.from,
             &[],
@@ -429,7 +391,7 @@ mod tests {
             PathExpr::from(x).dot("B"),
             PathExpr::from(3i64),
         )];
-        let (homs, _) = find_homs(
+        let homs = find_homs(
             &mut db,
             &src.from,
             &conds,
@@ -453,7 +415,7 @@ mod tests {
             PathExpr::from(x).dot("A"),
             PathExpr::from(y).dot("A"),
         )];
-        let (homs, _) = find_homs(
+        let homs = find_homs(
             &mut db,
             &src.from,
             &conds,
@@ -473,7 +435,7 @@ mod tests {
         let mut db = CanonDb::new(&q);
         let mut src = Query::new();
         src.bind("x", Range::Name(sym("R")));
-        let (homs, _) = find_homs(
+        let homs = find_homs(
             &mut db,
             &src.from,
             &[],
@@ -493,7 +455,7 @@ mod tests {
         let mut src = Query::new();
         src.bind("x", Range::Name(sym("R")));
         src.bind("y", Range::Name(sym("R")));
-        let (homs, _) = find_homs(
+        let homs = find_homs(
             &mut db,
             &src.from,
             &[],
@@ -501,7 +463,7 @@ mod tests {
             HomConfig::default(),
         );
         assert_eq!(homs.len(), 1);
-        let (inj, _) = find_homs(
+        let inj = find_homs(
             &mut db,
             &src.from,
             &[],
@@ -524,7 +486,7 @@ mod tests {
         let x = src.bind("x", Range::Name(sym("R")));
         let mut fixed = HomMap::default();
         fixed.insert(x, r2);
-        let (homs, _) = find_homs(&mut db, &src.from, &[], &fixed, HomConfig::default());
+        let homs = find_homs(&mut db, &src.from, &[], &fixed, HomConfig::default());
         assert_eq!(homs.len(), 1);
         assert_eq!(homs[0][&x], r2);
         let _ = r1;
@@ -543,7 +505,7 @@ mod tests {
             "o2",
             Range::Expr(PathExpr::from(k2).lookup_in("M").dot("N")),
         );
-        let (homs, _) = find_homs(
+        let homs = find_homs(
             &mut db,
             &src.from,
             &[],
@@ -567,7 +529,7 @@ mod tests {
             "o2",
             Range::Expr(PathExpr::from(k2).lookup_in("M").dot("P")),
         );
-        let (homs, _) = find_homs(
+        let homs = find_homs(
             &mut db,
             &src.from,
             &[],
@@ -586,7 +548,7 @@ mod tests {
         let mut db = CanonDb::new(&q);
         let mut src = Query::new();
         src.bind("x", Range::Name(sym("R")));
-        let (homs, _) = find_homs(
+        let homs = find_homs(
             &mut db,
             &src.from,
             &[],
@@ -597,16 +559,5 @@ mod tests {
             },
         );
         assert_eq!(homs.len(), 2);
-    }
-
-    #[test]
-    fn hom_exists_shortcut() {
-        let mut db = target();
-        let mut src = Query::new();
-        src.bind("x", Range::Name(sym("S")));
-        assert!(hom_exists(&mut db, &src.from, &[], &HomMap::default()));
-        let mut src2 = Query::new();
-        src2.bind("x", Range::Name(sym("Z")));
-        assert!(!hom_exists(&mut db, &src2.from, &[], &HomMap::default()));
     }
 }

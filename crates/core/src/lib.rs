@@ -54,7 +54,7 @@ pub mod prelude {
     pub use crate::equivalence::{same_plan, EquivChecker};
     pub use crate::fragments::{decompose, Fragment};
     pub use crate::fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-    pub use crate::homomorphism::{find_homs, hom_exists, HomConfig, HomMap};
+    pub use crate::homomorphism::{find_homs, HomConfig, HomMap};
     pub use crate::memo::SkeletonMemo;
     pub use crate::optimizer::{
         plan_price, OptimizeResult, Optimizer, OptimizerConfig, PlanInfo, Strategy,

@@ -13,7 +13,7 @@ use crate::backchase::{chase_and_backchase_in, BackchaseConfig, BackchaseResult,
 use crate::bottomup::bottom_up_backchase;
 use crate::canon::CanonDb;
 use crate::chase::ChaseStats;
-use crate::cost::{wcoj_candidate, CostModel, WcojAwarePricer};
+use crate::cost::{heuristic_rank, wcoj_candidate, CostModel, WcojAwarePricer};
 use crate::fragments::{combine_plans, decompose};
 use crate::memo::SkeletonMemo;
 use crate::strata::{regroup, stratify};
@@ -251,10 +251,9 @@ impl Optimizer {
         }
         result.total_time = start.elapsed();
         // Best first: more physical structures, then fewer loops.
-        let model = CostModel::default();
         result
             .plans
-            .sort_by_key(|p| model.heuristic_rank(&self.schema, &p.query));
+            .sort_by_key(|p| heuristic_rank(&self.schema, &p.query));
         result
     }
 
@@ -340,9 +339,7 @@ impl Optimizer {
             plan_price(model, a)
                 .total_cmp(&plan_price(model, b))
                 .then_with(|| {
-                    model
-                        .heuristic_rank(schema, &a.query)
-                        .cmp(&model.heuristic_rank(schema, &b.query))
+                    heuristic_rank(schema, &a.query).cmp(&heuristic_rank(schema, &b.query))
                 })
                 .then_with(|| a.query.canonical_key().cmp(&b.query.canonical_key()))
                 .then_with(|| {

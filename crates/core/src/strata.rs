@@ -53,7 +53,7 @@ pub fn stratify(constraints: &[Constraint]) -> Vec<Vec<usize>> {
 
 /// Does `c`'s universal part map (binding-injectively) into the tableau db?
 fn interacts(c: &Constraint, tableau: &mut CanonDb) -> bool {
-    let (homs, _) = find_homs(
+    let homs = find_homs(
         tableau,
         &c.universal,
         &c.premise,

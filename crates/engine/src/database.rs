@@ -187,7 +187,7 @@ impl Database {
                     for row in rows {
                         let k = row
                             .field(*key)
-                            .ok_or(ExecError::MissingKeyAttribute {
+                            .ok_or(ExecError::MissingAttribute {
                                 relation: *rel,
                                 attribute: *key,
                             })?
@@ -328,9 +328,11 @@ mod tests {
         assert_eq!(pi.len(), 2);
         assert_eq!(pi[&Value::Int(1)].field(sym("N")), Some(&Value::Int(10)));
         // A primary index has exactly one entry per source row.
-        let spec = &schema.skeletons()[0].spec;
-        assert_eq!(spec.source_relation(), Some(sym("R")));
-        assert_eq!(pi.len(), db.table(spec.source_relation().unwrap()).len());
+        let PhysicalSpec::PrimaryIndex { rel, .. } = schema.skeletons()[0].spec else {
+            panic!("the one skeleton is the primary index");
+        };
+        assert_eq!(rel, sym("R"));
+        assert_eq!(pi.len(), db.table(rel).len());
     }
 
     #[test]

@@ -35,16 +35,8 @@ pub enum ExecError {
     /// The join planner found no binding it can evaluate next (cyclic range
     /// dependencies).
     NoEvaluableBinding,
-    /// A row of `relation` lacks the key attribute a primary or composite
-    /// index materialization needs.
-    MissingKeyAttribute {
-        /// The relation being indexed.
-        relation: Symbol,
-        /// The missing key attribute.
-        attribute: Symbol,
-    },
-    /// A row of `relation` lacks a non-key attribute a physical
-    /// materialization projects.
+    /// A row of `relation` lacks an attribute a physical structure is built
+    /// on: a primary, composite or secondary index key.
     MissingAttribute {
         /// The relation being materialized.
         relation: Symbol,
@@ -81,10 +73,6 @@ impl fmt::Display for ExecError {
             ExecError::NoEvaluableBinding => {
                 write!(f, "no evaluable binding (cyclic range dependencies?)")
             }
-            ExecError::MissingKeyAttribute {
-                relation,
-                attribute,
-            } => write!(f, "{relation} row lacks key attribute {attribute}"),
             ExecError::MissingAttribute {
                 relation,
                 attribute,
@@ -172,12 +160,12 @@ mod tests {
             "query contains unbound parameter ?3; bind parameters before executing"
         );
         assert_eq!(
-            ExecError::MissingKeyAttribute {
+            ExecError::MissingAttribute {
                 relation: sym("R"),
                 attribute: sym("K"),
             }
             .to_string(),
-            "R row lacks key attribute K"
+            "R row lacks attribute K"
         );
         assert_eq!(
             ExecError::NoEvaluableBinding.to_string(),

@@ -4,9 +4,10 @@
 //! as a pipeline of batch-at-a-time operators. [`execute`] and
 //! [`execute_wcoj`] are two entry points over one private `run`, which
 //! holds everything around the operators exactly once — the clock read,
-//! query validation, the unbound-parameter guard, the operator loop, the
-//! select-clause projection and the stats epilogue — and differ only in how
-//! they compile the query to [`crate::join`]'s three operators:
+//! query validation, the unbound-parameter guard, the ground-equality
+//! check, the operator loop, the select-clause projection and the stats
+//! epilogue — and differ only in how they compile the query to
+//! [`crate::join`]'s three operators:
 //!
 //! * `Bind` — one binding through a scan, a dictionary-domain scan, a key
 //!   probe, a set-path expansion or a build/probe hash join;
@@ -202,6 +203,25 @@ fn reject_unbound_params(q: &Query) -> Result<(), ExecError> {
     }
 }
 
+/// True if every ground equality of `q` — one without variables, like
+/// `3 = 4` — holds in `db`. The greedy order attaches each equality to the
+/// step that binds its last variable, so a ground one reaches no step: both
+/// executors decide these once, before binding anything, and a false one
+/// empties the result. (A bound template plan can carry one: `?0 = ?1`.)
+fn ground_equalities_hold(db: &Database, q: &Query) -> bool {
+    let env = FxHashMap::default();
+    let ground = |p: &PathExpr| p.vars_all(&mut |_| false);
+    q.where_
+        .iter()
+        .filter(|eq| ground(&eq.lhs) && ground(&eq.rhs))
+        .all(|eq| {
+            matches!(
+                (eval_path(db, &env, &eq.lhs), eval_path(db, &env, &eq.rhs)),
+                (Some(a), Some(b)) if a == b
+            )
+        })
+}
+
 /// Executes `q` against `db` with the batched engine's binary operators.
 pub fn execute(db: &Database, q: &Query) -> Result<ExecResult, ExecError> {
     run(db, q, plan)
@@ -241,6 +261,11 @@ fn run(
     // output borrows lives here (see `crate::batch`).
     let homes: Vec<Home> = ops.iter().map(|_| Home::new()).collect();
     let mut batch = Batch::unit(q.from.len());
+    // A generic join reads no input batch: its plan decides the constant
+    // equalities it accepts on its own (`GenericJoin::unsatisfiable`).
+    if !ground_equalities_hold(db, q) {
+        batch = batch.gather(&[]);
+    }
     for (op, home) in ops.iter().zip(&homes) {
         batch = match op {
             Op::Bind(step) => apply_access(db, q, &indexes, step, home, &batch, &mut stats)?,
@@ -294,7 +319,9 @@ pub fn execute_legacy(db: &Database, q: &Query) -> Result<ExecResult, ExecError>
     };
     let mut env: FxHashMap<Var, Value> = FxHashMap::default();
     let mut rows = Vec::new();
-    legacy_steps(db, q, &steps, &indexes, 0, &mut env, &mut rows, &mut stats)?;
+    if ground_equalities_hold(db, q) {
+        legacy_steps(db, q, &steps, &indexes, 0, &mut env, &mut rows, &mut stats)?;
+    }
     stats.rows_out = rows.len();
     stats.elapsed = start.elapsed();
     Ok(ExecResult { rows, stats })

@@ -12,7 +12,9 @@
 //! variable or a duplicated binding was optimized, cached and answered as
 //! if the broken clause were not there. The same profile holds one
 //! well-formed request that once panicked there too: an output spanning
-//! two OQF fragments.
+//! two OQF fragments. And one request sequence a cached plan once answered
+//! wrongly in every profile: a template plan carrying the ground equality
+//! `?0 = ?1`, which no executor step checked.
 //!
 //! Every assertion is on the server under test (its results and its own
 //! cache counters); nothing here reads a process-wide counter or takes a
@@ -255,6 +257,51 @@ fn an_output_spanning_two_fragments_is_served_under_oqf() {
         let outcomes = server(&w).serve_batch_under(&db, &batch, threads, &config, &clock, None);
         for o in &outcomes {
             assert_eq!(rows(&o.result, "OQF batch"), want, "threads={threads}");
+        }
+    }
+}
+
+/// `r.K = a and r.K = b` is one query template for every `(a, b)`, and a
+/// plan for it may carry the ground equality `?0 = ?1`: after `3, 3` caches
+/// that plan, `3, 4` hits it with `3 = 4` bound in, and `4, 4` with `4 = 4`.
+/// Each request gets exactly the rows `execute` gives on it as written —
+/// through `serve` and through a batch at one and four threads.
+#[test]
+fn a_cached_plan_decides_its_ground_equalities_per_request() {
+    let w = Ec1::new(2, 1);
+    let db = w.generate_at(DataScale::smoke());
+    // select r.K as K, r.D as D from R1 r where r.K = a and r.K = b
+    let request = |a: i64, b: i64| {
+        let mut q = Query::new();
+        let r = q.bind("r", Range::Name(sym("R1")));
+        q.equate(PathExpr::from(r).dot("K"), PathExpr::from(a));
+        q.equate(PathExpr::from(r).dot("K"), PathExpr::from(b));
+        q.output("K", PathExpr::from(r).dot("K"));
+        q.output("D", PathExpr::from(r).dot("D"));
+        q
+    };
+    let requests = [request(3, 3), request(3, 4), request(4, 4)];
+    let want: Vec<Vec<Value>> = requests
+        .iter()
+        .map(|q| execute(&db, q).expect("well-formed").rows)
+        .collect();
+    assert_eq!(want.iter().map(Vec::len).collect::<Vec<_>>(), [1, 0, 1]);
+
+    let mut s = server(&w);
+    for (i, q) in requests.iter().enumerate() {
+        assert_eq!(
+            rows(&s.serve(&db, q), "serve"),
+            want[i],
+            "serve request {i}"
+        );
+    }
+    assert_eq!(cache_state(&s), (1, 3, 1), "one template, two hits");
+    for threads in [1, 4] {
+        let (config, clock) = (ServeConfig::unbounded(), VirtualClock::frozen());
+        let outcomes = server(&w).serve_batch_under(&db, &requests, threads, &config, &clock, None);
+        for (i, o) in outcomes.iter().enumerate() {
+            let tag = format!("batch threads={threads} request {i}");
+            assert_eq!(rows(&o.result, &tag), want[i], "{tag}");
         }
     }
 }

@@ -20,7 +20,7 @@
 
 use cnb_analyze::prelude::validate_plan;
 use cnb_engine::datagen::EdgeDist;
-use cnb_engine::{cmp_value, execute, execute_legacy, execute_wcoj, Database};
+use cnb_engine::{cmp_value, execute, execute_legacy, execute_wcoj, Database, ExecError};
 use cnb_ir::prelude::*;
 use cnb_workloads::ec5::Ec5DataSpec;
 use cnb_workloads::{suite, DataScale, Ec5, Workload};
@@ -244,4 +244,37 @@ fn undefined_select_paths_skip_the_same_rows_in_all_three_executors() {
     assert!(wcoj.stats.tuples_considered > wcoj.stats.rows_out);
     assert_eq!(answer_set(&wcoj.rows), expect);
     assert_eq!(answer_set(&execute_legacy(&db, &q).unwrap().rows), expect);
+}
+
+/// A ground equality — one without variables, like `3 = 4` — holds or fails
+/// for the whole query, never for a row: the triangle, one edge binding and
+/// an empty from-clause each return all their rows under `3 = 3` and none
+/// under `3 = 4`, in every executor that takes the query (the generic join
+/// takes none without bindings).
+#[test]
+fn ground_equalities_decide_the_whole_query_in_all_three_executors() {
+    let w = Ec5::triangle();
+    let db = w.generate_at(DataScale::smoke());
+    let mut edge = Query::new();
+    let e = edge.bind("e", Range::Name(w.edges()));
+    edge.output("S", PathExpr::from(e).dot("S"));
+    let mut unit = Query::new();
+    unit.output("X", PathExpr::from(7i64));
+    for (label, q) in [("triangle", w.query()), ("edge", edge), ("unit", unit)] {
+        let all = execute(&db, &q).unwrap().rows;
+        assert!(!all.is_empty(), "{label}: vacuous differential");
+        for (rhs, holds) in [(3i64, true), (4, false)] {
+            let mut g = q.clone();
+            g.equate(PathExpr::from(3i64), PathExpr::from(rhs));
+            let want = if holds { all.clone() } else { Vec::new() };
+            let tag = format!("{label} where 3 = {rhs}");
+            assert_eq!(execute(&db, &g).unwrap().rows, want, "{tag}: execute");
+            assert_eq!(execute_legacy(&db, &g).unwrap().rows, want, "{tag}: legacy");
+            match execute_wcoj(&db, &g) {
+                Ok(r) => assert_eq!(answer_set(&r.rows), answer_set(&want), "{tag}: wcoj"),
+                Err(ExecError::GenericJoinUnsupported(_)) if g.from.is_empty() => {}
+                Err(err) => panic!("{tag}: wcoj failed: {err}"),
+            }
+        }
+    }
 }

@@ -127,16 +127,6 @@ impl Constraint {
         q
     }
 
-    /// The universal part viewed as a body-only query (the "from/where" role
-    /// it plays in homomorphism search, per Appendix A).
-    pub fn universal_part(&self) -> Query {
-        let mut q = Query::new();
-        q.from.extend(self.universal.iter().cloned());
-        q.where_.extend(self.premise.iter().cloned());
-        q.reserve_vars(self.next_var);
-        q
-    }
-
     /// Schema names mentioned in universal ranges.
     pub fn universal_anchors(&self) -> Vec<Symbol> {
         self.universal
@@ -286,21 +276,6 @@ pub enum PhysicalSpec {
     Opaque,
 }
 
-impl PhysicalSpec {
-    /// The single logical relation this structure is materialized from —
-    /// `None` for views (multi-relation definitions) and opaque structures.
-    /// Execution-side consumers use this to attribute observed index
-    /// cardinalities back to their source relation.
-    pub fn source_relation(&self) -> Option<Symbol> {
-        match self {
-            PhysicalSpec::PrimaryIndex { rel, .. }
-            | PhysicalSpec::CompositeIndex { rel, .. }
-            | PhysicalSpec::SecondaryIndex { rel, .. } => Some(*rel),
-            PhysicalSpec::View(_) | PhysicalSpec::Opaque => None,
-        }
-    }
-}
-
 /// A *skeleton* (Appendix B): a pair of complementary inclusion constraints
 /// describing a physical access structure. `forward` quantifies universally
 /// over logical names and existentially over the physical structure;
@@ -414,14 +389,6 @@ mod tests {
         assert_eq!(t.from.len(), 2);
         assert_eq!(t.where_.len(), 1);
         assert!(t.select.is_empty());
-    }
-
-    #[test]
-    fn universal_part_shape() {
-        let c = key();
-        let u = c.universal_part();
-        assert_eq!(u.from.len(), 2);
-        assert_eq!(u.where_.len(), 1);
     }
 
     #[test]

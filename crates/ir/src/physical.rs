@@ -355,9 +355,8 @@ mod tests {
         assert_eq!(sk.backward.conclusion.len(), 3);
     }
 
-    /// Every builder stamps its spec with the logical source relation
-    /// (views excepted) — the hook execution-side stats use to attribute an
-    /// observed index cardinality back to the relation it indexes.
+    /// Every index builder stamps its spec with the logical source relation
+    /// it indexes; a view's spec names no single relation.
     #[test]
     fn specs_carry_their_source_relation() {
         let mut s = rel_schema();
@@ -372,7 +371,12 @@ mod tests {
         let sources: Vec<Option<Symbol>> = s
             .skeletons()
             .iter()
-            .map(|sk| sk.spec.source_relation())
+            .map(|sk| match sk.spec {
+                PhysicalSpec::PrimaryIndex { rel, .. }
+                | PhysicalSpec::CompositeIndex { rel, .. }
+                | PhysicalSpec::SecondaryIndex { rel, .. } => Some(rel),
+                PhysicalSpec::View(_) | PhysicalSpec::Opaque => None,
+            })
             .collect();
         assert_eq!(
             sources,

@@ -375,17 +375,6 @@ impl Query {
         out.push_str(&eqs.join(","));
         out
     }
-
-    /// A body-only copy (no select) — used for tableaux and containment
-    /// checks where outputs are compared separately.
-    pub fn body_only(&self) -> Query {
-        Query {
-            select: Vec::new(),
-            from: self.from.clone(),
-            where_: self.where_.clone(),
-            next_var: self.next_var,
-        }
-    }
 }
 
 impl fmt::Display for Query {
@@ -573,15 +562,6 @@ mod tests {
         let k = q.bind("k", Range::Dom(sym("M1")));
         q.output("F", PathExpr::from(k));
         assert!(q.to_string().contains("dom M1 k"));
-    }
-
-    #[test]
-    fn body_only_strips_select() {
-        let q = chain2();
-        let b = q.body_only();
-        assert!(b.select.is_empty());
-        assert_eq!(b.from, q.from);
-        assert_eq!(b.where_, q.where_);
     }
 
     #[test]

@@ -50,14 +50,6 @@ impl Type {
             _ => None,
         }
     }
-
-    /// True for the scalar (non-collection, non-struct) types.
-    pub fn is_scalar(&self) -> bool {
-        matches!(
-            self,
-            Type::Int | Type::Float | Type::Str | Type::Bool | Type::Oid(_)
-        )
-    }
 }
 
 impl fmt::Display for Type {
@@ -102,14 +94,6 @@ mod tests {
         let t = Type::Set(Box::new(Type::Int));
         assert_eq!(t.elem(), Some(&Type::Int));
         assert_eq!(Type::Int.elem(), None);
-    }
-
-    #[test]
-    fn scalar_classification() {
-        assert!(Type::Int.is_scalar());
-        assert!(Type::Oid(sym("M1")).is_scalar());
-        assert!(!Type::Set(Box::new(Type::Int)).is_scalar());
-        assert!(!Type::record([]).is_scalar());
     }
 
     #[test]

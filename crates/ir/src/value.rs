@@ -58,11 +58,6 @@ impl Value {
         }
     }
 
-    /// True if this is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Builds a set value.
     pub fn set(items: impl IntoIterator<Item = Value>) -> Value {
         Value::Set(items.into_iter().collect())
@@ -259,7 +254,5 @@ mod tests {
     fn kind_tags() {
         assert_eq!(Value::Int(0).kind(), "int");
         assert_eq!(Value::Null.kind(), "null");
-        assert!(Value::Null.is_null());
-        assert!(!Value::Int(0).is_null());
     }
 }

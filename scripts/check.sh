@@ -85,8 +85,11 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # out, so the check PlanServer::plan runs is the only thing between such a
 # request and a panic or a silently wrong cached answer. Beside them, one
 # well-formed EC1 request under OQF whose output spans two fragments must
-# get FB's rows. The debug profile runs the same file as part of
-# `cargo test -q` below.
+# get FB's rows, and the ground-equality sequence `r.K = 3 and r.K = 3`,
+# `3, 4`, `4, 4`: the first caches a template plan with `?0 = ?1`, the other
+# two hit it with `3 = 4` and `4 = 4` bound in, and each must get the rows
+# `execute` gives on the request as written. The debug profile runs the
+# same file as part of `cargo test -q` below.
 tier "serving door, release profile (ill-formed requests are refused typed)"
 cargo test --release -q -p cnb-engine --test door
 

@@ -45,7 +45,7 @@ fn every_round_searches_everything(
         stats.rounds += 1;
         let mut progress = false;
         for (ci, c) in constraints.iter().enumerate() {
-            let (homs, _) = find_homs(
+            let homs = find_homs(
                 db,
                 &c.universal,
                 &c.premise,
@@ -58,7 +58,7 @@ fn every_round_searches_everything(
                 if !applied.insert((ci, image)) {
                     continue;
                 }
-                let (witnesses, _) = find_homs(db, &c.existential, &c.conclusion, &h, exists);
+                let witnesses = find_homs(db, &c.existential, &c.conclusion, &h, exists);
                 if !witnesses.is_empty() {
                     stats.satisfied_skips += 1;
                     continue;
