@@ -24,6 +24,15 @@
 //! [`Home`], which the pipeline declares before the batch ([`homed`]). The
 //! single `into_owned()` of a run is the select-clause projection in
 //! [`crate::eval`].
+//!
+//! **A borrow costs a borrow.** [`Path::resolve`] decides a path's kind
+//! once per operator: a path rooted at a column, a candidate or a constant
+//! and followed by a field chain is a borrow, which [`eval_path_at`]
+//! evaluates inline in the operator's candidate loop; a `Lookup` or
+//! `MkStruct` root is evaluated out of line. `resolve` also records whether
+//! a path reads the candidate under test: the operators read a filter side
+//! that does once per candidate and one that does not once per input row
+//! (see [`crate::join`]).
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
@@ -100,11 +109,14 @@ impl<'a> Batch<'a> {
 /// A [`PathExpr`] resolved for one operator: a root — where variables are
 /// slots, dictionaries are the [`OrderedDict`]s themselves and constants are
 /// borrowed from the plan — and the field names read off it, so evaluating
-/// it at a row probes no name map.
+/// it at a row probes no name map. The root's variant is the path's kind:
+/// a borrow, or a [`Computed`] value (see the module docs).
 pub(crate) struct Path<'a> {
     root: Root<'a>,
     /// `root.f0.f1…`, in application order.
     fields: Vec<Symbol>,
+    /// Some variable in the path is one the operator is binding.
+    reads_candidate: bool,
 }
 
 enum Root<'a> {
@@ -116,9 +128,14 @@ enum Root<'a> {
     /// A variable no binding declares (validation rejects these): undefined.
     Unbound,
     Const(&'a Value),
+    /// A root evaluation has to compute: out of line.
+    Computed(Box<Computed<'a>>),
+}
+
+enum Computed<'a> {
     /// `None`: the database has no such dictionary, every lookup is
     /// undefined.
-    Lookup(Option<&'a OrderedDict>, Box<Path<'a>>),
+    Lookup(Option<&'a OrderedDict>, Path<'a>),
     MkStruct(Vec<(Symbol, Path<'a>)>),
 }
 
@@ -143,15 +160,32 @@ impl<'a> Path<'a> {
                 path.fields.push(*f);
                 return path;
             }
-            PathExpr::Lookup(dict, key) => Root::Lookup(db.dict(*dict), Box::new(resolve(key))),
-            PathExpr::MkStruct(fields) => {
-                Root::MkStruct(fields.iter().map(|(n, p)| (*n, resolve(p))).collect())
+            PathExpr::Lookup(dict, key) => {
+                Root::Computed(Box::new(Computed::Lookup(db.dict(*dict), resolve(key))))
             }
+            PathExpr::MkStruct(fields) => Root::Computed(Box::new(Computed::MkStruct(
+                fields.iter().map(|(n, p)| (*n, resolve(p))).collect(),
+            ))),
+        };
+        let reads_candidate = match &root {
+            Root::Cand(_) => true,
+            Root::Col(_) | Root::Unbound | Root::Const(_) => false,
+            Root::Computed(c) => match &**c {
+                Computed::Lookup(_, key) => key.reads_candidate,
+                Computed::MkStruct(fields) => fields.iter().any(|(_, p)| p.reads_candidate),
+            },
         };
         Path {
             root,
             fields: Vec::new(),
+            reads_candidate,
         }
+    }
+
+    /// True if the path's value depends on the candidate under test; a path
+    /// that reads none has one value per input row.
+    pub fn reads_candidate(&self) -> bool {
+        self.reads_candidate
     }
 }
 
@@ -160,6 +194,13 @@ impl<'a> Path<'a> {
 /// alone). `None` means undefined (missing dictionary key or field) — the
 /// caller skips the row, exactly like the tuple-at-a-time semantics. The
 /// value is borrowed from wherever it lives unless a `MkStruct` built it.
+///
+/// A borrow root is read here, inline; a `Lookup` or `MkStruct` root goes
+/// to [`eval_computed`] (see [`Path`]). Forced inline: left to itself the
+/// compiler calls it, and the call, its `Option<Cow>` written through
+/// memory and the drop of it cost more than the borrow does — on the
+/// skewed triangle's wedge plan about half of the hash join's time.
+#[inline(always)]
 pub(crate) fn eval_path_at<'a>(
     batch: &Batch<'a>,
     row: usize,
@@ -171,24 +212,41 @@ pub(crate) fn eval_path_at<'a>(
         Root::Cand(i) => cand[*i],
         Root::Unbound => return None,
         Root::Const(c) => c,
-        Root::Lookup(dict, key) => (*dict)?.get(&*eval_path_at(batch, row, cand, key)?)?,
-        Root::MkStruct(fields) => {
-            let mut out = Vec::with_capacity(fields.len());
-            for (name, p) in fields {
-                out.push((*name, eval_path_at(batch, row, cand, p)?.into_owned()));
-            }
-            let built = Value::record(out);
-            if p.fields.is_empty() {
-                return Some(Cow::Owned(built));
-            }
-            // `built` dies here, so what is read off it is copied out.
-            return fields_of(&built, &p.fields).cloned().map(Cow::Owned);
-        }
+        Root::Computed(c) => return eval_computed(batch, row, cand, c, &p.fields),
     };
     fields_of(root, &p.fields).map(Cow::Borrowed)
 }
 
+/// [`eval_path_at`] for the roots that probe a dictionary or build a value:
+/// the recursive half of the evaluator, kept out of the candidate loops.
+#[inline(never)]
+fn eval_computed<'a>(
+    batch: &Batch<'a>,
+    row: usize,
+    cand: &[&'a Value],
+    root: &Computed<'a>,
+    fields: &[Symbol],
+) -> Option<Cow<'a, Value>> {
+    let root = match root {
+        Computed::Lookup(dict, key) => (*dict)?.get(&*eval_path_at(batch, row, cand, key)?)?,
+        Computed::MkStruct(members) => {
+            let mut out = Vec::with_capacity(members.len());
+            for (name, p) in members {
+                out.push((*name, eval_path_at(batch, row, cand, p)?.into_owned()));
+            }
+            let built = Value::record(out);
+            if fields.is_empty() {
+                return Some(Cow::Owned(built));
+            }
+            // `built` dies here, so what is read off it is copied out.
+            return fields_of(&built, fields).cloned().map(Cow::Owned);
+        }
+    };
+    fields_of(root, fields).map(Cow::Borrowed)
+}
+
 /// `v.f0.f1…`, undefined as soon as a field is.
+#[inline(always)]
 fn fields_of<'v>(v: &'v Value, fields: &[Symbol]) -> Option<&'v Value> {
     fields.iter().try_fold(v, |v, f| v.field(*f))
 }
@@ -306,5 +364,29 @@ mod tests {
             eval_path_at(&Batch::unit(1), 0, &[&cand], &p),
             Some(Cow::Borrowed(c)) if std::ptr::eq(c, &cand)
         ));
+    }
+
+    /// A path reads the candidate if any variable under it is one the
+    /// operator binds — under a field chain, a lookup's key or a struct
+    /// member too; constants and earlier bindings do not.
+    #[test]
+    fn resolve_decides_which_paths_read_the_candidate() {
+        let db = Database::new();
+        let mut q = Query::new();
+        let r = q.bind("r", Range::Name(sym("R")));
+        let s = q.bind("s", Range::Name(sym("S")));
+        let reads = |p: &PathExpr| Path::resolve(&db, &q, &[1], p).reads_candidate();
+        let pair = |a: PathExpr| PathExpr::MkStruct(vec![(sym("A"), a), (sym("B"), 1i64.into())]);
+        for (p, want) in [
+            (PathExpr::from(s).dot("A").dot("B"), true),
+            (PathExpr::from(s).dot("A").lookup_in("X"), true),
+            (pair(PathExpr::from(s)), true),
+            (PathExpr::from(r).dot("A").dot("B"), false),
+            (PathExpr::from(r).dot("A").lookup_in("X"), false),
+            (pair(PathExpr::from(r)), false),
+            (PathExpr::from(7i64), false),
+        ] {
+            assert_eq!(reads(&p), want, "{p:?}");
+        }
     }
 }

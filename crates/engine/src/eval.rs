@@ -379,7 +379,7 @@ fn legacy_steps(
         Access::HashJoin { table, attr, key } => {
             if let Some(k) = eval_path(db, env, key) {
                 let rows = db.table(*table);
-                for &i in indexes.bucket(*table, *attr, &k) {
+                for &i in indexes.table(*table, *attr).bucket(&k) {
                     try_value!(rows[i as usize].clone());
                 }
             }

@@ -35,12 +35,28 @@
 //! value)`, so only survivors are gathered, once; the stats keep one
 //! `filter` entry per equality with the counts a cascade of separate filter
 //! operators would report. Key, probe and filter paths are resolved once
-//! per operator ([`Path`]). Hash-join build tables and the per-request
+//! per operator ([`Path`]), and a hash join takes its build table once.
+//!
+//! **Which filter sides are read when.** A side that reads the candidate
+//! (`t.V`, `k`, `M[t.K]`) is read once per candidate. A side that reads
+//! none — a column of the input batch and a field chain off it (`r.C.D`),
+//! a lookup keyed by one (`X[r.A]`), a constant — is read once per input
+//! row, when the row's first candidate arrives, and every candidate of the
+//! row is compared with that value. The hoist is sound because evaluation
+//! is pure: such a side's value is a function of the input row alone, so
+//! reading it once gives every candidate the value it would have read
+//! itself, an undefined one drops each of them as before, and the cascade
+//! counts do not move. [`Path::resolve`] decides which sides read a
+//! candidate; nothing else does.
+//!
+//! Hash-join build tables and the per-request
 //! [`PairIndex`] of a `dict_join` are keyed by [`cnb_core::fxhash`] and
 //! their buckets keep build-side rows in first-insertion (table, or
 //! dictionary-then-set) order, so probe output order is a pure function of
 //! `(database, plan)` — the engine's determinism guarantee — and equals
 //! the nested-loop order of the unfused steps.
+
+use std::borrow::Cow;
 
 use cnb_core::fxhash::FxHashMap;
 use cnb_ir::prelude::*;
@@ -407,11 +423,23 @@ pub(crate) fn check_row_ids(
     Ok(())
 }
 
-/// Hash-join build tables: `(table, attr) → value → row ids`, rows in
-/// first-insertion (table) order. Keyed by fxhash; nothing iterates the
-/// outer or inner maps — probes enumerate bucket vectors only.
+/// Hash-join build tables: `(table, attr) →` [`BuildTable`]. Keyed by
+/// fxhash; nothing iterates the outer or inner maps — probes enumerate
+/// bucket vectors only. An operator takes its table once ([`Self::table`])
+/// and probes that.
 pub(crate) struct JoinIndexes {
-    map: FxHashMap<(Symbol, Symbol), FxHashMap<Value, Vec<u32>>>,
+    map: FxHashMap<(Symbol, Symbol), BuildTable>,
+}
+
+/// One hash-join build table: `value → row ids`, rows in first-insertion
+/// (table) order.
+pub(crate) struct BuildTable(FxHashMap<Value, Vec<u32>>);
+
+impl BuildTable {
+    /// The rows whose attribute equals `key`, in table order.
+    pub(crate) fn bucket(&self, key: &Value) -> &[u32] {
+        self.0.get(key).map_or(&[], Vec::as_slice)
+    }
 }
 
 impl JoinIndexes {
@@ -430,7 +458,7 @@ impl JoinIndexes {
         steps: impl IntoIterator<Item = &'a Step>,
         limit: usize,
     ) -> Result<JoinIndexes, ExecError> {
-        let mut map: FxHashMap<(Symbol, Symbol), FxHashMap<Value, Vec<u32>>> = FxHashMap::default();
+        let mut map: FxHashMap<(Symbol, Symbol), BuildTable> = FxHashMap::default();
         for step in steps {
             let Access::HashJoin { table, attr, .. } = &step.access else {
                 continue;
@@ -446,16 +474,15 @@ impl JoinIndexes {
                     idx.entry(v.clone()).or_default().push(i as u32);
                 }
             }
-            map.insert((*table, *attr), idx);
+            map.insert((*table, *attr), BuildTable(idx));
         }
         Ok(JoinIndexes { map })
     }
 
-    pub(crate) fn bucket(&self, table: Symbol, attr: Symbol, key: &Value) -> &[u32] {
-        self.map[&(table, attr)]
-            .get(key)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// The build table of `table` on `attr`, which [`Self::build`] made
+    /// for every hash-join step it was given.
+    pub(crate) fn table(&self, table: Symbol, attr: Symbol) -> &BuildTable {
+        &self.map[&(table, attr)]
     }
 }
 
@@ -570,10 +597,17 @@ const DICT_JOIN_STREAM_ROWS: usize = 4;
 /// residual equalities *before* it enters the selection vector, so the
 /// operator gathers once however many filters follow it. The per-filter
 /// counts are the cascade's: filter `i` reads what filters `..i` passed.
+///
+/// A side that reads no candidate has one value per input row, so the sink
+/// reads it once per row, when the row's first candidate arrives, and every
+/// candidate of the row compares against that value; only the sides that
+/// read a candidate are evaluated per candidate. Evaluation is pure, so
+/// reading a side early or once changes no row and no count.
 struct Sink<'a> {
-    filters: Vec<(Path<'a>, Path<'a>)>,
-    /// Per filter: candidates that reached it, candidates that passed it.
-    counts: Vec<(usize, usize)>,
+    filters: Vec<Filter<'a>>,
+    /// The input row the filters' row sides were read at (`usize::MAX`:
+    /// none yet).
+    row: usize,
     /// Candidates offered, i.e. the access path's output before filtering.
     considered: usize,
     sel: Vec<u32>,
@@ -581,15 +615,55 @@ struct Sink<'a> {
     cols: Vec<(usize, Vec<&'a Value>)>,
 }
 
+/// One residual equality, oriented so that `cand` is a side that reads the
+/// candidate, and the cascade counts it reports.
+struct Filter<'a> {
+    cand: Path<'a>,
+    other: Side<'a>,
+    /// Candidates that reached this filter.
+    reached: usize,
+    /// Candidates that passed it.
+    passed: usize,
+}
+
+/// The side of an equality opposite its candidate side.
+enum Side<'a> {
+    /// Reads a candidate too: evaluated per candidate.
+    Candidate(Path<'a>),
+    /// Reads no candidate: evaluated once per input row, its value held
+    /// (`None`: undefined at the row).
+    Row(Path<'a>, Option<Cow<'a, Value>>),
+}
+
 impl<'a> Sink<'a> {
     fn new(db: &'a Database, q: &Query, binding: &[usize], filters: &'a [Equality]) -> Sink<'a> {
         let resolve = |p| Path::resolve(db, q, binding, p);
+        let filters = filters
+            .iter()
+            .map(|eq| {
+                let (lhs, rhs) = (resolve(&eq.lhs), resolve(&eq.rhs));
+                // Equality is symmetric: a candidate-reading side goes first.
+                let (cand, other) = if lhs.reads_candidate() {
+                    (lhs, rhs)
+                } else {
+                    (rhs, lhs)
+                };
+                let other = if other.reads_candidate() {
+                    Side::Candidate(other)
+                } else {
+                    Side::Row(other, None)
+                };
+                Filter {
+                    cand,
+                    other,
+                    reached: 0,
+                    passed: 0,
+                }
+            })
+            .collect();
         Sink {
-            filters: filters
-                .iter()
-                .map(|eq| (resolve(&eq.lhs), resolve(&eq.rhs)))
-                .collect(),
-            counts: vec![(0, 0); filters.len()],
+            filters,
+            row: usize::MAX,
             considered: 0,
             sel: Vec::new(),
             cols: binding.iter().map(|&slot| (slot, Vec::new())).collect(),
@@ -597,17 +671,30 @@ impl<'a> Sink<'a> {
     }
 
     /// Offers the candidate `cand` (one value per slot being bound) for
-    /// input row `r`; it is kept if every filter holds on it.
+    /// input row `r`; it is kept if every filter holds on it. Inlined into
+    /// every candidate loop, like [`eval_path_at`].
+    #[inline(always)]
     fn offer(&mut self, batch: &Batch<'a>, r: usize, cand: &[&'a Value]) {
         self.considered += 1;
-        for ((lhs, rhs), (reached, passed)) in self.filters.iter().zip(&mut self.counts) {
-            *reached += 1;
+        if r != self.row {
+            self.read_row(batch, r);
+        }
+        for f in &mut self.filters {
+            f.reached += 1;
             // Both sides defined and equal, or the candidate is dropped.
-            match (
-                eval_path_at(batch, r, cand, lhs),
-                eval_path_at(batch, r, cand, rhs),
-            ) {
-                (Some(a), Some(b)) if a == b => *passed += 1,
+            let Some(a) = eval_path_at(batch, r, cand, &f.cand) else {
+                return;
+            };
+            let other;
+            let b = match &f.other {
+                Side::Row(_, held) => held.as_deref(),
+                Side::Candidate(p) => {
+                    other = eval_path_at(batch, r, cand, p);
+                    other.as_deref()
+                }
+            };
+            match b {
+                Some(b) if *a == *b => f.passed += 1,
                 _ => return,
             }
         }
@@ -617,19 +704,29 @@ impl<'a> Sink<'a> {
         }
     }
 
+    /// Reads every filter's row side at input row `r`.
+    fn read_row(&mut self, batch: &Batch<'a>, r: usize) {
+        self.row = r;
+        for f in &mut self.filters {
+            if let Side::Row(p, held) = &mut f.other {
+                *held = eval_path_at(batch, r, &[], p);
+            }
+        }
+    }
+
     /// Records the access operator and one `filter` per equality, then
     /// gathers the kept rows once.
     fn finish(self, batch: &Batch<'a>, access: OpStats, stats: &mut ExecStats) -> Batch<'a> {
         stats.tuples_considered += self.considered;
         stats.operators.push(access);
-        for (input_rows, output_rows) in self.counts {
+        for f in &self.filters {
             stats.operators.push(OpStats {
                 op: "filter",
                 collection: None,
                 collection_rows: 0,
                 pairs: 0,
-                input_rows,
-                output_rows,
+                input_rows: f.reached,
+                output_rows: f.passed,
             });
         }
         let kept = batch.gather(&self.sel);
@@ -722,10 +819,11 @@ pub(crate) fn apply_access<'a>(
         }
         Access::HashJoin { table, attr, key } => {
             let rows = db.table(*table);
+            let build = indexes.table(*table, *attr);
             let key = key_path(key);
             for r in 0..batch.len() {
                 if let Some(k) = eval_path_at(batch, r, &[], &key) {
-                    for &i in indexes.bucket(*table, *attr, &k) {
+                    for &i in build.bucket(&k) {
                         sink.offer(batch, r, &[&rows[i as usize]]);
                     }
                 }

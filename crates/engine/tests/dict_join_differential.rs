@@ -10,9 +10,19 @@
 //! that are not sets, duplicate elements, `M[k].N` suffix paths,
 //! whole-element equalities, two set paths over one key, and inputs on both
 //! sides of the stream/build cut-over.
+//!
+//! A second family holds the operators' residual filters to the oracle. An
+//! operator reads a filter side that reads no candidate once per input row
+//! and a side that does once per candidate, so its filters mix both kinds:
+//! row sides through a nested field chain (`r.C.D`) that is undefined on
+//! some rows, through a partial dictionary (`X[r.A]`) and constants, and
+//! filters between the fused pair's two candidate slots (`t.V = k`), after
+//! a `dict_join`, a hash join or an unfused scan and expansion. Beside rows
+//! and order, the per-operator counts must form the filter cascade that
+//! `tuples_considered` sums.
 
 use cnb_engine::prng::SplitMix64;
-use cnb_engine::{execute, execute_legacy, Database};
+use cnb_engine::{execute, execute_legacy, Database, ExecStats};
 use cnb_ir::prelude::*;
 
 /// True one time in `n`.
@@ -168,5 +178,146 @@ fn fused_pairs_agree_with_the_nested_loop_oracle() {
     assert!(
         seen.iter().all(|&n| n >= 60),
         "coverage (streamed, built, unfused, nonempty) = {seen:?}"
+    );
+}
+
+/// [`arb_db`] plus `T(A, C)`, whose `C` is a record `{D}`, a record without
+/// `D`, an integer or missing — so `r.C.D` is undefined on some rows.
+fn arb_nested_db(rng: &mut SplitMix64, rows: u64, keys: u64) -> Database {
+    let mut db = arb_db(rng, rows, keys);
+    let table = (0..rows)
+        .map(|_| {
+            let mut fields = vec![(sym("A"), int(rng, 4))];
+            match rng.next_u64() % 6 {
+                0 => {}
+                1 => fields.push((sym("C"), int(rng, 4))),
+                2 => fields.push((sym("C"), Value::record([(sym("E"), int(rng, 4))]))),
+                _ => fields.push((sym("C"), Value::record([(sym("D"), int(rng, 4))]))),
+            }
+            Value::record(fields)
+        })
+        .collect();
+    db.load_table(sym("T"), table);
+    db
+}
+
+/// `from T r, dom M k, M[k](.N) t [, T s] where [t.K = probe] and …`, with
+/// 1–3 more equalities comparing `t.K` or `t.V` with row sides — `r.C.D`,
+/// `X[r.A]`, a constant — or with the pair's own key `k`. The pair fuses on
+/// one equality against a row side, if any, and checks the rest as
+/// residual filters; a query whose only equalities read `k` stays unfused.
+/// Sometimes a second `T` joins on `A` with a filter `s.C.D = r.C.D`.
+fn arb_row_sides_query(rng: &mut SplitMix64) -> Query {
+    let mut q = Query::new();
+    let r = q.bind("r", Range::Name(sym("T")));
+    let k = q.bind("k", Range::Dom(sym("M")));
+    let entry = PathExpr::from(k).lookup_in("M");
+    let set = if one_in(rng, 3) {
+        entry
+    } else {
+        entry.dot("N")
+    };
+    let t = q.bind("t", Range::Expr(set));
+    let nested = || PathExpr::from(r).dot("C").dot("D");
+    if !one_in(rng, 4) {
+        let probe = match rng.next_u64() % 3 {
+            0 => PathExpr::from(r).dot("A"),
+            1 => PathExpr::from(r).dot("A").lookup_in("X"),
+            _ => nested(),
+        };
+        q.equate(PathExpr::from(t).dot("K"), probe);
+    }
+    for _ in 0..1 + rng.next_u64() % 3 {
+        let side = match rng.next_u64() % 4 {
+            0 => nested(),
+            1 => PathExpr::from(r).dot("A").lookup_in("X"),
+            2 => PathExpr::from((rng.next_u64() % 4) as i64),
+            _ => PathExpr::from(k),
+        };
+        let elem = PathExpr::from(t).dot(if one_in(rng, 2) { "V" } else { "K" });
+        if one_in(rng, 2) {
+            q.equate(elem, side);
+        } else {
+            q.equate(side, elem);
+        }
+    }
+    if one_in(rng, 3) {
+        let s = q.bind("s", Range::Name(sym("T")));
+        q.equate(PathExpr::from(s).dot("A"), PathExpr::from(r).dot("A"));
+        q.equate(PathExpr::from(s).dot("C").dot("D"), nested());
+        q.output("sA", PathExpr::from(s).dot("A"));
+    }
+    q.output("k", PathExpr::from(k));
+    q.output("t", PathExpr::from(t));
+    q.output("A", PathExpr::from(r).dot("A"));
+    q
+}
+
+/// The operator list is a filter cascade: each access operator reads what
+/// the operator before it produced (the unit batch first), each `filter`
+/// reads what the one before it passed, and `tuples_considered` sums what
+/// the access operators produced.
+fn assert_cascade(stats: &ExecStats, case: usize, q: &Query) {
+    let mut current = 1;
+    let mut considered = 0;
+    for op in &stats.operators {
+        assert_eq!(op.input_rows, current, "case {case}: {op:?}\n{q}");
+        if op.op != "filter" {
+            considered += op.output_rows;
+        }
+        assert!(op.op != "filter" || op.output_rows <= op.input_rows);
+        current = op.output_rows;
+    }
+    assert_eq!(stats.tuples_considered, considered, "case {case}\n{q}");
+    assert!(stats.rows_out <= current, "case {case}\n{q}");
+}
+
+#[test]
+fn row_and_candidate_filter_sides_agree_with_the_nested_loop_oracle() {
+    let mut rng = SplitMix64::seed_from_u64(0x0005_EED5_F11E);
+    // (streamed, built, a pair's filter passing some, unfused, a hash
+    // join's filter passing some, with rows) — the family must not go
+    // vacuous.
+    let mut seen = [0usize; 6];
+    for case in 0..600 {
+        let keys = rng.next_u64() % 13;
+        let rows = rng.next_u64() % (keys + 3);
+        let db = arb_nested_db(&mut rng, rows, keys);
+        let q = arb_row_sides_query(&mut rng);
+
+        let batched = execute(&db, &q).unwrap();
+        let legacy = execute_legacy(&db, &q).unwrap();
+        assert_eq!(batched.rows, legacy.rows, "case {case}: rows/order\n{q}");
+        assert_eq!(batched.stats.order, legacy.stats.order, "case {case}\n{q}");
+        assert_cascade(&batched.stats, case, &q);
+
+        let ops = &batched.stats.operators;
+        let (got, want) = (
+            batched.stats.tuples_considered,
+            legacy.stats.tuples_considered,
+        );
+        let passed_after = |at: usize| {
+            ops.get(at + 1)
+                .is_some_and(|o| o.op == "filter" && o.output_rows > 0)
+        };
+        match ops.iter().position(|o| o.op == "dict_join") {
+            Some(at) => {
+                assert!(got <= want, "case {case}: {got} > legacy {want}\n{q}");
+                seen[usize::from(ops[at].input_rows > 4)] += 1;
+                seen[2] += usize::from(passed_after(at));
+            }
+            None => {
+                assert_eq!(got, want, "case {case}: unfused accounting\n{q}");
+                seen[3] += 1;
+            }
+        }
+        if let Some(at) = ops.iter().position(|o| o.op == "hash_join") {
+            seen[4] += usize::from(passed_after(at));
+        }
+        seen[5] += usize::from(!batched.rows.is_empty());
+    }
+    assert!(
+        seen.iter().all(|&n| n >= 40),
+        "coverage (streamed, built, pair filter, unfused, hash-join filter, nonempty) = {seen:?}"
     );
 }

@@ -51,6 +51,7 @@ impl Value {
     }
 
     /// Projects a field out of a struct value.
+    #[inline]
     pub fn field(&self, name: Symbol) -> Option<&Value> {
         match self {
             Value::Struct(fields) => fields.iter().find(|(f, _)| *f == name).map(|(_, v)| v),
@@ -88,6 +89,7 @@ impl Value {
 }
 
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a == b,

@@ -130,6 +130,27 @@ cargo test --release -q --test alloc_audit --test plan_text_golden --test induct
   --test chase_differential --test floor_soundness --test floor_differential
 cargo test --release -q -p cnb-engine --test skeleton_memo
 
+# Binary-operator kernel tier, release profile: the five files that hold a
+# change to the candidate loop of `Bind` / `DictJoin` (`join::Sink`, the
+# path evaluator in `batch.rs`, the hash-join build tables) to "same rows,
+# same order, same counts" — in the profile the benchmark runs, where the
+# evaluator is inlined into every candidate loop and a filter side that
+# reads no candidate is read once per input row.
+# dict_join_differential holds fused index pairs and a family of residual
+# filters (row sides through nested fields, partial lookups and constants;
+# filters between a pair's two candidate slots) to the nested-loop oracle,
+# rows, order and the per-operator filter cascade; owned_paths_differential
+# does the same for the paths evaluation builds (`struct(…)`);
+# wcoj_differential holds the generic join to the binary pipeline;
+# operator_stats_golden pins every `OpStats` entry of EC1, EC2, EC4 and
+# EC5 plans; plan_execution_agreement pins the EC1–EC3 plans' exact rows
+# and order.
+# The debug profile runs all five as part of `cargo test -q` below.
+tier "binary-operator kernel: dict_join/owned-path/WCOJ differentials + operator-stats golden + plan-execution agreement, release profile"
+cargo test --release -q -p cnb-engine --test dict_join_differential --test owned_paths_differential \
+  --test wcoj_differential
+cargo test --release -q -p cnb-workloads --test operator_stats_golden --test plan_execution_agreement
+
 # The full debug suite, run once: every debug-profile test runs here and
 # nowhere else in this script — the engine-only differentials (dict_join,
 # owned paths, WCOJ), the EC4/EC5 goldens, serving smoke, the pressure suite
