@@ -53,14 +53,12 @@
 //! minus that binding can be a plan: on `ec1_4_2`, `{$5,$6,$7,$10,$11}` is
 //! equivalent under a malformed superset. Only the three predicates above
 //! are monotone: a malformed `false` enters no border, and the proved border
-//! is asked only once the subset is known well-formed. **(ii) A truncated
-//! chase proves nothing.** A lattice whose universal chase hit its cap
-//! infers no verdict, and a check counted in
-//! [`BackchaseResult::truncated_checks`] is not learnt. Debug builds
-//! re-prove by a chase every verdict that did not come from one, so each
-//! test suite audits every inference it makes; release trusts the borders.
+//! is asked only once the subset is known well-formed. Debug builds
+//! re-prove by a chase every verdict that did not come from one (against a
+//! re-chase that finishes), so each test suite audits every inference it
+//! makes; release trusts the borders.
 //!
-//! **(iii) Across select lists, the order is a product.** "The subquery on
+//! **(ii) Across select lists, the order is a product.** "The subquery on
 //! `X` is equivalent under output set `L`" (`L` the select list's
 //! `(label, path)` pairs, order ignored) is monotone in both arguments:
 //! upward in `X`, as above, and downward in `L` — a mapping that preserves
@@ -92,8 +90,11 @@
 //! chase and closure buffer (`tests/alloc_audit.rs`). Only a plan that is
 //! emitted is induced as a query. Plan dedup asks `same_arity`'s range
 //! prefilter before it chases a pair.
-//! The deadline is checked before every candidate; a timed-out run returns
-//! the plans found so far with [`BackchaseResult::timed_out`] set.
+//! The deadline is checked before every candidate. A budget that runs out —
+//! the deadline, or a [`ChaseConfig`] cap on the universal chase or on a
+//! candidate's — decides nothing (plans are complete only at the chase's
+//! fixpoint, §3): the search returns the plans found so far with
+//! [`BackchaseResult::timed_out`] set.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -160,20 +161,16 @@ pub struct BackchaseResult {
     pub floored: usize,
     /// Universal-plan size (number of bindings).
     pub universal_arity: usize,
-    /// Chase stats for building the universal plan.
+    /// Chase stats for building the universal plan; `truncated` is also set
+    /// when a candidate's implication chase hit a cap.
     pub chase_stats: ChaseStats,
     /// Time spent chasing the input query into the universal plan.
     pub chase_time: Duration,
     /// Time spent in the backchase proper.
     pub backchase_time: Duration,
-    /// True if the time budget expired before the search finished.
+    /// True if a budget ran out before the search finished: the deadline or
+    /// a chase cap (`chase_stats.truncated` says which).
     pub timed_out: bool,
-    /// Equivalence checks whose implication chase hit
-    /// [`ChaseConfig::max_steps`] or [`ChaseConfig::max_rounds`]: their
-    /// verdict was taken from an unfinished chase, so a `false` among them
-    /// may be a plan that went missing. 0 on every run that chased to a
-    /// fixpoint.
-    pub truncated_checks: usize,
 }
 
 /// The binding-subset lattice of one chased universal plan: what a search
@@ -194,8 +191,6 @@ pub struct Lattice<'a> {
     deadline: Option<Instant>,
     chase_stats: ChaseStats,
     chase_time: Duration,
-    /// Checks so far whose implication chase was cut short.
-    truncated_checks: usize,
     /// Is the subquery on a subset equivalent to the original query? Asked
     /// of well-formed subsets only (rule (i)).
     pub(crate) equivalence: Border,
@@ -230,7 +225,8 @@ fn ask(
 impl<'a> Lattice<'a> {
     /// Chases `q0` under `constraints` into its universal plan. The time
     /// budget of `cfg` starts here; it only ever truncates a search and sets
-    /// `timed_out`, so with no timeout configured the clock is inert.
+    /// `timed_out`, so with no timeout configured the clock is inert. A
+    /// universal chase cut short by a cap leaves it [`Lattice::expired`].
     pub fn chase(q0: &'a Query, constraints: &'a [Constraint], cfg: &BackchaseConfig) -> Self {
         #[expect(clippy::disallowed_methods)]
         let start = Instant::now();
@@ -246,7 +242,6 @@ impl<'a> Lattice<'a> {
             deadline: cfg.timeout.map(|t| start + t),
             chase_stats,
             chase_time: start.elapsed(),
-            truncated_checks: 0,
             equivalence: Border::default(),
             select: Border::default(),
             inferred: 0,
@@ -274,39 +269,42 @@ impl<'a> Lattice<'a> {
 
     /// Is the subquery on `keep` equivalent to the original query under the
     /// constraints? Always a chase: the borders are neither asked nor taught.
-    pub fn equivalent(&mut self, keep: &VarSet) -> bool {
-        let (verdict, truncated) = self.chased(keep);
-        self.truncated_checks += usize::from(truncated);
+    /// `None` means a budget ran out ([`Lattice::verdict`]).
+    pub fn equivalent(&mut self, keep: &VarSet) -> Option<bool> {
+        if self.expired() {
+            return None;
+        }
+        let verdict = self.chased(keep);
+        self.chase_stats.truncated |= verdict.is_none();
         verdict
     }
 
     /// Is the subquery induced by `keep` equivalent to the original query?
-    /// `None` means the deadline expired before the verdict was computed.
-    /// The borders are asked first; what they cannot tell is chased.
+    /// `None` means a budget ran out before the verdict was computed: the
+    /// lattice [`expired`](Lattice::expired), or the candidate's implication
+    /// chase hit a cap — which spends the lattice's budget as the deadline
+    /// does, so every later verdict is `None` too. The borders are asked
+    /// first; what they cannot tell is chased.
     pub fn verdict(&mut self, keep: &VarSet) -> Option<bool> {
         if self.expired() {
             return None;
         }
-        // Rule (ii): a chase cut short, this one or the candidate's, proves nothing.
-        let sound = self.sound();
-        let inferred = if !sound {
-            None
-        } else if self.equivalence.covers_no(keep) || !self.well_formed(keep) {
+        let inferred = if self.equivalence.covers_no(keep) || !self.well_formed(keep) {
             Some(false)
         } else {
             // Rule (i): only now that `keep` is known to be a subquery.
             self.equivalence.covers_yes(keep).then_some(true)
         };
         if let Some(verdict) = inferred {
-            debug_assert_eq!(verdict, self.chased(keep).0, "inferred on {keep:?}");
+            debug_assert!(self.chased(keep).is_none_or(|c| c == verdict), "{keep:?}");
             self.inferred += 1;
             return inferred;
         }
-        let (verdict, truncated) = self.chased(keep);
-        self.truncated_checks += usize::from(truncated);
-        if sound && !truncated {
-            self.equivalence.learn(keep, verdict);
-        }
+        let Some(verdict) = self.chased(keep) else {
+            self.chase_stats.truncated = true;
+            return None;
+        };
+        self.equivalence.learn(keep, verdict);
         Some(verdict)
     }
 
@@ -348,24 +346,23 @@ impl<'a> Lattice<'a> {
     }
 
     /// The verdict on `keep` by induction and chase, as before there were
-    /// borders, and whether the chase was cut short. Touches no border.
-    fn chased(&mut self, keep: &VarSet) -> (bool, bool) {
+    /// borders; `None` when the implication chase hit a cap. Touches no
+    /// border.
+    fn chased(&mut self, keep: &VarSet) -> Option<bool> {
         let select = &self.checker.spec.q0.select;
         if !load_subquery(&mut self.udb, keep, select, &mut self.scratch) {
-            return (false, false);
+            return Some(false);
         }
         let (verdict, stats) = self.checker.check(&mut self.scratch);
-        (verdict, stats.truncated)
+        (!stats.truncated).then_some(verdict)
     }
 
-    /// Did the universal chase reach its fixpoint? A lattice whose chase was
-    /// cut short infers nothing from its borders (rule (ii)).
-    pub(crate) fn sound(&self) -> bool {
-        !self.chase_stats.truncated
-    }
-
-    /// Has the time budget run out?
+    /// Has a budget run out: a chase hit a cap (the universal one, or a
+    /// candidate's), or the deadline passed?
     pub fn expired(&self) -> bool {
+        if self.chase_stats.truncated {
+            return true;
+        }
         #[expect(clippy::disallowed_methods)]
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
@@ -379,7 +376,6 @@ impl<'a> Lattice<'a> {
             chase_stats: self.chase_stats,
             chase_time: self.chase_time,
             backchase_time: self.start.elapsed() - self.chase_time,
-            truncated_checks: self.truncated_checks,
             inferred: self.inferred,
             ..result
         }
@@ -496,8 +492,8 @@ impl Search<'_, '_> {
     /// and emit it if none of them is equivalent.
     fn explore(&mut self, s: &VarSet) {
         let mut minimal = true;
-        // All children decided? A deadline miss leaves minimality unproven,
-        // so the subset must not be emitted as a plan.
+        // All children decided? A budget that ran out leaves minimality
+        // unproven, so the subset must not be emitted as a plan.
         let mut decided = true;
         for v in s.iter().collect::<Vec<_>>() {
             if self.sink.full() {
@@ -529,8 +525,8 @@ impl Search<'_, '_> {
         }
     }
 
-    /// Books a freshly computed verdict for `s`; `None` means the deadline
-    /// beat it.
+    /// Books a freshly computed verdict for `s`; `None` means a budget ran
+    /// out before it.
     fn record(&mut self, s: VarSet, verdict: Option<bool>) -> Option<bool> {
         match verdict {
             None => self.result.timed_out = true,
@@ -771,19 +767,16 @@ mod tests {
         assert!(res.timed_out || res.plans.len() == 64);
     }
 
-    /// An implication chase that hits its step cap yields a verdict from an
-    /// unfinished chase; the run says how many there were. Counting them
-    /// changes nothing else: `explored` and the plans are what the capped
-    /// search found before the counter existed. Nor do the borders change
-    /// them — rule (ii): a universal plan that was itself cut short infers
-    /// nothing, so all eight checks are still made.
+    /// A universal chase cut short by its step cap decides nothing: the
+    /// search stops as at an expired deadline, with no verdict counted and
+    /// no plan. Uncapped, the same search explores and infers.
     #[test]
-    fn truncated_checks_are_counted() {
+    fn a_capped_universal_chase_decides_nothing() {
         let (schema, q) = indexed_chain(3);
         let cs = schema.all_constraints();
         let full = chase_and_backchase(&q, &cs, &BackchaseConfig::default());
-        assert_eq!((full.truncated_checks, full.explored), (0, 53));
-        assert!(full.inferred > 0, "an untruncated lattice infers");
+        assert_eq!((full.explored, full.plans.len()), (53, 8));
+        assert!(!full.timed_out && full.inferred > 0);
         let capped = BackchaseConfig {
             chase: ChaseConfig {
                 max_steps: 1,
@@ -792,13 +785,42 @@ mod tests {
             ..BackchaseConfig::default()
         };
         let res = chase_and_backchase(&q, &cs, &capped);
-        assert!(res.chase_stats.truncated);
-        assert_eq!(
-            (res.explored, res.plans.len(), res.universal_arity),
-            (9, 2, 4)
-        );
-        assert_eq!(res.truncated_checks, 8);
-        assert_eq!(res.inferred, 0);
+        assert!(res.chase_stats.truncated && res.timed_out);
+        assert_eq!((res.explored, res.inferred, res.plans.len()), (0, 0, 0));
+        assert_eq!(res.universal_arity, 4);
+    }
+
+    /// `R.A ⊆ S.A` and `S.B ⊆ R.B` diverge from `R` alone, but a query that
+    /// joins `R` and `S` on both already satisfies them: its universal chase
+    /// is a 0-step fixpoint. Each one-binding candidate's implication chase
+    /// then runs to the round cap, and that decides nothing either: both
+    /// searches stop with the budget spent, `chase_stats.truncated` set, no
+    /// verdict counted and no plan.
+    #[test]
+    fn a_capped_candidate_chase_decides_nothing() {
+        let inclusion = |from: &str, to: &str, attr: &str| {
+            let mut c = Constraint::new(format!("{from}_{attr}_in_{to}"));
+            let x = c.forall("x", Range::Name(sym(from)));
+            let y = c.exists("y", Range::Name(sym(to)));
+            c.then(PathExpr::from(x).dot(attr), PathExpr::from(y).dot(attr));
+            c
+        };
+        let cs = [inclusion("R", "S", "A"), inclusion("S", "R", "B")];
+        let mut q = Query::new();
+        let r = q.bind("r", Range::Name(sym("R")));
+        let s = q.bind("s", Range::Name(sym("S")));
+        q.equate(PathExpr::from(r).dot("A"), PathExpr::from(s).dot("A"));
+        q.equate(PathExpr::from(s).dot("B"), PathExpr::from(r).dot("B"));
+        q.output("A", PathExpr::from(r).dot("A"));
+        let cfg = BackchaseConfig::default();
+        let top_down = chase_and_backchase(&q, &cs, &cfg);
+        let pricer = crate::cost::CostModel::default();
+        let bottom_up = crate::bottomup::bottom_up_backchase(&q, &cs, &cfg, &pricer, None);
+        for res in [top_down, bottom_up] {
+            assert_eq!(res.chase_stats.steps_applied, 0, "a 0-step universal chase");
+            assert!(res.chase_stats.truncated && res.timed_out);
+            assert_eq!((res.explored, res.inferred, res.plans.len()), (0, 0, 0));
+        }
     }
 
     /// An already-expired deadline reports a timeout (and no spurious plans).

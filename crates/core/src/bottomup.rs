@@ -144,8 +144,12 @@ pub fn bottom_up_backchase(
                 }
                 continue;
             };
+            let Some(equivalent) = lattice.equivalent(&keep) else {
+                result.timed_out = true;
+                break 'search;
+            };
             result.explored += 1;
-            if !lattice.equivalent(&keep) {
+            if !equivalent {
                 grow();
                 continue;
             }

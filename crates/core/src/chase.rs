@@ -8,9 +8,13 @@
 //! existential variables and the conclusion equalities are asserted. EGDs
 //! (empty existential part) merge congruence classes instead.
 //!
-//! For the paper's class of path-conjunctive constraints the chase terminates
-//! with a universal plan polynomial in the query and constraint sizes; the
-//! step/round caps below are a defensive guard, not an expected exit.
+//! The chase terminates, with a universal plan polynomial in the query, on a
+//! *weakly acyclic* constraint set — not on every path-conjunctive one
+//! (`R.A ⊆ S.A` with `S.B ⊆ R.B` invents a tuple per step forever).
+//! `cnb_analyze::validate_constraint_set` certifies the suite's sets; the
+//! step and round caps guard against a set that is not. A chase they cut
+//! short reports [`ChaseStats::truncated`], and the backchase decides
+//! nothing on it: a universal plan short of its fixpoint may lack plans.
 //!
 //! # A constraint with nothing new to match is not searched
 //!
@@ -159,13 +163,14 @@ impl<'a> Chaser<'a> {
                         stats.satisfied_skips += 1;
                         continue;
                     }
-                    apply_step(db, c, &mut self.existential.assignment);
-                    stats.steps_applied += 1;
-                    progress = true;
+                    // The cap cuts a step that is due, never the last one.
                     if stats.steps_applied >= self.cfg.max_steps {
                         stats.truncated = true;
                         return stats;
                     }
+                    apply_step(db, c, &mut self.existential.assignment);
+                    stats.steps_applied += 1;
+                    progress = true;
                 }
             }
             if !progress {
@@ -251,9 +256,8 @@ mod tests {
     use super::*;
     use cnb_ir::prelude::*;
 
-    /// Example 2.1: chasing with the RIC introduces the join with S.
-    #[test]
-    fn ric_adds_binding() {
+    /// Example 2.1's query `select r.A from R r` and its RIC `R.A ⊆ S.A`.
+    fn ric_example() -> (Query, Var, Constraint) {
         let mut q = Query::new();
         let r = q.bind("r", Range::Name(sym("R")));
         q.output("A", PathExpr::from(r).dot("A"));
@@ -262,7 +266,13 @@ mod tests {
         let cr = ric.forall("r", Range::Name(sym("R")));
         let cs = ric.exists("s", Range::Name(sym("S")));
         ric.then(PathExpr::from(cr).dot("A"), PathExpr::from(cs).dot("A"));
+        (q, r, ric)
+    }
 
+    /// Example 2.1: chasing with the RIC introduces the join with S.
+    #[test]
+    fn ric_adds_binding() {
+        let (q, r, ric) = ric_example();
         let (db, stats) = chase_query(&q, &[ric], ChaseConfig::default());
         assert_eq!(stats.steps_applied, 1);
         assert!(!stats.truncated);
@@ -272,6 +282,21 @@ mod tests {
         let s = db.query.from[1].var;
         let mut db = db;
         assert!(db.implied(&PathExpr::from(r).dot("A"), &PathExpr::from(s).dot("A")));
+    }
+
+    /// A chase that needs exactly `max_steps` steps reaches its fixpoint
+    /// under that cap: the cap cuts only a step that is due.
+    #[test]
+    fn a_chase_of_exactly_max_steps_is_not_truncated() {
+        let (q, _, ric) = ric_example();
+        let cfg = ChaseConfig {
+            max_steps: 1,
+            ..ChaseConfig::default()
+        };
+        let (db, stats) = chase_query(&q, &[ric], cfg);
+        assert_eq!(stats.steps_applied, 1);
+        assert!(!stats.truncated);
+        assert_eq!(db.query.from.len(), 2);
     }
 
     /// Chasing twice with the same constraint must not duplicate bindings.
@@ -438,7 +463,8 @@ mod tests {
         assert!(db.implied(&PathExpr::from(o2), &PathExpr::from(k1)));
     }
 
-    /// The step cap truncates a pathological self-feeding chase.
+    /// The step cap truncates a pathological self-feeding chase when its
+    /// 26th step is due.
     #[test]
     fn runaway_chase_truncates() {
         // forall (r in R) exists (s in R) s.P = r.K — keeps generating.

@@ -9,7 +9,7 @@
 //! induces its own plans, so plan text, plan order and `explored` are what a
 //! cold search gives; only where a verdict comes from changes (`inferred`
 //! rises). Why a verdict proved under one select list may answer another is
-//! rule (iii) of "Borders" in [`crate::backchase`]; `Shaped` is its order.
+//! rule (ii) of "Borders" in [`crate::backchase`]; `Shaped` is its order.
 //!
 //! **Key.** The exact `from` and `where` of the searched query plus a digest
 //! of the exact constraint slice it ran under, so an OQF fragment or an OCS
@@ -19,13 +19,13 @@
 //! (other variables or other ranges) starts empty and replaces the entry.
 //!
 //! **Guards.** Rule (i) is untouched: the lattice asks its equivalence border
-//! only of well-formed subsets, imported yes-sets included. Rule (ii) holds
-//! at both ends: a lattice whose universal chase was cut short neither
-//! imports nor exports, and a truncated check is never learnt in the first
-//! place. A select list that repeats a label bypasses the memo — its output
-//! set is not the set of its pairs. Debug builds re-prove by a chase every
-//! verdict that did not come from one, so every debug suite audits every
-//! import.
+//! only of well-formed subsets, imported yes-sets included. A chase cut
+//! short by a cap decides nothing, so it teaches nothing: neither a capped
+//! check nor a lattice whose universal chase was cut short learns a
+//! verdict, and such a lattice reads none of what it imports. A select
+//! list that repeats a label bypasses the memo — its output set is not the
+//! set of its pairs. Debug builds re-prove by a chase every verdict that
+//! did not come from one, so every debug suite audits every import.
 //!
 //! **Bound.** A memo holds at most its capacity of skeletons, least recently
 //! used out (`cnb_engine::PlanServer` passes its plan cache's capacity;
@@ -187,8 +187,7 @@ impl SkeletonMemo {
 
     /// Starts `lattice`, about to search `q0` under `constraints`, from what
     /// the memo holds for its skeleton. `None` when the search bypasses the
-    /// memo: capacity 0, a universal chase cut short (rule (ii)), or a select
-    /// list that repeats a label.
+    /// memo: capacity 0, or a select list that repeats a label.
     pub(crate) fn seed(
         &mut self,
         lattice: &mut Lattice<'_>,
@@ -196,7 +195,7 @@ impl SkeletonMemo {
         constraints: &[Constraint],
     ) -> Option<Ticket> {
         let repeats = |i: usize| q0.select[..i].iter().any(|(l, _)| *l == q0.select[i].0);
-        if self.capacity == Some(0) || !lattice.sound() || (0..q0.select.len()).any(repeats) {
+        if self.capacity == Some(0) || (0..q0.select.len()).any(repeats) {
             return None;
         }
         let digest = {
@@ -286,7 +285,7 @@ mod tests {
         }
     }
 
-    /// Rule (iii) on the order itself: a yes answers sub-lists and larger
+    /// Rule (ii) on the order itself: a yes answers sub-lists and larger
     /// kept sets, a no super-lists and smaller kept sets, and neither more.
     #[test]
     fn a_yes_answers_sub_lists_and_a_no_answers_super_lists() {

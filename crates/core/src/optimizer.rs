@@ -113,7 +113,8 @@ pub struct OptimizeResult {
     pub backchase_time: Duration,
     /// End-to-end optimization time.
     pub total_time: Duration,
-    /// True if any phase hit its time budget.
+    /// True if a budget ran out in any phase: the deadline or a chase cap
+    /// (`chase_stats.truncated` says which).
     pub timed_out: bool,
     /// Number of OQF fragments (1 when not fragmenting).
     pub fragments: usize,
@@ -127,10 +128,6 @@ pub struct OptimizeResult {
     pub floored: usize,
     /// Chase statistics (summed).
     pub chase_stats: ChaseStats,
-    /// Equivalence checks decided on a chase that hit its step or round cap
-    /// ([`BackchaseResult::truncated_checks`], summed): above 0, a plan may
-    /// be missing.
-    pub truncated_checks: usize,
 }
 
 impl OptimizeResult {
@@ -145,7 +142,6 @@ impl OptimizeResult {
         self.chase_time += run.chase_time;
         self.backchase_time += run.backchase_time;
         self.timed_out |= run.timed_out;
-        self.truncated_checks += run.truncated_checks;
         self.chase_stats.steps_applied += run.chase_stats.steps_applied;
         self.chase_stats.homs_found += run.chase_stats.homs_found;
         self.chase_stats.satisfied_skips += run.chase_stats.satisfied_skips;
@@ -299,7 +295,7 @@ impl Optimizer {
     ///    (ties: heuristic rank, then canonical key, left-deep first).
     ///
     /// Falls back to the phase-1 plans if the bounded search returns none
-    /// (e.g. a timeout); `pruned` reports the candidates the bound dropped.
+    /// (a budget ran out); `pruned` reports the candidates the bound dropped.
     pub fn optimize_measured(
         &self,
         q: &Query,
@@ -387,7 +383,7 @@ impl Optimizer {
             per_fragment.push(res.plans);
         }
         if per_fragment.iter().any(|p| p.is_empty()) {
-            // A fragment produced nothing (timeout) — no combined plans.
+            // A fragment produced nothing (a budget ran out): no combined plans.
             return out;
         }
         // Cartesian product of fragment plans (Algorithm 3.1, Step 3).

@@ -190,9 +190,11 @@ impl PlanServer {
     /// (best-first); serving always binds the best one. They are left-deep
     /// plans only ([`Optimizer::optimize_in`]): `serve` only runs
     /// [`execute`], so a miss never computes a generic-join twin. If
-    /// optimization produced no plan (timeout), the template itself is
-    /// cached as the only plan — the request then executes as written, and
-    /// so does every later request with the same shape.
+    /// optimization produced no plan (a budget ran out: the deadline, or a
+    /// chase cap on a constraint set whose chase does not terminate), the
+    /// template itself is cached as the only plan — the request then
+    /// executes as written, and so does every later request with the same
+    /// shape.
     ///
     /// This is the checked door for untrusted requests: one that breaks the
     /// scoping rule ([`Query::validate`]) is handed back as written —

@@ -14,7 +14,9 @@
 //! well-formed request that once panicked there too: an output spanning
 //! two OQF fragments. And one request sequence a cached plan once answered
 //! wrongly in every profile: a template plan carrying the ground equality
-//! `?0 = ?1`, which no executor step checked.
+//! `?0 = ?1`, which no executor step checked. And one constraint set whose
+//! chase never terminates: a miss once searched it until the optimizer's
+//! timeout, deciding each candidate on a chase cut short by its cap.
 //!
 //! Every assertion is on the server under test (its results and its own
 //! cache counters); nothing here reads a process-wide counter or takes a
@@ -22,10 +24,10 @@
 
 use std::time::Duration;
 
-use cnb_core::prelude::{OptimizerConfig, Strategy};
+use cnb_core::prelude::{Optimizer, OptimizerConfig, Strategy};
 use cnb_engine::{
-    execute, execute_legacy, execute_wcoj, ExecError, PlanServer, ServeConfig, ServeError,
-    ServedResult, VirtualClock,
+    execute, execute_legacy, execute_wcoj, Database, ExecError, PlanServer, ServeConfig,
+    ServeError, ServedResult, VirtualClock,
 };
 use cnb_ir::prelude::*;
 use cnb_workloads::{DataScale, Ec1, Ec4, Workload};
@@ -302,6 +304,61 @@ fn a_cached_plan_decides_its_ground_equalities_per_request() {
         for (i, o) in outcomes.iter().enumerate() {
             let tag = format!("batch threads={threads} request {i}");
             assert_eq!(rows(&o.result, &tag), want[i], "{tag}");
+        }
+    }
+}
+
+/// `R.A ⊆ S.A` and `S.B ⊆ R.B`: each foreign key's fresh tuple feeds the
+/// other's, so the chase of `select r.A from R r` never reaches a fixpoint
+/// (the set is not weakly acyclic). The universal chase stops at its round
+/// cap and the optimizer decides nothing on it — no candidate judged, no
+/// plan, the budget reported spent — well inside its 5 s timeout instead of
+/// at it. The server then serves the request as written: `serve` and a
+/// batch at one and four threads give the rows `execute` gives on it.
+#[test]
+fn a_diverging_constraint_set_is_served_as_written() {
+    let mut schema = Schema::new();
+    for rel in ["R", "S"] {
+        schema.add_relation(rel, [(sym("A"), Type::Int), (sym("B"), Type::Int)]);
+    }
+    let inclusion = |name: &str, from: &str, to: &str, attr: &str| {
+        let mut c = Constraint::new(name);
+        let x = c.forall("x", Range::Name(sym(from)));
+        let y = c.exists("y", Range::Name(sym(to)));
+        c.then(PathExpr::from(x).dot(attr), PathExpr::from(y).dot(attr));
+        c
+    };
+    let constraints = vec![
+        inclusion("r_a_in_s", "R", "S", "A"),
+        inclusion("s_b_in_r", "S", "R", "B"),
+    ];
+    let mut db = Database::new();
+    for (rel, n) in [("R", 6), ("S", 4)] {
+        let row =
+            |i: i64| Value::record([(sym("A"), Value::Int(i)), (sym("B"), Value::Int(i % 3))]);
+        db.load_table(sym(rel), (0..n).map(row).collect());
+    }
+    let mut q = Query::new();
+    let r = q.bind("r", Range::Name(sym("R")));
+    q.output("A", PathExpr::from(r).dot("A"));
+    let want = execute(&db, &q).expect("well-formed").rows;
+    assert_eq!(want.len(), 6);
+
+    let cfg = OptimizerConfig::with_strategy(Strategy::Full).timeout(Duration::from_secs(5));
+    let optimizer = || Optimizer::with_constraints(schema.clone(), constraints.clone());
+    let res = optimizer().optimize(&q, &cfg);
+    assert!(res.chase_stats.truncated, "the universal chase hit a cap");
+    assert!(res.timed_out, "a budget ran out");
+    assert_eq!((res.explored, res.plans.len()), (0, 0));
+
+    let mut s = PlanServer::new(optimizer(), cfg.clone());
+    assert_eq!(rows(&s.serve(&db, &q), "serve"), want);
+    let batch = [q.clone(), q];
+    for threads in [1, 4] {
+        let (config, clock) = (ServeConfig::unbounded(), VirtualClock::frozen());
+        let mut s = PlanServer::new(optimizer(), cfg.clone());
+        for o in s.serve_batch_under(&db, &batch, threads, &config, &clock, None) {
+            assert_eq!(rows(&o.result, "batch"), want, "threads={threads}");
         }
     }
 }

@@ -230,7 +230,8 @@ fn other_families_with_select_sub_lists_are_served_cold_plans() {
 /// What crosses to a search that is not over the same skeleton: nothing.
 /// Each negative runs on a memo that already holds the EC2 template's
 /// skeleton, and must neither hit it nor import from it — and still give
-/// the cold answer for what it asked.
+/// the cold answer for what it asked. A universal chase cut short comes
+/// last: it decides nothing, and its miss replaces the planted entry.
 #[test]
 fn nothing_is_imported_across_skeletons_or_from_a_cut_chase() {
     let w = ec2();
@@ -247,23 +248,6 @@ fn nothing_is_imported_across_skeletons_or_from_a_cut_chase() {
         assert_eq!(left_deep(got), left_deep(&cold));
         assert_eq!((got.explored, got.inferred), (cold.explored, cold.inferred));
     };
-
-    // A universal chase cut short neither imports nor exports.
-    let capped = OptimizerConfig {
-        backchase: BackchaseConfig {
-            chase: ChaseConfig {
-                max_steps: 1,
-                ..ChaseConfig::default()
-            },
-            ..cfg.backchase.clone()
-        },
-        ..cfg.clone()
-    };
-    let got = opt.optimize_in(&template, &capped, &mut memo);
-    assert!(got.chase_stats.truncated);
-    imports_nothing(&memo, "truncated universal chase");
-    assert_eq!(memo.lookups(), 1, "a truncated lattice does not look up");
-    same_as_cold(&opt, &template, &capped, &got);
 
     // An optimizer that drops one constraint is another skeleton.
     let fewer = Optimizer::with_constraints(w.schema(), opt.constraints()[1..].to_vec());
@@ -293,6 +277,29 @@ fn nothing_is_imported_across_skeletons_or_from_a_cut_chase() {
     let got = opt.optimize_in(&template, &cfg, &mut memo);
     assert_eq!(memo.hits(), planted.0 + 1);
     assert_eq!(got.explored, got.inferred, "the same select list again");
+
+    // A universal chase cut short is another universal plan, so a miss, and
+    // it decides nothing: no verdict, no plan, the budget reported spent.
+    let capped = OptimizerConfig {
+        backchase: BackchaseConfig {
+            chase: ChaseConfig {
+                max_steps: 1,
+                ..ChaseConfig::default()
+            },
+            ..cfg.backchase.clone()
+        },
+        ..cfg.clone()
+    };
+    let (lookups, hits, imported) = (memo.lookups(), memo.hits(), memo.imported());
+    let got = opt.optimize_in(&template, &capped, &mut memo);
+    assert!(got.chase_stats.truncated && got.timed_out);
+    assert_eq!((got.explored, got.plans.len()), (0, 0));
+    assert_eq!(
+        (memo.lookups(), memo.hits(), memo.imported()),
+        (lookups + 1, hits, imported),
+        "a cut universal chase misses and imports nothing"
+    );
+    same_as_cold(&opt, &template, &capped, &got);
 }
 
 /// A miss runs only what a left-deep executor reads: on every family's

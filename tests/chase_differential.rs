@@ -63,6 +63,12 @@ fn every_round_searches_everything(
                     stats.satisfied_skips += 1;
                     continue;
                 }
+                // The cap cuts a step that is due, as `Chaser::chase` does:
+                // a chase of exactly `max_steps` steps reaches its fixpoint.
+                if stats.steps_applied >= cfg.max_steps {
+                    stats.truncated = true;
+                    return stats;
+                }
                 for b in &c.existential {
                     let range = b.range.map_vars(&mut |v| PathExpr::Var(h[&v]));
                     let fresh_name = format!("{}_{}", b.name, db.query.var_bound());
@@ -74,10 +80,6 @@ fn every_round_searches_everything(
                 }
                 stats.steps_applied += 1;
                 progress = true;
-                if stats.steps_applied >= cfg.max_steps {
-                    stats.truncated = true;
-                    return stats;
-                }
             }
         }
         if !progress {

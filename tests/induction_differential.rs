@@ -154,7 +154,7 @@ fn assert_inplace_matches_fresh(tag: &str, q: &Query, constraints: &[Constraint]
             let verdict = induced.is_some_and(|c| checker.equivalent(&c).0);
             assert_eq!(
                 direct.equivalent(&keep),
-                verdict,
+                Some(verdict),
                 "{tag}: the loaded check diverged from the oracle on subset {mask:#b}"
             );
             verdict

@@ -531,8 +531,8 @@ fn backchase_fingerprint(res: &BackchaseResult) -> Vec<String> {
             )
         })
         .chain([format!(
-            "explored = {}, inferred = {}, truncated_checks = {}, universal_arity = {}",
-            res.explored, res.inferred, res.truncated_checks, res.universal_arity
+            "explored = {}, inferred = {}, universal_arity = {}",
+            res.explored, res.inferred, res.universal_arity
         )])
         .collect()
 }
