@@ -4,10 +4,10 @@
 //! *variable-at-a-time* instead of relation-at-a-time: [`plan`] groups the
 //! query's flat equalities into join classes (equivalence classes of
 //! `binding.attr` terms, optionally pinned to a constant), and
-//! [`apply_generic_join`] pre-sorts every participating relation on its
-//! class key tuple and intersects the per-relation sorted runs one class
-//! after another — a leapfrog-style multiway intersection. Because each
-//! class narrows *every* participant before the next class is touched, no
+//! [`apply_generic_join`] sorts every participating relation on its class
+//! key tuple and intersects the per-relation sorted runs one class after
+//! another — a leapfrog-style multiway intersection. Because each class
+//! narrows *every* participant before the next class is touched, no
 //! intermediate ever exceeds the AGM bound `N^{ρ*}` of the fractional edge
 //! cover certified by [`cnb_ir::cover`]; binary joins can be `N^2` on the
 //! same cyclic queries (two edges of a skewed triangle materialize every
@@ -37,7 +37,33 @@
 //! relation's rows in class-key order (table order for tie and key-free
 //! bindings), values compared under the total order [`cmp_value`].
 //!
-//! **Stats.** Every index build reports its relation's true cardinality
+//! **Indexes and seeks.** One call pays for what the intersection reads:
+//! - *Shared indexes.* One index is built per distinct relation and list
+//!   of key attributes: the triangle's `e1` and `e2` both read `E` on
+//!   `(S, T)`, so it builds two indexes for three bindings. Indexes are
+//!   still built per call.
+//! - *Coded key columns.* An index is one sorted column per key position
+//!   plus the row ids, built without a vector per row. Each key is stored
+//!   with an order-preserving 128-bit code (`code`): exact for `Null`,
+//!   `Bool`, `Int`, `Float` and `Param`, a prefix for strings and oids.
+//!   Sorts and seeks compare codes and call [`cmp_value`] only when two
+//!   codes of an inexact kind tie — one comparator for every kind.
+//! - *Galloping seeks.* Lead values ascend, so every other participant
+//!   seeks forward from where its last seek stopped, doubling its stride
+//!   before it bisects (Veldhuizen's leapfrog triejoin). The per-depth
+//!   range frames, cursors and the emit's pick buffer are allocated once
+//!   per call, not once per lead value.
+//!
+//! None of this can move the output or the counts. The coded comparison
+//! is [`cmp_value`] on every pair of values (a unit test holds it to that
+//! over a generated corpus), and the row id breaks every tie, so each index
+//! has one sorted order whatever sorts it. A shared index is the index each
+//! of its bindings would have built. A gallop finds the boundary a
+//! bisection of the same range finds. The counts tally lead values, probes
+//! and emitted rows, never comparisons or builds, and every binding still
+//! reports its own `wcoj_index`.
+//!
+//! **Stats.** Every binding's index reports its relation's true cardinality
 //! (`wcoj_index` operators feed [`crate::feed_cost_model`] exactly like
 //! scans), and every class intersection reports values tried vs. values
 //! surviving (`wcoj_intersect`), so the fig. 9 feedback loop observes
@@ -62,19 +88,6 @@ use crate::join::{check_row_ids, ROW_ID_LIMIT};
 /// and sets lexicographically. Used to sort and binary-search the
 /// per-relation WCOJ indexes; exposed for tests and tooling.
 pub fn cmp_value(a: &Value, b: &Value) -> Ordering {
-    fn rank(v: &Value) -> u8 {
-        match v {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) => 2,
-            Value::Float(_) => 3,
-            Value::Str(_) => 4,
-            Value::Oid(..) => 5,
-            Value::Struct(_) => 6,
-            Value::Set(_) => 7,
-            Value::Param(_) => 8,
-        }
-    }
     match (a, b) {
         (Value::Null, Value::Null) => Ordering::Equal,
         (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
@@ -119,6 +132,21 @@ pub fn cmp_value(a: &Value, b: &Value) -> Ordering {
         }
         (Value::Param(x), Value::Param(y)) => x.cmp(y),
         _ => rank(a).cmp(&rank(b)),
+    }
+}
+
+/// The position of a value's kind in [`cmp_value`]'s order.
+fn rank(v: &Value) -> u8 {
+    match v {
+        Value::Null => 0,
+        Value::Bool(_) => 1,
+        Value::Int(_) => 2,
+        Value::Float(_) => 3,
+        Value::Str(_) => 4,
+        Value::Oid(..) => 5,
+        Value::Struct(_) => 6,
+        Value::Set(_) => 7,
+        Value::Param(_) => 8,
     }
 }
 
@@ -167,6 +195,11 @@ pub(crate) struct GenericJoin {
     /// Per binding: its classes (in global order) with the attributes each
     /// class constrains in that binding — one key-tuple position per class.
     keys: Vec<Vec<(usize, Vec<Symbol>)>>,
+    /// Per binding: which of the call's distinct indexes it reads, numbered
+    /// in order of first use. Bindings over the same relation with the same
+    /// attributes at every key position share one: the triangle's `e1` and
+    /// `e2` both read `E` on `(S, T)`, `e3` reads it on `(T, S)`.
+    index_of: Vec<usize>,
     /// Conflicting pins (or unequal constant-vs-constant equalities): an
     /// empty result, not an error, and nothing is indexed or intersected.
     unsatisfiable: bool,
@@ -281,89 +314,207 @@ pub(crate) fn plan(q: &Query) -> Result<GenericJoin, ExecError> {
         }
         classes.push(Class { participants, pin });
     }
+    let attrs = |b: usize| keys[b].iter().map(|(_, attrs)| attrs);
+    let (mut index_of, mut distinct) = (Vec::with_capacity(n), 0);
+    for b in 0..n {
+        match (0..b).find(|&o| tables[o] == tables[b] && attrs(o).eq(attrs(b))) {
+            Some(o) => index_of.push(index_of[o]),
+            None => {
+                index_of.push(distinct);
+                distinct += 1;
+            }
+        }
+    }
     Ok(GenericJoin {
         tables,
         classes,
         keys,
+        index_of,
         unsatisfiable,
     })
 }
 
-/// A relation's rows sorted by their class-key tuple (then row id, which
-/// preserves table order for ties and for key-free bindings).
-struct BindingIndex {
-    keys: Vec<Vec<Value>>,
+/// A value's order-preserving fixed-width code: the rank [`cmp_value`]
+/// orders its kind by in the top byte, then a payload. `code(a) < code(b)`
+/// implies `cmp_value(a, b) == Less`. The payload is the whole value for
+/// the exact kinds — `Null`, `Bool`, `Int`, `Float` (in `total_cmp` order)
+/// and `Param` — so equal codes mean equal values; for a string it is the
+/// first 15 bytes, for an oid those of its class name, and for a struct or
+/// a set nothing, so equal codes of those kinds leave the order to
+/// [`cmp_value`].
+fn code(v: &Value) -> u128 {
+    fn prefix(bytes: &[u8]) -> u128 {
+        let mut buf = [0u8; 16];
+        let n = bytes.len().min(15);
+        buf[1..=n].copy_from_slice(&bytes[..n]);
+        u128::from_be_bytes(buf)
+    }
+    let payload = match v {
+        Value::Null | Value::Struct(_) | Value::Set(_) => 0,
+        Value::Bool(b) => u128::from(*b),
+        Value::Int(x) => u128::from(*x as u64 ^ 1 << 63),
+        Value::Float(x) => {
+            // `f64::total_cmp`'s key, shifted to unsigned order.
+            let bits = x.to_bits() as i64;
+            let key = bits ^ (((bits >> 63) as u64) >> 1) as i64;
+            u128::from(key as u64 ^ 1 << 63)
+        }
+        Value::Str(s) => prefix(s.as_bytes()),
+        Value::Oid(class, _) => prefix(class.as_str().as_bytes()),
+        Value::Param(k) => u128::from(*k),
+    };
+    u128::from(rank(v)) << 120 | payload
+}
+
+/// Whether equal codes of this kind mean equal values (see [`code`]): all
+/// but ranks 4–7, `Str`, `Oid`, `Struct` and `Set`.
+fn exact(code: u128) -> bool {
+    !matches!(code >> 120, 4..=7)
+}
+
+/// [`cmp_value`] on two coded values: the codes decide unless they tie on
+/// an inexact kind.
+fn cmp_coded(a: (u128, &Value), b: (u128, &Value)) -> Ordering {
+    match a.0.cmp(&b.0) {
+        Ordering::Equal if !exact(a.0) => cmp_value(a.1, b.1),
+        ord => ord,
+    }
+}
+
+/// A relation's rows that can join, sorted by their class-key tuple (then
+/// row id, which preserves table order for ties and for key-free
+/// bindings): one sorted, coded column per key position plus the row ids.
+struct BindingIndex<'a> {
+    /// The key columns, column-major: position `p` of the `i`-th entry is
+    /// at `p * rows.len() + i`.
+    codes: Vec<u128>,
+    vals: Vec<&'a Value>,
     rows: Vec<u32>,
 }
 
-impl BindingIndex {
+impl<'a> BindingIndex<'a> {
     /// Indexes `table` on `classes` — per class, the attributes it
     /// constrains in this binding. A row lacking a class attribute (or
     /// disagreeing between two same-class attributes) can never join: it is
     /// dropped here, exactly where a hash-join build would skip it. `limit`
     /// is [`ROW_ID_LIMIT`] outside tests.
     fn build(
-        table: &[Value],
+        table: &'a [Value],
         classes: &[(usize, Vec<Symbol>)],
         limit: usize,
-    ) -> Result<BindingIndex, ExecError> {
+    ) -> Result<BindingIndex<'a>, ExecError> {
         check_row_ids("generic-join index", table.len(), limit)?;
-        let mut entries: Vec<(Vec<Value>, u32)> = Vec::with_capacity(table.len());
+        let width = classes.len();
+        // Row-major keys of the rows that join, and their row ids.
+        let mut keys: Vec<(u128, &Value)> = Vec::with_capacity(table.len() * width);
+        let mut ids: Vec<u32> = Vec::with_capacity(table.len());
         'row: for (i, row) in table.iter().enumerate() {
-            let mut key = Vec::with_capacity(classes.len());
+            let key = |attrs: &[Symbol]| {
+                let first = row.field(attrs[0])?;
+                attrs[1..]
+                    .iter()
+                    .all(|a| row.field(*a) == Some(first))
+                    .then_some(first)
+            };
+            let start = keys.len();
             for (_, attrs) in classes {
-                let Some(first) = row.field(attrs[0]) else {
+                let Some(v) = key(attrs) else {
+                    keys.truncate(start);
                     continue 'row;
                 };
-                for a in &attrs[1..] {
-                    if row.field(*a) != Some(first) {
-                        continue 'row;
-                    }
-                }
-                key.push(first.clone());
+                keys.push((code(v), v));
             }
-            entries.push((key, i as u32));
+            ids.push(i as u32);
         }
-        entries.sort_by(|(ka, ra), (kb, rb)| {
-            ka.iter()
-                .zip(kb.iter())
-                .map(|(x, y)| cmp_value(x, y))
-                .find(|o| *o != Ordering::Equal)
-                .unwrap_or_else(|| ra.cmp(rb))
+        // Row ids ascend with `ids`' positions, so comparing positions last
+        // is comparing row ids, and no two entries compare equal.
+        let mut order: Vec<u32> = (0..ids.len() as u32).collect();
+        order.sort_unstable_by(|&x, &y| {
+            let key = |e: u32| &keys[e as usize * width..][..width];
+            key(x)
+                .iter()
+                .zip(key(y))
+                .map(|(&a, &b)| cmp_coded(a, b))
+                .find(|o| o.is_ne())
+                .unwrap_or_else(|| x.cmp(&y))
         });
-        let (keys, rows) = entries.into_iter().unzip();
-        Ok(BindingIndex { keys, rows })
+        let mut codes = Vec::with_capacity(keys.len());
+        let mut vals = Vec::with_capacity(keys.len());
+        for pos in 0..width {
+            for &e in &order {
+                let (c, v) = keys[e as usize * width + pos];
+                codes.push(c);
+                vals.push(v);
+            }
+        }
+        let rows = order.iter().map(|&e| ids[e as usize]).collect();
+        Ok(BindingIndex { codes, vals, rows })
     }
-}
 
-fn equal_range(idx: &BindingIndex, range: (usize, usize), pos: usize, v: &Value) -> (usize, usize) {
-    let bound = |upper: bool| {
-        let (mut lo, mut hi) = range;
+    /// The coded key at position `pos` of the `i`-th entry.
+    fn key(&self, pos: usize, i: usize) -> (u128, &'a Value) {
+        let at = pos * self.rows.len() + i;
+        (self.codes[at], self.vals[at])
+    }
+
+    /// The first entry in `from..to` whose key at `pos` is not below `key`
+    /// (with `past`: not at or below it). Gallops from `from` — probes
+    /// `from + 1, from + 3, from + 7, …` until one is not before the target,
+    /// then bisects the last stride — so a seek that moves `d` entries costs
+    /// `O(log d)` comparisons, and a participant whose seeks ascend pays for
+    /// the distance it covers, not for its range.
+    fn seek(&self, pos: usize, from: usize, to: usize, key: (u128, &Value), past: bool) -> usize {
+        let before = |i: usize| match cmp_coded(self.key(pos, i), key) {
+            Ordering::Less => true,
+            Ordering::Equal => past,
+            Ordering::Greater => false,
+        };
+        if from >= to || !before(from) {
+            return from;
+        }
+        // `before(lo)` holds; `hi` is `to` or the first probe that is not before.
+        let (mut lo, mut step) = (from, 1);
+        let mut hi = loop {
+            let probe = lo + step;
+            if probe >= to {
+                break to;
+            }
+            if !before(probe) {
+                break probe;
+            }
+            lo = probe;
+            step *= 2;
+        };
+        lo += 1;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let ord = cmp_value(&idx.keys[mid][pos], v);
-            let go_right = if upper {
-                ord != Ordering::Greater
-            } else {
-                ord == Ordering::Less
-            };
-            if go_right {
+            if before(mid) {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
         lo
-    };
-    (bound(false), bound(true))
+    }
 }
 
-/// One run of the operator: the plan and its indexes, read-only, and what
-/// the intersection accumulates.
+/// One run of the operator: the plan and its indexes, read-only, the
+/// frames the intersection reuses at every depth, and what it accumulates.
 struct Solver<'s, 'a> {
     classes: &'s [Class],
     tables: &'s [&'a [Value]],
-    indexes: &'s [BindingIndex],
+    /// Per binding, the index it reads (shared ones appear more than once).
+    indexes: &'s [&'s BindingIndex<'a>],
+    /// Per depth `d` — class `d`, or the emit at `classes.len()` — the range
+    /// each binding's index is narrowed to, one entry per binding from
+    /// `d * width`: depth `d` writes depth `d + 1`'s frame for every value
+    /// it tries, so no value allocates one.
+    frames: Vec<(usize, usize)>,
+    /// Per class depth and binding, where that participant's last seek
+    /// stopped: lead values ascend, so the next seek starts there.
+    cursors: Vec<usize>,
+    /// The row ids the emit has picked for the bindings before its length.
+    picked: Vec<u32>,
     /// Per class: (lead values tried, values surviving every participant).
     class_stats: Vec<(usize, usize)>,
     tuples_considered: usize,
@@ -372,93 +523,105 @@ struct Solver<'s, 'a> {
 }
 
 impl Solver<'_, '_> {
-    /// Narrows `ranges` to the rows whose key for `class` is `v`, probing
-    /// every participant except `skip`. `None` as soon as one has no match.
-    fn narrow(
-        &mut self,
-        class: &Class,
-        mut ranges: Vec<(usize, usize)>,
-        v: &Value,
-        skip: Option<usize>,
-    ) -> Option<Vec<(usize, usize)>> {
-        for &(b, pos) in &class.participants {
+    fn width(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// Narrows depth `d + 1`'s frame (a copy of depth `d`'s) to the rows
+    /// whose key for class `d` is `key`, seeking every participant except
+    /// `skip` from its cursor. `false` as soon as one has no match.
+    fn narrow(&mut self, d: usize, key: (u128, &Value), skip: Option<usize>) -> bool {
+        let (next, at) = ((d + 1) * self.width(), d * self.width());
+        for &(b, pos) in &self.classes[d].participants {
             if Some(b) == skip {
                 continue;
             }
             self.tuples_considered += 1;
-            let r = equal_range(&self.indexes[b], ranges[b], pos, v);
-            if r.0 == r.1 {
-                return None;
+            let index = self.indexes[b];
+            let to = self.frames[next + b].1;
+            let lo = index.seek(pos, self.cursors[at + b], to, key, false);
+            self.cursors[at + b] = lo;
+            if lo == to || cmp_coded(index.key(pos, lo), key).is_ne() {
+                return false;
             }
-            ranges[b] = r;
+            let hi = index.seek(pos, lo, to, key, true);
+            self.cursors[at + b] = hi;
+            self.frames[next + b] = (lo, hi);
         }
-        Some(ranges)
+        true
     }
 
-    /// Intersects class `class_i` across its participants' current sorted
-    /// ranges, recursing with the narrowed ranges for each surviving value.
-    fn solve(&mut self, class_i: usize, ranges: &[(usize, usize)]) {
-        let (classes, indexes) = (self.classes, self.indexes);
-        let Some(class) = classes.get(class_i) else {
-            self.emit(ranges, &mut Vec::with_capacity(ranges.len()));
-            return;
+    /// Intersects class `d` across its participants' ranges in depth `d`'s
+    /// frame, recursing with the narrowed frame for each surviving value.
+    fn solve(&mut self, d: usize) {
+        let w = self.width();
+        let Some(class) = self.classes.get(d) else {
+            return self.emit();
         };
+        let (at, next) = (d * w, (d + 1) * w);
+        for &(b, _) in &class.participants {
+            self.cursors[at + b] = self.frames[at + b].0;
+        }
         // Pinned class: narrow every participant to the constant.
         if let Some(pin) = &class.pin {
-            self.class_stats[class_i].0 += 1;
-            if let Some(next) = self.narrow(class, ranges.to_vec(), pin, None) {
-                self.class_stats[class_i].1 += 1;
-                self.solve(class_i + 1, &next);
+            self.class_stats[d].0 += 1;
+            self.frames.copy_within(at..next, next);
+            if self.narrow(d, (code(pin), pin), None) {
+                self.class_stats[d].1 += 1;
+                self.solve(d + 1);
             }
             return;
         }
         // Leapfrog step: iterate the smallest participant's distinct values
-        // in sorted order, probing every other participant for each.
+        // in sorted order, seeking every other participant for each.
+        let frame = &self.frames[at..next];
         let lead = class
             .participants
             .iter()
-            .min_by_key(|&&(b, _)| (ranges[b].1 - ranges[b].0, b));
+            .min_by_key(|&&(b, _)| (frame[b].1 - frame[b].0, b));
         let Some(&(lead_b, lead_pos)) = lead else {
             // No participant, nothing to intersect.
-            return self.solve(class_i + 1, ranges);
+            self.frames.copy_within(at..next, next);
+            return self.solve(d + 1);
         };
-        let (mut lo, hi) = ranges[lead_b];
+        let index = self.indexes[lead_b];
+        let (mut lo, hi) = frame[lead_b];
         while lo < hi {
-            let v = &indexes[lead_b].keys[lo][lead_pos];
-            let lead_end = equal_range(&indexes[lead_b], (lo, hi), lead_pos, v).1;
+            let key = index.key(lead_pos, lo);
+            let lead_end = index.seek(lead_pos, lo, hi, key, true);
             self.tuples_considered += 1;
-            self.class_stats[class_i].0 += 1;
-            let mut next = ranges.to_vec();
-            next[lead_b] = (lo, lead_end);
-            if let Some(next) = self.narrow(class, next, v, Some(lead_b)) {
-                self.class_stats[class_i].1 += 1;
-                self.solve(class_i + 1, &next);
+            self.class_stats[d].0 += 1;
+            self.frames.copy_within(at..next, next);
+            self.frames[next + lead_b] = (lo, lead_end);
+            if self.narrow(d, key, Some(lead_b)) {
+                self.class_stats[d].1 += 1;
+                self.solve(d + 1);
             }
             lo = lead_end;
         }
     }
 
     /// Enumerates the cross product of the fully narrowed ranges in binding
-    /// order, one batch row per combination. `picked` holds the row ids
-    /// chosen for the bindings before `picked.len()`.
-    fn emit(&mut self, ranges: &[(usize, usize)], picked: &mut Vec<u32>) {
-        let b = picked.len();
-        if b == ranges.len() {
+    /// order, one batch row per combination.
+    fn emit(&mut self) {
+        let b = self.picked.len();
+        if b == self.width() {
             self.tuples_considered += 1;
-            for ((col, table), &i) in self.cols.iter_mut().zip(self.tables).zip(&*picked) {
+            for ((col, table), &i) in self.cols.iter_mut().zip(self.tables).zip(&self.picked) {
                 col.push(&table[i as usize]);
             }
             return;
         }
-        for i in ranges[b].0..ranges[b].1 {
-            picked.push(self.indexes[b].rows[i]);
-            self.emit(ranges, picked);
-            picked.pop();
+        let (lo, hi) = self.frames[self.classes.len() * self.width() + b];
+        for i in lo..hi {
+            self.picked.push(self.indexes[b].rows[i]);
+            self.emit();
+            self.picked.pop();
         }
     }
 }
 
-/// Executes the generic join: builds every binding's sorted index, runs the
+/// Executes the generic join: builds each distinct index once, runs the
 /// class-at-a-time intersection and returns the surviving combinations as
 /// a batch. It binds every slot, so there is no input batch to extend.
 pub(crate) fn apply_generic_join<'a>(
@@ -470,9 +633,15 @@ pub(crate) fn apply_generic_join<'a>(
         return Ok(Batch::from_columns(vec![Vec::new(); gj.width()]));
     }
     let tables: Vec<&[Value]> = gj.tables.iter().map(|t| db.table(*t)).collect();
-    let mut indexes: Vec<BindingIndex> = Vec::with_capacity(tables.len());
-    for ((name, table), keys) in gj.tables.iter().zip(&tables).zip(&gj.keys) {
-        let index = BindingIndex::build(table, keys, ROW_ID_LIMIT)?;
+    let mut built: Vec<BindingIndex> = Vec::new();
+    for (b, table) in tables.iter().enumerate() {
+        if gj.index_of[b] == built.len() {
+            built.push(BindingIndex::build(table, &gj.keys[b], ROW_ID_LIMIT)?);
+        }
+    }
+    let indexes: Vec<&BindingIndex> = gj.index_of.iter().map(|&i| &built[i]).collect();
+    // One entry per binding, shared index or not: what the cost model reads.
+    for ((name, table), index) in gj.tables.iter().zip(&tables).zip(&indexes) {
         stats.operators.push(OpStats {
             op: "wcoj_index",
             collection: Some(*name),
@@ -481,19 +650,25 @@ pub(crate) fn apply_generic_join<'a>(
             input_rows: table.len(),
             output_rows: index.rows.len(),
         });
-        indexes.push(index);
     }
 
-    let ranges: Vec<(usize, usize)> = indexes.iter().map(|ix| (0, ix.rows.len())).collect();
+    let (w, depth) = (gj.width(), gj.classes.len());
+    let mut frames = vec![(0, 0); (depth + 1) * w];
+    for (frame, index) in frames.iter_mut().zip(&indexes) {
+        *frame = (0, index.rows.len());
+    }
     let mut solver = Solver {
         classes: &gj.classes,
         tables: &tables,
         indexes: &indexes,
-        class_stats: vec![(0, 0); gj.classes.len()],
+        frames,
+        cursors: vec![0; depth * w],
+        picked: Vec::with_capacity(w),
+        class_stats: vec![(0, 0); depth],
         tuples_considered: 0,
-        cols: vec![Vec::new(); gj.width()],
+        cols: vec![Vec::new(); w],
     };
-    solver.solve(0, &ranges);
+    solver.solve(0);
 
     stats.tuples_considered += solver.tuples_considered;
     for (tried, matched) in solver.class_stats {
@@ -541,6 +716,111 @@ mod tests {
     fn sorted(mut rows: Vec<Value>) -> Vec<Value> {
         rows.sort_by(cmp_value);
         rows
+    }
+
+    /// The comparator corpus: every kind, the edges of each kind's order
+    /// and of its code, and seeded values around them.
+    fn comparator_corpus() -> Vec<Value> {
+        let mut corpus = vec![Value::Null, Value::Bool(false), Value::Bool(true)];
+        corpus.extend([i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX].map(Value::Int));
+        corpus.extend(
+            [
+                -0.0,
+                0.0,
+                f64::NAN,
+                f64::from_bits(0x7ff8_0000_0000_0001),
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::from_bits(1),
+                -1.5,
+                1.0,
+            ]
+            .map(Value::Float),
+        );
+        for s in [
+            "",
+            "\0",
+            "a",
+            "a\0",
+            "ab",
+            "abcdefgh",
+            "abcdefgh0",
+            "abcdefgh1",
+            "abcdefghijklmno",
+            "abcdefghijklmnoA",
+            "abcdefghijklmnoB",
+            "é",
+        ] {
+            corpus.push(Value::str(s));
+        }
+        for (class, id) in [
+            ("C", 1),
+            ("Class", 1),
+            ("Class", 2),
+            ("Classroom", 0),
+            ("ClassroomsOfTheSchool", 2),
+            ("ClassroomsOfTheSchoolB", 1),
+        ] {
+            corpus.push(Value::Oid(sym(class), id));
+        }
+        let rec = |fields: &[(&str, Value)]| {
+            Value::record(fields.iter().map(|(n, v)| (sym(n), v.clone())))
+        };
+        let inner = rec(&[("C", Value::str("x"))]);
+        corpus.extend([
+            rec(&[]),
+            rec(&[("A", Value::Int(1))]),
+            rec(&[("A", Value::Int(1)), ("B", inner.clone())]),
+            rec(&[("A", Value::Int(2))]),
+            rec(&[("B", Value::Int(1))]),
+            Value::set([]),
+            Value::set([Value::Int(1)]),
+            Value::set([Value::Int(1), Value::Int(2)]),
+            Value::set([Value::set([Value::Int(1)])]),
+            Value::set([inner]),
+        ]);
+        corpus.extend([0, 1, u32::MAX].map(Value::Param));
+        let mut rng = crate::prng::SplitMix64::seed_from_u64(0xc0de);
+        for _ in 0..12 {
+            let len = rng.gen_range(0..20usize);
+            let s: String = (0..len)
+                .map(|_| ['a', 'b', '\0'][rng.gen_range(0..3usize)])
+                .collect();
+            corpus.push(Value::str(&s));
+            corpus.push(Value::Int(rng.next_u64() as i64));
+            corpus.push(Value::Float(f64::from_bits(rng.next_u64())));
+        }
+        corpus
+    }
+
+    /// `cmp_value` is a total order that agrees with `==`, and the coded
+    /// comparison the indexes sort and seek with agrees with it on every
+    /// pair: a lower code means `Less`, and equal codes of an exact kind
+    /// mean equal values.
+    #[test]
+    fn coded_keys_agree_with_cmp_value_on_every_pair() {
+        let corpus = comparator_corpus();
+        for a in &corpus {
+            for b in &corpus {
+                let ord = cmp_value(a, b);
+                assert_eq!(ord.is_eq(), a == b, "{a} vs {b}: {ord:?}");
+                assert_eq!(cmp_value(b, a), ord.reverse(), "{a} vs {b}");
+                let (ca, cb) = (code(a), code(b));
+                if ca < cb {
+                    assert_eq!(ord, Ordering::Less, "{a} codes below {b}");
+                }
+                if ca == cb && exact(ca) {
+                    assert_eq!(a, b, "{a} and {b} share an exact code");
+                }
+                assert_eq!(cmp_coded((ca, a), (cb, b)), ord, "{a} vs {b}");
+                for c in corpus.iter().filter(|_| ord.is_le()) {
+                    if cmp_value(b, c).is_le() {
+                        assert!(cmp_value(a, c).is_le(), "{a} <= {b} <= {c}");
+                    }
+                }
+            }
+        }
     }
 
     /// ROADMAP 5b: a table too large for `u32` row ids is a typed error —

@@ -104,7 +104,8 @@ cargo test --release -q -p cnb-engine --test door
 # searches) or the bottom-up search's pricing to "same search, no garbage".
 # alloc_audit
 # counts heap allocations per explored candidate on the four full-backchase benchmark points and per explored-or-pruned candidate
-# on the bottom-up pass of the two measured ones (its ceilings are asserted
+# on the bottom-up pass of the two measured ones, and per generic-join call
+# on the two EC5 graphs of exec_analytic (its ceilings are asserted
 # in release only — a debug build validates every induced query and re-proves
 # every inferred verdict); plan_text_golden pins every plan's text, order,
 # `explored` / `pruned` / `universal_arity` / `inferred` for the nine
@@ -135,25 +136,33 @@ cargo test --release -q --test alloc_audit --test plan_text_golden --test induct
   --test chase_differential --test floor_soundness --test floor_differential
 cargo test --release -q -p cnb-engine --test skeleton_memo
 
-# Binary-operator kernel tier, release profile: the five files that hold a
-# change to the candidate loop of `Bind` / `DictJoin` (`join::Sink`, the
-# path evaluator in `batch.rs`, the hash-join build tables) to "same rows,
-# same order, same counts" — in the profile the benchmark runs, where the
-# evaluator is inlined into every candidate loop and a filter side that
-# reads no candidate is read once per input row.
+# Operator kernel tier, release profile: the files that hold a change to
+# the candidate loop of `Bind` / `DictJoin` (`join::Sink`, the path
+# evaluator in `batch.rs`, the hash-join build tables) or to the generic
+# join's kernel (`wcoj.rs`: its shared, coded indexes and galloping seeks)
+# to "same rows, same order, same counts" — in the profile the benchmark
+# runs, where the evaluator is inlined into every candidate loop and a
+# filter side that reads no candidate is read once per input row.
 # dict_join_differential holds fused index pairs and a family of residual
 # filters (row sides through nested fields, partial lookups and constants;
 # filters between a pair's two candidate slots) to the nested-loop oracle,
 # rows, order and the per-operator filter cascade; owned_paths_differential
 # does the same for the paths evaluation builds (`struct(…)`);
-# wcoj_differential holds the generic join to the binary pipeline;
-# operator_stats_golden pins every `OpStats` entry of EC1, EC2, EC4 and
-# EC5 plans; plan_execution_agreement pins the EC1–EC3 plans' exact rows
-# and order.
-# The debug profile runs all five as part of `cargo test -q` below.
-tier "binary-operator kernel: dict_join/owned-path/WCOJ differentials + operator-stats golden + plan-execution agreement, release profile"
+# wcoj_differential holds the generic join to the binary pipeline and the
+# oracle on EC5 and on a seeded mixed-kind family (shared and reversed
+# indexes, absent and other-kind pins, a hub of degree 120), whose order
+# digests, `tuples_considered` and operator stats are pinned; the `wcoj::`
+# unit tests pin the generic join's stats and order on small graphs and
+# hold its coded comparison to `cmp_value` on every pair of a generated
+# corpus; operator_stats_golden pins every `OpStats` entry of EC1, EC2,
+# EC4 and EC5 plans; plan_execution_agreement pins the EC1–EC3 plans'
+# exact rows and order. The generic join's allocations per call are
+# tests/alloc_audit.rs's, in the backchase kernel tier above.
+# The debug profile runs all of them as part of `cargo test -q` below.
+tier "operator kernels: dict_join/owned-path/WCOJ differentials + wcoj:: unit tests + operator-stats golden + plan-execution agreement, release profile"
 cargo test --release -q -p cnb-engine --test dict_join_differential --test owned_paths_differential \
   --test wcoj_differential
+cargo test --release -q -p cnb-engine --lib wcoj::
 cargo test --release -q -p cnb-workloads --test operator_stats_golden --test plan_execution_agreement
 
 # The full debug suite, run once: every debug-profile test runs here and

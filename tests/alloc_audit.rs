@@ -1,8 +1,10 @@
-//! Pins the backchase's memory traffic: heap allocations per explored
-//! candidate over one warm sequential `chase_and_backchase`, on the four
-//! full-backchase points of the `optimize_cold` benchmark workload, and per
-//! explored or pruned candidate over the bottom-up pass of its two
-//! `optimize_measured` points.
+//! Pins the memory traffic of two kernels. The backchase's: heap
+//! allocations per explored candidate over one warm sequential
+//! `chase_and_backchase`, on the four full-backchase points of the
+//! `optimize_cold` benchmark workload, and per explored or pruned candidate
+//! over the bottom-up pass of its two `optimize_measured` points. The
+//! generic join's: heap allocations per `execute_wcoj` call on the two EC5
+//! graphs of the `exec_analytic` workload.
 //!
 //! Before the inner loop stopped allocating (probes interned through the
 //! homomorphism's assignment, bodies compiled once, closure lists recycled)
@@ -30,6 +32,16 @@
 //! induction or a price that starts allocating more, or a floor that stops
 //! deciding, goes through it.
 //!
+//! The generic join sorted every binding's relation through one vector per
+//! row and copied its range frame for every lead value: 9 704 allocations
+//! on the uniform graph (120 rows out) and 12 049 on the skewed one (1 803).
+//! It now builds each distinct index once, into sorted key columns, and
+//! reuses its frames: 199 and 1 894, of which one per output row is the
+//! projected row itself. The ceiling bounds the rest — 79 and 91, the
+//! query's validation, the indexes, the batch's columns growing — by the
+//! same rule, at 119 / 137; a lead value, a seek or an index row that
+//! starts allocating goes through it.
+//!
 //! This file must stay a single-test binary: the counter is the process's
 //! allocator, and a sibling test running on another thread would be counted
 //! in. It holds the repository's one `unsafe impl` — a `GlobalAlloc` that
@@ -41,6 +53,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use chase_too_far::core::cost::{CostModel, WcojAwarePricer};
 use chase_too_far::core::prelude::*;
+use chase_too_far::engine::datagen::EdgeDist;
+use chase_too_far::engine::execute_wcoj;
+use chase_too_far::engine::prng::SplitMix64;
+use chase_too_far::workloads::ec5::Ec5DataSpec;
 use chase_too_far::workloads::{Ec1, Ec2, Ec4, Ec5};
 
 /// Calls to `alloc` / `alloc_zeroed` / `realloc` since process start.
@@ -175,11 +191,42 @@ fn backchase_allocations_per_explored_candidate() {
         });
         hold(name, reading, ceiling);
     }
+    // The generic join on the two EC5 graphs of the `exec_analytic`
+    // benchmark workload (240 nodes, 1 200 edges, its data seeds): one
+    // warm `execute_wcoj` of the triangle, whose allocations beyond one per
+    // output row may not pass the ceiling.
+    let data_seed = |stream: u64| {
+        SplitMix64::seed_from_u64(0x5eed_da7a ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .next_u64()
+    };
+    let triangle = Ec5::triangle();
+    for (g, (name, dist, ceiling)) in [
+        ("ec5u.wcoj", EdgeDist::Uniform, 119),
+        ("ec5s.wcoj", EdgeDist::Skewed(2.0), 137),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let db = triangle.generate(Ec5DataSpec {
+            nodes: 240,
+            edges: 1200,
+            dist,
+            seed: data_seed(10 + g as u64),
+        });
+        let q = triangle.cycle_query();
+        let rows = execute_wcoj(&db, &q).unwrap().stats.rows_out as u64;
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let again = execute_wcoj(&db, &q).unwrap().stats.rows_out as u64;
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(again, rows, "{name}: rows moved");
+        let beyond = allocations.saturating_sub(rows);
+        println!(
+            "{name}: {allocations} allocations / {rows} rows out, {beyond} beyond one per row"
+        );
+        hold(name, beyond, ceiling);
+    }
     // Debug builds run `validate()` (and its allocations) per induction.
     if cfg!(not(debug_assertions)) {
-        assert!(
-            over.is_empty(),
-            "allocations per candidate above the ceiling: {over:?}"
-        );
+        assert!(over.is_empty(), "allocations above the ceiling: {over:?}");
     }
 }
