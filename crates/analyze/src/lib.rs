@@ -8,9 +8,9 @@
 //!
 //! - [`validate`]: a semantic validator over the IR. Queries and
 //!   constraints (the scoping rule, which lives in [`cnb_ir::scope`], plus
-//!   arity/schema agreement via the typechecker), constraint *sets* (a
-//!   position-level weak-acyclicity firing-graph check that certifies
-//!   chase termination), and physical plans (binding-order soundness plus
+//!   arity/schema agreement via the typechecker), constraint *sets*
+//!   (through `cnb_core::strata::certify`, the weak-acyclicity check every
+//!   optimizer runs at construction), and physical plans (binding-order soundness plus
 //!   join-connectivity analysis that rejects cross-product shapes
 //!   statically).
 //! - [`taint`]: the determinism scan. The ban list is `clippy.toml`, written
@@ -49,8 +49,8 @@ pub mod prelude {
     pub use crate::suite::validate_suite;
     pub use crate::taint::{taint_files, taint_workspace, TaintFinding};
     pub use crate::validate::{
-        join_components, validate_constraint, validate_constraint_set, validate_plan,
-        validate_query, ValidateError,
+        join_components, validate_constraint, validate_plan, validate_query, validate_schema,
+        ValidateError,
     };
     pub use cnb_ir::cover::{CoverError, Rat};
 }

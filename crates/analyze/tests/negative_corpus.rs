@@ -7,6 +7,7 @@
 //! sets whose firing graph lets the chase diverge.
 
 use cnb_analyze::prelude::*;
+use cnb_core::strata::{certify, CertifyError};
 use cnb_ir::prelude::*;
 
 /// A two-relation schema shared by the query-level cases.
@@ -172,9 +173,9 @@ fn diverging_constraint_cycle_is_rejected_as_non_terminating() {
     let t = bwd.forall("t", Range::Name(sym("S")));
     let y = bwd.exists("y", Range::Name(sym("R")));
     bwd.then(PathExpr::from(t).dot("B"), PathExpr::from(y).dot("N"));
-    let err = validate_constraint_set(&s, &[fwd, bwd]).unwrap_err();
+    let err = certify(&s, &[fwd, bwd]).unwrap_err();
     match &err {
-        ValidateError::NonTerminating { cycle } => {
+        CertifyError::NonTerminating { cycle } => {
             assert!(cycle.contains("special edge"), "{err}");
             assert!(cycle.contains("cycle"), "{err}");
         }
@@ -201,7 +202,7 @@ fn terminating_variants_of_the_corpus_pass() {
     let xv = fk.exists("x", Range::Name(sym("S")));
     fk.then(PathExpr::from(rv).dot("N"), PathExpr::from(xv).dot("K"));
     validate_constraint(&s, &fk).expect("well-formed RIC");
-    validate_constraint_set(&s, &[fk]).expect("a single FK terminates");
+    certify(&s, &[fk]).expect("a single FK terminates");
 }
 
 // ---------------------------------------------------------------------------

@@ -94,7 +94,13 @@
 //! the deadline, or a [`ChaseConfig`] cap on the universal chase or on a
 //! candidate's — decides nothing (plans are complete only at the chase's
 //! fixpoint, §3): the search returns the plans found so far with
-//! [`BackchaseResult::timed_out`] set.
+//! [`BackchaseResult::timed_out`] set. Every chase here runs under
+//! [`ChaseConfig::default`]. An [`crate::optimizer::Optimizer`] searches
+//! only a constraint set [`crate::strata::certify`] accepted, whose chases
+//! all reach their fixpoints, so there only the deadline runs out; the caps
+//! guard a caller of [`chase_and_backchase`] or
+//! [`crate::bottomup::bottom_up_backchase`] that passes an uncertified
+//! slice.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -117,8 +123,6 @@ use crate::subquery::{
 pub struct BackchaseConfig {
     /// Wall-clock budget; `None` = unlimited. The paper used 2 minutes.
     pub timeout: Option<Duration>,
-    /// Chase limits for the universal plan and the implication chases.
-    pub chase: ChaseConfig,
     /// Stop after this many plans (safety valve; paper never needed one).
     pub max_plans: usize,
     /// Inert: read by nothing in this crate — both searches are sequential,
@@ -131,7 +135,6 @@ impl Default for BackchaseConfig {
     fn default() -> BackchaseConfig {
         BackchaseConfig {
             timeout: Some(Duration::from_secs(120)),
-            chase: ChaseConfig::default(),
             max_plans: 100_000,
             threads: 0,
         }
@@ -230,7 +233,7 @@ impl<'a> Lattice<'a> {
     pub fn chase(q0: &'a Query, constraints: &'a [Constraint], cfg: &BackchaseConfig) -> Self {
         #[expect(clippy::disallowed_methods)]
         let start = Instant::now();
-        let mut checker = EquivChecker::new(q0, constraints, cfg.chase).compile();
+        let mut checker = EquivChecker::new(q0, constraints, ChaseConfig::default()).compile();
         let mut udb = CanonDb::new(q0);
         let chase_stats = checker.chaser.chase(&mut udb);
         Lattice {
@@ -767,37 +770,10 @@ mod tests {
         assert!(res.timed_out || res.plans.len() == 64);
     }
 
-    /// A universal chase cut short by its step cap decides nothing: the
-    /// search stops as at an expired deadline, with no verdict counted and
-    /// no plan. Uncapped, the same search explores and infers.
-    #[test]
-    fn a_capped_universal_chase_decides_nothing() {
-        let (schema, q) = indexed_chain(3);
-        let cs = schema.all_constraints();
-        let full = chase_and_backchase(&q, &cs, &BackchaseConfig::default());
-        assert_eq!((full.explored, full.plans.len()), (53, 8));
-        assert!(!full.timed_out && full.inferred > 0);
-        let capped = BackchaseConfig {
-            chase: ChaseConfig {
-                max_steps: 1,
-                ..ChaseConfig::default()
-            },
-            ..BackchaseConfig::default()
-        };
-        let res = chase_and_backchase(&q, &cs, &capped);
-        assert!(res.chase_stats.truncated && res.timed_out);
-        assert_eq!((res.explored, res.inferred, res.plans.len()), (0, 0, 0));
-        assert_eq!(res.universal_arity, 4);
-    }
-
-    /// `R.A ⊆ S.A` and `S.B ⊆ R.B` diverge from `R` alone, but a query that
-    /// joins `R` and `S` on both already satisfies them: its universal chase
-    /// is a 0-step fixpoint. Each one-binding candidate's implication chase
-    /// then runs to the round cap, and that decides nothing either: both
-    /// searches stop with the budget spent, `chase_stats.truncated` set, no
-    /// verdict counted and no plan.
-    #[test]
-    fn a_capped_candidate_chase_decides_nothing() {
+    /// `R.A ⊆ S.A` and `S.B ⊆ R.B`: each inclusion's fresh tuple feeds the
+    /// other's, so the pair is not weakly acyclic and a chase from `R`
+    /// alone never reaches a fixpoint.
+    fn diverging_pair() -> [Constraint; 2] {
         let inclusion = |from: &str, to: &str, attr: &str| {
             let mut c = Constraint::new(format!("{from}_{attr}_in_{to}"));
             let x = c.forall("x", Range::Name(sym(from)));
@@ -805,7 +781,39 @@ mod tests {
             c.then(PathExpr::from(x).dot(attr), PathExpr::from(y).dot(attr));
             c
         };
-        let cs = [inclusion("R", "S", "A"), inclusion("S", "R", "B")];
+        [inclusion("R", "S", "A"), inclusion("S", "R", "B")]
+    }
+
+    /// A universal chase cut short by its round cap decides nothing: the
+    /// search stops as at an expired deadline, with no verdict counted and
+    /// no plan. The chase of `select r.A from R r` under the diverging pair
+    /// runs to the cap; under its first inclusion alone it reaches a
+    /// fixpoint, and the same search explores and plans.
+    #[test]
+    fn a_capped_universal_chase_decides_nothing() {
+        let mut q = Query::new();
+        let r = q.bind("r", Range::Name(sym("R")));
+        q.output("A", PathExpr::from(r).dot("A"));
+        let cs = diverging_pair();
+        let cfg = BackchaseConfig::default();
+        let one = chase_and_backchase(&q, &cs[..1], &cfg);
+        assert!(!one.chase_stats.truncated && !one.timed_out);
+        assert!(one.explored > 0 && !one.plans.is_empty());
+        let res = chase_and_backchase(&q, &cs, &cfg);
+        assert_eq!(res.chase_stats.rounds, ChaseConfig::default().max_rounds);
+        assert!(res.chase_stats.truncated && res.timed_out);
+        assert_eq!((res.explored, res.inferred, res.plans.len()), (0, 0, 0));
+    }
+
+    /// The diverging pair diverges from `R` alone, but a query that
+    /// joins `R` and `S` on both already satisfies it: its universal chase
+    /// is a 0-step fixpoint. Each one-binding candidate's implication chase
+    /// then runs to the round cap, and that decides nothing either: both
+    /// searches stop with the budget spent, `chase_stats.truncated` set, no
+    /// verdict counted and no plan.
+    #[test]
+    fn a_capped_candidate_chase_decides_nothing() {
+        let cs = diverging_pair();
         let mut q = Query::new();
         let r = q.bind("r", Range::Name(sym("R")));
         let s = q.bind("s", Range::Name(sym("S")));

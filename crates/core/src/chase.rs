@@ -11,10 +11,15 @@
 //! The chase terminates, with a universal plan polynomial in the query, on a
 //! *weakly acyclic* constraint set — not on every path-conjunctive one
 //! (`R.A ⊆ S.A` with `S.B ⊆ R.B` invents a tuple per step forever).
-//! `cnb_analyze::validate_constraint_set` certifies the suite's sets; the
-//! step and round caps guard against a set that is not. A chase they cut
-//! short reports [`ChaseStats::truncated`], and the backchase decides
-//! nothing on it: a universal plan short of its fixpoint may lack plans.
+//! [`crate::strata::certify`] decides which sets are, once per
+//! [`crate::optimizer::Optimizer`], when its set is fixed: an optimizer
+//! chases only a certified set, and the analyzer refuses a suite whose set
+//! is not. The step and round caps guard the callers that take a raw
+//! constraint slice — [`chase`], [`chase_query`],
+//! [`crate::equivalence::EquivChecker::new`] and the two backchase
+//! searches. A chase they cut short reports [`ChaseStats::truncated`], and
+//! the backchase decides nothing on it: a universal plan short of its
+//! fixpoint may lack plans.
 //!
 //! # A constraint with nothing new to match is not searched
 //!

@@ -166,12 +166,8 @@ pub fn same_arity(a: &Query, b: &Query) -> bool {
 /// checked on a caller-provided scratch database: all of [`same_plan`] for a
 /// caller that knows the canonical keys differ.
 pub(crate) fn contain_each_other(scratch: &mut CanonDb, a: &Query, b: &Query) -> bool {
-    let cfg = ChaseConfig {
-        max_steps: 0,
-        max_rounds: 1,
-    };
     let mut contains = |q0, candidate| {
-        let (verdict, _) = EquivChecker::new(q0, &[], cfg)
+        let (verdict, _) = EquivChecker::new(q0, &[], ChaseConfig::default())
             .compile()
             .equivalent_into(scratch, candidate);
         verdict

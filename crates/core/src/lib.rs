@@ -11,11 +11,12 @@
 //! plus the two stratification strategies that make the backchase practical:
 //! [`fragments`] (on-line query fragmentation, OQF, §3.2.1) and [`strata`]
 //! (off-line constraint stratification, OCS, §3.2.2), tied together by the
-//! [`optimizer`] facade. Both searches are sequential and remember what they
-//! prove (the borders of [`backchase`]); a [`memo::SkeletonMemo`] keeps those
-//! borders from one top-down search to the next over the same query
-//! skeleton. Nothing in this crate spawns a thread — the one pool serves
-//! batches of requests in `cnb-engine`.
+//! [`optimizer`] facade, which certifies its constraint set once, at
+//! construction, with [`strata::certify`]. Both searches are sequential
+//! and remember what they prove (the borders of [`backchase`]); a
+//! [`memo::SkeletonMemo`] keeps those borders from one top-down search to
+//! the next over the same query skeleton. Nothing in this crate spawns a
+//! thread — the one pool serves batches of requests in `cnb-engine`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,6 +64,6 @@ pub mod prelude {
         bind_params, constraint_digest, parameterize, unbound_param, CachedPlans, Fingerprint,
         ParameterizedQuery, PlanCache,
     };
-    pub use crate::strata::{regroup, stratify};
+    pub use crate::strata::{certify, regroup, stratify, CertifyError};
     pub use crate::subquery::{all_bindings, induce_subquery, induce_subquery_pure, load_subquery};
 }

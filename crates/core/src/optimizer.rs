@@ -4,6 +4,12 @@
 //! query plus the schema's constraints (semantic constraints and skeleton
 //! pairs) and produces the set of minimal equivalent plans, under one of the
 //! three backchase strategies evaluated in the paper.
+//!
+//! The constraint set is fixed when an [`Optimizer`] is built, and is
+//! certified then, once ([`certify`]): every constraint well-scoped and the
+//! set weakly acyclic, so every chase the optimizer runs reaches its
+//! fixpoint. An optimizer whose set is refused runs nothing: every
+//! `optimize*` call returns [`OptimizeResult::default`] at once.
 
 use std::time::{Duration, Instant};
 
@@ -16,7 +22,7 @@ use crate::chase::ChaseStats;
 use crate::cost::{heuristic_rank, wcoj_candidate, CostModel, WcojAwarePricer};
 use crate::fragments::{combine_plans, decompose};
 use crate::memo::SkeletonMemo;
-use crate::strata::{regroup, stratify};
+use crate::strata::{certify, regroup, stratify, CertifyError};
 
 /// Which backchase strategy to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -150,29 +156,40 @@ impl OptimizeResult {
     }
 }
 
-/// The C&B optimizer for a fixed schema.
+/// The C&B optimizer for a fixed schema and constraint set.
 pub struct Optimizer {
     schema: Schema,
     constraints: Vec<Constraint>,
+    /// [`certify`]'s verdict on `constraints`, taken at construction.
+    certified: Result<(), CertifyError>,
 }
 
 impl Optimizer {
-    /// Builds an optimizer from a schema, taking all of its constraints.
+    /// Builds an optimizer from a schema, taking all of its constraints,
+    /// and certifies them ([`Optimizer::with_constraints`]).
     pub fn new(schema: Schema) -> Optimizer {
         let constraints = schema.all_constraints();
-        Optimizer {
-            schema,
-            constraints,
-        }
+        Optimizer::with_constraints(schema, constraints)
     }
 
     /// Overrides the constraint set (used by experiment scripts that feed
-    /// constraints in stages, as the paper's script language does).
+    /// constraints in stages, as the paper's script language does). The set
+    /// is certified here, once; if [`certify`] refuses it, the optimizer
+    /// runs nothing ([`Optimizer::certified`]).
     pub fn with_constraints(schema: Schema, constraints: Vec<Constraint>) -> Optimizer {
+        let certified = certify(&schema, &constraints);
         Optimizer {
             schema,
             constraints,
+            certified,
         }
+    }
+
+    /// Why the constraint set was refused at construction, if it was. An
+    /// uncertified optimizer's `optimize*` calls return
+    /// [`OptimizeResult::default`] at once: no chase, no plan, `explored` 0.
+    pub fn certified(&self) -> Result<(), &CertifyError> {
+        self.certified.as_ref().copied()
     }
 
     /// The schema.
@@ -187,7 +204,8 @@ impl Optimizer {
 
     /// Optimizes `q` under the configured strategy, every call cold: the
     /// left-deep plans of [`Optimizer::optimize_in`] under a memo that keeps
-    /// nothing, with their generic-join twins ranked in beside them.
+    /// nothing, with their generic-join twins ranked in beside them. Nothing
+    /// at all when the constraint set is uncertified.
     pub fn optimize(&self, q: &Query, cfg: &OptimizerConfig) -> OptimizeResult {
         self.run(q, cfg, &mut SkeletonMemo::bounded(0), true)
     }
@@ -199,7 +217,8 @@ impl Optimizer {
     /// [`Optimizer::optimize`]'s left-deep ones in its order, and `explored`
     /// is its count; only `inferred` can rise. No generic-join twin is
     /// computed: a twin shares its sibling's query, and certifying its gap
-    /// is work a left-deep executor never reads.
+    /// is work a left-deep executor never reads. An uncertified optimizer
+    /// returns nothing and leaves `memo` alone.
     pub fn optimize_in(
         &self,
         q: &Query,
@@ -220,19 +239,17 @@ impl Optimizer {
         memo: &mut SkeletonMemo,
         twins: bool,
     ) -> OptimizeResult {
-        // Entry contract: the input query and every registered constraint
-        // must be well-formed. `cnb-analyze`'s suite pass checks the
-        // deeper semantic properties offline; this guards ad-hoc callers in
-        // debug builds only — untrusted requests go through
-        // `cnb_engine::PlanServer`, which runs the same check in every build.
+        if self.certified.is_err() {
+            return OptimizeResult::default();
+        }
+        // Entry contract: the input query must be well-formed. This guards
+        // ad-hoc callers in debug builds only — untrusted requests go
+        // through `cnb_engine::PlanServer`, which runs the same check in
+        // every build. The constraints were certified at construction.
         debug_assert_eq!(
             q.validate(),
             Ok(()),
             "Optimizer::optimize called with ill-formed query"
-        );
-        debug_assert!(
-            self.constraints.iter().all(|c| c.validate().is_ok()),
-            "Optimizer::optimize configured with an ill-formed constraint"
         );
         // Stats-only timing; the strategies never read the clock themselves.
         #[expect(clippy::disallowed_methods)]
@@ -296,12 +313,16 @@ impl Optimizer {
     ///
     /// Falls back to the phase-1 plans if the bounded search returns none
     /// (a budget ran out); `pruned` reports the candidates the bound dropped.
+    /// Nothing at all when the constraint set is uncertified.
     pub fn optimize_measured(
         &self,
         q: &Query,
         cfg: &OptimizerConfig,
         model: &CostModel,
     ) -> OptimizeResult {
+        if self.certified.is_err() {
+            return OptimizeResult::default();
+        }
         #[expect(clippy::disallowed_methods)]
         let start = Instant::now();
         let mut result = self.optimize(q, cfg);

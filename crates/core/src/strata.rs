@@ -1,4 +1,10 @@
-//! Off-line constraint stratification (OCS) — §3.2.2 and Appendix C.
+//! Two analyses of a constraint set, both built from its constraints'
+//! tableaux ([`Constraint::tableau`], compiled into [`CanonDb`]s):
+//! off-line constraint stratification for the OCS strategy ([`stratify`])
+//! and the termination certificate every [`crate::optimizer::Optimizer`]
+//! asks for once, when its set is fixed ([`certify`]).
+//!
+//! # Off-line constraint stratification (OCS) — §3.2.2 and Appendix C
 //!
 //! Algorithm C.1 builds a *query-independent* interaction graph over the
 //! constraints: an edge connects `c₁` and `c₂` when the universal part of one
@@ -7,11 +13,37 @@
 //! the query through the strata, chasing/backchasing with one stratum at a
 //! time. OCS trades completeness for time: it is validated against the
 //! paper's EC2 plan counts (3/5/8 where FB finds 4/7/13).
+//!
+//! # Termination certification
+//!
+//! C&B's plans are complete only at the chase's fixpoint (§3), and the chase
+//! reaches one on a *weakly acyclic* set (Fagin, Kolaitis, Miller, Popa,
+//! *Data Exchange*, ICDT 2003). The classic test builds a dependency graph
+//! over schema *positions* (collection × attribute), draws a normal edge
+//! where a chase step copies a value between positions and a *special* edge
+//! where a step invents a fresh labeled null, and accepts iff no cycle
+//! contains a special edge. [`certify`] adapts the test to the
+//! path-conjunctive IR: positions are derived from binding ranges (`(R,
+//! ".A")` for relation attributes, `(M, "#key")`/`(M, "#val.f")` for
+//! dictionary keys/entry fields, with `#elem` marking set-element
+//! positions), and the copies-vs-nulls classification per TGD comes from
+//! the congruence closure of its tableau: an existential position is
+//! *determined* when its congruence class contains a constant or a term
+//! over universal variables, and a fresh *null* otherwise. EGDs only merge
+//! existing values and never create, so they contribute no edges. A special
+//! edge `a ~> b` lies on a cycle exactly when `b` reaches `a`, so one
+//! depth-first search from each special edge's head `b` decides the set and
+//! names a witness cycle.
 
-use cnb_ir::prelude::Constraint;
+use std::fmt;
+
+use cnb_ir::prelude::{
+    Constraint, ConstraintKind, PathExpr, Range, Schema, ScopeError, Symbol, Var,
+};
 use cnb_ir::unionfind::UnionFind;
 
 use crate::canon::CanonDb;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::homomorphism::{find_homs, HomConfig, HomMap};
 
 /// Partitions `constraints` into strata (index groups) per Algorithm C.1.
@@ -74,6 +106,297 @@ pub fn regroup(strata: &[Vec<usize>], group_size: usize) -> Vec<Vec<usize>> {
         .chunks(group_size)
         .map(|chunk| chunk.iter().flatten().copied().collect())
         .collect()
+}
+
+/// Why [`certify`] refuses a constraint set.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CertifyError {
+    /// A constraint breaks the scoping rule ([`Constraint::validate`]).
+    Scope {
+        /// The constraint's name.
+        constraint: String,
+        /// Which discipline broke, where.
+        error: ScopeError,
+    },
+    /// The set is not weakly acyclic: chasing with it may not terminate.
+    NonTerminating {
+        /// The offending special edge and a cycle it lies on.
+        cycle: String,
+    },
+}
+
+impl fmt::Display for CertifyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CertifyError::Scope { constraint, error } => {
+                write!(f, "constraint {constraint}: {error}")
+            }
+            CertifyError::NonTerminating { cycle } => write!(f, "chase may not terminate: {cycle}"),
+        }
+    }
+}
+
+impl std::error::Error for CertifyError {}
+
+/// Certifies `constraints` for the chase: every constraint passes
+/// [`Constraint::validate`], and the set is weakly acyclic over `schema`'s
+/// positions (see "Termination certification" above), so every chase with
+/// it reaches a fixpoint.
+pub fn certify(schema: &Schema, constraints: &[Constraint]) -> Result<(), CertifyError> {
+    for c in constraints {
+        c.validate().map_err(|error| CertifyError::Scope {
+            constraint: c.name.clone(),
+            error,
+        })?;
+    }
+    // Every edge, and the special ones again with the constraint that draws
+    // them, for the diagnostic.
+    let mut edges: Vec<Edge> = Vec::new();
+    let mut special: Vec<(Position, Position, &str)> = Vec::new();
+    let tgds = constraints
+        .iter()
+        .filter(|c| c.kind() == ConstraintKind::Tgd);
+    for c in tgds {
+        let (normal, specials) = tgd_edges(schema, c);
+        edges.extend(normal.into_iter().chain(specials.iter().cloned()));
+        special.extend(specials.into_iter().map(|(f, n)| (f, n, c.name.as_str())));
+    }
+
+    // Index positions deterministically (by display name, then role).
+    let mut positions: Vec<Position> = edges.iter().flat_map(|(a, b)| [a, b]).cloned().collect();
+    positions.sort_by(|x, y| (x.0.as_str(), &x.1).cmp(&(y.0.as_str(), &y.1)));
+    positions.dedup();
+    let index: FxHashMap<&Position, usize> =
+        positions.iter().enumerate().map(|(i, p)| (p, i)).collect();
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); positions.len()];
+    for (a, b) in &edges {
+        succ[index[a]].push(index[b]);
+    }
+    for s in &mut succ {
+        s.sort_unstable();
+        s.dedup();
+    }
+
+    // `a ~> b` lies on a cycle iff `b` reaches `a`: one depth-first search
+    // from each `b`, remembering each position's predecessor for the witness.
+    let mut reached: Vec<Option<Vec<usize>>> = vec![None; positions.len()];
+    for (a, b, name) in &special {
+        let (ia, ib) = (index[a], index[b]);
+        let pred = reached[ib].get_or_insert_with(|| {
+            let mut pred = vec![usize::MAX; succ.len()];
+            pred[ib] = ib;
+            let mut stack = vec![ib];
+            while let Some(v) = stack.pop() {
+                for &w in &succ[v] {
+                    if pred[w] == usize::MAX {
+                        pred[w] = v;
+                        stack.push(w);
+                    }
+                }
+            }
+            pred
+        });
+        if pred[ia] == usize::MAX {
+            continue;
+        }
+        let mut path = vec![show_position(a)];
+        let mut at = ia;
+        while at != ib {
+            at = pred[at];
+            path.push(show_position(&positions[at]));
+        }
+        path.reverse();
+        return Err(CertifyError::NonTerminating {
+            cycle: format!(
+                "special edge {} ~> {} (from {name}) lies on a cycle through [{}]",
+                show_position(a),
+                show_position(b),
+                path.join(", ")
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// A schema position: a collection name plus a role path within its
+/// elements (`""` the whole element, `".A"` a relation attribute, `"#key"`
+/// a dictionary key, `"#val.f"` an entry field, `...#elem` a set element).
+type Position = (Symbol, String);
+
+/// A firing-graph edge between two positions.
+type Edge = (Position, Position);
+
+fn show_position(p: &Position) -> String {
+    format!("{}{}", p.0, p.1)
+}
+
+/// The position of a path, given the positions of binding roots.
+fn position_of(p: &PathExpr, base: &FxHashMap<Var, Option<Position>>) -> Option<Position> {
+    match p {
+        PathExpr::Var(v) => base.get(v).cloned().flatten(),
+        PathExpr::Const(_) => None,
+        PathExpr::Field(inner, f) => {
+            position_of(inner, base).map(|(a, role)| (a, format!("{role}.{f}")))
+        }
+        PathExpr::Lookup(dict, _) => Some((*dict, "#val".into())),
+        PathExpr::MkStruct(_) => None,
+    }
+}
+
+/// All positions of universal-variable sub-terms of `p` (recursing into
+/// struct literals, so a composite index key `struct(A = r.A, ...)`
+/// contributes the positions of its fields).
+fn universal_positions_of(
+    p: &PathExpr,
+    base: &FxHashMap<Var, Option<Position>>,
+    out: &mut Vec<Position>,
+) {
+    if let PathExpr::MkStruct(fields) = p {
+        for (_, fp) in fields {
+            universal_positions_of(fp, base, out);
+        }
+        return;
+    }
+    if let Some(pos) = position_of(p, base) {
+        out.push(pos);
+    }
+}
+
+/// One TGD's firing-graph edges from the congruence closure of its
+/// tableau: the normal ones, `(from, to)` where a chase step copies the
+/// value at `from` into `to`, and the special ones, from each universal
+/// position whose value the step propagates (the frontier) to each
+/// position where it invents a fresh labeled null.
+#[allow(clippy::type_complexity)]
+fn tgd_edges(
+    schema: &Schema,
+    c: &Constraint,
+) -> (Vec<(Position, Position)>, Vec<(Position, Position)>) {
+    let (mut normal, mut frontier, mut nulls) = (Vec::new(), Vec::new(), Vec::new());
+    let universal_vars: FxHashSet<Var> = c.universal.iter().map(|b| b.var).collect();
+
+    // Base positions of binding roots, existentials included.
+    let mut base: FxHashMap<Var, Option<Position>> = FxHashMap::default();
+    for b in c.universal.iter().chain(c.existential.iter()) {
+        let pos = match &b.range {
+            Range::Name(s) => Some((*s, String::new())),
+            Range::Dom(s) => Some((*s, "#key".into())),
+            Range::Expr(p) => position_of(p, &base).map(|(a, role)| (a, format!("{role}#elem"))),
+        };
+        base.insert(b.var, pos);
+    }
+
+    // Congruence closure over the tableau: interns every term (bindings,
+    // range expressions, both sides of every equality) and merges per the
+    // premise and conclusion.
+    let mut db = CanonDb::new(&c.tableau());
+    let is_universal_term = |p: &PathExpr| p.vars().iter().all(|v| universal_vars.contains(v));
+
+    let reps = db.cong.class_reps();
+    for rep in reps {
+        let members = db.cong.class_members(rep);
+        let paths: Vec<PathExpr> = members.iter().map(|t| db.cong.path_of(*t)).collect();
+        let mut ground = false;
+        let mut sources: Vec<Position> = Vec::new();
+        let mut targets: Vec<Position> = Vec::new();
+        for p in &paths {
+            if is_universal_term(p) {
+                // Constants and universal-variable terms pin the class to
+                // existing values.
+                ground = true;
+                universal_positions_of(p, &base, &mut sources);
+            } else if let Some(pos) = position_of(p, &base) {
+                targets.push(pos);
+            }
+        }
+        if targets.is_empty() {
+            continue;
+        }
+        if ground {
+            for s in &sources {
+                for t in &targets {
+                    normal.push((s.clone(), t.clone()));
+                }
+                frontier.push(s.clone());
+            }
+        } else {
+            nulls.extend(targets);
+        }
+    }
+
+    // Attribute expansion: an existential element carries *all* attributes
+    // of its collection, not only the ones the conclusion mentions. An
+    // unmentioned attribute is copied along when the element itself is
+    // determined wholesale (`r = I[k]`), and is a fresh null otherwise.
+    for b in &c.existential {
+        let (Some((anchor, role)), Range::Name(name)) = (base[&b.var].clone(), &b.range) else {
+            continue;
+        };
+        let elem = db.cong.intern_path(&PathExpr::Var(b.var));
+        let elem_members = db.cong.class_members(elem);
+        let elem_paths: Vec<PathExpr> = elem_members.iter().map(|t| db.cong.path_of(*t)).collect();
+        let parent_sources: Vec<Position> = elem_paths
+            .iter()
+            .filter(|p| is_universal_term(p))
+            .filter_map(|p| position_of(p, &base))
+            .collect();
+        let parent_ground = elem_paths.iter().any(is_universal_term);
+        // The attributes of a set of structs (relations, materialized views).
+        for &(attr, _) in schema.relation_attrs(*name).unwrap_or_default() {
+            let attr_path = PathExpr::from(b.var).dot(attr);
+            let t = db.cong.intern_path(&attr_path);
+            let attr_members = db.cong.class_members(t);
+            let attr_paths: Vec<PathExpr> =
+                attr_members.iter().map(|m| db.cong.path_of(*m)).collect();
+            let target = (anchor, format!("{role}.{attr}"));
+            let mut ground = false;
+            let mut sources: Vec<Position> = Vec::new();
+            for p in &attr_paths {
+                if is_universal_term(p) {
+                    ground = true;
+                    universal_positions_of(p, &base, &mut sources);
+                }
+            }
+            if !ground && parent_ground {
+                // `v = u` for a universal term u determines every
+                // attribute of v wholesale: v.f copies u.f.
+                ground = true;
+                sources = parent_sources
+                    .iter()
+                    .map(|(a, r)| (*a, format!("{r}.{attr}")))
+                    .collect();
+            }
+            if ground {
+                for s in &sources {
+                    normal.push((s.clone(), target.clone()));
+                    frontier.push(s.clone());
+                }
+            } else {
+                nulls.push(target);
+            }
+        }
+    }
+
+    // The frontier also includes universal positions equated by the
+    // conclusion (their values are what the firing propagates), even when
+    // the equation is universal-to-universal.
+    for eq in &c.conclusion {
+        for side in [&eq.lhs, &eq.rhs] {
+            if is_universal_term(side) {
+                universal_positions_of(side, &base, &mut frontier);
+            }
+        }
+    }
+
+    frontier.sort();
+    frontier.dedup();
+    nulls.sort();
+    nulls.dedup();
+    let special = frontier
+        .iter()
+        .flat_map(|f| nulls.iter().map(move |n| (f.clone(), n.clone())))
+        .collect();
+    (normal, special)
 }
 
 #[cfg(test)]

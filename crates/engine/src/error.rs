@@ -7,9 +7,10 @@
 //!   be scheduled, a row missing an attribute during physical
 //!   materialization, or an intermediate result too large for row ids.
 //! * [`ServeError`] — what can go wrong *serving a request under pressure*:
-//!   admission control rejected it over budget, its deadline expired before
-//!   (or during) dispatch, a seeded fault failed it, or execution itself
-//!   failed ([`ServeError::Exec`]).
+//!   the server's constraint set was refused at construction, admission
+//!   control rejected it over budget, its deadline expired before (or
+//!   during) dispatch, a seeded fault failed it, or execution itself failed
+//!   ([`ServeError::Exec`]).
 //!
 //! Variants carry structured fields, so callers match on the enum instead
 //! of substring-matching a rendered message — a shed request is
@@ -21,6 +22,7 @@
 
 use std::fmt;
 
+use cnb_core::strata::CertifyError;
 use cnb_ir::prelude::{ScopeError, Symbol};
 
 /// An execution-engine failure for one (database, plan) pair.
@@ -115,6 +117,11 @@ pub enum ServeError {
     },
     /// Execution of the (admitted, in-deadline, non-faulted) plan failed.
     Exec(ExecError),
+    /// The server's optimizer refused its constraint set at construction
+    /// ([`cnb_core::optimizer::Optimizer::certified`]): a chase with it may
+    /// not terminate, or may read a variable out of scope. Every request is
+    /// refused, before it is planned.
+    Uncertified(CertifyError),
 }
 
 impl From<ExecError> for ServeError {
@@ -135,6 +142,7 @@ impl fmt::Display for ServeError {
                 write!(f, "injected fault on request {request}")
             }
             ServeError::Exec(e) => write!(f, "execution failed: {e}"),
+            ServeError::Uncertified(e) => write!(f, "constraint set refused: {e}"),
         }
     }
 }
@@ -143,6 +151,7 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Exec(e) => Some(e),
+            ServeError::Uncertified(e) => Some(e),
             _ => None,
         }
     }
@@ -202,6 +211,9 @@ mod tests {
             ServeError::DeadlineExpired,
             ServeError::FaultInjected { request: 4 },
             ServeError::Exec(ExecError::NoEvaluableBinding),
+            ServeError::Uncertified(CertifyError::NonTerminating {
+                cycle: "R.B ~> R.B".into(),
+            }),
         ];
         let classes: Vec<&str> = outcomes
             .iter()
@@ -210,8 +222,12 @@ mod tests {
                 ServeError::DeadlineExpired => "expired",
                 ServeError::FaultInjected { .. } => "faulted",
                 ServeError::Exec(_) => "exec",
+                ServeError::Uncertified(_) => "uncertified",
             })
             .collect();
-        assert_eq!(classes, vec!["rejected", "expired", "faulted", "exec"]);
+        assert_eq!(
+            classes,
+            vec!["rejected", "expired", "faulted", "exec", "uncertified"]
+        );
     }
 }

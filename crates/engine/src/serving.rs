@@ -17,8 +17,10 @@
 //! twin.
 //!
 //! [`PlanServer::serve_batch_under`] is the pressure-aware batch path.
-//! Between "a batch of requests" and the worker pool sit three typed,
-//! deterministic gates:
+//! A server whose optimizer refused its constraint set at construction
+//! ([`Optimizer::certified`]) serves nothing: every request comes back as
+//! [`ServeError::Uncertified`] before it is planned. Between "a batch of
+//! requests" and the worker pool sit three typed, deterministic gates:
 //!
 //! 1. **Admission** — each request's plan is priced with the server's
 //!    [`CostModel`]; over-budget requests are shed as
@@ -86,7 +88,8 @@ pub struct PressureTally {
     pub expired: usize,
     /// Fault casualties ([`ServeError::FaultInjected`]).
     pub faulted: usize,
-    /// Execution errors ([`ServeError::Exec`]).
+    /// Execution errors and refusals ([`ServeError::Exec`],
+    /// [`ServeError::Uncertified`]).
     pub failed: usize,
 }
 
@@ -100,7 +103,7 @@ impl PressureTally {
                 Err(ServeError::Rejected { .. }) => t.rejected += 1,
                 Err(ServeError::DeadlineExpired) => t.expired += 1,
                 Err(ServeError::FaultInjected { .. }) => t.faulted += 1,
-                Err(ServeError::Exec(_)) => t.failed += 1,
+                Err(ServeError::Exec(_) | ServeError::Uncertified(_)) => t.failed += 1,
             }
         }
         t
@@ -190,24 +193,33 @@ impl PlanServer {
     /// (best-first); serving always binds the best one. They are left-deep
     /// plans only ([`Optimizer::optimize_in`]): `serve` only runs
     /// [`execute`], so a miss never computes a generic-join twin. If
-    /// optimization produced no plan (a budget ran out: the deadline, or a
-    /// chase cap on a constraint set whose chase does not terminate), the
-    /// template itself is cached as the only plan — the request then
-    /// executes as written, and so does every later request with the same
-    /// shape.
+    /// optimization produced no plan (a budget ran out), the template
+    /// itself is cached as the only plan — the request then executes as
+    /// written, and so does every later request with the same shape.
     ///
     /// This is the checked door for untrusted requests: one that breaks the
-    /// scoping rule ([`Query::validate`]) is handed back as written —
-    /// nothing parameterized, optimized or cached, no counter moved — and
-    /// [`execute`]'s prologue reports it as [`crate::error::ExecError::InvalidQuery`].
+    /// scoping rule ([`Query::validate`]), or any request to a server whose
+    /// constraint set was refused ([`Optimizer::certified`], read, not
+    /// re-run), is handed back as written — nothing parameterized, optimized
+    /// or cached, no counter moved. [`execute`]'s prologue reports the first
+    /// as [`crate::error::ExecError::InvalidQuery`]; [`PlanServer::serve`]
+    /// and the batch paths refuse the second as [`ServeError::Uncertified`].
     pub fn plan(&mut self, q: &Query) -> ServedPlan {
-        if q.validate().is_err() {
+        if q.validate().is_err() || self.optimizer.certified().is_err() {
             return ServedPlan {
                 plan: q.clone(),
                 cache_hit: false,
             };
         }
         self.plan_valid(q)
+    }
+
+    /// [`ServeError::Uncertified`] when the optimizer refused its
+    /// constraint set.
+    fn refusal(&self) -> Result<(), ServeError> {
+        self.optimizer
+            .certified()
+            .map_err(|e| ServeError::Uncertified(e.clone()))
     }
 
     /// [`PlanServer::plan`] behind the door: `q` passed [`Query::validate`].
@@ -242,8 +254,10 @@ impl PlanServer {
         }
     }
 
-    /// Plans and executes one request against `db`.
+    /// Plans and executes one request against `db`; refused with
+    /// [`ServeError::Uncertified`] when the constraint set was.
     pub fn serve(&mut self, db: &Database, q: &Query) -> ServedResult {
+        self.refusal()?;
         let served = self.plan(q);
         debug_assert!(
             unbound_param(&served.plan).is_none(),
@@ -280,8 +294,9 @@ impl PlanServer {
     /// deadlines on `clock`, and seeded fault injection.
     ///
     /// Phase 1 runs on the caller's thread in request order (planning
-    /// mutates the cache): a request that breaks the scoping rule is settled
-    /// as [`ExecError::InvalidQuery`] before any gate looks at it; every
+    /// mutates the cache): every request to an uncertified server is settled
+    /// as [`ServeError::Uncertified`], and a request that breaks the scoping
+    /// rule as [`ExecError::InvalidQuery`], before any gate looks at it; every
     /// other one is planned, priced against `config.cost_budget`, and
     /// checked for `config.deadline` against `clock` — producing a typed
     /// verdict per request. Phase 2 maps the pool over the batch on up to
@@ -314,6 +329,7 @@ impl PlanServer {
         let verdicts: Vec<Result<ServedPlan, ServeError>> = requests
             .iter()
             .map(|q| {
+                self.refusal()?;
                 q.validate()
                     .map_err(|e| ServeError::Exec(ExecError::InvalidQuery(e)))?;
                 let served = self.plan_valid(q);

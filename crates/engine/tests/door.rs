@@ -14,9 +14,13 @@
 //! well-formed request that once panicked there too: an output spanning
 //! two OQF fragments. And one request sequence a cached plan once answered
 //! wrongly in every profile: a template plan carrying the ground equality
-//! `?0 = ?1`, which no executor step checked. And one constraint set whose
-//! chase never terminates: a miss once searched it until the optimizer's
-//! timeout, deciding each candidate on a chase cut short by its cap.
+//! `?0 = ?1`, which no executor step checked. And four constraint sets the
+//! optimizer now refuses when it is built, so the server refuses every
+//! request to it with `ServeError::Uncertified`: one whose chase never
+//! terminates, once chased to its cap on every miss and served as written,
+//! and three ill-scoped ones, of which a release build panicked in the
+//! chase on one and served the other two as if their broken part were not
+//! there.
 //!
 //! Every assertion is on the server under test (its results and its own
 //! cache counters); nothing here reads a process-wide counter or takes a
@@ -24,7 +28,7 @@
 
 use std::time::Duration;
 
-use cnb_core::prelude::{Optimizer, OptimizerConfig, Strategy};
+use cnb_core::prelude::{certify, CertifyError, CostModel, Optimizer, OptimizerConfig, Strategy};
 use cnb_engine::{
     execute, execute_legacy, execute_wcoj, Database, ExecError, PlanServer, ServeConfig,
     ServeError, ServedResult, VirtualClock,
@@ -308,19 +312,69 @@ fn a_cached_plan_decides_its_ground_equalities_per_request() {
     }
 }
 
-/// `R.A ⊆ S.A` and `S.B ⊆ R.B`: each foreign key's fresh tuple feeds the
-/// other's, so the chase of `select r.A from R r` never reaches a fixpoint
-/// (the set is not weakly acyclic). The universal chase stops at its round
-/// cap and the optimizer decides nothing on it — no candidate judged, no
-/// plan, the budget reported spent — well inside its 5 s timeout instead of
-/// at it. The server then serves the request as written: `serve` and a
-/// batch at one and four threads give the rows `execute` gives on it.
-#[test]
-fn a_diverging_constraint_set_is_served_as_written() {
+/// `R(A, B)` with six rows, `S(A, B)` with four, and the request
+/// `select r.A from R r`.
+fn two_relations() -> (Schema, Database, Query) {
     let mut schema = Schema::new();
     for rel in ["R", "S"] {
         schema.add_relation(rel, [(sym("A"), Type::Int), (sym("B"), Type::Int)]);
     }
+    let mut db = Database::new();
+    for (rel, n) in [("R", 6), ("S", 4)] {
+        let row =
+            |i: i64| Value::record([(sym("A"), Value::Int(i)), (sym("B"), Value::Int(i % 3))]);
+        db.load_table(sym(rel), (0..n).map(row).collect());
+    }
+    let mut q = Query::new();
+    let r = q.bind("r", Range::Name(sym("R")));
+    q.output("A", PathExpr::from(r).dot("A"));
+    (schema, db, q)
+}
+
+/// A server whose optimizer refused `constraints` with `expected` refuses
+/// every request: `optimize` and `optimize_measured` return at once (no
+/// chase step, no candidate, no plan); `plan` hands the request back as
+/// written with no cache counter moved; `serve` and a batch at one and four
+/// threads return `ServeError::Uncertified`.
+fn refuses(constraints: Vec<Constraint>, expected: CertifyError) {
+    let (schema, db, q) = two_relations();
+    let tag = expected.to_string();
+    let optimizer = || Optimizer::with_constraints(schema.clone(), constraints.clone());
+    assert_eq!(optimizer().certified(), Err(&expected), "{tag}");
+    let cfg = OptimizerConfig::with_strategy(Strategy::Full);
+    for res in [
+        optimizer().optimize(&q, &cfg),
+        optimizer().optimize_measured(&q, &cfg, &CostModel::default()),
+    ] {
+        let ran = (res.explored, res.plans.len(), res.chase_stats.steps_applied);
+        assert_eq!(ran, (0, 0, 0), "{tag}: the optimizer ran");
+    }
+
+    let refusal = ServeError::Uncertified(expected.clone());
+    let mut s = PlanServer::new(optimizer(), cfg.clone());
+    let served = s.plan(&q);
+    assert_eq!((served.plan, served.cache_hit), (q.clone(), false), "{tag}");
+    assert_eq!(cache_state(&s), (0, 0, 0), "{tag}: plan moved the cache");
+    assert_eq!(error(s.serve(&db, &q), &tag), refusal, "{tag}");
+    assert_eq!(cache_state(&s), (0, 0, 0), "{tag}: serve moved the cache");
+    let batch = [q.clone(), q];
+    for threads in [1, 4] {
+        let (config, clock) = (ServeConfig::unbounded(), VirtualClock::frozen());
+        let mut s = PlanServer::new(optimizer(), cfg.clone());
+        for o in s.serve_batch_under(&db, &batch, threads, &config, &clock, None) {
+            assert_eq!(error(o.result, &tag), refusal, "{tag} threads={threads}");
+        }
+        assert_eq!(cache_state(&s), (0, 0, 0), "{tag} threads={threads}");
+    }
+}
+
+/// `R.A ⊆ S.A` and `S.B ⊆ R.B`: each foreign key's fresh tuple feeds the
+/// other's, so the chase of `select r.A from R r` never reaches a fixpoint.
+/// The set is not weakly acyclic, so the optimizer refuses it when it is
+/// built, and the server refuses every request typed — where it once
+/// chased to the round cap and served the request as written.
+#[test]
+fn a_diverging_constraint_set_is_refused() {
     let inclusion = |name: &str, from: &str, to: &str, attr: &str| {
         let mut c = Constraint::new(name);
         let x = c.forall("x", Range::Name(sym(from)));
@@ -332,34 +386,61 @@ fn a_diverging_constraint_set_is_served_as_written() {
         inclusion("r_a_in_s", "R", "S", "A"),
         inclusion("s_b_in_r", "S", "R", "B"),
     ];
-    let mut db = Database::new();
-    for (rel, n) in [("R", 6), ("S", 4)] {
-        let row =
-            |i: i64| Value::record([(sym("A"), Value::Int(i)), (sym("B"), Value::Int(i % 3))]);
-        db.load_table(sym(rel), (0..n).map(row).collect());
-    }
-    let mut q = Query::new();
-    let r = q.bind("r", Range::Name(sym("R")));
-    q.output("A", PathExpr::from(r).dot("A"));
-    let want = execute(&db, &q).expect("well-formed").rows;
-    assert_eq!(want.len(), 6);
+    let (schema, _, _) = two_relations();
+    let expected = certify(&schema, &constraints).expect_err("not weakly acyclic");
+    assert!(matches!(expected, CertifyError::NonTerminating { .. }));
+    refuses(constraints, expected);
+}
 
-    let cfg = OptimizerConfig::with_strategy(Strategy::Full).timeout(Duration::from_secs(5));
-    let optimizer = || Optimizer::with_constraints(schema.clone(), constraints.clone());
-    let res = optimizer().optimize(&q, &cfg);
-    assert!(res.chase_stats.truncated, "the universal chase hit a cap");
-    assert!(res.timed_out, "a budget ran out");
-    assert_eq!((res.explored, res.plans.len()), (0, 0));
-
-    let mut s = PlanServer::new(optimizer(), cfg.clone());
-    assert_eq!(rows(&s.serve(&db, &q), "serve"), want);
-    let batch = [q.clone(), q];
-    for threads in [1, 4] {
-        let (config, clock) = (ServeConfig::unbounded(), VirtualClock::frozen());
-        let mut s = PlanServer::new(optimizer(), cfg.clone());
-        for o in s.serve_batch_under(&db, &batch, threads, &config, &clock, None) {
-            assert_eq!(rows(&o.result, "batch"), want, "threads={threads}");
-        }
+/// Three tuple-generating constraints that break the scoping rule, each
+/// refused with its violation. In a release build the first once panicked
+/// inside the chase ("existential range var must be mapped") and the other
+/// two were served as if the broken part were not there; a debug build
+/// tripped the optimizer's entry `debug_assert!` on all three.
+#[test]
+fn an_ill_scoped_constraint_set_is_refused() {
+    let tgd = |name: &str, shape: fn(&mut Constraint, Var, Var)| {
+        let mut c = Constraint::new(name);
+        let x = c.forall("x", Range::Name(sym("R")));
+        let y = c.exists("y", Range::Name(sym("S")));
+        shape(&mut c, x, y);
+        c
+    };
+    let unbound = |clause| ScopeError::Unbound {
+        clause,
+        var: Var(9),
+    };
+    let shapes: [(Constraint, ScopeError); 3] = [
+        // exists z in v9.N
+        (
+            tgd("range_reads_unbound", |c, x, _| {
+                let z = c.exists("z", Range::Expr(PathExpr::from(Var(9)).dot("N")));
+                c.then(PathExpr::from(x).dot("A"), PathExpr::from(z).dot("A"));
+            }),
+            unbound(Clause::Existential),
+        ),
+        // ... => exists y in S, x.A = v9.A
+        (
+            tgd("conclusion_reads_unbound", |c, x, _| {
+                c.then(PathExpr::from(x).dot("A"), PathExpr::from(Var(9)).dot("A"));
+            }),
+            unbound(Clause::Conclusion),
+        ),
+        // x.B = y.B => exists y in S, x.A = y.A
+        (
+            tgd("premise_reads_existential", |c, x, y| {
+                c.given(PathExpr::from(x).dot("B"), PathExpr::from(y).dot("B"));
+                c.then(PathExpr::from(x).dot("A"), PathExpr::from(y).dot("A"));
+            }),
+            ScopeError::Unbound {
+                clause: Clause::Premise,
+                var: Var(1),
+            },
+        ),
+    ];
+    for (c, error) in shapes {
+        let constraint = c.name.clone();
+        refuses(vec![c], CertifyError::Scope { constraint, error });
     }
 }
 

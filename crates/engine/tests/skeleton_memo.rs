@@ -15,12 +15,12 @@
 //! `optimize`, in its order.
 
 use cnb_core::prelude::{
-    bind_params, parameterize, BackchaseConfig, ChaseConfig, Fingerprint, OptimizeResult,
-    Optimizer, OptimizerConfig, SkeletonMemo, Strategy,
+    bind_params, parameterize, CertifyError, Fingerprint, OptimizeResult, Optimizer,
+    OptimizerConfig, SkeletonMemo, Strategy,
 };
 use cnb_engine::prng::SplitMix64;
 use cnb_engine::PlanServer;
-use cnb_ir::prelude::{ExecStrategy, Query, Symbol, Value};
+use cnb_ir::prelude::{sym, Constraint, ExecStrategy, PathExpr, Query, Range, Symbol, Value};
 use cnb_workloads::{suite, DataScale, Workload};
 
 /// The ordered, non-empty selections of `n` select entries — the
@@ -230,10 +230,11 @@ fn other_families_with_select_sub_lists_are_served_cold_plans() {
 /// What crosses to a search that is not over the same skeleton: nothing.
 /// Each negative runs on a memo that already holds the EC2 template's
 /// skeleton, and must neither hit it nor import from it — and still give
-/// the cold answer for what it asked. A universal chase cut short comes
-/// last: it decides nothing, and its miss replaces the planted entry.
+/// the cold answer for what it asked. Last comes an optimizer whose
+/// constraint set was refused at construction: it touches the memo not at
+/// all.
 #[test]
-fn nothing_is_imported_across_skeletons_or_from_a_cut_chase() {
+fn nothing_is_imported_across_skeletons_or_by_an_uncertified_optimizer() {
     let w = ec2();
     let (opt, cfg) = (w.optimizer(), config(w.as_ref()));
     let template = parameterize(&w.serving_query(DataScale::smoke(), 0)).template;
@@ -278,28 +279,30 @@ fn nothing_is_imported_across_skeletons_or_from_a_cut_chase() {
     assert_eq!(memo.hits(), planted.0 + 1);
     assert_eq!(got.explored, got.inferred, "the same select list again");
 
-    // A universal chase cut short is another universal plan, so a miss, and
-    // it decides nothing: no verdict, no plan, the budget reported spent.
-    let capped = OptimizerConfig {
-        backchase: BackchaseConfig {
-            chase: ChaseConfig {
-                max_steps: 1,
-                ..ChaseConfig::default()
-            },
-            ..cfg.backchase.clone()
-        },
-        ..cfg.clone()
-    };
-    let (lookups, hits, imported) = (memo.lookups(), memo.hits(), memo.imported());
-    let got = opt.optimize_in(&template, &capped, &mut memo);
-    assert!(got.chase_stats.truncated && got.timed_out);
-    assert_eq!((got.explored, got.plans.len()), (0, 0));
+    // An optimizer whose constraint set is refused at construction runs
+    // nothing: no chase, no verdict, no plan, and no memo counter moves —
+    // not even a lookup. `S1_1.B ⊆ S1_1.A` invents an `S1_1.B` per step.
+    let mut feedback = Constraint::new("S1_1_B_in_S1_1_A");
+    let x = feedback.forall("x", Range::Name(sym("S1_1")));
+    let y = feedback.exists("y", Range::Name(sym("S1_1")));
+    feedback.then(PathExpr::from(x).dot("B"), PathExpr::from(y).dot("A"));
+    let mut refused = opt.constraints().to_vec();
+    refused.push(feedback);
+    let uncertified = Optimizer::with_constraints(w.schema(), refused);
+    assert!(matches!(
+        uncertified.certified(),
+        Err(CertifyError::NonTerminating { .. })
+    ));
+    let counters = |memo: &SkeletonMemo| (memo.lookups(), memo.hits(), memo.imported());
+    let before = counters(&memo);
+    let got = uncertified.optimize_in(&template, &cfg, &mut memo);
     assert_eq!(
-        (memo.lookups(), memo.hits(), memo.imported()),
-        (lookups + 1, hits, imported),
-        "a cut universal chase misses and imports nothing"
+        counters(&memo),
+        before,
+        "an uncertified optimizer moved the memo"
     );
-    same_as_cold(&opt, &template, &capped, &got);
+    assert_eq!((got.explored, got.plans.len()), (0, 0));
+    assert_eq!(got.chase_stats.steps_applied, 0, "no chase ran");
 }
 
 /// A miss runs only what a left-deep executor reads: on every family's

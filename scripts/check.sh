@@ -88,13 +88,17 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # get FB's rows, and the ground-equality sequence `r.K = 3 and r.K = 3`,
 # `3, 4`, `4, 4`: the first caches a template plan with `?0 = ?1`, the other
 # two hit it with `3 = 4` and `4 = 4` bound in, and each must get the rows
-# `execute` gives on the request as written. And one diverging constraint
-# set (`R.A ⊆ S.A`, `S.B ⊆ R.B`, not weakly acyclic): its universal chase
-# stops at a cap, `optimize` decides nothing on it (no plan, `explored` 0,
-# `timed_out` and `chase_stats.truncated` set) well inside its 5 s timeout,
-# and `serve` / `serve_batch_under` give `execute`'s rows on the request as
-# written. The debug profile runs the same file as part of `cargo test -q`
-# below.
+# `execute` gives on the request as written. And four constraint sets the
+# optimizer refuses when it is built (cnb_core::strata::certify): the
+# diverging pair `R.A ⊆ S.A`, `S.B ⊆ R.B` (not weakly acyclic; once chased
+# to its cap and served as written) and three ill-scoped TGDs — an
+# existential range over an unbound variable (once a panic in the release
+# chase), a conclusion over an unbound variable and a premise over an
+# existential one (once served silently). For each, `optimize` and
+# `optimize_measured` run no chase and return no plan, `plan` moves no
+# cache counter, and `serve` / `serve_batch_under` (1 and 4 threads) return
+# ServeError::Uncertified. The debug profile runs the same file as part of
+# `cargo test -q` below.
 tier "serving door, release profile (ill-formed requests are refused typed)"
 cargo test --release -q -p cnb-engine --test door
 

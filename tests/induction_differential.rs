@@ -104,7 +104,7 @@ fn assert_inplace_matches_fresh(tag: &str, q: &Query, constraints: &[Constraint]
         timeout: None,
         ..BackchaseConfig::default()
     };
-    let checker = EquivChecker::new(q, constraints, cfg.chase);
+    let checker = EquivChecker::new(q, constraints, ChaseConfig::default());
     let subset = |mask: u32| {
         VarSet::from_iter(
             vars.iter()

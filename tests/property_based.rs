@@ -13,6 +13,7 @@
 // workspace-wide denial (clippy.toml) is waived for this test file.
 #![allow(clippy::disallowed_types)]
 
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -588,6 +589,72 @@ fn backchase_is_deterministic_random() {
         }
         assert_deterministic(&q, &cs, "random");
     });
+}
+
+/// The claim the optimizer rests on: a constraint set it certifies chases
+/// to a fixpoint. Random key and inclusion constraints over `R0..R2` —
+/// any relation into any, either attribute into either, cycles allowed —
+/// with random chain queries. A certified set's chase of the query never
+/// hits a `ChaseConfig::default()` cap, nor does any chase `optimize` runs,
+/// and `optimize` emits a plan; a refused set's `optimize` returns at once
+/// with nothing. Both outcomes are drawn at least ten times.
+#[test]
+fn certified_sets_chase_to_a_fixpoint() {
+    let mut schema = Schema::new();
+    for i in 0..3 {
+        schema.add_relation(
+            format!("R{i}"),
+            [(sym("A"), Type::Int), (sym("B"), Type::Int)],
+        );
+    }
+    let (certified, refused) = (Cell::new(0), Cell::new(0));
+    cases("certified_sets_chase_to_a_fixpoint", 64, |rng| {
+        let q = arb_query(rng);
+        let mut cs: Vec<Constraint> = Vec::new();
+        for i in 0..3 {
+            if rng.gen_bool(0.3) {
+                cs.push(key_constraint(sym(&format!("R{i}")), sym("A")));
+            }
+        }
+        for k in 0..rng.gen_range(1usize..4) {
+            let mut pick = || {
+                let rel = sym(&format!("R{}", rng.gen_range(0..3)));
+                (rel, sym(if rng.gen_bool(0.5) { "A" } else { "B" }))
+            };
+            let ((from, x_attr), (to, y_attr)) = (pick(), pick());
+            let mut ind = Constraint::new(format!("IND{k}_{from}_{x_attr}_in_{to}_{y_attr}"));
+            let x = ind.forall("x", Range::Name(from));
+            let y = ind.exists("y", Range::Name(to));
+            ind.then(PathExpr::from(x).dot(x_attr), PathExpr::from(y).dot(y_attr));
+            cs.push(ind);
+        }
+        let opt = Optimizer::with_constraints(schema.clone(), cs.clone());
+        let res = opt.optimize(&q, &OptimizerConfig::default());
+        let set = cs
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect::<Vec<_>>()
+            .join(", ");
+        if opt.certified().is_ok() {
+            certified.set(certified.get() + 1);
+            let (_, stats) = chase_query(&q, &cs, ChaseConfig::default());
+            assert!(!stats.truncated, "[{set}]: the chase of {q} hit a cap");
+            assert!(
+                !res.chase_stats.truncated,
+                "[{set}]: a chase of {q} hit a cap"
+            );
+            assert!(!res.timed_out && !res.plans.is_empty(), "[{set}]: {q}");
+        } else {
+            refused.set(refused.get() + 1);
+            let ran = (res.explored, res.plans.len(), res.chase_stats.steps_applied);
+            assert_eq!(ran, (0, 0, 0), "[{set}]: a refused set was searched");
+        }
+    });
+    let drawn = (certified.get(), refused.get());
+    assert!(
+        drawn.0 >= 10 && drawn.1 >= 10,
+        "(certified, refused) = {drawn:?}"
+    );
 }
 
 /// Determinism suite, star-schema half: random EC4 configurations
