@@ -26,10 +26,13 @@
 //!
 //! **Ownership.** The pipeline owns no values until it projects. Batches
 //! hold `&Value`s into the [`Database`] and the plan ([`crate::batch`]
-//! states the rule); `run` declares the operators, their indexes and one
-//! `Home` per operator *before* the batch, so everything a column can point
-//! at outlives it; and the projection's `into_owned()` — once per output
-//! field — is the only place a run clones a value it did not build.
+//! states the rule); `run` declares the operators and one `Home` per
+//! operator *before* the batch, so everything a column can point at
+//! outlives it; and the projection's `into_owned()` — once per output
+//! field — is the only place a run clones a value it did not build. Build
+//! sides are made inside the operator that reads them, for its input: a
+//! hash join builds its table when it first runs with rows, a `dict_join`
+//! keeps the pairs its rows ask for ([`ExecStats::index_entries_built`]).
 //!
 //! **Determinism.** Output row order is a pure function of
 //! `(database, plan)`: batches are walked front to back, hash-join buckets
@@ -62,7 +65,9 @@ use cnb_ir::prelude::*;
 use crate::batch::{eval_path_at, Batch, Home, Path};
 use crate::database::Database;
 use crate::error::ExecError;
-use crate::join::{apply_access, apply_dict_join, greedy_order, plan, Access, JoinIndexes, Op};
+use crate::join::{
+    apply_access, apply_dict_join, greedy_order, plan, Access, JoinIndexes, Op, ROW_ID_LIMIT,
+};
 use crate::wcoj::{self, apply_generic_join};
 
 /// One operator's observed cardinalities — the raw material of the
@@ -107,6 +112,11 @@ pub struct ExecStats {
     /// Per-operator observed cardinalities, in pipeline order (empty for
     /// [`execute_legacy`], which predates the batch model).
     pub operators: Vec<OpStats>,
+    /// Entries the run wrote into build-side structures: one per row a
+    /// hash-join table indexes, per `(key, element)` pair a `dict_join`
+    /// keeps and per row a generic-join index holds. The part of a run's
+    /// work that follows the database rather than the request.
+    pub index_entries_built: usize,
 }
 
 impl ExecStats {
@@ -251,7 +261,7 @@ fn run(
     q.validate().map_err(ExecError::InvalidQuery)?;
     reject_unbound_params(q)?;
     let ops = compile(db, q)?;
-    let indexes = JoinIndexes::build(db, ops.iter().filter_map(Op::step))?;
+    let mut indexes = JoinIndexes::default();
 
     let mut stats = ExecStats {
         order: ops.iter().flat_map(Op::bindings).collect(),
@@ -268,7 +278,7 @@ fn run(
     }
     for (op, home) in ops.iter().zip(&homes) {
         batch = match op {
-            Op::Bind(step) => apply_access(db, q, &indexes, step, home, &batch, &mut stats)?,
+            Op::Bind(step) => apply_access(db, q, &mut indexes, step, home, &batch, &mut stats)?,
             Op::DictJoin(dj) => apply_dict_join(db, q, dj, &batch, &mut stats)?,
             Op::GenericJoin(gj) => apply_generic_join(db, gj, &mut stats)?,
         };
@@ -312,11 +322,17 @@ pub fn execute_legacy(db: &Database, q: &Query) -> Result<ExecResult, ExecError>
     q.validate().map_err(ExecError::InvalidQuery)?;
     reject_unbound_params(q)?;
     let steps = greedy_order(db, q)?;
-    let indexes = JoinIndexes::build(db, &steps)?;
     let mut stats = ExecStats {
         order: steps.iter().map(|s| s.binding_idx).collect(),
         ..ExecStats::default()
     };
+    // Every table up front, through the pipeline's build.
+    let mut indexes = JoinIndexes::default();
+    for step in &steps {
+        if let Access::HashJoin { table, attr, .. } = &step.access {
+            indexes.table(db, (*table, *attr), ROW_ID_LIMIT, &mut stats)?;
+        }
+    }
     let mut env: FxHashMap<Var, Value> = FxHashMap::default();
     let mut rows = Vec::new();
     if ground_equalities_hold(db, q) {
@@ -379,7 +395,7 @@ fn legacy_steps(
         Access::HashJoin { table, attr, key } => {
             if let Some(k) = eval_path(db, env, key) {
                 let rows = db.table(*table);
-                for &i in indexes.table(*table, *attr).bucket(&k) {
+                for &i in indexes.built(*table, *attr).bucket(&k) {
                     try_value!(rows[i as usize].clone());
                 }
             }

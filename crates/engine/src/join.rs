@@ -49,14 +49,18 @@
 //! counts do not move. [`Path::resolve`] decides which sides read a
 //! candidate; nothing else does.
 //!
-//! Hash-join build tables and the per-request
-//! [`PairIndex`] of a `dict_join` are keyed by [`cnb_core::fxhash`] and
-//! their buckets keep build-side rows in first-insertion (table, or
-//! dictionary-then-set) order, so probe output order is a pure function of
-//! `(database, plan)` — the engine's determinism guarantee — and equals
-//! the nested-loop order of the unfused steps.
+//! **Build sides follow the input.** A hash join builds its table the
+//! first time it runs with rows, and an empty input builds nothing
+//! ([`JoinIndexes`]). A `dict_join` reads its dictionary once per call, for
+//! the values its rows ask for, and keeps only those pairs ([`Asked`]).
+//! Both are keyed by [`cnb_core::fxhash`] and keep build-side rows in
+//! first-insertion (table, or dictionary-then-set) order, so probe output
+//! order is a pure function of `(database, plan)` — the engine's
+//! determinism guarantee — and equals the nested-loop order of the unfused
+//! steps.
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 
 use cnb_core::fxhash::FxHashMap;
 use cnb_ir::prelude::*;
@@ -129,14 +133,6 @@ pub(crate) enum Op {
 }
 
 impl Op {
-    /// The single-binding step, if this is one.
-    pub fn step(&self) -> Option<&Step> {
-        match self {
-            Op::Bind(step) => Some(step),
-            Op::DictJoin(_) | Op::GenericJoin(_) => None,
-        }
-    }
-
     /// From-clause indexes this operator binds, in nested-loop order.
     pub fn bindings(&self) -> impl Iterator<Item = usize> {
         let (run, then) = match self {
@@ -407,8 +403,9 @@ fn probe_attr_key(
     None
 }
 
-/// Row ids — selection vectors, hash-join buckets, [`PairIndex`] entries —
-/// are `u32`; anything they number must stay within this.
+/// Row ids — selection vectors, hash-join buckets, the group bounds of a
+/// `dict_join`'s kept pairs — are `u32`; anything they number must stay
+/// within this.
 pub(crate) const ROW_ID_LIMIT: usize = u32::MAX as usize;
 
 /// `Ok` if `rows` rows of `what` can be numbered with ids up to `limit`.
@@ -423,10 +420,11 @@ pub(crate) fn check_row_ids(
     Ok(())
 }
 
-/// Hash-join build tables: `(table, attr) →` [`BuildTable`]. Keyed by
-/// fxhash; nothing iterates the outer or inner maps — probes enumerate
-/// bucket vectors only. An operator takes its table once ([`Self::table`])
-/// and probes that.
+/// Hash-join build tables: `(table, attr) →` [`BuildTable`], each built
+/// by the first operator that probes it with rows ([`Self::table`]) and
+/// reused by any later one on the same pair. Keyed by fxhash; nothing
+/// iterates the outer or inner maps — probes enumerate bucket vectors only.
+#[derive(Default)]
 pub(crate) struct JoinIndexes {
     map: FxHashMap<(Symbol, Symbol), BuildTable>,
 }
@@ -443,45 +441,34 @@ impl BuildTable {
 }
 
 impl JoinIndexes {
-    /// Builds every table the steps' hash joins will probe.
-    pub fn build<'a>(
+    /// The build table of `table` on `attr`, built on first use — the one
+    /// loop that builds a hash-join table. `limit` is [`ROW_ID_LIMIT`]
+    /// outside tests.
+    pub(crate) fn table(
+        &mut self,
         db: &Database,
-        steps: impl IntoIterator<Item = &'a Step>,
-    ) -> Result<JoinIndexes, ExecError> {
-        JoinIndexes::build_within(db, steps, ROW_ID_LIMIT)
-    }
-
-    /// [`JoinIndexes::build`] with the row-id limit as a parameter, so the
-    /// overflow path is testable without 2³² rows.
-    fn build_within<'a>(
-        db: &Database,
-        steps: impl IntoIterator<Item = &'a Step>,
+        (table, attr): (Symbol, Symbol),
         limit: usize,
-    ) -> Result<JoinIndexes, ExecError> {
-        let mut map: FxHashMap<(Symbol, Symbol), BuildTable> = FxHashMap::default();
-        for step in steps {
-            let Access::HashJoin { table, attr, .. } = &step.access else {
-                continue;
-            };
-            if map.contains_key(&(*table, *attr)) {
-                continue;
+        stats: &mut ExecStats,
+    ) -> Result<&BuildTable, ExecError> {
+        let slot = match self.map.entry((table, attr)) {
+            Entry::Occupied(built) => return Ok(built.into_mut()),
+            Entry::Vacant(slot) => slot,
+        };
+        let rows = db.table(table);
+        check_row_ids("hash-join build table", rows.len(), limit)?;
+        let mut idx: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
+        for (i, row) in rows.iter().enumerate() {
+            if let Some(v) = row.field(attr) {
+                idx.entry(v.clone()).or_default().push(i as u32);
+                stats.index_entries_built += 1;
             }
-            let rows = db.table(*table);
-            check_row_ids("hash-join build table", rows.len(), limit)?;
-            let mut idx: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
-            for (i, row) in rows.iter().enumerate() {
-                if let Some(v) = row.field(*attr) {
-                    idx.entry(v.clone()).or_default().push(i as u32);
-                }
-            }
-            map.insert((*table, *attr), BuildTable(idx));
         }
-        Ok(JoinIndexes { map })
+        Ok(slot.insert(BuildTable(idx)))
     }
 
-    /// The build table of `table` on `attr`, which [`Self::build`] made
-    /// for every hash-join step it was given.
-    pub(crate) fn table(&self, table: Symbol, attr: Symbol) -> &BuildTable {
+    /// A table [`Self::table`] already built.
+    pub(crate) fn built(&self, table: Symbol, attr: Symbol) -> &BuildTable {
         &self.map[&(table, attr)]
     }
 }
@@ -503,94 +490,93 @@ fn set_pairs<'a>(
     })
 }
 
-/// A `dict_join`'s build side: every `(key, element)` pair of the
-/// dictionary, grouped by the value the equality reads off the element.
-/// Built per request and dropped with the operator — the same lifetime as
-/// [`JoinIndexes`]. CSR layout: group `g` owns `ids[starts[g]..starts[g +
-/// 1]]`, ascending, so a probe enumerates matches in dictionary-then-set
-/// order; the map is only ever probed, never iterated.
-struct PairIndex<'a> {
-    groups: FxHashMap<&'a Value, u32>,
+/// What a `dict_join`'s input rows ask its dictionary for, read in one
+/// pass: the `(key, element)` pairs whose compared value some row's probe
+/// equals, grouped by that value, each group in dictionary-then-set order.
+/// A batch that asks for one value compares each element with it; one that
+/// asks for several hashes them. Nothing outlives the operator.
+struct Asked<'a> {
+    /// Per input row, the group of the value it asks for (`None`: its
+    /// probe is undefined, so it matches nothing).
+    row_group: Vec<Option<u32>>,
+    /// Group `g` owns `kept[starts[g]..starts[g + 1]]`.
     starts: Vec<u32>,
-    ids: Vec<u32>,
-    /// Pairs whose element defines the compared value, in dictionary order.
-    pairs: Vec<(&'a Value, &'a Value)>,
-    /// All pairs, including those the equality can never match.
+    kept: Vec<(u32, &'a Value, &'a Value)>,
+    /// Every pair of the dictionary, kept or not.
     total: usize,
 }
 
-impl<'a> PairIndex<'a> {
-    fn build(
+impl<'a> Asked<'a> {
+    /// Reads `dict` once for the values `wants` (one per input row) asks
+    /// for. `limit` is [`ROW_ID_LIMIT`] outside tests.
+    fn read(
         dict: &'a OrderedDict,
         dj: &'a DictJoin,
+        wants: &[Option<Cow<'_, Value>>],
         limit: usize,
-    ) -> Result<PairIndex<'a>, ExecError> {
-        let mut groups: FxHashMap<&'a Value, u32> = FxHashMap::default();
-        let mut group_of: Vec<u32> = Vec::new();
-        let mut pairs: Vec<(&'a Value, &'a Value)> = Vec::new();
-        let mut starts: Vec<u32> = vec![0];
-        let mut total = 0usize;
-        for (k, t) in set_pairs(dict, &dj.fields) {
-            total += 1;
-            let Some(v) = dj.compared(t) else { continue };
-            check_row_ids("dictionary pair index", pairs.len() + 1, limit)?;
-            let fresh = groups.len() as u32;
-            let g = *groups.entry(v).or_insert(fresh);
-            if g == fresh {
-                starts.push(0);
-            }
-            // Counts first, shifted one up: the prefix sum below turns
-            // `starts[g + 1]` into group g's end.
-            starts[g as usize + 1] += 1;
-            group_of.push(g);
-            pairs.push((k, t));
+    ) -> Result<Asked<'a>, ExecError> {
+        let mut asked = wants.iter().flatten().map(|v| &**v);
+        let one = asked.next().filter(|&v| asked.all(|w| w == v));
+        let mut groups: FxHashMap<&Value, u32> = FxHashMap::default();
+        let row_group = wants
+            .iter()
+            .map(|want| {
+                let (v, fresh) = (want.as_deref()?, groups.len() as u32);
+                Some(one.map_or_else(|| *groups.entry(v).or_insert(fresh), |_| 0))
+            })
+            .collect();
+        let (mut kept, total) = match one {
+            Some(w) => dj.keep(dict, |v| (v == w).then_some(0)),
+            None => dj.keep(dict, |v| groups.get(v).copied()),
+        };
+        check_row_ids("dict_join match list", kept.len(), limit)?;
+        let width = if one.is_some() { 1 } else { groups.len() };
+        if width > 1 {
+            // Stable: each group keeps dictionary-then-set order.
+            kept.sort_by_key(|&(g, ..)| g);
         }
-        for g in 1..starts.len() {
-            starts[g] += starts[g - 1];
-        }
-        let mut cursor = starts.clone();
-        let mut ids = vec![0u32; pairs.len()];
-        for (i, &g) in group_of.iter().enumerate() {
-            ids[cursor[g as usize] as usize] = i as u32;
-            cursor[g as usize] += 1;
-        }
-        Ok(PairIndex {
-            groups,
+        let starts = (0..=width as u32)
+            .map(|g| kept.partition_point(|&(h, ..)| h < g) as u32)
+            .collect();
+        Ok(Asked {
+            row_group,
             starts,
-            ids,
-            pairs,
+            kept,
             total,
         })
     }
 
-    /// The pairs whose compared value equals `v`.
-    fn matches(&self, v: &Value) -> impl Iterator<Item = (&'a Value, &'a Value)> + '_ {
-        let range = self.groups.get(v).map_or(0..0, |&g| {
+    /// The pairs input row `r` matches, in dictionary-then-set order.
+    fn matches(&self, r: usize) -> impl Iterator<Item = (&'a Value, &'a Value)> + '_ {
+        let range = self.row_group[r].map_or(0..0, |g| {
             self.starts[g as usize] as usize..self.starts[g as usize + 1] as usize
         });
-        self.ids[range].iter().map(|&i| self.pairs[i as usize])
+        self.kept[range].iter().map(|&(_, k, t)| (k, t))
     }
 }
 
 impl DictJoin {
-    /// The value the equality reads off element `t` (`None`: undefined, so
-    /// the equality fails).
-    fn compared<'a>(&self, t: &'a Value) -> Option<&'a Value> {
-        match self.attr {
-            Some(a) => t.field(a),
-            None => Some(t),
+    /// The pairs of `dict` that `group` places, with their groups, and the
+    /// count of all pairs: one loop per caller, so comparing stays inline.
+    fn keep<'a>(
+        &'a self,
+        dict: &'a OrderedDict,
+        group: impl Fn(&Value) -> Option<u32>,
+    ) -> (Vec<(u32, &'a Value, &'a Value)>, usize) {
+        let (mut kept, mut total) = (Vec::new(), 0);
+        for (k, t) in set_pairs(dict, &self.fields) {
+            total += 1;
+            let compared = match self.attr {
+                Some(a) => t.field(a),
+                None => Some(t),
+            };
+            if let Some(g) = compared.and_then(&group) {
+                kept.push((g, k, t));
+            }
         }
+        (kept, total)
     }
 }
-
-/// Input batches up to this many rows stream the dictionary's pairs once
-/// per row with the equality inlined; larger ones build a [`PairIndex`]
-/// and probe it. Measured on EC4's `SIF1` at 2 000 fact rows (2 000 pairs,
-/// `R r, dom SIF1 k, SIF1[k] t where t.K = r.A`, fastest of 300): streaming
-/// costs 13.3 µs per input row, build-and-probe 65 µs plus 0.2 µs per row —
-/// 4 rows 54 vs 66 µs, 5 rows 67 vs 67 µs, 37 rows (EC4's served plan) 500
-/// vs 73 µs. Both sides scale with the pair count, so the cut does not.
-const DICT_JOIN_STREAM_ROWS: usize = 4;
 
 /// What an access operator emits into. Each candidate — an input row plus
 /// one value per slot being bound — is checked against the operator's
@@ -739,8 +725,10 @@ impl<'a> Sink<'a> {
 /// Executes a fused index pair: per input row, the `(key, element)` pairs
 /// whose element satisfies the equality, in dictionary-then-set order —
 /// the rows and the order `dom_scan`, `path_set` and the equality's
-/// `filter` produce, without materialising input × pairs in between. Keys
-/// and elements are bound where the dictionary stores them.
+/// `filter` produce, without materialising input × pairs in between. The
+/// dictionary is read once, for the values the rows ask for ([`Asked`]);
+/// an empty input reads nothing. Keys and elements are bound where the
+/// dictionary stores them.
 pub(crate) fn apply_dict_join<'a>(
     db: &'a Database,
     q: &Query,
@@ -752,29 +740,17 @@ pub(crate) fn apply_dict_join<'a>(
     let mut sink = Sink::new(db, q, &[dj.key_idx, dj.elem_idx], &dj.filters);
     let dict = db.dict(dj.dict);
     let mut pairs = 0usize;
-    if let Some(d) = dict {
+    if let Some(d) = dict.filter(|_| batch.len() > 0) {
         let probe = Path::resolve(db, q, &[], &dj.probe);
-        let probe = |r| eval_path_at(batch, r, &[], &probe);
-        if batch.len() <= DICT_JOIN_STREAM_ROWS {
-            for r in 0..batch.len() {
-                let want = probe(r);
-                pairs = 0;
-                for (k, t) in set_pairs(d, &dj.fields) {
-                    pairs += 1;
-                    if want.is_some() && dj.compared(t) == want.as_deref() {
-                        sink.offer(batch, r, &[k, t]);
-                    }
-                }
-            }
-        } else {
-            let index = PairIndex::build(d, dj, ROW_ID_LIMIT)?;
-            pairs = index.total;
-            for r in 0..batch.len() {
-                if let Some(want) = probe(r) {
-                    for (k, t) in index.matches(&want) {
-                        sink.offer(batch, r, &[k, t]);
-                    }
-                }
+        let wants: Vec<_> = (0..batch.len())
+            .map(|r| eval_path_at(batch, r, &[], &probe))
+            .collect();
+        let asked = Asked::read(d, dj, &wants, ROW_ID_LIMIT)?;
+        pairs = asked.total;
+        stats.index_entries_built += asked.kept.len();
+        for r in 0..batch.len() {
+            for (k, t) in asked.matches(r) {
+                sink.offer(batch, r, &[k, t]);
             }
         }
     }
@@ -796,7 +772,7 @@ pub(crate) fn apply_dict_join<'a>(
 pub(crate) fn apply_access<'a>(
     db: &'a Database,
     q: &Query,
-    indexes: &JoinIndexes,
+    indexes: &mut JoinIndexes,
     step: &'a Step,
     home: &'a Home,
     batch: &Batch<'a>,
@@ -819,12 +795,14 @@ pub(crate) fn apply_access<'a>(
         }
         Access::HashJoin { table, attr, key } => {
             let rows = db.table(*table);
-            let build = indexes.table(*table, *attr);
-            let key = key_path(key);
-            for r in 0..batch.len() {
-                if let Some(k) = eval_path_at(batch, r, &[], &key) {
-                    for &i in build.bucket(&k) {
-                        sink.offer(batch, r, &[&rows[i as usize]]);
+            if batch.len() > 0 {
+                let build = indexes.table(db, (*table, *attr), ROW_ID_LIMIT, stats)?;
+                let key = key_path(key);
+                for r in 0..batch.len() {
+                    if let Some(k) = eval_path_at(batch, r, &[], &key) {
+                        for &i in build.bucket(&k) {
+                            sink.offer(batch, r, &[&rows[i as usize]]);
+                        }
                     }
                 }
             }
@@ -894,6 +872,7 @@ pub(crate) fn apply_access<'a>(
 mod tests {
     use super::*;
     use crate::error::ServeError;
+    use crate::eval::{execute, execute_legacy};
 
     fn int_row(fields: &[(&str, i64)]) -> Value {
         Value::record(fields.iter().map(|(n, v)| (sym(n), Value::Int(*v))))
@@ -989,13 +968,13 @@ mod tests {
     /// and hands the final batch to `check`. `ran` names what must have run.
     fn with_final_batch(db: &Database, q: &Query, ran: &[&str], check: impl FnOnce(&Batch)) {
         let ops = plan(db, q).unwrap();
-        let indexes = JoinIndexes::build(db, ops.iter().filter_map(Op::step)).unwrap();
+        let mut indexes = JoinIndexes::default();
         let homes: Vec<Home> = ops.iter().map(|_| Home::new()).collect();
         let mut stats = ExecStats::default();
         let mut batch = Batch::unit(q.from.len());
         for (op, home) in ops.iter().zip(&homes) {
             batch = match op {
-                Op::Bind(step) => apply_access(db, q, &indexes, step, home, &batch, &mut stats),
+                Op::Bind(step) => apply_access(db, q, &mut indexes, step, home, &batch, &mut stats),
                 Op::DictJoin(dj) => apply_dict_join(db, q, dj, &batch, &mut stats),
                 Op::GenericJoin(_) => unreachable!("`plan` emits binary operators"),
             }
@@ -1094,8 +1073,9 @@ mod tests {
 
     #[test]
     fn dict_join_binds_the_stored_keys_and_elements() {
-        // Two input rows stream the pairs; six build the index. `SI` gets
-        // six keys so that the greedy order scans R first either way.
+        // Two input rows, then six that ask for the same two values three
+        // times each: one read of the dictionary serves every row alike.
+        // `SI` gets six keys so that the greedy order scans R first.
         for copies in [1, 3] {
             let mut db = Database::new();
             for a in [1, 2].repeat(copies) {
@@ -1126,33 +1106,137 @@ mod tests {
         }
     }
 
+    /// `R(A, B)` and `S(A, C)`, three rows each; two `A` values join.
+    fn join_db() -> Database {
+        let mut db = Database::new();
+        for (a, b) in [(1, 100), (2, 200), (3, 300)] {
+            db.insert_row(sym("R"), int_row(&[("A", a), ("B", b)]));
+        }
+        for (a, c) in [(1, 11), (2, 22), (9, 99)] {
+            db.insert_row(sym("S"), int_row(&[("A", a), ("C", c)]));
+        }
+        db
+    }
+
+    /// `(op, collection_rows, input_rows, output_rows)` per operator.
+    fn op_counts(stats: &ExecStats) -> Vec<(&'static str, usize, usize, usize)> {
+        stats
+            .operators
+            .iter()
+            .map(|o| (o.op, o.collection_rows, o.input_rows, o.output_rows))
+            .collect()
+    }
+
+    /// A hash join builds its table the first time it runs with rows, and
+    /// a later one on the same table and attribute reuses it: `S` on `A`
+    /// is indexed once for two probes, three entries.
+    #[test]
+    fn a_hash_join_table_is_built_once_by_its_first_probe() {
+        let db = join_db();
+        let mut q = Query::new();
+        let r = q.bind("r", Range::Name(sym("R")));
+        let s = q.bind("s", Range::Name(sym("S")));
+        let u = q.bind("u", Range::Name(sym("S")));
+        q.equate(PathExpr::from(r).dot("A"), PathExpr::from(s).dot("A"));
+        q.equate(PathExpr::from(s).dot("A"), PathExpr::from(u).dot("A"));
+        q.output("C", PathExpr::from(u).dot("C"));
+        let stats = execute(&db, &q).unwrap().stats;
+        assert_eq!(
+            op_counts(&stats),
+            vec![
+                ("scan", 3, 1, 3),
+                ("hash_join", 3, 3, 2),
+                ("hash_join", 3, 2, 2)
+            ]
+        );
+        assert_eq!(stats.index_entries_built, 3);
+        assert_eq!(
+            execute_legacy(&db, &q).unwrap().stats.index_entries_built,
+            3
+        );
+    }
+
+    /// A plan whose first operator yields no rows builds no table, and
+    /// reports what it always did: a `hash_join` over an empty input with
+    /// the table's size. The oracle, which builds up front, indexes `S`.
+    #[test]
+    fn an_empty_input_builds_no_table() {
+        let db = join_db();
+        let mut q = Query::new();
+        let r = q.bind("r", Range::Name(sym("R")));
+        let s = q.bind("s", Range::Name(sym("S")));
+        q.equate(PathExpr::from(r).dot("A"), PathExpr::from(s).dot("A"));
+        q.equate(PathExpr::from(r).dot("A"), PathExpr::from(r).dot("B"));
+        q.output("C", PathExpr::from(s).dot("C"));
+        let res = execute(&db, &q).unwrap();
+        assert!(res.rows.is_empty());
+        assert_eq!(
+            op_counts(&res.stats),
+            vec![
+                ("scan", 3, 1, 3),
+                ("filter", 0, 3, 0),
+                ("hash_join", 3, 0, 0)
+            ]
+        );
+        assert_eq!(res.stats.tuples_considered, 3);
+        assert_eq!(res.stats.index_entries_built, 0);
+        let legacy = execute_legacy(&db, &q).unwrap().stats;
+        assert_eq!(legacy.tuples_considered, 3);
+        assert_eq!(legacy.index_entries_built, 3);
+    }
+
+    /// A false ground equality empties the input before the first operator,
+    /// so nothing is scanned and nothing is built.
+    #[test]
+    fn a_false_ground_equality_builds_nothing() {
+        let db = join_db();
+        let mut q = Query::new();
+        let r = q.bind("r", Range::Name(sym("R")));
+        let s = q.bind("s", Range::Name(sym("S")));
+        q.equate(PathExpr::from(r).dot("A"), PathExpr::from(s).dot("A"));
+        q.equate(PathExpr::from(3i64), PathExpr::from(4i64));
+        q.output("C", PathExpr::from(s).dot("C"));
+        let res = execute(&db, &q).unwrap();
+        assert!(res.rows.is_empty());
+        assert_eq!(
+            op_counts(&res.stats),
+            vec![("scan", 3, 0, 0), ("hash_join", 3, 0, 0)]
+        );
+        assert_eq!(
+            (res.stats.tuples_considered, res.stats.index_entries_built),
+            (0, 0)
+        );
+    }
+
     /// ROADMAP 5b: the row-id conversions are typed errors, and `serve`
     /// reports them as `ServeError::Exec` — driven here through a small
-    /// limit instead of 2³² rows.
+    /// limit instead of 2³² rows: a hash-join table built for a probe, and
+    /// the pairs a `dict_join` keeps.
     #[test]
     fn row_id_overflow_is_a_typed_error() {
         let db = pair_db();
-        let mut q = Query::new();
-        let r = q.bind("r", Range::Name(sym("R")));
-        let s = q.bind("s", Range::Name(sym("R")));
-        q.equate(PathExpr::from(r).dot("A"), PathExpr::from(s).dot("A"));
-        q.output("A", PathExpr::from(s).dot("A"));
-        let steps = greedy_order(&db, &q).unwrap();
-        assert!(JoinIndexes::build_within(&db, &steps, 3).is_ok());
-        let err = JoinIndexes::build_within(&db, &steps, 2).err();
+        let mut stats = ExecStats::default();
+        let mut build = |limit| {
+            JoinIndexes::default()
+                .table(&db, (sym("R"), sym("A")), limit, &mut stats)
+                .map(|_| ())
+        };
+        assert_eq!(build(3), Ok(()));
         let overflow = |what| ExecError::RowIdOverflow {
             what,
             rows: 3,
             limit: 2,
         };
-        assert_eq!(err, Some(overflow("hash-join build table")));
+        assert_eq!(build(2), Err(overflow("hash-join build table")));
 
+        // Asking for K = 1 and K = 2 keeps all three pairs.
         let q = pair_query(|_, t| vec![(PathExpr::from(t).dot("K"), PathExpr::from(1i64))]);
         let dj = fused(&db, &q).unwrap();
         let dict = db.dict(sym("SI")).unwrap();
-        assert_eq!(PairIndex::build(dict, &dj, 3).unwrap().total, 3);
-        let err = PairIndex::build(dict, &dj, 2).err();
-        assert_eq!(err, Some(overflow("dictionary pair index")));
+        let wants = [1, 2].map(|v| Some(Cow::Owned(Value::Int(v))));
+        assert_eq!(Asked::read(dict, &dj, &wants, 3).unwrap().kept.len(), 3);
+        let err = Asked::read(dict, &dj, &wants, 2).err();
+        assert_eq!(err, Some(overflow("dict_join match list")));
 
         assert_eq!(
             check_row_ids("batch", 3, 2).map_err(ServeError::from),
@@ -1164,24 +1248,45 @@ mod tests {
         );
     }
 
-    /// The index groups pairs by compared value, each group in
-    /// dictionary-then-set order, and skips elements without the attribute.
+    /// One read keeps the pairs whose compared value some row asks for,
+    /// grouped by value, each group in dictionary-then-set order; it skips
+    /// elements without the attribute and rows whose probe is undefined,
+    /// and counts every pair. One value asked for compares, several hash:
+    /// both give each row the same matches.
     #[test]
-    fn pair_index_probes_in_dictionary_then_set_order() {
+    fn asked_pairs_come_in_dictionary_then_set_order() {
         let mut db = pair_db();
         db.set_entry(sym("SI"), Value::Int(30), Value::set([Value::Int(1)]));
         let q = pair_query(|_, t| vec![(PathExpr::from(t).dot("K"), PathExpr::from(1i64))]);
         let dj = fused(&db, &q).unwrap();
-        let index = PairIndex::build(db.dict(sym("SI")).unwrap(), &dj, ROW_ID_LIMIT).unwrap();
-        assert_eq!((index.total, index.pairs.len()), (4, 3));
-        let keys = |v: i64| -> Vec<Value> {
-            index
-                .matches(&Value::Int(v))
-                .map(|(k, _)| k.clone())
-                .collect()
+        let dict = db.dict(sym("SI")).unwrap();
+        let read = |wants: &[Option<i64>]| {
+            let wants: Vec<_> = wants
+                .iter()
+                .map(|w| w.map(|v| Cow::Owned(Value::Int(v))))
+                .collect();
+            let asked = Asked::read(dict, &dj, &wants, ROW_ID_LIMIT).unwrap();
+            assert_eq!(asked.total, 4);
+            let keys: Vec<Vec<i64>> = (0..wants.len())
+                .map(|r| {
+                    let key = |(k, _): (&Value, &Value)| match k {
+                        Value::Int(i) => *i,
+                        other => panic!("{other:?}"),
+                    };
+                    asked.matches(r).map(key).collect()
+                })
+                .collect();
+            (keys, asked.kept.len())
         };
-        assert_eq!(keys(1), vec![Value::Int(10), Value::Int(20)]);
-        assert_eq!(keys(2), vec![Value::Int(10)]);
-        assert!(keys(7).is_empty());
+        let (one, two, none) = (vec![10, 20], vec![10], vec![]);
+        assert_eq!(
+            read(&[Some(1), None, Some(1)]),
+            (vec![one.clone(), none.clone(), one.clone()], 2)
+        );
+        assert_eq!(
+            read(&[Some(2), Some(7), Some(1), Some(2)]),
+            (vec![two.clone(), none.clone(), one, two], 3)
+        );
+        assert_eq!(read(&[None]), (vec![none], 0));
     }
 }

@@ -639,6 +639,7 @@ pub(crate) fn apply_generic_join<'a>(
             built.push(BindingIndex::build(table, &gj.keys[b], ROW_ID_LIMIT)?);
         }
     }
+    stats.index_entries_built += built.iter().map(|index| index.rows.len()).sum::<usize>();
     let indexes: Vec<&BindingIndex> = gj.index_of.iter().map(|&i| &built[i]).collect();
     // One entry per binding, shared index or not: what the cost model reads.
     for ((name, table), index) in gj.tables.iter().zip(&tables).zip(&indexes) {

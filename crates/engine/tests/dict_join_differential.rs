@@ -8,8 +8,9 @@
 //! shapes where a probe and a nested loop could drift apart: elements
 //! without the compared attribute, probe keys that are undefined, entries
 //! that are not sets, duplicate elements, `M[k].N` suffix paths,
-//! whole-element equalities, two set paths over one key, and inputs on both
-//! sides of the stream/build cut-over.
+//! whole-element equalities, two set paths over one key, and inputs that
+//! are empty, ask for one value or ask for several (the pass compares
+//! against one value and hashes several).
 //!
 //! A second family holds the operators' residual filters to the oracle. An
 //! operator reads a filter side that reads no candidate once per input row
@@ -132,11 +133,55 @@ fn arb_query(rng: &mut SplitMix64) -> Query {
     q
 }
 
+/// Which of the one-pass `dict_join`'s cases the fused pair ran: 0 for an
+/// empty input, 1 when its rows ask for one value, 2 for several (`None`:
+/// every row's probe is undefined). The pair joins on the first equality
+/// between a field of `t` (else `t` itself) and a path over the variables bound before `k`
+/// — the fusion rule — and its input rows are the oracle's rows for those
+/// bindings, where the probe is evaluated.
+fn asked_case(db: &Database, q: &Query, order: &[usize], input_rows: usize) -> Option<usize> {
+    if input_rows == 0 {
+        return Some(0);
+    }
+    let at = order
+        .iter()
+        .position(|&i| matches!(q.from[i].range, Range::Dom(_)))
+        .unwrap();
+    let bound: Vec<Var> = order[..at].iter().map(|&i| q.from[i].var).collect();
+    let t = q.from[order[at + 1]].var;
+    let sides = q.where_.iter().filter(|eq| eq.vars().contains(&t));
+    let sides = sides.flat_map(|eq| [(&eq.lhs, &eq.rhs), (&eq.rhs, &eq.lhs)]);
+    let sides: Vec<(bool, &PathExpr)> = sides
+        .filter(|(_, probe)| probe.vars_all(&mut |v| bound.contains(&v)))
+        .filter_map(|(side, probe)| match side {
+            PathExpr::Var(v) if *v == t => Some((false, probe)),
+            PathExpr::Field(base, _) if **base == PathExpr::Var(t) => Some((true, probe)),
+            _ => None,
+        })
+        .collect();
+    let (_, probe) = sides.iter().find(|(attr, _)| *attr).unwrap_or(&sides[0]);
+    let mut prefix = q.clone();
+    prefix.from.retain(|b| bound.contains(&b.var));
+    prefix
+        .where_
+        .retain(|eq| eq.vars().iter().all(|v| bound.contains(v)));
+    prefix.select = vec![(sym("P"), (*probe).clone())];
+    let mut asked = execute_legacy(db, &prefix).unwrap().rows;
+    asked.sort_by_key(|v| v.to_string());
+    asked.dedup();
+    match asked.len() {
+        0 => None,
+        1 => Some(1),
+        _ => Some(2),
+    }
+}
+
 #[test]
 fn fused_pairs_agree_with_the_nested_loop_oracle() {
     let mut rng = SplitMix64::seed_from_u64(0xD1C7_701A);
-    // (streamed, built, unfused, with rows) — the suite must not go vacuous.
-    let mut seen = [0usize; 4];
+    // (empty input, one value asked, several, unfused, with rows) — the
+    // suite must not go vacuous.
+    let mut seen = [0usize; 5];
     for case in 0..600 {
         // R no larger than M most of the time, so the greedy order scans R
         // first and the pair sees 0–12 input rows.
@@ -166,18 +211,21 @@ fn fused_pairs_agree_with_the_nested_loop_oracle() {
                 assert!(got <= want, "case {case}: {got} > legacy {want}\n{q}");
                 assert_eq!(op.collection, Some(sym("M")));
                 assert_eq!(op.collection_rows, keys as usize, "keys, never pairs");
-                seen[usize::from(op.input_rows > 4)] += 1;
+                let order = &batched.stats.order;
+                if let Some(c) = asked_case(&db, &q, order, op.input_rows) {
+                    seen[c] += 1;
+                }
             }
             None => {
                 assert_eq!(got, want, "case {case}: unfused accounting\n{q}");
-                seen[2] += 1;
+                seen[3] += 1;
             }
         }
-        seen[3] += usize::from(!batched.rows.is_empty());
+        seen[4] += usize::from(!batched.rows.is_empty());
     }
     assert!(
         seen.iter().all(|&n| n >= 60),
-        "coverage (streamed, built, unfused, nonempty) = {seen:?}"
+        "coverage (empty input, one value, several, unfused, nonempty) = {seen:?}"
     );
 }
 
@@ -275,10 +323,10 @@ fn assert_cascade(stats: &ExecStats, case: usize, q: &Query) {
 #[test]
 fn row_and_candidate_filter_sides_agree_with_the_nested_loop_oracle() {
     let mut rng = SplitMix64::seed_from_u64(0x0005_EED5_F11E);
-    // (streamed, built, a pair's filter passing some, unfused, a hash
-    // join's filter passing some, with rows) — the family must not go
-    // vacuous.
-    let mut seen = [0usize; 6];
+    // (empty input, one value asked, several, a pair's filter passing
+    // some, unfused, a hash join's filter passing some, with rows) — the
+    // family must not go vacuous.
+    let mut seen = [0usize; 7];
     for case in 0..600 {
         let keys = rng.next_u64() % 13;
         let rows = rng.next_u64() % (keys + 3);
@@ -303,21 +351,24 @@ fn row_and_candidate_filter_sides_agree_with_the_nested_loop_oracle() {
         match ops.iter().position(|o| o.op == "dict_join") {
             Some(at) => {
                 assert!(got <= want, "case {case}: {got} > legacy {want}\n{q}");
-                seen[usize::from(ops[at].input_rows > 4)] += 1;
-                seen[2] += usize::from(passed_after(at));
+                let order = &batched.stats.order;
+                if let Some(c) = asked_case(&db, &q, order, ops[at].input_rows) {
+                    seen[c] += 1;
+                }
+                seen[3] += usize::from(passed_after(at));
             }
             None => {
                 assert_eq!(got, want, "case {case}: unfused accounting\n{q}");
-                seen[3] += 1;
+                seen[4] += 1;
             }
         }
         if let Some(at) = ops.iter().position(|o| o.op == "hash_join") {
-            seen[4] += usize::from(passed_after(at));
+            seen[5] += usize::from(passed_after(at));
         }
-        seen[5] += usize::from(!batched.rows.is_empty());
+        seen[6] += usize::from(!batched.rows.is_empty());
     }
     assert!(
         seen.iter().all(|&n| n >= 40),
-        "coverage (streamed, built, pair filter, unfused, hash-join filter, nonempty) = {seen:?}"
+        "coverage (empty input, one value, several, pair filter, unfused, hash-join filter, nonempty) = {seen:?}"
     );
 }

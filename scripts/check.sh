@@ -142,11 +142,13 @@ cargo test --release -q -p cnb-engine --test skeleton_memo
 
 # Operator kernel tier, release profile: the files that hold a change to
 # the candidate loop of `Bind` / `DictJoin` (`join::Sink`, the path
-# evaluator in `batch.rs`, the hash-join build tables) or to the generic
-# join's kernel (`wcoj.rs`: its shared, coded indexes and galloping seeks)
-# to "same rows, same order, same counts" — in the profile the benchmark
-# runs, where the evaluator is inlined into every candidate loop and a
-# filter side that reads no candidate is read once per input row.
+# evaluator in `batch.rs`), to their build sides (a hash join builds its
+# table when it first runs with rows; a `dict_join` reads its dictionary
+# once, for the values its rows ask for) or to the generic join's kernel
+# (`wcoj.rs`: its shared, coded indexes and galloping seeks) to "same
+# rows, same order, same counts" — in the profile the benchmark runs,
+# where the evaluator is inlined into every candidate loop and a filter
+# side that reads no candidate is read once per input row.
 # dict_join_differential holds fused index pairs and a family of residual
 # filters (row sides through nested fields, partial lookups and constants;
 # filters between a pair's two candidate slots) to the nested-loop oracle,
@@ -155,7 +157,10 @@ cargo test --release -q -p cnb-engine --test skeleton_memo
 # wcoj_differential holds the generic join to the binary pipeline and the
 # oracle on EC5 and on a seeded mixed-kind family (shared and reversed
 # indexes, absent and other-kind pins, a hub of degree 120), whose order
-# digests, `tuples_considered` and operator stats are pinned; the `wcoj::`
+# digests, `tuples_considered` and operator stats are pinned; the `join::`
+# unit tests pin what each access path binds, the deferred build (nothing
+# built behind an empty input) and the one-pass `dict_join`'s grouping and
+# row-id overflow; the `wcoj::`
 # unit tests pin the generic join's stats and order on small graphs and
 # hold its coded comparison to `cmp_value` on every pair of a generated
 # corpus; operator_stats_golden pins every `OpStats` entry of EC1, EC2,
@@ -163,9 +168,10 @@ cargo test --release -q -p cnb-engine --test skeleton_memo
 # exact rows and order. The generic join's allocations per call are
 # tests/alloc_audit.rs's, in the backchase kernel tier above.
 # The debug profile runs all of them as part of `cargo test -q` below.
-tier "operator kernels: dict_join/owned-path/WCOJ differentials + wcoj:: unit tests + operator-stats golden + plan-execution agreement, release profile"
+tier "operator kernels: dict_join/owned-path/WCOJ differentials + join:: and wcoj:: unit tests + operator-stats golden + plan-execution agreement, release profile"
 cargo test --release -q -p cnb-engine --test dict_join_differential --test owned_paths_differential \
   --test wcoj_differential
+cargo test --release -q -p cnb-engine --lib join::
 cargo test --release -q -p cnb-engine --lib wcoj::
 cargo test --release -q -p cnb-workloads --test operator_stats_golden --test plan_execution_agreement
 
