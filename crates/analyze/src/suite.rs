@@ -52,31 +52,18 @@ pub fn validate_suite() -> Result<Vec<WorkloadAgm>, String> {
     Ok(certs)
 }
 
-/// One workload's human-readable report line: its certificate covers one
-/// plan per emitted plan, so the count is the number validated.
-pub fn workload_line(cert: &WorkloadAgm) -> String {
-    format!(
-        "{}: schema + query + {} plans valid; agm {} (bound {})",
-        cert.name,
-        cert.plans.len(),
-        cert.verdict.name(),
-        cert.bound
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The tentpole's suite-wide guarantee: every workload in `suite()`
+    /// The suite-wide guarantee: every workload in `suite()`
     /// and every backchase-emitted plan validates.
     #[test]
     fn every_suite_workload_and_plan_validates() {
         let certs = validate_suite().unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(certs.len(), 5);
         for c in &certs {
-            let line = workload_line(c);
-            assert!(line.contains("valid"), "{line}");
+            assert!(!c.plans.is_empty(), "{}: no plan certified", c.name);
         }
     }
 }

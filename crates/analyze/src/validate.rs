@@ -21,7 +21,9 @@ use std::fmt;
 
 use cnb_core::prelude::FxHashMap;
 use cnb_core::strata::{certify, CertifyError};
-use cnb_ir::prelude::{check_constraint, check_query, Constraint, Query, Schema, ScopeError, Var};
+use cnb_ir::prelude::{
+    check_constraint, check_query, Constraint, PathExpr, Query, Schema, ScopeError, Var,
+};
 use cnb_ir::unionfind::UnionFind;
 
 /// A defect found by one of the validators. Variants are specific enough
@@ -106,7 +108,9 @@ pub fn join_components(q: &Query) -> usize {
     let index: FxHashMap<Var, usize> = q.from.iter().enumerate().map(|(i, b)| (b.var, i)).collect();
     // Nodes 0..n are bindings; each distinct ground term equated to some
     // binding gets an extra node so shared constants act as join hubs.
-    let mut ground_nodes: FxHashMap<String, usize> = FxHashMap::default();
+    // Keyed by the term itself, not its text: `7` and `7.0` print alike
+    // but are different values, as are two NaNs with different payloads.
+    let mut ground_nodes: FxHashMap<&PathExpr, usize> = FxHashMap::default();
     let mut uf = UnionFind::new(n);
     for (i, b) in q.from.iter().enumerate() {
         for v in b.range.vars() {
@@ -133,9 +137,7 @@ pub fn join_components(q: &Query) -> usize {
         // equal ground terms share its node (and thus its component).
         for side in [&eq.lhs, &eq.rhs] {
             if side.vars().is_empty() {
-                let node = *ground_nodes
-                    .entry(side.to_string())
-                    .or_insert_with(|| uf.push());
+                let node = *ground_nodes.entry(side).or_insert_with(|| uf.push());
                 uf.union(touched[0], node);
             }
         }

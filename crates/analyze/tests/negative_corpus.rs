@@ -6,6 +6,7 @@
 //! arity/schema disagreement, cross-product plan shapes, and constraint
 //! sets whose firing graph lets the chase diverge.
 
+use cnb_analyze::agm::query_bound;
 use cnb_analyze::prelude::*;
 use cnb_core::strata::{certify, CertifyError};
 use cnb_ir::prelude::*;
@@ -158,6 +159,47 @@ fn disconnected_plan_is_rejected() {
     assert!(err.to_string().contains("cross product"), "{err}");
 }
 
+/// Ground terms join bindings only when they are the same value, not when
+/// they print alike: `7` and `7.0` both print `7`, and NaNs with different
+/// payloads both print `NaN` but differ bit for bit (`Value::eq`). The
+/// typechecker refuses the first shape as a plan; the second is well-typed
+/// and must be refused as a cross product.
+#[test]
+fn ground_terms_that_print_alike_do_not_connect() {
+    let mut q = Query::new();
+    let r = q.bind("r", Range::Name(sym("R")));
+    let t = q.bind("t", Range::Name(sym("S")));
+    q.equate(PathExpr::from(r).dot("K"), PathExpr::from(7i64));
+    q.equate(
+        PathExpr::from(t).dot("K"),
+        PathExpr::from(Value::Float(7.0)),
+    );
+    assert_eq!(join_components(&q), 2, "7 and 7.0 are different values");
+
+    let mut s = Schema::new();
+    s.add_relation("F", [(sym("X"), Type::Float)]);
+    s.add_relation("G", [(sym("X"), Type::Float)]);
+    let other_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+    let mut q = Query::new();
+    let f = q.bind("f", Range::Name(sym("F")));
+    let g = q.bind("g", Range::Name(sym("G")));
+    q.equate(
+        PathExpr::from(f).dot("X"),
+        PathExpr::from(Value::Float(f64::NAN)),
+    );
+    q.equate(
+        PathExpr::from(g).dot("X"),
+        PathExpr::from(Value::Float(other_nan)),
+    );
+    q.output("X", PathExpr::from(f).dot("X"));
+    assert_eq!(join_components(&q), 2, "distinct NaN payloads do not join");
+    validate_query(&s, &q).expect("a well-typed cartesian query");
+    assert_eq!(
+        validate_plan(&s, &q),
+        Err(ValidateError::DisconnectedPlan { components: 2 })
+    );
+}
+
 #[test]
 fn diverging_constraint_cycle_is_rejected_as_non_terminating() {
     let s = schema();
@@ -203,178 +245,6 @@ fn terminating_variants_of_the_corpus_pass() {
     fk.then(PathExpr::from(rv).dot("N"), PathExpr::from(xv).dot("K"));
     validate_constraint(&s, &fk).expect("well-formed RIC");
     certify(&s, &[fk]).expect("a single FK terminates");
-}
-
-// ---------------------------------------------------------------------------
-// The determinism scan: seeded violations of `clippy.toml`'s entries, the
-// sanction that is gone and the one that is left, with the needles
-// assembled by concatenation so this corpus never spells one out. Every
-// finding is at the needle's (or the stale attribute's) own line.
-// ---------------------------------------------------------------------------
-
-fn taint_of(files: &[(&str, String)]) -> Vec<TaintFinding> {
-    let owned: Vec<(String, String)> = files
-        .iter()
-        .map(|(p, s)| (p.to_string(), s.clone()))
-        .collect();
-    taint_files(&owned)
-}
-
-/// `(line, rule)` of every finding, in report order.
-fn lines_and_rules(found: &[TaintFinding]) -> Vec<(usize, &'static str)> {
-    found.iter().map(|f| (f.line, f.rule)).collect()
-}
-
-#[test]
-fn seeded_wall_clock_in_a_helper_is_flagged_at_the_needle() {
-    // The needle sits in a helper: it is flagged there, and the scan fails
-    // on it; the caller is not a second finding.
-    let src = format!(
-        "fn stamp() -> u64 {{\n    let t = Instant{}now();\n    0\n}}\n\nfn decide_plan() -> u64 {{\n    stamp() % 2\n}}\n",
-        "::"
-    );
-    let found = taint_of(&[("seed.rs", src)]);
-    assert_eq!(
-        lines_and_rules(&found),
-        vec![(2, "std::time::Instant::now")]
-    );
-}
-
-#[test]
-fn seeded_wall_clock_laundered_through_a_turbofish_call_is_flagged() {
-    // A wall-clock read inside a generic type's method, reached as
-    // `Clock::<u64>::stamp()`: the read is flagged where it is written.
-    let src = format!(
-        "struct Clock;\nimpl Clock {{\n    fn stamp() -> u64 {{\n        let t = Instant{}now();\n        0\n    }}\n}}\n\nfn decide_order() -> u64 {{\n    Clock::<u64>::stamp() % 2\n}}\n",
-        "::"
-    );
-    let found = taint_of(&[("seed.rs", src)]);
-    assert_eq!(
-        lines_and_rules(&found),
-        vec![(4, "std::time::Instant::now")]
-    );
-}
-
-#[test]
-fn seeded_thread_id_is_flagged_at_the_read() {
-    let src = format!(
-        "fn who() -> String {{\n    format!(\"{{:?}}\", thread{}current().id())\n}}\nfn tag() -> String {{\n    who()\n}}\n",
-        "::"
-    );
-    let found = taint_of(&[("seed.rs", src)]);
-    assert_eq!(lines_and_rules(&found), vec![(2, "std::thread::current")]);
-}
-
-#[test]
-fn seeded_random_state_is_flagged() {
-    let src = format!("fn fresh() {{\n    let h = Random{}::new();\n}}\n", "State");
-    let found = taint_of(&[("seed.rs", src)]);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].rule, "std::collections::hash_map::RandomState");
-}
-
-#[test]
-fn seeded_env_read_is_flagged_outside_declared_sinks() {
-    let env = format!("std{}env{}var(\"KNOB\")", "::", "::");
-    let src = format!("fn knob() -> bool {{\n    {env}.is_ok()\n}}\n");
-    let found = taint_of(&[("seed.rs", src)]);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].rule, "std::env::var");
-    // There are no declared sinks left: the read is sanctioned under its
-    // `#[expect]` in any file, and flagged without it in any file.
-    let sanctioned = format!(
-        "fn knob() -> bool {{\n    #[expect(clippy::disallowed_methods)]\n    {env}.is_ok()\n}}\n"
-    );
-    let bare = format!("fn trail_check_enabled() -> bool {{\n    {env}.is_ok()\n}}\n");
-    for file in ["crates/core/src/congruence.rs", "crates/core/src/knobs.rs"] {
-        assert!(taint_of(&[(file, sanctioned.clone())]).is_empty(), "{file}");
-        assert_eq!(taint_of(&[(file, bare.clone())]).len(), 1, "{file}");
-    }
-}
-
-#[test]
-fn seeded_env_var_os_toggle_is_flagged_at_the_read() {
-    // The shape of the debug toggle the product crates used to carry: a
-    // cached environment read behind a helper, consulted on a hot path.
-    let src = format!(
-        "fn audit_enabled() -> bool {{\n    std{s}env{s}var_os(\"AUDIT\").is_some()\n}}\nimpl Trail {{\n    fn rollback(&mut self) {{\n        if audit_enabled() {{}}\n    }}\n}}\n",
-        s = "::"
-    );
-    let found = taint_of(&[("crates/core/src/trail.rs", src)]);
-    assert_eq!(lines_and_rules(&found), vec![(2, "std::env::var_os")]);
-}
-
-#[test]
-fn seeded_cnb_lint_comment_sanctions_nothing() {
-    // The old comment escape, on the needle's line and on the line above:
-    // both reads are flagged.
-    let src = format!(
-        "fn stamp() -> u64 {{\n    let t = Instant{n}now(); // cnb-lint: allow(wall-clock)\n    // cnb-lint: allow(wall-clock)\n    let u = Instant{n}now();\n    0\n}}\nfn decide() -> u64 {{\n    stamp()\n}}\n",
-        n = "::"
-    );
-    let found = taint_of(&[("seed.rs", src)]);
-    assert_eq!(
-        lines_and_rules(&found),
-        vec![
-            (2, "std::time::Instant::now"),
-            (4, "std::time::Instant::now")
-        ]
-    );
-}
-
-#[test]
-fn seeded_expect_of_the_wrong_list_is_stale_and_sanctions_nothing() {
-    let src = format!(
-        "fn stamp() -> u64 {{\n    #[expect(clippy::disallowed_types)]\n    let t = Instant{}now();\n    0\n}}\n",
-        "::"
-    );
-    let found: Vec<(usize, &str)> = taint_of(&[("seed.rs", src)])
-        .iter()
-        .map(|f| (f.line, f.rule))
-        .collect();
-    assert_eq!(
-        found,
-        vec![(2, "stale-expect"), (3, "std::time::Instant::now")]
-    );
-}
-
-#[test]
-fn seeded_wall_clock_in_the_serving_layer_is_flagged_under_expect() {
-    let src = format!(
-        "fn admit() -> bool {{\n    #[expect(clippy::disallowed_methods)]\n    let t = Instant{}now();\n    true\n}}\n",
-        "::"
-    );
-    let found = taint_of(&[("crates/engine/src/serving.rs", src.clone())]);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!((found[0].rule, found[0].line), ("serving-clock", 3));
-    // The same lines anywhere else are a sanctioned site.
-    assert!(taint_of(&[("crates/engine/src/eval.rs", src)]).is_empty());
-}
-
-#[test]
-fn seeded_serving_clock_is_a_property_of_the_serving_files() {
-    // The needle lives in a non-serving file: it is that file's finding,
-    // and the serving-layer fn calling it adds no `serving-clock` one.
-    let helper = format!(
-        "pub fn elapsed_hint() -> u64 {{\n    let t = Instant{}now();\n    1\n}}\n",
-        "::"
-    );
-    let serving = "fn admit_request() -> bool {\n    elapsed_hint() < 10\n}\n".to_string();
-    let found: Vec<(String, usize, &str)> = taint_of(&[
-        ("crates/core/src/hints.rs", helper),
-        ("crates/engine/src/serving.rs", serving),
-    ])
-    .into_iter()
-    .map(|f| (f.file, f.line, f.rule))
-    .collect();
-    assert_eq!(
-        found,
-        vec![(
-            "crates/core/src/hints.rs".to_string(),
-            2,
-            "std::time::Instant::now"
-        )]
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -436,15 +306,30 @@ fn golden_agm_verdicts_for_the_whole_suite() {
 
 #[test]
 fn golden_shape_report_flags_triangle_and_clique_but_not_even_cycle() {
-    let shapes = shape_report().unwrap_or_else(|e| panic!("{e}"));
+    // The EC5 cyclic shapes judged on their declared binding order, with no
+    // optimizer: the triangle exceeds its bound under every binary order,
+    // the 4-clique's canonical pair order binds all of node 1's and node
+    // 2's edges before e3_4 (a five-scan double star with four dangling
+    // targets: 4 > 2), and the 4-cycle meets its bound as a chain.
+    let tri = cnb_workloads::Ec5::triangle();
+    let four = cnb_workloads::Ec5::four_cycle();
+    let shapes = [
+        ("triangle", tri.schema(), tri.cycle_query()),
+        ("4-clique", tri.schema(), tri.clique_query(4)),
+        ("4-cycle", four.schema(), four.cycle_query()),
+    ];
     let golden: Vec<(String, String, String, bool)> = shapes
         .iter()
-        .map(|s| {
+        .map(|(name, schema, query)| {
+            let (bound, _) = query_bound(schema, query).unwrap_or_else(|e| panic!("{e}"));
+            let worst = plan_agm(schema, query, 0, bound)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .worst;
             (
-                s.name.clone(),
-                s.bound.to_string(),
-                s.worst.to_string(),
-                s.wcoj_needed,
+                name.to_string(),
+                bound.to_string(),
+                worst.to_string(),
+                worst.gt(&bound),
             )
         })
         .collect();

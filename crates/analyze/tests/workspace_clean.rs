@@ -1,15 +1,15 @@
-//! Pins the repo's own cleanliness: the determinism scan, run over this
-//! workspace's real sources, finds nothing. If a `std::collections` HashMap,
-//! an unannotated wall-clock read, a stale `#[expect]`, or any wall-clock
-//! read in the serving layer ever lands in
-//! `crates/{bench,core,engine,ir,workloads}`, this test is the tier that says
-//! so.
+//! Pins, per crate, every place a static rule is sanctioned. `clippy.toml`
+//! is the one determinism ban list and `cargo clippy --all-targets -- -D
+//! warnings` its one enforcer: it reports each unsanctioned use and each
+//! stale `#[expect]`. What clippy does not report is how many sanctions
+//! there are, so this file counts them and a new one must change a number
+//! here. A sanction is counted in any form clippy accepts — `allow` or
+//! `expect`, outer or inner, one lint or a list, on one line or several —
+//! because every form names the lint (or a group holding it) on a code
+//! line that is not the `deny` / `forbid` line setting it.
 
 use std::fs;
 use std::path::Path;
-
-use cnb_analyze::strip::strip_source;
-use cnb_analyze::taint::{taint_files, taint_workspace};
 
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -18,116 +18,61 @@ fn workspace_root() -> &'static Path {
         .expect("workspace root")
 }
 
-#[test]
-fn determinism_taint_is_clean_on_this_workspace() {
-    // Zero findings: every needle sits under its `#[expect]` and no
-    // `#[expect]` is stale.
-    let findings = taint_workspace(workspace_root()).expect("scan the workspace");
-    assert!(
-        findings.is_empty(),
-        "determinism taint found:\n{}",
-        findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
-
-/// The `.rs` files under `dir`, named relative to the workspace root.
-fn sources(dir: &Path, out: &mut Vec<(String, String)>) {
+/// The lines of every `.rs` file under `dir`, tests included, less those
+/// that are comments (first non-blank characters `//`).
+fn code_lines(dir: &Path, out: &mut Vec<String>) {
     for entry in fs::read_dir(dir).expect("read a crate directory") {
         let path = entry.expect("directory entry").path();
         if path.is_dir() {
-            sources(&path, out);
-        } else if path.extension().is_some_and(|x| x == "rs") {
-            let name = path
-                .strip_prefix(workspace_root())
-                .expect("under the workspace")
-                .to_string_lossy()
-                .replace('\\', "/");
-            out.push((name, fs::read_to_string(&path).expect("read a source file")));
-        }
-    }
-}
-
-#[test]
-fn every_sanctioned_site_fires_without_its_expect() {
-    // Blank every sanction in place: the scan must then flag exactly the
-    // lines those attributes stood over, so the clean pass above is not a
-    // scan that sees nothing.
-    let attrs = [
-        "#[expect(clippy::disallowed_methods)]",
-        "#[expect(clippy::disallowed_types)]",
-    ];
-    let mut files = Vec::new();
-    for krate in ["bench", "core", "engine", "ir", "workloads"] {
-        sources(&workspace_root().join("crates").join(krate), &mut files);
-    }
-    let mut guarded = Vec::new();
-    for (name, text) in &mut files {
-        let mut bare = String::new();
-        for (idx, line) in text.lines().enumerate() {
-            if attrs.contains(&line.trim()) {
-                guarded.push((name.clone(), idx + 2));
-            } else {
-                bare.push_str(line);
-            }
-            bare.push('\n');
-        }
-        *text = bare;
-    }
-    guarded.sort();
-    assert_eq!(
-        guarded.len(),
-        11,
-        "eight wall-clock reads, three fxhash lines"
-    );
-
-    let mut flagged: Vec<(String, usize)> = taint_files(&files)
-        .into_iter()
-        .map(|f| (f.file, f.line))
-        .collect();
-    flagged.sort();
-    flagged.dedup();
-    assert_eq!(flagged, guarded);
-}
-
-/// Lines of code (comments and string contents stripped) under `dir`, tests
-/// included, that contain one of `needles`.
-fn code_sites(dir: &Path, needles: &[&str]) -> usize {
-    let mut sites = 0;
-    for entry in fs::read_dir(dir).expect("read a crate directory") {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            sites += code_sites(&path, needles);
+            code_lines(&path, out);
         } else if path.extension().is_some_and(|x| x == "rs") {
             let source = fs::read_to_string(&path).expect("read a source file");
-            sites += strip_source(&source)
-                .iter()
-                .filter(|l| needles.iter().any(|n| l.code.contains(n)))
-                .count();
+            out.extend(
+                source
+                    .lines()
+                    .filter(|l| !l.trim_start().starts_with("//"))
+                    .map(str::to_string),
+            );
         }
     }
-    sites
 }
 
-/// Sanctioned sites per crate: `#[expect(clippy::<lint>)]` lines, the one
-/// form a sanction takes.
-fn assert_sanctions(lint: &str, pinned: [(&str, usize); 5]) {
-    let attr = format!("#[expect(clippy::{lint})]");
-    for (krate, sites) in pinned {
-        let dir = workspace_root().join("crates").join(krate);
-        assert_eq!(
-            code_sites(&dir, &[attr.as_str()]),
-            sites,
-            "cnb-{krate}: sanctioned {lint} sites changed"
-        );
+fn crate_lines(krate: &str) -> Vec<String> {
+    let mut lines = Vec::new();
+    code_lines(&workspace_root().join("crates").join(krate), &mut lines);
+    lines
+}
+
+/// True when `line` names the lint path `name` (and not a longer one that
+/// starts with it, as `clippy::panic_in_result_fn` starts with
+/// `clippy::panic`).
+fn names(line: &str, name: &str) -> bool {
+    line.match_indices(name).any(|(at, _)| {
+        !line[at + name.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+    })
+}
+
+/// Sanctioned sites of `clippy::<lint>` per crate: code lines that name the
+/// lint or one of `groups`, other than the lines that deny or forbid it.
+fn assert_sanctions(lint: &str, groups: &[&str], pinned: &[(&str, usize)]) {
+    let mut paths = vec![format!("clippy::{lint}")];
+    paths.extend(groups.iter().map(|g| format!("clippy::{g}")));
+    for &(krate, sites) in pinned {
+        let found = crate_lines(krate)
+            .iter()
+            .filter(|l| !l.contains("deny(") && !l.contains("forbid("))
+            .filter(|l| paths.iter().any(|p| names(l, p)))
+            .count();
+        assert_eq!(found, sites, "cnb-{krate}: sanctioned {lint} sites changed");
     }
 }
 
+/// The groups `clippy.toml`'s two lints belong to: allowing either one
+/// sanctions them too.
+const DISALLOWED_GROUPS: &[&str] = &["all", "style"];
+
 /// The sanctioned wall-clock reads, counted per crate. Every one is a place
-/// where timing enters a scanned crate (stats-only timers, the one backchase
+/// where timing enters a crate (stats-only timers, the one backchase
 /// deadline, the serving `WallClock`, fig. 5's chase timer); a new one must
 /// change a number here. Bench's one: `chase_row` in `figs.rs` — every other
 /// figure times with `OptimizeResult::total_time` and `ExecStats::elapsed`.
@@ -139,7 +84,8 @@ fn assert_sanctions(lint: &str, pinned: [(&str, usize); 5]) {
 fn sanctioned_wall_clock_sites_are_pinned() {
     assert_sanctions(
         "disallowed_methods",
-        [
+        DISALLOWED_GROUPS,
+        &[
             ("bench", 1),
             ("core", 4),
             ("engine", 3),
@@ -156,7 +102,8 @@ fn sanctioned_wall_clock_sites_are_pinned() {
 fn sanctioned_std_hash_map_sites_are_pinned() {
     assert_sanctions(
         "disallowed_types",
-        [
+        DISALLOWED_GROUPS,
+        &[
             ("bench", 0),
             ("core", 0),
             ("engine", 0),
@@ -166,18 +113,64 @@ fn sanctioned_std_hash_map_sites_are_pinned() {
     );
 }
 
+/// The sanctioned panics of the three crates that deny `clippy::panic` and
+/// `clippy::unreachable` outside their tests. IR's seven: the schema
+/// builders of `physical.rs`, which refuse a relation or attribute that
+/// does not exist and a view definition that does not type-check. Core's
+/// one: `combine_plans` in `fragments.rs`, on an output no OQF fragment
+/// provides. There is no sanctioned `unreachable!`.
+#[test]
+fn sanctioned_panic_sites_are_pinned() {
+    let pinned = [("core", 1), ("engine", 0), ("ir", 7)];
+    assert_sanctions("panic", &["restriction"], &pinned);
+    assert_sanctions(
+        "unreachable",
+        &["restriction"],
+        &pinned.map(|(k, _)| (k, 0)),
+    );
+}
+
+/// The attributes that make those rules: the serving layer forbids the
+/// clock outright (no `#[expect]` can sanction a read there), and the three
+/// logic crates deny panics outside their tests.
+#[test]
+fn the_forbid_and_deny_attributes_are_in_place() {
+    let forbid = "#![forbid(clippy::disallowed_methods)]";
+    let deny = "#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]";
+    for (file, attr) in [
+        ("engine/src/serving.rs", forbid),
+        ("engine/src/pressure.rs", forbid),
+        ("core/src/lib.rs", deny),
+        ("engine/src/lib.rs", deny),
+        ("ir/src/lib.rs", deny),
+    ] {
+        let path = workspace_root().join("crates").join(file);
+        let source = fs::read_to_string(&path).expect("read a source file");
+        assert!(
+            source.lines().any(|l| l.trim() == attr),
+            "{file}: `{attr}` is gone"
+        );
+    }
+}
+
 /// Where a thread can start and where the environment can be read, counted
 /// per crate. A thread count is an argument: the engine's one fork/join site
 /// is `pool::map_in_order`, fed by `serve_batch_under`'s `threads`, and
-/// `cnb_core` cannot spawn a thread whatever a config field says. No scanned
-/// crate reads the environment: a debug build audits the congruence trail
-/// on every rollback without being asked, and `figures` takes `--rows` and
+/// `cnb_core` cannot spawn a thread whatever a config field says. No crate
+/// reads the environment: a debug build audits the congruence trail on
+/// every rollback without being asked, and `figures` takes `--rows` and
 /// `--timeout`. This is what stands where the suites that re-ran a
 /// thread-blind search at 1/2/4/8 threads stood.
 #[test]
 fn thread_spawn_and_environment_read_sites_are_pinned() {
     let spawn = ["thread::scope", "thread::spawn", "thread::Builder"];
     let env_read = ["env::var"]; // `var`, `var_os`, `vars`, `vars_os`
+    let sites = |lines: &[String], needles: &[&str]| {
+        lines
+            .iter()
+            .filter(|l| needles.iter().any(|n| l.contains(n)))
+            .count()
+    };
     for (krate, spawns, env_reads) in [
         ("bench", 0, 0),
         ("core", 0, 0),
@@ -185,17 +178,11 @@ fn thread_spawn_and_environment_read_sites_are_pinned() {
         ("ir", 0, 0),
         ("workloads", 0, 0),
     ] {
-        let dir = workspace_root().join("crates").join(krate);
+        let lines = crate_lines(krate);
         assert_eq!(
-            (code_sites(&dir, &spawn), code_sites(&dir, &env_read)),
+            (sites(&lines, &spawn), sites(&lines, &env_read)),
             (spawns, env_reads),
             "cnb-{krate}: (thread-spawn, environment-read) sites changed"
         );
     }
-}
-
-#[test]
-fn missing_crate_directory_is_an_error_not_a_clean_pass() {
-    let err = taint_workspace(Path::new("/nonexistent-cnb-root")).unwrap_err();
-    assert!(err.to_string().contains("not found"), "{err}");
 }

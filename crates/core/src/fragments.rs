@@ -236,6 +236,7 @@ pub fn combine_plans(q0: &Query, fragments: &[Fragment], choice: &[&Query]) -> Q
     }
     // Project original outputs.
     for (label, _) in &q0.select {
+        #[expect(clippy::panic)]
         let provider = fragments
             .iter()
             .position(|f| f.provides.contains(label))

@@ -3,11 +3,10 @@
 //! Deadline decisions must be *typed and reproducible*: a test that wants a
 //! deterministic expiry schedule cannot depend on how fast the host happens
 //! to run. So serving logic never reads the wall clock directly — it asks a
-//! [`Clock`], and the `cnb-analyze` determinism lint enforces this by
-//! denying wall-clock reads in `crates/engine/src/serving.rs` and
-//! `crates/engine/src/pressure.rs` *even when annotated*: this module's
-//! [`WallClock`] is the single sanctioned wall-clock read of the serving
-//! path.
+//! [`Clock`]. `serving.rs` and `pressure.rs` each open with
+//! `#![forbid(clippy::disallowed_methods)]`, so clippy refuses a wall-clock
+//! read there *even under an `#[expect]`*: this module's [`WallClock`] is
+//! the single sanctioned wall-clock read of the serving path.
 //!
 //! Two implementations cover both worlds:
 //!

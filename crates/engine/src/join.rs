@@ -234,7 +234,7 @@ fn fuse_dict_pair(q: &Query, bound: &[Var], key_step: &Step, elem_step: &Step) -
 pub(crate) fn greedy_order(db: &Database, q: &Query) -> Result<Vec<Step>, ExecError> {
     // Binding-order soundness only: disconnected (cross-product) queries
     // are legal here — the engine evaluates them — and are rejected
-    // earlier, by `cnb-analyze` over optimizer-emitted plans.
+    // earlier, by `cnb_analyze::validate::validate_plan` over optimizer-emitted plans.
     debug_assert_eq!(
         q.validate(),
         Ok(()),

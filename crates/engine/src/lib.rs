@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 mod batch;
 pub mod clock;

@@ -12,7 +12,10 @@
 //!
 //! Time never enters this module: deadlines are judged against the
 //! injectable [`crate::clock::Clock`] by the serving loop, and the
-//! determinism lint denies any wall-clock read here even if annotated.
+//! attribute below makes any wall-clock read here a clippy error that no
+//! `#[expect]` can sanction.
+
+#![forbid(clippy::disallowed_methods)]
 
 use std::time::Duration;
 

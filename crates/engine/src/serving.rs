@@ -40,6 +40,12 @@
 //! clock the entire outcome vector, rows included, is byte-identical at any
 //! executor thread count. Scheduling may reorder *execution*, never
 //! *results*. The `threads` argument is the only source of a thread count.
+//!
+//! Time enters only through the [`Clock`] a caller passes: the attribute
+//! below makes any wall-clock read in this module a clippy error that no
+//! `#[expect]` can sanction.
+
+#![forbid(clippy::disallowed_methods)]
 
 use cnb_ir::prelude::Query;
 

@@ -27,8 +27,8 @@ fn server_for(w: &dyn Workload) -> PlanServer {
     )
 }
 
-/// A served plan must pass the same semantic validation the `cnb-analyze`
-/// gate applies to backchase-emitted plans.
+/// A served plan must pass the same semantic validation
+/// `cnb_analyze::suite::validate_suite` applies to backchase-emitted plans.
 fn assert_valid(w: &dyn Workload, served: &ServedPlan) {
     validate_plan(&w.schema(), &served.plan)
         .unwrap_or_else(|e| panic!("{}: served plan fails validate_plan: {e}", w.name()));

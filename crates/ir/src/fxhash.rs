@@ -22,8 +22,8 @@
 //! loss of DoS resistance is irrelevant.
 //!
 //! This module is the *only* place the workspace is allowed to name the
-//! std hash containers: `cnb-analyze`'s determinism lint denies them
-//! everywhere else, and the aliases below are the sanctioned replacement.
+//! std hash containers: `clippy.toml` bans them everywhere else (clippy
+//! enforces it), and the aliases below are the sanctioned replacement.
 //! The crate-root re-export `cnb_core::fxhash` keeps the historical path
 //! alive for downstream crates.
 

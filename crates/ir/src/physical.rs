@@ -56,9 +56,11 @@ pub fn add_primary_index(
     index_name: impl Into<Symbol>,
 ) -> Symbol {
     let index_name = index_name.into();
+    #[expect(clippy::panic)]
     let attrs = schema
         .relation_attrs(rel)
         .unwrap_or_else(|| panic!("{rel} is not a relation"));
+    #[expect(clippy::panic)]
     let key_ty = attrs
         .iter()
         .find(|(a, _)| *a == key)
@@ -97,6 +99,7 @@ pub fn add_composite_index(
     index_name: impl Into<Symbol>,
 ) -> Symbol {
     let index_name = index_name.into();
+    #[expect(clippy::panic)]
     let attrs = schema
         .relation_attrs(rel)
         .unwrap_or_else(|| panic!("{rel} is not a relation"));
@@ -104,6 +107,7 @@ pub fn add_composite_index(
         key_attrs
             .iter()
             .map(|a| {
+                #[expect(clippy::panic)]
                 let t = attrs
                     .iter()
                     .find(|(n, _)| n == a)
@@ -160,9 +164,11 @@ pub fn add_secondary_index(
     index_name: impl Into<Symbol>,
 ) -> Symbol {
     let index_name = index_name.into();
+    #[expect(clippy::panic)]
     let attrs = schema
         .relation_attrs(rel)
         .unwrap_or_else(|| panic!("{rel} is not a relation"));
+    #[expect(clippy::panic)]
     let attr_ty = attrs
         .iter()
         .find(|(a, _)| *a == attr)
@@ -202,6 +208,7 @@ pub fn add_secondary_index(
 /// use this same builder.
 pub fn add_materialized_view(schema: &mut Schema, name: impl Into<Symbol>, def: &Query) -> Symbol {
     let name = name.into();
+    #[expect(clippy::panic)]
     let out_ty = check_query(schema, def)
         .unwrap_or_else(|e| panic!("view {name} definition does not type-check: {e}"));
     schema.add_physical_set(name, out_ty);

@@ -50,7 +50,7 @@ impl DataScale {
 }
 
 /// The AGM verdict a family declares for its backchase plans; the
-/// `cnb-analyze` certifier asserts the computed verdict matches.
+/// `cnb_analyze` certifier asserts the computed verdict matches.
 ///
 /// `Certified` means every emitted plan's worst binding-order prefix stays
 /// within the central query's fractional-edge-cover bound (acyclic
@@ -58,18 +58,14 @@ impl DataScale {
 /// scans meets the bound, but the optimizer's generic-join (WCOJ) plan
 /// twin does — its intermediates are capped at `N^{ρ*}` by construction,
 /// with the full-query fractional edge cover as the certificate (cyclic
-/// EC5 since the WCOJ operator landed). `WcojNeeded` means no emitted
-/// base plan of *any* kind meets the bound — the gap is real and still
-/// open (a cyclic family whose optimizer produces only binary orders).
+/// EC5 since the WCOJ operator landed). A family whose plans meet neither
+/// has no expectation to declare: the certifier's other verdicts fail it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AgmExpectation {
     /// All plans within the query's AGM bound.
     Certified,
     /// Left-deep base plans exceed the bound; the WCOJ plan twin meets it.
     WcojClosed,
-    /// No base plan of any kind within the bound: the shape needs a WCOJ
-    /// operator the optimizer does not emit.
-    WcojNeeded,
 }
 
 /// Which plan the *measured* WCOJ-aware ranking
@@ -79,8 +75,6 @@ pub enum AgmExpectation {
 pub enum RankExpectation {
     /// No first-plan pin beyond cost ordering itself.
     Any,
-    /// A plan over a physical structure (index/view/ASR) ranks first.
-    PhysicalFirst,
     /// On the family's skewed dataset ([`Workload::generate_skewed_at`])
     /// the generic-join twin of a base-scan plan ranks first: skew inflates
     /// every binary intermediate past the AGM-bounded WCOJ price.

@@ -51,8 +51,7 @@ fn every_workload_meets_its_plan_expectations() {
 /// cardinalities and selectivities must (a) prune candidates against the
 /// WCOJ-aware bound and (b) rank the generic-join twin of a base-scan plan
 /// first — skew inflates every binary intermediate past the AGM-bounded
-/// generic-join price. [`RankExpectation::PhysicalFirst`] pins a physical
-/// plan first instead; [`RankExpectation::Any`] asserts nothing.
+/// generic-join price. [`RankExpectation::Any`] asserts nothing.
 #[test]
 fn measured_ranking_matches_expectations() {
     use cnb_core::prelude::{CostModel, OptimizerConfig};
@@ -86,12 +85,6 @@ fn measured_ranking_matches_expectations() {
         let first = &res.plans[0];
         match exp.rank {
             RankExpectation::Any => unreachable!(),
-            RankExpectation::PhysicalFirst => assert!(
-                !first.physical_used.is_empty(),
-                "{}: expected a physical plan first, got:\n{}",
-                w.name(),
-                first.query
-            ),
             RankExpectation::WcojFirstUnderSkew => {
                 assert!(
                     res.pruned > 0,

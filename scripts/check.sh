@@ -31,33 +31,33 @@ tier() {
 tier "cargo fmt --check"
 cargo fmt --check
 
-# Clippy enforces clippy.toml, the workspace's one determinism ban list, by
-# type. Each sanctioned use sits under #[expect(clippy::disallowed_methods)]
-# or #[expect(clippy::disallowed_types)]; this tier is where a stale one
-# fails ("this lint expectation is unfulfilled").
+# Clippy is the one enforcer of clippy.toml, the workspace's one
+# determinism ban list, by type and in every target. Each sanctioned use sits
+# under #[expect(clippy::disallowed_methods)] or
+# #[expect(clippy::disallowed_types)]; this tier is where a stale one fails
+# ("this lint expectation is unfulfilled"). crates/engine/src/serving.rs and
+# pressure.rs forbid clippy::disallowed_methods, so a wall-clock read there
+# fails even under an #[expect]. cnb_core, cnb_engine and cnb_ir deny
+# clippy::panic and clippy::unreachable outside their tests; each sanctioned
+# panic sits under #[expect(clippy::panic)]. The sanctions are counted per
+# crate by crates/analyze/tests/workspace_clean.rs in the next-but-one tier.
 tier "cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
 tier "cargo build --release"
 cargo build --release
 
-# Static-analysis tier: cnb-analyze, one command, every prong in one pass —
-# the determinism scan (clippy.toml's entries matched line by line in the
-# four logic crates and the experiment harness: unsanctioned needles and
-# stale #[expect]s reported at their own lines, wall-clock reads in the
-# serving layer denied outright), then one pass over the suite that
-# optimizes each workload once and runs the semantic validator (schema,
+# Semantic-analysis tier: cnb-analyze's tests, release profile. The suite
+# pass optimizes each workload once and runs the semantic validator (schema,
 # constraints — including the weak-acyclicity chase termination check —
 # query, and every backchase-emitted plan) and the AGM-bound plan certifier
-# over the same plans. Offline and fast, so it runs ahead of every test
-# tier: a finding here makes the test failures downstream redundant. The
-# machine-readable report lands in target/cnb-analyze.json either way.
-tier "cnb-analyze (determinism scan + suite validation + AGM certification)"
-analysis_json=target/cnb-analyze.json
-if ! cargo run --release -q -p cnb-analyze -- . --json "$analysis_json"; then
-  echo "error: cnb-analyze found problems — JSON findings at $analysis_json" >&2
-  exit 1
-fi
+# over the same plans; the negative corpus pins each validator discipline
+# and the golden AGM verdicts; workspace_clean pins every clippy sanction
+# per crate and lint (allow or expect, outer or inner). Fast, so it runs
+# ahead of every other test tier: a finding here makes the test failures
+# downstream redundant.
+tier "cnb-analyze tests (suite validation + AGM certification + sanction pins), release profile"
+cargo test --release -q -p cnb-analyze
 
 # Figures tier: the README's quick sanity run, so it cannot rot. One figure
 # end to end through the `figures` command line (argument parsing, dataset
