@@ -160,10 +160,10 @@ fn disconnected_plan_is_rejected() {
 }
 
 /// Ground terms join bindings only when they are the same value, not when
-/// they print alike: `7` and `7.0` both print `7`, and NaNs with different
-/// payloads both print `NaN` but differ bit for bit (`Value::eq`). The
-/// typechecker refuses the first shape as a plan; the second is well-typed
-/// and must be refused as a cross product.
+/// they look alike: `7` and `7.0` are an int and a float, and NaNs with
+/// different payloads both print `NaN` but differ bit for bit
+/// (`Value::eq`). The typechecker refuses the first shape as a plan; the
+/// second is well-typed and must be refused as a cross product.
 #[test]
 fn ground_terms_that_print_alike_do_not_connect() {
     let mut q = Query::new();

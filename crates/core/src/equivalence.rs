@@ -315,4 +315,20 @@ mod tests {
         let (eq, _) = checker.equivalent(&cand);
         assert!(!eq);
     }
+
+    /// An output of `7.0` and one of `7` are different plans: their
+    /// canonical keys differ, and neither query contains the other.
+    #[test]
+    fn float_and_int_outputs_are_different_plans() {
+        let with = |c: Value| {
+            let mut q = Query::new();
+            let r = q.bind("r", Range::Name(sym("R")));
+            q.output("A", PathExpr::from(r).dot("A"));
+            q.output("C", PathExpr::from(c));
+            q
+        };
+        let (float, int) = (with(Value::Float(7.0)), with(Value::Int(7)));
+        assert!(same_plan(&float, &float.offset_vars(3)));
+        assert!(!same_plan(&float, &int));
+    }
 }

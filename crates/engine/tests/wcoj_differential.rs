@@ -44,7 +44,9 @@ fn answer_set(rows: &[Value]) -> Vec<Value> {
 }
 
 /// FNV-1a over each row's display form, in output order — a hand-rolled,
-/// process-independent digest (no hasher seeds anywhere).
+/// process-independent digest (no hasher seeds anywhere). A float displays
+/// with its decimal point, so a row holding `Float(1.0)` digests apart from
+/// one holding `Int(1)`.
 fn order_digest(rows: &[Value]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for r in rows {
@@ -481,7 +483,7 @@ fn mixed_kind_family_matches_both_engines_and_its_goldens() {
     let golden: [(&str, u64, usize, usize, &[&str]); 11] = [
         (
             "triangle",
-            0x42f1_6985_cb05_e9c1,
+            0xe9b1_f4df_094c_9ffb,
             319,
             2653,
             &[
@@ -619,7 +621,7 @@ fn mixed_kind_family_matches_both_engines_and_its_goldens() {
         ),
         (
             "self-key-and-second-relation",
-            0xcd6e_e50b_89a6_aadb,
+            0xee48_a364_10ec_f79d,
             27,
             579,
             &[

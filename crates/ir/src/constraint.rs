@@ -16,7 +16,8 @@
 use std::fmt;
 
 use crate::path::{Equality, PathExpr, Var};
-use crate::query::{render_path, Binding, Query, Range};
+use crate::print::{named, Printer};
+use crate::query::{Binding, Query, Range};
 use crate::scope::{Clause, Scope, ScopeError};
 use crate::symbol::Symbol;
 
@@ -182,65 +183,12 @@ impl Constraint {
             next_var: self.next_var + offset,
         }
     }
-
-    fn var_name(&self, v: Var) -> String {
-        self.universal
-            .iter()
-            .chain(self.existential.iter())
-            .find(|b| b.var == v)
-            .map(|b| b.name.to_string())
-            .unwrap_or_else(|| format!("${}", v.0))
-    }
 }
 
 impl fmt::Display for Constraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name_of = |v: Var| self.var_name(v);
-        let render_quant = |b: &Binding| -> String {
-            match &b.range {
-                Range::Name(s) => format!("({} in {s})", b.name),
-                Range::Dom(s) => format!("({} in dom {s})", b.name),
-                Range::Expr(p) => format!("({} in {})", b.name, render_path(p, &name_of)),
-            }
-        };
-        write!(f, "forall ")?;
-        for b in &self.universal {
-            write!(f, "{}", render_quant(b))?;
-        }
-        if !self.premise.is_empty() {
-            write!(f, " ")?;
-            for (i, eq) in self.premise.iter().enumerate() {
-                if i > 0 {
-                    write!(f, " and ")?;
-                }
-                write!(
-                    f,
-                    "{} = {}",
-                    render_path(&eq.lhs, &name_of),
-                    render_path(&eq.rhs, &name_of)
-                )?;
-            }
-        }
-        write!(f, " => ")?;
-        if !self.existential.is_empty() {
-            write!(f, "exists ")?;
-            for b in &self.existential {
-                write!(f, "{}", render_quant(b))?;
-            }
-            write!(f, " ")?;
-        }
-        for (i, eq) in self.conclusion.iter().enumerate() {
-            if i > 0 {
-                write!(f, " and ")?;
-            }
-            write!(
-                f,
-                "{} = {}",
-                render_path(&eq.lhs, &name_of),
-                render_path(&eq.rhs, &name_of)
-            )?;
-        }
-        Ok(())
+        let bindings = self.universal.iter().chain(&self.existential);
+        Printer::new(f, named(bindings)).constraint(self)
     }
 }
 

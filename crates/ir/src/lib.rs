@@ -44,6 +44,7 @@ pub mod hypergraph;
 pub mod parser;
 pub mod path;
 pub mod physical;
+mod print;
 pub mod query;
 pub mod schema;
 pub mod scope;

@@ -118,18 +118,23 @@ fn lex(input: &str) -> Result<Lexer, ParseError> {
                 toks.push((Tok::Int(v), start));
             }
         } else if c == '\'' {
+            // `''` inside a literal is one quote.
             i += 1;
             let s = i;
-            while i < bytes.len() && bytes[i] != b'\'' {
-                i += 1;
+            loop {
+                match bytes.get(i) {
+                    Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => i += 2,
+                    Some(b'\'') => break,
+                    Some(_) => i += 1,
+                    None => {
+                        return Err(ParseError {
+                            message: "unterminated string literal".into(),
+                            offset: start,
+                        })
+                    }
+                }
             }
-            if i >= bytes.len() {
-                return Err(ParseError {
-                    message: "unterminated string literal".into(),
-                    offset: start,
-                });
-            }
-            toks.push((Tok::Str(input[s..i].to_string()), start));
+            toks.push((Tok::Str(input[s..i].replace("''", "'")), start));
             i += 1;
         } else if c == '=' && i + 1 < bytes.len() && bytes[i + 1] == b'>' {
             toks.push((Tok::Arrow, start));
@@ -205,12 +210,25 @@ impl Lexer {
             other => self.err(format!("expected identifier, found {other:?}")),
         }
     }
+
+    /// A variable's name: an identifier that is not a keyword.
+    fn var_name(&mut self) -> Result<String, ParseError> {
+        let name = self.ident()?;
+        if KEYWORDS.contains(&name.to_ascii_lowercase().as_str()) {
+            return self.err(format!("`{name}` cannot be used as a variable name"));
+        }
+        Ok(name)
+    }
 }
 
 // ----------------------------------------------------------------- parser --
 
+/// Reserved words, never variable names. `null`, `nan` and `inf` are what
+/// `Value`'s `Display` prints for constants with no literal, so such a text
+/// fails to parse (an unbound name) rather than reads as a variable.
 const KEYWORDS: &[&str] = &[
     "select", "from", "where", "and", "struct", "dom", "in", "forall", "exists", "true", "false",
+    "null", "nan", "inf",
 ];
 
 struct Scope {
@@ -227,49 +245,62 @@ impl Scope {
     }
 }
 
+/// How deep a parsed path may nest, counting each lookup, field and struct
+/// constructor on the way down: deeper text is a [`ParseError`], never a
+/// walk that outruns the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a path; bare identifiers resolve through `scope` (error if
 /// unbound).
 fn parse_path(lx: &mut Lexer, scope: &Scope) -> Result<PathExpr, ParseError> {
-    let mut base = parse_primary(lx, scope)?;
+    parse_nested(lx, scope, MAX_DEPTH).map(|(p, _)| p)
+}
+
+/// Parses a path at most `room` levels deep; returns it with its depth.
+fn parse_nested(
+    lx: &mut Lexer,
+    scope: &Scope,
+    room: usize,
+) -> Result<(PathExpr, usize), ParseError> {
+    let too_deep = |lx: &Lexer| lx.err(format!("path nests deeper than {MAX_DEPTH} levels"));
+    if room == 0 {
+        return too_deep(lx);
+    }
+    let (mut base, mut depth) = parse_primary(lx, scope, room)?;
     while matches!(lx.peek(), Tok::Punct('.')) {
+        if depth == room {
+            return too_deep(lx);
+        }
         lx.next();
         let field = lx.ident()?;
         base = base.dot(field.as_str());
+        depth += 1;
     }
-    Ok(base)
+    Ok((base, depth))
 }
 
-fn parse_primary(lx: &mut Lexer, scope: &Scope) -> Result<PathExpr, ParseError> {
-    match lx.peek().clone() {
-        Tok::Int(v) => {
-            lx.next();
-            Ok(PathExpr::Const(Value::Int(v)))
-        }
-        Tok::Float(v) => {
-            lx.next();
-            Ok(PathExpr::Const(Value::Float(v)))
-        }
-        Tok::Str(s) => {
-            lx.next();
-            Ok(PathExpr::Const(Value::str(&s)))
-        }
-        Tok::Ident(name) if name.eq_ignore_ascii_case("true") => {
-            lx.next();
-            Ok(PathExpr::Const(Value::Bool(true)))
-        }
-        Tok::Ident(name) if name.eq_ignore_ascii_case("false") => {
-            lx.next();
-            Ok(PathExpr::Const(Value::Bool(false)))
-        }
+fn parse_primary(
+    lx: &mut Lexer,
+    scope: &Scope,
+    room: usize,
+) -> Result<(PathExpr, usize), ParseError> {
+    let constant = match lx.peek().clone() {
+        Tok::Int(v) => Value::Int(v),
+        Tok::Float(v) => Value::Float(v),
+        Tok::Str(s) => Value::str(&s),
+        Tok::Ident(name) if name.eq_ignore_ascii_case("true") => Value::Bool(true),
+        Tok::Ident(name) if name.eq_ignore_ascii_case("false") => Value::Bool(false),
         Tok::Ident(name) if name.eq_ignore_ascii_case("struct") => {
             lx.next();
             lx.expect_punct('(')?;
             let mut fields = Vec::new();
+            let mut depth = 0;
             loop {
                 let label = lx.ident()?;
                 lx.expect_punct('=')?;
-                let p = parse_path(lx, scope)?;
+                let (p, d) = parse_nested(lx, scope, room - 1)?;
                 fields.push((Symbol::new(&label), p));
+                depth = depth.max(d);
                 match lx.peek() {
                     Tok::Punct(',') => {
                         lx.next();
@@ -278,28 +309,32 @@ fn parse_primary(lx: &mut Lexer, scope: &Scope) -> Result<PathExpr, ParseError> 
                 }
             }
             lx.expect_punct(')')?;
-            Ok(PathExpr::MkStruct(fields))
+            return Ok((PathExpr::MkStruct(fields), depth + 1));
         }
         Tok::Ident(name) => {
             lx.next();
             // Dictionary lookup `M[path]` or a variable reference.
             if matches!(lx.peek(), Tok::Punct('[')) {
                 lx.next();
-                let key = parse_path(lx, scope)?;
+                let (key, depth) = parse_nested(lx, scope, room - 1)?;
                 lx.expect_punct(']')?;
-                Ok(PathExpr::Lookup(Symbol::new(&name), Box::new(key)))
-            } else {
-                match scope.lookup(&name) {
-                    Some(v) => Ok(PathExpr::Var(v)),
-                    None => Err(ParseError {
-                        message: format!("unbound variable `{name}`"),
-                        offset: lx.offset(),
-                    }),
-                }
+                return Ok((
+                    PathExpr::Lookup(Symbol::new(&name), Box::new(key)),
+                    depth + 1,
+                ));
             }
+            return match scope.lookup(&name) {
+                Some(v) => Ok((PathExpr::Var(v), 1)),
+                None => Err(ParseError {
+                    message: format!("unbound variable `{name}`"),
+                    offset: lx.offset(),
+                }),
+            };
         }
-        other => lx.err(format!("expected a path, found {other:?}")),
-    }
+        other => return lx.err(format!("expected a path, found {other:?}")),
+    };
+    lx.next();
+    Ok((PathExpr::Const(constant), 1))
 }
 
 /// Parses a range: `dom M`, a collection name, or a set-valued path.
@@ -337,6 +372,26 @@ fn parse_conjunction(lx: &mut Lexer, scope: &Scope) -> Result<Vec<Equality>, Par
     Ok(out)
 }
 
+/// Reads a quantifier prefix `(x in R)(o in M[x].N)…`, binding each
+/// variable through `bind` and into `scope` for the ranges after it.
+fn parse_quantifiers(
+    lx: &mut Lexer,
+    scope: &mut Scope,
+    c: &mut Constraint,
+    bind: fn(&mut Constraint, &str, Range) -> Var,
+) -> Result<(), ParseError> {
+    while matches!(lx.peek(), Tok::Punct('(')) {
+        lx.next();
+        let name = lx.var_name()?;
+        lx.expect_kw("in")?;
+        let range = parse_range(lx, scope)?;
+        lx.expect_punct(')')?;
+        let var = bind(c, &name, range);
+        scope.vars.push((name, var));
+    }
+    Ok(())
+}
+
 /// Parses a query in the paper's OQL-like syntax.
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
     let mut lx = lex(input)?;
@@ -363,10 +418,7 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
     lx.expect_kw("from")?;
     loop {
         let range = parse_range(&mut lx, &scope)?;
-        let name = lx.ident()?;
-        if KEYWORDS.contains(&name.to_ascii_lowercase().as_str()) {
-            return lx.err(format!("`{name}` cannot be used as a variable name"));
-        }
+        let name = lx.var_name()?;
         let var = q.bind(&name, range);
         scope.vars.push((name, var));
         match lx.peek() {
@@ -421,15 +473,7 @@ pub fn parse_constraint(name: &str, input: &str) -> Result<Constraint, ParseErro
     let mut scope = Scope { vars: Vec::new() };
 
     lx.expect_kw("forall")?;
-    while matches!(lx.peek(), Tok::Punct('(')) {
-        lx.next();
-        let vname = lx.ident()?;
-        lx.expect_kw("in")?;
-        let range = parse_range(&mut lx, &scope)?;
-        lx.expect_punct(')')?;
-        let var = c.forall(&vname, range);
-        scope.vars.push((vname, var));
-    }
+    parse_quantifiers(&mut lx, &mut scope, &mut c, Constraint::forall)?;
     if !matches!(lx.peek(), Tok::Arrow) {
         c.premise = parse_conjunction(&mut lx, &scope)?;
     }
@@ -441,15 +485,7 @@ pub fn parse_constraint(name: &str, input: &str) -> Result<Constraint, ParseErro
     }
     if lx.at_kw("exists") {
         lx.next();
-        while matches!(lx.peek(), Tok::Punct('(')) {
-            lx.next();
-            let vname = lx.ident()?;
-            lx.expect_kw("in")?;
-            let range = parse_range(&mut lx, &scope)?;
-            lx.expect_punct(')')?;
-            let var = c.exists(&vname, range);
-            scope.vars.push((vname, var));
-        }
+        parse_quantifiers(&mut lx, &mut scope, &mut c, Constraint::exists)?;
     }
     c.conclusion = parse_conjunction(&mut lx, &scope)?;
     match lx.peek() {
@@ -613,5 +649,48 @@ mod tests {
             parse_query("select struct(A = r.A) from R r where r.B = -3 and r.F = 1.5").unwrap();
         assert_eq!(q.where_[0].rhs, PathExpr::Const(Value::Int(-3)));
         assert_eq!(q.where_[1].rhs, PathExpr::Const(Value::Float(1.5)));
+    }
+
+    #[test]
+    fn doubled_quote_is_one_quote() {
+        let q = parse_query("select struct(A = r.A) from R r where r.C = 'it''s'''").unwrap();
+        assert_eq!(q.where_[0].rhs, PathExpr::Const(Value::str("it's'")));
+        assert!(parse_query("select struct(A = r.A) from R r where r.C = 'it''s").is_err());
+    }
+
+    /// Nesting past `MAX_DEPTH` is an error, not a stack overflow — in
+    /// lookups, struct constructors and field chains alike.
+    #[test]
+    fn deep_nesting_is_an_error() {
+        let n = 100_000;
+        let lookups = format!("{}r{}", "M[".repeat(n), "]".repeat(n));
+        let structs = format!("{}r{}", "struct(A = ".repeat(n), ")".repeat(n));
+        let fields = format!("r{}", ".A".repeat(n));
+        for path in [lookups, structs, fields] {
+            let e = parse_query(&format!("select struct(A = {path}) from R r")).unwrap_err();
+            assert!(e.message.contains("nests deeper"), "{e}");
+            let e =
+                parse_constraint("deep", &format!("forall (r in R) => {path} = r")).unwrap_err();
+            assert!(e.message.contains("nests deeper"), "{e}");
+        }
+        let at_bound = format!(
+            "{}r{}",
+            "M[".repeat(MAX_DEPTH - 1),
+            "]".repeat(MAX_DEPTH - 1)
+        );
+        parse_query(&format!("select struct(A = {at_bound}) from R r")).unwrap();
+        let past = format!("M[{at_bound}]");
+        assert!(parse_query(&format!("select struct(A = {past}) from R r")).is_err());
+        assert!(parse_query(&format!("select struct(A = {at_bound}.A) from R r")).is_err());
+    }
+
+    #[test]
+    fn constants_without_a_literal_are_refused() {
+        for c in ["null", "NaN", "inf", "-inf", "M1#3", "?0", "{1, 2}"] {
+            let text = format!("select struct(A = r.A) from R r where r.B = {c}");
+            assert!(parse_query(&text).is_err(), "{c} parsed");
+        }
+        assert!(parse_query("select struct(A = x.A) from R null").is_err());
+        assert!(parse_constraint("c", "forall (true in R) => true = true").is_err());
     }
 }

@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use crate::print::{dollar, Printer};
 use crate::symbol::Symbol;
 use crate::value::Value;
 
@@ -176,22 +177,7 @@ impl From<i64> for PathExpr {
 
 impl fmt::Display for PathExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PathExpr::Var(v) => write!(f, "${}", v.0),
-            PathExpr::Const(c) => write!(f, "{c}"),
-            PathExpr::Field(base, field) => write!(f, "{base}.{field}"),
-            PathExpr::Lookup(dict, key) => write!(f, "{dict}[{key}]"),
-            PathExpr::MkStruct(fields) => {
-                write!(f, "struct(")?;
-                for (i, (name, p)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{name} = {p}")?;
-                }
-                write!(f, ")")
-            }
-        }
+        Printer::new(f, dollar).path(self)
     }
 }
 
@@ -232,7 +218,7 @@ impl Equality {
 
 impl fmt::Display for Equality {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.lhs, self.rhs)
+        Printer::new(f, dollar).conjunction(std::slice::from_ref(self))
     }
 }
 

@@ -11,10 +11,10 @@
 //! where ranges are schema names (`R`), dictionary domains (`dom M`) or
 //! set-valued paths over earlier variables (`M[k].N`).
 
-use crate::fxhash::FxHashMap;
 use std::fmt;
 
 use crate::path::{Equality, PathExpr, Var};
+use crate::print::{dollar, named, Printer};
 use crate::scope::{Clause, Scope, ScopeError};
 use crate::symbol::Symbol;
 use crate::value::Value;
@@ -113,11 +113,7 @@ fn expr_shape(p: &PathExpr) -> Vec<Symbol> {
 
 impl fmt::Display for Range {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Range::Name(s) => write!(f, "{s}"),
-            Range::Dom(s) => write!(f, "dom {s}"),
-            Range::Expr(p) => write!(f, "{p}"),
-        }
+        Printer::new(f, dollar).range(self)
     }
 }
 
@@ -134,7 +130,7 @@ pub struct Binding {
 
 impl fmt::Display for Binding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.range, self.name)
+        Printer::new(f, dollar).bindings(std::slice::from_ref(self))
     }
 }
 
@@ -228,14 +224,6 @@ impl Query {
         self.from.iter().find(|b| b.var == var)
     }
 
-    /// Display name of `var` (falls back to `$n` for unknown ids).
-    pub fn var_name(&self, var: Var) -> String {
-        match self.binding(var) {
-            Some(b) => b.name.to_string(),
-            None => format!("${}", var.0),
-        }
-    }
-
     /// Checks well-formedness under the scoping rule ([`crate::scope`]):
     /// ranges mention only *earlier* bindings, no variable is bound twice,
     /// and where/select paths mention only bound variables. Returns the
@@ -323,115 +311,20 @@ impl Query {
     }
 
     /// A canonical string key identifying the query up to variable renaming
-    /// and where/select-clause ordering. Used to deduplicate plans produced
-    /// along different rewrite orders.
+    /// and where/select-clause ordering, written by the printer behind
+    /// `Display` with each variable named `#i` after its binding's position
+    /// and the select and where entries sorted. Constants print as they
+    /// parse, so two queries share a key only if they differ at most in NaN
+    /// payloads. Used to deduplicate plans produced along different rewrite
+    /// orders.
     pub fn canonical_key(&self) -> String {
-        // Rename variables to their from-clause position.
-        let mut rank: FxHashMap<Var, usize> = FxHashMap::default();
-        for (i, b) in self.from.iter().enumerate() {
-            rank.insert(b.var, i);
-        }
-        let name_of = |v: Var| -> String {
-            match rank.get(&v) {
-                Some(i) => format!("#{i}"),
-                None => format!("$?{}", v.0),
-            }
-        };
-        let mut out = String::new();
-        let mut sel: Vec<String> = self
-            .select
-            .iter()
-            .map(|(l, p)| format!("{l}={}", render_path(p, &name_of)))
-            .collect();
-        sel.sort();
-        out.push_str(&sel.join(","));
-        out.push('|');
-        let froms: Vec<String> = self
-            .from
-            .iter()
-            .map(|b| match &b.range {
-                Range::Name(s) => s.to_string(),
-                Range::Dom(s) => format!("dom {s}"),
-                Range::Expr(p) => render_path(p, &name_of),
-            })
-            .collect();
-        out.push_str(&froms.join(","));
-        out.push('|');
-        let mut eqs: Vec<String> = self
-            .where_
-            .iter()
-            .map(|e| {
-                let l = render_path(&e.lhs, &name_of);
-                let r = render_path(&e.rhs, &name_of);
-                if l <= r {
-                    format!("{l}={r}")
-                } else {
-                    format!("{r}={l}")
-                }
-            })
-            .collect();
-        eqs.sort();
-        eqs.dedup();
-        out.push_str(&eqs.join(","));
-        out
+        crate::print::canonical_key(self)
     }
 }
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Render with human variable names.
-        let name_of = |v: Var| -> String { self.var_name(v) };
-        write!(f, "select struct(")?;
-        for (i, (label, p)) in self.select.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{label} = {}", render_path(p, &name_of))?;
-        }
-        write!(f, ")\nfrom ")?;
-        for (i, b) in self.from.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            match &b.range {
-                Range::Name(s) => write!(f, "{s} {}", b.name)?,
-                Range::Dom(s) => write!(f, "dom {s} {}", b.name)?,
-                Range::Expr(p) => write!(f, "{} {}", render_path(p, &name_of), b.name)?,
-            }
-        }
-        if !self.where_.is_empty() {
-            write!(f, "\nwhere ")?;
-            for (i, eq) in self.where_.iter().enumerate() {
-                if i > 0 {
-                    write!(f, " and ")?;
-                }
-                write!(
-                    f,
-                    "{} = {}",
-                    render_path(&eq.lhs, &name_of),
-                    render_path(&eq.rhs, &name_of)
-                )?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Renders a path with a variable-naming function (shared with constraint
-/// display).
-pub(crate) fn render_path(p: &PathExpr, name_of: &dyn Fn(Var) -> String) -> String {
-    match p {
-        PathExpr::Var(v) => name_of(*v),
-        PathExpr::Const(c) => c.to_string(),
-        PathExpr::Field(base, f) => format!("{}.{f}", render_path(base, name_of)),
-        PathExpr::Lookup(dict, k) => format!("{dict}[{}]", render_path(k, name_of)),
-        PathExpr::MkStruct(fields) => {
-            let inner: Vec<String> = fields
-                .iter()
-                .map(|(n, p)| format!("{n} = {}", render_path(p, name_of)))
-                .collect();
-            format!("struct({})", inner.join(", "))
-        }
+        Printer::new(f, named(self.from.iter())).query(self)
     }
 }
 
@@ -588,6 +481,34 @@ mod tests {
         let mut q4 = q.clone();
         q4.where_.clear();
         assert_ne!(q.canonical_key(), q4.canonical_key());
+        // An int and the float of the same number are different constants.
+        let with = |v: Value| {
+            let mut q = q.clone();
+            q.output("C", PathExpr::from(v));
+            q.canonical_key()
+        };
+        assert_ne!(with(Value::Int(7)), with(Value::Float(7.0)));
+        assert_ne!(with(Value::Float(0.0)), with(Value::Float(-0.0)));
+        // A quote inside a string cannot forge an entry boundary.
+        let mut two = q.clone();
+        two.select.clear();
+        let mut one = two.clone();
+        two.output("A", PathExpr::from(Value::str("a")));
+        two.output("B", PathExpr::from(Value::str("b")));
+        one.output("A", PathExpr::from(Value::str("a',B='b")));
+        assert_ne!(two.canonical_key(), one.canonical_key());
+    }
+
+    /// Display prints the parser's literals: a float keeps its decimal
+    /// point and a string doubles its quotes.
+    #[test]
+    fn constants_print_as_literals() {
+        let mut q = chain2();
+        q.output("F", PathExpr::from(Value::Float(7.0)));
+        q.output("S", PathExpr::from(Value::str("it's")));
+        let s = q.to_string();
+        assert!(s.contains("F = 7.0, S = 'it''s'"), "{s}");
+        assert!(q.canonical_key().contains("F=7.0,S='it''s'"));
     }
 
     #[test]

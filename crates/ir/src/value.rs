@@ -128,12 +128,18 @@ impl std::hash::Hash for Value {
     }
 }
 
+/// Writes a constant as the parser reads it: a float always carries a
+/// decimal point (`7.0`, never `7`) and a string doubles its quotes
+/// (`'it''s'`), so no two values print alike but NaNs. An oid, `?k`, a set,
+/// `null` or a non-finite float has no literal and prints a text the
+/// parser refuses; a struct prints as the constructor that builds it.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Int(v) => write!(f, "{v}"),
+            Value::Float(v) if v.fract() == 0.0 => write!(f, "{v}.0"),
             Value::Float(v) => write!(f, "{v}"),
-            Value::Str(v) => write!(f, "'{v}'"),
+            Value::Str(v) => write!(f, "'{}'", v.replace('\'', "''")),
             Value::Bool(v) => write!(f, "{v}"),
             Value::Oid(c, v) => write!(f, "{c}#{v}"),
             Value::Struct(fields) => {
@@ -240,6 +246,12 @@ mod tests {
         assert_eq!(Value::Oid(sym("M1"), 3).to_string(), "M1#3");
         let v = Value::record([(sym("A"), Value::Int(1))]);
         assert_eq!(v.to_string(), "struct(A: 1)");
+        assert_eq!(Value::Float(7.0).to_string(), "7.0");
+        assert_eq!(Value::Float(-0.0).to_string(), "-0.0");
+        assert_eq!(Value::Float(2.5).to_string(), "2.5");
+        assert_eq!(Value::Float(f64::INFINITY).to_string(), "inf");
+        assert_eq!(Value::Float(f64::NAN).to_string(), "NaN");
+        assert_eq!(Value::str("it's").to_string(), "'it''s'");
     }
 
     #[test]

@@ -141,7 +141,6 @@ impl Workload for Ec1 {
             // Scan-vs-primary-index is an independent choice per relation.
             min_plans: 1 << self.relations,
             physical_plan: true,
-            nonempty_at_smoke: true,
             // A key chain is acyclic: every rewrite joins along keys.
             agm: AgmExpectation::Certified,
             rank: RankExpectation::Any,

@@ -238,7 +238,6 @@ impl Workload for Ec2 {
             // Each star's views can replace its corner pairs independently.
             min_plans: 1 + self.stars * self.views,
             physical_plan: self.views > 0,
-            nonempty_at_smoke: true,
             // Chained stars are acyclic; view plans unfold within bound.
             agm: AgmExpectation::Certified,
             rank: RankExpectation::Any,

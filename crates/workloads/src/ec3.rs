@@ -236,7 +236,6 @@ impl Workload for Ec3 {
             // rewrites each contribute at least one plan.
             min_plans: if self.asrs > 0 { 3 } else { 2 },
             physical_plan: self.asrs > 0,
-            nonempty_at_smoke: true,
             // Dictionary navigation chains are acyclic.
             agm: AgmExpectation::Certified,
             rank: RankExpectation::Any,

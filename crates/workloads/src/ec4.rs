@@ -242,7 +242,6 @@ impl Workload for Ec4 {
             // join the base tables), independently per view.
             min_plans: 1 << self.views,
             physical_plan: self.views + self.indexed > 0,
-            nonempty_at_smoke: true,
             // A star schema is acyclic: the fact scan covers the hub.
             agm: AgmExpectation::Certified,
             rank: RankExpectation::Any,

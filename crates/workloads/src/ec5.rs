@@ -273,7 +273,6 @@ impl Workload for Ec5 {
             // into a wedge independently of the others.
             min_plans: if self.wedge_view { 1 + self.cycle } else { 1 },
             physical_plan: self.wedge_view,
-            nonempty_at_smoke: true,
             // Odd cycles (AGM bound `cycle/2`) defeat every *binary* join
             // order — any two adjacent edges (or one unfolded wedge view)
             // already cost N²; the optimizer's generic-join twin closes

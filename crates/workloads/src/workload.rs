@@ -94,9 +94,6 @@ pub struct Expectations {
     /// view or ASR) — a plan that join reordering over the original query's
     /// collections could never produce.
     pub physical_plan: bool,
-    /// Executing the query at [`DataScale::smoke`] must return rows (so
-    /// exact-order golden tests pin a nonempty result).
-    pub nonempty_at_smoke: bool,
     /// The AGM certification verdict the family's plans must earn.
     pub agm: AgmExpectation,
     /// The plan the measured WCOJ-aware ranking must place first.

@@ -98,9 +98,13 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # `optimize_measured` run no chase and return no plan, `plan` moves no
 # cache counter, and `serve` / `serve_batch_under` (1 and 4 threads) return
 # ServeError::Uncertified. The debug profile runs the same file as part of
-# `cargo test -q` below.
-tier "serving door, release profile (ill-formed requests are refused typed)"
+# `cargo test -q` below. Beside it, cnb-ir's tests: the parser is the other
+# untrusted-input door, and whether text nested past its depth bound is
+# refused before it outruns the stack depends on the profile's stack
+# frames, so the bound is checked in release too (100 000 nested `M[`).
+tier "serving door + parser, release profile (ill-formed requests and texts are refused typed)"
 cargo test --release -q -p cnb-engine --test door
+cargo test --release -q -p cnb-ir
 
 # Backchase kernel tier, release profile: the seven files that hold a change
 # to the congruence closure, the homomorphism search, the chase, subquery

@@ -29,6 +29,8 @@ use chase_too_far::engine::prng::SplitMix64;
 use chase_too_far::engine::{execute, Database};
 use chase_too_far::ir::prelude::*;
 
+mod roundtrip;
+
 // --------------------------------------------------------------- harness --
 
 /// Runs `n` seeded cases of `property`, reporting the failing case index and
@@ -887,6 +889,55 @@ fn canonical_key_rename_invariant() {
         let q = arb_query(rng);
         let off = rng.gen_range(1u32..50);
         assert_eq!(q.canonical_key(), q.offset_vars(off).canonical_key());
+    });
+}
+
+/// Round trip or typed error: a random query carrying constants of every
+/// kind the grammar writes — and a constraint over it — prints and parses
+/// back to the same IR; a constant with no literal (an oid, `?k`, `NaN`)
+/// makes the parser refuse the text.
+#[test]
+fn printed_constants_parse_back() {
+    let writable = || {
+        [
+            7i64.into(),
+            Value::Float(7.0),
+            Value::Float(-0.0),
+            Value::Float(1e300),
+        ]
+        .into_iter()
+        .chain([Value::str("it's"), Value::Bool(true)])
+    };
+    let unwritable = [
+        Value::Oid(sym("M1"), 3),
+        Value::Param(0),
+        Value::Float(f64::NAN),
+    ];
+    cases("printed_constants_parse_back", 64, |rng| {
+        let mut q = arb_query(rng);
+        let mut pick = |q: &Query| PathExpr::from(q.from[rng.gen_range(0..q.from.len())].var);
+        for (i, c) in writable().enumerate() {
+            match i % 3 {
+                0 => q.output(&format!("C{i}"), PathExpr::from(c)),
+                1 => q.equate(pick(&q).dot("C"), PathExpr::from(c)),
+                _ => q.equate(PathExpr::from(c), pick(&q).dot("C")),
+            }
+        }
+        roundtrip::query_roundtrip(&q).unwrap_or_else(|e| panic!("{e}\n{q}"));
+        let mut c = Constraint::new("constants");
+        for b in &q.from {
+            c.forall(b.name.as_str(), b.range.clone());
+        }
+        c.premise.clone_from(&q.where_);
+        for v in writable() {
+            c.then(pick(&q).dot("D"), PathExpr::from(v));
+        }
+        roundtrip::constraint_roundtrip(&c).unwrap_or_else(|e| panic!("{e}\n{c}"));
+        for v in &unwritable {
+            let mut bad = q.clone();
+            bad.equate(pick(&q).dot("C"), PathExpr::from(v.clone()));
+            assert!(roundtrip::query_roundtrip(&bad).is_err(), "{bad}");
+        }
     });
 }
 
