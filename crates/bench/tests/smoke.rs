@@ -81,6 +81,24 @@ fn figures_refuses_a_bad_command_line_with_the_usage() {
     }
 }
 
+/// One figure end to end through the command line — argument parsing,
+/// dataset generation, optimization, execution of every plan: it exits 0,
+/// writes nothing to stderr and prints a markdown table in which exactly
+/// one plan is the original query.
+#[test]
+fn figures_prints_fig9_from_the_command_line() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["fig9", "--rows", "60", "--timeout", "20"])
+        .output()
+        .expect("run figures");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_markdown_table("figures fig9", &stdout);
+    assert_eq!(stdout.matches("(*) original query").count(), 1, "{stdout}");
+}
+
 #[test]
 fn fig5_chase_time_smoke() {
     smoke("fig5", 60);

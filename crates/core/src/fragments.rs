@@ -9,7 +9,7 @@
 
 use crate::fxhash::FxHashMap;
 
-use cnb_ir::prelude::{Equality, PathExpr, Query, Skeleton, Symbol};
+use cnb_ir::prelude::{Binding, Equality, PathExpr, Query, Skeleton, Symbol};
 use cnb_ir::unionfind::UnionFind;
 
 use crate::bitset::VarSet;
@@ -205,6 +205,10 @@ fn build_fragments(db: &mut CanonDb, q: &Query, sets: &[VarSet]) -> Vec<Fragment
 /// Reassembles one plan per fragment into a plan for the original query:
 /// concatenate the (variable-renamed) fragment plans, join them on their link
 /// paths, and project the original output labels (Algorithm 3.1, Step 3).
+///
+/// Fragment plans are chased apart, so two of them can name a binding alike
+/// (`dom PI2 k_3`, `dom PI3 k_3`); a binding whose name `out` already holds
+/// is renamed `name_1`, `name_2`, … so the plan's text parses back to it.
 pub fn combine_plans(q0: &Query, fragments: &[Fragment], choice: &[&Query]) -> Query {
     assert_eq!(fragments.len(), choice.len());
     let mut out = Query::new();
@@ -213,7 +217,16 @@ pub fn combine_plans(q0: &Query, fragments: &[Fragment], choice: &[&Query]) -> Q
         let offset = out.var_bound();
         let p = plan.offset_vars(offset);
         out.reserve_vars(p.var_bound());
-        out.from.extend(p.from.iter().cloned());
+        for b in &p.from {
+            let taken = |name: Symbol| out.from.iter().any(|o| o.name == name);
+            let mut name = b.name;
+            let mut suffix = 0;
+            while taken(name) {
+                suffix += 1;
+                name = Symbol::new(&format!("{}_{suffix}", b.name));
+            }
+            out.from.push(Binding { name, ..b.clone() });
+        }
         out.where_.extend(p.where_.iter().cloned());
         remapped.push(p);
     }

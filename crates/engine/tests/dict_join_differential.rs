@@ -21,6 +21,10 @@
 //! a `dict_join`, a hash join or an unfused scan and expansion. Beside rows
 //! and order, the per-operator counts must form the filter cascade that
 //! `tuples_considered` sums.
+//!
+//! The release run is the one that counts: it is the profile the benchmark
+//! runs, where the path evaluator is inlined into every candidate loop and a
+//! filter side that reads no candidate is read once per input row.
 
 use cnb_engine::prng::SplitMix64;
 use cnb_engine::{execute, execute_legacy, Database, ExecStats};

@@ -5,7 +5,7 @@
 //! deadline look at it: a request that is not a query has no price and no
 //! turn to miss), and by the executors called directly.
 //!
-//! `scripts/check.sh` also runs this file under `--release`: that is the
+//! The release run of this file is the one that counts: that is the
 //! profile where the optimizer's `debug_assert!` entry checks vanish, and
 //! where — before `PlanServer::plan` ran the check — an unbound select
 //! variable panicked inside the OQF fragment combiner and an unbound where

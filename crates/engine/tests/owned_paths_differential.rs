@@ -16,6 +16,10 @@
 //! Seeded random databases; the batched engine must return the rows of the
 //! tuple-at-a-time oracle **in the same order**, under the same join order,
 //! considering exactly as many tuples (nothing here fuses).
+//!
+//! The release run is the one that counts: it is the profile the benchmark
+//! runs, where the path evaluator is inlined into every candidate loop and a
+//! filter side that reads no candidate is read once per input row.
 
 use cnb_engine::prng::SplitMix64;
 use cnb_engine::{execute, execute_legacy, Database};

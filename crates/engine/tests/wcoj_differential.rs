@@ -10,9 +10,9 @@
 //! 2. **Determinism** — WCOJ output (rows *and* order) is a pure function
 //!    of (db, plan): re-generated datasets and repeated executions agree
 //!    byte-for-byte, and a pinned golden digest makes the comparison hold
-//!    *across processes* — every run of `scripts/check.sh` and of the
-//!    tier-1 suite must land on the same constants, so a leak of anything
-//!    process-specific into the operator flips the digest.
+//!    *across processes* — every run, in either profile, must land on the
+//!    same constants, so a leak of anything process-specific into the
+//!    operator flips the digest.
 //! 3. **Certification** — every generic-join twin the backchase emits
 //!    passes the static plan validator, and its attached fractional cover
 //!    certificate re-verifies against the full-query hypergraph at exactly
@@ -25,6 +25,9 @@
 //!    `tuples_considered` and every operator's stats are goldens taken
 //!    before the operator shared indexes, coded its key columns and
 //!    galloped its seeks.
+//!
+//! The release run is the one that counts: it is the profile the benchmark
+//! runs the generic join in.
 
 use cnb_analyze::prelude::validate_plan;
 use cnb_engine::datagen::EdgeDist;

@@ -14,7 +14,8 @@
 //! Constants print through `Value`'s `Display`, which writes the parser's
 //! literals: a float always carries a decimal point and a string doubles
 //! its quotes. A constant the grammar has no literal for (an oid, `?k`,
-//! `null`, a set, a non-finite float) keeps a text the parser refuses.
+//! `null`, a set, a struct, a non-finite float) keeps a text the parser
+//! refuses.
 
 use std::fmt::{self, Write};
 

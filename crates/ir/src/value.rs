@@ -131,8 +131,8 @@ impl std::hash::Hash for Value {
 /// Writes a constant as the parser reads it: a float always carries a
 /// decimal point (`7.0`, never `7`) and a string doubles its quotes
 /// (`'it''s'`), so no two values print alike but NaNs. An oid, `?k`, a set,
-/// `null` or a non-finite float has no literal and prints a text the
-/// parser refuses; a struct prints as the constructor that builds it.
+/// a struct (`struct(B: 1)`; the grammar has no `:`), `null` or a
+/// non-finite float has no literal and prints a text the parser refuses.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

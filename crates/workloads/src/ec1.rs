@@ -5,7 +5,7 @@
 //! attribute `N`. Chain queries join `R_i.N = R_{i+1}.K` (fig. 4) and return
 //! all key attributes. Scaling parameters: `n` and `m = n + j` indexes.
 
-use crate::workload::{AgmExpectation, DataScale, Expectations, RankExpectation, Workload};
+use crate::workload::{AgmExpectation, DataScale, Expectations, Workload};
 use cnb_core::prelude::Strategy;
 use cnb_ir::prelude::*;
 
@@ -143,7 +143,6 @@ impl Workload for Ec1 {
             physical_plan: true,
             // A key chain is acyclic: every rewrite joins along keys.
             agm: AgmExpectation::Certified,
-            rank: RankExpectation::Any,
         }
     }
 }

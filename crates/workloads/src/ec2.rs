@@ -9,7 +9,7 @@
 //! hub key has a key constraint. Query size is `s(c+1)`; constraint count is
 //! `s(1 + 2v)`.
 
-use crate::workload::{AgmExpectation, DataScale, Expectations, RankExpectation, Workload};
+use crate::workload::{AgmExpectation, DataScale, Expectations, Workload};
 use cnb_core::prelude::Strategy;
 use cnb_ir::prelude::*;
 
@@ -240,7 +240,6 @@ impl Workload for Ec2 {
             physical_plan: self.views > 0,
             // Chained stars are acyclic; view plans unfold within bound.
             agm: AgmExpectation::Certified,
-            rank: RankExpectation::Any,
         }
     }
 }

@@ -9,7 +9,7 @@
 //! so that plans using them are only reachable after the semantic
 //! (inverse-flipping) optimization phase.
 
-use crate::workload::{AgmExpectation, DataScale, Expectations, RankExpectation, Workload};
+use crate::workload::{AgmExpectation, DataScale, Expectations, Workload};
 use cnb_core::prelude::Strategy;
 use cnb_ir::prelude::*;
 
@@ -238,7 +238,6 @@ impl Workload for Ec3 {
             physical_plan: self.asrs > 0,
             // Dictionary navigation chains are acyclic.
             agm: AgmExpectation::Certified,
-            rank: RankExpectation::Any,
         }
     }
 }

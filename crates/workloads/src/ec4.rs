@@ -14,7 +14,7 @@
 //! for: it stresses exactly the materialized-view/index rewrites the
 //! backchase was built around, at warehouse-shaped fan-outs.
 
-use crate::workload::{AgmExpectation, DataScale, Expectations, RankExpectation, Workload};
+use crate::workload::{AgmExpectation, DataScale, Expectations, Workload};
 use cnb_core::prelude::Strategy;
 use cnb_ir::prelude::*;
 
@@ -244,7 +244,6 @@ impl Workload for Ec4 {
             physical_plan: self.views + self.indexed > 0,
             // A star schema is acyclic: the fact scan covers the hub.
             agm: AgmExpectation::Certified,
-            rank: RankExpectation::Any,
         }
     }
 }

@@ -14,7 +14,7 @@
 //! Khamis–Ngo–Suciu, PAPERS.md) separate wedge-based plans from edge-only
 //! ones.
 
-use crate::workload::{AgmExpectation, DataScale, Expectations, RankExpectation, Workload};
+use crate::workload::{AgmExpectation, DataScale, Expectations, Workload};
 use cnb_core::prelude::Strategy;
 use cnb_engine::datagen::EdgeDist;
 use cnb_ir::prelude::*;
@@ -283,11 +283,6 @@ impl Workload for Ec5 {
                 AgmExpectation::WcojClosed
             } else {
                 AgmExpectation::Certified
-            },
-            rank: if self.cycle % 2 == 1 {
-                RankExpectation::WcojFirstUnderSkew
-            } else {
-                RankExpectation::Any
             },
         }
     }

@@ -34,4 +34,4 @@ pub use ec3::Ec3;
 pub use ec4::Ec4;
 pub use ec5::Ec5;
 pub use examples::{Example21, Example22};
-pub use workload::{suite, AgmExpectation, DataScale, Expectations, RankExpectation, Workload};
+pub use workload::{suite, AgmExpectation, DataScale, Expectations, Workload};

@@ -65,20 +65,11 @@ pub enum AgmExpectation {
     /// All plans within the query's AGM bound.
     Certified,
     /// Left-deep base plans exceed the bound; the WCOJ plan twin meets it.
-    WcojClosed,
-}
-
-/// Which plan the *measured* WCOJ-aware ranking
-/// ([`cnb_core::prelude::Optimizer::optimize_measured`] after
-/// [`cnb_engine::feed_cost_model`]) must put first for the family.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RankExpectation {
-    /// No first-plan pin beyond cost ordering itself.
-    Any,
-    /// On the family's skewed dataset ([`Workload::generate_skewed_at`])
-    /// the generic-join twin of a base-scan plan ranks first: skew inflates
+    /// The family also promises that on its skewed dataset
+    /// ([`Workload::generate_skewed_at`]) the measured WCOJ-aware ranking
+    /// puts the generic-join twin of a base-scan plan first: skew inflates
     /// every binary intermediate past the AGM-bounded WCOJ price.
-    WcojFirstUnderSkew,
+    WcojClosed,
 }
 
 /// Plan/row invariants a workload instance promises; the generic suites
@@ -96,8 +87,6 @@ pub struct Expectations {
     pub physical_plan: bool,
     /// The AGM certification verdict the family's plans must earn.
     pub agm: AgmExpectation,
-    /// The plan the measured WCOJ-aware ranking must place first.
-    pub rank: RankExpectation,
 }
 
 /// One experimental configuration, generically drivable end to end:

@@ -6,7 +6,8 @@
 //! what the previous one passed. These lists were recorded from the engine
 //! that ran that cascade batch by batch (PR 17), on the suite's plans at
 //! [`DataScale::smoke`]; every count must stay exactly what it was, so the
-//! selectivities and fan-outs the cost model observes cannot drift.
+//! selectivities and fan-outs the cost model observes cannot drift — in the
+//! release profile the benchmark runs as much as in debug.
 
 use cnb_engine::{execute, execute_wcoj, ExecStats};
 use cnb_ir::prelude::Query;
@@ -98,7 +99,7 @@ fn ec2_plan_operator_stats_are_unchanged() {
 #[test]
 fn index_plan_operator_stats_are_the_cascades() {
     let db = suite()[0].generate_at(DataScale::smoke());
-    let from = "from dom SI1 k_4, SI1[k_4] t_5, dom PI2 k_3, dom PI3 k_3";
+    let from = "from dom SI1 k_4, SI1[k_4] t_5, dom PI2 k_3, dom PI3 k_3_1";
     let stats = execute(&db, &plan(0, 0, from)).unwrap().stats;
     assert_eq!(
         ops(&stats),

@@ -6,7 +6,8 @@
 //! `ExecResult.rows` for every plan, with no `sorted()` shim. (Different
 //! plans may still order rows differently from each other — join order
 //! changes enumeration order — which is why the cross-*plan* agreement
-//! check stays a sorted multiset comparison.)
+//! check stays a sorted multiset comparison.) Rows and order must not
+//! depend on the profile: the benchmark runs release.
 
 mod support;
 

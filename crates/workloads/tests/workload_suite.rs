@@ -6,7 +6,7 @@
 mod support;
 
 use cnb_engine::execute;
-use cnb_workloads::{suite, DataScale, RankExpectation};
+use cnb_workloads::{suite, AgmExpectation, DataScale};
 use support::distinct;
 
 /// Optimization invariants, per family: no timeout, a universal chase that
@@ -45,13 +45,13 @@ fn every_workload_meets_its_plan_expectations() {
     }
 }
 
-/// Measured-ranking invariants, per family: where a family promises
-/// [`RankExpectation::WcojFirstUnderSkew`], optimizing its central query
-/// under a cost model fed with its *skewed* dataset's measured
-/// cardinalities and selectivities must (a) prune candidates against the
-/// WCOJ-aware bound and (b) rank the generic-join twin of a base-scan plan
-/// first — skew inflates every binary intermediate past the AGM-bounded
-/// generic-join price. [`RankExpectation::Any`] asserts nothing.
+/// Measured-ranking invariants, per family: where a family's plans are
+/// [`AgmExpectation::WcojClosed`], optimizing its central query under a
+/// cost model fed with its *skewed* dataset's measured cardinalities and
+/// selectivities must (a) prune candidates against the WCOJ-aware bound and
+/// (b) rank the generic-join twin of a base-scan plan first — skew inflates
+/// every binary intermediate past the AGM-bounded generic-join price. Other
+/// families assert nothing here.
 #[test]
 fn measured_ranking_matches_expectations() {
     use cnb_core::prelude::{CostModel, OptimizerConfig};
@@ -59,16 +59,12 @@ fn measured_ranking_matches_expectations() {
     use cnb_ir::prelude::ExecStrategy;
     for w in suite() {
         let exp = w.expectations();
-        if exp.rank == RankExpectation::Any {
+        if exp.agm != AgmExpectation::WcojClosed {
             continue;
         }
-        let scale = DataScale::smoke();
-        let db = match exp.rank {
-            RankExpectation::WcojFirstUnderSkew => w
-                .generate_skewed_at(scale)
-                .expect("a skew-ranked family must have a skewed generator"),
-            _ => w.generate_at(scale),
-        };
+        let db = w
+            .generate_skewed_at(DataScale::smoke())
+            .expect("a wcoj-closed family must have a skewed generator");
         let q = w.query();
         // The fig. 9 feedback loop: true cardinalities for every stored
         // collection (base and physical), measured join selectivities from
@@ -83,33 +79,28 @@ fn measured_ranking_matches_expectations() {
         let res = w.optimizer().optimize_measured(&q, &cfg, &model);
         assert!(!res.plans.is_empty(), "{}: no plans", w.name());
         let first = &res.plans[0];
-        match exp.rank {
-            RankExpectation::Any => unreachable!(),
-            RankExpectation::WcojFirstUnderSkew => {
-                assert!(
-                    res.pruned > 0,
-                    "{}: the WCOJ-aware bound must prune candidates",
-                    w.name()
-                );
-                assert_eq!(
-                    first.strategy,
-                    ExecStrategy::Wcoj,
-                    "{}: expected the generic-join twin first, got:\n{}",
-                    w.name(),
-                    first.query
-                );
-                assert!(
-                    first.physical_used.is_empty(),
-                    "{}: the winning WCOJ plan must range over base scans",
-                    w.name()
-                );
-                assert!(
-                    first.wcoj.is_some(),
-                    "{}: the winning plan must carry its cover certificate",
-                    w.name()
-                );
-            }
-        }
+        assert!(
+            res.pruned > 0,
+            "{}: the WCOJ-aware bound must prune candidates",
+            w.name()
+        );
+        assert_eq!(
+            first.strategy,
+            ExecStrategy::Wcoj,
+            "{}: expected the generic-join twin first, got:\n{}",
+            w.name(),
+            first.query
+        );
+        assert!(
+            first.physical_used.is_empty(),
+            "{}: the winning WCOJ plan must range over base scans",
+            w.name()
+        );
+        assert!(
+            first.wcoj.is_some(),
+            "{}: the winning plan must carry its cover certificate",
+            w.name()
+        );
     }
 }
 

@@ -35,8 +35,9 @@ fn main() {
     // 4. Optimize: chase to the universal plan, backchase to minimal plans.
     let optimizer = Optimizer::new(schema.clone());
     let result = optimizer.optimize(&q, &OptimizerConfig::with_strategy(Strategy::Full));
-    // Timing goes to stderr: stdout is fully deterministic (the check.sh
-    // determinism gate runs this example twice and diffs stdout).
+    // Timing goes to stderr: stdout is fully deterministic
+    // (`scripts/check.sh` runs this example in two processes and diffs
+    // their stdout).
     println!(
         "{} plans (universal plan had {} bindings, {} subqueries explored)",
         result.plans.len(),

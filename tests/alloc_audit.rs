@@ -42,6 +42,10 @@
 //! same rule, at 119 / 137; a lead value, a seek or an index row that
 //! starts allocating goes through it.
 //!
+//! The ceilings are asserted in release only, the profile the benchmark
+//! runs: a debug build validates every induced query and re-proves every
+//! inferred verdict, and those allocate.
+//!
 //! This file must stay a single-test binary: the counter is the process's
 //! allocator, and a sibling test running on another thread would be counted
 //! in. It holds the repository's one `unsafe impl` — a `GlobalAlloc` that

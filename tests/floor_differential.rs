@@ -18,6 +18,9 @@
 //!
 //! Last, what the floor saves on the two benchmark points is pinned:
 //! `floored`, of `pruned`, under the default model.
+//!
+//! The release run is the one that counts: the search's own `debug_assert!`
+//! on every candidate it prices is compiled out there.
 
 use chase_too_far::core::cost::{CostModel, PlanPricer, WcojAwarePricer};
 use chase_too_far::core::prelude::*;

@@ -27,6 +27,9 @@
 //! output-lost sides of the borders fire), descending (supersets first — the
 //! proved side), and a seeded shuffle. EC4 and EC5 are the families whose
 //! universal plans hold `Range::Expr` bindings under `dom` guards.
+//!
+//! The release run is the one that counts: no debug re-proof of an
+//! inferred verdict stands behind the borders there.
 
 use chase_too_far::core::backchase::Lattice;
 use chase_too_far::core::bitset::VarSet;

@@ -12,7 +12,7 @@ mod roundtrip;
 
 use chase_too_far::core::prelude::{chase_and_backchase, BackchaseConfig};
 use chase_too_far::ir::prelude::*;
-use chase_too_far::workloads::{Ec1, Ec2, Ec3, Ec4, Ec5, Workload};
+use chase_too_far::workloads::{suite, Ec1, Ec2, Ec3, Ec4, Ec5, Workload};
 
 fn assert_query_roundtrip(label: &str, q: &Query) {
     roundtrip::query_roundtrip(q)
@@ -72,6 +72,19 @@ fn ec5_queries_and_constraints_roundtrip() {
     assert_query_roundtrip("ec5-path", &ec5.path_query(3));
     for c in &ec5.schema().all_constraints() {
         assert_constraint_roundtrip("ec5", c);
+    }
+}
+
+/// Every plan the optimizer emits for every suite family prints a text that
+/// parses back to that plan. A plan reassembled from fragments (OQF, OCS)
+/// concatenates fragment plans chased apart, so two of its bindings can
+/// come from bindings of one name; each must print under its own.
+#[test]
+fn suite_plans_roundtrip() {
+    for w in suite() {
+        for (i, plan) in w.optimize().plans.iter().enumerate() {
+            assert_query_roundtrip(&format!("{} plan {i}", w.name()), &plan.query);
+        }
     }
 }
 

@@ -33,7 +33,7 @@ use chase_too_far::workloads::{Ec1, Ec2, Ec3, Ec4, Ec5};
 #[rustfmt::skip]
 const GOLDEN: &[(&str, &str, usize)] = &[
     ("ec1_4_2.fb", "7aa5788e605555dd 36 2579 0 12", 1988),
-    ("ec1_4_2.oqf", "f77e28a76a77ca41 36 36 0 12", 20),
+    ("ec1_4_2.oqf", "519d4c1fb37af5fb 36 36 0 12", 20),
     ("ec2_1_4_2.fb", "5b677ba756dd6cfa 4 63 0 7", 56),
     ("ec2_2_3_1.ocs", "4debeea5ee7cedfb 4 122 0 42", 100),
     ("ec3_3.fb", "e0c8085e7b8479a8 4 143 0 8", 114),

@@ -894,8 +894,8 @@ fn canonical_key_rename_invariant() {
 
 /// Round trip or typed error: a random query carrying constants of every
 /// kind the grammar writes — and a constraint over it — prints and parses
-/// back to the same IR; a constant with no literal (an oid, `?k`, `NaN`)
-/// makes the parser refuse the text.
+/// back to the same IR; a constant with no literal (an oid, `?k`, `NaN`,
+/// a struct constant) makes the parser refuse the text.
 #[test]
 fn printed_constants_parse_back() {
     let writable = || {
@@ -912,6 +912,7 @@ fn printed_constants_parse_back() {
         Value::Oid(sym("M1"), 3),
         Value::Param(0),
         Value::Float(f64::NAN),
+        Value::record([(sym("B"), Value::Int(1))]),
     ];
     cases("printed_constants_parse_back", 64, |rng| {
         let mut q = arb_query(rng);
