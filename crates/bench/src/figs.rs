@@ -14,7 +14,10 @@ use cnb_engine::datagen::EdgeDist;
 use cnb_engine::{execute, Database};
 use cnb_ir::prelude::{Query, Range};
 use cnb_workloads::{
-    ec2::Ec2DataSpec, ec4::Ec4DataSpec, ec5::Ec5DataSpec, Ec1, Ec2, Ec3, Ec4, Ec5, Workload,
+    ec2::{Ec2DataSpec, PAPER_PLAN_COUNTS},
+    ec4::Ec4DataSpec,
+    ec5::Ec5DataSpec,
+    Ec1, Ec2, Ec3, Ec4, Ec5, Workload,
 };
 use std::time::Instant;
 
@@ -677,36 +680,13 @@ pub fn fig12_ec5_cyclic(args: &FigureArgs) -> String {
 /// paper's nine (s, c, v) parameter rows, side by side with the paper's
 /// values.
 pub fn table_plan_counts(args: &FigureArgs) -> String {
-    let rows_spec: &[(usize, usize, usize)] = &[
-        (1, 3, 1),
-        (1, 3, 2),
-        (1, 4, 3),
-        (1, 5, 1),
-        (1, 5, 2),
-        (1, 5, 3),
-        (1, 5, 4),
-        (2, 5, 1),
-        (3, 5, 1),
-    ];
-    // Paper values for side-by-side comparison.
-    let paper: &[(usize, usize, usize)] = &[
-        (2, 2, 2),
-        (4, 4, 3),
-        (7, 7, 5),
-        (2, 2, 2),
-        (4, 4, 3),
-        (7, 7, 5),
-        (13, 13, 8),
-        (4, 4, 4),
-        (8, 8, 8),
-    ];
     let limit = match args.scale {
-        Scale::Paper => rows_spec.len(),
+        Scale::Paper => PAPER_PLAN_COUNTS.len(),
         Scale::Smoke => 2,
     };
 
     let mut table = Vec::new();
-    for (&(s, c, v), &(pf, po, pc)) in rows_spec.iter().zip(paper).take(limit) {
+    for &([s, c, v], [pf, po, pc]) in PAPER_PLAN_COUNTS.iter().take(limit) {
         let ec2 = Ec2::new(s, c, v);
         let opt = Optimizer::new(ec2.schema());
         let q = ec2.query();

@@ -21,8 +21,6 @@ pub enum ColumnGen {
     Serial,
     /// Uniform integers in `[0, n)`.
     Uniform(i64),
-    /// A fixed value.
-    Const(i64),
     /// Power-law-skewed integers in `[0, n)`: `⌊n · u^gamma⌋` for uniform
     /// `u ∈ [0, 1)`. `gamma = 1` degenerates to uniform; larger values
     /// concentrate mass near 0 (low ids become "hub" values). The implied
@@ -58,7 +56,6 @@ pub fn gen_table(rows: usize, cols: &[ColumnSpec], rng: &mut SplitMix64) -> Vec<
                 let v = match c.gen {
                     ColumnGen::Serial => i as i64,
                     ColumnGen::Uniform(n) => rng.gen_range(0..n.max(1)),
-                    ColumnGen::Const(v) => v,
                     ColumnGen::Skewed(n, gamma) => skewed_value(n, gamma, rng),
                 };
                 (c.name, Value::Int(v))

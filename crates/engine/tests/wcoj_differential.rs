@@ -3,7 +3,7 @@
 //! Four contracts, each checked the hard way:
 //!
 //! 1. **Answer equivalence** — on EC5's uniform *and* power-law datasets,
-//!    [`execute_wcoj`] computes exactly the answer set of the binary
+//!    [`execute_wcoj`] computes exactly the answer multiset of the binary
 //!    hash-join engine ([`execute`]) and of the pre-batch differential
 //!    oracle ([`execute_legacy`]) — including which joined rows a select
 //!    path undefined on some of them drops.
@@ -20,7 +20,7 @@
 //! 4. **Same work on awkward keys** — on a seeded family whose key columns
 //!    mix every value kind, whose bindings share an index or read one
 //!    relation keyed in both attribute orders, whose pins are absent or of
-//!    another kind, and whose hub has degree 120, the answer set is the
+//!    another kind, and whose hub has degree 120, the answer multiset is the
 //!    binary pipeline's and the oracle's, and the order digest,
 //!    `tuples_considered` and every operator's stats are goldens taken
 //!    before the operator shared indexes, coded its key columns and
@@ -37,12 +37,11 @@ use cnb_ir::prelude::*;
 use cnb_workloads::ec5::Ec5DataSpec;
 use cnb_workloads::{suite, DataScale, Ec5, Workload};
 
-/// Sorted, deduped rows — the canonical answer *set* under the engine's
+/// Sorted rows, duplicates kept — the answer *multiset* under the engine's
 /// total value order.
-fn answer_set(rows: &[Value]) -> Vec<Value> {
+fn answer_bag(rows: &[Value]) -> Vec<Value> {
     let mut v = rows.to_vec();
     v.sort_by(cmp_value);
-    v.dedup();
     v
 }
 
@@ -97,18 +96,18 @@ fn wcoj_matches_both_binary_engines_on_uniform_and_power_law_data() {
             let wcoj = execute_wcoj(&db, &q).unwrap();
             let batched = execute(&db, &q).unwrap();
             let legacy = execute_legacy(&db, &q).unwrap();
-            let expect = answer_set(&batched.rows);
+            let expect = answer_bag(&batched.rows);
             assert!(
                 !expect.is_empty(),
                 "{label} {flavour}: vacuous differential"
             );
             assert_eq!(
-                answer_set(&wcoj.rows),
+                answer_bag(&wcoj.rows),
                 expect,
                 "{label} {flavour}: wcoj diverges from the batched engine"
             );
             assert_eq!(
-                answer_set(&legacy.rows),
+                answer_bag(&legacy.rows),
                 expect,
                 "{label} {flavour}: legacy oracle diverges"
             );
@@ -212,11 +211,11 @@ fn every_emitted_wcoj_plan_validates_and_its_cover_reverifies() {
                 "{}: twin emitted without a binary gap",
                 w.name()
             );
-            // …and executable: the twin's answer set matches the binary
+            // …and executable: the twin's answer multiset matches the binary
             // engine on real data.
             assert_eq!(
-                answer_set(&execute_wcoj(&db, &p.query).unwrap().rows),
-                answer_set(&execute(&db, &p.query).unwrap().rows),
+                answer_bag(&execute_wcoj(&db, &p.query).unwrap().rows),
+                answer_bag(&execute(&db, &p.query).unwrap().rows),
                 "{}: twin diverges on the smoke dataset",
                 w.name()
             );
@@ -251,13 +250,13 @@ fn undefined_select_paths_skip_the_same_rows_in_all_three_executors() {
         q.output(label, PathExpr::from(v).dot(label));
     }
     let wcoj = execute_wcoj(&db, &q).unwrap();
-    let expect = answer_set(&execute(&db, &q).unwrap().rows);
+    let expect = answer_bag(&execute(&db, &q).unwrap().rows);
     // Three rotations of the one triangle join; e2 = (2, 3) has no W.
     assert_eq!(expect.len(), 2);
     assert_eq!(wcoj.stats.rows_out, 2);
     assert!(wcoj.stats.tuples_considered > wcoj.stats.rows_out);
-    assert_eq!(answer_set(&wcoj.rows), expect);
-    assert_eq!(answer_set(&execute_legacy(&db, &q).unwrap().rows), expect);
+    assert_eq!(answer_bag(&wcoj.rows), expect);
+    assert_eq!(answer_bag(&execute_legacy(&db, &q).unwrap().rows), expect);
 }
 
 /// A ground equality — one without variables, like `3 = 4` — holds or fails
@@ -285,7 +284,7 @@ fn ground_equalities_decide_the_whole_query_in_all_three_executors() {
             assert_eq!(execute(&db, &g).unwrap().rows, want, "{tag}: execute");
             assert_eq!(execute_legacy(&db, &g).unwrap().rows, want, "{tag}: legacy");
             match execute_wcoj(&db, &g) {
-                Ok(r) => assert_eq!(answer_set(&r.rows), answer_set(&want), "{tag}: wcoj"),
+                Ok(r) => assert_eq!(answer_bag(&r.rows), answer_bag(&want), "{tag}: wcoj"),
                 Err(ExecError::GenericJoinUnsupported(_)) if g.from.is_empty() => {}
                 Err(err) => panic!("{tag}: wcoj failed: {err}"),
             }
@@ -474,7 +473,7 @@ fn op_stats_text(stats: &cnb_engine::ExecStats) -> Vec<String> {
 }
 
 /// Mixed-kind key columns, shared and reversed indexes, absent and
-/// other-kind pins and a hub of degree 120: the generic join's answer set
+/// other-kind pins and a hub of degree 120: the generic join's answer multiset
 /// is the binary pipeline's and the oracle's on every query, and its order
 /// digest, `tuples_considered` and operator stats are the goldens (taken
 /// before the index build shared indexes and coded its key columns).
@@ -642,14 +641,14 @@ fn mixed_kind_family_matches_both_engines_and_its_goldens() {
     for ((name, q), (want_name, digest, rows, tuples, ops)) in queries.into_iter().zip(golden) {
         assert_eq!(name, want_name);
         let wcoj = execute_wcoj(&db, &q).unwrap();
-        let expect = answer_set(&execute(&db, &q).unwrap().rows);
+        let expect = answer_bag(&execute(&db, &q).unwrap().rows);
         assert_eq!(
-            answer_set(&wcoj.rows),
+            answer_bag(&wcoj.rows),
             expect,
             "{name}: wcoj diverges from execute"
         );
         assert_eq!(
-            answer_set(&execute_legacy(&db, &q).unwrap().rows),
+            answer_bag(&execute_legacy(&db, &q).unwrap().rows),
             expect,
             "{name}: the oracle diverges"
         );

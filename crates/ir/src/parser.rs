@@ -237,11 +237,22 @@ struct Scope {
 
 impl Scope {
     fn lookup(&self, name: &str) -> Option<Var> {
-        self.vars
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+        self.vars.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    }
+
+    /// Reads the name of a new binding. A name already in scope is an
+    /// error: a second binding would shadow the first, and the text would
+    /// parse as another query than the one it spells.
+    fn fresh_name(&self, lx: &mut Lexer) -> Result<String, ParseError> {
+        let offset = lx.offset();
+        let name = lx.var_name()?;
+        if self.lookup(&name).is_some() {
+            return Err(ParseError {
+                message: format!("`{name}` is bound twice"),
+                offset,
+            });
+        }
+        Ok(name)
     }
 }
 
@@ -382,7 +393,7 @@ fn parse_quantifiers(
 ) -> Result<(), ParseError> {
     while matches!(lx.peek(), Tok::Punct('(')) {
         lx.next();
-        let name = lx.var_name()?;
+        let name = scope.fresh_name(lx)?;
         lx.expect_kw("in")?;
         let range = parse_range(lx, scope)?;
         lx.expect_punct(')')?;
@@ -418,7 +429,7 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
     lx.expect_kw("from")?;
     loop {
         let range = parse_range(&mut lx, &scope)?;
-        let name = lx.var_name()?;
+        let name = scope.fresh_name(&mut lx)?;
         let var = q.bind(&name, range);
         scope.vars.push((name, var));
         match lx.peek() {
@@ -587,6 +598,23 @@ mod tests {
     fn unbound_variable_rejected() {
         let e = parse_query("select struct(A = z.A) from R r").unwrap_err();
         assert!(e.message.contains("unbound"), "{e}");
+    }
+
+    #[test]
+    fn repeated_binding_name_rejected() {
+        let e = parse_query("select struct(A = r.A) from R r, S r where r.A = r.B").unwrap_err();
+        assert!(e.message.contains("`r` is bound twice"), "{e}");
+        assert_eq!(e.offset, 35, "{e}");
+    }
+
+    #[test]
+    fn repeated_quantifier_name_rejected() {
+        let e =
+            parse_constraint("twice", "forall (x in R) => exists (x in S) x.A = x.A").unwrap_err();
+        assert!(e.message.contains("`x` is bound twice"), "{e}");
+        let e = parse_constraint("twice", "forall (x in R)(x in S) x.A = x.B => x.A = x.A")
+            .unwrap_err();
+        assert!(e.message.contains("`x` is bound twice"), "{e}");
     }
 
     #[test]

@@ -41,6 +41,22 @@ impl Default for Ec2DataSpec {
     }
 }
 
+/// The paper's §5.3.1 table "Number of plans in EC2": each row's
+/// `[s, c, v]` and the number of plans FB, OQF and OCS find for it.
+/// `figures plan-counts` prints it beside the measured counts, and
+/// `tests/ec2_plan_counts.rs` holds the optimizer to it.
+pub const PAPER_PLAN_COUNTS: [([usize; 3], [usize; 3]); 9] = [
+    ([1, 3, 1], [2, 2, 2]),
+    ([1, 3, 2], [4, 4, 3]),
+    ([1, 4, 3], [7, 7, 5]),
+    ([1, 5, 1], [2, 2, 2]),
+    ([1, 5, 2], [4, 4, 3]),
+    ([1, 5, 3], [7, 7, 5]),
+    ([1, 5, 4], [13, 13, 8]),
+    ([2, 5, 1], [4, 4, 4]),
+    ([3, 5, 1], [8, 8, 8]),
+];
+
 /// EC2 parameters `[s, c, v]` — stars, corners per star, views per star.
 #[derive(Clone, Copy, Debug)]
 pub struct Ec2 {
@@ -211,7 +227,7 @@ impl Workload for Ec2 {
     }
 
     fn generate_at(&self, scale: DataScale) -> cnb_engine::Database {
-        // Fat joins (the ratios of `plan_execution_agreement.rs`) so the
+        // Fat joins (every corner matches, half the chain links do) so the
         // chain-of-stars result is nonempty at smoke sizes.
         self.generate(Ec2DataSpec {
             rows: scale.rows,

@@ -11,10 +11,11 @@
 //! optimizer change is exercised against five scenario families by the same
 //! generic code paths.
 //!
-//! Adding a new family is three steps: implement the trait, register the
-//! canonical instance in [`suite`], and add its figure as one entry of
-//! `cnb_bench::FIGURES` (a routine in `cnb_bench::figs`) — the generic
-//! suites pick the rest up automatically.
+//! Adding a new family is two steps: implement the trait and register the
+//! canonical instance in [`suite`]; the generic suites, the plan-versus-
+//! request differential included, pick the rest up automatically. Its
+//! figure, if it has one, is one entry of `cnb_bench::FIGURES` (a routine
+//! in `cnb_bench::figs`).
 
 use cnb_core::prelude::{OptimizeResult, Optimizer, OptimizerConfig, Strategy};
 use cnb_engine::Database;

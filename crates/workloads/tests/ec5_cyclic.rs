@@ -1,13 +1,13 @@
-//! EC5 golden + differential suite: cyclic joins over the edge relation.
-//!
-//! Same contract as `plan_execution_agreement.rs`: every plan's row *order*
-//! must be a pure function of (db, plan) — checked against two
-//! independently generated copies of the dataset with no `sorted()` shim —
-//! and the batched engine must agree byte-for-byte with the
-//! `execute_legacy` tuple-at-a-time oracle. On top of that, EC5 carries the
-//! subsystem's headline assertion: the backchase finds a wedge-view plan
+//! EC5 suite: cyclic joins over the edge relation. It carries the
+//! subsystem's headline assertion — the backchase finds a wedge-view plan
 //! for the triangle that **no join reordering of the original query could
-//! produce**, since the original ranges over `E` alone.
+//! produce**, since the original ranges over `E` alone — plus literal
+//! golden rows and the secondary shapes. That every triangle and 4-cycle
+//! plan answers its request (as a set; the `W ⋈ W` plans' multisets
+//! differ), in a reproducible row order that matches the `execute_legacy`
+//! oracle, on uniform and skewed graphs, is the workloads' one
+//! differential (`support`): the two tests below run it on EC5's graph
+//! cases, and `workload_suite.rs` runs it over every case.
 
 mod support;
 
@@ -15,21 +15,19 @@ use cnb_engine::datagen::EdgeDist;
 use cnb_engine::{execute, execute_legacy, Database};
 use cnb_ir::prelude::{sym, Range, Value};
 use cnb_workloads::{ec5::Ec5DataSpec, Ec5, Workload};
-use support::{assert_exact_order_deterministic, distinct};
+use support::distinct;
 
-// Small graphs: cyclic outputs grow with (edges/nodes)^k, and skew piles
-// further multiplicity onto the hub nodes — debug-mode test budgets want
-// outputs in the hundreds, not tens of thousands.
-fn spec(dist: EdgeDist) -> Ec5DataSpec {
+// A small uniform graph: cyclic outputs grow with (edges/nodes)^k, and
+// debug-mode test budgets want outputs in the hundreds, not tens of
+// thousands.
+fn graph() -> Ec5DataSpec {
     Ec5DataSpec {
         nodes: 50,
         edges: 250,
-        dist,
+        dist: EdgeDist::Uniform,
         seed: 11,
     }
 }
-
-const SKEW: EdgeDist = EdgeDist::Skewed(2.0);
 
 /// The acceptance-criterion test: on the triangle query, C&B produces a
 /// wedge-view plan that the greedy join planner alone could not. The greedy
@@ -69,7 +67,7 @@ fn triangle_backchase_finds_plan_greedy_join_planner_cannot() {
     );
 
     // And the exotic plan is *correct*: same answer set as the original.
-    let db = ec5.generate(spec(EdgeDist::Uniform));
+    let db = ec5.generate(graph());
     let baseline = distinct(&execute(&db, &q).unwrap().rows);
     assert!(
         !baseline.is_empty(),
@@ -83,52 +81,26 @@ fn triangle_backchase_finds_plan_greedy_join_planner_cannot() {
     );
 }
 
-/// Every triangle plan agrees with the original query on both the uniform
-/// and the skewed dataset (distinct answer sets — see [`distinct`]).
+/// Every triangle plan answers its request on the uniform and the skewed
+/// graph, with the multiset differences `support::GOLDEN` pins.
 #[test]
 fn ec5_plans_agree_on_uniform_and_skewed_data() {
-    let ec5 = Ec5::triangle();
-    let q = ec5.query();
-    let res = ec5.optimize();
-    assert!(res.plans.len() >= 2);
-    for dist in [EdgeDist::Uniform, SKEW] {
-        let db = ec5.generate(spec(dist));
-        let baseline = distinct(&execute(&db, &q).unwrap().rows);
-        assert!(!baseline.is_empty(), "dataset too sparse for {dist:?}");
-        for p in &res.plans {
-            assert_eq!(
-                distinct(&execute(&db, &p.query).unwrap().rows),
-                baseline,
-                "plan diverges on {dist:?}:\n{}",
-                p.query
-            );
-        }
+    for label in ["EC5 triangle, uniform", "EC5 triangle, skewed"] {
+        support::assert_verdict_is_golden(label);
     }
 }
 
-/// Exact-order golden test: two independently generated copies of each
-/// dataset yield byte-identical rows for every plan, and the batched engine
-/// matches the tuple-at-a-time oracle — on the triangle and the 4-cycle,
-/// uniform and skewed.
+/// Every plan's rows and their order are a pure function of the data and
+/// equal the nested-loop oracle's — on the triangle, uniform and skewed,
+/// and on the 4-cycle (whose outputs grow a full power faster), uniform.
 #[test]
 fn ec5_execution_order_is_exact() {
-    // Triangle on uniform and skewed data; the 4-cycle (whose outputs grow
-    // a full power faster) on uniform only.
-    let cases = [
-        (Ec5::triangle(), EdgeDist::Uniform),
-        (Ec5::triangle(), SKEW),
-        (Ec5::four_cycle(), EdgeDist::Uniform),
-    ];
-    for (ec5, dist) in cases {
-        let res = ec5.optimize();
-        assert!(!res.plans.is_empty());
-        let (db_a, db_b) = (ec5.generate(spec(dist)), ec5.generate(spec(dist)));
-        assert!(
-            !execute(&db_a, &ec5.query()).unwrap().rows.is_empty(),
-            "need nonempty results to pin order (cycle {}, {dist:?})",
-            ec5.cycle
-        );
-        assert_exact_order_deterministic(&db_a, &db_b, &res.plans);
+    for label in [
+        "EC5 triangle, uniform",
+        "EC5 triangle, skewed",
+        "EC5 4-cycle, uniform",
+    ] {
+        support::assert_rows_are_exact(&support::case(label));
     }
 }
 
@@ -183,10 +155,7 @@ fn triangle_golden_rows_pinned() {
 #[test]
 fn clique_and_path_queries_execute_deterministically() {
     let ec5 = Ec5::triangle();
-    let (db_a, db_b) = (
-        ec5.generate(spec(EdgeDist::Uniform)),
-        ec5.generate(spec(EdgeDist::Uniform)),
-    );
+    let (db_a, db_b) = (ec5.generate(graph()), ec5.generate(graph()));
     for q in [ec5.clique_query(3), ec5.path_query(2), ec5.path_query(3)] {
         let a = execute(&db_a, &q).unwrap();
         assert!(!a.rows.is_empty(), "query returned nothing:\n{q}");

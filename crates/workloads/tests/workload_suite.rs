@@ -2,12 +2,18 @@
 //! its own [`Expectations`] through the full pipeline — schema → optimize
 //! (chase + backchase) → seeded generation → batched execution — using only
 //! trait methods, the way future engine/optimizer PRs are judged.
+//!
+//! It also runs the workloads' one differential (`support`) over every
+//! case: every plan of every family answers its request, rows and order are
+//! a pure function of (data, plan) and match the `execute_legacy` oracle,
+//! and the plans whose *multiset* of rows is not the request's are pinned
+//! by name. The release run counts too: it is the profile the benchmark
+//! runs.
 
 mod support;
 
 use cnb_engine::execute;
 use cnb_workloads::{suite, AgmExpectation, DataScale};
-use support::distinct;
 
 /// Optimization invariants, per family: no timeout, a universal chase that
 /// reached its fixpoint, the promised plan floor, and — where promised — a plan
@@ -104,32 +110,26 @@ fn measured_ranking_matches_expectations() {
     }
 }
 
-/// Execution invariants, per family: the smoke dataset is reproducible and
-/// nonempty, and every generated plan computes the original query's answer
-/// set on it.
+/// Every plan of every case executes deterministically: the request's
+/// answer is nonempty, and each plan's rows and their order are a pure
+/// function of the data and equal the nested-loop oracle's.
 #[test]
 fn every_workload_executes_all_plans_consistently() {
-    for w in suite() {
-        let scale = DataScale::smoke();
-        let (db, db2) = (w.generate_at(scale), w.generate_at(scale));
-        let q = w.query();
-        let base = execute(&db, &q).unwrap();
-        assert!(!base.rows.is_empty(), "{}: empty at smoke scale", w.name());
-        assert_eq!(
-            base.rows,
-            execute(&db2, &q).unwrap().rows,
-            "{}: row order not a pure function of (scale, query)",
-            w.name()
-        );
-        let baseline = distinct(&base.rows);
-        for p in &w.optimize().plans {
-            assert_eq!(
-                distinct(&execute(&db, &p.query).unwrap().rows),
-                baseline,
-                "{}: plan diverges:\n{}",
-                w.name(),
-                p.query
-            );
-        }
+    for case in support::cases() {
+        support::assert_rows_are_exact(&case);
     }
+}
+
+/// Every plan of every case answers its request as a set; the plans whose
+/// multisets differ, and whether the served answer does, are
+/// `support::GOLDEN`'s. A new family joins by being registered in
+/// `suite()`.
+#[test]
+fn every_plan_answers_its_request() {
+    let got: Vec<support::Verdict> = support::cases().iter().map(support::verdict).collect();
+    let golden: Vec<support::Verdict> = support::GOLDEN
+        .iter()
+        .map(|g| support::golden(g.0))
+        .collect();
+    assert_eq!(got, golden);
 }
