@@ -118,7 +118,8 @@ fn sanctioned_std_hash_map_sites_are_pinned() {
 /// builders of `physical.rs`, which refuse a relation or attribute that
 /// does not exist and a view definition that does not type-check. Core's
 /// one: `combine_plans` in `fragments.rs`, on an output no OQF fragment
-/// provides. There is no sanctioned `unreachable!`.
+/// provides. There is no sanctioned `unreachable!`, nor `.unwrap()` in
+/// `cnb_core`.
 #[test]
 fn sanctioned_panic_sites_are_pinned() {
     let pinned = [("core", 1), ("engine", 0), ("ir", 7)];
@@ -128,19 +129,23 @@ fn sanctioned_panic_sites_are_pinned() {
         &["restriction"],
         &pinned.map(|(k, _)| (k, 0)),
     );
+    assert_sanctions("unwrap_used", &["restriction"], &[("core", 0)]);
 }
 
 /// The attributes that make those rules: the serving layer forbids the
-/// clock outright (no `#[expect]` can sanction a read there), and the three
-/// logic crates deny panics outside their tests.
+/// clock outright (no `#[expect]` can sanction a read there), the three
+/// logic crates deny panics outside their tests, and `cnb_core` denies
+/// `.unwrap()` there too — an `expect` names its reason.
 #[test]
 fn the_forbid_and_deny_attributes_are_in_place() {
     let forbid = "#![forbid(clippy::disallowed_methods)]";
     let deny = "#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]";
+    let unwrap = "#![cfg_attr(not(test), deny(clippy::unwrap_used))]";
     for (file, attr) in [
         ("engine/src/serving.rs", forbid),
         ("engine/src/pressure.rs", forbid),
         ("core/src/lib.rs", deny),
+        ("core/src/lib.rs", unwrap),
         ("engine/src/lib.rs", deny),
         ("ir/src/lib.rs", deny),
     ] {

@@ -14,12 +14,28 @@ use std::fmt;
 ///
 /// `spill` never ends in a zero word, so the derived `Eq`/`Hash` are
 /// content-based: one set, one memo key.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(PartialEq, Eq, Hash, Default)]
 pub struct VarSet {
     /// Bits of ids 0..64.
     low: u64,
     /// Words of ids 64.., word `i` holding ids `64 * (i + 1)..`.
     spill: Vec<u64>,
+}
+
+impl Clone for VarSet {
+    fn clone(&self) -> VarSet {
+        VarSet {
+            low: self.low,
+            spill: self.spill.clone(),
+        }
+    }
+
+    /// Overwrites `self` in place, keeping its spill buffer: a set recycled
+    /// through many candidates allocates once it has grown.
+    fn clone_from(&mut self, source: &VarSet) {
+        self.low = source.low;
+        self.spill.clone_from(&source.spill);
+    }
 }
 
 impl VarSet {

@@ -133,10 +133,6 @@ impl<'a> Chaser<'a> {
         self.applied.clear();
         self.searched_at.clear();
         self.searched_at.resize(self.constraints.len(), usize::MAX);
-        let exists = HomConfig {
-            max_homs: 1,
-            injective: false,
-        };
 
         for _round in 0..self.cfg.max_rounds {
             stats.rounds += 1;
@@ -161,7 +157,7 @@ impl<'a> Chaser<'a> {
                     existential.search(
                         db,
                         &self.universal.assignment,
-                        exists,
+                        EXISTS,
                         &mut self.existential,
                     );
                     if self.existential.count > 0 {
@@ -185,7 +181,40 @@ impl<'a> Chaser<'a> {
         stats.truncated = true;
         stats
     }
+
+    /// Hands `rule` every homomorphism of a constraint's universal part into
+    /// `db`, with one witness of its existential part: the images of the
+    /// universal bindings, then of the existential ones. Returns false as
+    /// soon as one has no witness — `db` is not a fixpoint of this set.
+    pub(crate) fn witnesses(
+        &mut self,
+        db: &mut CanonDb,
+        mut rule: impl FnMut(&[Var], &[Var]),
+    ) -> bool {
+        for (universal, existential) in &self.bodies {
+            universal.search(db, &[], HomConfig::default(), &mut self.universal);
+            for k in 0..self.universal.count {
+                self.universal.assign(universal, k);
+                let fixed = &self.universal.assignment;
+                existential.search(db, fixed, EXISTS, &mut self.existential);
+                if self.existential.count == 0 {
+                    return false;
+                }
+                rule(
+                    self.universal.image(universal, k),
+                    self.existential.image(existential, 0),
+                );
+            }
+        }
+        true
+    }
 }
+
+/// The search for a step's existential part: one extension decides.
+const EXISTS: HomConfig = HomConfig {
+    max_homs: 1,
+    injective: false,
+};
 
 /// The `(constraint, ordered image of its universal variables)` pairs a
 /// chase has processed — the paper's "ruling out homomorphisms previously

@@ -19,7 +19,7 @@
 //! (`CompiledChecker::equivalent_into`, [`CanonDb::reset_to`]). What runs
 //! on the filled database is one body, `CompiledChecker::check`.
 
-use cnb_ir::prelude::{Constraint, Query};
+use cnb_ir::prelude::{Constraint, Query, Var};
 
 use crate::canon::CanonDb;
 use crate::chase::{ChaseConfig, ChaseStats, Chaser};
@@ -113,20 +113,34 @@ impl CompiledChecker<'_> {
         let stats = self.chaser.chase(scratch);
         self.body
             .search(scratch, &[], HomConfig::default(), &mut self.homs);
-        let CanonDb { query, cong, .. } = scratch;
+        let verdict = (0..self.homs.count).any(|k| self.preserves_outputs(scratch, k));
+        (verdict, stats)
+    }
+
+    /// Hands `image` every homomorphism of `q0`'s body into `db` that
+    /// preserves the outputs as [`CompiledChecker::check`] requires: the
+    /// images of `q0`'s bindings. On the universal plan, whose outputs are
+    /// `q0`'s own, that is every output mapped onto itself.
+    pub(crate) fn images(&mut self, db: &mut CanonDb, mut image: impl FnMut(&[Var])) {
+        self.body
+            .search(db, &[], HomConfig::default(), &mut self.homs);
         for k in 0..self.homs.count {
-            self.homs.assign(&self.body, k);
-            // Output preservation: each select path of `q0`, mapped, must
-            // equal the candidate's path of the same label.
-            let ok = self.spec.q0.select.iter().all(|(label, p)| {
-                let target = query.select.iter().rev().find(|(l, _)| l == label);
-                target.is_some_and(|(_, t)| cong.probe_equal((p, &self.homs.assignment), (t, &[])))
-            });
-            if ok {
-                return (true, stats);
+            if self.preserves_outputs(db, k) {
+                image(self.homs.image(&self.body, k));
             }
         }
-        (false, stats)
+    }
+
+    /// Output preservation of the `k`-th homomorphism the last search found:
+    /// each select path of `q0`, mapped, must equal `db`'s path of the same
+    /// label.
+    fn preserves_outputs(&mut self, db: &mut CanonDb, k: usize) -> bool {
+        self.homs.assign(&self.body, k);
+        let CanonDb { query, cong, .. } = db;
+        self.spec.q0.select.iter().all(|(label, p)| {
+            let target = query.select.iter().rev().find(|(l, _)| l == label);
+            target.is_some_and(|(_, t)| cong.probe_equal((p, &self.homs.assignment), (t, &[])))
+        })
     }
 }
 

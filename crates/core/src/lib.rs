@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod backchase;
 pub mod bitset;
@@ -29,6 +30,7 @@ pub mod canon;
 pub mod chase;
 pub mod congruence;
 pub mod cost;
+pub mod derivations;
 pub mod equivalence;
 pub mod fragments;
 pub mod homomorphism;

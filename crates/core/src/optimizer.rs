@@ -113,6 +113,9 @@ pub struct OptimizeResult {
     /// Of those, the verdicts the searches' borders gave without a chase
     /// ([`BackchaseResult::inferred`], summed).
     pub inferred: usize,
+    /// Of those, the verdicts the universal plans' derivations refuted
+    /// without a chase ([`BackchaseResult::underivable`], summed).
+    pub underivable: usize,
     /// Time spent chasing.
     pub chase_time: Duration,
     /// Time spent in backchase search.
@@ -143,6 +146,7 @@ impl OptimizeResult {
         self.universal_arity += run.universal_arity;
         self.explored += run.explored;
         self.inferred += run.inferred;
+        self.underivable += run.underivable;
         self.pruned += run.pruned;
         self.floored += run.floored;
         self.chase_time += run.chase_time;

@@ -38,9 +38,10 @@ cargo fmt --check
 # ("this lint expectation is unfulfilled"). crates/engine/src/serving.rs and
 # pressure.rs forbid clippy::disallowed_methods, so a wall-clock read there
 # fails even under an #[expect]. cnb_core, cnb_engine and cnb_ir deny
-# clippy::panic and clippy::unreachable outside their tests; each sanctioned
-# panic sits under #[expect(clippy::panic)]. The test tiers below pin how
-# many sanctions each crate holds.
+# clippy::panic and clippy::unreachable outside their tests, and cnb_core
+# clippy::unwrap_used too; each sanctioned panic sits under
+# #[expect(clippy::panic)]. The test tiers below pin how many sanctions each
+# crate holds.
 tier "cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

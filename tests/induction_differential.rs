@@ -18,8 +18,9 @@
 //! query's (`CanonDb::reset_to`) must imply each other: every where and
 //! select equality of the induced query holds in the loaded database, and
 //! every two non-probe terms of one loaded class are equal in the induced
-//! query's. A lattice's unbordered check (`Lattice::equivalent`, a load and
-//! a chase) must give the oracle's verdict.
+//! query's. A lattice's unbordered check (`Lattice::equivalent`: a
+//! refutation by the universal plan's derivations, or a load and a chase)
+//! must give the oracle's verdict.
 //!
 //! What a lattice has learnt decides which of its verdicts are inferred, so
 //! the verdicts are swept in three orders, a fresh lattice each: ascending

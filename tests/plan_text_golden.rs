@@ -19,9 +19,13 @@
 //! backchase, `"{strategy:?} :: {query}"` for an [`Optimizer`] result, which
 //! keeps no binding sets), each followed by a newline. Beside each row is the
 //! run's `inferred`: how many of its `explored` verdicts the lattice's
-//! borders gave without a chase (`explored - inferred` chases were run) —
-//! recorded when the borders were introduced, with every row unchanged. On a
-//! mismatch the failure message prints the whole table as observed.
+//! borders gave without a chase — recorded when the borders were introduced,
+//! with every row unchanged. Of the rest, the universal plan's derivations
+//! refute some without a chase as well (`underivable`, which this table does
+//! not hold: `tests/derivation_differential.rs` pins it for the nine
+//! `optimize_cold` points), and `explored - inferred - underivable` chases
+//! were run. On a mismatch the failure message prints the whole table as
+//! observed.
 
 use chase_too_far::core::cost::CostModel;
 use chase_too_far::core::prelude::*;

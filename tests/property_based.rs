@@ -1,12 +1,7 @@
 //! Property-based tests on the core data structures and the optimizer's
 //! soundness invariant: *every plan, executed, agrees with the original
-//! query*.
-//!
-//! The build environment has no registry access, so instead of an external property-testing framework
-//! these run on a small in-repo harness: a seeded case loop (`cases`) drawing
-//! inputs from the workspace's own [`SplitMix64`] generator. There is no
-//! shrinking; on failure the harness reports the case index and per-case
-//! seed, which reproduce the exact inputs deterministically.
+//! query*. They run on the seeded case loop of `arbitrary/mod.rs`; a
+//! failure reports the case index and seed that replay it.
 
 // The std HashSet here is a deliberately *independent* model oracle for
 // VarSet — only membership is compared, never iteration order — so the
@@ -16,7 +11,6 @@
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use chase_too_far::core::bitset::{Border, VarSet};
 use chase_too_far::core::canon::substitute;
@@ -29,28 +23,10 @@ use chase_too_far::engine::prng::SplitMix64;
 use chase_too_far::engine::{execute, Database};
 use chase_too_far::ir::prelude::*;
 
+mod arbitrary;
 mod roundtrip;
 
-// --------------------------------------------------------------- harness --
-
-/// Runs `n` seeded cases of `property`, reporting the failing case index and
-/// seed (enough to replay: seeds are derived, not random) on panic.
-fn cases(name: &str, n: usize, property: impl Fn(&mut SplitMix64)) {
-    for case in 0..n {
-        // Derive per-case seeds from a fixed root so runs are reproducible
-        // and cases are independent of each other.
-        let seed = SplitMix64::seed_from_u64(0xC0B0_2000 + case as u64).next_u64();
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| property(&mut rng))) {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
-            panic!("property `{name}` failed at case {case}/{n} (seed {seed:#x}):\n{msg}");
-        }
-    }
-}
+use arbitrary::{arb_constraints, arb_query, cases, chain_schema};
 
 // ---------------------------------------------------------------- VarSet --
 
@@ -602,34 +578,11 @@ fn backchase_is_deterministic_random() {
 /// with nothing. Both outcomes are drawn at least ten times.
 #[test]
 fn certified_sets_chase_to_a_fixpoint() {
-    let mut schema = Schema::new();
-    for i in 0..3 {
-        schema.add_relation(
-            format!("R{i}"),
-            [(sym("A"), Type::Int), (sym("B"), Type::Int)],
-        );
-    }
+    let schema = chain_schema();
     let (certified, refused) = (Cell::new(0), Cell::new(0));
     cases("certified_sets_chase_to_a_fixpoint", 64, |rng| {
         let q = arb_query(rng);
-        let mut cs: Vec<Constraint> = Vec::new();
-        for i in 0..3 {
-            if rng.gen_bool(0.3) {
-                cs.push(key_constraint(sym(&format!("R{i}")), sym("A")));
-            }
-        }
-        for k in 0..rng.gen_range(1usize..4) {
-            let mut pick = || {
-                let rel = sym(&format!("R{}", rng.gen_range(0..3)));
-                (rel, sym(if rng.gen_bool(0.5) { "A" } else { "B" }))
-            };
-            let ((from, x_attr), (to, y_attr)) = (pick(), pick());
-            let mut ind = Constraint::new(format!("IND{k}_{from}_{x_attr}_in_{to}_{y_attr}"));
-            let x = ind.forall("x", Range::Name(from));
-            let y = ind.exists("y", Range::Name(to));
-            ind.then(PathExpr::from(x).dot(x_attr), PathExpr::from(y).dot(y_attr));
-            cs.push(ind);
-        }
+        let cs = arb_constraints(rng);
         let opt = Optimizer::with_constraints(schema.clone(), cs.clone());
         let res = opt.optimize(&q, &OptimizerConfig::default());
         let set = cs
@@ -860,27 +813,6 @@ fn cost_observation_feedback_matches_arithmetic_mean() {
 }
 
 // ---------------------------------------------------- Query invariants --
-
-/// A random chain of 1..4 bindings over R0..R3 with random equalities and
-/// outputs.
-fn arb_query(rng: &mut SplitMix64) -> Query {
-    let n = rng.gen_range(1usize..5);
-    let mut q = Query::new();
-    let vars: Vec<Var> = (0..n)
-        .map(|i| q.bind(&format!("x{i}"), Range::Name(sym(&format!("R{}", i % 3)))))
-        .collect();
-    for w in vars.windows(2) {
-        if rng.gen_bool(0.5) {
-            q.equate(PathExpr::from(w[0]).dot("B"), PathExpr::from(w[1]).dot("A"));
-        }
-    }
-    for (i, v) in vars.iter().enumerate() {
-        if i == 0 || rng.gen_bool(0.5) {
-            q.output(&format!("O{i}"), PathExpr::from(*v).dot("A"));
-        }
-    }
-    q
-}
 
 /// canonical_key is invariant under variable renaming.
 #[test]
