@@ -19,8 +19,10 @@
 //!
 //! The first two check their residual equalities on each candidate before
 //! it joins the batch, and report them as the `filter` operators they stand
-//! for. [`execute`] compiles to the first two under a greedy
-//! selectivity-aware ordering ([`crate::join`]) that plays the role of the
+//! for; a hash join whose first filter reads another attribute of its
+//! binding may instead probe both attributes at once and still report that
+//! filter's cascade counts. [`execute`] compiles to the first two under a
+//! greedy selectivity-aware ordering ([`crate::join`]) that plays the role of the
 //! host optimizer's join reordering (the paper fed its plans to DB2, which
 //! did the same); [`execute_wcoj`] compiles to a single `GenericJoin`.
 //!
@@ -29,10 +31,14 @@
 //! states the rule); `run` declares the operators and one `Home` per
 //! operator *before* the batch, so everything a column can point at
 //! outlives it; and the projection's `into_owned()` — once per output
-//! field — is the only place a run clones a value it did not build. Build
-//! sides are made inside the operator that reads them, for its input: a
-//! hash join builds its table when it first runs with rows, a `dict_join`
-//! keeps the pairs its rows ask for ([`ExecStats::index_entries_built`]).
+//! field — is the only place a run clones a value into its output. The
+//! other clones are a hash join's build table's keys: `JoinIndexes::table`
+//! clones every attribute value it indexes (an `Arc` bump for strings and
+//! structs). Build sides are made inside the operator that reads them, for
+//! its input: a hash join builds its table when it first runs with rows
+//! (and a folded one its pair table, which borrows the rows), a
+//! `dict_join` keeps the pairs its rows ask for
+//! ([`ExecStats::index_entries_built`]).
 //!
 //! **Determinism.** Output row order is a pure function of
 //! `(database, plan)`: batches are walked front to back, hash-join buckets
@@ -113,9 +119,11 @@ pub struct ExecStats {
     /// [`execute_legacy`], which predates the batch model).
     pub operators: Vec<OpStats>,
     /// Entries the run wrote into build-side structures: one per row a
-    /// hash-join table indexes, per `(key, element)` pair a `dict_join`
-    /// keeps and per row a generic-join index holds. The part of a run's
-    /// work that follows the database rather than the request.
+    /// hash-join table indexes, per row a folded hash join's pair table
+    /// indexes (the rows holding both of its attributes; the fold is
+    /// `crate::join`'s), per `(key, element)` pair a `dict_join` keeps and
+    /// per row a generic-join index holds. The part of a run's work that
+    /// follows the database rather than the request.
     pub index_entries_built: usize,
 }
 
@@ -278,7 +286,9 @@ fn run(
     }
     for (op, home) in ops.iter().zip(&homes) {
         batch = match op {
-            Op::Bind(step) => apply_access(db, q, &mut indexes, step, home, &batch, &mut stats)?,
+            Op::Bind { step, fold } => {
+                apply_access(db, q, &mut indexes, (step, *fold), home, &batch, &mut stats)?
+            }
             Op::DictJoin(dj) => apply_dict_join(db, q, dj, &batch, &mut stats)?,
             Op::GenericJoin(gj) => apply_generic_join(db, gj, &mut stats)?,
         };

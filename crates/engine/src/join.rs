@@ -27,6 +27,23 @@
 //! half, which the legacy oracle in [`crate::eval`] keeps executing as a
 //! nested loop.
 //!
+//! **A cycle closes in the probe.** The last join of a cycle probes one
+//! attribute and filters on another: the triangle's third edge is found by
+//! `e2.T = e3.S` and then kept by `e3.T = e1.S`, so it reads the whole `S`
+//! bucket to keep the one row whose `T` matches. When a hash-join step's
+//! *first* filter equates another attribute of the binding (`e3.T`) with a
+//! side that reads no attribute of it (`e1.S`, a constant), [`plan`] marks
+//! that filter folded. The fold is decided per call: when the key's buckets
+//! would offer more candidates than the table has rows, the operator
+//! builds a two-attribute table on `(S, T)` ([`PairTable`]) and probes it
+//! at `(e2.T, e1.S)`, reading only the rows the filter passes; otherwise it
+//! filters the buckets as an unfolded hash join does. A folded probe still
+//! reports the cascade it replaces — the bucket sizes as the join's output
+//! and the filter's input, the rows the table returns as what the filter
+//! passed — so rows, row order, every [`OpStats`] entry and
+//! `tuples_considered` are what the unfolded step reports; only
+//! [`ExecStats::index_entries_built`] grows, by the pair table's rows.
+//!
 //! Execution is batch-at-a-time: each operator takes the current
 //! [`Batch`], walks it front to back, and emits a selection vector plus the
 //! new binding's column(s) — pointers to the rows, keys and set elements
@@ -61,8 +78,9 @@
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
+use std::hash::BuildHasher;
 
-use cnb_core::fxhash::FxHashMap;
+use cnb_core::fxhash::{FxBuildHasher, FxHashMap};
 use cnb_ir::prelude::*;
 
 use crate::batch::{eval_path_at, homed, Batch, Home, Path};
@@ -124,8 +142,10 @@ pub(crate) struct DictJoin {
 
 /// One operator of the executable pipeline.
 pub(crate) enum Op {
-    /// One binding through its own access path.
-    Bind(Step),
+    /// One binding through its own access path. `fold` is the attribute a
+    /// hash join may probe together with its key, the one its first filter
+    /// reads off the binding ([`plan`]).
+    Bind { step: Step, fold: Option<Symbol> },
     /// Two bindings through one index probe.
     DictJoin(DictJoin),
     /// Every binding through one multiway intersection.
@@ -136,7 +156,7 @@ impl Op {
     /// From-clause indexes this operator binds, in nested-loop order.
     pub fn bindings(&self) -> impl Iterator<Item = usize> {
         let (run, then) = match self {
-            Op::Bind(step) => (step.binding_idx..step.binding_idx + 1, None),
+            Op::Bind { step, .. } => (step.binding_idx..step.binding_idx + 1, None),
             Op::DictJoin(dj) => (dj.key_idx..dj.key_idx + 1, Some(dj.elem_idx)),
             Op::GenericJoin(gj) => (0..gj.width(), None),
         };
@@ -145,8 +165,9 @@ impl Op {
 }
 
 /// The executable pipeline for `q`: [`greedy_order`], then every index
-/// pair the order placed back to back fused into a [`DictJoin`]. The order
-/// itself never changes.
+/// pair the order placed back to back fused into a [`DictJoin`], and every
+/// hash join whose first filter can join its probe marked with that
+/// filter's attribute ([`fold_attr`]). The order itself never changes.
 pub(crate) fn plan(db: &Database, q: &Query) -> Result<Vec<Op>, ExecError> {
     let steps = greedy_order(db, q)?;
     let mut ops = Vec::with_capacity(steps.len());
@@ -161,7 +182,10 @@ pub(crate) fn plan(db: &Database, q: &Query) -> Result<Vec<Op>, ExecError> {
                 steps.next();
                 Op::DictJoin(dj)
             }
-            None => Op::Bind(step),
+            None => Op::Bind {
+                fold: fold_attr(q, &step),
+                step,
+            },
         };
         bound.extend(op.bindings().map(|i| q.from[i].var));
         ops.push(op);
@@ -228,6 +252,30 @@ fn fuse_dict_pair(q: &Query, bound: &[Var], key_step: &Step, elem_step: &Step) -
         probe: probe.clone(),
         filters: key_step.filters.iter().chain(residual).cloned().collect(),
     })
+}
+
+/// The attribute `b` a hash-join step on `attr` may probe together with its
+/// key: the step's first filter equates `v.b` — `v` the binding, `b` not
+/// `attr` — with a side that reads no attribute of `v`. Only the first
+/// filter folds; the others are checked on the rows the probe returns.
+fn fold_attr(q: &Query, step: &Step) -> Option<Symbol> {
+    let Access::HashJoin { attr, .. } = &step.access else {
+        return None;
+    };
+    let var = q.from[step.binding_idx].var;
+    let first = step.filters.first()?;
+    [(&first.lhs, &first.rhs), (&first.rhs, &first.lhs)]
+        .into_iter()
+        .find_map(|(side, other)| match side {
+            PathExpr::Field(base, b)
+                if b != attr
+                    && matches!(**base, PathExpr::Var(v) if v == var)
+                    && other.vars_all(&mut |v| v != var) =>
+            {
+                Some(*b)
+            }
+            _ => None,
+        })
 }
 
 /// Greedy ordering + access-path selection, one [`Step`] per binding.
@@ -473,6 +521,88 @@ impl JoinIndexes {
     }
 }
 
+/// A folded hash join's build side ([`fold_attr`]): the rows that have both
+/// attributes, grouped by a hash of their pair of values, built by the call
+/// that probes it and dropped with it. The row ids of all groups share one
+/// flat array, each group in table order; there is at least one group per
+/// row, and a group holds every pair that hashes to it, so a probe compares
+/// the pair it asks for with each row's own values — the table keeps no
+/// key of its own.
+struct PairTable<'a> {
+    rows: &'a [Value],
+    attrs: (Symbol, Symbol),
+    /// There are `2^bits` groups, numbered by the hash's top bits.
+    bits: u32,
+    /// Group `g` owns `slots[starts[g]..starts[g + 1]]`.
+    starts: Vec<u32>,
+    /// `(the hash's low half, row id)`.
+    slots: Vec<(u32, u32)>,
+}
+
+/// The hash a [`PairTable`] files a pair of values under: odd, so that 0
+/// can mark a row without one of them.
+fn pair_hash(first: &Value, second: &Value) -> u64 {
+    FxBuildHasher::default().hash_one((first, second)) | 1
+}
+
+/// Which of `2^bits` groups a pair hash files under: its top bits.
+fn pair_group(h: u64, bits: u32) -> usize {
+    h.checked_shr(64 - bits).unwrap_or(0) as usize
+}
+
+impl<'a> PairTable<'a> {
+    /// Indexes every row of `rows` that has both `attrs`: one pass that
+    /// hashes and counts, one that places (a counting sort, so each group
+    /// keeps table order). `rows` has passed the one-attribute table's
+    /// [`check_row_ids`], so its ids fit a `u32`.
+    fn build(rows: &'a [Value], attrs: (Symbol, Symbol)) -> PairTable<'a> {
+        let bits = rows.len().next_power_of_two().trailing_zeros();
+        let hashes: Vec<u64> = rows
+            .iter()
+            .map(|row| match (row.field(attrs.0), row.field(attrs.1)) {
+                (Some(a), Some(b)) => pair_hash(a, b),
+                _ => 0,
+            })
+            .collect();
+        let group = |h| pair_group(h, bits);
+        let mut starts = vec![0; (1 << bits) + 1];
+        for &h in hashes.iter().filter(|&&h| h != 0) {
+            starts[group(h) + 1] += 1;
+        }
+        for g in 1..starts.len() {
+            starts[g] += starts[g - 1];
+        }
+        let mut next = starts.clone();
+        let mut slots = vec![(0, 0); starts[1 << bits] as usize];
+        for (i, h) in hashes.into_iter().enumerate().filter(|&(_, h)| h != 0) {
+            let at = &mut next[group(h)];
+            slots[*at as usize] = (h as u32, i as u32);
+            *at += 1;
+        }
+        PairTable {
+            rows,
+            attrs,
+            bits,
+            starts,
+            slots,
+        }
+    }
+
+    /// The rows whose attributes equal `(first, second)`, in table order.
+    fn rows<'p>(&'p self, first: &'p Value, second: &'p Value) -> impl Iterator<Item = u32> + 'p {
+        let h = pair_hash(first, second);
+        let g = pair_group(h, self.bits);
+        let group = &self.slots[self.starts[g] as usize..self.starts[g + 1] as usize];
+        group.iter().filter_map(move |&(low, i)| {
+            let row = &self.rows[i as usize];
+            let holds = low == h as u32
+                && row.field(self.attrs.0) == Some(first)
+                && row.field(self.attrs.1) == Some(second);
+            holds.then_some(i)
+        })
+    }
+}
+
 /// The `(key, element)` pairs of `dom M k, M[k].fields t`, in
 /// dictionary-then-set order. Entries whose path is undefined or not a set
 /// contribute nothing, exactly like a set-path expansion.
@@ -665,7 +795,43 @@ impl<'a> Sink<'a> {
         if r != self.row {
             self.read_row(batch, r);
         }
-        for f in &mut self.filters {
+        self.check(batch, r, cand, 0);
+    }
+
+    /// Takes input row `r`'s `offered` hash-join candidates as offered to a
+    /// folded first filter: counts them as [`Self::offer`] would, as having
+    /// reached that filter, and returns the value its row side holds at `r`
+    /// (`None`: undefined, so none passes). The ones it passes go to
+    /// [`Self::pass_folded`].
+    fn fold_row(&mut self, batch: &Batch<'a>, r: usize, offered: usize) -> Option<Cow<'a, Value>> {
+        self.considered += offered;
+        if r != self.row {
+            self.read_row(batch, r);
+        }
+        let first = &mut self.filters[0];
+        first.reached += offered;
+        // `fold_attr` folds only a filter whose other side reads no
+        // candidate, so that side is a row side.
+        debug_assert!(matches!(first.other, Side::Row(..)));
+        match &first.other {
+            Side::Row(_, held) => held.clone(),
+            Side::Candidate(_) => None,
+        }
+    }
+
+    /// Keeps a candidate the folded first filter passed if the other
+    /// filters hold on it.
+    #[inline(always)]
+    fn pass_folded(&mut self, batch: &Batch<'a>, r: usize, cand: &[&'a Value]) {
+        self.filters[0].passed += 1;
+        self.check(batch, r, cand, 1);
+    }
+
+    /// Keeps the candidate `cand` for input row `r` if filters `from..`
+    /// hold on it; the row sides are already read at `r`.
+    #[inline(always)]
+    fn check(&mut self, batch: &Batch<'a>, r: usize, cand: &[&'a Value], from: usize) {
+        for f in &mut self.filters[from..] {
             f.reached += 1;
             // Both sides defined and equal, or the candidate is dropped.
             let Some(a) = eval_path_at(batch, r, cand, &f.cand) else {
@@ -765,6 +931,49 @@ pub(crate) fn apply_dict_join<'a>(
     Ok(sink.finish(batch, access, stats))
 }
 
+/// The probe loop of a hash join on `rows` whose first filter reads the
+/// attribute `second` ([`fold_attr`]). When the key's buckets offer more
+/// candidates than the table has rows, the rows are probed in a
+/// [`PairTable`] on `(attr, second)` at the key and the filter's row side;
+/// otherwise every candidate is offered, as in an unfolded hash join.
+/// Returns the rows the pair table indexed (0 when none was built).
+fn probe_folded<'a>(
+    sink: &mut Sink<'a>,
+    batch: &Batch<'a>,
+    build: &BuildTable,
+    key: &Path<'a>,
+    rows: &'a [Value],
+    attrs: (Symbol, Symbol),
+) -> usize {
+    let buckets: Vec<&[u32]> = (0..batch.len())
+        .map(|r| eval_path_at(batch, r, &[], key).map_or(&[][..], |k| build.bucket(&k)))
+        .collect();
+    if buckets.iter().map(|b| b.len()).sum::<usize>() <= rows.len() {
+        for (r, bucket) in buckets.into_iter().enumerate() {
+            for &i in bucket {
+                sink.offer(batch, r, &[&rows[i as usize]]);
+            }
+        }
+        return 0;
+    }
+    let pairs = PairTable::build(rows, attrs);
+    for (r, bucket) in buckets.into_iter().enumerate() {
+        if bucket.is_empty() {
+            continue;
+        }
+        // A bucket was found, so the key is defined.
+        let Some(k) = eval_path_at(batch, r, &[], key) else {
+            continue;
+        };
+        if let Some(v) = sink.fold_row(batch, r, bucket.len()) {
+            for i in pairs.rows(&k, &v) {
+                sink.pass_folded(batch, r, &[&rows[i as usize]]);
+            }
+        }
+    }
+    pairs.slots.len()
+}
+
 /// Applies one access operator and its residual filters to `batch`,
 /// producing the next batch and recording the observed cardinalities. The
 /// new column points at the rows, keys and set elements the database holds;
@@ -773,7 +982,7 @@ pub(crate) fn apply_access<'a>(
     db: &'a Database,
     q: &Query,
     indexes: &mut JoinIndexes,
-    step: &'a Step,
+    (step, fold): (&'a Step, Option<Symbol>),
     home: &'a Home,
     batch: &Batch<'a>,
     stats: &mut ExecStats,
@@ -798,10 +1007,19 @@ pub(crate) fn apply_access<'a>(
             if batch.len() > 0 {
                 let build = indexes.table(db, (*table, *attr), ROW_ID_LIMIT, stats)?;
                 let key = key_path(key);
-                for r in 0..batch.len() {
-                    if let Some(k) = eval_path_at(batch, r, &[], &key) {
-                        for &i in build.bucket(&k) {
-                            sink.offer(batch, r, &[&rows[i as usize]]);
+                match fold {
+                    Some(second) => {
+                        let attrs = (*attr, second);
+                        stats.index_entries_built +=
+                            probe_folded(&mut sink, batch, build, &key, rows, attrs);
+                    }
+                    None => {
+                        for r in 0..batch.len() {
+                            if let Some(k) = eval_path_at(batch, r, &[], &key) {
+                                for &i in build.bucket(&k) {
+                                    sink.offer(batch, r, &[&rows[i as usize]]);
+                                }
+                            }
                         }
                     }
                 }
@@ -974,7 +1192,9 @@ mod tests {
         let mut batch = Batch::unit(q.from.len());
         for (op, home) in ops.iter().zip(&homes) {
             batch = match op {
-                Op::Bind(step) => apply_access(db, q, &mut indexes, step, home, &batch, &mut stats),
+                Op::Bind { step, fold } => {
+                    apply_access(db, q, &mut indexes, (step, *fold), home, &batch, &mut stats)
+                }
                 Op::DictJoin(dj) => apply_dict_join(db, q, dj, &batch, &mut stats),
                 Op::GenericJoin(_) => unreachable!("`plan` emits binary operators"),
             }
@@ -1205,6 +1425,103 @@ mod tests {
         assert_eq!(
             (res.stats.tuples_considered, res.stats.index_entries_built),
             (0, 0)
+        );
+    }
+
+    /// `ei.A = ej.B` as `((i, "A"), (j, "B"))`, bindings numbered from 0.
+    type Cond = ((usize, &'static str), (usize, &'static str));
+
+    /// `from E e1, E e2, E e3 where …`: the triangle's edge table and the
+    /// equalities given, in order.
+    fn edge_query(conds: &[Cond]) -> Query {
+        let mut q = Query::new();
+        let e: Vec<Var> = (1..=3)
+            .map(|i| q.bind(&format!("e{i}"), Range::Name(sym("E"))))
+            .collect();
+        for &((i, a), (j, b)) in conds {
+            q.equate(PathExpr::from(e[i]).dot(a), PathExpr::from(e[j]).dot(b));
+        }
+        q.output("S", PathExpr::from(e[0]).dot("S"));
+        q
+    }
+
+    /// The fold attribute `plan` marks on each operator.
+    fn folds(q: &Query) -> Vec<Option<Symbol>> {
+        let mut db = Database::new();
+        db.insert_row(sym("E"), int_row(&[("S", 1), ("T", 2)]));
+        let fold = |op: Op| match op {
+            Op::Bind { fold, .. } => fold,
+            _ => None,
+        };
+        plan(&db, q).unwrap().into_iter().map(fold).collect()
+    }
+
+    /// Only a hash join's first filter folds, and only when one side is
+    /// another attribute of the binding and the other reads none of it.
+    #[test]
+    fn the_first_filter_on_another_attribute_folds() {
+        let closing = [((0, "T"), (1, "S")), ((1, "T"), (2, "S"))];
+        let with = |more: &[Cond]| folds(&edge_query(&[&closing[..], more].concat()));
+        let t = Some(sym("T"));
+        assert_eq!(with(&[((2, "T"), (0, "S"))]), vec![None, None, t]);
+        assert_eq!(with(&[((0, "S"), (2, "T"))]), vec![None, None, t]);
+        // The key attribute again; the binding on both sides; only the
+        // first of two filters counts.
+        assert_eq!(with(&[((2, "S"), (0, "S"))]), vec![None; 3]);
+        assert_eq!(
+            with(&[((2, "T"), (2, "S")), ((2, "T"), (0, "S"))]),
+            vec![None; 3]
+        );
+        let two = with(&[((2, "L"), (0, "L")), ((2, "T"), (0, "S"))]);
+        assert_eq!(two, vec![None, None, Some(sym("L"))]);
+    }
+
+    /// A pair table returns, for any pair of values, the rows holding
+    /// both, in table order — across groups shared by several pairs, rows
+    /// without an attribute, `7` beside `7.0` and duplicate rows.
+    #[test]
+    fn a_pair_table_returns_the_rows_holding_the_pair() {
+        let values = [
+            Value::Int(7),
+            Value::Float(7.0),
+            Value::Int(1),
+            Value::str("7"),
+        ];
+        let mut rows = Vec::new();
+        for (i, a) in values.iter().enumerate() {
+            for (j, b) in values.iter().enumerate() {
+                let row = Value::record([(sym("S"), a.clone()), (sym("T"), b.clone())]);
+                rows.extend(std::iter::repeat_n(row, 1 + (i + j) % 2));
+            }
+            rows.push(Value::record([(sym("S"), a.clone())]));
+        }
+        let (s, t) = (sym("S"), sym("T"));
+        let pairs = PairTable::build(&rows, (s, t));
+        assert_eq!(pairs.slots.len(), rows.len() - values.len());
+        for a in &values {
+            for b in &values {
+                let want: Vec<u32> = (0..rows.len() as u32)
+                    .filter(|&i| {
+                        let row = &rows[i as usize];
+                        row.field(s) == Some(a) && row.field(t) == Some(b)
+                    })
+                    .collect();
+                assert!(!want.is_empty());
+                assert_eq!(pairs.rows(a, b).collect::<Vec<_>>(), want, "{a} {b}");
+            }
+        }
+        assert_eq!(pairs.rows(&Value::Int(2), &Value::Int(7)).count(), 0);
+        // No row, or one: a single group.
+        assert_eq!(
+            PairTable::build(&[], (s, t))
+                .rows(&values[0], &values[0])
+                .count(),
+            0
+        );
+        let one = PairTable::build(&rows[..1], (s, t));
+        assert_eq!(
+            one.rows(&values[0], &values[0]).collect::<Vec<_>>(),
+            vec![0]
         );
     }
 

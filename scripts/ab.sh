@@ -19,10 +19,15 @@
 #   scripts/ab.sh P optimize_cold,serve_churn,serve_point,serve_star,exec_analytic 7 8 9
 #
 # Everything lands under target/ab/ of this checkout: {parent,change}-target/
-# (the two builds) and results/{parent,change}/ (the two result sets; the
-# named workloads' earlier files are removed first, other workloads' stay, so
-# several invocations add up to one comparison). Ten pairs = ten seeds; keep
-# one seed unused while developing (choosing-metrics, section 8).
+# (the two builds) and results/{parent,change}/ (the two result sets). The
+# result sets are stamped with both trees — `git rev-parse HEAD` and a digest
+# of `git diff HEAD` plus the untracked files, per side. When either tree
+# differs from the stamp, every result file is removed; otherwise only the
+# named workloads' earlier files are, other workloads' stay (several
+# invocations on the same two trees add up to one comparison), and the
+# workloads whose rows come from those earlier files are named before the
+# table. Ten pairs = ten seeds; keep one seed unused while developing
+# (choosing-metrics, section 8).
 #
 # AB_RUN_ARGS is passed to both run.sh calls (default `--seconds 20`, the
 # `run_seconds` of BENCHMARK.json), e.g. AB_RUN_ARGS="--seconds 6 --traced".
@@ -44,9 +49,24 @@ read -r -a run_args <<<"${AB_RUN_ARGS:---seconds 20}"
 
 ab="$change/target/ab"
 mkdir -p "$ab/results/parent" "$ab/results/change"
+
+tree_stamp() { # checkout: its commit and a digest of its changes on top
+  local digest
+  digest="$(cd "$1" && { git diff HEAD --binary
+    git ls-files --others --exclude-standard -z | xargs -0 -r sha256sum; } | sha256sum)"
+  echo "$(git -C "$1" rev-parse HEAD) ${digest%% *}"
+}
+stamp="parent $(tree_stamp "$parent")
+change $(tree_stamp "$change")"
+if [[ "$(cat "$ab/results/stamp" 2>/dev/null)" != "$stamp" ]]; then
+  rm -f "$ab"/results/{parent,change}/*
+  echo "$stamp" >"$ab/results/stamp"
+fi
 for workload in "${workloads[@]}"; do
   rm -f "$ab"/results/{parent,change}/"$workload".*
 done
+earlier="$(find "$ab"/results/{parent,change} -maxdepth 1 -type f -name '*.json' -printf '%f\n' |
+  sed 's/\..*//' | sort -u | tr '\n' ' ')"
 
 run_side() { # side checkout workload seed
   echo "==> $1: $3 seed $4" >&2
@@ -69,4 +89,7 @@ for seed in "$@"; do
   done
 done
 
+if [[ -n "$earlier" ]]; then
+  echo "ab.sh: rows for ${earlier% } come from earlier invocations on these two trees" >&2
+fi
 CARGO_TARGET_DIR="$ab/change-target" bash benchmark/compare.sh "$ab/results/parent" "$ab/results/change"

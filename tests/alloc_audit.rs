@@ -3,8 +3,8 @@
 //! `chase_and_backchase`, on the four full-backchase points of the
 //! `optimize_cold` benchmark workload, and per explored or pruned candidate
 //! over the bottom-up pass of its two `optimize_measured` points. The
-//! generic join's: heap allocations per `execute_wcoj` call on the two EC5
-//! graphs of the `exec_analytic` workload.
+//! engine's: heap allocations per `execute_wcoj` and per `execute` call of
+//! the triangle on the two EC5 graphs of the `exec_analytic` workload.
 //!
 //! Before the inner loop stopped allocating (probes interned through the
 //! homomorphism's assignment, bodies compiled once, closure lists recycled)
@@ -16,7 +16,7 @@
 //! written out as a query either: it is loaded from the universal plan
 //! straight into the scratch database, no equality or path built on the way
 //! (`subquery::load_subquery`), and plan dedup chases no pair of plans whose
-//! ranges already differ: 6 / 15 / 5 / 3, what is left being mostly the
+//! ranges already differ: 5 / 12 / 4 / 3, what is left being mostly the
 //! emitted plans, the steps a chase adds and the memo keys. A verdict the borders
 //! answer allocates nothing (the memo key aside), so each ceiling below is
 //! that reading plus half, rounded up: one induction per inferred verdict
@@ -25,8 +25,8 @@
 //!
 //! Most of the candidates the borders leave are refuted by the universal
 //! plan's derivations (`cnb_core::derivations`), neither loaded nor chased:
-//! 5 / 12 / 4 / 3 → 2 / 12 / 4 / 2, and the first and last ceilings were
-//! lowered by the same rule, to 3 / 3. The derivations are built once per
+//! 5 / 12 / 4 / 3 → 2 / 12 / 4 / 2, and the four ceilings follow the same
+//! rule: 3 / 18 / 6 / 3. The derivations are built once per
 //! lattice, a handful of allocations that fit under every ceiling; their
 //! check allocates nothing, which the per-candidate readings are too coarse
 //! to see (591 checks among `ec1_4_2`'s 2 579 candidates), so it has a
@@ -52,6 +52,14 @@
 //! same rule, at 119 / 137; a lead value, a seek or an index row that
 //! starts allocating goes through it.
 //!
+//! The binary plan of the same triangle allocates 624 and 2 290 times: 504
+//! and 487 beyond one per output row, the ceilings 756 / 731 by the same
+//! rule. Most of it is the one-attribute hash-join table, which keeps a
+//! vector per key and grows each one; five are the folded last join's
+//! (its candidate buckets and the pair table's four arrays, 499 / 482
+//! before the fold). A candidate, a probe or a filter that starts
+//! allocating goes through it.
+//!
 //! The ceilings are asserted in release only, the profile the benchmark
 //! runs: a debug build validates every induced query and re-proves every
 //! inferred verdict, and those allocate.
@@ -70,8 +78,9 @@ use chase_too_far::core::bitset::VarSet;
 use chase_too_far::core::cost::{CostModel, WcojAwarePricer};
 use chase_too_far::core::prelude::*;
 use chase_too_far::engine::datagen::EdgeDist;
-use chase_too_far::engine::execute_wcoj;
 use chase_too_far::engine::prng::SplitMix64;
+use chase_too_far::engine::{execute, execute_wcoj, Database, ExecError, ExecResult};
+use chase_too_far::ir::prelude::Query;
 use chase_too_far::workloads::ec5::Ec5DataSpec;
 use chase_too_far::workloads::{Ec1, Ec2, Ec4, Ec5};
 
@@ -144,8 +153,8 @@ fn backchase_allocations_per_explored_candidate() {
     // allocations per explored candidate it may make).
     let full = [
         ("ec1_4_2.fb", ec1.schema(), ec1.query(), 2579, 3),
-        ("ec2_1_4_2.fb", ec2.schema(), ec2.query(), 63, 23),
-        ("ec4_4_3_2.fb", ec4.schema(), ec4.query(), 1565, 8),
+        ("ec2_1_4_2.fb", ec2.schema(), ec2.query(), 63, 18),
+        ("ec4_4_3_2.fb", ec4.schema(), ec4.query(), 1565, 6),
         (
             "ec5_tri_wedge_idx.fb",
             ec5.schema(),
@@ -232,18 +241,27 @@ fn backchase_allocations_per_explored_candidate() {
         });
         hold(name, reading, ceiling);
     }
-    // The generic join on the two EC5 graphs of the `exec_analytic`
-    // benchmark workload (240 nodes, 1 200 edges, its data seeds): one
-    // warm `execute_wcoj` of the triangle, whose allocations beyond one per
-    // output row may not pass the ceiling.
+    // The generic join and the binary plan on the two EC5 graphs of the
+    // `exec_analytic` benchmark workload (240 nodes, 1 200 edges, its data
+    // seeds): one warm `execute_wcoj` and one warm `execute` of the
+    // triangle, whose allocations beyond one per output row may not pass
+    // the ceiling.
     let data_seed = |stream: u64| {
         SplitMix64::seed_from_u64(0x5eed_da7a ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .next_u64()
     };
     let triangle = Ec5::triangle();
-    for (g, (name, dist, ceiling)) in [
-        ("ec5u.wcoj", EdgeDist::Uniform, 119),
-        ("ec5s.wcoj", EdgeDist::Skewed(2.0), 137),
+    let q = triangle.cycle_query();
+    type Executor = fn(&Database, &Query) -> Result<ExecResult, ExecError>;
+    for (g, (dist, points)) in [
+        (
+            EdgeDist::Uniform,
+            [("ec5u.wcoj", 119), ("ec5u.original", 756)],
+        ),
+        (
+            EdgeDist::Skewed(2.0),
+            [("ec5s.wcoj", 137), ("ec5s.original", 731)],
+        ),
     ]
     .into_iter()
     .enumerate()
@@ -254,17 +272,19 @@ fn backchase_allocations_per_explored_candidate() {
             dist,
             seed: data_seed(10 + g as u64),
         });
-        let q = triangle.cycle_query();
-        let rows = execute_wcoj(&db, &q).unwrap().stats.rows_out as u64;
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let again = execute_wcoj(&db, &q).unwrap().stats.rows_out as u64;
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(again, rows, "{name}: rows moved");
-        let beyond = allocations.saturating_sub(rows);
-        println!(
-            "{name}: {allocations} allocations / {rows} rows out, {beyond} beyond one per row"
-        );
-        hold(name, beyond, ceiling);
+        let runs: [Executor; 2] = [execute_wcoj, execute];
+        for ((name, ceiling), run) in points.into_iter().zip(runs) {
+            let rows = run(&db, &q).unwrap().stats.rows_out as u64;
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let again = run(&db, &q).unwrap().stats.rows_out as u64;
+            let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            assert_eq!(again, rows, "{name}: rows moved");
+            let beyond = allocations.saturating_sub(rows);
+            println!(
+                "{name}: {allocations} allocations / {rows} rows out, {beyond} beyond one per row"
+            );
+            hold(name, beyond, ceiling);
+        }
     }
     // Debug builds run `validate()` (and its allocations) per induction.
     if cfg!(not(debug_assertions)) {
