@@ -119,7 +119,7 @@ fn sanctioned_std_hash_map_sites_are_pinned() {
 /// does not exist and a view definition that does not type-check. Core's
 /// one: `combine_plans` in `fragments.rs`, on an output no OQF fragment
 /// provides. There is no sanctioned `unreachable!`, nor `.unwrap()` in
-/// `cnb_core`.
+/// any of the three.
 #[test]
 fn sanctioned_panic_sites_are_pinned() {
     let pinned = [("core", 1), ("engine", 0), ("ir", 7)];
@@ -129,13 +129,17 @@ fn sanctioned_panic_sites_are_pinned() {
         &["restriction"],
         &pinned.map(|(k, _)| (k, 0)),
     );
-    assert_sanctions("unwrap_used", &["restriction"], &[("core", 0)]);
+    assert_sanctions(
+        "unwrap_used",
+        &["restriction"],
+        &pinned.map(|(k, _)| (k, 0)),
+    );
 }
 
 /// The attributes that make those rules: the serving layer forbids the
-/// clock outright (no `#[expect]` can sanction a read there), the three
-/// logic crates deny panics outside their tests, and `cnb_core` denies
-/// `.unwrap()` there too — an `expect` names its reason.
+/// clock outright (no `#[expect]` can sanction a read there), and the three
+/// logic crates deny panics and `.unwrap()` outside their tests — an
+/// `expect` names its reason.
 #[test]
 fn the_forbid_and_deny_attributes_are_in_place() {
     let forbid = "#![forbid(clippy::disallowed_methods)]";
@@ -147,7 +151,9 @@ fn the_forbid_and_deny_attributes_are_in_place() {
         ("core/src/lib.rs", deny),
         ("core/src/lib.rs", unwrap),
         ("engine/src/lib.rs", deny),
+        ("engine/src/lib.rs", unwrap),
         ("ir/src/lib.rs", deny),
+        ("ir/src/lib.rs", unwrap),
     ] {
         let path = workspace_root().join("crates").join(file);
         let source = fs::read_to_string(&path).expect("read a source file");

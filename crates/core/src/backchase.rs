@@ -53,10 +53,16 @@
 //! chase: the universal plan's **derivations** ([`crate::derivations`]),
 //! read off it once, at the first verdict that would otherwise be chased. A
 //! candidate whose closure under them holds no image of the original query
-//! is refuted without a chase ([`BackchaseResult::underivable`]) and learnt
-//! into the equivalence border as a chased `false` is; on `ec1_4_2` that is
-//! 540 of the 591 chases the borders left. Whatever they do not refute is
-//! chased, so plans, `explored` and `inferred` do not move.
+//! is refuted without a chase and learnt into the equivalence border as a
+//! chased `false` is; on `ec1_4_2` that is 540 of the 591 chases the borders
+//! left. Whatever they do not refute is chased, first **under its support**
+//! — the constraints the derivations say rebuild an image of the query, a
+//! slice of the set — and, where that proves nothing, under the whole set.
+//! A yes under the support is the verdict (a fifth source); every other
+//! outcome runs the check there always was, so plans, `explored` and the
+//! borders do not move. On the `optimize_cold` points the supports prove
+//! 272 of the 276 chased verdicts. [`VerdictSources`] counts each explored
+//! verdict under the one source that gave it.
 //!
 //! **(i) Well-formedness is not monotone.** A kept binding whose range needs
 //! a dropped variable makes `T` malformed — verdict `false` — while `T`
@@ -64,9 +70,10 @@
 //! equivalent under a malformed superset. Only the three predicates above
 //! are monotone: a malformed `false` enters no border, and the proved border
 //! is asked only once the subset is known well-formed. Debug builds
-//! re-prove by a chase every verdict that did not come from one (against a
-//! re-chase that finishes), refutations by the derivations included, so each
-//! test suite audits every inference it makes; release trusts them.
+//! re-prove by a full chase every verdict that did not come from one
+//! (against a re-chase that finishes), refutations by the derivations and
+//! proofs under a support included, so each test suite audits every
+//! inference it makes; release trusts them.
 //!
 //! **(ii) Across select lists, the order is a product.** "The subquery on
 //! `X` is equivalent under output set `L`" (`L` the select list's
@@ -152,6 +159,51 @@ impl Default for BackchaseConfig {
     }
 }
 
+/// Where the explored verdicts of a search came from, one count per source
+/// (see "Borders" in the module docs). The fields sum to `explored`; the
+/// re-proofs a debug build runs are not counted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VerdictSources {
+    /// Refuted by the equivalence border: below a refuted subset.
+    pub refuted_by_border: usize,
+    /// Refuted as malformed: a kept range or the output is not recoverable.
+    pub malformed: usize,
+    /// Refuted by the universal plan's derivations ([`crate::derivations`]).
+    pub refuted_by_derivations: usize,
+    /// Proved by the equivalence border: above a proved subset.
+    pub proved_by_border: usize,
+    /// Proved by a chase under the candidate's support alone.
+    pub proved_under_support: usize,
+    /// Decided by a chase under the whole constraint set.
+    pub chased_in_full: usize,
+}
+
+impl VerdictSources {
+    /// Every verdict counted: a search's `explored`.
+    pub fn total(&self) -> usize {
+        self.inferred()
+            + self.refuted_by_derivations
+            + self.proved_under_support
+            + self.chased_in_full
+    }
+
+    /// The verdicts the three borders gave, running at most the induction
+    /// steps one of them did not know.
+    pub fn inferred(&self) -> usize {
+        self.refuted_by_border + self.malformed + self.proved_by_border
+    }
+
+    /// Adds `other`'s counts to these.
+    pub(crate) fn absorb(&mut self, other: &VerdictSources) {
+        self.refuted_by_border += other.refuted_by_border;
+        self.malformed += other.malformed;
+        self.refuted_by_derivations += other.refuted_by_derivations;
+        self.proved_by_border += other.proved_by_border;
+        self.proved_under_support += other.proved_under_support;
+        self.chased_in_full += other.chased_in_full;
+    }
+}
+
 /// Result of one backchase run.
 #[derive(Clone, Debug, Default)]
 pub struct BackchaseResult {
@@ -163,13 +215,9 @@ pub struct BackchaseResult {
     /// Subqueries explored (subsets judged) — the paper's search-space size
     /// measure.
     pub explored: usize,
-    /// Of the explored, those whose verdict the borders gave (running at most
-    /// the induction steps one of them did not know).
-    pub inferred: usize,
-    /// Of the explored, those the universal plan's derivations refuted
-    /// without a chase ([`crate::derivations`]): `explored - inferred -
-    /// underivable` is the chases run, in either search.
-    pub underivable: usize,
+    /// Where each of the explored verdicts came from; they sum to
+    /// `explored`.
+    pub verdicts: VerdictSources,
     /// Candidates pruned by a cost bound (bottom-up strategy only).
     pub pruned: usize,
     /// Of the pruned, those whose [`crate::cost::PlanPricer::floor`] was
@@ -216,13 +264,11 @@ pub struct Lattice<'a> {
     pub(crate) ranges: Vec<Border>,
     /// Is every output path recoverable from a subset?
     pub(crate) select: Border,
-    /// Verdicts given without a chase.
-    inferred: usize,
     /// The universal plan's derivations, read off it at the first verdict
     /// that would otherwise be chased.
     derivations: Option<Derivations>,
-    /// Verdicts the derivations refuted, without a chase.
-    underivable: usize,
+    /// Where the verdicts given so far came from.
+    sources: VerdictSources,
 }
 
 /// `border`'s answer for `set`; one it does not have is worked out by `step`
@@ -266,9 +312,8 @@ impl<'a> Lattice<'a> {
             chase_time: start.elapsed(),
             equivalence: Border::default(),
             select: Border::default(),
-            inferred: 0,
             derivations: None,
-            underivable: 0,
+            sources: VerdictSources::default(),
         }
     }
 
@@ -300,6 +345,7 @@ impl<'a> Lattice<'a> {
             return None;
         }
         if self.underivable(keep) {
+            self.sources.refuted_by_derivations += 1;
             return Some(false);
         }
         let verdict = self.chased(keep);
@@ -317,18 +363,28 @@ impl<'a> Lattice<'a> {
         if self.expired() {
             return None;
         }
-        let inferred = if self.equivalence.covers_no(keep) || !self.well_formed(keep) {
+        let inferred = if self.equivalence.covers_no(keep) {
+            self.sources.refuted_by_border += 1;
             Some(false)
-        } else {
+        } else if !self.well_formed(keep) {
+            self.sources.malformed += 1;
+            Some(false)
+        } else if self.equivalence.covers_yes(keep) {
             // Rule (i): only now that `keep` is known to be a subquery.
-            self.equivalence.covers_yes(keep).then_some(true)
+            self.sources.proved_by_border += 1;
+            Some(true)
+        } else {
+            None
         };
         if let Some(verdict) = inferred {
-            debug_assert!(self.chased(keep).is_none_or(|c| c == verdict), "{keep:?}");
-            self.inferred += 1;
+            debug_assert!(
+                self.chased_in_full(keep).is_none_or(|c| c == verdict),
+                "{keep:?}"
+            );
             return inferred;
         }
         if self.underivable(keep) {
+            self.sources.refuted_by_derivations += 1;
             self.equivalence.learn(keep, false);
             return Some(false);
         }
@@ -379,29 +435,78 @@ impl<'a> Lattice<'a> {
 
     /// Do the universal plan's derivations refute `keep`
     /// ([`crate::derivations`])? They are read off the universal plan at the
-    /// first call. A refutation is counted, and re-proved by a chase in debug
-    /// builds.
+    /// first call. A refutation is re-proved by a chase in debug builds; the
+    /// caller counts it.
     pub fn underivable(&mut self, keep: &VarSet) -> bool {
+        let refuted = self.derivations().refutes(keep);
+        if refuted {
+            debug_assert!(self.chased_in_full(keep).is_none_or(|c| !c), "{keep:?}");
+        }
+        refuted
+    }
+
+    /// The support of `keep` ([`crate::derivations`]): the indices, into the
+    /// lattice's constraint slice, of the constraints a chase of `keep`
+    /// runs under first. `None` when the derivations refute `keep`.
+    pub fn support(&mut self, keep: &VarSet) -> Option<Vec<usize>> {
+        let mask = self.derivations().support(keep)?;
+        Some((0..mask.len()).filter(|&i| mask[i]).collect())
+    }
+
+    /// Where the verdicts given so far came from.
+    pub fn sources(&self) -> VerdictSources {
+        self.sources
+    }
+
+    /// The universal plan's derivations, read off it at the first call.
+    fn derivations(&mut self) -> &mut Derivations {
         let Lattice {
             checker,
             udb,
             derivations,
             ..
         } = self;
-        let refuted = derivations
-            .get_or_insert_with(|| Derivations::build(checker, udb))
-            .refutes(keep);
-        if refuted {
-            debug_assert!(self.chased(keep).is_none_or(|c| !c), "{keep:?}");
-            self.underivable += 1;
-        }
-        refuted
+        derivations.get_or_insert_with(|| Derivations::build(checker, udb))
     }
 
-    /// The verdict on `keep` by induction and chase, as before there were
-    /// borders; `None` when the implication chase hit a cap. Touches no
-    /// border.
+    /// The verdict on `keep`, a candidate the derivations did not refute, by
+    /// load and chase: under its support first, and where that proves
+    /// nothing under the whole set. `None` when the full chase hit a cap.
+    /// Counts the verdict's source; touches no border.
     fn chased(&mut self, keep: &VarSet) -> Option<bool> {
+        let Lattice {
+            checker,
+            udb,
+            scratch,
+            derivations,
+            sources,
+            ..
+        } = self;
+        if !load_subquery(udb, keep, &checker.spec.q0.select, scratch) {
+            sources.malformed += 1;
+            return Some(false);
+        }
+        let support = derivations
+            .get_or_insert_with(|| Derivations::build(checker, udb))
+            .support(keep);
+        if let Some(mask) = support {
+            let (proved, stats) = checker.check_under(scratch, Some(mask));
+            if proved && !stats.truncated {
+                sources.proved_under_support += 1;
+                debug_assert!(self.chased_in_full(keep).is_none_or(|c| c), "{keep:?}");
+                return Some(true);
+            }
+        }
+        let verdict = self.chased_in_full(keep);
+        self.sources.chased_in_full += usize::from(verdict.is_some());
+        verdict
+    }
+
+    /// The verdict on `keep` by induction and a chase under the whole set,
+    /// as before there were borders, derivations or supports; `None` when
+    /// the implication chase hit a cap. Counts nothing: the debug re-proofs
+    /// run it.
+    fn chased_in_full(&mut self, keep: &VarSet) -> Option<bool> {
         let select = &self.checker.spec.q0.select;
         if !load_subquery(&mut self.udb, keep, select, &mut self.scratch) {
             return Some(false);
@@ -429,8 +534,7 @@ impl<'a> Lattice<'a> {
             chase_stats: self.chase_stats,
             chase_time: self.chase_time,
             backchase_time: self.start.elapsed() - self.chase_time,
-            inferred: self.inferred,
-            underivable: self.underivable,
+            verdicts: self.sources,
             ..result
         }
     }
@@ -495,7 +599,8 @@ pub fn chase_and_backchase(
 
 /// [`chase_and_backchase`] starting from what `memo` holds for `q0`'s
 /// skeleton and leaving there what it proves: the same plans, in the same
-/// order, with the same `explored`; only `inferred` can rise.
+/// order, with the same `explored`; only the border sources of
+/// [`BackchaseResult::verdicts`] can rise.
 pub(crate) fn chase_and_backchase_in(
     q0: &Query,
     constraints: &[Constraint],
@@ -853,7 +958,10 @@ mod tests {
         let res = chase_and_backchase(&q, &cs, &cfg);
         assert_eq!(res.chase_stats.rounds, ChaseConfig::default().max_rounds);
         assert!(res.chase_stats.truncated && res.timed_out);
-        assert_eq!((res.explored, res.inferred, res.plans.len()), (0, 0, 0));
+        assert_eq!(
+            (res.explored, res.verdicts.total(), res.plans.len()),
+            (0, 0, 0)
+        );
     }
 
     /// The diverging pair diverges from `R` alone, but a query that
@@ -878,7 +986,10 @@ mod tests {
         for res in [top_down, bottom_up] {
             assert_eq!(res.chase_stats.steps_applied, 0, "a 0-step universal chase");
             assert!(res.chase_stats.truncated && res.timed_out);
-            assert_eq!((res.explored, res.inferred, res.plans.len()), (0, 0, 0));
+            assert_eq!(
+                (res.explored, res.verdicts.total(), res.plans.len()),
+                (0, 0, 0)
+            );
         }
     }
 

@@ -129,6 +129,14 @@ impl<'a> Chaser<'a> {
 
     /// Chases `db` to a fixpoint (or a cap). Returns stats.
     pub(crate) fn chase(&mut self, db: &mut CanonDb) -> ChaseStats {
+        self.chase_under(db, None)
+    }
+
+    /// [`Chaser::chase`] with only the constraints `mask` marks (indexed as
+    /// the constraint slice; `None` marks all): the others are never
+    /// searched or fired. A subset of a weakly acyclic set is weakly
+    /// acyclic, so a masked chase of a certified set terminates too.
+    pub(crate) fn chase_under(&mut self, db: &mut CanonDb, mask: Option<&[bool]>) -> ChaseStats {
         let mut stats = ChaseStats::default();
         self.applied.clear();
         self.searched_at.clear();
@@ -140,9 +148,9 @@ impl<'a> Chaser<'a> {
             for (ci, (c, (universal, existential))) in
                 self.constraints.iter().zip(&self.bodies).enumerate()
             {
-                // No step since this constraint's last search: it has
-                // nothing new to match.
-                if self.searched_at[ci] == stats.steps_applied {
+                // Masked out, or no step since this constraint's last
+                // search: it has nothing new to match.
+                if mask.is_some_and(|m| !m[ci]) || self.searched_at[ci] == stats.steps_applied {
                     continue;
                 }
                 self.searched_at[ci] = stats.steps_applied;
@@ -183,15 +191,16 @@ impl<'a> Chaser<'a> {
     }
 
     /// Hands `rule` every homomorphism of a constraint's universal part into
-    /// `db`, with one witness of its existential part: the images of the
-    /// universal bindings, then of the existential ones. Returns false as
-    /// soon as one has no witness — `db` is not a fixpoint of this set.
+    /// `db`, with one witness of its existential part: the constraint's
+    /// index, the images of the universal bindings, then of the existential
+    /// ones. Returns false as soon as one has no witness — `db` is not a
+    /// fixpoint of this set.
     pub(crate) fn witnesses(
         &mut self,
         db: &mut CanonDb,
-        mut rule: impl FnMut(&[Var], &[Var]),
+        mut rule: impl FnMut(usize, &[Var], &[Var]),
     ) -> bool {
-        for (universal, existential) in &self.bodies {
+        for (ci, (universal, existential)) in self.bodies.iter().enumerate() {
             universal.search(db, &[], HomConfig::default(), &mut self.universal);
             for k in 0..self.universal.count {
                 self.universal.assign(universal, k);
@@ -201,6 +210,7 @@ impl<'a> Chaser<'a> {
                     return false;
                 }
                 rule(
+                    ci,
                     self.universal.image(universal, k),
                     self.existential.image(existential, 0),
                 );

@@ -110,7 +110,18 @@ impl CompiledChecker<'_> {
     /// of the subquery, and reusing them would flip verdicts. What CAN be
     /// reused, and is, is the warm allocation footprint.
     pub(crate) fn check(&mut self, scratch: &mut CanonDb) -> (bool, ChaseStats) {
-        let stats = self.chaser.chase(scratch);
+        self.check_under(scratch, None)
+    }
+
+    /// [`CompiledChecker::check`] with the chase restricted to the
+    /// constraints `mask` marks ([`Chaser::chase_under`]): a yes is a yes
+    /// under all of them, a no decides nothing ([`crate::derivations`]).
+    pub(crate) fn check_under(
+        &mut self,
+        scratch: &mut CanonDb,
+        mask: Option<&[bool]>,
+    ) -> (bool, ChaseStats) {
+        let stats = self.chaser.chase_under(scratch, mask);
         self.body
             .search(scratch, &[], HomConfig::default(), &mut self.homs);
         let verdict = (0..self.homs.count).any(|k| self.preserves_outputs(scratch, k));

@@ -48,6 +48,7 @@ pub use cnb_ir::fxhash;
 pub mod prelude {
     pub use crate::backchase::{
         chase_and_backchase, chase_and_backchase_runs, BackchaseConfig, BackchaseResult,
+        VerdictSources,
     };
     pub use crate::bitset::{Border, VarSet};
     pub use crate::bottomup::bottom_up_backchase;

@@ -7,8 +7,8 @@
 //! every search over it proved, and the next search over that skeleton
 //! starts from there. That search still chases its own universal plan and
 //! induces its own plans, so plan text, plan order and `explored` are what a
-//! cold search gives; only where a verdict comes from changes (`inferred`
-//! rises). Why a verdict proved under one select list may answer another is
+//! cold search gives; only where a verdict comes from changes (the border
+//! sources of `verdicts` rise). Why a verdict proved under one select list may answer another is
 //! rule (ii) of "Borders" in [`crate::backchase`]; `Shaped` is its order.
 //!
 //! **Key.** The exact `from` and `where` of the searched query plus a digest
@@ -368,10 +368,11 @@ mod tests {
             let warm = chase_and_backchase_in(q, &cs, &cfg, &mut memo);
             assert_eq!(warm.plans, cold.plans, "{q}");
             assert_eq!(warm.explored, cold.explored, "{q}");
-            assert!(warm.inferred >= cold.inferred, "{q}");
+            assert!(warm.verdicts.inferred() >= cold.verdicts.inferred(), "{q}");
             if q == &sub {
                 assert_eq!(
-                    warm.explored, warm.inferred,
+                    warm.explored,
+                    warm.verdicts.inferred(),
                     "[A] chased under [A, B]'s yes-sets"
                 );
             }

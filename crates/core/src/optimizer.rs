@@ -15,7 +15,9 @@ use std::time::{Duration, Instant};
 
 use cnb_ir::prelude::{Constraint, ExecStrategy, Query, Schema, Symbol, WcojAnalysis};
 
-use crate::backchase::{chase_and_backchase_in, BackchaseConfig, BackchaseResult, PlanSink};
+use crate::backchase::{
+    chase_and_backchase_in, BackchaseConfig, BackchaseResult, PlanSink, VerdictSources,
+};
 use crate::bottomup::bottom_up_backchase;
 use crate::canon::CanonDb;
 use crate::chase::ChaseStats;
@@ -110,12 +112,9 @@ pub struct OptimizeResult {
     pub universal_arity: usize,
     /// Subqueries explored (subsets judged) across all invocations.
     pub explored: usize,
-    /// Of those, the verdicts the searches' borders gave without a chase
-    /// ([`BackchaseResult::inferred`], summed).
-    pub inferred: usize,
-    /// Of those, the verdicts the universal plans' derivations refuted
-    /// without a chase ([`BackchaseResult::underivable`], summed).
-    pub underivable: usize,
+    /// Where each of those verdicts came from
+    /// ([`BackchaseResult::verdicts`], summed); they sum to `explored`.
+    pub verdicts: VerdictSources,
     /// Time spent chasing.
     pub chase_time: Duration,
     /// Time spent in backchase search.
@@ -145,8 +144,7 @@ impl OptimizeResult {
     fn absorb(&mut self, run: &BackchaseResult) {
         self.universal_arity += run.universal_arity;
         self.explored += run.explored;
-        self.inferred += run.inferred;
-        self.underivable += run.underivable;
+        self.verdicts.absorb(&run.verdicts);
         self.pruned += run.pruned;
         self.floored += run.floored;
         self.chase_time += run.chase_time;
@@ -219,10 +217,10 @@ impl Optimizer {
     /// each OCS stage) starting from what `memo` holds for its skeleton and
     /// leaving there what it proves ([`crate::memo`]). The plans are
     /// [`Optimizer::optimize`]'s left-deep ones in its order, and `explored`
-    /// is its count; only `inferred` can rise. No generic-join twin is
-    /// computed: a twin shares its sibling's query, and certifying its gap
-    /// is work a left-deep executor never reads. An uncertified optimizer
-    /// returns nothing and leaves `memo` alone.
+    /// is its count; only the border sources of `verdicts` can rise. No
+    /// generic-join twin is computed: a twin shares its sibling's query, and
+    /// certifying its gap is work a left-deep executor never reads. An
+    /// uncertified optimizer returns nothing and leaves `memo` alone.
     pub fn optimize_in(
         &self,
         q: &Query,

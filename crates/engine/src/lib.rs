@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod batch;
 pub mod clock;
@@ -36,5 +37,5 @@ pub use eval::{
     execute, execute_legacy, execute_wcoj, feed_cost_model, ExecResult, ExecStats, OpStats,
 };
 pub use pressure::{FaultPlan, ServeConfig};
-pub use serving::{PlanServer, PressureTally, ServeOutcome, ServedPlan, ServedResult};
+pub use serving::{PlanServer, PlanSource, PressureTally, ServeOutcome, ServedPlan, ServedResult};
 pub use wcoj::cmp_value;

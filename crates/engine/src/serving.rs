@@ -68,8 +68,28 @@ use crate::pressure::{FaultPlan, ServeConfig};
 pub struct ServedPlan {
     /// The executable (fully bound) plan.
     pub plan: Query,
-    /// True when the plan came from the cache without re-optimizing.
+    /// True when the plan came from the cache without re-optimizing:
+    /// `source == PlanSource::Cache`.
     pub cache_hit: bool,
+    /// Which cache level the plan came from, if any.
+    pub source: PlanSource,
+}
+
+/// Where [`PlanServer::plan`] found a served plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlanSource {
+    /// The plan cache held the request's template.
+    Cache,
+    /// A cache miss whose search started from the borders the
+    /// [`SkeletonMemo`] held for the template's skeleton (a lookup that
+    /// moved its `hits()`).
+    Skeleton,
+    /// A cache miss optimized with nothing to start from.
+    Cold,
+    /// Nothing was planned: the request did not pass the door (an
+    /// ill-formed query, or a server whose constraint set was refused) and
+    /// is handed back as written.
+    AsWritten,
 }
 
 /// One request's outcome in a [`PlanServer::serve_batch`] run.
@@ -215,6 +235,7 @@ impl PlanServer {
             return ServedPlan {
                 plan: q.clone(),
                 cache_hit: false,
+                source: PlanSource::AsWritten,
             };
         }
         self.plan_valid(q)
@@ -236,11 +257,18 @@ impl PlanServer {
             return ServedPlan {
                 plan: bind_params(&entry.plans[0], &parameterized.params),
                 cache_hit: true,
+                source: PlanSource::Cache,
             };
         }
+        let hits = self.skeletons.hits();
         let result =
             self.optimizer
                 .optimize_in(&parameterized.template, &self.config, &mut self.skeletons);
+        let source = if self.skeletons.hits() > hits {
+            PlanSource::Skeleton
+        } else {
+            PlanSource::Cold
+        };
         let mut plans: Vec<Query> = result.plans.into_iter().map(|p| p.query).collect();
         if plans.is_empty() {
             plans.push(parameterized.template.clone());
@@ -257,6 +285,7 @@ impl PlanServer {
         ServedPlan {
             plan: best,
             cache_hit: false,
+            source,
         }
     }
 

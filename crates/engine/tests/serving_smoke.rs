@@ -17,7 +17,7 @@
 
 use cnb_analyze::validate::validate_plan;
 use cnb_core::prelude::{parameterize, CachedPlans, Fingerprint, OptimizerConfig, PlanCache};
-use cnb_engine::{PlanServer, ServedPlan};
+use cnb_engine::{PlanServer, PlanSource, ServedPlan};
 use cnb_workloads::{suite, DataScale, Workload};
 
 fn server_for(w: &dyn Workload) -> PlanServer {
@@ -147,6 +147,43 @@ fn skeleton_hits_leave_the_plan_cache_books_alone() {
     assert_eq!(memo.lookups(), cache.misses());
     assert_eq!(memo.hits(), memo.lookups() - 1, "one skeleton");
     assert!(memo.imported() > 0);
+}
+
+/// A served plan names its source. On one EC2 skeleton: the first shape
+/// misses both levels (cold), a second shape over the same skeleton misses
+/// the plan cache and starts from the skeleton memo, and the first shape
+/// again hits the plan cache. `cache_hit` says the same as the source.
+#[test]
+fn a_served_plan_names_its_cache_level() {
+    let scale = DataScale::new(120, 7);
+    let w = cnb_workloads::Ec2::new(2, 2, 1);
+    let mut server = server_for(&w);
+    let base = w.serving_query(scale, 0);
+    let shaped = |i: u64, shape: &[usize]| {
+        let mut q = w.serving_query(scale, i);
+        q.select = shape.iter().map(|&j| base.select[j].clone()).collect();
+        q
+    };
+    let sources: Vec<(PlanSource, bool)> =
+        [shaped(0, &[0, 1]), shaped(1, &[1]), shaped(2, &[0, 1])]
+            .iter()
+            .map(|q| {
+                let served = server.plan(q);
+                (served.source, served.cache_hit)
+            })
+            .collect();
+    assert_eq!(
+        sources,
+        [
+            (PlanSource::Cold, false),
+            (PlanSource::Skeleton, false),
+            (PlanSource::Cache, true),
+        ]
+    );
+    assert_eq!(
+        (server.skeletons().lookups(), server.skeletons().hits()),
+        (2, 1)
+    );
 }
 
 /// Sweeping the whole pick domain partitions the central query: the pooled

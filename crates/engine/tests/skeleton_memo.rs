@@ -198,13 +198,14 @@ fn a_proved_select_set_runs_no_chase_in_any_order() {
             labels.sort();
             if proved.contains(&labels) {
                 assert_eq!(
-                    result.explored, result.inferred,
+                    result.explored,
+                    result.verdicts.inferred(),
                     "seed {seed}, shape {k}: a proved select set ran a chase"
                 );
             } else {
                 proved.push(labels);
             }
-            chase_free += usize::from(result.explored == result.inferred);
+            chase_free += usize::from(result.explored == result.verdicts.inferred());
         }
         assert_eq!(proved.len(), 15);
         assert!(
@@ -247,7 +248,10 @@ fn nothing_is_imported_across_skeletons_or_by_an_uncertified_optimizer() {
     let same_as_cold = |opt: &Optimizer, q: &Query, cfg: &OptimizerConfig, got: &OptimizeResult| {
         let cold = opt.optimize(q, cfg);
         assert_eq!(left_deep(got), left_deep(&cold));
-        assert_eq!((got.explored, got.inferred), (cold.explored, cold.inferred));
+        assert_eq!(
+            (got.explored, got.verdicts.inferred()),
+            (cold.explored, cold.verdicts.inferred())
+        );
     };
 
     // An optimizer that drops one constraint is another skeleton.
@@ -277,7 +281,11 @@ fn nothing_is_imported_across_skeletons_or_by_an_uncertified_optimizer() {
     // The planted skeleton is still there, and still answers.
     let got = opt.optimize_in(&template, &cfg, &mut memo);
     assert_eq!(memo.hits(), planted.0 + 1);
-    assert_eq!(got.explored, got.inferred, "the same select list again");
+    assert_eq!(
+        got.explored,
+        got.verdicts.inferred(),
+        "the same select list again"
+    );
 
     // An optimizer whose constraint set is refused at construction runs
     // nothing: no chase, no verdict, no plan, and no memo counter moves —
@@ -339,8 +347,8 @@ fn a_miss_computes_no_generic_join_twin() {
                 "{what}: plans or their order"
             );
             assert_eq!(
-                (got.explored, got.inferred, got.pruned),
-                (cold.explored, cold.inferred, cold.pruned),
+                (got.explored, got.verdicts.inferred(), got.pruned),
+                (cold.explored, cold.verdicts.inferred(), cold.pruned),
                 "{what}"
             );
             twins += cold.plans.len() - summary(&cold).len();

@@ -13,15 +13,23 @@
 //! alone, whose chase produces edges but no triangle — refuted, where a
 //! check on which collections a chase can produce would not refute it — and
 //! `ec2_1_4_2.fb`'s one candidate that the chase refutes and the
-//! derivations cannot. Last, the chases the `optimize_cold` benchmark
-//! workload's nine points run are pinned, as `(explored, inferred,
-//! underivable)`: `explored - inferred - underivable` is the chases run.
+//! derivations cannot. The sources of the verdicts the `optimize_cold`
+//! benchmark workload's nine points explore are pinned: the two chase
+//! sources are the chases run.
+//!
+//! A verdict proved under a support (`cnb_core::derivations`) rests on the
+//! monotonicity of ROADMAP item 19: equivalence under a subset of Σ is
+//! equivalence under Σ. Its gate is per verdict: on every subset of the five
+//! universal plans, and on every verdict the nine points' searches prove
+//! under a support (their searches replayed here, counts checked against
+//! the pinned ones), `EquivChecker` over the support's constraints alone
+//! finds the induced candidate equivalent, and so does the full chase.
 
 use std::cell::Cell;
 
 use chase_too_far::core::backchase::Lattice;
 use chase_too_far::core::bitset::VarSet;
-use chase_too_far::core::cost::CostModel;
+use chase_too_far::core::cost::{CostModel, PlanPricer, WcojAwarePricer};
 use chase_too_far::core::prelude::*;
 use chase_too_far::ir::prelude::*;
 use chase_too_far::workloads::{Ec1, Ec2, Ec3, Ec4, Ec5};
@@ -160,24 +168,28 @@ fn a_view_whose_witness_joins_more_than_it_is_left_to_the_chase() {
 }
 
 /// The nine `optimize_cold` points, as `benchmark/src/optimize.rs` runs
-/// them: `(point, explored, inferred, underivable)`. Chases run are
-/// `explored - inferred - underivable`: 51 on `ec1_4_2.fb`, which ran 591
-/// before the derivations refuted anything.
+/// them: `(point, explored, sources)`, the sources in `VerdictSources`'
+/// field order — refuted by border, malformed, refuted by derivations,
+/// proved by border, proved under a support, chased in full. They sum to
+/// `explored`. The last two are the chases run: 51 on `ec1_4_2.fb`, which
+/// ran 591 before the derivations refuted anything, all of them proved
+/// under their supports.
 #[rustfmt::skip]
-const CHASES: &[(&str, usize, usize, usize)] = &[
-    ("ec1_4_2.fb", 2579, 1988, 540),
-    ("ec1_4_2.oqf", 36, 20, 0),
-    ("ec2_1_4_2.fb", 63, 56, 0),
-    ("ec2_2_3_1.ocs", 122, 100, 10),
-    ("ec3_3.fb", 143, 114, 18),
-    ("ec4_4_3_2.fb", 1565, 1506, 0),
-    ("ec5_tri_wedge_idx.fb", 3183, 3053, 80),
-    ("ec1_4_2.oqf.measured", 96, 20, 59),
-    ("ec5_tri_wedge_idx.fb.measured", 3189, 3053, 83),
+const SOURCES: &[(&str, usize, [usize; 6])] = &[
+    ("ec1_4_2.fb", 2579, [412, 728, 540, 848, 51, 0]),
+    ("ec1_4_2.oqf", 36, [2, 12, 0, 6, 16, 0]),
+    ("ec2_1_4_2.fb", 63, [27, 19, 0, 10, 6, 1]),
+    ("ec2_2_3_1.ocs", 122, [44, 53, 10, 3, 9, 3]),
+    ("ec3_3.fb", 143, [17, 72, 18, 25, 11, 0]),
+    ("ec4_4_3_2.fb", 1565, [756, 432, 0, 318, 59, 0]),
+    ("ec5_tri_wedge_idx.fb", 3183, [280, 1464, 80, 1309, 50, 0]),
+    ("ec1_4_2.oqf.measured", 96, [2, 12, 59, 6, 17, 0]),
+    ("ec5_tri_wedge_idx.fb.measured", 3189, [280, 1464, 83, 1309, 53, 0]),
 ];
 
-#[test]
-fn the_optimize_cold_points_run_these_chases() {
+/// The nine points' optimizers, queries and configurations, in [`SOURCES`]
+/// order: `(schema, query, strategy, measured)`.
+fn optimize_cold_points() -> Vec<(Schema, Query, Strategy, bool)> {
     let ec1 = Ec1::new(4, 2);
     let ec2_views = Ec2::new(1, 4, 2);
     let ec2_stars = Ec2::new(2, 3, 1);
@@ -185,7 +197,7 @@ fn the_optimize_cold_points_run_these_chases() {
     let ec4 = Ec4::new(4, 3, 2);
     let ec5 = Ec5::new(3, true, true);
     let (fb, oqf, ocs) = (Strategy::Full, Strategy::Oqf, Strategy::Ocs);
-    let points = [
+    vec![
         (ec1.schema(), ec1.query(), fb, false),
         (ec1.schema(), ec1.query(), oqf, false),
         (ec2_views.schema(), ec2_views.query(), fb, false),
@@ -195,10 +207,26 @@ fn the_optimize_cold_points_run_these_chases() {
         (ec5.schema(), ec5.cycle_query(), fb, false),
         (ec1.schema(), ec1.query(), oqf, true),
         (ec5.schema(), ec5.cycle_query(), fb, true),
-    ];
-    let observed: Vec<_> = CHASES
+    ]
+}
+
+/// A source table row: `VerdictSources` in field order.
+fn sources_row(v: &VerdictSources) -> [usize; 6] {
+    [
+        v.refuted_by_border,
+        v.malformed,
+        v.refuted_by_derivations,
+        v.proved_by_border,
+        v.proved_under_support,
+        v.chased_in_full,
+    ]
+}
+
+#[test]
+fn the_optimize_cold_points_run_these_chases() {
+    let observed: Vec<_> = SOURCES
         .iter()
-        .zip(points)
+        .zip(optimize_cold_points())
         .map(|(&(name, ..), (schema, q, strategy, measured))| {
             let optimizer = Optimizer::new(schema);
             let cfg = OptimizerConfig::with_strategy(strategy);
@@ -208,10 +236,15 @@ fn the_optimize_cold_points_run_these_chases() {
                 optimizer.optimize(&q, &cfg)
             };
             assert!(!r.timed_out, "{name}");
-            (name, r.explored, r.inferred, r.underivable)
+            assert_eq!(r.verdicts.total(), r.explored, "{name}");
+            (name, r.explored, sources_row(&r.verdicts))
         })
         .collect();
-    assert_eq!(observed, CHASES);
+    let table: String = observed
+        .iter()
+        .map(|(name, explored, row)| format!("    ({name:?}, {explored}, {row:?}),\n"))
+        .collect();
+    assert_eq!(observed, SOURCES, "observed:\n{table}");
 }
 
 /// Variable ids past 64 live in `VarSet`'s spill words: the same search
@@ -223,9 +256,276 @@ fn refutation_does_not_stop_at_variable_id_64() {
     let cfg = BackchaseConfig::default();
     let counts = |q: &Query| {
         let r = chase_and_backchase(q, &constraints, &cfg);
-        (r.explored, r.inferred, r.underivable)
+        (r.explored, sources_row(&r.verdicts))
     };
     let q = ec1.query();
     assert_eq!(counts(&q.offset_vars(100)), counts(&q));
-    assert_eq!(counts(&q), (2579, 1988, 540));
+    assert_eq!(counts(&q), (SOURCES[0].1, SOURCES[0].2));
+}
+
+/// A lattice whose every support-proved verdict is held to ROADMAP 19's
+/// gate as it is given.
+struct Gate<'a> {
+    tag: &'a str,
+    q: &'a Query,
+    constraints: &'a [Constraint],
+    lattice: Lattice<'a>,
+    /// The universal plan's bindings.
+    bindings: Vec<Binding>,
+    /// Support-proved verdicts checked so far.
+    checked: usize,
+}
+
+impl<'a> Gate<'a> {
+    fn new(tag: &'a str, q: &'a Query, constraints: &'a [Constraint]) -> Gate<'a> {
+        let (udb, stats) = chase_query(q, constraints, ChaseConfig::default());
+        assert!(!stats.truncated, "{tag}: chase truncated");
+        Gate {
+            tag,
+            q,
+            constraints,
+            lattice: Lattice::chase(q, constraints, &BackchaseConfig::default()),
+            bindings: udb.query.from,
+            checked: 0,
+        }
+    }
+
+    /// `Lattice::verdict`, gated.
+    fn verdict(&mut self, keep: &VarSet) -> bool {
+        self.gated(keep, |lattice| lattice.verdict(keep))
+    }
+
+    /// `Lattice::equivalent`, gated.
+    fn equivalent(&mut self, keep: &VarSet) -> bool {
+        self.gated(keep, |lattice| lattice.equivalent(keep))
+    }
+
+    fn gated(&mut self, keep: &VarSet, ask: impl FnOnce(&mut Lattice<'a>) -> Option<bool>) -> bool {
+        let before = self.lattice.sources().proved_under_support;
+        let verdict = ask(&mut self.lattice).expect("no budget runs out");
+        if self.lattice.sources().proved_under_support > before {
+            self.assert_support_proves(keep);
+        }
+        verdict
+    }
+
+    /// The gate: the candidate induced by `keep` is equivalent by
+    /// `EquivChecker` under its support alone, and under the whole set.
+    fn assert_support_proves(&mut self, keep: &VarSet) {
+        let (tag, q) = (self.tag, self.q);
+        let support = self
+            .lattice
+            .support(keep)
+            .expect("a proved verdict is not refuted");
+        let slice: Vec<Constraint> = support
+            .iter()
+            .map(|&i| self.constraints[i].clone())
+            .collect();
+        let candidate = self
+            .lattice
+            .induce(keep)
+            .expect("a proved candidate is a subquery");
+        let equivalent = |cs: &[Constraint]| {
+            EquivChecker::new(q, cs, ChaseConfig::default())
+                .equivalent(&candidate)
+                .0
+        };
+        assert!(
+            equivalent(&slice),
+            "{tag}: {keep:?} under its support {support:?}"
+        );
+        assert!(
+            equivalent(self.constraints),
+            "{tag}: {keep:?} under the whole set"
+        );
+        self.checked += 1;
+    }
+
+    /// `chase_and_backchase`'s depth-first search, replayed; returns
+    /// `explored`.
+    fn top_down(&mut self) -> usize {
+        fn explore(gate: &mut Gate<'_>, s: &VarSet, memo: &mut FxHashMap<VarSet, bool>) {
+            for v in s.iter().collect::<Vec<_>>() {
+                let child = s.without(v);
+                if memo.contains_key(&child) {
+                    continue;
+                }
+                let verdict = gate.verdict(&child);
+                memo.insert(child.clone(), verdict);
+                if verdict {
+                    explore(gate, &child, memo);
+                }
+            }
+        }
+        let mut memo = FxHashMap::default();
+        let all = VarSet::from_iter(self.bindings.iter().map(|b| b.var));
+        explore(self, &all, &mut memo);
+        memo.len()
+    }
+
+    /// `bottom_up_backchase`'s search by size under `pricer` and `seed`,
+    /// replayed; returns `explored`.
+    fn bottom_up(&mut self, pricer: &dyn PlanPricer, seed: Option<f64>) -> usize {
+        let (bindings, n) = (self.bindings.clone(), self.bindings.len());
+        let mut best = seed.unwrap_or(f64::INFINITY);
+        let mut frontier: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        let mut found: Vec<VarSet> = Vec::new();
+        let mut explored = 0;
+        while !frontier.is_empty() {
+            let mut next = Vec::new();
+            for subset in frontier.drain(..) {
+                let keep = VarSet::from_iter(subset.iter().map(|&i| bindings[i].var));
+                if found.iter().any(|f| f.is_subset(&keep)) {
+                    continue;
+                }
+                let last = subset[subset.len() - 1];
+                let mut grow = || {
+                    next.extend((last + 1..n).map(|j| {
+                        let mut bigger = subset.clone();
+                        bigger.push(j);
+                        bigger
+                    }))
+                };
+                let Some(candidate) = self.lattice.induce(&keep) else {
+                    grow();
+                    continue;
+                };
+                let ranges: Vec<&Range> = subset.iter().map(|&i| &bindings[i].range).collect();
+                let within = pricer.floor(&ranges) <= best && pricer.price(&candidate) <= best;
+                if !within {
+                    if !pricer.monotone() {
+                        grow();
+                    }
+                    continue;
+                }
+                explored += 1;
+                if !self.equivalent(&keep) {
+                    grow();
+                    continue;
+                }
+                if seed.is_some() {
+                    best = best.min(pricer.price(&candidate));
+                }
+                found.push(keep);
+            }
+            frontier = next;
+        }
+        explored
+    }
+}
+
+/// The searches `Optimizer::optimize` runs for one strategy, replayed
+/// through gates: `(explored, support-proved verdicts checked)`.
+fn gated_optimize(tag: &str, schema: &Schema, q: &Query, strategy: Strategy) -> (usize, usize) {
+    let constraints = schema.all_constraints();
+    let (mut explored, mut checked) = (0, 0);
+    let mut search = |q: &Query, cs: &[Constraint]| {
+        let mut gate = Gate::new(tag, q, cs);
+        explored += gate.top_down();
+        checked += gate.checked;
+    };
+    match strategy {
+        Strategy::Full => search(q, &constraints),
+        Strategy::Oqf => {
+            let frags = decompose(q, schema.skeletons());
+            let provided = |l| frags.iter().any(|f| f.provides.contains(l));
+            if frags.len() <= 1 || !q.select.iter().all(|(l, _)| provided(l)) {
+                search(q, &constraints);
+            } else {
+                for f in &frags {
+                    search(&f.query, &constraints);
+                }
+            }
+        }
+        Strategy::Ocs => {
+            let egds = constraints
+                .iter()
+                .filter(|c| c.kind() == ConstraintKind::Egd);
+            let mut pool = vec![q.clone()];
+            for stratum in stratify(&constraints) {
+                let mut cs: Vec<Constraint> =
+                    stratum.iter().map(|&i| constraints[i].clone()).collect();
+                for e in egds.clone() {
+                    if !cs.iter().any(|c| c.name == e.name) {
+                        cs.push(e.clone());
+                    }
+                }
+                let mut next: Vec<Query> = Vec::new();
+                for p in &pool {
+                    search(p, &cs);
+                    let plans = chase_and_backchase(p, &cs, &BackchaseConfig::default()).plans;
+                    for plan in plans {
+                        if !next.iter().any(|kept| same_plan(kept, &plan)) {
+                            next.push(plan);
+                        }
+                    }
+                }
+                pool = next;
+            }
+        }
+    }
+    (explored, checked)
+}
+
+/// ROADMAP 19's gate on every subset of the five universal plans the
+/// refutation sweep covers, each asked of the lattice unbordered.
+#[test]
+fn every_support_proof_holds_under_its_support_alone() {
+    let ec1 = Ec1::new(3, 1);
+    let ec2 = Ec2::new(1, 3, 2);
+    let ec3 = Ec3::new(2, 0);
+    let ec4 = Ec4::new(3, 2, 2);
+    let ec5 = Ec5::new(3, true, true);
+    for (tag, q, schema) in [
+        ("ec1_3_1", ec1.query(), ec1.schema()),
+        ("ec2_1_3_2", ec2.query(), ec2.schema()),
+        ("ec3_2", ec3.query(), ec3.schema()),
+        ("ec4_3_2_2", ec4.query(), ec4.schema()),
+        ("ec5_tri_wedge_idx", ec5.cycle_query(), ec5.schema()),
+    ] {
+        let constraints = schema.all_constraints();
+        let mut gate = Gate::new(tag, &q, &constraints);
+        let n = gate.bindings.len();
+        assert!(n <= 14, "{tag}: universal arity {n}");
+        let vars: Vec<Var> = gate.bindings.iter().map(|b| b.var).collect();
+        for mask in 0u32..1 << n {
+            let keep = VarSet::from_iter((0..n).filter(|i| mask & (1 << i) != 0).map(|i| vars[i]));
+            gate.equivalent(&keep);
+        }
+        assert!(gate.checked > 0, "{tag}: no support proved anything");
+    }
+}
+
+/// ROADMAP 19's gate on every verdict the nine `optimize_cold` points prove
+/// under a support. Each point's searches are replayed through gates — the
+/// top-down search over the query, each OQF fragment or each OCS stage,
+/// and for a measured point the bounded bottom-up search after it — and
+/// explore what the optimizer explores; the support-proved verdicts checked
+/// are the pinned ones.
+#[test]
+fn every_optimize_cold_support_proof_holds_under_its_support_alone() {
+    let model = CostModel::default();
+    for (&(name, explored, sources), (schema, q, strategy, measured)) in
+        SOURCES.iter().zip(optimize_cold_points())
+    {
+        let (mut seen, mut checked) = gated_optimize(name, &schema, &q, strategy);
+        if measured {
+            let plans = Optimizer::new(schema.clone())
+                .optimize(&q, &OptimizerConfig::with_strategy(strategy))
+                .plans;
+            let seed = plans
+                .iter()
+                .map(|p| plan_price(&model, p))
+                .fold(f64::INFINITY, f64::min);
+            let pricer = WcojAwarePricer {
+                schema: &schema,
+                model: &model,
+            };
+            let constraints = schema.all_constraints();
+            let mut gate = Gate::new(name, &q, &constraints);
+            seen += gate.bottom_up(&pricer, seed.is_finite().then_some(seed));
+            checked += gate.checked;
+        }
+        assert_eq!((seen, checked), (explored, sources[4]), "{name}");
+    }
 }

@@ -96,7 +96,11 @@ fn observed(r: &BackchaseResult) -> (Vec<String>, [usize; 3], bool) {
             )
         })
         .collect();
-    (plans, [r.explored, r.pruned, r.inferred], r.timed_out)
+    (
+        plans,
+        [r.explored, r.pruned, r.verdicts.inferred()],
+        r.timed_out,
+    )
 }
 
 /// One schema, query and model to search under.

@@ -40,6 +40,10 @@ use chase_too_far::engine::prng::SplitMix64;
 use chase_too_far::ir::prelude::*;
 use chase_too_far::workloads::{Ec1, Ec2, Ec3, Ec4, Ec5};
 
+mod support;
+
+use support::frozen_equivalent;
+
 /// Renders enough database state to detect any residue an induction might
 /// leave behind (arena size, query text, class structure).
 fn db_fingerprint(db: &mut CanonDb) -> String {
@@ -243,4 +247,83 @@ fn a_malformed_superset_refutes_nothing_below_it() {
     let mut guarded = malformed.clone();
     guarded.insert(Var(8));
     assert_eq!(lattice.verdict(&guarded), Some(true));
+}
+
+/// The families whose chases bind relations only, where the frozen-chase
+/// oracle (`tests/support`) runs: `(tag, schema, query)`.
+fn relational_families() -> Vec<(&'static str, Schema, Query)> {
+    let ec2_3 = Ec2::new(1, 3, 2);
+    let ec2_4 = Ec2::new(1, 4, 2);
+    let triangle = Ec5::new(3, true, false);
+    let square = Ec5::new(4, true, false);
+    vec![
+        ("ec2_1_3_2", ec2_3.schema(), ec2_3.query()),
+        ("ec2_1_4_2", ec2_4.schema(), ec2_4.query()),
+        ("ec5_tri_wedge", triangle.schema(), triangle.cycle_query()),
+        ("ec5_square_wedge", square.schema(), square.cycle_query()),
+    ]
+}
+
+/// Every subset of a universal plan, as `induction_differential` sweeps them.
+fn subsets(q: &Query, constraints: &[Constraint]) -> Vec<VarSet> {
+    let (udb, stats) = chase_query(q, constraints, ChaseConfig::default());
+    assert!(!stats.truncated);
+    let vars: Vec<Var> = udb.query.from.iter().map(|b| b.var).collect();
+    assert!(vars.len() <= 14, "universal arity {}", vars.len());
+    (0u32..1 << vars.len())
+        .map(|mask| {
+            let bits = (0..vars.len()).filter(|i| mask & (1 << i) != 0);
+            VarSet::from_iter(bits.map(|i| vars[i]))
+        })
+        .collect()
+}
+
+/// The frozen-chase oracle agrees with the lattice on every subset of the
+/// four relational universal plans, 359 of which induce a candidate: a
+/// malformed subset is no plan, and an induced one is equivalent exactly
+/// when its frozen chase and the original's answer each other's heads. The
+/// verdicts the lattice proves under a support are among them.
+#[test]
+fn the_frozen_chase_oracle_agrees_with_the_lattice() {
+    let (mut candidates, mut supported) = (0, 0);
+    for (tag, schema, q) in relational_families() {
+        let constraints = schema.all_constraints();
+        let mut lattice = Lattice::chase(&q, &constraints, &BackchaseConfig::default());
+        for keep in subsets(&q, &constraints) {
+            let oracle = lattice.induce(&keep).is_some_and(|candidate| {
+                candidates += 1;
+                frozen_equivalent(&schema, &q, &candidate, &constraints)
+            });
+            let before = lattice.sources().proved_under_support;
+            assert_eq!(lattice.verdict(&keep), Some(oracle), "{tag}: {keep:?}");
+            supported += lattice.sources().proved_under_support - before;
+        }
+    }
+    assert_eq!(candidates, 359);
+    assert!(supported > 0, "no verdict was proved under a support");
+}
+
+/// The oracle catches a checker that runs without Σ's first constraint
+/// (the plans and the oracle keep all of Σ): on the two EC2 universal
+/// plans it disagrees with that checker on 21 and 13 candidates.
+#[test]
+fn the_frozen_chase_oracle_catches_a_dropped_constraint() {
+    let disagreements: Vec<usize> = relational_families()
+        .into_iter()
+        .take(2)
+        .map(|(_, schema, q)| {
+            let constraints = schema.all_constraints();
+            let mutated = EquivChecker::new(&q, &constraints[1..], ChaseConfig::default());
+            let mut lattice = Lattice::chase(&q, &constraints, &BackchaseConfig::default());
+            subsets(&q, &constraints)
+                .iter()
+                .filter_map(|keep| lattice.induce(keep))
+                .filter(|candidate| {
+                    mutated.equivalent(candidate).0
+                        != frozen_equivalent(&schema, &q, candidate, &constraints)
+                })
+                .count()
+        })
+        .collect();
+    assert_eq!(disagreements, [21, 13]);
 }

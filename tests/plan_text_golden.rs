@@ -18,14 +18,13 @@
 //! is FNV-1a over the plans' lines (`"{bindings:?} :: {query}"` for a
 //! backchase, `"{strategy:?} :: {query}"` for an [`Optimizer`] result, which
 //! keeps no binding sets), each followed by a newline. Beside each row is the
-//! run's `inferred`: how many of its `explored` verdicts the lattice's
-//! borders gave without a chase — recorded when the borders were introduced,
-//! with every row unchanged. Of the rest, the universal plan's derivations
-//! refute some without a chase as well (`underivable`, which this table does
-//! not hold: `tests/derivation_differential.rs` pins it for the nine
-//! `optimize_cold` points), and `explored - inferred - underivable` chases
-//! were run. On a mismatch the failure message prints the whole table as
-//! observed.
+//! run's `inferred` (`VerdictSources::inferred`): how many of its
+//! `explored` verdicts the lattice's borders gave without a chase — recorded
+//! when the borders were introduced, with every row unchanged. The rest come
+//! from the universal plan's derivations or from a chase, under a support or
+//! in full; `tests/derivation_differential.rs` pins every source for the
+//! nine `optimize_cold` points. On a mismatch the failure message prints the
+//! whole table as observed.
 
 use chase_too_far::core::cost::CostModel;
 use chase_too_far::core::prelude::*;
@@ -102,7 +101,7 @@ fn backchase_row(name: String, r: &BackchaseResult) -> (String, String, usize) {
     (
         name,
         row(&lines, r.explored, r.pruned, r.universal_arity),
-        r.inferred,
+        r.verdicts.inferred(),
     )
 }
 
@@ -116,7 +115,7 @@ fn optimizer_row(name: String, r: &OptimizeResult) -> (String, String, usize) {
     (
         name,
         row(&lines, r.explored, r.pruned, r.universal_arity),
-        r.inferred,
+        r.verdicts.inferred(),
     )
 }
 

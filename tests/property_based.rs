@@ -510,15 +510,15 @@ fn backchase_fingerprint(res: &BackchaseResult) -> Vec<String> {
             )
         })
         .chain([format!(
-            "explored = {}, inferred = {}, universal_arity = {}",
-            res.explored, res.inferred, res.universal_arity
+            "explored = {}, verdicts = {:?}, universal_arity = {}",
+            res.explored, res.verdicts, res.universal_arity
         )])
         .collect()
 }
 
 /// Runs the backchase twice under the default config, asserting
 /// byte-identical plans (order included) and identical `explored` and
-/// `inferred` counts — the determinism contract of `cnb_core::backchase`:
+/// verdict-source counts — the determinism contract of `cnb_core::backchase`:
 /// a run's answer is a function of the query and the constraints alone.
 fn assert_deterministic(q: &Query, cs: &[Constraint], label: &str) {
     let cfg = BackchaseConfig::default();
