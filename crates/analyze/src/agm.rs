@@ -106,7 +106,7 @@ pub struct PlanAgm {
     pub wcoj: bool,
     /// Optimal cover of the worst prefix, one weighted scan per edge in
     /// edge order — the machine-checkable half of the certificate
-    /// (re-verify with [`verify_cover`] against
+    /// (re-verify with [`cnb_ir::cover::verify_cover`] against
     /// [`cnb_ir::hypergraph::prefix_hypergraph`]; for WCOJ plans the worst
     /// prefix is the whole plan, so the same call re-verifies it too).
     pub cover: Vec<CoverEdge>,

@@ -76,8 +76,8 @@ const DISALLOWED_GROUPS: &[&str] = &["all", "style"];
 /// deadline, the serving `WallClock`, fig. 5's chase timer); a new one must
 /// change a number here. Bench's one: `chase_row` in `figs.rs` — every other
 /// figure times with `OptimizeResult::total_time` and `ExecStats::elapsed`.
-/// Core's four: `Lattice::chase` and `Lattice::expired` in `backchase.rs`,
-/// `Optimizer::optimize` and `optimize_measured` in `optimizer.rs`.
+/// Core's three: `Lattice::chase` and `Lattice::expired` in `backchase.rs`,
+/// and `Optimizer::timed` in `optimizer.rs`, which times every `optimize*`.
 /// Engine's three: the batched pipeline's `run` and the `execute_legacy`
 /// oracle in `eval.rs`, and `WallClock` in `clock.rs`.
 #[test]
@@ -87,7 +87,7 @@ fn sanctioned_wall_clock_sites_are_pinned() {
         DISALLOWED_GROUPS,
         &[
             ("bench", 1),
-            ("core", 4),
+            ("core", 3),
             ("engine", 3),
             ("ir", 0),
             ("workloads", 0),
@@ -120,6 +120,13 @@ fn sanctioned_std_hash_map_sites_are_pinned() {
 /// one: `combine_plans` in `fragments.rs`, on an output no OQF fragment
 /// provides. There is no sanctioned `unreachable!`, nor `.unwrap()` in
 /// any of the three.
+///
+/// Core also denies `.expect()` outside its tests, and sanctions it where
+/// the `expect` states an internal invariant, named as the sanction's
+/// reason: `Lattice::induced` in `backchase.rs`, the rollback, the undo of a
+/// new term, the term arena's `u32` ids and `move_tail` in `congruence.rs`,
+/// and a homomorphism's images in `homomorphism.rs`. A site input can reach
+/// is a `let … else` or a typed error instead.
 #[test]
 fn sanctioned_panic_sites_are_pinned() {
     let pinned = [("core", 1), ("engine", 0), ("ir", 7)];
@@ -134,22 +141,25 @@ fn sanctioned_panic_sites_are_pinned() {
         &["restriction"],
         &pinned.map(|(k, _)| (k, 0)),
     );
+    assert_sanctions("expect_used", &["restriction"], &[("core", 6)]);
 }
 
 /// The attributes that make those rules: the serving layer forbids the
-/// clock outright (no `#[expect]` can sanction a read there), and the three
-/// logic crates deny panics and `.unwrap()` outside their tests — an
-/// `expect` names its reason.
+/// clock outright (no `#[expect]` can sanction a read there), the three
+/// logic crates deny panics and `.unwrap()` outside their tests, and core
+/// denies `.expect()` there too.
 #[test]
 fn the_forbid_and_deny_attributes_are_in_place() {
     let forbid = "#![forbid(clippy::disallowed_methods)]";
     let deny = "#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]";
     let unwrap = "#![cfg_attr(not(test), deny(clippy::unwrap_used))]";
+    let expect = "#![cfg_attr(not(test), deny(clippy::expect_used))]";
     for (file, attr) in [
         ("engine/src/serving.rs", forbid),
         ("engine/src/pressure.rs", forbid),
         ("core/src/lib.rs", deny),
         ("core/src/lib.rs", unwrap),
+        ("core/src/lib.rs", expect),
         ("engine/src/lib.rs", deny),
         ("engine/src/lib.rs", unwrap),
         ("ir/src/lib.rs", deny),

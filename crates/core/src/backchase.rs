@@ -18,7 +18,8 @@
 //! with a memo** (`Search::explore`, the top-down backchase) and **by size,
 //! priced** ([`crate::bottomup`], bottom-up growth under a cost bound —
 //! which asks `Lattice::well_formed` whether a subset is a subquery and
-//! prices its ranges before it has the lattice induce it).
+//! prices its ranges before it has the lattice induce it). Both ask one
+//! judge, [`Lattice::verdict`], and differ only in the order they visit.
 //!
 //! # Borders
 //!
@@ -29,8 +30,9 @@
 //! universal plan, equivalent to `Q₀`, is contained in both — so a
 //! well-formed superset of an equivalent subset is equivalent and a subset
 //! of a refuted one is refuted. The lattice keeps what it has proved as
-//! [`Border`]s and [`Lattice::verdict`] asks them before it induces or
-//! chases anything. Three kinds:
+//! [`Border`]s. [`Lattice::verdict`] asks them first and learns what
+//! [`Lattice::equivalent`], the border-free judge, says where they cannot
+//! tell. Three kinds:
 //!
 //! 1. **equivalence** — minimal subsets a chase proved equivalent, maximal
 //!    subsets soundly refuted (a failed check on a well-formed candidate, a
@@ -62,7 +64,9 @@
 //! outcome runs the check there always was, so plans, `explored` and the
 //! borders do not move. On the `optimize_cold` points the supports prove
 //! 272 of the 276 chased verdicts. [`VerdictSources`] counts each explored
-//! verdict under the one source that gave it.
+//! verdict under the one source that gave it. In the bottom-up search no
+//! border gives one: the proved border is its minimality check there
+//! ([`crate::bottomup`]).
 //!
 //! **(i) Well-formedness is not monotone.** A kept binding whose range needs
 //! a dropped variable makes `T` malformed — verdict `false` — while `T`
@@ -295,7 +299,14 @@ impl<'a> Lattice<'a> {
     /// budget of `cfg` starts here; it only ever truncates a search and sets
     /// `timed_out`, so with no timeout configured the clock is inert. A
     /// universal chase cut short by a cap leaves it [`Lattice::expired`].
+    /// Debug builds check here, once for every search, that `q0` and the
+    /// constraints validate.
     pub fn chase(q0: &'a Query, constraints: &'a [Constraint], cfg: &BackchaseConfig) -> Self {
+        debug_assert_eq!(q0.validate(), Ok(()), "search on an ill-formed query");
+        debug_assert!(
+            constraints.iter().all(|c| c.validate().is_ok()),
+            "search under an ill-formed constraint"
+        );
         #[expect(clippy::disallowed_methods)]
         let start = Instant::now();
         let mut checker = EquivChecker::new(q0, constraints, ChaseConfig::default()).compile();
@@ -331,15 +342,17 @@ impl<'a> Lattice<'a> {
     }
 
     /// The subquery on a subset that [`Lattice::well_formed`] has accepted.
+    #[expect(clippy::expect_used, reason = "well_formed ran both fallible steps")]
     pub(crate) fn induced(&mut self, keep: &VarSet) -> Query {
         induce_subquery_pure(&mut self.udb, keep, &self.checker.spec.q0.select)
             .expect("a well-formed subset induces a subquery")
     }
 
     /// Is the subquery on `keep` equivalent to the original query under the
-    /// constraints? The borders are neither asked nor taught: the universal
-    /// plan's derivations refute what they can, and the rest is chased.
-    /// `None` means a budget ran out ([`Lattice::verdict`]).
+    /// constraints? The border-free judge under [`Lattice::verdict`]: the
+    /// universal plan's derivations refute what they can, and the rest is
+    /// chased, under its support first. No border is asked or taught.
+    /// `None` means a budget ran out, as for `verdict`.
     pub fn equivalent(&mut self, keep: &VarSet) -> Option<bool> {
         if self.expired() {
             return None;
@@ -354,11 +367,12 @@ impl<'a> Lattice<'a> {
     }
 
     /// Is the subquery induced by `keep` equivalent to the original query?
+    /// The judge both searches ask: the borders, then one call to
+    /// [`Lattice::equivalent`], whose verdict the equivalence border learns.
     /// `None` means a budget ran out before the verdict was computed: the
     /// lattice [`expired`](Lattice::expired), or the candidate's implication
     /// chase hit a cap — which spends the lattice's budget as the deadline
-    /// does, so every later verdict is `None` too. The borders are asked
-    /// first, then the derivations; what neither can tell is chased.
+    /// does, so every later verdict is `None` too.
     pub fn verdict(&mut self, keep: &VarSet) -> Option<bool> {
         if self.expired() {
             return None;
@@ -383,15 +397,7 @@ impl<'a> Lattice<'a> {
             );
             return inferred;
         }
-        if self.underivable(keep) {
-            self.sources.refuted_by_derivations += 1;
-            self.equivalence.learn(keep, false);
-            return Some(false);
-        }
-        let Some(verdict) = self.chased(keep) else {
-            self.chase_stats.truncated = true;
-            return None;
-        };
+        let verdict = self.equivalent(keep)?;
         self.equivalence.learn(keep, verdict);
         Some(verdict)
     }
@@ -607,15 +613,6 @@ pub(crate) fn chase_and_backchase_in(
     cfg: &BackchaseConfig,
     memo: &mut SkeletonMemo,
 ) -> BackchaseResult {
-    debug_assert_eq!(
-        q0.validate(),
-        Ok(()),
-        "chase_and_backchase called with ill-formed query"
-    );
-    debug_assert!(
-        constraints.iter().all(|c| c.validate().is_ok()),
-        "chase_and_backchase called with an ill-formed constraint"
-    );
     RUNS.fetch_add(1, Ordering::Relaxed);
     let mut lattice = Lattice::chase(q0, constraints, cfg);
     let ticket = memo.seed(&mut lattice, q0, constraints);

@@ -14,11 +14,19 @@
 //! [`bottom_up_backchase`] does when given a `seed_bound`.
 //!
 //! This is the second traversal of [`crate::backchase::Lattice`]: chasing,
-//! induction, equivalence, the deadline and plan collection are the
+//! induction, the verdict, the deadline and plan collection are the
 //! lattice's and the sink's; what lives here is the by-size growth order
 //! and the pricer rule above. Most small subsets are not subqueries at all —
 //! a range or the output is out of reach — and `Lattice::well_formed`
-//! answers those from the lattice's range and select borders.
+//! answers those from the lattice's range and select borders. A candidate
+//! within the bound is judged by [`Lattice::verdict`], as the top-down
+//! search judges, and minimality comes from the equivalence border: a
+//! verdict of yes is learnt there, and a superset of a proved set is
+//! skipped before it is asked. So no border gives a verdict here — the
+//! search never meets a proved set's superset, nor, visiting by size and
+//! each subset once, a subset of a refuted one.
+//!
+//! [`Lattice::verdict`]: crate::backchase::Lattice::verdict
 //!
 //! # Price before you build
 //!
@@ -61,15 +69,6 @@ pub fn bottom_up_backchase(
     pricer: &dyn PlanPricer,
     seed_bound: Option<f64>,
 ) -> BackchaseResult {
-    debug_assert_eq!(
-        q0.validate(),
-        Ok(()),
-        "bottom_up_backchase called with ill-formed query"
-    );
-    debug_assert!(
-        constraints.iter().all(|c| c.validate().is_ok()),
-        "bottom_up_backchase called with an ill-formed constraint"
-    );
     let mut lattice = Lattice::chase(q0, constraints, cfg);
     let mut result = BackchaseResult::default();
     let mut sink = PlanSink::new(cfg.max_plans);
@@ -85,7 +84,6 @@ pub fn bottom_up_backchase(
     // growing one by the indices past its last generates every larger
     // subset exactly once, from the one parent that is its prefix.
     let mut frontier: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    let mut found_sets: Vec<VarSet> = Vec::new();
     // The candidate's ranges, for its floor.
     let mut ranges: Vec<&Range> = Vec::new();
 
@@ -97,13 +95,13 @@ pub fn bottom_up_backchase(
                 break 'search;
             }
             let keep = VarSet::from_iter(subset.iter().map(|&i| bindings[i].var));
-            // A superset of an already-found plan cannot be minimal.
-            if found_sets.iter().any(|f| f.is_subset(&keep)) {
+            // Minimality: a superset of a proved set — a plan already
+            // emitted — is not asked.
+            if lattice.equivalence.covers_yes(&keep) {
                 continue;
             }
             let mut grow = || {
-                let last = *subset.last().expect("nonempty");
-                for j in last + 1..n {
+                for j in subset.last().map_or(0, |&last| last + 1)..n {
                     let mut bigger = subset.clone();
                     bigger.push(j);
                     next.push(bigger);
@@ -144,7 +142,7 @@ pub fn bottom_up_backchase(
                 }
                 continue;
             };
-            let Some(equivalent) = lattice.equivalent(&keep) else {
+            let Some(equivalent) = lattice.verdict(&keep) else {
                 result.timed_out = true;
                 break 'search;
             };
@@ -156,7 +154,6 @@ pub fn bottom_up_backchase(
             if pruning {
                 best_cost = best_cost.min(cost);
             }
-            found_sets.push(keep);
             sink.emit(&mut lattice.scratch, cand);
             if sink.full() {
                 break 'search;

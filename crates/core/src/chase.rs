@@ -177,7 +177,11 @@ impl<'a> Chaser<'a> {
                         stats.truncated = true;
                         return stats;
                     }
-                    apply_step(db, c, &mut self.existential.assignment);
+                    // An ill-scoped constraint stops the chase as a cap does.
+                    if !apply_step(db, c, &mut self.existential.assignment) {
+                        stats.truncated = true;
+                        return stats;
+                    }
                     stats.steps_applied += 1;
                     progress = true;
                 }
@@ -268,12 +272,21 @@ impl Applied {
 
 /// Applies one chase step of constraint `c`: `assignment` arrives holding
 /// the homomorphism of the universal part and leaves holding the fresh
-/// existential variables too.
-fn apply_step(db: &mut CanonDb, c: &Constraint, assignment: &mut [Option<Var>]) {
+/// existential variables too. Returns false, the step half applied, when an
+/// existential range reads a variable the step has not mapped: `c` is
+/// ill-scoped ([`Constraint::validate`] refuses it), and only a caller that
+/// passes a raw constraint slice can hand the chase one.
+fn apply_step(db: &mut CanonDb, c: &Constraint, assignment: &mut [Option<Var>]) -> bool {
     for b in &c.existential {
+        let mut unmapped = false;
         let range = b.range.map_vars(&mut |v| {
-            PathExpr::Var(assignment[v.index()].expect("existential range var must be mapped"))
+            let image = assignment.get(v.index()).copied().flatten();
+            unmapped |= image.is_none();
+            PathExpr::Var(image.unwrap_or(v))
         });
+        if unmapped {
+            return false;
+        }
         let fresh_name = format!("{}_{}", b.name, db.query.var_bound());
         assignment[b.var.index()] = Some(db.add_binding(&fresh_name, range));
     }
@@ -282,6 +295,7 @@ fn apply_step(db: &mut CanonDb, c: &Constraint, assignment: &mut [Option<Var>]) 
         let r = substitute(&eq.rhs, assignment);
         db.assert_owned(Equality::new(l, r));
     }
+    true
 }
 
 /// Convenience: compile and chase a query in one call.
@@ -525,5 +539,20 @@ mod tests {
         let (_, stats) = chase_query(&q, &[c], cfg);
         assert!(stats.truncated);
         assert_eq!(stats.steps_applied, 25);
+    }
+
+    /// An existential range over a variable the constraint never binds is
+    /// ill-scoped, and a raw slice can still hand one to the chase: its step
+    /// stops the chase as a cap does, in every build, where it once panicked.
+    #[test]
+    fn an_ill_scoped_existential_range_stops_the_chase() {
+        let (q, _, _) = ric_example();
+        let mut c = Constraint::new("range_reads_unbound");
+        let r = c.forall("r", Range::Name(sym("R")));
+        let z = c.exists("z", Range::Expr(PathExpr::from(Var(9)).dot("N")));
+        c.then(PathExpr::from(r).dot("A"), PathExpr::from(z).dot("A"));
+        let (_, stats) = chase_query(&q, &[c], ChaseConfig::default());
+        assert!(stats.truncated);
+        assert_eq!(stats.steps_applied, 0);
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's prototype compiles queries and constraints into "a congruence
 //! closure based canonical database representation … that allows for fast
 //! reasoning about equality" (§4), a variation of Nelson–Oppen union/find
-//! [25]. This module is that structure.
+//! \[25\]. This module is that structure.
 //!
 //! Terms are hash-consed path expressions: variables, constants, field
 //! projections, dictionary lookups and struct constructors. The closure
@@ -251,6 +251,7 @@ impl Congruence {
         debug_assert!(self.worklist.is_empty(), "rollback during propagation");
         self.live_saves.truncate(sp.depth - 1);
         while self.trail.len() > sp.trail_len {
+            #[expect(clippy::expect_used, reason = "the loop keeps the trail non-empty")]
             let op = self.trail.pop().expect("trail length checked");
             self.undo(op);
         }
@@ -269,6 +270,7 @@ impl Congruence {
     fn undo(&mut self, op: TrailOp) {
         match op {
             TrailOp::NewTerm => {
+                #[expect(clippy::expect_used, reason = "each NewTerm op pushed one node")]
                 let node = self.nodes.pop().expect("trail out of sync with arena");
                 self.intern.remove(&node);
                 self.parent.pop();
@@ -387,6 +389,7 @@ impl Congruence {
             }
             return t;
         }
+        #[expect(clippy::expect_used, reason = "memory runs out before 2^32 terms")]
         let id = TermId(u32::try_from(self.nodes.len()).expect("term arena overflow"));
         // Compute support and register with children.
         let mut support = VarSet::new();
@@ -939,6 +942,7 @@ fn field_of_struct(node: &TermNode, f: Symbol) -> Option<TermId> {
 /// lists keep their buffers and the elements their order (see "List
 /// ownership" in the module docs).
 fn move_tail(lists: &mut [Vec<TermId>], from: TermId, keep: usize, to: TermId) {
+    #[expect(clippy::expect_used, reason = "a merge joins two distinct classes")]
     let [source, target] = lists
         .get_disjoint_mut([from.idx(), to.idx()])
         .expect("two distinct class representatives");

@@ -250,16 +250,12 @@ pub fn combine_plans(q0: &Query, fragments: &[Fragment], choice: &[&Query]) -> Q
     // Project original outputs.
     for (label, _) in &q0.select {
         #[expect(clippy::panic)]
-        let provider = fragments
+        let path = fragments
             .iter()
             .position(|f| f.provides.contains(label))
-            .unwrap_or_else(|| panic!("no fragment provides output {label}"));
-        let path = remapped[provider]
-            .select
-            .iter()
-            .find(|(sl, _)| sl == label)
+            .and_then(|provider| remapped[provider].select.iter().find(|(sl, _)| sl == label))
             .map(|(_, p)| p.clone())
-            .expect("provider plan lost its output");
+            .unwrap_or_else(|| panic!("no fragment plan provides output {label}"));
         out.select.push((*label, path));
     }
     debug_assert!(out.validate().is_ok(), "combined plan ill-formed");

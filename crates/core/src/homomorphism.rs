@@ -173,6 +173,7 @@ impl<'a> Body<'a> {
             return;
         }
         if depth == self.bindings.len() {
+            #[expect(clippy::expect_used, reason = "full depth assigns every binding")]
             let image = |b: &Binding| homs.assignment[b.var.index()].expect("assigned above");
             homs.images.extend(self.bindings.iter().map(image));
             homs.count += 1;

@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod backchase;
 pub mod bitset;

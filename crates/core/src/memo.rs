@@ -221,24 +221,21 @@ impl SkeletonMemo {
         });
         if hit {
             self.hits += 1;
-        } else {
-            if !self.entries.contains_key(&key) {
-                self.make_room();
-            }
-            let fresh = Skeleton {
-                from: q0.from.clone(),
-                where_: q0.where_.clone(),
-                constraints: digest,
-                universal: universal.to_vec(),
-                outputs: Vec::new(),
-                equivalence: Border::default(),
-                select: Border::default(),
-                ranges: vec![Border::default(); universal.len()],
-                used: 0,
-            };
-            self.entries.insert(key, fresh);
+        } else if self.entries.remove(&key).is_none() {
+            // A new key needs room; a key another skeleton holds is reused.
+            self.make_room();
         }
-        let entry = self.entries.get_mut(&key).expect("found or just made");
+        let entry = self.entries.entry(key).or_insert_with(|| Skeleton {
+            from: q0.from.clone(),
+            where_: q0.where_.clone(),
+            constraints: digest,
+            universal: universal.to_vec(),
+            outputs: Vec::new(),
+            equivalence: Border::default(),
+            select: Border::default(),
+            ranges: vec![Border::default(); universal.len()],
+            used: 0,
+        });
         entry.used = self.clock;
         let outputs = entry.output_set(&q0.select);
         if hit {
@@ -248,12 +245,12 @@ impl SkeletonMemo {
     }
 
     /// Keeps what `lattice` proved in the search `ticket` was issued for.
+    /// Nothing evicts between a search's seed and its keep; were the entry
+    /// gone, the memo would only know less.
     pub(crate) fn keep(&mut self, ticket: Ticket, lattice: &Lattice<'_>) {
-        let entry = self
-            .entries
-            .get_mut(&ticket.key)
-            .expect("nothing evicts between a search's seed and its keep");
-        entry.keep(lattice, &ticket.outputs);
+        if let Some(entry) = self.entries.get_mut(&ticket.key) {
+            entry.keep(lattice, &ticket.outputs);
+        }
     }
 
     /// Evicts least recently used skeletons until one more fits.

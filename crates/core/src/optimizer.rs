@@ -206,10 +206,16 @@ impl Optimizer {
 
     /// Optimizes `q` under the configured strategy, every call cold: the
     /// left-deep plans of [`Optimizer::optimize_in`] under a memo that keeps
-    /// nothing, with their generic-join twins ranked in beside them. Nothing
-    /// at all when the constraint set is uncertified.
+    /// nothing, with their generic-join twins ranked in beside them (after
+    /// the left-deep plans of their rank). Nothing at all when the
+    /// constraint set is uncertified.
     pub fn optimize(&self, q: &Query, cfg: &OptimizerConfig) -> OptimizeResult {
-        self.run(q, cfg, &mut SkeletonMemo::bounded(0), true)
+        self.timed(|| {
+            let mut result = self.optimize_in(q, cfg, &mut SkeletonMemo::bounded(0));
+            self.emit_wcoj_twins(&mut result.plans);
+            self.rank(&mut result.plans);
+            result
+        })
     }
 
     /// Optimizes `q` under the configured strategy for a left-deep
@@ -227,49 +233,44 @@ impl Optimizer {
         cfg: &OptimizerConfig,
         memo: &mut SkeletonMemo,
     ) -> OptimizeResult {
-        self.run(q, cfg, memo, false)
+        self.timed(|| {
+            // Entry contract: the input query must be well-formed. This
+            // guards ad-hoc callers in debug builds only — untrusted
+            // requests go through `cnb_engine::PlanServer`, which runs the
+            // same check in every build. The constraints were certified at
+            // construction.
+            debug_assert_eq!(
+                q.validate(),
+                Ok(()),
+                "Optimizer::optimize called with ill-formed query"
+            );
+            let mut result = match cfg.strategy {
+                Strategy::Full => self.run_full(q, cfg, memo),
+                Strategy::Oqf => self.run_oqf(q, cfg, memo),
+                Strategy::Ocs => self.run_ocs(q, cfg, memo),
+            };
+            self.rank(&mut result.plans);
+            result
+        })
     }
 
-    /// The search behind [`Optimizer::optimize`] and
-    /// [`Optimizer::optimize_in`]; `twins` asks for the generic-join twins.
-    /// Ranking is a stable sort and a twin ranks as its sibling, so leaving
-    /// the twins out leaves the left-deep plans in the same order.
-    fn run(
-        &self,
-        q: &Query,
-        cfg: &OptimizerConfig,
-        memo: &mut SkeletonMemo,
-        twins: bool,
-    ) -> OptimizeResult {
+    /// Runs `optimize` and times it (stats only) into `total_time`; runs
+    /// nothing when the constraint set is uncertified.
+    fn timed(&self, optimize: impl FnOnce() -> OptimizeResult) -> OptimizeResult {
         if self.certified.is_err() {
             return OptimizeResult::default();
         }
-        // Entry contract: the input query must be well-formed. This guards
-        // ad-hoc callers in debug builds only — untrusted requests go
-        // through `cnb_engine::PlanServer`, which runs the same check in
-        // every build. The constraints were certified at construction.
-        debug_assert_eq!(
-            q.validate(),
-            Ok(()),
-            "Optimizer::optimize called with ill-formed query"
-        );
-        // Stats-only timing; the strategies never read the clock themselves.
         #[expect(clippy::disallowed_methods)]
         let start = Instant::now();
-        let mut result = match cfg.strategy {
-            Strategy::Full => self.run_full(q, cfg, memo),
-            Strategy::Oqf => self.run_oqf(q, cfg, memo),
-            Strategy::Ocs => self.run_ocs(q, cfg, memo),
-        };
-        if twins {
-            self.emit_wcoj_twins(&mut result.plans);
-        }
+        let mut result = optimize();
         result.total_time = start.elapsed();
-        // Best first: more physical structures, then fewer loops.
         result
-            .plans
-            .sort_by_key(|p| heuristic_rank(&self.schema, &p.query));
-        result
+    }
+
+    /// Best first: more physical structures, then fewer loops. A stable
+    /// sort, so plans of one rank keep their order.
+    fn rank(&self, plans: &mut [PlanInfo]) {
+        plans.sort_by_key(|p| heuristic_rank(&self.schema, &p.query));
     }
 
     /// Appends a generic-join twin for every emitted left-deep plan with a
@@ -322,51 +323,47 @@ impl Optimizer {
         cfg: &OptimizerConfig,
         model: &CostModel,
     ) -> OptimizeResult {
-        if self.certified.is_err() {
-            return OptimizeResult::default();
-        }
-        #[expect(clippy::disallowed_methods)]
-        let start = Instant::now();
-        let mut result = self.optimize(q, cfg);
-        let seed = result
-            .plans
-            .iter()
-            .map(|p| plan_price(model, p))
-            .fold(f64::INFINITY, f64::min);
-        let pricer = WcojAwarePricer {
-            schema: &self.schema,
-            model,
-        };
-        let bounded = bottom_up_backchase(
-            q,
-            &self.constraints,
-            &cfg.backchase,
-            &pricer,
-            seed.is_finite().then_some(seed),
-        );
-        result.absorb(&bounded);
-        if !bounded.plans.is_empty() {
-            result.plans = bounded
+        self.timed(|| {
+            let mut result = self.optimize(q, cfg);
+            let seed = result
                 .plans
-                .into_iter()
-                .map(|p| self.plan_info(p))
-                .collect();
-            self.emit_wcoj_twins(&mut result.plans);
-        }
-        let schema = &self.schema;
-        result.plans.sort_by(|a, b| {
-            plan_price(model, a)
-                .total_cmp(&plan_price(model, b))
-                .then_with(|| {
-                    heuristic_rank(schema, &a.query).cmp(&heuristic_rank(schema, &b.query))
-                })
-                .then_with(|| a.query.canonical_key().cmp(&b.query.canonical_key()))
-                .then_with(|| {
-                    (a.strategy == ExecStrategy::Wcoj).cmp(&(b.strategy == ExecStrategy::Wcoj))
-                })
-        });
-        result.total_time = start.elapsed();
-        result
+                .iter()
+                .map(|p| plan_price(model, p))
+                .fold(f64::INFINITY, f64::min);
+            let pricer = WcojAwarePricer {
+                schema: &self.schema,
+                model,
+            };
+            let bounded = bottom_up_backchase(
+                q,
+                &self.constraints,
+                &cfg.backchase,
+                &pricer,
+                seed.is_finite().then_some(seed),
+            );
+            result.absorb(&bounded);
+            if !bounded.plans.is_empty() {
+                result.plans = bounded
+                    .plans
+                    .into_iter()
+                    .map(|p| self.plan_info(p))
+                    .collect();
+                self.emit_wcoj_twins(&mut result.plans);
+            }
+            let schema = &self.schema;
+            result.plans.sort_by(|a, b| {
+                plan_price(model, a)
+                    .total_cmp(&plan_price(model, b))
+                    .then_with(|| {
+                        heuristic_rank(schema, &a.query).cmp(&heuristic_rank(schema, &b.query))
+                    })
+                    .then_with(|| a.query.canonical_key().cmp(&b.query.canonical_key()))
+                    .then_with(|| {
+                        (a.strategy == ExecStrategy::Wcoj).cmp(&(b.strategy == ExecStrategy::Wcoj))
+                    })
+            });
+            result
+        })
     }
 
     fn run_full(

@@ -257,33 +257,22 @@ impl PlanCache {
         );
         self.hits += 1;
         slot.freq += 1;
-        if self.capacity.is_some() && !slot.protected {
+        if let (Some(capacity), false) = (self.capacity, slot.protected) {
             slot.protected = true;
-            self.shrink_protected();
+            self.shrink_protected(capacity);
         }
         self.entries.get(fp).map(|s| &s.plans)
     }
 
     /// Demotes coldest protected entries back to probation until the
-    /// protected segment fits its cap.
-    fn shrink_protected(&mut self) {
-        let cap = Self::protected_cap(self.capacity.expect("bounded caches only"));
-        loop {
-            let protected = self.entries.values().filter(|s| s.protected).count();
-            if protected <= cap {
-                return;
+    /// protected segment fits the cap of a cache of `capacity`.
+    fn shrink_protected(&mut self, capacity: usize) {
+        let protected = self.entries.values().filter(|s| s.protected).count();
+        for _ in Self::protected_cap(capacity)..protected {
+            let coldest = self.entries.values_mut().filter(|s| s.protected);
+            if let Some(coldest) = coldest.min_by_key(|s| (s.freq, s.seq)) {
+                coldest.protected = false;
             }
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(_, s)| s.protected)
-                .min_by_key(|(_, s)| (s.freq, s.seq))
-                .map(|(fp, _)| fp.clone())
-                .expect("protected count > cap implies a protected entry");
-            self.entries
-                .get_mut(&victim)
-                .expect("victim just selected")
-                .protected = false;
         }
     }
 

@@ -21,8 +21,8 @@ use crate::congruence::{Congruence, TermId};
 ///
 /// Returns `None` when the subset is not a valid subquery: an output path or
 /// a kept binding's range cannot be expressed over the kept variables. Three
-/// steps in this order — [`induce_range`] per kept binding,
-/// [`restricted_where`], [`induce_select`] — of which only the first and the
+/// steps in this order — `induce_range` per kept binding,
+/// [`restricted_where`], `induce_select` — of which only the first and the
 /// last can fail; the backchase asks those two alone when all it needs is
 /// whether the subset is a subquery.
 pub fn induce_subquery(
@@ -210,13 +210,13 @@ pub fn induce_subquery_pure(
 /// savepoint that is rolled back — so `udb` is left byte-identical — and
 /// writes their results into `scratch`:
 ///
-/// * the kept bindings, with [`induce_range`]'s ranges;
+/// * the kept bindings, with `induce_range`'s ranges;
 /// * every class of `udb` restricted to `keep`, saturated as
 ///   [`restricted_where`] saturates it, copied term by term into `scratch`
-///   ([`Congruence::copy_term`]) and merged there. No class is reduced to
+///   (`Congruence::copy_term`) and merged there. No class is reduced to
 ///   fewer equalities and no path is rebuilt: the closure is what counts,
 ///   and it is the closure the where-clause of the induced query generates;
-/// * [`induce_select`]'s outputs, as `scratch.query.select`.
+/// * `induce_select`'s outputs, as `scratch.query.select`.
 ///
 /// `scratch.query` holds the bindings and the outputs, no where-clause:
 /// a chase and a homomorphism search read the from-clause and the closure.

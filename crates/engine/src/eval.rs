@@ -7,7 +7,7 @@
 //! query validation, the unbound-parameter guard, the ground-equality
 //! check, the operator loop, the select-clause projection and the stats
 //! epilogue — and differ only in how they compile the query to
-//! [`crate::join`]'s three operators:
+//! the private `join` module's three operators:
 //!
 //! * `Bind` — one binding through a scan, a dictionary-domain scan, a key
 //!   probe, a set-path expansion or a build/probe hash join;
@@ -22,13 +22,13 @@
 //! for; a hash join whose first filter reads another attribute of its
 //! binding may instead probe both attributes at once and still report that
 //! filter's cascade counts. [`execute`] compiles to the first two under a
-//! greedy selectivity-aware ordering ([`crate::join`]) that plays the role of the
+//! greedy selectivity-aware ordering (`join`) that plays the role of the
 //! host optimizer's join reordering (the paper fed its plans to DB2, which
 //! did the same); [`execute_wcoj`] compiles to a single `GenericJoin`.
 //!
 //! **Ownership.** The pipeline owns no values until it projects. Batches
-//! hold `&Value`s into the [`Database`] and the plan ([`crate::batch`]
-//! states the rule); `run` declares the operators and one `Home` per
+//! hold `&Value`s into the [`Database`] and the plan (the private `batch`
+//! module states the rule); `run` declares the operators and one `Home` per
 //! operator *before* the batch, so everything a column can point at
 //! outlives it; and the projection's `into_owned()` — once per output
 //! field — is the only place a run clones a value into its output. The

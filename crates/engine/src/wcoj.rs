@@ -1,10 +1,10 @@
 //! The generic-join (worst-case optimal) operator.
 //!
-//! [`Op::GenericJoin`](crate::join::Op) runs a flat relational join
-//! *variable-at-a-time* instead of relation-at-a-time: [`plan`] groups the
+//! `Op::GenericJoin` runs a flat relational join
+//! *variable-at-a-time* instead of relation-at-a-time: `plan` groups the
 //! query's flat equalities into join classes (equivalence classes of
 //! `binding.attr` terms, optionally pinned to a constant), and
-//! [`apply_generic_join`] sorts every participating relation on its class
+//! `apply_generic_join` sorts every participating relation on its class
 //! key tuple and intersects the per-relation sorted runs one class after
 //! another — a leapfrog-style multiway intersection. Because each class
 //! narrows *every* participant before the next class is touched, no
@@ -14,7 +14,7 @@
 //! wedge before the third edge prunes).
 //!
 //! It is one operator of the pipeline in [`crate::eval`], beside `Bind`
-//! and `DictJoin`: it emits a [`Batch`] with one column per binding, and
+//! and `DictJoin`: it emits a `Batch` with one column per binding, and
 //! everything around it — validation, the unbound-parameter guard, the
 //! select-clause projection with its skip-undefined rule, timing — is the
 //! pipeline's. [`crate::execute_wcoj`] is the entry point that compiles a

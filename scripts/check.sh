@@ -38,12 +38,18 @@ cargo fmt --check
 # ("this lint expectation is unfulfilled"). crates/engine/src/serving.rs and
 # pressure.rs forbid clippy::disallowed_methods, so a wall-clock read there
 # fails even under an #[expect]. cnb_core, cnb_engine and cnb_ir deny
-# clippy::panic and clippy::unreachable outside their tests, and cnb_core
-# clippy::unwrap_used too; each sanctioned panic sits under
-# #[expect(clippy::panic)]. The test tiers below pin how many sanctions each
-# crate holds.
+# clippy::panic, clippy::unreachable and clippy::unwrap_used outside their
+# tests, and cnb_core clippy::expect_used too; each sanctioned panic sits
+# under #[expect(clippy::panic)], each sanctioned expect under
+# #[expect(clippy::expect_used, reason = "...")] naming the invariant it
+# states. The test tiers below pin how many sanctions each crate holds.
 tier "cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
+
+# Rustdoc: every intra-doc link resolves, and no public doc links a private
+# item. Its warnings are errors here, so a broken link fails the gate.
+tier "cargo doc --no-deps --workspace (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 tier "cargo build --release"
 cargo build --release
