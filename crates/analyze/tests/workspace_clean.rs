@@ -121,12 +121,14 @@ fn sanctioned_std_hash_map_sites_are_pinned() {
 /// provides. There is no sanctioned `unreachable!`, nor `.unwrap()` in
 /// any of the three.
 ///
-/// Core also denies `.expect()` outside its tests, and sanctions it where
-/// the `expect` states an internal invariant, named as the sanction's
-/// reason: `Lattice::induced` in `backchase.rs`, the rollback, the undo of a
-/// new term, the term arena's `u32` ids and `move_tail` in `congruence.rs`,
-/// and a homomorphism's images in `homomorphism.rs`. A site input can reach
-/// is a `let … else` or a typed error instead.
+/// Core and engine also deny `.expect()` outside their tests, and sanction
+/// it where the `expect` states an internal invariant, named as the
+/// sanction's reason. Core's six: `Lattice::induced` in `backchase.rs`, the
+/// rollback, the undo of a new term, the term arena's `u32` ids and
+/// `move_tail` in `congruence.rs`, and a homomorphism's images in
+/// `homomorphism.rs`. Engine's one: `pool::map_in_order`, which re-raises a
+/// worker's panic on the caller. A site input can reach is a `let … else`
+/// or a typed error instead.
 #[test]
 fn sanctioned_panic_sites_are_pinned() {
     let pinned = [("core", 1), ("engine", 0), ("ir", 7)];
@@ -141,13 +143,17 @@ fn sanctioned_panic_sites_are_pinned() {
         &["restriction"],
         &pinned.map(|(k, _)| (k, 0)),
     );
-    assert_sanctions("expect_used", &["restriction"], &[("core", 6)]);
+    assert_sanctions(
+        "expect_used",
+        &["restriction"],
+        &[("core", 6), ("engine", 1)],
+    );
 }
 
 /// The attributes that make those rules: the serving layer forbids the
 /// clock outright (no `#[expect]` can sanction a read there), the three
 /// logic crates deny panics and `.unwrap()` outside their tests, and core
-/// denies `.expect()` there too.
+/// and engine deny `.expect()` there too.
 #[test]
 fn the_forbid_and_deny_attributes_are_in_place() {
     let forbid = "#![forbid(clippy::disallowed_methods)]";
@@ -162,6 +168,7 @@ fn the_forbid_and_deny_attributes_are_in_place() {
         ("core/src/lib.rs", expect),
         ("engine/src/lib.rs", deny),
         ("engine/src/lib.rs", unwrap),
+        ("engine/src/lib.rs", expect),
         ("ir/src/lib.rs", deny),
         ("ir/src/lib.rs", unwrap),
     ] {

@@ -20,6 +20,9 @@
 //! which asks `Lattice::well_formed` whether a subset is a subquery and
 //! prices its ranges before it has the lattice induce it). Both ask one
 //! judge, [`Lattice::verdict`], and differ only in the order they visit.
+//! `verdict` and the border-free [`Lattice::equivalent`] under it read the
+//! deadline once per verdict and count where each came from; a search's
+//! `explored` is that count ([`VerdictSources::total`]), kept nowhere else.
 //!
 //! # Borders
 //!
@@ -57,16 +60,18 @@
 //! candidate whose closure under them holds no image of the original query
 //! is refuted without a chase and learnt into the equivalence border as a
 //! chased `false` is; on `ec1_4_2` that is 540 of the 591 chases the borders
-//! left. Whatever they do not refute is chased, first **under its support**
-//! — the constraints the derivations say rebuild an image of the query, a
-//! slice of the set — and, where that proves nothing, under the whole set.
-//! A yes under the support is the verdict (a fifth source); every other
-//! outcome runs the check there always was, so plans, `explored` and the
-//! borders do not move. On the `optimize_cold` points the supports prove
-//! 272 of the 276 chased verdicts. [`VerdictSources`] counts each explored
-//! verdict under the one source that gave it. In the bottom-up search no
-//! border gives one: the proved border is its minimality check there
-//! ([`crate::bottomup`]).
+//! left. Whatever they do not refute is loaded once and chased in one pass,
+//! first **under its support** — the constraints the derivations say
+//! rebuild an image of the query, a slice of the set; the same read of the
+//! derivations is the refutation. A yes there is the verdict (a fifth
+//! source). Where it proves nothing, or hits a cap, the chase is *widened*:
+//! it goes on under the whole set from where it stopped, and decides what a
+//! fresh chase under the whole set decides ([`crate::derivations`]), so
+//! plans, `explored` and the borders do not move. On the `optimize_cold`
+//! points the supports prove 272 of the 276 chased verdicts and 4 are
+//! widened. [`VerdictSources`] counts each explored verdict under the one
+//! source that gave it. In the bottom-up search no border gives one: the
+//! proved border is its minimality check there ([`crate::bottomup`]).
 //!
 //! **(i) Well-formedness is not monotone.** A kept binding whose range needs
 //! a dropped variable makes `T` malformed — verdict `false` — while `T`
@@ -74,9 +79,9 @@
 //! equivalent under a malformed superset. Only the three predicates above
 //! are monotone: a malformed `false` enters no border, and the proved border
 //! is asked only once the subset is known well-formed. Debug builds
-//! re-prove by a full chase every verdict that did not come from one
-//! (against a re-chase that finishes), refutations by the derivations and
-//! proofs under a support included, so each test suite audits every
+//! re-prove every verdict by a fresh chase under the whole set (against a
+//! re-chase that finishes), the derivations' refutations, the proofs under a
+//! support and the widened chases included, so each test suite audits every
 //! inference it makes; release trusts them.
 //!
 //! **(ii) Across select lists, the order is a product.** "The subquery on
@@ -105,7 +110,7 @@
 //!
 //! The hot loop allocates no databases — the lattice induces in place on its
 //! universal plan (rolled back after every candidate) and loads each chased
-//! candidate from there into its one scratch database
+//! candidate once, from there into its one scratch database
 //! ([`crate::subquery::load_subquery`]: no query text, no reduced
 //! where-clause; [`CanonDb`] is not `Clone`) — and recycles every search,
 //! chase and closure buffer (`tests/alloc_audit.rs`). Only a plan that is
@@ -311,7 +316,7 @@ impl<'a> Lattice<'a> {
         let start = Instant::now();
         let mut checker = EquivChecker::new(q0, constraints, ChaseConfig::default()).compile();
         let mut udb = CanonDb::new(q0);
-        let chase_stats = checker.chaser.chase(&mut udb);
+        let chase_stats = checker.chaser.chase_under(&mut udb, None);
         Lattice {
             checker,
             ranges: vec![Border::default(); udb.query.from.len()],
@@ -349,30 +354,23 @@ impl<'a> Lattice<'a> {
     }
 
     /// Is the subquery on `keep` equivalent to the original query under the
-    /// constraints? The border-free judge under [`Lattice::verdict`]: the
-    /// universal plan's derivations refute what they can, and the rest is
-    /// chased, under its support first. No border is asked or taught.
-    /// `None` means a budget ran out, as for `verdict`.
+    /// constraints? The border-free judge under [`Lattice::verdict`]: no
+    /// border is asked or taught. `None` means a budget ran out, as for
+    /// `verdict`.
     pub fn equivalent(&mut self, keep: &VarSet) -> Option<bool> {
         if self.expired() {
             return None;
         }
-        if self.underivable(keep) {
-            self.sources.refuted_by_derivations += 1;
-            return Some(false);
-        }
-        let verdict = self.chased(keep);
-        self.chase_stats.truncated |= verdict.is_none();
-        verdict
+        self.judge(keep)
     }
 
     /// Is the subquery induced by `keep` equivalent to the original query?
-    /// The judge both searches ask: the borders, then one call to
-    /// [`Lattice::equivalent`], whose verdict the equivalence border learns.
-    /// `None` means a budget ran out before the verdict was computed: the
-    /// lattice [`expired`](Lattice::expired), or the candidate's implication
-    /// chase hit a cap — which spends the lattice's budget as the deadline
-    /// does, so every later verdict is `None` too.
+    /// The judge both searches ask: the borders, then the border-free judge
+    /// of [`Lattice::equivalent`], whose verdict the equivalence border
+    /// learns. `None` means a budget ran out before the verdict was
+    /// computed: the lattice [`expired`](Lattice::expired), or the
+    /// candidate's implication chase hit a cap — which spends the lattice's
+    /// budget as the deadline does, so every later verdict is `None` too.
     pub fn verdict(&mut self, keep: &VarSet) -> Option<bool> {
         if self.expired() {
             return None;
@@ -397,9 +395,55 @@ impl<'a> Lattice<'a> {
             );
             return inferred;
         }
-        let verdict = self.equivalent(keep)?;
+        let verdict = self.judge(keep)?;
         self.equivalence.learn(keep, verdict);
         Some(verdict)
+    }
+
+    /// The border-free judge, one pass over `keep`: the derivations' support
+    /// (a refutation where there is none), then one load and one chase,
+    /// under the support and, where that proves nothing, widened to the
+    /// whole set from the support's fixpoint. Counts the verdict's source;
+    /// a `None` spends the lattice's budget. Debug builds re-prove every
+    /// verdict it gives by a chase from scratch.
+    fn judge(&mut self, keep: &VarSet) -> Option<bool> {
+        let Lattice {
+            checker,
+            udb,
+            scratch,
+            derivations,
+            sources,
+            chase_stats,
+            ..
+        } = self;
+        let derivations = derivations.get_or_insert_with(|| Derivations::build(checker, udb));
+        let verdict = match derivations.support(keep) {
+            None => {
+                sources.refuted_by_derivations += 1;
+                Some(false)
+            }
+            Some(_) if !load_subquery(udb, keep, &checker.spec.q0.select, scratch) => {
+                sources.malformed += 1;
+                Some(false)
+            }
+            Some(support) => match checker.check_under(scratch, Some(support)) {
+                (true, stats) if !stats.truncated => {
+                    sources.proved_under_support += 1;
+                    Some(true)
+                }
+                _ => {
+                    let (verdict, stats) = checker.check_under(scratch, None);
+                    chase_stats.truncated |= stats.truncated;
+                    sources.chased_in_full += usize::from(!stats.truncated);
+                    (!stats.truncated).then_some(verdict)
+                }
+            },
+        };
+        debug_assert!(
+            verdict.is_none_or(|v| self.chased_in_full(keep).is_none_or(|c| c == v)),
+            "{keep:?}"
+        );
+        verdict
     }
 
     /// Is `keep` a subquery? `induce_subquery`'s from- and select-clause
@@ -441,14 +485,9 @@ impl<'a> Lattice<'a> {
 
     /// Do the universal plan's derivations refute `keep`
     /// ([`crate::derivations`])? They are read off the universal plan at the
-    /// first call. A refutation is re-proved by a chase in debug builds; the
-    /// caller counts it.
+    /// first call.
     pub fn underivable(&mut self, keep: &VarSet) -> bool {
-        let refuted = self.derivations().refutes(keep);
-        if refuted {
-            debug_assert!(self.chased_in_full(keep).is_none_or(|c| !c), "{keep:?}");
-        }
-        refuted
+        self.derivations().support(keep).is_none()
     }
 
     /// The support of `keep` ([`crate::derivations`]): the indices, into the
@@ -475,49 +514,16 @@ impl<'a> Lattice<'a> {
         derivations.get_or_insert_with(|| Derivations::build(checker, udb))
     }
 
-    /// The verdict on `keep`, a candidate the derivations did not refute, by
-    /// load and chase: under its support first, and where that proves
-    /// nothing under the whole set. `None` when the full chase hit a cap.
-    /// Counts the verdict's source; touches no border.
-    fn chased(&mut self, keep: &VarSet) -> Option<bool> {
-        let Lattice {
-            checker,
-            udb,
-            scratch,
-            derivations,
-            sources,
-            ..
-        } = self;
-        if !load_subquery(udb, keep, &checker.spec.q0.select, scratch) {
-            sources.malformed += 1;
-            return Some(false);
-        }
-        let support = derivations
-            .get_or_insert_with(|| Derivations::build(checker, udb))
-            .support(keep);
-        if let Some(mask) = support {
-            let (proved, stats) = checker.check_under(scratch, Some(mask));
-            if proved && !stats.truncated {
-                sources.proved_under_support += 1;
-                debug_assert!(self.chased_in_full(keep).is_none_or(|c| c), "{keep:?}");
-                return Some(true);
-            }
-        }
-        let verdict = self.chased_in_full(keep);
-        self.sources.chased_in_full += usize::from(verdict.is_some());
-        verdict
-    }
-
-    /// The verdict on `keep` by induction and a chase under the whole set,
+    /// The verdict on `keep` by a load and a fresh chase under the whole set,
     /// as before there were borders, derivations or supports; `None` when
-    /// the implication chase hit a cap. Counts nothing: the debug re-proofs
-    /// run it.
+    /// the implication chase hit a cap. Counts nothing: only the debug
+    /// re-proofs run it.
     fn chased_in_full(&mut self, keep: &VarSet) -> Option<bool> {
         let select = &self.checker.spec.q0.select;
         if !load_subquery(&mut self.udb, keep, select, &mut self.scratch) {
             return Some(false);
         }
-        let (verdict, stats) = self.checker.check(&mut self.scratch);
+        let (verdict, stats) = self.checker.check_under(&mut self.scratch, None);
         (!stats.truncated).then_some(verdict)
     }
 
@@ -532,10 +538,12 @@ impl<'a> Lattice<'a> {
     }
 
     /// Closes a search over this lattice: `result` carries the search's
-    /// counters, `sink` its plans; the lattice adds what the chase measured.
+    /// counters, `sink` its plans; the lattice adds what the chase measured
+    /// and `explored`, the verdicts it gave.
     pub(crate) fn finish(&self, result: BackchaseResult, sink: PlanSink) -> BackchaseResult {
         BackchaseResult {
             plans: sink.plans,
+            explored: self.sources.total(),
             universal_arity: self.udb.query.from.len(),
             chase_stats: self.chase_stats,
             chase_time: self.chase_time,
@@ -621,13 +629,17 @@ pub(crate) fn chase_and_backchase_in(
         lattice: &mut lattice,
         memo: FxHashMap::default(),
         sink: PlanSink::new(cfg.max_plans),
-        result: BackchaseResult::default(),
+        timed_out: false,
     };
     search.explore(&all);
-    let Search { result, sink, .. } = search;
+    let (timed_out, sink) = (search.timed_out, search.sink);
     if let Some(ticket) = ticket {
         memo.keep(ticket, &lattice);
     }
+    let result = BackchaseResult {
+        timed_out,
+        ..BackchaseResult::default()
+    };
     lattice.finish(result, sink)
 }
 
@@ -639,8 +651,8 @@ struct Search<'l, 'a> {
     /// remembered verdict never expands anything again.
     memo: FxHashMap<VarSet, bool>,
     sink: PlanSink,
-    /// `explored` and `timed_out` accumulate here.
-    result: BackchaseResult,
+    /// Did a budget run out before some verdict?
+    timed_out: bool,
 }
 
 impl Search<'_, '_> {
@@ -660,7 +672,11 @@ impl Search<'_, '_> {
                 Some(&v) => (Some(v), false),
                 None => {
                     let v = self.lattice.verdict(&child);
-                    (self.record(child.clone(), v), true)
+                    self.timed_out |= v.is_none();
+                    if let Some(v) = v {
+                        self.memo.insert(child.clone(), v);
+                    }
+                    (v, true)
                 }
             };
             match verdict {
@@ -679,19 +695,6 @@ impl Search<'_, '_> {
                 self.sink.emit(&mut self.lattice.scratch, q);
             }
         }
-    }
-
-    /// Books a freshly computed verdict for `s`; `None` means a budget ran
-    /// out before it.
-    fn record(&mut self, s: VarSet, verdict: Option<bool>) -> Option<bool> {
-        match verdict {
-            None => self.result.timed_out = true,
-            Some(v) => {
-                self.result.explored += 1;
-                self.memo.insert(s, v);
-            }
-        }
-        verdict
     }
 }
 

@@ -146,7 +146,6 @@ pub fn bottom_up_backchase(
                 result.timed_out = true;
                 break 'search;
             };
-            result.explored += 1;
             if !equivalent {
                 grow();
                 continue;

@@ -84,7 +84,7 @@ pub struct ChaseStats {
 
 /// Chases `db` with `constraints` to a fixpoint (or a cap). Returns stats.
 pub fn chase(db: &mut CanonDb, constraints: &[Constraint], cfg: ChaseConfig) -> ChaseStats {
-    Chaser::new(constraints, cfg).chase(db)
+    Chaser::new(constraints, cfg).chase_under(db, None)
 }
 
 /// A constraint set ready to chase any number of databases: each
@@ -127,15 +127,12 @@ impl<'a> Chaser<'a> {
         }
     }
 
-    /// Chases `db` to a fixpoint (or a cap). Returns stats.
-    pub(crate) fn chase(&mut self, db: &mut CanonDb) -> ChaseStats {
-        self.chase_under(db, None)
-    }
-
-    /// [`Chaser::chase`] with only the constraints `mask` marks (indexed as
-    /// the constraint slice; `None` marks all): the others are never
-    /// searched or fired. A subset of a weakly acyclic set is weakly
-    /// acyclic, so a masked chase of a certified set terminates too.
+    /// Chases `db` to a fixpoint (or a cap) under the constraints `mask`
+    /// marks (indexed as the constraint slice; `None` marks all): the others
+    /// are never searched or fired. Returns stats. A subset of a weakly
+    /// acyclic set is weakly acyclic, so a masked chase of a certified set
+    /// terminates too; and `db` may already be chased under a subset, which
+    /// this chase continues.
     pub(crate) fn chase_under(&mut self, db: &mut CanonDb, mask: Option<&[bool]>) -> ChaseStats {
         let mut stats = ChaseStats::default();
         self.applied.clear();

@@ -20,7 +20,8 @@
 //!
 //! A candidate `keep` is **refuted** when closing `keep` under the rules
 //! (premise ⊆ set ⇒ add the witness) reaches a fixpoint that contains no
-//! image.
+//! image. One closure answers both questions this module is asked:
+//! `Derivations::support` is `None` exactly when `keep` is refuted.
 //!
 //! # Why a refutation is sound
 //!
@@ -90,12 +91,17 @@
 //!    graph is a subgraph), so the support chase of a certified set
 //!    terminates; the caps still guard an uncertified slice.
 //! 3. A support chase that finds no output-preserving homomorphism, or hits
-//!    a cap, decides nothing: Σ′ may simply be too small. The candidate is
-//!    loaded again and checked under all of Σ, exactly as before there were
-//!    supports, so every verdict — and with it every border, plan and count
-//!    of `explored` — is the one the full check gives. Only where a verdict
-//!    came from changes. Debug builds re-prove each support-proved yes by
-//!    the full chase, as they re-prove refutations.
+//!    a cap, decides nothing: Σ′ may simply be too small. The chase is
+//!    *widened*: it goes on from where it stopped, on the same database,
+//!    under all of Σ. Every step under Σ′ is a step under Σ, so that is a
+//!    chase of the candidate under Σ, and a chase that terminates is a
+//!    universal model of the candidate and Σ (Fagin, Kolaitis, Miller and
+//!    Popa, *Data exchange*, ICDT 2003) — it has an output-preserving image
+//!    of `q0` exactly when a fresh chase under Σ has one. So every verdict —
+//!    and with it every border, plan and count of `explored` — is the one
+//!    the full check gives; only where a verdict came from changes. Debug
+//!    builds re-prove every verdict, widened ones included, by a fresh
+//!    chase under Σ.
 
 use cnb_ir::prelude::Var;
 
@@ -116,7 +122,7 @@ struct Rule {
 }
 
 /// The rules and images of one chased universal plan (see the module docs),
-/// with the buffers a refutation and a support recycle.
+/// with the buffers a support recycles.
 pub(crate) struct Derivations {
     /// One rule per homomorphism of a universal part into `U`, the ones
     /// whose witness lies inside their premise left out.
@@ -125,12 +131,11 @@ pub(crate) struct Derivations {
     images: Vec<VarSet>,
     /// Per constraint: it has no existential part. Every support holds it.
     keys: Vec<bool>,
-    /// The set `closure` was last closed from.
-    closed: VarSet,
-    /// The closure of `closed` under the rules.
+    /// The closure under the rules of the set last asked about.
     closure: VarSet,
-    /// Per variable of `U`: the rank of a closure binding (0 for `closed`,
-    /// else the rule application that added it). Stale outside `closure`.
+    /// Per variable of `U`: the rank of a closure binding (0 for the set
+    /// asked about, else the rule application that added it). Stale
+    /// outside `closure`.
     rank: Vec<u32>,
     /// The support being read off: per constraint, is it in?
     mask: Vec<bool>,
@@ -174,33 +179,21 @@ impl Derivations {
             .iter()
             .map(|c| c.existential.is_empty())
             .collect();
-        let mut derivations = Derivations {
+        Derivations {
             rules,
             images,
             mask: Vec::with_capacity(keys.len()),
             keys,
-            closed: VarSet::new(),
             closure: VarSet::new(),
             rank: vec![0; udb.query.var_bound() as usize],
             stack: Vec::new(),
             seen: VarSet::new(),
-        };
-        derivations.close_afresh(&VarSet::new());
-        derivations
-    }
-
-    /// Is `keep` refuted: does its closure under the rules hold no image?
-    pub(crate) fn refutes(&mut self, keep: &VarSet) -> bool {
-        self.close(keep);
-        !self
-            .images
-            .iter()
-            .any(|image| image.is_subset(&self.closure))
+        }
     }
 
     /// The support of `keep` (module docs), as a mask over the checker's
-    /// constraints; `None` when `keep` is refuted. Reuses the closure of
-    /// the [`Derivations::refutes`] call that just asked about `keep`.
+    /// constraints; `None` when `keep` is refuted: its closure under the
+    /// rules holds no image.
     pub(crate) fn support(&mut self, keep: &VarSet) -> Option<&[bool]> {
         self.close(keep);
         let Derivations {
@@ -231,25 +224,15 @@ impl Derivations {
         Some(mask)
     }
 
-    /// Closes `keep` under the rules, unless `closure` already is its
-    /// closure.
-    fn close(&mut self, keep: &VarSet) {
-        if self.closed != *keep {
-            self.close_afresh(keep);
-        }
-    }
-
     /// Closes `keep` under the rules, one application at a time, ranking
     /// each binding it adds.
-    fn close_afresh(&mut self, keep: &VarSet) {
+    fn close(&mut self, keep: &VarSet) {
         let Derivations {
             rules,
-            closed,
             closure,
             rank,
             ..
         } = self;
-        closed.clone_from(keep);
         closure.clone_from(keep);
         for v in keep.iter() {
             rank[v.index()] = 0;

@@ -17,7 +17,7 @@
 //! [`EquivChecker::equivalent`] — and plan dedup, whose plans already are
 //! queries — parse a [`Query`] into the scratch database instead
 //! (`CompiledChecker::equivalent_into`, [`CanonDb::reset_to`]). What runs
-//! on the filled database is one body, `CompiledChecker::check`.
+//! on the filled database is one body, `CompiledChecker::check_under`.
 
 use cnb_ir::prelude::{Constraint, Query, Var};
 
@@ -92,30 +92,27 @@ impl CompiledChecker<'_> {
         candidate: &Query,
     ) -> (bool, ChaseStats) {
         scratch.reset_to(candidate);
-        self.check(scratch)
+        self.check_under(scratch, None)
     }
 
     /// The check proper, on a scratch database that holds the candidate —
     /// its closure, its from-clause and its outputs in `query.select`: chase
-    /// it, search it for homomorphisms of `q0`'s body, and accept the first
-    /// that maps every output of `q0` onto the candidate's output of the
-    /// same label.
+    /// it under the constraints `mask` marks (`None`: all of them;
+    /// [`Chaser::chase_under`]), search it for homomorphisms of `q0`'s body,
+    /// and accept the first that maps every output of `q0` onto the
+    /// candidate's output of the same label. Under a mask a yes is a yes
+    /// under all the constraints and a no decides nothing
+    /// ([`crate::derivations`]).
     ///
     /// Across thousands of candidates one lattice reuses a single scratch
     /// arena and set of hash tables instead of allocating and dropping a
     /// database per check. The chased structure is a *template* keyed by
-    /// nothing: a candidate's chase must start from its own closure, not a
-    /// parent candidate's fixpoint, because the chase is not monotone under
-    /// binding removal — facts derived from a removed binding are not facts
-    /// of the subquery, and reusing them would flip verdicts. What CAN be
-    /// reused, and is, is the warm allocation footprint.
-    pub(crate) fn check(&mut self, scratch: &mut CanonDb) -> (bool, ChaseStats) {
-        self.check_under(scratch, None)
-    }
-
-    /// [`CompiledChecker::check`] with the chase restricted to the
-    /// constraints `mask` marks ([`Chaser::chase_under`]): a yes is a yes
-    /// under all of them, a no decides nothing ([`crate::derivations`]).
+    /// nothing: a candidate's chase must start from its own closure (or its
+    /// own chase under a subset, which a check under all of them continues),
+    /// not a parent candidate's fixpoint, because the chase is not monotone
+    /// under binding removal — facts derived from a removed binding are not
+    /// facts of the subquery, and reusing them would flip verdicts. What CAN
+    /// be reused, and is, is the warm allocation footprint.
     pub(crate) fn check_under(
         &mut self,
         scratch: &mut CanonDb,
@@ -129,7 +126,7 @@ impl CompiledChecker<'_> {
     }
 
     /// Hands `image` every homomorphism of `q0`'s body into `db` that
-    /// preserves the outputs as [`CompiledChecker::check`] requires: the
+    /// preserves the outputs as [`CompiledChecker::check_under`] requires: the
     /// images of `q0`'s bindings. On the universal plan, whose outputs are
     /// `q0`'s own, that is every output mapped onto itself.
     pub(crate) fn images(&mut self, db: &mut CanonDb, mut image: impl FnMut(&[Var])) {

@@ -92,14 +92,6 @@ impl OrderedDict {
     }
 }
 
-impl std::ops::Index<&Value> for OrderedDict {
-    type Output = Value;
-
-    fn index(&self, key: &Value) -> &Value {
-        self.get(key).expect("no entry for key")
-    }
-}
-
 /// An in-memory database instance for a schema.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
@@ -213,8 +205,8 @@ impl Database {
                     let rows = self.table(*rel).to_vec();
                     // First-appearance bucketing: key order and within-key
                     // row order both follow the table, never a hash map.
-                    let mut key_order: Vec<Value> = Vec::new();
-                    let mut buckets: FxHashMap<Value, Vec<Value>> = FxHashMap::default();
+                    let mut buckets: Vec<(Value, Vec<Value>)> = Vec::new();
+                    let mut bucket_of: FxHashMap<Value, usize> = FxHashMap::default();
                     for row in rows {
                         let k = row
                             .field(*attr)
@@ -223,14 +215,13 @@ impl Database {
                                 attribute: *attr,
                             })?
                             .clone();
-                        let bucket = buckets.entry(k.clone()).or_default();
-                        if bucket.is_empty() {
-                            key_order.push(k);
-                        }
-                        bucket.push(row);
+                        let at = *bucket_of.entry(k.clone()).or_insert_with(|| {
+                            buckets.push((k, Vec::new()));
+                            buckets.len() - 1
+                        });
+                        buckets[at].1.push(row);
                     }
-                    for k in key_order {
-                        let rows = buckets.remove(&k).expect("bucketed above");
+                    for (k, rows) in buckets {
                         self.set_entry(name, k, Value::set(rows));
                     }
                 }
@@ -281,7 +272,7 @@ mod tests {
         assert_eq!(d.insert(Value::Int(9), Value::Int(0)), Some(Value::Int(90)));
         let keys2: Vec<&Value> = d.keys().collect();
         assert_eq!(keys2[2], &Value::Int(9));
-        assert_eq!(d[&Value::Int(9)], Value::Int(0));
+        assert_eq!(d.get(&Value::Int(9)), Some(&Value::Int(0)));
         assert_eq!(d.len(), 5);
     }
 
@@ -326,7 +317,10 @@ mod tests {
         db.materialize_physical(&schema).unwrap();
         let pi = db.dict(sym("PI")).unwrap();
         assert_eq!(pi.len(), 2);
-        assert_eq!(pi[&Value::Int(1)].field(sym("N")), Some(&Value::Int(10)));
+        assert_eq!(
+            pi.get(&Value::Int(1)).unwrap().field(sym("N")),
+            Some(&Value::Int(10))
+        );
         // A primary index has exactly one entry per source row.
         let PhysicalSpec::PrimaryIndex { rel, .. } = schema.skeletons()[0].spec else {
             panic!("the one skeleton is the primary index");
@@ -347,13 +341,19 @@ mod tests {
         db.materialize_physical(&schema).unwrap();
         let si = db.dict(sym("SI")).unwrap();
         assert_eq!(si.len(), 2);
-        assert_eq!(si[&Value::Int(10)].elements().unwrap().len(), 2);
-        assert_eq!(si[&Value::Int(30)].elements().unwrap().len(), 1);
+        assert_eq!(
+            si.get(&Value::Int(10)).unwrap().elements().unwrap().len(),
+            2
+        );
+        assert_eq!(
+            si.get(&Value::Int(30)).unwrap().elements().unwrap().len(),
+            1
+        );
         // Keys appear in table order, and each bucket lists rows in
         // table order — the determinism contract of materialization.
         let keys: Vec<&Value> = si.keys().collect();
         assert_eq!(keys, vec![&Value::Int(10), &Value::Int(30)]);
-        let bucket = si[&Value::Int(10)].elements().unwrap();
+        let bucket = si.get(&Value::Int(10)).unwrap().elements().unwrap();
         assert_eq!(bucket[0].field(sym("K")), Some(&Value::Int(1)));
         assert_eq!(bucket[1].field(sym("K")), Some(&Value::Int(2)));
     }
@@ -399,6 +399,6 @@ mod tests {
         db.materialize_physical(&schema).unwrap();
         let i = db.dict(sym("I")).unwrap();
         let key = Value::record([(sym("A"), Value::Int(1)), (sym("B"), Value::Int(2))]);
-        assert_eq!(i[&key].field(sym("E")), Some(&Value::Int(3)));
+        assert_eq!(i.get(&key).unwrap().field(sym("E")), Some(&Value::Int(3)));
     }
 }

@@ -65,6 +65,10 @@ pub(crate) fn map_in_order<T: Send>(
     };
     let collected: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "re-raises a worker's panic on the caller, as a sequential run would"
+        )]
         handles
             .into_iter()
             .map(|h| h.join().expect("pool worker panicked"))

@@ -39,7 +39,7 @@ cargo fmt --check
 # pressure.rs forbid clippy::disallowed_methods, so a wall-clock read there
 # fails even under an #[expect]. cnb_core, cnb_engine and cnb_ir deny
 # clippy::panic, clippy::unreachable and clippy::unwrap_used outside their
-# tests, and cnb_core clippy::expect_used too; each sanctioned panic sits
+# tests, and cnb_core and cnb_engine clippy::expect_used too; each sanctioned panic sits
 # under #[expect(clippy::panic)], each sanctioned expect under
 # #[expect(clippy::expect_used, reason = "...")] naming the invariant it
 # states. The test tiers below pin how many sanctions each crate holds.

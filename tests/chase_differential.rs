@@ -63,7 +63,7 @@ fn every_round_searches_everything(
                     stats.satisfied_skips += 1;
                     continue;
                 }
-                // The cap cuts a step that is due, as `Chaser::chase` does:
+                // The cap cuts a step that is due, as `Chaser::chase_under` does:
                 // a chase of exactly `max_steps` steps reaches its fixpoint.
                 if stats.steps_applied >= cfg.max_steps {
                     stats.truncated = true;

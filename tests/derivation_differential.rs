@@ -24,6 +24,15 @@
 //! under a support (their searches replayed here, counts checked against
 //! the pinned ones), `EquivChecker` over the support's constraints alone
 //! finds the induced candidate equivalent, and so does the full chase.
+//!
+//! A support chase that proves nothing is widened: the lattice goes on
+//! chasing the same database under all of Σ from the support's fixpoint,
+//! and the verdict's source is `chased_in_full`. That rests on the chase's
+//! result being a universal model whatever order its steps ran in, so the
+//! same sweeps gate every such verdict: `EquivChecker` over all of Σ, on a
+//! fresh database, gives the induced candidate the same answer. Of the nine
+//! points, only `ec2_1_4_2.fb` (one candidate) and `ec2_2_3_1.ocs` (three)
+//! widen a chase.
 
 use std::cell::Cell;
 
@@ -274,6 +283,8 @@ struct Gate<'a> {
     bindings: Vec<Binding>,
     /// Support-proved verdicts checked so far.
     checked: usize,
+    /// Widened verdicts checked so far.
+    widened: usize,
 }
 
 impl<'a> Gate<'a> {
@@ -287,6 +298,7 @@ impl<'a> Gate<'a> {
             lattice: Lattice::chase(q, constraints, &BackchaseConfig::default()),
             bindings: udb.query.from,
             checked: 0,
+            widened: 0,
         }
     }
 
@@ -301,12 +313,30 @@ impl<'a> Gate<'a> {
     }
 
     fn gated(&mut self, keep: &VarSet, ask: impl FnOnce(&mut Lattice<'a>) -> Option<bool>) -> bool {
-        let before = self.lattice.sources().proved_under_support;
+        let before = self.lattice.sources();
         let verdict = ask(&mut self.lattice).expect("no budget runs out");
-        if self.lattice.sources().proved_under_support > before {
+        let after = self.lattice.sources();
+        if after.proved_under_support > before.proved_under_support {
             self.assert_support_proves(keep);
         }
+        if after.chased_in_full > before.chased_in_full {
+            self.assert_widening_agrees(keep, verdict);
+        }
         verdict
+    }
+
+    /// The widened verdict's gate: `EquivChecker` over the whole set, on a
+    /// fresh database, gives the candidate induced by `keep` the same answer.
+    fn assert_widening_agrees(&mut self, keep: &VarSet, verdict: bool) {
+        let candidate = self
+            .lattice
+            .induce(keep)
+            .expect("a chased candidate is a subquery");
+        let fresh = EquivChecker::new(self.q, self.constraints, ChaseConfig::default())
+            .equivalent(&candidate)
+            .0;
+        assert_eq!(fresh, verdict, "{}: {keep:?} widened", self.tag);
+        self.widened += 1;
     }
 
     /// The gate: the candidate induced by `keep` is equivalent by
@@ -415,14 +445,21 @@ impl<'a> Gate<'a> {
 }
 
 /// The searches `Optimizer::optimize` runs for one strategy, replayed
-/// through gates: `(explored, support-proved verdicts checked)`.
-fn gated_optimize(tag: &str, schema: &Schema, q: &Query, strategy: Strategy) -> (usize, usize) {
+/// through gates: `(explored, support-proved verdicts checked, widened
+/// verdicts checked)`.
+fn gated_optimize(
+    tag: &str,
+    schema: &Schema,
+    q: &Query,
+    strategy: Strategy,
+) -> (usize, usize, usize) {
     let constraints = schema.all_constraints();
-    let (mut explored, mut checked) = (0, 0);
+    let (mut explored, mut checked, mut widened) = (0, 0, 0);
     let mut search = |q: &Query, cs: &[Constraint]| {
         let mut gate = Gate::new(tag, q, cs);
         explored += gate.top_down();
         checked += gate.checked;
+        widened += gate.widened;
     };
     match strategy {
         Strategy::Full => search(q, &constraints),
@@ -464,11 +501,12 @@ fn gated_optimize(tag: &str, schema: &Schema, q: &Query, strategy: Strategy) -> 
             }
         }
     }
-    (explored, checked)
+    (explored, checked, widened)
 }
 
-/// ROADMAP 19's gate on every subset of the five universal plans the
-/// refutation sweep covers, each asked of the lattice unbordered.
+/// ROADMAP 19's gate, and the widened verdicts' gate, on every subset of the
+/// five universal plans the refutation sweep covers, each asked of the
+/// lattice unbordered. Only `ec2_1_3_2` widens a chase (12 of its subsets).
 #[test]
 fn every_support_proof_holds_under_its_support_alone() {
     let ec1 = Ec1::new(3, 1);
@@ -493,22 +531,31 @@ fn every_support_proof_holds_under_its_support_alone() {
             gate.equivalent(&keep);
         }
         assert!(gate.checked > 0, "{tag}: no support proved anything");
+        // Only EC2's view candidates need more than their supports.
+        assert_eq!(
+            gate.widened > 0,
+            tag == "ec2_1_3_2",
+            "{tag}: {} widened",
+            gate.widened
+        );
     }
 }
 
 /// ROADMAP 19's gate on every verdict the nine `optimize_cold` points prove
-/// under a support. Each point's searches are replayed through gates — the
-/// top-down search over the query, each OQF fragment or each OCS stage,
-/// and for a measured point the bounded bottom-up search after it — and
-/// explore what the optimizer explores; the support-proved verdicts checked
-/// are the pinned ones.
+/// under a support, and the widened verdicts' gate on every verdict they
+/// widen. Each point's searches are replayed through gates — the top-down
+/// search over the query, each OQF fragment or each OCS stage, and for a
+/// measured point the bounded bottom-up search after it — and explore what
+/// the optimizer explores; the support-proved and widened verdicts checked
+/// are the pinned ones, and only two points widen.
 #[test]
 fn every_optimize_cold_support_proof_holds_under_its_support_alone() {
     let model = CostModel::default();
+    let mut widening = Vec::new();
     for (&(name, explored, sources), (schema, q, strategy, measured)) in
         SOURCES.iter().zip(optimize_cold_points())
     {
-        let (mut seen, mut checked) = gated_optimize(name, &schema, &q, strategy);
+        let (mut seen, mut checked, mut widened) = gated_optimize(name, &schema, &q, strategy);
         if measured {
             let plans = Optimizer::new(schema.clone())
                 .optimize(&q, &OptimizerConfig::with_strategy(strategy))
@@ -525,7 +572,16 @@ fn every_optimize_cold_support_proof_holds_under_its_support_alone() {
             let mut gate = Gate::new(name, &q, &constraints);
             seen += gate.bottom_up(&pricer, seed.is_finite().then_some(seed));
             checked += gate.checked;
+            widened += gate.widened;
         }
-        assert_eq!((seen, checked), (explored, sources[4]), "{name}");
+        assert_eq!(
+            (seen, checked, widened),
+            (explored, sources[4], sources[5]),
+            "{name}"
+        );
+        if widened > 0 {
+            widening.push((name, widened));
+        }
     }
+    assert_eq!(widening, [("ec2_1_4_2.fb", 1), ("ec2_2_3_1.ocs", 3)]);
 }
