@@ -166,7 +166,10 @@ pub fn plan_agm(
         index,
         worst,
         worst_prefix,
-        within: worst.le(&bound),
+        within: worst
+            .checked_cmp(&bound)
+            .map_err(|e| e.to_string())?
+            .is_le(),
         uses_view: scans_view(schema, plan),
         wcoj: false,
         cover,
@@ -188,7 +191,10 @@ pub fn plan_agm_wcoj(
         index,
         worst,
         worst_prefix: plan.from.len(),
-        within: worst.le(&bound),
+        within: worst
+            .checked_cmp(&bound)
+            .map_err(|e| e.to_string())?
+            .is_le(),
         uses_view: scans_view(schema, plan),
         wcoj: true,
         cover,
@@ -256,7 +262,7 @@ mod tests {
     fn ec5_triangle_certifies_wcoj_closed() {
         let w = Ec5::triangle();
         let cert = certify_plans(&w, &w.optimize()).unwrap();
-        assert_eq!(cert.bound, Rat::new(3, 2));
+        assert_eq!(cert.bound, Rat::checked_new(3, 2).unwrap());
         assert_eq!(cert.verdict, Verdict::WcojClosed);
         assert!(cert.verdict.matches(cert.expected));
         let twin = cert
@@ -265,7 +271,7 @@ mod tests {
             .find(|p| p.wcoj)
             .expect("a generic-join twin must be emitted");
         assert!(twin.within, "the twin meets the full-query bound");
-        assert_eq!(twin.worst, Rat::new(3, 2));
+        assert_eq!(twin.worst, Rat::checked_new(3, 2).unwrap());
         assert!(!twin.uses_view);
         // Every left-deep base plan still exceeds.
         assert!(cert

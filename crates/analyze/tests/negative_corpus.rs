@@ -329,7 +329,7 @@ fn golden_shape_report_flags_triangle_and_clique_but_not_even_cycle() {
                 name.to_string(),
                 bound.to_string(),
                 worst.to_string(),
-                worst.gt(&bound),
+                worst.checked_cmp(&bound).unwrap().is_gt(),
             )
         })
         .collect();

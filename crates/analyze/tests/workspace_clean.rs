@@ -121,14 +121,16 @@ fn sanctioned_std_hash_map_sites_are_pinned() {
 /// provides. There is no sanctioned `unreachable!`, nor `.unwrap()` in
 /// any of the three.
 ///
-/// Core and engine also deny `.expect()` outside their tests, and sanction
-/// it where the `expect` states an internal invariant, named as the
+/// All three also deny `.expect()` outside their tests, and sanction it
+/// where the `expect` states an internal invariant, named as the
 /// sanction's reason. Core's six: `Lattice::induced` in `backchase.rs`, the
 /// rollback, the undo of a new term, the term arena's `u32` ids and
 /// `move_tail` in `congruence.rs`, and a homomorphism's images in
 /// `homomorphism.rs`. Engine's one: `pool::map_in_order`, which re-raises a
-/// worker's panic on the caller. A site input can reach is a `let … else`
-/// or a typed error instead.
+/// worker's panic on the caller. IR's one: the interner's `u32` symbol ids
+/// in `symbol.rs`. A site input can reach is a `let … else` or a typed
+/// error instead: an exact comparison that overflows `i128` is a
+/// `CoverError` its callers return.
 #[test]
 fn sanctioned_panic_sites_are_pinned() {
     let pinned = [("core", 1), ("engine", 0), ("ir", 7)];
@@ -146,14 +148,14 @@ fn sanctioned_panic_sites_are_pinned() {
     assert_sanctions(
         "expect_used",
         &["restriction"],
-        &[("core", 6), ("engine", 1)],
+        &[("core", 6), ("engine", 1), ("ir", 1)],
     );
 }
 
 /// The attributes that make those rules: the serving layer forbids the
-/// clock outright (no `#[expect]` can sanction a read there), the three
-/// logic crates deny panics and `.unwrap()` outside their tests, and core
-/// and engine deny `.expect()` there too.
+/// clock outright (no `#[expect]` can sanction a read there), and the three
+/// logic crates deny panics, `.unwrap()` and `.expect()` outside their
+/// tests.
 #[test]
 fn the_forbid_and_deny_attributes_are_in_place() {
     let forbid = "#![forbid(clippy::disallowed_methods)]";
@@ -171,6 +173,7 @@ fn the_forbid_and_deny_attributes_are_in_place() {
         ("engine/src/lib.rs", expect),
         ("ir/src/lib.rs", deny),
         ("ir/src/lib.rs", unwrap),
+        ("ir/src/lib.rs", expect),
     ] {
         let path = workspace_root().join("crates").join(file);
         let source = fs::read_to_string(&path).expect("read a source file");

@@ -3,20 +3,21 @@
 //!
 //! The top-down backchase finds a first plan fast but cannot prune by cost
 //! (a later removal might still improve a subquery). The bottom-up variant
-//! assembles candidates from small binding subsets upward; when the
-//! [`PlanPricer`] is *monotone* — adding a binding can only increase the
-//! estimate, as with the plain left-deep `CostModel` — any candidate whose
-//! price already exceeds the best equivalent plan found so far can be
-//! pruned with its entire up-set. A non-monotone pricer (the WCOJ-aware
-//! one) still prunes the candidate itself but keeps growing its supersets.
-//! The paper suggests combining both searches: run top-down to get a first
-//! plan, then bottom-up with its cost as the initial bound — which is what
-//! [`bottom_up_backchase`] does when given a `seed_bound`.
+//! assembles candidates from small binding subsets upward and drops any
+//! candidate whose price already exceeds the best equivalent plan found so
+//! far — the candidate alone, never its up-set: the pricer the optimizer
+//! searches with is WCOJ-aware, and an AGM-bounded price falls as a cycle
+//! closes (two triangle edges price `N²`, all three `N^{3/2}`), so a
+//! superset of a pruned candidate may well be within the bound. Every
+//! candidate that is not a plan grows. The paper suggests combining both
+//! searches: run top-down to get a first plan, then bottom-up with its cost
+//! as the initial bound — which is what [`bottom_up_backchase`] does when
+//! given a `seed_bound`.
 //!
 //! This is the second traversal of [`crate::backchase::Lattice`]: chasing,
 //! induction, the verdict, the deadline and plan collection are the
 //! lattice's and the sink's; what lives here is the by-size growth order
-//! and the pricer rule above. Most small subsets are not subqueries at all —
+//! and the pruning rule above. Most small subsets are not subqueries at all —
 //! a range or the output is out of reach — and `Lattice::well_formed`
 //! answers those from the lattice's range and select borders. A candidate
 //! within the bound is judged by [`Lattice::verdict`], as the top-down
@@ -38,16 +39,13 @@
 //! the price of anything with the candidate's from-clause ranges, which
 //! induction keeps from the universal plan. A candidate whose floor already
 //! exceeds the bound is counted in `pruned` (and in
-//! [`BackchaseResult::floored`]) and grown or dropped exactly as if it had
-//! been induced, priced and found too dear; since `floor <= price` holds as
+//! [`BackchaseResult::floored`]) and grown exactly as if it had been
+//! induced, priced and found too dear; since `floor <= price` holds as
 //! an `f64` comparison, that is what would have happened, and plans,
 //! `explored`, `pruned` and the bound are the ones a floorless search
 //! computes (`tests/floor_differential.rs`; the inequality itself,
 //! `tests/floor_soundness.rs` and a `debug_assert!` on every candidate that
-//! is priced). A non-monotone pricer may use its floor too: the floor is a
-//! sum over the ranges, monotone in the binding set even when the price is
-//! not, and such a pricer drops only the one candidate either way — never
-//! an up-set, on a price or on a floor.
+//! is priced).
 
 use cnb_ir::prelude::{Constraint, Query, Range};
 
@@ -57,11 +55,10 @@ use crate::cost::PlanPricer;
 
 /// Runs chase + bottom-up backchase. Candidates are enumerated by size
 /// (1, 2, …); the first equivalent candidates found are the minimal plans.
-/// When `seed_bound` is set, candidates pricier than the bound are pruned:
-/// under a monotone [`PlanPricer`] (the plain `CostModel`) together with
-/// their whole up-set, under a non-monotone one (the WCOJ-aware pricer,
-/// where a superset may price *cheaper* than its parts) only the candidate
-/// itself — its supersets keep growing.
+/// When `seed_bound` is set, a candidate pricier than the bound under
+/// `pricer` is pruned and grown like any other candidate that is not a
+/// plan: under a WCOJ-aware [`PlanPricer`] a superset may price *cheaper*
+/// than its parts.
 pub fn bottom_up_backchase(
     q0: &Query,
     constraints: &[Constraint],
@@ -100,56 +97,47 @@ pub fn bottom_up_backchase(
             if lattice.equivalence.covers_yes(&keep) {
                 continue;
             }
-            let mut grow = || {
-                for j in subset.last().map_or(0, |&last| last + 1)..n {
-                    let mut bigger = subset.clone();
-                    bigger.push(j);
-                    next.push(bigger);
+            // Judge the candidate: a plan when its output is recoverable,
+            // its floor and then its induced price are within the bound, and
+            // the lattice proves it equivalent.
+            let plan = 'judge: {
+                if !lattice.well_formed(&keep) {
+                    break 'judge None;
                 }
-            };
-            if !lattice.well_formed(&keep) {
-                // Output not recoverable yet; more bindings may fix that.
-                grow();
-                continue;
-            }
-            // Cost-based pruning, on the floor where that already decides
-            // and on the price of the induced candidate where it does not.
-            // Only a monotone pricer may drop the up-set with the
-            // candidate: under a WCOJ-aware price, a superset can price
-            // below its parts (two triangle edges cost N², the full
-            // triangle N^{3/2}), so its children must grow.
-            ranges.clear();
-            ranges.extend(subset.iter().map(|&i| &bindings[i].range));
-            let floor = pricer.floor(&ranges);
-            let floored = floor > best_cost;
-            let within_bound = if floored {
-                None
-            } else {
+                ranges.clear();
+                ranges.extend(subset.iter().map(|&i| &bindings[i].range));
+                let floor = pricer.floor(&ranges);
+                if floor > best_cost {
+                    result.pruned += 1;
+                    result.floored += 1;
+                    break 'judge None;
+                }
                 let cand = lattice.induced(&keep);
                 let cost = pricer.price(&cand);
                 debug_assert!(floor <= cost, "floor {floor} above price {cost} of {cand}");
                 if cost > best_cost {
-                    None
-                } else {
-                    Some((cand, cost))
+                    result.pruned += 1;
+                    break 'judge None;
                 }
+                let Some(equivalent) = lattice.verdict(&keep) else {
+                    result.timed_out = true;
+                    break 'search;
+                };
+                equivalent.then_some((cand, cost))
             };
-            let Some((cand, cost)) = within_bound else {
-                result.pruned += 1;
-                result.floored += usize::from(floored);
-                if !pricer.monotone() {
-                    grow();
-                }
+            // Anything else grows: more bindings may make the output
+            // recoverable, the price cheaper (two triangle edges cost N²
+            // under a WCOJ-aware price, the full triangle N^{3/2}) or the
+            // candidate equivalent.
+            let Some((cand, cost)) = plan else {
+                let first = subset.last().map_or(0, |&last| last + 1);
+                next.extend((first..n).map(|j| {
+                    let mut bigger = subset.clone();
+                    bigger.push(j);
+                    bigger
+                }));
                 continue;
             };
-            let Some(equivalent) = lattice.verdict(&keep) else {
-                result.timed_out = true;
-                break 'search;
-            };
-            if !equivalent {
-                grow();
-                continue;
-            }
             if pruning {
                 best_cost = best_cost.min(cost);
             }
@@ -257,11 +245,11 @@ mod tests {
             .all(|p| model.cost(p) <= cheapest + 1e-9));
     }
 
-    /// A non-monotone (WCOJ-aware) pricer keeps growing pruned candidates:
-    /// the triangle's 2-edge subsets price above an AGM-tight bound, yet
-    /// the full triangle prices *below* it — so the plan is only reachable
-    /// if pruning does not drop the up-set. A monotone pricer at the same
-    /// bound loses the plan entirely.
+    /// Pruned candidates keep growing: under the WCOJ-aware pricer the
+    /// triangle's 2-edge subsets price above an AGM-tight bound, yet the
+    /// full triangle prices *below* it — so the plan is only reachable
+    /// through candidates the bound prunes. The left-deep model prices the
+    /// triangle itself above that bound and finds no plan.
     #[test]
     fn non_monotone_pricer_grows_through_pruned_candidates() {
         use crate::cost::{PlanPricer, WcojAwarePricer};
@@ -289,10 +277,10 @@ mod tests {
         assert_eq!(aware.plans.len(), 1, "the triangle itself survives");
         assert!(aware.pruned > 0, "2-edge candidates were pruned");
 
-        let monotone = bottom_up_backchase(&q, &[], &cfg, &model, Some(bound));
+        let left_deep = bottom_up_backchase(&q, &[], &cfg, &model, Some(bound));
         assert!(
-            monotone.plans.is_empty(),
-            "up-set pruning under a monotone pricer loses the plan"
+            left_deep.plans.is_empty(),
+            "the triangle's left-deep price is above its AGM price"
         );
     }
 

@@ -252,12 +252,10 @@ pub fn wcoj_candidate(schema: &Schema, q: &Query) -> Option<WcojAnalysis> {
 
 /// Prices candidate plans during backchase search.
 ///
-/// The plain [`CostModel`] left-deep estimate is *monotone* in the binding
-/// set — adding a binding never cheapens a candidate — which is what makes
-/// bottom-up cost pruning sound: a too-expensive candidate's entire up-set
-/// can be dropped. A WCOJ-aware price is **not** monotone (two triangle
-/// edges price `N²`, all three price `N^{3/2}`), so pricers declare their
-/// monotonicity and the search only up-set-prunes under a monotone pricer.
+/// A price need not grow with the binding set: a WCOJ-aware price falls as a
+/// cycle closes (two triangle edges price `N²`, all three `N^{3/2}`). So the
+/// bottom-up search drops only a candidate found too dear, never its
+/// supersets.
 ///
 /// # The floor
 ///
@@ -269,16 +267,10 @@ pub fn wcoj_candidate(schema: &Schema, q: &Query) -> Option<WcojAnalysis> {
 /// in this order — induction rewrites the path of a `Range::Expr`, so one
 /// stands for any path range. A search may then treat `floor(ranges) > bound`
 /// exactly as it treats `price(q) > bound`, without `q`; `0.0`, the default,
-/// claims nothing and changes nothing. A floor is a sum over the ranges, so
-/// it only grows with the binding set whether or not `price` does: a
-/// non-monotone pricer may use one, it just may not drop the up-set on it.
+/// claims nothing and changes nothing.
 pub trait PlanPricer {
     /// Estimated execution cost of the candidate (lower is better).
     fn price(&self, q: &Query) -> f64;
-    /// True when `price` can only grow as bindings are added.
-    fn monotone(&self) -> bool {
-        true
-    }
     /// A lower bound on `price` over every query with these from-clause
     /// ranges, in this order (see "The floor" above). `0.0`: none known.
     fn floor(&self, _ranges: &[&Range]) -> f64 {
@@ -304,7 +296,7 @@ impl PlanPricer for CostModel {
 /// A pricer that knows about the generic-join operator: a candidate with a
 /// certified WCOJ gap is priced at the *cheaper* of its left-deep estimate
 /// and its AGM-bound cost, because the engine will get to execute it with
-/// the multiway intersection. Non-monotone by construction.
+/// the multiway intersection — so a superset can price below its parts.
 pub struct WcojAwarePricer<'a> {
     /// Schema, for shape/physical gating and hypergraph construction.
     pub schema: &'a Schema,
@@ -319,10 +311,6 @@ impl PlanPricer for WcojAwarePricer<'_> {
             Some(a) => left_deep.min(self.model.cost_wcoj(&a)),
             None => left_deep,
         }
-    }
-
-    fn monotone(&self) -> bool {
-        false
     }
 
     /// The left-deep floor, lowered to `Σ card + 1` over a from-clause of
@@ -576,15 +564,13 @@ mod tests {
     }
 
     #[test]
-    fn wcoj_aware_pricer_is_declared_non_monotone() {
+    fn wcoj_aware_price_falls_as_the_cycle_closes() {
         let schema = edge_schema_with_wedge();
         let model = CostModel::default().with_cardinality(sym("E"), 600.0);
         let pricer = WcojAwarePricer {
             schema: &schema,
             model: &model,
         };
-        assert!(!pricer.monotone());
-        assert!(PlanPricer::monotone(&model));
         // On the triangle the aware price is the (cheaper) AGM price…
         let tri = triangle_query();
         let a = wcoj_candidate(&schema, &tri).unwrap();
@@ -592,8 +578,8 @@ mod tests {
             pricer.price(&tri),
             model.cost(&tri).min(model.cost_wcoj(&a))
         );
-        // …and the non-monotonicity is real: the 2-edge sub-join prices
-        // *higher* than the full triangle under these stats.
+        // …and the 2-edge sub-join prices *higher* than the full triangle
+        // under these stats.
         let mut two = Query::new();
         let e1 = two.bind("e1", Range::Name(sym("E")));
         let e2 = two.bind("e2", Range::Name(sym("E")));

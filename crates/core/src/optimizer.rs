@@ -21,7 +21,7 @@ use crate::backchase::{
 use crate::bottomup::bottom_up_backchase;
 use crate::canon::CanonDb;
 use crate::chase::ChaseStats;
-use crate::cost::{heuristic_rank, wcoj_candidate, CostModel, WcojAwarePricer};
+use crate::cost::{heuristic_rank, wcoj_candidate, CostModel, PlanPricer, WcojAwarePricer};
 use crate::fragments::{combine_plans, decompose};
 use crate::memo::SkeletonMemo;
 use crate::strata::{certify, regroup, stratify, CertifyError};
@@ -306,17 +306,21 @@ impl Optimizer {
     /// Optimizes `q` with the *measured* cost model in the loop, the
     /// paper's §7 combined mode extended with the WCOJ-aware pricer:
     ///
-    /// 1. run the configured strategy to get the minimal-plan set and seed
-    ///    the cost bound with its cheapest measured price;
-    /// 2. re-run the search bottom-up under a [`WcojAwarePricer`], pruning
-    ///    candidates the bound rules out *during* search (not post-hoc) —
-    ///    non-monotone-safely, so gapped cyclic cores are still reached;
-    /// 3. emit generic-join twins and rank everything by measured price
-    ///    (ties: heuristic rank, then canonical key, left-deep first).
+    /// 1. run the configured strategy for a left-deep executor
+    ///    ([`Optimizer::optimize_in`], no twins) and seed the cost bound
+    ///    with the cheapest [`WcojAwarePricer`] price among its plans — a
+    ///    plan's generic-join twin is priced there already;
+    /// 2. re-run the search bottom-up under that pricer, pruning candidates
+    ///    the bound rules out *during* search (not post-hoc) and growing
+    ///    every pruned one, so gapped cyclic cores whose parts price above
+    ///    the bound are still reached;
+    /// 3. emit generic-join twins, once, for the plans kept, and rank
+    ///    everything by measured price (ties: heuristic rank, then
+    ///    canonical key, left-deep first).
     ///
-    /// Falls back to the phase-1 plans if the bounded search returns none
-    /// (a budget ran out); `pruned` reports the candidates the bound dropped.
-    /// Nothing at all when the constraint set is uncertified.
+    /// Keeps the phase-1 plans if the bounded search returns none (a budget
+    /// ran out); `pruned` reports the candidates the bound dropped. Nothing
+    /// at all when the constraint set is uncertified.
     pub fn optimize_measured(
         &self,
         q: &Query,
@@ -324,16 +328,16 @@ impl Optimizer {
         model: &CostModel,
     ) -> OptimizeResult {
         self.timed(|| {
-            let mut result = self.optimize(q, cfg);
-            let seed = result
-                .plans
-                .iter()
-                .map(|p| plan_price(model, p))
-                .fold(f64::INFINITY, f64::min);
+            let mut result = self.optimize_in(q, cfg, &mut SkeletonMemo::bounded(0));
             let pricer = WcojAwarePricer {
                 schema: &self.schema,
                 model,
             };
+            let seed = result
+                .plans
+                .iter()
+                .map(|p| pricer.price(&p.query))
+                .fold(f64::INFINITY, f64::min);
             let bounded = bottom_up_backchase(
                 q,
                 &self.constraints,
@@ -348,8 +352,8 @@ impl Optimizer {
                     .into_iter()
                     .map(|p| self.plan_info(p))
                     .collect();
-                self.emit_wcoj_twins(&mut result.plans);
             }
+            self.emit_wcoj_twins(&mut result.plans);
             let schema = &self.schema;
             result.plans.sort_by(|a, b| {
                 plan_price(model, a)

@@ -207,7 +207,7 @@ fn every_emitted_wcoj_plan_validates_and_its_cover_reverifies() {
                 w.name()
             );
             assert!(
-                a.best_binary.gt(&a.bound),
+                a.best_binary.checked_cmp(&a.bound).unwrap().is_gt(),
                 "{}: twin emitted without a binary gap",
                 w.name()
             );

@@ -61,12 +61,6 @@ pub struct Rat {
 }
 
 impl Rat {
-    /// `n/d`, normalized. Panics on `d == 0` (use [`Rat::checked_new`] for
-    /// a typed error).
-    pub fn new(num: i128, den: i128) -> Rat {
-        Rat::checked_new(num, den).expect("Rat::new")
-    }
-
     /// `n/d`, normalized by gcd, with typed errors for a zero denominator
     /// or an `i128::MIN` sign flip.
     pub fn checked_new(num: i128, den: i128) -> Result<Rat, CoverError> {
@@ -170,22 +164,6 @@ impl Rat {
             .checked_mul(self.den / g)
             .ok_or(CoverError::Overflow { op: "cmp" })?;
         Ok(lhs.cmp(&rhs))
-    }
-
-    /// Exact comparison by cross-multiplication. Panics on overflow (use
-    /// [`Rat::checked_cmp`] for a typed error).
-    pub fn cmp_rat(&self, o: &Rat) -> std::cmp::Ordering {
-        self.checked_cmp(o).expect("Rat::cmp_rat")
-    }
-
-    /// `self > o`.
-    pub fn gt(&self, o: &Rat) -> bool {
-        self.cmp_rat(o) == std::cmp::Ordering::Greater
-    }
-
-    /// `self <= o`.
-    pub fn le(&self, o: &Rat) -> bool {
-        self.cmp_rat(o) != std::cmp::Ordering::Greater
     }
 
     /// The value as an `f64` (for cost-model estimates only; certification
@@ -382,6 +360,12 @@ pub fn verify_cover(hg: &QueryHypergraph, weights: &[Rat]) -> Result<Rat, CoverE
 mod tests {
     use super::*;
     use crate::hypergraph::HyperEdge;
+    use std::cmp::Ordering;
+
+    /// `num/den`, normalized; the denominators here are nonzero literals.
+    fn rat(num: i128, den: i128) -> Rat {
+        Rat::checked_new(num, den).unwrap()
+    }
 
     fn hg(required: usize, edges: &[&[usize]]) -> QueryHypergraph {
         QueryHypergraph {
@@ -401,16 +385,16 @@ mod tests {
 
     #[test]
     fn rational_arithmetic_normalizes() {
-        assert_eq!(Rat::new(2, 4), Rat::new(1, 2));
-        assert_eq!(Rat::new(1, -2), Rat::new(-1, 2));
-        let (half, third) = (Rat::new(1, 2), Rat::new(1, 3));
-        assert_eq!(half.checked_add(third), Ok(Rat::new(5, 6)));
-        assert_eq!(half.checked_sub(third), Ok(Rat::new(1, 6)));
-        assert_eq!(half.checked_mul(Rat::new(2, 3)), Ok(third));
-        assert_eq!(half.checked_div(Rat::new(3, 2)), Ok(third));
-        assert_eq!(Rat::new(3, 2).to_string(), "3/2");
+        assert_eq!(rat(2, 4), rat(1, 2));
+        assert_eq!(rat(1, -2), rat(-1, 2));
+        let (half, third) = (rat(1, 2), rat(1, 3));
+        assert_eq!(half.checked_add(third), Ok(rat(5, 6)));
+        assert_eq!(half.checked_sub(third), Ok(rat(1, 6)));
+        assert_eq!(half.checked_mul(rat(2, 3)), Ok(third));
+        assert_eq!(half.checked_div(rat(3, 2)), Ok(third));
+        assert_eq!(rat(3, 2).to_string(), "3/2");
         assert_eq!(Rat::int(2).to_string(), "2");
-        assert!(Rat::new(3, 2).gt(&Rat::new(4, 3)));
+        assert_eq!(rat(3, 2).checked_cmp(&rat(4, 3)), Ok(Ordering::Greater));
     }
 
     #[test]
@@ -426,8 +410,8 @@ mod tests {
         );
         // Coprime denominators force the full cross-multiplication:
         // 2^100 * (2^30 + 1) exceeds i128.
-        let a = Rat::new(1i128 << 100, 3);
-        let b = Rat::new(1, (1i128 << 30) + 1);
+        let a = rat(1i128 << 100, 3);
+        let b = rat(1, (1i128 << 30) + 1);
         assert_eq!(a.checked_cmp(&b), Err(CoverError::Overflow { op: "cmp" }));
         assert_eq!(Rat::checked_new(1, 0), Err(CoverError::ZeroDenominator));
         assert_eq!(
@@ -441,34 +425,31 @@ mod tests {
         // (2^100 / 3) * (3 / 2^100) = 1: the naive cross-multiplication
         // overflows i128, the gcd-reduced product does not.
         let big = 1i128 << 100;
-        let a = Rat::new(big, 3);
-        let b = Rat::new(3, big);
+        let a = rat(big, 3);
+        let b = rat(3, big);
         assert_eq!(a.checked_mul(b), Ok(Rat::int(1)));
         // Same shape for comparison: 2^100/3 vs 2^100/3.
         assert_eq!(
-            Rat::new(big, 3).checked_cmp(&Rat::new(big, 3)),
+            rat(big, 3).checked_cmp(&rat(big, 3)),
             Ok(std::cmp::Ordering::Equal)
         );
         // And addition over a shared denominator factor.
-        assert_eq!(
-            Rat::new(1, big).checked_add(Rat::new(1, big)),
-            Ok(Rat::new(2, big))
-        );
+        assert_eq!(rat(1, big).checked_add(rat(1, big)), Ok(rat(2, big)));
     }
 
     #[test]
     fn triangle_cover_is_three_halves() {
         let g = hg(3, &[&[0, 1], &[1, 2], &[2, 0]]);
         let lp = cover_lp(&g).unwrap();
-        assert_eq!(lp.rho, Rat::new(3, 2));
-        assert_eq!(verify_cover(&g, &lp.weights).unwrap(), Rat::new(3, 2));
+        assert_eq!(lp.rho, rat(3, 2));
+        assert_eq!(verify_cover(&g, &lp.weights).unwrap(), rat(3, 2));
         // The packing certifies optimality: Σy = 3/2 too.
         let total = lp
             .packing
             .iter()
             .try_fold(Rat::zero(), |a, y| a.checked_add(*y))
             .unwrap();
-        assert_eq!(total, Rat::new(3, 2));
+        assert_eq!(total, rat(3, 2));
     }
 
     #[test]
@@ -534,8 +515,12 @@ mod tests {
         // exactly and sit between the trivial bounds.
         let cost = verify_cover(&g, &lp.weights).unwrap();
         assert_eq!(cost, lp.rho);
-        assert!(lp.rho.gt(&Rat::int(2)), "12 vertices over 2-ary edges");
-        assert!(Rat::int(6).gt(&lp.rho) || lp.rho == Rat::int(6));
+        assert_eq!(
+            lp.rho.checked_cmp(&Rat::int(2)),
+            Ok(Ordering::Greater),
+            "12 vertices over 2-ary edges"
+        );
+        assert_ne!(lp.rho.checked_cmp(&Rat::int(6)), Ok(Ordering::Greater));
         // Weak duality re-check: packing total equals rho at the optimum.
         let total = lp
             .packing
@@ -569,12 +554,12 @@ mod tests {
     fn bad_certificates_are_rejected() {
         let g = hg(3, &[&[0, 1], &[1, 2], &[2, 0]]);
         // Underweight cover.
-        let under = vec![Rat::new(1, 4); 3];
+        let under = vec![rat(1, 4); 3];
         assert!(verify_cover(&g, &under).is_err());
         // Wrong arity.
         assert!(verify_cover(&g, &[Rat::int(1)]).is_err());
         // Negative weight.
-        let neg = vec![Rat::int(1), Rat::int(1), Rat::new(-1, 2)];
+        let neg = vec![Rat::int(1), Rat::int(1), rat(-1, 2)];
         assert!(verify_cover(&g, &neg).is_err());
     }
 

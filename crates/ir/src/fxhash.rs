@@ -71,9 +71,8 @@ impl Hasher for FxHasher {
     fn write(&mut self, mut bytes: &[u8]) {
         // Fold 8 bytes at a time, then the (length-tagged) tail, so that
         // distinct byte strings of different lengths cannot collide trivially.
-        while bytes.len() >= 8 {
-            let (head, rest) = bytes.split_at(8);
-            self.add_word(u64::from_le_bytes(head.try_into().expect("8-byte chunk")));
+        while let Some((head, rest)) = bytes.split_first_chunk::<8>() {
+            self.add_word(u64::from_le_bytes(*head));
             bytes = rest;
         }
         if !bytes.is_empty() {

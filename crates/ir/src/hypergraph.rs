@@ -390,6 +390,12 @@ pub fn weighted_cover(hg: &QueryHypergraph, lp: &CoverLp) -> Vec<CoverEdge> {
         .collect()
 }
 
+/// `a > b`, exactly; an `i128` overflow in the comparison is the error
+/// every caller here returns.
+fn exceeds(a: &Rat, b: &Rat) -> Result<bool, String> {
+    Ok(a.checked_cmp(b).map_err(|e| e.to_string())?.is_gt())
+}
+
 /// The worst binding-order prefix of `query` as written — the largest
 /// intermediate a left-deep execution in that order can produce: its
 /// 1-based length (the shortest, on ties; 0 for an empty from-clause), its
@@ -402,7 +408,7 @@ pub fn worst_prefix(
     for k in 1..=query.from.len() {
         let hg = prefix_hypergraph(schema, query, k)?;
         let lp = cover_lp(&hg).map_err(|e| e.to_string())?;
-        if k == 1 || lp.rho.gt(&worst.1) {
+        if k == 1 || exceeds(&lp.rho, &worst.1)? {
             worst = (k, lp.rho, weighted_cover(&hg, &lp));
         }
     }
@@ -453,7 +459,7 @@ pub fn wcoj_gap(schema: &Schema, query: &Query) -> Result<Option<WcojAnalysis>, 
     // Cheap exit: if the as-written order already stays within the bound,
     // there is no gap (this keeps the non-cyclic workloads at O(n) LPs).
     let (_, as_written, _) = worst_prefix(schema, query)?;
-    if as_written.le(&bound) {
+    if !exceeds(&as_written, &bound)? {
         return Ok(None);
     }
 
@@ -503,18 +509,19 @@ pub fn wcoj_gap(schema: &Schema, query: &Query) -> Result<Option<WcojAnalysis>, 
                 continue;
             }
             if let Some(t) = g[rest as usize] {
-                if best_tail.is_none_or(|b| t.cmp_rat(&b) == std::cmp::Ordering::Less) {
-                    best_tail = Some(t);
-                }
+                best_tail = match best_tail {
+                    Some(b) if !exceeds(&b, &t)? => Some(b),
+                    _ => Some(t),
+                };
             }
         }
         let tail = best_tail.unwrap_or(rho);
-        g[s as usize] = Some(if rho.gt(&tail) { rho } else { tail });
+        g[s as usize] = Some(if exceeds(&rho, &tail)? { rho } else { tail });
     }
 
     let best_binary =
         g[all as usize].ok_or_else(|| "binding dependencies admit no order".to_string())?;
-    if best_binary.le(&bound) {
+    if !exceeds(&best_binary, &bound)? {
         return Ok(None);
     }
     Ok(Some(WcojAnalysis {
@@ -678,7 +685,7 @@ mod tests {
     fn triangle_has_a_certified_wcoj_gap() {
         let s = edge_schema();
         let gap = wcoj_gap(&s, &triangle(&s)).unwrap().expect("gap");
-        assert_eq!(gap.bound, Rat::new(3, 2));
+        assert_eq!(gap.bound, Rat::checked_new(3, 2).unwrap());
         assert_eq!(gap.best_binary, Rat::int(2));
         // The certificate re-verifies against the full-query hypergraph.
         let hg = query_hypergraph(&s, &triangle(&s)).unwrap();
@@ -694,8 +701,8 @@ mod tests {
         assert!(wcoj_gap(&s, &cycle(4)).unwrap().is_none());
         // 5-cycle: odd again — ρ* = 5/2, every order's worst prefix ≥ 3.
         let gap = wcoj_gap(&s, &cycle(5)).unwrap().expect("odd gap");
-        assert_eq!(gap.bound, Rat::new(5, 2));
-        assert!(gap.best_binary.gt(&gap.bound));
+        assert_eq!(gap.bound, Rat::checked_new(5, 2).unwrap());
+        assert!(gap.best_binary.checked_cmp(&gap.bound).unwrap().is_gt());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::fxhash::FxHashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// An interned identifier.
 ///
@@ -28,24 +28,32 @@ struct Interner {
     strings: Vec<&'static str>,
 }
 
-fn interner() -> &'static Mutex<Interner> {
+/// The interner, locked. A poisoned lock is taken as it is: under the lock
+/// the only panics come before an update (the id overflow in
+/// [`Symbol::new`]) or in a read, so the table a panicking thread left
+/// behind is whole.
+fn interner() -> MutexGuard<'static, Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            map: FxHashMap::default(),
-            strings: Vec::new(),
+    INTERNER
+        .get_or_init(|| {
+            Mutex::new(Interner {
+                map: FxHashMap::default(),
+                strings: Vec::new(),
+            })
         })
-    })
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Symbol {
     /// Interns `s`, returning its symbol. Idempotent.
     pub fn new(s: &str) -> Symbol {
-        let mut int = interner().lock().expect("symbol interner poisoned");
+        let mut int = interner();
         if let Some(&id) = int.map.get(s) {
             return Symbol(id);
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
+        #[expect(clippy::expect_used, reason = "memory runs out before 2^32 symbols")]
         let id = u32::try_from(int.strings.len()).expect("symbol table overflow");
         int.strings.push(leaked);
         int.map.insert(leaked, id);
@@ -54,7 +62,7 @@ impl Symbol {
 
     /// Resolves the symbol back to its string.
     pub fn as_str(self) -> &'static str {
-        let int = interner().lock().expect("symbol interner poisoned");
+        let int = interner();
         int.strings[self.0 as usize]
     }
 

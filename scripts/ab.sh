@@ -2,7 +2,7 @@
 # Before/after for one or more workloads: this checkout against a checkout
 # of its parent commit, under the protocol the gate uses.
 #
-#   scripts/ab.sh PARENT_CHECKOUT WORKLOAD[,WORKLOAD...] SEED...
+#   scripts/ab.sh PARENT_CHECKOUT WORKLOAD[,WORKLOAD...] SEED SEED...
 #
 # PARENT_CHECKOUT is a second copy of the repository at the parent commit
 # (`git clone . /root/scratch/parent`, never `git worktree`). Each side is
@@ -27,13 +27,15 @@
 # invocations on the same two trees add up to one comparison), and the
 # workloads whose rows come from those earlier files are named before the
 # table. Ten pairs = ten seeds; keep one seed unused while developing
-# (choosing-metrics, section 8).
+# (choosing-metrics, section 8). One seed is refused (exit 2): with one run
+# a side has no spread, and benchmark/compare.sh would print that one
+# pair's noise as `regressed`.
 #
 # AB_RUN_ARGS is passed to both run.sh calls (default `--seconds 20`, the
 # `run_seconds` of BENCHMARK.json), e.g. AB_RUN_ARGS="--seconds 6 --traced".
 set -euo pipefail
-if (($# < 3)); then
-  echo "usage: scripts/ab.sh PARENT_CHECKOUT WORKLOAD[,WORKLOAD...] SEED..." >&2
+if (($# < 4)); then
+  echo "usage: scripts/ab.sh PARENT_CHECKOUT WORKLOAD[,WORKLOAD...] SEED SEED..." >&2
   exit 2
 fi
 parent="$(realpath "$1")"

@@ -38,8 +38,8 @@ cargo fmt --check
 # ("this lint expectation is unfulfilled"). crates/engine/src/serving.rs and
 # pressure.rs forbid clippy::disallowed_methods, so a wall-clock read there
 # fails even under an #[expect]. cnb_core, cnb_engine and cnb_ir deny
-# clippy::panic, clippy::unreachable and clippy::unwrap_used outside their
-# tests, and cnb_core and cnb_engine clippy::expect_used too; each sanctioned panic sits
+# clippy::panic, clippy::unreachable, clippy::unwrap_used and
+# clippy::expect_used outside their tests; each sanctioned panic sits
 # under #[expect(clippy::panic)], each sanctioned expect under
 # #[expect(clippy::expect_used, reason = "...")] naming the invariant it
 # states. The test tiers below pin how many sanctions each crate holds.

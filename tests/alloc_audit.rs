@@ -80,7 +80,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use chase_too_far::core::backchase::Lattice;
 use chase_too_far::core::bitset::VarSet;
-use chase_too_far::core::cost::{CostModel, WcojAwarePricer};
+use chase_too_far::core::cost::{CostModel, PlanPricer, WcojAwarePricer};
 use chase_too_far::core::prelude::*;
 use chase_too_far::engine::datagen::EdgeDist;
 use chase_too_far::engine::prng::SplitMix64;
@@ -228,18 +228,23 @@ fn backchase_allocations_per_explored_candidate() {
     hold("ec1_4_2.refutations", allocations, 0);
     for (name, schema, q, strategy, candidates, ceiling) in measured {
         // As `Optimizer::optimize_measured` runs its second pass: the
-        // WCOJ-aware pricer, bounded by the first pass's cheapest price.
+        // WCOJ-aware pricer, bounded by its cheapest price among the first
+        // pass's plans.
         let optimizer = Optimizer::new(schema.clone());
-        let seed = optimizer
-            .optimize(&q, &OptimizerConfig::with_strategy(strategy))
-            .plans
-            .iter()
-            .map(|p| plan_price(&model, p))
-            .fold(f64::INFINITY, f64::min);
         let pricer = WcojAwarePricer {
             schema: &schema,
             model: &model,
         };
+        let seed = optimizer
+            .optimize_in(
+                &q,
+                &OptimizerConfig::with_strategy(strategy),
+                &mut SkeletonMemo::bounded(0),
+            )
+            .plans
+            .iter()
+            .map(|p| pricer.price(&p.query))
+            .fold(f64::INFINITY, f64::min);
         let reading = per_candidate(name, candidates, || {
             let pass = bottom_up_backchase(&q, optimizer.constraints(), &cfg, &pricer, Some(seed));
             pass.explored + pass.pruned

@@ -423,9 +423,7 @@ impl<'a> Gate<'a> {
                 let ranges: Vec<&Range> = subset.iter().map(|&i| &bindings[i].range).collect();
                 let within = pricer.floor(&ranges) <= best && pricer.price(&candidate) <= best;
                 if !within {
-                    if !pricer.monotone() {
-                        grow();
-                    }
+                    grow();
                     continue;
                 }
                 explored += 1;
@@ -557,17 +555,20 @@ fn every_optimize_cold_support_proof_holds_under_its_support_alone() {
     {
         let (mut seen, mut checked, mut widened) = gated_optimize(name, &schema, &q, strategy);
         if measured {
-            let plans = Optimizer::new(schema.clone())
-                .optimize(&q, &OptimizerConfig::with_strategy(strategy))
-                .plans;
-            let seed = plans
-                .iter()
-                .map(|p| plan_price(&model, p))
-                .fold(f64::INFINITY, f64::min);
             let pricer = WcojAwarePricer {
                 schema: &schema,
                 model: &model,
             };
+            let seed = Optimizer::new(schema.clone())
+                .optimize_in(
+                    &q,
+                    &OptimizerConfig::with_strategy(strategy),
+                    &mut SkeletonMemo::bounded(0),
+                )
+                .plans
+                .iter()
+                .map(|p| pricer.price(&p.query))
+                .fold(f64::INFINITY, f64::min);
             let constraints = schema.all_constraints();
             let mut gate = Gate::new(name, &q, &constraints);
             seen += gate.bottom_up(&pricer, seed.is_finite().then_some(seed));

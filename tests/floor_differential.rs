@@ -78,10 +78,6 @@ impl PlanPricer for DefaultFloor<'_> {
         );
         self.inner.price(q)
     }
-
-    fn monotone(&self) -> bool {
-        self.inner.monotone()
-    }
 }
 
 /// Everything of a run the floor must leave alone.
@@ -200,7 +196,7 @@ fn default_floor_search_is_the_same_search_on_the_workloads() {
 
 /// The two measured points of `optimize_cold`, swept, and then their
 /// bottom-up passes as `Optimizer::optimize_measured` runs them — seeded with
-/// the cheapest price among the first pass's plans, twins included. The counts
+/// the cheapest WCOJ-aware price among the first pass's left-deep plans. The counts
 /// are the ones `plan_text_golden` pins for `ec1_4_2.oqf.measured` and
 /// `ec5_tri_wedge_idx.fb.measured`, less their first pass (36 and 3 183
 /// explored).
@@ -228,17 +224,20 @@ fn default_floor_search_is_the_same_search_on_the_benchmark_points() {
             model: CostModel::default(),
         };
         case.sweep_both(6, &mut rng);
-        let first_pass = Optimizer::new(case.schema.clone())
-            .optimize(&case.query, &OptimizerConfig::with_strategy(strategy));
-        let seed = first_pass
-            .plans
-            .iter()
-            .map(|p| plan_price(&case.model, p))
-            .fold(f64::INFINITY, f64::min);
         let aware = WcojAwarePricer {
             schema: &case.schema,
             model: &case.model,
         };
+        let seed = Optimizer::new(case.schema.clone())
+            .optimize_in(
+                &case.query,
+                &OptimizerConfig::with_strategy(strategy),
+                &mut SkeletonMemo::bounded(0),
+            )
+            .plans
+            .iter()
+            .map(|p| aware.price(&p.query))
+            .fold(f64::INFINITY, f64::min);
         let measured = case.search("measured pass", &aware, Some(seed));
         assert_eq!([measured.explored, measured.pruned], counts, "{tag}");
         assert!(

@@ -46,27 +46,27 @@ const GOLDEN: &[(&str, &str, usize)] = &[
     ("ec5_tri_wedge_idx.fb.measured", "6934a2e7ec055fee 3 3189 830 24", 3053),
     ("ec1_4_2.top_down", "7029a996f0592fbf 36 2579 0 12", 1988),
     ("ec1_4_2.bottom_up", "ab200c802f104e4f 36 1056 0 12", 0),
-    ("ec1_4_2.bottom_up.seeded", "4e8f55b011e2019b 1 35 89 12", 0),
+    ("ec1_4_2.bottom_up.seeded", "4e8f55b011e2019b 1 35 1742 12", 0),
     ("ec1_4_2.top_down.max_plans_2", "ad87427fa73c7ce7 2 24 0 12", 11),
     ("ec2_1_4_2.top_down", "53f4a6d5f12268c2 4 63 0 7", 56),
     ("ec2_1_4_2.bottom_up", "9a8dfcfd0abf24a2 4 21 0 7", 0),
-    ("ec2_1_4_2.bottom_up.seeded", "993740305f490032 1 1 18 7", 0),
+    ("ec2_1_4_2.bottom_up.seeded", "993740305f490032 1 1 26 7", 0),
     ("ec2_1_4_2.top_down.max_plans_2", "9b3a0b99b4fa6822 2 16 0 7", 11),
     ("ec2_2_3_1.top_down", "e3dad30f3549746d 4 154 0 10", 142),
     ("ec2_2_3_1.bottom_up", "03512fa229f5826f 4 79 0 10", 0),
-    ("ec2_2_3_1.bottom_up.seeded", "a12d94d98633d40a 1 1 64 10", 0),
+    ("ec2_2_3_1.bottom_up.seeded", "a12d94d98633d40a 1 1 84 10", 0),
     ("ec2_2_3_1.top_down.max_plans_2", "69a8e20f1a6a5811 2 36 0 10", 29),
     ("ec3_3.top_down", "adc0d75e7afab420 4 143 0 8", 114),
     ("ec3_3.bottom_up", "0525743138558acb 4 32 0 8", 0),
-    ("ec3_3.bottom_up.seeded", "bbc60f818b90e959 1 1 19 8", 0),
+    ("ec3_3.bottom_up.seeded", "bbc60f818b90e959 1 1 46 8", 0),
     ("ec3_3.top_down.max_plans_2", "60e449b117d1c75f 2 28 0 8", 18),
     ("ec4_4_3_2.top_down", "094531ad8c90c6ae 24 1565 0 12", 1506),
     ("ec4_4_3_2.bottom_up", "6c008e3aca7bd50c 24 24 0 12", 0),
-    ("ec4_4_3_2.bottom_up.seeded", "5fb37fd65a18780b 8 8 81 12", 0),
+    ("ec4_4_3_2.bottom_up.seeded", "5fb37fd65a18780b 8 8 135 12", 0),
     ("ec4_4_3_2.top_down.max_plans_2", "ac74cb5059844b04 2 37 0 12", 29),
     ("ec5_tri_wedge_idx.top_down", "f03a37e3e89984b8 17 3183 0 12", 3053),
     ("ec5_tri_wedge_idx.bottom_up", "190b2f614988ce3c 17 354 0 12", 0),
-    ("ec5_tri_wedge_idx.bottom_up.seeded", "3e01133ac37d1cbf 3 6 44 12", 0),
+    ("ec5_tri_wedge_idx.bottom_up.seeded", "3e01133ac37d1cbf 3 6 830 12", 0),
     ("ec5_tri_wedge_idx.top_down.max_plans_2", "acb81e40741cbad6 2 27 0 12", 13),
 ];
 
