@@ -115,7 +115,12 @@
 //! where-clause; [`CanonDb`] is not `Clone`) — and recycles every search,
 //! chase and closure buffer (`tests/alloc_audit.rs`). Only a plan that is
 //! emitted is induced as a query. Plan dedup asks `same_arity`'s range
-//! prefilter before it chases a pair.
+//! prefilter before it chases a pair. The walk over the verdicts that are
+//! not chased is reads and copies of [`VarSet`]s — memo keys, border
+//! entries, candidates, term supports — so a set is one 16-byte value that
+//! never spills on these queries, the top-down search iterates a node's
+//! bindings in place, and the bottom-up frontier keeps its candidates as
+//! sets in two recycled buffers.
 //! The deadline is checked before every candidate. A budget that runs out —
 //! the deadline, or a [`ChaseConfig`] cap on the universal chase or on a
 //! candidate's — decides nothing (plans are complete only at the chase's
@@ -663,7 +668,7 @@ impl Search<'_, '_> {
         // All children decided? A budget that ran out leaves minimality
         // unproven, so the subset must not be emitted as a plan.
         let mut decided = true;
-        for v in s.iter().collect::<Vec<_>>() {
+        for v in s.iter() {
             if self.sink.full() {
                 return;
             }
@@ -770,6 +775,67 @@ mod tests {
                 plans_of(&res)
             );
         }
+    }
+
+    /// No workload has a variable id of 64 or more, so no workload reaches
+    /// the spill words of a [`VarSet`]. The same 4-relation indexed chain
+    /// with its ids moved past 100 must search exactly as its low-id twin:
+    /// the same plans in the same order, the same candidates, every verdict
+    /// from the same source, in both searches.
+    #[test]
+    fn ids_past_64_search_like_their_low_twins() {
+        let n = 4;
+        let mut schema = Schema::new();
+        for i in 1..=n {
+            schema.add_relation(
+                format!("R{i}"),
+                [(sym("A"), Type::Int), (sym("B"), Type::Int)],
+            );
+            add_primary_index(
+                &mut schema,
+                sym(&format!("R{i}")),
+                sym("A"),
+                format!("I{i}"),
+            );
+        }
+        let cs = schema.all_constraints();
+        let chain = |first_var: u32| {
+            let mut q = Query::new();
+            q.reserve_vars(first_var);
+            let vars: Vec<Var> = (1..=n)
+                .map(|i| q.bind(&format!("r{i}"), Range::Name(sym(&format!("R{i}")))))
+                .collect();
+            for w in vars.windows(2) {
+                q.equate(PathExpr::from(w[0]).dot("B"), PathExpr::from(w[1]).dot("A"));
+            }
+            q.output("A", PathExpr::from(vars[0]).dot("A"));
+            q
+        };
+        let (low, high) = (chain(0), chain(100));
+        assert!(high.from.iter().all(|b| b.var.index() >= 100));
+        let keys = |r: &BackchaseResult| -> Vec<String> {
+            r.plans.iter().map(Query::canonical_key).collect()
+        };
+        let cfg = BackchaseConfig::default();
+        let (lo, hi) = (
+            chase_and_backchase(&low, &cs, &cfg),
+            chase_and_backchase(&high, &cs, &cfg),
+        );
+        assert_eq!((lo.plans.len(), lo.explored), (16, 188));
+        assert!(hi
+            .plans
+            .iter()
+            .all(|p| p.from.iter().all(|b| b.var.index() >= 64)));
+        assert_eq!(keys(&hi), keys(&lo));
+        assert_eq!(hi.explored, lo.explored);
+        assert_eq!(hi.verdicts, lo.verdicts);
+        let pricer = crate::cost::CostModel::default();
+        let bottom_up =
+            |q: &Query| crate::bottomup::bottom_up_backchase(q, &cs, &cfg, &pricer, None);
+        let (lo, hi) = (bottom_up(&low), bottom_up(&high));
+        assert_eq!(keys(&hi), keys(&lo));
+        assert_eq!((hi.explored, hi.pruned), (lo.explored, lo.pruned));
+        assert_eq!(hi.verdicts, lo.verdicts);
     }
 
     /// Join minimization: the redundant half of a self-join is removed and

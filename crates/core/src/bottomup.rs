@@ -70,28 +70,32 @@ pub fn bottom_up_backchase(
     let mut result = BackchaseResult::default();
     let mut sink = PlanSink::new(cfg.max_plans);
     let bindings = lattice.bindings().to_vec();
-    let n = bindings.len();
 
     // Cost pruning is active only when a bound is seeded (the paper's
     // combined mode: top-down finds a first plan, bottom-up uses its cost);
     // without a seed, enumerate the complete minimal-plan set.
     let pruning = seed_bound.is_some();
     let mut best_cost = seed_bound.unwrap_or(f64::INFINITY);
-    // Frontier of current-size candidate subsets, as sorted index vectors:
-    // growing one by the indices past its last generates every larger
-    // subset exactly once, from the one parent that is its prefix.
-    let mut frontier: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+    // Frontier of current-size candidate subsets, each with the index of
+    // its last binding: growing one by the bindings past that index
+    // generates every larger subset exactly once, from the one parent that
+    // is its prefix. Two buffers, swapped per size, and sets that do not
+    // spill: a size allocates nothing once the buffers have grown.
+    let mut frontier: Vec<(VarSet, usize)> = bindings
+        .iter()
+        .enumerate()
+        .map(|(i, b)| (VarSet::from_iter([b.var]), i))
+        .collect();
+    let mut next: Vec<(VarSet, usize)> = Vec::new();
     // The candidate's ranges, for its floor.
     let mut ranges: Vec<&Range> = Vec::new();
 
     'search: while !frontier.is_empty() {
-        let mut next: Vec<Vec<usize>> = Vec::new();
-        for subset in frontier.drain(..) {
+        for (keep, last) in frontier.drain(..) {
             if lattice.expired() {
                 result.timed_out = true;
                 break 'search;
             }
-            let keep = VarSet::from_iter(subset.iter().map(|&i| bindings[i].var));
             // Minimality: a superset of a proved set — a plan already
             // emitted — is not asked.
             if lattice.equivalence.covers_yes(&keep) {
@@ -105,7 +109,8 @@ pub fn bottom_up_backchase(
                     break 'judge None;
                 }
                 ranges.clear();
-                ranges.extend(subset.iter().map(|&i| &bindings[i].range));
+                let kept = bindings.iter().filter(|b| keep.contains(b.var));
+                ranges.extend(kept.map(|b| &b.range));
                 let floor = pricer.floor(&ranges);
                 if floor > best_cost {
                     result.pruned += 1;
@@ -130,11 +135,11 @@ pub fn bottom_up_backchase(
             // under a WCOJ-aware price, the full triangle N^{3/2}) or the
             // candidate equivalent.
             let Some((cand, cost)) = plan else {
-                let first = subset.last().map_or(0, |&last| last + 1);
-                next.extend((first..n).map(|j| {
-                    let mut bigger = subset.clone();
-                    bigger.push(j);
-                    bigger
+                let past = bindings.iter().enumerate().skip(last + 1);
+                next.extend(past.map(|(j, b)| {
+                    let mut bigger = keep.clone();
+                    bigger.insert(b.var);
+                    (bigger, j)
                 }));
                 continue;
             };
@@ -146,7 +151,7 @@ pub fn bottom_up_backchase(
                 break 'search;
             }
         }
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
     }
     lattice.finish(result, sink)
 }

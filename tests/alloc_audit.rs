@@ -36,16 +36,20 @@
 //! constraints the derivations say rebuild the query, and that chase adds
 //! fewer bindings than one under the whole set: `ec4_4_3_2` 4 → 3, its
 //! ceiling 6 → 5 by the same rule. The support's buffers are recycled with
-//! the closure's.
+//! the closure's. The top-down search iterates an expanded node's bindings
+//! in place instead of collecting them into a vector: 2 / 12 / 3 / 2 →
+//! 1 / 11 / 2 / 1, the ceilings 3 / 18 / 5 / 3 → 2 / 17 / 3 / 2.
 //!
 //! The bottom-up pass built every candidate it counted — induced it, priced
 //! it, and dropped three in four on the price: 103 / 71 per candidate. Since
 //! the pricer's floor decides most of those from the from-clause alone, they
-//! are never induced: 15 / 9 (16 / 9 before checks loaded their candidates),
-//! what is left being the candidates the bound still has built and the
-//! frontier's index vectors. Same ceiling rule, taken at 16 / 9; an
-//! induction or a price that starts allocating more, or a floor that stops
-//! deciding, goes through it.
+//! are never induced: 15 / 9 (16 / 9 before checks loaded their candidates).
+//! The frontier then kept an index vector per subset; it now keeps each
+//! subset as its `VarSet` and the index of its last binding, in two buffers
+//! recycled from size to size: 10 / 4, what is left being the candidates
+//! the bound still has built. Same ceiling rule, 15 / 6; an induction or a
+//! price that starts allocating more, a frontier that allocates per subset
+//! again, or a floor that stops deciding, goes through it.
 //!
 //! The generic join sorted every binding's relation through one vector per
 //! row and copied its range frame for every lead value: 9 704 allocations
@@ -157,15 +161,15 @@ fn backchase_allocations_per_explored_candidate() {
     // (point, schema, query, `explored` of the full backchase, ceiling:
     // allocations per explored candidate it may make).
     let full = [
-        ("ec1_4_2.fb", ec1.schema(), ec1.query(), 2579, 3),
-        ("ec2_1_4_2.fb", ec2.schema(), ec2.query(), 63, 18),
-        ("ec4_4_3_2.fb", ec4.schema(), ec4.query(), 1565, 5),
+        ("ec1_4_2.fb", ec1.schema(), ec1.query(), 2579, 2),
+        ("ec2_1_4_2.fb", ec2.schema(), ec2.query(), 63, 17),
+        ("ec4_4_3_2.fb", ec4.schema(), ec4.query(), 1565, 3),
         (
             "ec5_tri_wedge_idx.fb",
             ec5.schema(),
             ec5.cycle_query(),
             3183,
-            3,
+            2,
         ),
     ];
     // (point, schema, query, strategy of the first pass, `explored + pruned`
@@ -177,7 +181,7 @@ fn backchase_allocations_per_explored_candidate() {
             ec1.query(),
             oqf,
             60 + 1717,
-            24,
+            15,
         ),
         (
             "ec5_tri_wedge_idx.fb.measured",
@@ -185,7 +189,7 @@ fn backchase_allocations_per_explored_candidate() {
             ec5.cycle_query(),
             fb,
             6 + 830,
-            13,
+            6,
         ),
     ];
     let mut over = Vec::new();
