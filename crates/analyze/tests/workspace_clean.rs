@@ -153,16 +153,21 @@ fn sanctioned_panic_sites_are_pinned() {
 }
 
 /// The attributes that make those rules: the serving layer forbids the
-/// clock outright (no `#[expect]` can sanction a read there), and the three
+/// clock outright (no `#[expect]` can sanction a read there), the three
 /// logic crates deny panics, `.unwrap()` and `.expect()` outside their
-/// tests.
+/// tests, and the files that index nothing unchecked deny indexing —
+/// `bitset.rs` everywhere, `join.rs` outside its tests.
 #[test]
 fn the_forbid_and_deny_attributes_are_in_place() {
     let forbid = "#![forbid(clippy::disallowed_methods)]";
     let deny = "#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]";
     let unwrap = "#![cfg_attr(not(test), deny(clippy::unwrap_used))]";
     let expect = "#![cfg_attr(not(test), deny(clippy::expect_used))]";
+    let index = "#![deny(clippy::indexing_slicing)]";
+    let index_outside_tests = "#![cfg_attr(not(test), deny(clippy::indexing_slicing))]";
     for (file, attr) in [
+        ("core/src/bitset.rs", index),
+        ("engine/src/join.rs", index_outside_tests),
         ("engine/src/serving.rs", forbid),
         ("engine/src/pressure.rs", forbid),
         ("core/src/lib.rs", deny),

@@ -55,7 +55,8 @@ pub struct OptimizerConfig {
     /// Limits shared by all chase/backchase invocations.
     pub backchase: BackchaseConfig,
     /// OCS only: merge this many natural strata per pipeline stage (fig. 8's
-    /// granularity sweep). `None` keeps the natural strata.
+    /// granularity sweep). `None` keeps the natural strata, and so does
+    /// `Some(0)`, read as 1.
     pub stratum_group_size: Option<usize>,
 }
 
@@ -582,6 +583,26 @@ mod tests {
             fb.explored
         );
         assert_eq!(oqf.fragments, 3);
+    }
+
+    /// A stratum group size of 0 reads as 1, the natural strata: the same
+    /// plans, in the same order, from the same search as no regrouping.
+    #[test]
+    fn a_zero_stratum_group_is_the_natural_strata() {
+        let opt = Optimizer::new(ec1_schema(3, 1));
+        let q = ec1_query(3);
+        let run = |stratum_group_size| {
+            let cfg = OptimizerConfig {
+                stratum_group_size,
+                ..OptimizerConfig::with_strategy(Strategy::Ocs)
+            };
+            let res = opt.optimize(&q, &cfg);
+            let plans: Vec<String> = res.plans.iter().map(|p| p.query.to_string()).collect();
+            (plans, res.explored, res.strata)
+        };
+        let natural = run(None);
+        assert!(natural.0.len() >= 4, "{natural:?}");
+        assert_eq!(run(Some(0)), natural);
     }
 
     /// Best-first ordering puts a physical-structure plan at the front.

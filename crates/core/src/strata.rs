@@ -99,11 +99,11 @@ fn interacts(c: &Constraint, tableau: &mut CanonDb) -> bool {
 }
 
 /// Regroups strata into coarser groups of `group_size` strata each (for the
-/// fig. 8 granularity sweep: size 1 = OCS, size = #strata ≈ FB).
+/// fig. 8 granularity sweep: size 1 = OCS, size = #strata ≈ FB). A size of
+/// 0 reads as 1: the natural strata.
 pub fn regroup(strata: &[Vec<usize>], group_size: usize) -> Vec<Vec<usize>> {
-    assert!(group_size >= 1);
     strata
-        .chunks(group_size)
+        .chunks(group_size.max(1))
         .map(|chunk| chunk.iter().flatten().copied().collect())
         .collect()
 }

@@ -48,10 +48,12 @@
 //! processes — produce byte-identical `ExecResult.rows`. [`execute`]'s row
 //! order equals the old tuple-at-a-time nested-loop order (lexicographic in
 //! the chosen step order), which [`execute_legacy`] retains as a
-//! differential oracle — a separate interpreter that shares nothing with
-//! `run`. The oracle never fuses index pairs, so the two agree on rows,
-//! row order and join order but not on [`ExecStats::tuples_considered`]:
-//! the batched count is the smaller one wherever a pair fused.
+//! differential oracle — a separate interpreter with its own evaluator
+//! that shares two things with `run`: the join order (`join::greedy_order`)
+//! and the hash-join build (`JoinIndexes::table`). The oracle never fuses
+//! index pairs, so the two agree on rows, row order and join order but not
+//! on [`ExecStats::tuples_considered`]: the batched count is the smaller
+//! one wherever a pair fused.
 //!
 //! **Cardinality feedback.** Every operator records its observed input and
 //! output cardinalities in [`ExecStats::operators`]; [`feed_cost_model`]
@@ -221,23 +223,24 @@ fn reject_unbound_params(q: &Query) -> Result<(), ExecError> {
     }
 }
 
-/// True if every ground equality of `q` — one without variables, like
-/// `3 = 4` — holds in `db`. The greedy order attaches each equality to the
-/// step that binds its last variable, so a ground one reaches no step: both
-/// executors decide these once, before binding anything, and a false one
-/// empties the result. (A bound template plan can carry one: `?0 = ?1`.)
-fn ground_equalities_hold(db: &Database, q: &Query) -> bool {
-    let env = FxHashMap::default();
+/// The ground equalities of `q` — those without variables, like `3 = 4`.
+/// The greedy order attaches each equality to the step that binds its last
+/// variable, so a ground one reaches no step: both executors decide these
+/// once, before binding anything, and a false one empties the result. (A
+/// bound template plan can carry one: `?0 = ?1`.)
+fn ground_equalities(q: &Query) -> impl Iterator<Item = &Equality> {
     let ground = |p: &PathExpr| p.vars_all(&mut |_| false);
     q.where_
         .iter()
-        .filter(|eq| ground(&eq.lhs) && ground(&eq.rhs))
-        .all(|eq| {
-            matches!(
-                (eval_path(db, &env, &eq.lhs), eval_path(db, &env, &eq.rhs)),
-                (Some(a), Some(b)) if a == b
-            )
-        })
+        .filter(move |eq| ground(&eq.lhs) && ground(&eq.rhs))
+}
+
+/// True if every ground equality of `q` holds, each side read at the one
+/// row of the pipeline's `unit` batch.
+fn ground_equalities_hold<'a>(db: &'a Database, q: &'a Query, unit: &Batch<'a>) -> bool {
+    let side = |p| eval_path_at(unit, 0, &[], &Path::resolve(db, q, &[], p));
+    ground_equalities(q)
+        .all(|eq| matches!((side(&eq.lhs), side(&eq.rhs)), (Some(a), Some(b)) if a == b))
 }
 
 /// Executes `q` against `db` with the batched engine's binary operators.
@@ -281,7 +284,7 @@ fn run(
     let mut batch = Batch::unit(q.from.len());
     // A generic join reads no input batch: its plan decides the constant
     // equalities it accepts on its own (`GenericJoin::unsatisfiable`).
-    if !ground_equalities_hold(db, q) {
+    if !ground_equalities_hold(db, q, &batch) {
         batch = batch.gather(&[]);
     }
     for (op, home) in ops.iter().zip(&homes) {
@@ -345,7 +348,7 @@ pub fn execute_legacy(db: &Database, q: &Query) -> Result<ExecResult, ExecError>
     }
     let mut env: FxHashMap<Var, Value> = FxHashMap::default();
     let mut rows = Vec::new();
-    if ground_equalities_hold(db, q) {
+    if ground_equalities(q).all(|eq| holds_in(db, &env, eq)) {
         legacy_steps(db, q, &steps, &indexes, 0, &mut env, &mut rows, &mut stats)?;
     }
     stats.rows_out = rows.len();
@@ -383,13 +386,7 @@ fn legacy_steps(
         ($v:expr) => {{
             stats.tuples_considered += 1;
             env.insert(var, $v);
-            let pass = step.filters.iter().all(|eq| {
-                match (eval_path(db, env, &eq.lhs), eval_path(db, env, &eq.rhs)) {
-                    (Some(a), Some(b)) => a == b,
-                    _ => false,
-                }
-            });
-            if pass {
+            if step.filters.iter().all(|eq| holds_in(db, env, eq)) {
                 legacy_steps(db, q, steps, indexes, depth + 1, env, out, stats)?;
             }
             env.remove(&var);
@@ -403,9 +400,11 @@ fn legacy_steps(
             }
         }
         Access::HashJoin { table, attr, key } => {
-            if let Some(k) = eval_path(db, env, key) {
+            // Every table was built up front.
+            if let (Some(k), Some(build)) = (eval_path(db, env, key), indexes.built(*table, *attr))
+            {
                 let rows = db.table(*table);
-                for &i in indexes.built(*table, *attr).bucket(&k) {
+                for &i in build.bucket(&k) {
                     try_value!(rows[i as usize].clone());
                 }
             }
@@ -435,10 +434,18 @@ fn legacy_steps(
     Ok(())
 }
 
+/// True if both sides of `eq` are defined and equal in `env`.
+fn holds_in(db: &Database, env: &FxHashMap<Var, Value>, eq: &Equality) -> bool {
+    matches!(
+        (eval_path(db, env, &eq.lhs), eval_path(db, env, &eq.rhs)),
+        (Some(a), Some(b)) if a == b
+    )
+}
+
 /// Evaluates a path in an environment (legacy oracle only; the batched
 /// engine evaluates against batch columns). `None` means undefined
 /// (missing dictionary key or field) — the enclosing row is skipped.
-pub fn eval_path(db: &Database, env: &FxHashMap<Var, Value>, p: &PathExpr) -> Option<Value> {
+fn eval_path(db: &Database, env: &FxHashMap<Var, Value>, p: &PathExpr) -> Option<Value> {
     match p {
         PathExpr::Var(v) => env.get(v).cloned(),
         PathExpr::Const(c) => Some(c.clone()),

@@ -17,6 +17,16 @@
 //! replace the fact table with index/view accesses) multiply dimension
 //! tables together before the connecting binding ever enters the pipeline.
 //!
+//! **One probe rule.** An equality can key an access to a binding `v` when
+//! one side is `v` itself (a dictionary-key probe) or `v.a` (a hash join on
+//! `a`) and the other reads only bound variables; [`probed`] is the one
+//! test for that side and [`probes`] lists every such equality, for the
+//! planner and the index-pair fusion alike; the fold below asks `probed`
+//! too. [`greedy_order`] reads every range's and every equality's variables
+//! once. An equality stays pending until a probe consumes it or it becomes
+//! the filter of the step that binds its last variable; only pending ones
+//! are asked whether they probe, connect or attach.
+//!
 //! The dictionary algebra's access structures come as *pairs* —
 //! `dom M k, M[k] t` is "scan the index", and an equality on `t` against
 //! the bound prefix makes it "probe the index". Once the order is chosen,
@@ -75,6 +85,8 @@
 //! order is a pure function of `(database, plan)` — the engine's
 //! determinism guarantee — and equals the nested-loop order of the unfused
 //! steps.
+
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -187,10 +199,26 @@ pub(crate) fn plan(db: &Database, q: &Query) -> Result<Vec<Op>, ExecError> {
                 step,
             },
         };
-        bound.extend(op.bindings().map(|i| q.from[i].var));
+        bound.extend(op.bindings().filter_map(|i| q.from.get(i)).map(|b| b.var));
         ops.push(op);
     }
     Ok(ops)
+}
+
+/// What an equality side is to the binding `var`: `var` itself
+/// (`Some(None)`), `var.a` (`Some(Some(a))`), or neither (`None`). The one
+/// test for a side a probe can key on.
+fn probed(side: &PathExpr, var: Var) -> Option<Option<Symbol>> {
+    let (base, attr) = match side {
+        PathExpr::Field(base, a) => (&**base, Some(*a)),
+        whole => (whole, None),
+    };
+    matches!(base, PathExpr::Var(v) if *v == var).then_some(attr)
+}
+
+/// The two orientations of `eq`: each side with the one opposite it.
+fn oriented(eq: &Equality) -> [(&PathExpr, &PathExpr); 2] {
+    [(&eq.lhs, &eq.rhs), (&eq.rhs, &eq.lhs)]
 }
 
 /// Recognises `dom M k` (`key_step`) directly followed by `M[k].f… t`
@@ -202,8 +230,8 @@ fn fuse_dict_pair(q: &Query, bound: &[Var], key_step: &Step, elem_step: &Step) -
     else {
         return None;
     };
-    let k = q.from[key_step.binding_idx].var;
-    let t = q.from[elem_step.binding_idx].var;
+    let k = q.from.get(key_step.binding_idx)?.var;
+    let t = q.from.get(elem_step.binding_idx)?.var;
     let mut fields = Vec::new();
     let mut entry = path;
     while let PathExpr::Field(base, f) = entry {
@@ -211,30 +239,10 @@ fn fuse_dict_pair(q: &Query, bound: &[Var], key_step: &Step, elem_step: &Step) -
         entry = base;
     }
     fields.reverse();
-    if !matches!(entry, PathExpr::Lookup(m, key)
-        if m == dict && matches!(**key, PathExpr::Var(v) if v == k))
-    {
+    if !matches!(entry, PathExpr::Lookup(m, key) if m == dict && probed(key, k) == Some(None)) {
         return None;
     }
-    let candidates = || {
-        elem_step
-            .filters
-            .iter()
-            .enumerate()
-            .flat_map(|(i, eq)| [(i, &eq.lhs, &eq.rhs), (i, &eq.rhs, &eq.lhs)])
-            .filter_map(|(i, side, probe)| {
-                let attr = match side {
-                    PathExpr::Var(v) if *v == t => None,
-                    PathExpr::Field(base, a) if matches!(**base, PathExpr::Var(v) if v == t) => {
-                        Some(*a)
-                    }
-                    _ => return None,
-                };
-                probe
-                    .vars_all(&mut |v| bound.contains(&v))
-                    .then_some((i, attr, probe))
-            })
-    };
+    let candidates = || probes(&elem_step.filters, t, bound);
     let (joined_on, attr, probe) = candidates()
         .find(|(_, attr, _)| attr.is_some())
         .or_else(|| candidates().next())?;
@@ -262,23 +270,20 @@ fn fold_attr(q: &Query, step: &Step) -> Option<Symbol> {
     let Access::HashJoin { attr, .. } = &step.access else {
         return None;
     };
-    let var = q.from[step.binding_idx].var;
-    let first = step.filters.first()?;
-    [(&first.lhs, &first.rhs), (&first.rhs, &first.lhs)]
+    let var = q.from.get(step.binding_idx)?.var;
+    oriented(step.filters.first()?)
         .into_iter()
-        .find_map(|(side, other)| match side {
-            PathExpr::Field(base, b)
-                if b != attr
-                    && matches!(**base, PathExpr::Var(v) if v == var)
-                    && other.vars_all(&mut |v| v != var) =>
-            {
-                Some(*b)
-            }
-            _ => None,
+        .find_map(|(side, other)| {
+            probed(side, var)
+                .flatten()
+                .filter(|b| b != attr && other.vars_all(&mut |v| v != var))
         })
 }
 
-/// Greedy ordering + access-path selection, one [`Step`] per binding.
+/// Greedy ordering + access-path selection, one [`Step`] per binding. The
+/// bindings still to place and the equalities still pending both keep query
+/// order. A filter leaves the pending ones when it attaches: its variables
+/// are all bound, so it could never probe, connect or attach again.
 pub(crate) fn greedy_order(db: &Database, q: &Query) -> Result<Vec<Step>, ExecError> {
     // Binding-order soundness only: disconnected (cross-product) queries
     // are legal here — the engine evaluates them — and are rejected
@@ -288,90 +293,81 @@ pub(crate) fn greedy_order(db: &Database, q: &Query) -> Result<Vec<Step>, ExecEr
         Ok(()),
         "join::greedy_order called with ill-formed query"
     );
-    let n = q.from.len();
-    let mut placed: Vec<bool> = vec![false; n];
-    let mut bound: Vec<Var> = Vec::new();
-    let mut used_conds: Vec<bool> = vec![false; q.where_.len()];
-    let mut steps = Vec::with_capacity(n);
+    let mut todo: Vec<(usize, &Binding, Vec<Var>)> = q
+        .from
+        .iter()
+        .enumerate()
+        .map(|(i, b)| (i, b, b.range.vars()))
+        .collect();
+    let mut pending: Vec<(&Equality, Vec<Var>)> =
+        q.where_.iter().map(|eq| (eq, eq.vars())).collect();
+    let mut bound: Vec<Var> = Vec::with_capacity(todo.len());
+    let mut steps = Vec::with_capacity(todo.len());
 
-    #[allow(clippy::needless_range_loop)]
-    for _ in 0..n {
+    while !todo.is_empty() {
         // Candidates: unplaced bindings whose range variables are bound.
         // The comparison key is (access tier, cardinality, from-clause
-        // index) — the final component is the explicit tie-break, so equal
-        // (tier, card) candidates resolve by query position, not by the
-        // order some map happened to yield them.
+        // position) — the final component is the explicit tie-break, so
+        // equal (tier, card) candidates resolve by query position, not by
+        // the order some map happened to yield them.
         let mut best: Option<(u8, usize, usize, Access, Option<usize>)> = None;
-        for i in 0..n {
-            if placed[i] {
+        for (at, (_, b, deps)) in todo.iter().enumerate() {
+            if !deps.iter().all(|v| bound.contains(v)) {
                 continue;
             }
-            let b = &q.from[i];
-            let deps_ok = b.range.vars().iter().all(|v| bound.contains(v));
-            if !deps_ok {
-                continue;
-            }
+            let mut keys = probes(pending.iter().map(|p| p.0), b.var, &bound);
             let (tier, card, access, consumed) = match &b.range {
                 Range::Expr(p) => (0u8, 0usize, Access::PathSet(p.clone()), None),
-                Range::Dom(m) => match probe_key(q, b.var, &bound, &used_conds) {
-                    Some((ci, key)) => (0u8, 1usize, Access::DomProbe(*m, key), Some(ci)),
-                    None => (2u8, db.cardinality(*m), Access::DomScan(*m), None),
+                Range::Dom(m) => match keys.find(|(_, attr, _)| attr.is_none()) {
+                    Some((ci, _, key)) => (0, 1, Access::DomProbe(*m, key.clone()), Some(ci)),
+                    None => (2, db.cardinality(*m), Access::DomScan(*m), None),
                 },
-                Range::Name(t) => match probe_attr_key(q, b.var, &bound, &used_conds) {
-                    Some((ci, attr, key)) => (
-                        1u8,
-                        1usize,
-                        Access::HashJoin {
-                            table: *t,
-                            attr,
-                            key,
-                        },
-                        Some(ci),
-                    ),
-                    None => (2u8, db.cardinality(*t), Access::Scan(*t), None),
+                Range::Name(t) => match keys.find_map(|(ci, attr, key)| Some((ci, attr?, key))) {
+                    Some((ci, attr, key)) => {
+                        let (table, key) = (*t, key.clone());
+                        (1, 1, Access::HashJoin { table, attr, key }, Some(ci))
+                    }
+                    None => (2, db.cardinality(*t), Access::Scan(*t), None),
                 },
             };
             // Cross-product demotion: a full scan (tier 2) of a binding
-            // with no unconsumed equality into the bound prefix and no
+            // with no pending equality into the bound prefix and no
             // blocked binding to unlock contributes nothing but a
             // cardinality factor — defer it until something connects it.
             let tier = if tier == 2
                 && !bound.is_empty()
-                && !connects(q, b.var, &bound, &used_conds)
-                && !unlocks(q, &placed, b.var, &bound)
+                && !connects(&pending, b.var, &bound)
+                && !unlocks(&todo, b.var, &bound)
             {
                 3
             } else {
                 tier
             };
-            let better = match &best {
-                None => true,
-                Some((bt, bc, bi, ..)) => (tier, card, i) < (*bt, *bc, *bi),
-            };
-            if better {
-                best = Some((tier, card, i, access, consumed));
+            if best
+                .as_ref()
+                .is_none_or(|(bt, bc, ba, ..)| (tier, card, at) < (*bt, *bc, *ba))
+            {
+                best = Some((tier, card, at, access, consumed));
             }
         }
-        let (_, _, idx, access, consumed) = best.ok_or(ExecError::NoEvaluableBinding)?;
+        let (_, _, at, access, consumed) = best.ok_or(ExecError::NoEvaluableBinding)?;
         // The condition consumed by a probe access is not re-checked.
         if let Some(ci) = consumed {
-            used_conds[ci] = true;
+            pending.remove(ci);
         }
-        placed[idx] = true;
-        bound.push(q.from[idx].var);
+        let (binding_idx, b, _) = todo.remove(at);
+        bound.push(b.var);
         // Filters that become fully bound at this step.
         let mut filters = Vec::new();
-        for (ci, eq) in q.where_.iter().enumerate() {
-            if used_conds[ci] {
-                continue;
+        pending.retain(|(eq, vars)| {
+            let attach = vars.contains(&b.var) && vars.iter().all(|v| bound.contains(v));
+            if attach {
+                filters.push((*eq).clone());
             }
-            let vars = eq.vars();
-            if vars.iter().all(|v| bound.contains(v)) && vars.contains(&q.from[idx].var) {
-                filters.push(eq.clone());
-            }
-        }
+            !attach
+        });
         steps.push(Step {
-            binding_idx: idx,
+            binding_idx,
             access,
             filters,
         });
@@ -379,76 +375,41 @@ pub(crate) fn greedy_order(db: &Database, q: &Query) -> Result<Vec<Step>, ExecEr
     Ok(steps)
 }
 
-/// True if some unconsumed where-equality mentions both `var` and a bound
-/// variable — binding `var` next lets that equality filter (or probe) right
-/// away instead of cross-multiplying.
-fn connects(q: &Query, var: Var, bound: &[Var], used: &[bool]) -> bool {
-    q.where_.iter().enumerate().any(|(ci, eq)| {
-        if used[ci] {
-            return false;
-        }
-        let vars = eq.vars();
-        vars.contains(&var) && vars.iter().any(|v| bound.contains(v))
-    })
+/// True if some pending equality mentions both `var` and a bound variable
+/// — binding `var` next lets that equality filter (or probe) right away
+/// instead of cross-multiplying.
+fn connects(pending: &[(&Equality, Vec<Var>)], var: Var, bound: &[Var]) -> bool {
+    pending
+        .iter()
+        .any(|(_, vars)| vars.contains(&var) && vars.iter().any(|v| bound.contains(v)))
 }
 
 /// True if binding `var` completes the range dependencies of some unplaced
 /// binding (e.g. the `t in SI[k]` half of a secondary-index pair once `k`
 /// is bound) — the dictionary algebra's access structures come as
 /// (dom, lookup) pairs, so the dom half "connects" through its dependent.
-fn unlocks(q: &Query, placed: &[bool], var: Var, bound: &[Var]) -> bool {
-    q.from.iter().enumerate().any(|(j, b)| {
-        if placed[j] {
-            return false;
-        }
-        let deps = b.range.vars();
-        !deps.is_empty()
-            && deps.contains(&var)
-            && deps.iter().all(|v| *v == var || bound.contains(v))
+fn unlocks(todo: &[(usize, &Binding, Vec<Var>)], var: Var, bound: &[Var]) -> bool {
+    todo.iter().any(|(_, _, deps)| {
+        deps.contains(&var) && deps.iter().all(|v| *v == var || bound.contains(v))
     })
 }
 
-/// Finds a where-clause equality usable to probe `var` as a dictionary key
-/// (`var = key`) where the key side only uses bound variables.
-fn probe_key(q: &Query, var: Var, bound: &[Var], used: &[bool]) -> Option<(usize, PathExpr)> {
-    for (ci, eq) in q.where_.iter().enumerate() {
-        if used[ci] {
-            continue;
-        }
-        for (probe, key) in [(&eq.lhs, &eq.rhs), (&eq.rhs, &eq.lhs)] {
-            if matches!(probe, PathExpr::Var(v) if *v == var)
-                && key.vars_all(&mut |v| bound.contains(&v))
-            {
-                return Some((ci, key.clone()));
-            }
-        }
-    }
-    None
-}
-
-/// Finds a where-clause equality usable as a hash-join access for `var`:
-/// one side is `var.attr`, the other only uses bound variables.
-fn probe_attr_key(
-    q: &Query,
+/// Every way one of `eqs` can key a probe of the binding `var`, in order,
+/// lhs before rhs: the equality's position, what its side is to `var`
+/// ([`probed`]: `var.a` keys a hash join or an index pair, `var` itself a
+/// dictionary key) and the other side, which reads only `bound`.
+fn probes<'a>(
+    eqs: impl IntoIterator<Item = &'a Equality>,
     var: Var,
-    bound: &[Var],
-    used: &[bool],
-) -> Option<(usize, Symbol, PathExpr)> {
-    for (ci, eq) in q.where_.iter().enumerate() {
-        if used[ci] {
-            continue;
-        }
-        for (probe, key) in [(&eq.lhs, &eq.rhs), (&eq.rhs, &eq.lhs)] {
-            if let PathExpr::Field(base, attr) = probe {
-                if matches!(**base, PathExpr::Var(v) if v == var)
-                    && key.vars_all(&mut |v| bound.contains(&v))
-                {
-                    return Some((ci, *attr, key.clone()));
-                }
-            }
-        }
-    }
-    None
+    bound: &'a [Var],
+) -> impl Iterator<Item = (usize, Option<Symbol>, &'a PathExpr)> {
+    eqs.into_iter().enumerate().flat_map(move |(i, eq)| {
+        oriented(eq).into_iter().filter_map(move |(side, key)| {
+            let attr = probed(side, var)?;
+            key.vars_all(&mut |v| bound.contains(&v))
+                .then_some((i, attr, key))
+        })
+    })
 }
 
 /// Row ids — selection vectors, hash-join buckets, the group bounds of a
@@ -515,9 +476,9 @@ impl JoinIndexes {
         Ok(slot.insert(BuildTable(idx)))
     }
 
-    /// A table [`Self::table`] already built.
-    pub(crate) fn built(&self, table: Symbol, attr: Symbol) -> &BuildTable {
-        &self.map[&(table, attr)]
+    /// The table [`Self::table`] built, if it did.
+    pub(crate) fn built(&self, table: Symbol, attr: Symbol) -> Option<&BuildTable> {
+        self.map.get(&(table, attr))
     }
 }
 
@@ -567,16 +528,24 @@ impl<'a> PairTable<'a> {
         let group = |h| pair_group(h, bits);
         let mut starts = vec![0; (1 << bits) + 1];
         for &h in hashes.iter().filter(|&&h| h != 0) {
-            starts[group(h) + 1] += 1;
+            if let Some(count) = starts.get_mut(group(h) + 1) {
+                *count += 1;
+            }
         }
-        for g in 1..starts.len() {
-            starts[g] += starts[g - 1];
+        let mut total = 0;
+        for start in &mut starts {
+            total += *start;
+            *start = total;
         }
         let mut next = starts.clone();
-        let mut slots = vec![(0, 0); starts[1 << bits] as usize];
+        let mut slots = vec![(0, 0); total as usize];
         for (i, h) in hashes.into_iter().enumerate().filter(|&(_, h)| h != 0) {
-            let at = &mut next[group(h)];
-            slots[*at as usize] = (h as u32, i as u32);
+            let Some(at) = next.get_mut(group(h)) else {
+                continue;
+            };
+            if let Some(slot) = slots.get_mut(*at as usize) {
+                *slot = (h as u32, i as u32);
+            }
             *at += 1;
         }
         PairTable {
@@ -592,14 +561,24 @@ impl<'a> PairTable<'a> {
     fn rows<'p>(&'p self, first: &'p Value, second: &'p Value) -> impl Iterator<Item = u32> + 'p {
         let h = pair_hash(first, second);
         let g = pair_group(h, self.bits);
-        let group = &self.slots[self.starts[g] as usize..self.starts[g + 1] as usize];
+        let group = self.slots.get(span(&self.starts, g)).unwrap_or_default();
         group.iter().filter_map(move |&(low, i)| {
-            let row = &self.rows[i as usize];
+            let row = self.rows.get(i as usize)?;
             let holds = low == h as u32
                 && row.field(self.attrs.0) == Some(first)
                 && row.field(self.attrs.1) == Some(second);
             holds.then_some(i)
         })
+    }
+}
+
+/// Group `g`'s span of a grouped flat array whose group bounds are
+/// `starts` (a [`PairTable`]'s slots, an [`Asked`]'s pairs); empty past the
+/// last group.
+fn span(starts: &[u32], g: usize) -> std::ops::Range<usize> {
+    match starts.get(g..g + 2) {
+        Some(&[from, to]) => from as usize..to as usize,
+        _ => 0..0,
     }
 }
 
@@ -678,10 +657,10 @@ impl<'a> Asked<'a> {
 
     /// The pairs input row `r` matches, in dictionary-then-set order.
     fn matches(&self, r: usize) -> impl Iterator<Item = (&'a Value, &'a Value)> + '_ {
-        let range = self.row_group[r].map_or(0..0, |g| {
-            self.starts[g as usize] as usize..self.starts[g as usize + 1] as usize
-        });
-        self.kept[range].iter().map(|&(_, k, t)| (k, t))
+        let group = self.row_group.get(r).copied().flatten();
+        let range = group.map_or(0..0, |g| span(&self.starts, g as usize));
+        let kept = self.kept.get(range).unwrap_or_default();
+        kept.iter().map(|&(_, k, t)| (k, t))
     }
 }
 
@@ -808,7 +787,7 @@ impl<'a> Sink<'a> {
         if r != self.row {
             self.read_row(batch, r);
         }
-        let first = &mut self.filters[0];
+        let first = self.filters.first_mut()?;
         first.reached += offered;
         // `fold_attr` folds only a filter whose other side reads no
         // candidate, so that side is a row side.
@@ -823,7 +802,9 @@ impl<'a> Sink<'a> {
     /// filters hold on it.
     #[inline(always)]
     fn pass_folded(&mut self, batch: &Batch<'a>, r: usize, cand: &[&'a Value]) {
-        self.filters[0].passed += 1;
+        if let Some(first) = self.filters.first_mut() {
+            first.passed += 1;
+        }
         self.check(batch, r, cand, 1);
     }
 
@@ -831,7 +812,7 @@ impl<'a> Sink<'a> {
     /// hold on it; the row sides are already read at `r`.
     #[inline(always)]
     fn check(&mut self, batch: &Batch<'a>, r: usize, cand: &[&'a Value], from: usize) {
-        for f in &mut self.filters[from..] {
+        for f in self.filters.iter_mut().skip(from) {
             f.reached += 1;
             // Both sides defined and equal, or the candidate is dropped.
             let Some(a) = eval_path_at(batch, r, cand, &f.cand) else {
@@ -950,8 +931,8 @@ fn probe_folded<'a>(
         .collect();
     if buckets.iter().map(|b| b.len()).sum::<usize>() <= rows.len() {
         for (r, bucket) in buckets.into_iter().enumerate() {
-            for &i in bucket {
-                sink.offer(batch, r, &[&rows[i as usize]]);
+            for row in bucket.iter().filter_map(|&i| rows.get(i as usize)) {
+                sink.offer(batch, r, &[row]);
             }
         }
         return 0;
@@ -966,8 +947,8 @@ fn probe_folded<'a>(
             continue;
         };
         if let Some(v) = sink.fold_row(batch, r, bucket.len()) {
-            for i in pairs.rows(&k, &v) {
-                sink.pass_folded(batch, r, &[&rows[i as usize]]);
+            for row in pairs.rows(&k, &v).filter_map(|i| rows.get(i as usize)) {
+                sink.pass_folded(batch, r, &[row]);
             }
         }
     }
@@ -988,7 +969,7 @@ pub(crate) fn apply_access<'a>(
     stats: &mut ExecStats,
 ) -> Result<Batch<'a>, ExecError> {
     let slot = step.binding_idx;
-    let mut collection = q.from[slot].range.anchor();
+    let mut collection = q.from.get(slot).and_then(|b| b.range.anchor());
     check_row_ids("batch", batch.len(), ROW_ID_LIMIT)?;
     let mut sink = Sink::new(db, q, &[slot], &step.filters);
     let key_path = |key| Path::resolve(db, q, &[], key);
@@ -1016,8 +997,12 @@ pub(crate) fn apply_access<'a>(
                     None => {
                         for r in 0..batch.len() {
                             if let Some(k) = eval_path_at(batch, r, &[], &key) {
-                                for &i in build.bucket(&k) {
-                                    sink.offer(batch, r, &[&rows[i as usize]]);
+                                for row in build
+                                    .bucket(&k)
+                                    .iter()
+                                    .filter_map(|&i| rows.get(i as usize))
+                                {
+                                    sink.offer(batch, r, &[row]);
                                 }
                             }
                         }

@@ -42,7 +42,10 @@ cargo fmt --check
 # clippy::expect_used outside their tests; each sanctioned panic sits
 # under #[expect(clippy::panic)], each sanctioned expect under
 # #[expect(clippy::expect_used, reason = "...")] naming the invariant it
-# states. The test tiers below pin how many sanctions each crate holds.
+# states. crates/core/src/bitset.rs denies clippy::indexing_slicing and
+# crates/engine/src/join.rs denies it outside its tests, so an unchecked
+# index there fails here. The test tiers below pin how many sanctions each
+# crate holds, and the deny and forbid lines themselves.
 tier "cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
